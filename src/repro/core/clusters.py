@@ -40,16 +40,14 @@ SCHEME_WIDTHS = np.array([
 
 SCHEME_NAMES = ("00", "01", "10", "11")
 
-#: Largest representable magnitude per bit width (sign-magnitude coding).
-_QMAX_BY_WIDTH = {0: 0, 2: 1, 3: 3}
+#: Largest representable magnitude per bit width (sign-magnitude coding):
+#: width 0 -> 0, width 2 -> 1, width 3 -> 3 (width 1 is never allocated).
+_QMAX_BY_WIDTH = np.array([0, 0, 1, 3], dtype=np.int64)
 
 
 def qmax_for_widths(widths: np.ndarray) -> np.ndarray:
     """Map bit widths {0,2,3} to their max representable magnitudes."""
-    lookup = np.zeros(4, dtype=np.int64)
-    for width, qmax in _QMAX_BY_WIDTH.items():
-        lookup[width] = qmax
-    return lookup[widths]
+    return _QMAX_BY_WIDTH[widths]
 
 
 def cluster_weights(weights: np.ndarray, cluster_size: int = CLUSTER_SIZE
@@ -60,14 +58,17 @@ def cluster_weights(weights: np.ndarray, cluster_size: int = CLUSTER_SIZE
     a multiple of ``cluster_size``; returns the padded view and the number
     of padding columns (needed to undo the padding later).
     """
-    w = np.asarray(weights, dtype=np.float64)
+    w = np.asarray(weights)
     if w.ndim != 2:
         raise ValueError(f"expected 2-D weights, got shape {w.shape}")
     rows, cols = w.shape
     pad = (-cols) % cluster_size
     if pad:
-        w = np.concatenate([w, np.zeros((rows, pad))], axis=1)
-    return w.reshape(rows, -1, cluster_size), pad
+        padded = np.zeros((rows, cols + pad))
+        padded[:, :cols] = w
+    else:
+        padded = np.asarray(w, dtype=np.float64)
+    return padded.reshape(rows, -1, cluster_size), pad
 
 
 def detect_outlier_clusters(clusters: np.ndarray,

@@ -57,6 +57,60 @@ def dequantize_codes(codes: np.ndarray, scales: np.ndarray) -> np.ndarray:
     return codes * scales
 
 
+#: Clip magnitude of every position under every scheme, position-major
+#: (``[position, scheme]``) so the position planes index it directly.
+_SCHEME_QMAX = qmax_for_widths(SCHEME_WIDTHS).T.astype(np.float64)
+
+
+def _round_levels(mags: np.ndarray, scales: np.ndarray) -> np.ndarray:
+    """:func:`round_half_away` of ``x / s`` as a magnitude
+    (``|x / s| == |x| / s`` exactly), computed in one buffer."""
+    levels = mags / scales
+    levels += 0.5
+    return np.floor(levels, out=levels)
+
+
+def _best_pair_schemes(mags: np.ndarray, levels: np.ndarray,
+                       scales: np.ndarray) -> np.ndarray:
+    """Error-minimising shared scheme of every adjacent cluster pair.
+
+    ``mags``/``levels`` are ``(3, clusters, rows)`` position planes (an
+    even cluster count) of magnitudes and their grid-rounded levels;
+    returns ``(clusters // 2, rows)``.  A position's squared residual
+    depends only on its clip level — 0 (sacrificed), 1 (2-bit grid) or 3
+    (3-bit grid, which never clips: levels are at most 3 at an Eq. 1
+    scale) — so three residual planes serve all four schemes.  The six
+    terms of a pair are summed left to right, first member first, the
+    order :func:`_pair_scheme_errors` reduces in, so near-ties resolve
+    exactly as the reference's ``argmin`` does (first minimum wins).
+    """
+    gone = mags * mags
+    fine = levels * scales
+    np.subtract(mags, fine, out=fine)
+    fine *= fine
+    coarse = np.minimum(levels, 1.0)
+    coarse *= scales
+    np.subtract(mags, coarse, out=coarse)
+    coarse *= coarse
+
+    def pair_error(p0, p1, p2):
+        total = p0[0::2] + p1[0::2]
+        for term in (p2[0::2], p0[1::2], p1[1::2], p2[1::2]):
+            total += term
+        return total
+
+    lowest = pair_error(coarse[0], coarse[1], coarse[2])
+    best = np.zeros(lowest.shape, dtype=np.int64)
+    for scheme, planes in ((1, (gone[0], fine[1], fine[2])),
+                           (2, (fine[0], gone[1], fine[2])),
+                           (3, (fine[0], fine[1], gone[2]))):
+        error = pair_error(*planes)
+        better = error < lowest
+        best += (scheme - best) * better
+        np.minimum(lowest, error, out=lowest)
+    return best
+
+
 def encode_channels(clusters: np.ndarray,
                     outlier_ratio: float = OUTLIER_RATIO,
                     harmonize: bool = True
@@ -64,10 +118,81 @@ def encode_channels(clusters: np.ndarray,
     """The full FineQ encode pipeline for pre-clustered channels.
 
     Scheme selection -> Eq. 1 channel scales -> pair harmonization (with
-    the scale recompute only when harmonization changed a scheme) -> grid
-    rounding.  Single source of truth shared by the weight quantizer and
-    the quantized KV cache, so the two formats cannot drift.  Returns
-    ``(codes, schemes, scales)`` with ``scales`` shaped ``(rows, 1, 1)``.
+    the scale recompute only for channels harmonization stripped of
+    their last outlier cluster) -> grid rounding.  Single source of truth
+    shared by the weight quantizer and the quantized KV cache, so the two
+    formats cannot drift.  Returns ``(codes, schemes, scales)`` with
+    ``scales`` shaped ``(rows, 1, 1)``.
+
+    This is the fused form of the step functions in this module and
+    :mod:`repro.core.clusters` (``initial_schemes`` -> ``channel_scales``
+    -> ``harmonize_pairs`` -> ``quantize_codes``), which stay as the
+    line-by-line Algorithm 1 reference the property tests compare
+    against, bit for bit.  It works on the three position planes of the
+    clusters, channels innermost (element-wise max/min instead of
+    reductions over a length-3 axis, cluster reductions across whole
+    channel vectors), and in the magnitude domain: ``|x| / s`` is
+    rounded to the grid once, and that one array feeds the harmonization
+    errors and — with the sign put back — the final codes.  ``codes`` and
+    ``schemes`` come back as transposed views of the plane arrays, which
+    is the layout :func:`repro.core.packing.pack_matrix` consumes.
+    """
+    rows, num_clusters, _ = clusters.shape
+    values = np.ascontiguousarray(clusters.transpose(2, 1, 0),
+                                  dtype=np.float64)
+    mags = np.abs(values)
+    m0, m1, m2 = mags
+    top = np.maximum(np.maximum(m0, m1), m2)
+    low = np.minimum(np.minimum(m0, m1), m2)
+    outlier = top > outlier_ratio * low
+    # The first smallest magnitude is sacrificed (argmin's tie-break):
+    # scheme 1, 2 or 3 by its position, 0 for normal clusters.
+    first = m0 == low
+    schemes = (3 - (m1 == low)) * ~first
+    schemes += first
+    schemes *= outlier
+
+    peak = top.max(axis=0)
+
+    def eq1_scales(has_outlier):
+        return np.where(peak > 0, peak / (1.0 + 2.0 * has_outlier), 1.0)
+
+    has_outlier = outlier.any(axis=0)
+    scales = eq1_scales(has_outlier)
+    levels = _round_levels(mags, scales)
+
+    even = num_clusters - num_clusters % 2
+    if harmonize and even:
+        left = schemes[0:even:2]
+        disagree = left != schemes[1:even:2]
+        if disagree.any():
+            best = _best_pair_schemes(mags[:, :even], levels[:, :even],
+                                      scales)
+            left += (best - left) * disagree
+            schemes[1:even:2] = left
+            still = (schemes > 0).any(axis=0)
+            changed = np.nonzero(still != has_outlier)[0]
+            if len(changed):
+                scales = eq1_scales(still)
+                levels[:, :, changed] = _round_levels(mags[:, :, changed],
+                                                      scales[changed])
+
+    codes = np.take(_SCHEME_QMAX, schemes, axis=1)
+    np.minimum(levels, codes, out=codes)
+    np.copysign(codes, values, out=codes)
+    return (codes.astype(np.int64).transpose(2, 1, 0), schemes.T,
+            scales.reshape(rows, 1, 1))
+
+
+def encode_channels_stepwise(clusters: np.ndarray,
+                             outlier_ratio: float = OUTLIER_RATIO,
+                             harmonize: bool = True
+                             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """:func:`encode_channels` as the composition of the step functions.
+
+    Algorithm 1 line by line (the pre-fusion implementation).  Kept for
+    the equivalence property tests and as the baseline of the flush
+    micro-benchmark; production encode is :func:`encode_channels`.
     """
     schemes = initial_schemes(clusters, ratio=outlier_ratio)
     scales = channel_scales(clusters, schemes)

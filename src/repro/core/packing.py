@@ -179,13 +179,91 @@ def decode_payload_bitwise(payload: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return codes, schemes
 
 
+def _build_encode_lut() -> np.ndarray:
+    """Flat ``(4 * 343,)`` table: the 6-bit data pattern of every
+    ``(scheme, code triple)``, codes on the ``-3..3`` grid.
+
+    The mirror image of :data:`_DECODE_LUT`: enumerated once at import
+    through the reference :func:`_cluster_bits` (a non-zero bit value
+    sets the bit, as ``np.packbits`` reads it), so packing becomes one
+    table lookup instead of per-bit ``take_along_axis``/``packbits``.
+    Entry ``((scheme * 7 + c0 + 3) * 7 + c1 + 3) * 7 + c2 + 3``.
+    """
+    grid = np.arange(-3, 4)
+    triples = np.stack(np.meshgrid(grid, grid, grid, indexing="ij"),
+                       axis=-1).reshape(-1, 3)
+    place = 1 << np.arange(5, -1, -1)
+    lut = np.empty((4, len(triples)), dtype=np.uint8)
+    for scheme in range(4):
+        bits = _cluster_bits(triples, np.full(len(triples), scheme))
+        lut[scheme] = (bits != 0) @ place
+    return lut.reshape(-1)
+
+
+#: Data pattern for every (scheme, code triple); the encode hot path.
+_ENCODE_LUT = _build_encode_lut()
+#: Offset that moves a ``-3..3`` code triple onto the table's 0..342 range.
+_ENCODE_BIAS = (3 * 7 + 3) * 7 + 3
+
+
 def pack_matrix(codes: np.ndarray, schemes: np.ndarray, scales: np.ndarray,
                 shape: tuple[int, int]) -> PackedMatrix:
     """Pack quantization artifacts into the aligned byte format.
 
-    ``codes``: ``(rows, clusters, 3)``; ``schemes``: ``(rows, clusters)``
-    with harmonized pairs; ``scales``: ``(rows,)``; ``shape`` is the
-    original matrix shape (for unpadding on decode).
+    ``codes``: ``(rows, clusters, 3)`` on the ``-3..3`` grid; ``schemes``:
+    ``(rows, clusters)`` with harmonized pairs; ``scales``: ``(rows,)``;
+    ``shape`` is the original matrix shape (for unpadding on decode).
+
+    Every cluster's 6 data bits come out of :data:`_ENCODE_LUT`; four
+    patterns then shift into three data bytes and four pair indices into
+    one index byte (the inverse of :func:`decode_payload`'s byte
+    arithmetic).  Work is laid out clusters-major, channels innermost —
+    the layout :func:`repro.core.encoding.encode_channels` hands over —
+    so every shift runs across whole channel vectors.
+    """
+    rows, num_clusters, _ = codes.shape
+    padded = num_clusters + (-num_clusters) % CLUSTERS_PER_GROUP
+    groups = padded // CLUSTERS_PER_GROUP
+    c0, c1, c2 = codes.transpose(2, 1, 0)
+    by_cluster = schemes.T
+
+    key = np.multiply(by_cluster, 7, dtype=np.intp)
+    key += c0
+    key *= 7
+    key += c1
+    key *= 7
+    key += c2
+    key += _ENCODE_BIAS
+    # Group padding is normal clusters of zeros: pattern 0, scheme 0.
+    patterns = np.zeros((padded, rows), dtype=np.uint8)
+    np.take(_ENCODE_LUT, key, out=patterns[:num_clusters])
+    pair_index = np.zeros((padded // 2, rows), dtype=np.uint8)
+    pair_index[:(num_clusters + 1) // 2] = by_cluster[0::2]
+
+    payload = np.empty((rows, groups, GROUP_BYTES), dtype=np.uint8)
+    i0, i1, i2, i3 = pair_index.reshape(groups, 4, rows).transpose(1, 0, 2)
+    payload[:, :, 0] = ((i0 << 6) | (i1 << 4) | (i2 << 2) | i3).T
+    # Data bytes: four 6-bit patterns -> one byte triplet, two per group
+    # (uint8 shifts drop the bits that belong to the previous byte).
+    p0, p1, p2, p3 = patterns.reshape(groups, 2, 4, rows).transpose(2, 0, 1, 3)
+    data = np.empty((groups, 2, 3, rows), dtype=np.uint8)
+    data[:, :, 0] = (p0 << 2) | (p1 >> 4)
+    data[:, :, 1] = (p1 << 4) | (p2 >> 2)
+    data[:, :, 2] = (p2 << 6) | p3
+    payload[:, :, 1:] = data.reshape(groups, GROUP_DATA_BYTES,
+                                     rows).transpose(2, 0, 1)
+    return PackedMatrix(shape=tuple(shape), num_clusters=num_clusters,
+                        scales=np.asarray(scales, dtype=np.float16),
+                        payload=payload.reshape(rows, -1))
+
+
+def pack_matrix_bitwise(codes: np.ndarray, schemes: np.ndarray,
+                        scales: np.ndarray, shape: tuple[int, int]
+                        ) -> PackedMatrix:
+    """Per-bit reference pack (the pre-LUT implementation).
+
+    Kept for the equivalence property tests and as the baseline of the
+    flush micro-benchmark; production pack is :func:`pack_matrix`.
     """
     rows, num_clusters, _ = codes.shape
     pad_clusters = (-num_clusters) % CLUSTERS_PER_GROUP

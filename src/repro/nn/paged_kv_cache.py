@@ -60,11 +60,12 @@ Two read paths serve attention:
   :class:`DequantBlockCache`: quantized pool blocks are immutable once
   written (writes go through the FP32 buffer; COW copies get fresh
   ids), so a block's dequantized values are memoised by ``(layer,
-  block id)`` under a byte budget with LRU eviction and invalidated
-  whenever a payload is rewritten or the block is freed.  A shared
-  system-prompt block therefore dequantizes once per step across all
-  its readers — and once *ever* while it stays cache-resident —
-  instead of ``batch x layers x steps`` times.
+  block id)`` under a byte budget with LRU eviction, filled by the
+  flush that quantizes the block (write-through) or by the first read
+  that misses, and invalidated whenever a payload is rewritten or the
+  block is freed.  A shared system-prompt block therefore dequantizes
+  once per step across all its readers — and once *ever* while it
+  stays cache-resident — instead of ``batch x layers x steps`` times.
 """
 
 from __future__ import annotations
@@ -73,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.clusters import cluster_weights
+from repro.core.clusters import CLUSTER_SIZE
 from repro.core.encoding import encode_channels
 from repro.core.packing import (CLUSTERS_PER_GROUP, GROUP_BYTES,
                                 decode_payload, pack_matrix)
@@ -108,7 +109,14 @@ class KVReadStats:
     ``dequant_hits`` /
     ``dequant_misses`` count per-reader block lookups in the
     :class:`DequantBlockCache` (a block missed once but read by sixteen
-    rows in the same chunk counts one miss and fifteen hits).
+    rows in the same chunk counts one miss and fifteen hits).  A
+    flush that writes a block's values through into the memo charges
+    ``streamed_bytes`` the payload fetch of the first-read miss it
+    replaces, so write-through moves no total.
+
+    The write side rides along: ``flush_calls`` counts
+    :func:`quantize_kv_block` kernel calls and ``flush_blocks`` the K/V
+    blocks they quantized (the quotient is the flush batching factor).
     """
 
     logical_bytes: int = 0
@@ -117,6 +125,8 @@ class KVReadStats:
     bytes_not_gathered: int = 0
     dequant_hits: int = 0
     dequant_misses: int = 0
+    flush_calls: int = 0
+    flush_blocks: int = 0
 
 
 class DequantBlockCache:
@@ -127,12 +137,20 @@ class DequantBlockCache:
     dequantized ``(heads, block, head_dim)`` K/V values can be reused
     across readers, layers' worth of decode steps, and sessions of the
     same engine.  Entries live in slot-pooled value stores (one K and
-    one V array) so chunk assembly is a single fancy-index gather; the
+    one V array) so chunk assembly is a single gather per operand; the
     slot count is ``budget_bytes`` divided by the per-entry footprint,
-    grown lazily and recycled LRU.  :meth:`invalidate` drops a block's
-    entries in every layer — called whenever a payload is rewritten or
-    the block returns to the free list, so a recycled block id can never
-    serve stale values.
+    grown lazily and recycled LRU.  Entries arrive two ways: a
+    :meth:`lookup` miss dequantizes the payload, and a flush *writes
+    through* (:meth:`fill`) the values it already holds, so a block the
+    step has just encoded is never decoded back.  :meth:`invalidate`
+    drops entries whenever a payload is rewritten or the block returns
+    to the free list, so a recycled block id can never serve stale
+    values.
+
+    Slot 0 of the stores is a permanent all-zero entry that no key owns:
+    the absent id ``-1`` resolves to it (through a sentinel last column
+    of the slot table, which ``-1`` indexes), so a chunk whose table has
+    unowned positions is still one gather.
     """
 
     def __init__(self, num_layers: int, heads: int, block_size: int,
@@ -141,15 +159,17 @@ class DequantBlockCache:
         self.entry_bytes = 2 * heads * block_size * head_dim * 4  # K + V
         self.capacity = max(0, int(budget_bytes) // self.entry_bytes)
         self._shape = (heads, block_size, head_dim)
-        self._store_k = np.zeros((0,) + self._shape, dtype=np.float32)
-        self._store_v = np.zeros((0,) + self._shape, dtype=np.float32)
+        self._store_k = np.zeros((1,) + self._shape, dtype=np.float32)
+        self._store_v = np.zeros((1,) + self._shape, dtype=np.float32)
         # (layer, block id) -> slot, as an array so a chunk's lookups are
         # one fancy index instead of per-id dict probes (-1 = absent).
-        self._slot_table = np.full((num_layers, 0), -1, dtype=np.int64)
+        self._slot_table = np.zeros((num_layers, 1), dtype=np.int64)
         self._entries = 0
-        self._key_of: list[tuple[int, int] | None] = []
-        self._occupied = np.zeros(0, dtype=bool)
-        self._last_used = np.zeros(0, dtype=np.int64)
+        # Per-slot bookkeeping, index 0 (the zero entry) never occupied.
+        self._key_layer = np.zeros(1, dtype=np.int64)
+        self._key_block = np.zeros(1, dtype=np.int64)
+        self._occupied = np.zeros(1, dtype=bool)
+        self._last_used = np.zeros(1, dtype=np.int64)
         self._free: list[int] = []
         self._tick = 0
         self.evictions = 0
@@ -162,49 +182,47 @@ class DequantBlockCache:
 
     def slot(self, layer: int, block_id: int) -> int:
         """Slot holding ``(layer, block_id)``, or ``-1`` when absent."""
-        if int(block_id) >= self._slot_table.shape[1]:
+        if not 0 <= int(block_id) < self._slot_table.shape[1] - 1:
             return -1
         return int(self._slot_table[layer, int(block_id)])
 
     def _ensure_blocks(self, max_block: int) -> None:
-        width = self._slot_table.shape[1]
+        width = self._slot_table.shape[1] - 1
         if max_block < width:
             return
-        wider = np.full((self.num_layers, max(max_block + 1, 2 * width)),
+        wider = np.full((self.num_layers, max(max_block + 1, 2 * width) + 1),
                         -1, dtype=np.int64)
-        wider[:, :width] = self._slot_table
+        wider[:, :width] = self._slot_table[:, :width]
+        wider[:, -1] = 0
         self._slot_table = wider
 
     def _grow(self, needed: int) -> None:
         """Allocate more slots (amortized doubling, capped at capacity)."""
-        have = len(self._key_of)
+        have = len(self._occupied) - 1
         new = min(self.capacity, max(needed, 2 * have, 16))
         if new <= have:
             return
-        for name in ("_store_k", "_store_v"):
-            store = getattr(self, name)
-            grown = np.zeros((new,) + self._shape, dtype=np.float32)
-            grown[:have] = store
+        for name in ("_store_k", "_store_v", "_key_layer", "_key_block",
+                     "_occupied", "_last_used"):
+            old = getattr(self, name)
+            grown = np.zeros((new + 1,) + old.shape[1:], dtype=old.dtype)
+            grown[:have + 1] = old
             setattr(self, name, grown)
-        used = self._last_used
-        self._last_used = np.zeros(new, dtype=np.int64)
-        self._last_used[:have] = used
-        occupied = self._occupied
-        self._occupied = np.zeros(new, dtype=bool)
-        self._occupied[:have] = occupied
-        self._free.extend(range(have, new))
-        self._key_of.extend([None] * (new - have))
+        self._free.extend(range(have + 1, new + 1))
 
-    def _claim_slots(self, count: int, tick: int) -> list[int]:
+    def _claim_slots(self, count: int, tick: int) -> np.ndarray:
         """Up to ``count`` free-or-evicted slots (never ones used at
         ``tick`` — entries read in the current lookup stay pinned)."""
         # Grow only when the free list cannot cover the request (lazy:
         # the store tracks the working set, not the whole budget).
-        if len(self._free) < count and len(self._key_of) < self.capacity:
-            self._grow(len(self._key_of) - len(self._free) + count)
-        slots = [self._free.pop() for _ in range(min(count, len(self._free)))]
+        have = len(self._occupied) - 1
+        if len(self._free) < count and have < self.capacity:
+            self._grow(have - len(self._free) + count)
+        keep = max(0, len(self._free) - count)
+        slots = self._free[keep:]
+        del self._free[keep:]
         short = count - len(slots)
-        if short > 0 and len(self._key_of):
+        if short > 0:
             # Vectorized victim pick: occupied slots not touched this
             # lookup, the `short` least-recently-used of them (partial
             # partition, not a full sort — this runs on the decode hot
@@ -213,98 +231,135 @@ class DequantBlockCache:
                                     & (self._last_used < tick))[0]
             if len(candidates):
                 take = min(short, len(candidates))
-                order = np.argpartition(self._last_used[candidates],
-                                        take - 1)[:take]
-                for slot in candidates[order]:
-                    slot = int(slot)
-                    layer, block = self._key_of[slot]
-                    self._slot_table[layer, block] = -1
-                    self._key_of[slot] = None
-                    self._occupied[slot] = False
-                    self._entries -= 1
-                    self.evictions += 1
-                    slots.append(slot)
-        return slots
+                victims = candidates[np.argpartition(
+                    self._last_used[candidates], take - 1)[:take]]
+                self._slot_table[self._key_layer[victims],
+                                 self._key_block[victims]] = -1
+                self._occupied[victims] = False
+                self._entries -= take
+                self.evictions += take
+                slots += victims.tolist()
+        return np.asarray(slots, dtype=np.int64)
+
+    def _store(self, slots: np.ndarray, layers, ids: np.ndarray,
+               k_vals: np.ndarray, v_vals: np.ndarray, tick: int) -> None:
+        """Bind ``slots`` to the ``(layers, ids)`` keys and their values."""
+        self._store_k[slots] = k_vals
+        self._store_v[slots] = v_vals
+        self._slot_table[layers, ids] = slots
+        self._key_layer[slots] = layers
+        self._key_block[slots] = ids
+        self._occupied[slots] = True
+        self._last_used[slots] = tick
+        self._entries += len(slots)
 
     def lookup(self, layer: int, ids: np.ndarray, kind: str,
-               dequant_pair, dequant_kind
-               ) -> tuple[np.ndarray, int, int]:
+               dequant_pair, dequant_kind):
         """Dequantized values for block ``ids`` (duplicates welcome —
-        many rows reading one shared block is the expected shape).
+        many rows reading one shared block is the expected shape; ``-1``
+        reads as an all-zero block).
 
-        Returns ``((len(ids), heads, block, head_dim) float32, misses,
-        paired)``: ``misses`` counts the *unique* blocks that had to be
-        dequantized — sixteen readers of one cold shared block are one
-        miss (the fifteen served from its fresh dequant count as hits,
-        and the streamed-bytes charge stays one payload fetch) — and
-        ``paired <= misses`` is how many of them fetched both operands.
+        ``kind`` selects the operand: ``"k"`` or ``"v"`` return one
+        ``ids.shape + (heads, block, head_dim)`` float32 array,
+        ``"kv"`` a ``(k, v)`` pair from a single slot resolution.
+        Returns ``(values, misses, paired)``: ``misses`` counts the
+        *unique* blocks that had to be dequantized — sixteen readers of
+        one cold shared block are one miss (the fifteen served from its
+        fresh dequant count as hits, and the streamed-bytes charge stays
+        one payload fetch) — and ``paired <= misses`` is how many of
+        them were pinned with both operands.
 
-        Slots are claimed *before* dequantizing: blocks that win a slot
-        dequantize both operands via ``dequant_pair(ids) -> (k, v)`` (so
-        the sibling pass hits), while blocks the budget cannot pin
-        dequantize only the requested operand via ``dequant_kind(ids)``
-        — a saturated cache therefore degrades to the cache-disabled
-        cost instead of paying double LUT work while thrashing.
+        When every id is resident — the steady state, since flushes
+        write through — the values are one ``take`` per operand.
+        Otherwise slots are claimed *before* dequantizing: blocks that
+        win a slot dequantize both operands via ``dequant_pair(ids) ->
+        (k, v)`` (so the sibling pass hits), while blocks the budget
+        cannot pin dequantize only what was asked for (``dequant_kind``
+        for a single operand) — a saturated cache therefore degrades to
+        the cache-disabled cost instead of paying double LUT work while
+        thrashing.
         """
         self._tick += 1
         tick = self._tick
         ids = np.asarray(ids, dtype=np.int64)
         self._ensure_blocks(int(ids.max(initial=0)))
         slots = self._slot_table[layer, ids]
-        store = self._store_k if kind == "k" else self._store_v
-        hit = slots >= 0
-        out = np.empty((len(ids),) + self._shape, dtype=np.float32)
-        if hit.any():
-            hit_slots = slots[hit]
-            out[hit] = store[hit_slots]
-            self._last_used[hit_slots] = tick
-        misses = m = 0
-        if not hit.all():
-            miss = ~hit
-            uniq, inverse = np.unique(ids[miss], return_inverse=True)
-            misses = len(uniq)
+        absent = slots < 0
+        misses = paired = 0
+        spilled = None
+        if absent.any():
+            self._last_used[slots[~absent]] = tick  # pin this lookup's hits
+            wanted = np.unique(ids[absent])
+            misses = len(wanted)
             granted = self._claim_slots(misses, tick)
-            vals = np.empty((misses,) + self._shape, dtype=np.float32)
-            m = len(granted)
-            if m:
-                k_vals, v_vals = dequant_pair(uniq[:m])
-                vals[:m] = k_vals if kind == "k" else v_vals
-                for i, slot in enumerate(granted):
-                    self._store_k[slot] = k_vals[i]
-                    self._store_v[slot] = v_vals[i]
-                    block = int(uniq[i])
-                    self._slot_table[layer, block] = slot
-                    self._key_of[slot] = (layer, block)
-                    self._occupied[slot] = True
-                    self._last_used[slot] = tick
-                    self._entries += 1
-            if m < misses:
-                vals[m:] = dequant_kind(uniq[m:])
-            out[miss] = vals[inverse]
-        return out, misses, m
+            paired = len(granted)
+            if paired:
+                k_vals, v_vals = dequant_pair(wanted[:paired])
+                self._store(granted, layer, wanted[:paired], k_vals, v_vals,
+                            tick)
+                slots = self._slot_table[layer, ids]
+                absent = slots < 0
+            if paired < misses:
+                spilled = (dequant_pair(wanted[paired:]) if kind == "kv"
+                           else (dequant_kind(wanted[paired:]),))
+                order = np.searchsorted(wanted, ids[absent]) - paired
+                slots = np.where(absent, 0, slots)
+        self._last_used[slots] = tick
+        stores = {"k": (self._store_k,), "v": (self._store_v,),
+                  "kv": (self._store_k, self._store_v)}[kind]
+        values = tuple(store.take(slots, axis=0) for store in stores)
+        if spilled is not None:
+            for out, vals in zip(values, spilled):
+                out[absent] = vals[order]
+        return (values if kind == "kv" else values[0]), misses, paired
 
-    def invalidate(self, block_id: int, layer: int | None = None) -> None:
-        """Drop the block's entries — the stale dequant must never be
-        served again.  ``layer`` scopes the drop to one layer's entry (a
-        payload rewrite touches one layer's pool; the sibling layers'
-        cached values stay valid); ``None`` sweeps every layer (block
-        freed or recycled — the id means something new everywhere)."""
-        block_id = int(block_id)
-        if block_id >= self._slot_table.shape[1]:
-            return
-        layers = range(self.num_layers) if layer is None else (layer,)
-        for one in layers:
-            slot = int(self._slot_table[one, block_id])
-            if slot >= 0:
-                self._slot_table[one, block_id] = -1
-                self._key_of[slot] = None
-                self._occupied[slot] = False
-                self._last_used[slot] = 0
-                self._free.append(slot)
-                self._entries -= 1
+    def fill(self, layers, ids: np.ndarray, k_vals: np.ndarray,
+             v_vals: np.ndarray) -> int:
+        """Write-through: memoise freshly quantized blocks' values.
+
+        ``(layers[i], ids[i])`` are distinct keys whose payloads were
+        just (re)written; ``k_vals``/``v_vals`` are their dequantized
+        ``(heads, block, head_dim)`` values.  Stale entries for the keys
+        are dropped, slots are claimed by the same LRU rule a miss uses,
+        and as many leading keys as the budget grants are stored.
+        Returns that count.
+        """
+        self.invalidate(ids, layers)
+        self._ensure_blocks(int(ids.max()))
+        self._tick += 1
+        slots = self._claim_slots(len(ids), self._tick)
+        count = len(slots)
+        if count:
+            self._store(slots, layers[:count], ids[:count],
+                        k_vals[:count], v_vals[:count], self._tick)
+        return count
+
+    def invalidate(self, block_ids, layer=None) -> None:
+        """Drop blocks' entries — the stale dequant must never be served
+        again.  ``block_ids`` is one id or an array of distinct ids.
+        ``layer`` scopes the drop: an int for one layer's entries, an
+        array pairing a layer with each id (a flush rewrites exactly
+        those payloads; sibling layers' cached values stay valid), or
+        ``None`` to sweep every layer (block freed or recycled — the id
+        means something new everywhere)."""
+        ids = np.asarray(block_ids, dtype=np.int64).reshape(-1)
+        known = ids < self._slot_table.shape[1] - 1
+        if layer is None:
+            at = (slice(None), ids[known])
+        else:
+            layer = np.asarray(layer)
+            at = (layer[known] if layer.ndim else layer, ids[known])
+        slots = self._slot_table[at]
+        held = slots[slots >= 0]
+        if held.size:
+            self._slot_table[at] = -1
+            self._occupied[held] = False
+            self._last_used[held] = 0
+            self._free.extend(held.tolist())
+            self._entries -= held.size
 
 
-def quantize_kv_block(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def quantize_kv_block(blocks: np.ndarray, with_values: bool = False):
     """FineQ-encode ``(n, heads, block, head_dim)`` FP32 K/V blocks.
 
     Each ``(head, dim)`` pair is a channel; its ``block`` tokens are
@@ -312,14 +367,34 @@ def quantize_kv_block(blocks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     pipeline (outlier schemes -> pair harmonization -> Eq. 1 channel
     scale -> grid rounding -> 6-bit packing).  Returns ``(payload,
     scales)`` of shapes ``(n * heads * head_dim, groups * GROUP_BYTES)``
-    uint8 and ``(n * heads * head_dim,)`` float16.
+    uint8 and ``(n * heads * head_dim,)`` float16.  Channels are
+    independent, so any mix of blocks (K and V, several layers) encodes
+    in one call to the bytes separate calls would produce.
+
+    ``with_values=True`` appends the blocks' dequantized values, ``(n,
+    heads, block, head_dim)`` float32: the integer codes times the FP16
+    scales, bitwise what :func:`dequantize_kv_channels` decodes from the
+    returned payload — which lets a flush write them through into the
+    :class:`DequantBlockCache` without a decode.
     """
     n, heads, block, head_dim = blocks.shape
-    matrix = blocks.transpose(0, 1, 3, 2).reshape(n * heads * head_dim, block)
-    clusters, _pad = cluster_weights(matrix)
+    rows = n * heads * head_dim
+    num_clusters = _blocks_needed(block, CLUSTER_SIZE)
+    # Stage token-major: one position of one cluster across all channels
+    # is then a contiguous vector, the layout the core kernels work in,
+    # and the trailing cluster's padding is already zero.
+    staged = np.zeros((num_clusters * CLUSTER_SIZE, n, heads, head_dim))
+    staged[:block] = np.moveaxis(blocks, 2, 0)
+    clusters = staged.reshape(num_clusters, CLUSTER_SIZE, rows) \
+                     .transpose(2, 0, 1)
     codes, schemes, scales = encode_channels(clusters)
-    packed = pack_matrix(codes, schemes, scales.reshape(-1), matrix.shape)
-    return packed.payload, packed.scales
+    packed = pack_matrix(codes, schemes, scales.reshape(-1), (rows, block))
+    if not with_values:
+        return packed.payload, packed.scales
+    tokens = codes.transpose(1, 2, 0).reshape(-1, rows)[:block]
+    values = tokens.astype(np.float32) * packed.scales.astype(np.float32)
+    return packed.payload, packed.scales, np.moveaxis(
+        values.reshape(block, n, heads, head_dim), 0, 2)
 
 
 def dequantize_kv_channels(payload: np.ndarray, scales: np.ndarray,
@@ -1046,6 +1121,15 @@ class QuantizedPagedKVCache(PagedKVCache):
     ``_blocks_per_row`` counts *quantized* blocks only; the current
     block lives in the write buffer and owns no pool block yet.
 
+    The flush happens once per boundary crossing, not once per layer:
+    when a row writes slot 0 of block ``b``, block ``b - 1`` is complete
+    in every layer's buffer (the previous step wrote them all), so the
+    first layer of the forward to see the crossing quantizes all layers'
+    K and V in one kernel call (:meth:`_flush`) and writes the
+    dequantized values through into the :class:`DequantBlockCache` —
+    the step's own reads of the block it has just encoded then hit the
+    memo instead of decoding the payload back.
+
     ``dequant_cache_bytes`` budgets the :class:`DequantBlockCache` the
     block-resident decode reads through (``0`` disables it — every read
     then re-runs the LUT dequant, exactly the pre-cache behaviour).
@@ -1060,6 +1144,11 @@ class QuantizedPagedKVCache(PagedKVCache):
                  dequant_cache_bytes: int = DEFAULT_DEQUANT_CACHE_BYTES):
         self.dequant_cache_bytes = dequant_cache_bytes
         self._dequant: DequantBlockCache | None = None
+        # Exclusive end position of the tokens each layer's write buffer
+        # holds for each row (0 = empty).  It names both the buffered
+        # block and how full it is, per layer: layers write one after
+        # another within a forward, and direct callers may lag further.
+        self._buf_end = np.zeros((num_layers, batch), dtype=np.int64)
         super().__init__(num_layers, batch, block_size=block_size,
                          initial_blocks=initial_blocks,
                          max_blocks=max_blocks, block_decode=block_decode,
@@ -1076,11 +1165,9 @@ class QuantizedPagedKVCache(PagedKVCache):
         self._payload_v: list[np.ndarray | None] = [None] * layers
         self._scale_k: list[np.ndarray | None] = [None] * layers
         self._scale_v: list[np.ndarray | None] = [None] * layers
-        buf_shape = (self.batch, self._heads, bs, self._head_dim)
-        self._buf_k = [np.zeros(buf_shape, dtype=np.float32)
-                       for _ in range(layers)]
-        self._buf_v = [np.zeros(buf_shape, dtype=np.float32)
-                       for _ in range(layers)]
+        buf_shape = (layers, self.batch, self._heads, bs, self._head_dim)
+        self._buf_k = np.zeros(buf_shape, dtype=np.float32)
+        self._buf_v = np.zeros(buf_shape, dtype=np.float32)
         # Reusable dequant scratch for the dense _context gather, sized
         # to the high-water (rows x blocks) demand instead of being
         # reallocated per layer per call.
@@ -1094,15 +1181,6 @@ class QuantizedPagedKVCache(PagedKVCache):
     def dequant_cache(self) -> DequantBlockCache | None:
         """The dequantized-block memo (None when disabled or unused)."""
         return self._dequant
-
-    def _take_block(self) -> int:
-        block = super()._take_block()
-        # A block leaving the free list is about to be (re)written;
-        # freeing already invalidated it, but stay defensive — a stale
-        # dequant for a recycled id would be silently wrong.
-        if self._dequant is not None:
-            self._dequant.invalidate(block)
-        return block
 
     def _on_block_freed(self, block: int) -> None:
         if self._dequant is not None:
@@ -1125,22 +1203,47 @@ class QuantizedPagedKVCache(PagedKVCache):
     # ------------------------------------------------------------------ #
     # write paths
     # ------------------------------------------------------------------ #
-    def _quantize_into(self, layer: int, ids: np.ndarray,
-                       k_blocks: np.ndarray, v_blocks: np.ndarray) -> None:
+    def _flush(self, layers: np.ndarray, ids: np.ndarray,
+               k_blocks: np.ndarray, v_blocks: np.ndarray,
+               memoise: bool = True) -> None:
+        """Quantize complete blocks into the pools in one kernel call.
+
+        ``k_blocks[i]``/``v_blocks[i]`` are the FP32 ``(heads, block,
+        head_dim)`` contents of pool block ``ids[i]`` of layer
+        ``layers[i]`` (``layers`` ascending).  K and V of every layer go
+        through a single :func:`quantize_kv_block` — channels are
+        independent, so batching is bit-exact — and, with ``memoise``,
+        the dequantized values the kernel already holds are written
+        through into the dequant memo, so reading a block the step has
+        just encoded never decodes it back.  A filled entry stands in
+        for the miss that block's first read would have taken, so it is
+        charged the payload+scale fetch that miss would have streamed.
+        """
         count = len(ids)
-        if self._dequant is not None:
-            # Payload rewrite: this layer's memoised dequant for these
-            # ids must not survive.  Only this layer's — the same block
-            # id flushes once per layer on a boundary crossing, and the
-            # sibling layers' freshly cached entries stay valid.
-            for block in np.asarray(ids).reshape(-1):
-                self._dequant.invalidate(int(block), layer=layer)
-        for payload_pool, scale_pool, data in (
-                (self._payload_k[layer], self._scale_k[layer], k_blocks),
-                (self._payload_v[layer], self._scale_v[layer], v_blocks)):
-            payload, scales = quantize_kv_block(data)
-            payload_pool[ids] = payload.reshape(count, self._channels, -1)
-            scale_pool[ids] = scales.reshape(count, self._channels)
+        fill = memoise and self._dequant is not None
+        encoded = quantize_kv_block(np.concatenate([k_blocks, v_blocks]),
+                                    with_values=fill)
+        payload = encoded[0].reshape(2, count, self._channels, -1)
+        scales = encoded[1].reshape(2, count, self._channels)
+        bounds = np.searchsorted(layers, np.arange(self.num_layers + 1))
+        for layer in range(self.num_layers):
+            lo, hi = bounds[layer], bounds[layer + 1]
+            if lo < hi:
+                at = ids[lo:hi]
+                self._payload_k[layer][at] = payload[0, lo:hi]
+                self._payload_v[layer][at] = payload[1, lo:hi]
+                self._scale_k[layer][at] = scales[0, lo:hi]
+                self._scale_v[layer][at] = scales[1, lo:hi]
+        stats = self._read_stats
+        stats.flush_calls += 1
+        stats.flush_blocks += 2 * count
+        if fill:
+            filled = self._dequant.fill(layers, ids, encoded[2][:count],
+                                        encoded[2][count:])
+            stats.streamed_bytes += filled * 2 * self._channels \
+                * (self._payload_bytes + 2)
+        elif self._dequant is not None:
+            self._dequant.invalidate(ids, layers)
 
     # ------------------------------------------------------------------ #
     # block sharing (prefix reuse / copy-on-write, quantized format)
@@ -1176,13 +1279,22 @@ class QuantizedPagedKVCache(PagedKVCache):
             raise ValueError(f"row {row} buffers {buffered} tokens; "
                              f"cannot freeze {fill}")
         block = self._take_block()
-        keep = (np.arange(self.block_size) < fill)[None, :, None]
-        for layer in range(self.num_layers):
-            self._quantize_into(
-                layer, np.array([block]),
-                (self._buf_k[layer][row] * keep)[None],
-                (self._buf_v[layer][row] * keep)[None])
+        keep = (np.arange(self.block_size) < fill)[:, None]
+        # A partial block is only ever adopted copy-on-write (dequantized
+        # into the adopter's buffer), never read through the memo.
+        self._flush(np.arange(self.num_layers),
+                    np.full(self.num_layers, block),
+                    self._buf_k[:, row] * keep, self._buf_v[:, row] * keep,
+                    memoise=fill == self.block_size)
         return block
+
+    def adopt_prefix(self, row: int, full_ids, tail_id: int | None = None,
+                     tail_keep: int = 0) -> int:
+        length = super().adopt_prefix(row, full_ids, tail_id, tail_keep)
+        # A block-aligned match leaves every layer's buffer empty; an
+        # adopted tail was dequantized into them.
+        self._buf_end[:, row] = length if length % self.block_size else 0
+        return length
 
     def _adopt_tail(self, row: int, tail_id: int, tail_keep: int
                     ) -> list[int]:
@@ -1194,15 +1306,18 @@ class QuantizedPagedKVCache(PagedKVCache):
         pool block joins the row's chain; the buffer is the current
         block."""
         bs = self.block_size
-        for layer in range(self.num_layers):
-            for payload_pool, scale_pool, buf in (
-                    (self._payload_k, self._scale_k, self._buf_k),
-                    (self._payload_v, self._scale_v, self._buf_v)):
-                channels = dequantize_kv_channels(
-                    payload_pool[layer][tail_id],
-                    scale_pool[layer][tail_id], bs)
-                buf[layer][row] = channels.reshape(
-                    self._heads, self._head_dim, bs).transpose(0, 2, 1)
+        layers = range(self.num_layers)
+        payload = np.stack([pool[layer][tail_id] for pool in
+                            (self._payload_k, self._payload_v)
+                            for layer in layers])
+        scales = np.stack([pool[layer][tail_id] for pool in
+                           (self._scale_k, self._scale_v)
+                           for layer in layers])
+        channels = dequantize_kv_channels(
+            payload.reshape(-1, self._payload_bytes), scales.reshape(-1), bs)
+        self._buf_k[:, row], self._buf_v[:, row] = channels.reshape(
+            2, self.num_layers, self._heads, self._head_dim, bs
+        ).transpose(0, 1, 2, 4, 3)
         return []
 
     def _write_span(self, layer: int, k: np.ndarray, v: np.ndarray,
@@ -1227,6 +1342,13 @@ class QuantizedPagedKVCache(PagedKVCache):
         (and whose GEMM-feeding values are bitwise the ones sequential
         decode produces)."""
         bs = self.block_size
+        # A span that opens a new block behind a lazily buffered one (a
+        # decode that stopped exactly on the boundary) flushes it first,
+        # as write_token would, before the span overwrites the buffer.
+        crossing = ((lens > 0) & (starts > 0) & (starts % bs == 0)
+                    & (self._buf_end[layer, rows] == starts))
+        if crossing.any():
+            self._flush_crossing(rows[crossing], starts[crossing])
         flush_ids, flush_k, flush_v = [], [], []
         for j, row in enumerate(rows):
             s, end = int(starts[j]), int(starts[j] + lens[j])
@@ -1245,9 +1367,14 @@ class QuantizedPagedKVCache(PagedKVCache):
                     flush_ids.append(int(self._tables[row, block]))
                     flush_k.append(self._buf_k[layer][row].copy())
                     flush_v.append(self._buf_v[layer][row].copy())
+            if end > s:
+                self._buf_end[layer, row] = end if end % bs else 0
         if flush_ids:
-            self._quantize_into(layer, np.asarray(flush_ids),
-                                np.stack(flush_k), np.stack(flush_v))
+            # Other layers do not hold these tokens yet, so a span
+            # flushes per layer — K and V together.
+            self._flush(np.full(len(flush_ids), layer),
+                        np.asarray(flush_ids),
+                        np.stack(flush_k), np.stack(flush_v))
 
     # ------------------------------------------------------------------ #
     # speculative-decoding rollback (quantized format)
@@ -1262,9 +1389,21 @@ class QuantizedPagedKVCache(PagedKVCache):
         snap = super().snapshot_rows(rows)
         if self._heads is not None:
             for row, entry in snap.items():
-                entry["buf_k"] = [buf[row].copy() for buf in self._buf_k]
-                entry["buf_v"] = [buf[row].copy() for buf in self._buf_v]
+                entry["buf_k"] = self._buf_k[:, row].copy()
+                entry["buf_v"] = self._buf_v[:, row].copy()
         return snap
+
+    def truncate_rows(self, rows, lengths, snapshot: dict | None = None
+                      ) -> None:
+        super().truncate_rows(rows, lengths, snapshot)
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        # Buffers hold nothing past the kept tokens.
+        self._buf_end[:, rows] = np.minimum(self._buf_end[:, rows],
+                                            self._row_len[rows])
+
+    def free_rows(self, rows: np.ndarray) -> None:
+        super().free_rows(rows)
+        self._buf_end[:, np.asarray(rows, dtype=np.int64).reshape(-1)] = 0
 
     def _restore_row(self, row: int, keep: int,
                      snapshot: dict | None) -> None:
@@ -1275,6 +1414,7 @@ class QuantizedPagedKVCache(PagedKVCache):
         engine's boundary-chunked verify never truncates past its own
         writes, so this path only runs for direct callers rolling below
         a snapshot point."""
+        self._buf_end[:, row] = keep
         if snapshot is None or row not in snapshot or keep == 0:
             return
         entry = snapshot[row]
@@ -1283,9 +1423,8 @@ class QuantizedPagedKVCache(PagedKVCache):
                 or (keep - 1) // self.block_size
                 != (entry["len"] - 1) // self.block_size):
             return
-        for layer in range(self.num_layers):
-            self._buf_k[layer][row] = entry["buf_k"][layer]
-            self._buf_v[layer][row] = entry["buf_v"][layer]
+        self._buf_k[:, row] = entry["buf_k"]
+        self._buf_v[:, row] = entry["buf_v"]
 
     def write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
                     positions: np.ndarray,
@@ -1297,23 +1436,23 @@ class QuantizedPagedKVCache(PagedKVCache):
         positions = np.asarray(positions, dtype=np.int64)
         bs = self.block_size
         slots = positions % bs
-        # A row starting block b quantizes its buffered block b-1 first.
-        # Rows whose whole context is adopted *quantized* blocks (prefix
-        # sharing with a block-aligned match) have nothing buffered: their
-        # previous block is shared and already quantized, and flushing
-        # would overwrite it with stale buffer contents.
-        buffered = self._row_len[row_idx] - self._blocks_per_row[row_idx] * bs
-        flush = (slots == 0) & (positions > 0) & (buffered > 0)
-        if flush.any():
-            flush_rows = row_idx[flush]
-            block_index = positions[flush] // bs - 1
-            self._ensure_row_blocks(flush_rows, block_index + 1)
-            ids = self._tables[flush_rows, block_index]
-            self._quantize_into(layer, ids,
-                                self._buf_k[layer][flush_rows],
-                                self._buf_v[layer][flush_rows])
+        # A row starting block b quantizes block b-1 first — if this
+        # layer's buffer still holds it, complete (``_buf_end`` equal to
+        # the position being written).  Rows whose previous block is
+        # already in the pool have an empty buffer and skip: adopted
+        # (a shared, block-aligned prefix match — flushing would
+        # overwrite the shared block), flushed eagerly by a span write,
+        # or flushed a moment ago, on this layer's behalf, by the first
+        # layer of the forward to see the crossing.
+        crossing = ((slots == 0) & (positions > 0)
+                    & (self._buf_end[layer, row_idx] == positions))
+        if crossing.any():
+            self._flush_crossing(row_idx[crossing], positions[crossing])
         self._buf_k[layer][row_idx, :, slots] = k[:, :, 0]
         self._buf_v[layer][row_idx, :, slots] = v[:, :, 0]
+        # Clone-rows verify repeats a row at ascending positions; the
+        # last (highest) assignment wins.
+        self._buf_end[layer, row_idx] = positions + 1
         self._lengths[layer] = max(self._lengths[layer],
                                    int(positions.max()) + 1)
         self._row_len[row_idx] = np.maximum(self._row_len[row_idx],
@@ -1321,6 +1460,27 @@ class QuantizedPagedKVCache(PagedKVCache):
         if not gather:
             return None
         return self._context(layer, rows=None if rows is None else row_idx)
+
+    def _flush_crossing(self, rows: np.ndarray, positions: np.ndarray
+                        ) -> None:
+        """``rows`` write slot 0 of a new block at ``positions``: flush
+        the complete block each one leaves behind — once, for all layers.
+
+        Every layer whose buffer holds that same complete block goes
+        into the one kernel call.  In a model forward that is all of
+        them (the previous step filled every layer's buffer), so the
+        layers after the first find theirs already flushed; a layer that
+        genuinely lags — a direct caller driving one layer at a time —
+        is left out and flushes when its own write gets here.
+        """
+        block_index = positions // self.block_size - 1
+        self._ensure_row_blocks(rows, block_index + 1)
+        ids = self._tables[rows, block_index]
+        layers, col = np.nonzero(self._buf_end[:, rows] == positions)
+        at = rows[col]
+        self._flush(layers, ids[col], self._buf_k[layers, at],
+                    self._buf_v[layers, at])
+        self._buf_end[layers, at] = 0
 
     def write_rows(self, layer: int, k: np.ndarray, v: np.ndarray,
                    rows: np.ndarray,
@@ -1343,14 +1503,15 @@ class QuantizedPagedKVCache(PagedKVCache):
             self._ensure_row_blocks(rows, current)
             quantized = np.arange(max_current)[None, :] < current[:, None]
             ids = self._tables[rows][:, :max_current][quantized]
-            self._quantize_into(layer, ids,
-                                self._as_blocks(k, max_current)[quantized],
-                                self._as_blocks(v, max_current)[quantized])
+            self._flush(np.full(len(ids), layer), ids,
+                        self._as_blocks(k, max_current)[quantized],
+                        self._as_blocks(v, max_current)[quantized])
         for j, row in enumerate(rows):
             start = int(current[j]) * bs
             fill = int(lens[j]) - start
             self._buf_k[layer][row, :, :fill] = k[j, :, start:start + fill]
             self._buf_v[layer][row, :, :fill] = v[j, :, start:start + fill]
+        self._buf_end[layer, rows] = lens
         self._lengths[layer] = max(self._lengths[layer], int(lens.max()))
         self._row_len[rows] = np.maximum(self._row_len[rows], lens)
 
@@ -1466,13 +1627,17 @@ class QuantizedPagedKVCache(PagedKVCache):
         """Chunked context iteration in the quantized format.
 
         Owned blocks are served from the :class:`DequantBlockCache`
-        (missing ones dequantize once and are memoised — a block shared
-        by many rows decodes once per chunk, and once *ever* while it
-        stays cache-resident); each live row's FP32 current block is
-        overlaid exactly as in :meth:`_context`, so chunk values are
-        bit-identical to the dense gather's.  ``kind="kv"`` assembles
-        both operands per chunk, resolving ownership and block-id
-        uniqueness once.
+        (flushes write their values through, anything else missing
+        dequantizes once and is memoised — a block shared by many rows
+        decodes once per chunk, and once *ever* while it stays
+        cache-resident); each live row's FP32 current block is overlaid
+        exactly as in :meth:`_context`, so chunk values are bit-identical
+        to the dense gather's.  Per chunk the block ids resolve to memo
+        slots once, for both operands under ``kind="kv"``, and each
+        operand is one gather straight into the ``(rows, blocks, heads,
+        block, head_dim)`` chunk (unowned table slots read the memo's
+        zero entry), followed by the one transposed copy attention
+        consumes.
         """
         total = self._lengths[layer]
         if total == 0:
@@ -1484,75 +1649,73 @@ class QuantizedPagedKVCache(PagedKVCache):
         row_idx = self._row_index if rows is None \
             else np.asarray(rows, dtype=np.int64)
         n = len(row_idx)
-        ids = self._block_ids(nblk, rows)
         owned_counts = self._blocks_per_row[row_idx]
         row_lens = self._row_len[row_idx]
-        live = (row_lens - owned_counts * bs) > 0
-        current = np.where(live, (row_lens - 1) // bs, -1)
+        buffered = row_lens - owned_counts * bs
+        current = np.where(buffered > 0, (row_lens - 1) // bs, -1)
+        # Table slots a row does not own — its buffered current block,
+        # stale or padding ids — read as zeros (id -1) until overlaid.
+        owned_ids = np.where(np.arange(nblk) < owned_counts[:, None],
+                             self._block_ids(nblk, rows), -1)
         bufs = {"k": self._buf_k[layer], "v": self._buf_v[layer]}
         stats = self._read_stats
         cb = self.chunk_blocks
         chunk_resident = len(kinds) * n * heads * min(cb, nblk) * bs \
             * head_dim * 4
         self._account_read(n, total, len(kinds), chunk_resident)
-        qblock_bytes = 2 * self._channels * (self._payload_bytes + 2)
+        operand_bytes = self._channels * (self._payload_bytes + 2)
         for b0 in range(0, nblk, cb):
             c = min(cb, nblk - b0)
-            scratch = 0
-            sel_owned = np.arange(b0, b0 + c)[None, :] < owned_counts[:, None]
-            full = sel_owned.size > 0 and bool(sel_owned.all())
-            reads = n * c if full else int(sel_owned.sum())
-            if reads:
-                sel_ids = np.asarray(ids[:, b0:b0 + c]).reshape(-1) if full \
-                    else np.asarray(ids[:, b0:b0 + c])[sel_owned]
+            sel = owned_ids[:, b0:b0 + c]
+            reads = int(np.count_nonzero(sel >= 0))
+            if not reads:
+                blocks = [np.zeros((n, c, heads, bs, head_dim),
+                                   dtype=np.float32) for _ in kinds]
+            elif self._dequant is not None:
+                blocks, missed, paired = self._dequant.lookup(
+                    layer, sel, kind,
+                    lambda miss: self._dequant_pair(layer, miss),
+                    lambda miss: self._dequant_kind(layer, miss, kind))
+                if kind != "kv":
+                    blocks = (blocks,)
+                # Per operand, as two passes would count: a pinned miss
+                # serves the sibling operand from the memo, one the
+                # budget could not pin misses again there.
+                spilled = (missed - paired) * (len(kinds) - 1)
+                stats.dequant_hits += len(kinds) * reads - missed - spilled
+                stats.dequant_misses += missed + spilled
+                # Pinned misses fetched K and V payloads at once;
+                # spilled ones only the operands asked for.
+                stats.streamed_bytes += operand_bytes * (
+                    2 * paired + len(kinds) * (missed - paired))
+            else:
+                uniq, inverse = np.unique(sel[sel >= 0], return_inverse=True)
+                blocks = []
+                for kd in kinds:
+                    chunk = np.zeros((n, c, heads, bs, head_dim),
+                                     dtype=np.float32)
+                    chunk[sel >= 0] = self._dequant_kind(layer, uniq,
+                                                         kd)[inverse]
+                    blocks.append(chunk)
+                stats.dequant_misses += len(kinds) * reads
+                stats.streamed_bytes += len(kinds) * len(uniq) * operand_bytes
             in_chunk = np.nonzero((current >= b0) & (current < b0 + c))[0]
             chunks = []
-            for kd in kinds:
-                if reads:
-                    if self._dequant is not None:
-                        vals, missed, paired = self._dequant.lookup(
-                            layer, sel_ids, kd,
-                            lambda miss: self._dequant_pair(layer, miss),
-                            lambda miss, _kd=kd:
-                                self._dequant_kind(layer, miss, _kd))
-                        stats.dequant_hits += reads - missed
-                        stats.dequant_misses += missed
-                        # Paired misses fetched K and V payloads at once
-                        # (the sibling pass will hit); degraded ones
-                        # fetched only this operand's half.
-                        stats.streamed_bytes += paired * qblock_bytes \
-                            + (missed - paired) * qblock_bytes // 2
-                    else:
-                        uniq, inverse = np.unique(sel_ids,
-                                                  return_inverse=True)
-                        vals = self._dequant_kind(layer, uniq, kd)[inverse]
-                        stats.dequant_misses += reads
-                        stats.streamed_bytes += len(uniq) * qblock_bytes // 2
-                if full:
-                    # Every (row, slot) of the chunk is an owned block:
-                    # the lookup result in row-major order *is* the
-                    # chunk, no zero-init or scatter needed.
-                    chunk_blocks = vals.reshape(n, c, heads, bs, head_dim)
-                else:
-                    chunk_blocks = np.zeros((n, c, heads, bs, head_dim),
-                                            dtype=np.float32)
-                    if reads:
-                        chunk_blocks[sel_owned] = vals
+            scratch = 0
+            for kd, chunk_blocks in zip(kinds, blocks):
                 if len(in_chunk):
                     chunk_blocks[in_chunk, current[in_chunk] - b0] = \
                         bufs[kd][row_idx[in_chunk]]
-                    # Write-buffer reads stream the live buffered tokens
-                    # (matching used_bytes' FP32 accounting), not the
-                    # whole block's padding.
-                    buffered = (row_lens[in_chunk]
-                                - owned_counts[in_chunk] * bs)
-                    stats.streamed_bytes += int(buffered.sum()) * heads \
-                        * head_dim * 4
                 merged = chunk_blocks.transpose(0, 2, 1, 3, 4).reshape(
                     n, heads, c * bs, head_dim)
-                scratch += chunk_blocks.nbytes + merged.nbytes \
-                    + (vals.nbytes if reads else 0)
+                scratch += chunk_blocks.nbytes + merged.nbytes
                 chunks.append(merged)
+            if len(in_chunk):
+                # Write-buffer reads stream the live buffered tokens
+                # (matching used_bytes' FP32 accounting), not the whole
+                # block's padding.
+                stats.streamed_bytes += len(kinds) * heads * head_dim * 4 \
+                    * int(buffered[in_chunk].sum())
             self._note_scratch(scratch)
             yield (b0 * bs, *chunks)
 

@@ -314,6 +314,11 @@ class EngineStats:
     decode_bytes_not_gathered: int = 0
     dequant_cache_hits: int = 0
     dequant_cache_misses: int = 0
+    # Quantized-cache write path: flush-quantize kernel calls and the K/V
+    # blocks they encoded (prefill spans, decode boundary crossings and
+    # prefix freezes alike); the quotient is the flush batching factor.
+    kv_flush_calls: int = 0
+    kv_flush_blocks: int = 0
     # Chunked prefill: forwarded chunk count, prompt tokens that waited
     # for a later step's budget, and the dequant-memo traffic of prefill
     # context re-reads (decode traffic stays in dequant_cache_*).
@@ -708,6 +713,12 @@ class GenerationEngine:
         is disabled)."""
         return self._prefix
 
+    def _count_flushes(self, read) -> None:
+        """Fold a step's cache write counters (they ride on the
+        ``KVReadStats`` snapshot) into the session stats."""
+        self.stats.kv_flush_calls += read.flush_calls
+        self.stats.kv_flush_blocks += read.flush_blocks
+
     def _make_cache(self) -> KVCache | PagedKVCache:
         num_layers = self.model.config.num_layers
         batch = self.max_batch_size
@@ -964,6 +975,7 @@ class GenerationEngine:
         kv_streamed = -1
         if isinstance(cache, PagedKVCache):
             read = cache.take_read_stats()
+            self._count_flushes(read)
             if cache.block_decode and read.logical_bytes:
                 scratch = read.peak_scratch_bytes
                 kv_streamed = read.streamed_bytes
@@ -1173,6 +1185,7 @@ class GenerationEngine:
             written[live] = starts + take
             if isinstance(cache, PagedKVCache):
                 read = cache.take_read_stats()
+                self._count_flushes(read)
                 if cache.block_decode and read.logical_bytes:
                     scratch = max(scratch, read.peak_scratch_bytes)
                     kv_streamed += read.streamed_bytes
@@ -1600,6 +1613,7 @@ class GenerationEngine:
             # Snapshot the wave's read accounting now so prefill traffic
             # never leaks into the decode step's snapshot.
             read = cache.take_read_stats()
+            self._count_flushes(read)
             self.stats.prefill_dequant_hits += read.dequant_hits
             self.stats.prefill_dequant_misses += read.dequant_misses
             if read.logical_bytes:

@@ -35,8 +35,17 @@ def read_context(cache, layer=0, kind="k"):
     return np.concatenate(parts, axis=2)[:, :, :total]
 
 
+def chill(cache):
+    """Drop every memo entry (flushes write through, so a freshly
+    written cache starts warm; the miss path needs a cold one)."""
+    cache.dequant_cache.invalidate(np.arange(cache._total_blocks))
+    assert len(cache.dequant_cache) == 0
+    cache.take_read_stats()
+
+
 def test_second_read_hits_and_values_stay_identical():
     cache, _ = make_cache()
+    chill(cache)
     first = read_context(cache)
     stats = cache.take_read_stats()
     assert stats.dequant_misses > 0
@@ -89,22 +98,25 @@ def test_cow_divergence_never_serves_stale_dequant():
 
 
 def test_payload_rewrite_invalidates_entry():
-    """_quantize_into (a flush into a block) must drop any memo for the
-    target ids."""
+    """_flush (a flush into a block) must never leave the old memo for
+    the target ids: the entry is replaced by the new payload's values,
+    or dropped when the flush does not memoise."""
     cache, rng = make_cache(batch=1, num_layers=1, seq=BS)
     # Token BS starts block 1 and flushes the buffered block 0.
     k1 = rng.standard_normal((1, HEADS, 1, HEAD_DIM)).astype(np.float32)
     cache.write_token(0, k1, k1.copy(), np.array([BS]), gather=False)
-    read_context(cache)                      # memoise block 0's dequant
     block = int(cache._tables[0, 0])
-    assert cache.dequant_cache.slot(0, block) >= 0
-    cache._quantize_into(0, np.array([block]),
-                         np.zeros((1, HEADS, BS, HEAD_DIM), np.float32),
-                         np.zeros((1, HEADS, BS, HEAD_DIM), np.float32))
-    assert cache.dequant_cache.slot(0, block) == -1
-    np.testing.assert_array_equal(
-        read_context(cache)[:, :, :BS],
-        np.zeros((1, HEADS, BS, HEAD_DIM), np.float32))
+    memo = cache.dequant_cache
+    assert memo.slot(0, block) >= 0           # written through
+    assert np.abs(memo._store_k[memo.slot(0, block)]).max() > 0
+    zeros = np.zeros((1, HEADS, BS, HEAD_DIM), np.float32)
+    cache._flush(np.array([0]), np.array([block]), zeros, zeros)
+    assert not memo._store_k[memo.slot(0, block)].any()
+    np.testing.assert_array_equal(read_context(cache)[:, :, :BS], zeros)
+    cache._flush(np.array([0]), np.array([block]), zeros + 1, zeros,
+                 memoise=False)
+    assert memo.slot(0, block) == -1
+    assert read_context(cache)[:, :, :BS].max() > 0
 
 
 def test_eviction_under_budget_keeps_results_bit_identical():
