@@ -103,8 +103,8 @@ def test_block_resident_fineq_decode_beats_gather_at_1024_context():
     One decode step's attention reads at a 1024-token context, batch 16,
     on llama-sim-7b-shaped layers (5 layers, 4 heads, head_dim 32): the
     baseline re-gathers and re-dequantizes every owned block of every
-    row per layer (the pre-change ``_context`` path, pinned here as the
-    reference), the fused path iterates ``context_blocks`` through the
+    row per layer (the dense ``_context`` read the sequential reference
+    path uses), the fused path iterates ``context_blocks`` through the
     warm dequant memo.  Timing is best-of with re-measurement, like the
     LUT decode benchmark above.
     """
@@ -124,7 +124,7 @@ def test_block_resident_fineq_decode_beats_gather_at_1024_context():
         cache.write_rows(layer, k, v, rows)
     q = rng.standard_normal((batch, heads, 1, head_dim)).astype(np.float32)
     kv_mask = np.zeros((batch, 1, 1, context), dtype=np.float32)
-    scale = 1.0 / np.sqrt(head_dim)
+    scale = np.float32(1.0 / np.sqrt(head_dim))
 
     def gather_step():
         for layer in range(layers):

@@ -19,7 +19,7 @@ import pytest
 
 from repro.eval.perplexity import cached_perplexity, eval_stream, perplexity
 from repro.eval.tables import format_table
-from repro.nn import PagedKVCache, QuantizedPagedKVCache
+from repro.nn import KVCache, PagedKVCache, QuantizedPagedKVCache
 from repro.serve import GenerationEngine, bench_prompts, memory_sweep
 
 #: Long generations so most tokens live in completed (quantizable) blocks.
@@ -62,22 +62,25 @@ def test_quantized_cache_at_most_quarter_fp32_bytes_per_token(mem_report):
 
 def test_paged_allocation_tracks_live_tokens(zoo_7b):
     """On a mixed-length workload the paged pool allocates for the sum of
-    live tokens; the rectangle pays batch x longest-row regardless."""
+    live tokens; a rectangle would pay batch x longest-row regardless."""
     model = zoo_7b.model
-    prompts = bench_prompts(model.config.vocab_size, num=16,
+    config = model.config
+    prompts = bench_prompts(config.vocab_size, num=16,
                             max_prompt_len=16, min_prompt_len=8, seed=3)
     budgets = [MAX_NEW_TOKENS if i % 2 == 0 else 28
                for i in range(len(prompts))]
-
-    def peak_allocated(mode):
-        engine = GenerationEngine(model, max_batch_size=16, kv_cache=mode)
-        for prompt, budget in zip(prompts, budgets):
-            engine.submit(prompt, budget)
-        engine.run()
-        return engine.stats.kv_peak_allocated_bytes
-
-    paged, dense = peak_allocated("paged"), peak_allocated("dense")
-    print(f"\npeak allocated bytes: paged={paged:,} dense={dense:,}")
+    engine = GenerationEngine(model, max_batch_size=16, kv_cache="paged")
+    for prompt, budget in zip(prompts, budgets):
+        engine.submit(prompt, budget)
+    engine.run()
+    paged = engine.stats.kv_peak_allocated_bytes
+    longest = max(len(p) + n for p, n in zip(prompts, budgets))
+    dense = KVCache.projected_bytes(
+        config.num_layers, config.num_heads,
+        config.d_model // config.num_heads, longest, batch=16,
+        bytes_per_element=4)
+    print(f"\npeak allocated bytes: paged={paged:,} "
+          f"dense fp32 rectangle={dense:,}")
     assert paged < dense
 
 

@@ -136,8 +136,7 @@ def test_fineq_spec_session_drains_pool(zoo_all):
     target = zoo_all[TARGET]
     draft = zoo_all[DRAFT]
     prompts = corpus_prompts(target.tokenizer, 4, PROMPT_LEN, seed=1)
-    spec = SpeculativeConfig(draft_model=draft.model, k=K,
-                             draft_kv_cache="paged")
+    spec = SpeculativeConfig(draft_model=draft.model, k=K)
     engine, _ = serve(target.model, prompts, 2, speculative=spec,
                       kv_cache="fineq")
     for cache in (engine.cache, engine._spec.cache):

@@ -74,37 +74,35 @@ class MultiHeadAttention(Module):
                 decode_rows: np.ndarray | None = None) -> Tensor:
         """Attend over ``x`` plus any cached context.
 
-        ``positions`` (``(batch, seq)`` absolute positions) and ``kv_mask``
-        (additive ``(batch, 1, 1, total)`` mask) enable the serving
-        engine's ragged batches: each row rotates by its own positions and
-        masks cache slots beyond its own length.  ``cache_rows`` routes a
-        prefill into specific rows of a larger cache slot pool; those rows
-        are fresh, so the current K/V are the entire context, and
-        ``cache_lens`` carries each row's true (unpadded) length so paged
-        caches allocate and account only for real tokens.  ``cache_starts``
-        (with ``cache_rows``) is the prefix-sharing *suffix* prefill: row
-        ``j`` already holds ``cache_starts[j]`` adopted context tokens, the
-        new K/V are written after them (``cache.prefill_rows``), and the
-        gathered shared-plus-suffix context is attended over.  Rows then
-        start at different depths, so the uniform last-``seq``-positions
-        causal mask does not apply — the caller must send a full
-        ``(batch, 1, seq, total)`` ``kv_mask`` encoding per-row causality.
-        ``decode_rows`` routes a single-token decode into specific cache
-        rows: ``x`` holds only the engine's *active* slots, so idle slots
-        are neither forwarded nor gathered.  ``cache`` may be rectangular
-        or paged (possibly quantized): all variants share the same write
-        methods and return full-context K/V arrays.  Paged caches with
-        ``block_decode`` enabled route single-token decodes through
-        :func:`repro.nn.block_attention.block_decode_attention` instead:
-        the token is written without a context gather and attention
-        iterates the block table chunk by chunk, so no dense
-        ``(batch, heads, total, head_dim)`` copy is materialised.
+        A cache is used one of two ways.  Without ``positions`` it is
+        the sequential reference path (``generate``, cached perplexity):
+        ``cache.append`` stores the new K/V for all rows and returns the
+        full context, attended with the uniform causal mask.
+
+        With ``positions`` (``(batch, seq)`` absolute positions) it is
+        the serving engine's ragged batch over a paged (possibly
+        quantized) cache — *write the span, then attend the block
+        table*: each row rotates by its own positions, the new K/V are
+        written without reading anything back, and
+        :mod:`repro.nn.block_attention` iterates the rows' block tables
+        chunk by chunk, so no dense ``(batch, heads, total, head_dim)``
+        context copy is materialised.  ``kv_mask`` is the additive
+        per-row mask over cache slots.  A single-token decode
+        (``cache_rows`` unset) writes one token per row at
+        ``positions[:, 0]`` into cache rows ``decode_rows`` (``None`` =
+        all rows; ``x`` holds only the engine's *active* slots, so idle
+        slots are neither forwarded nor read) under a ``(batch, 1, 1,
+        total)`` length mask.  A span prefill writes row ``j``'s
+        ``cache_lens[j]`` true (unpadded) tokens into cache row
+        ``cache_rows[j]`` after the ``cache_starts[j]`` context tokens
+        it already holds (adopted shared prefix, earlier chunks); rows
+        then start at different depths, so causality comes from the
+        caller's full ``(batch, 1, seq, total)`` ``kv_mask``.
         """
         batch, seq, _ = x.shape
-        if cache_rows is not None or cache is None:
-            offset = 0
-        else:
-            offset = cache.layer_len(layer_index)
+        serving = cache is not None and positions is not None
+        offset = 0 if cache is None or serving \
+            else cache.layer_len(layer_index)
 
         q = self._split_heads(self.wq(x), batch, seq)
         k = self._split_heads(self.wk(x), batch, seq)
@@ -112,69 +110,31 @@ class MultiHeadAttention(Module):
         q = self.rope(q, position_offset=offset, positions=positions)
         k = self.rope(k, position_offset=offset, positions=positions)
 
-        if cache is not None:
-            if cache_rows is not None and cache_starts is not None:
-                if hasattr(cache, "context_blocks"):
-                    # Paged caches (FP32 or quantized) run prefill over
-                    # the same block-resident read as decode: write the
-                    # span without a context gather, then attend the
-                    # chunk grid.  Quantized prefill re-reads thereby
-                    # hit the shared dequant memo.
-                    cache.prefill_rows(layer_index, k.data, v.data,
-                                       cache_rows, cache_starts, cache_lens,
-                                       gather=False)
-                    context = block_prefill_attention(
-                        q.data, cache, layer_index, kv_mask=kv_mask,
-                        rows=cache_rows)
-                    merged = Tensor(context).transpose(0, 2, 1, 3) \
-                                            .reshape(batch, seq, self.d_model)
-                    return self.wo(merged)
-                k_data, v_data = cache.prefill_rows(layer_index, k.data,
-                                                    v.data, cache_rows,
-                                                    cache_starts, cache_lens)
-                k, v = Tensor(k_data), Tensor(v_data)
-            elif cache_rows is not None:
-                cache.write_rows(layer_index, k.data, v.data, cache_rows,
-                                 row_lengths=cache_lens)
-            elif positions is not None and seq == 1:
-                use_block = getattr(cache, "block_decode", False)
-                if use_block and getattr(cache, "dequant_cache", None) is None:
-                    # FP32 pools: below one chunk window the block path
-                    # is the gather path's math at extra bookkeeping
-                    # cost, so only chunk genuinely long contexts.  The
-                    # quantized cache always takes the block path — its
-                    # dequant memo pays at any length.
-                    total = max(offset, int(positions[:, 0].max()) + 1)
-                    use_block = total > cache.chunk_blocks * cache.block_size
-                if use_block:
-                    # Block-resident decode: write the token without the
-                    # dense context gather, then attend block chunk by
-                    # block chunk against the pool itself (inference
-                    # path — the cache read carries no gradients, like
-                    # the Tensor(k_data) rewrap below).
-                    cache.write_token(layer_index, k.data, v.data,
-                                      positions[:, 0], rows=decode_rows,
-                                      gather=False)
-                    context = block_decode_attention(
-                        q.data, cache, layer_index, kv_mask=kv_mask,
-                        rows=decode_rows)
-                    merged = Tensor(context).transpose(0, 2, 1, 3) \
-                                            .reshape(batch, seq, self.d_model)
-                    return self.wo(merged)
-                k_data, v_data = cache.write_token(layer_index, k.data, v.data,
-                                                   positions[:, 0],
-                                                   rows=decode_rows)
-                k, v = Tensor(k_data), Tensor(v_data)
+        if serving:
+            # Inference path: the cache read carries no gradients.
+            if cache_rows is not None:
+                cache.prefill_rows(layer_index, k.data, v.data, cache_rows,
+                                   cache_starts, cache_lens)
+                context = block_prefill_attention(
+                    q.data, cache, layer_index, kv_mask=kv_mask,
+                    rows=cache_rows)
             else:
-                k_data, v_data = cache.append(layer_index, k.data, v.data)
-                k, v = Tensor(k_data), Tensor(v_data)
+                cache.write_token(layer_index, k.data, v.data,
+                                  positions[:, 0], rows=decode_rows)
+                context = block_decode_attention(
+                    q.data, cache, layer_index, kv_mask=kv_mask,
+                    rows=decode_rows)
+            merged = Tensor(context).transpose(0, 2, 1, 3) \
+                                    .reshape(batch, seq, self.d_model)
+            return self.wo(merged)
+        if cache is not None:
+            k_data, v_data = cache.append(layer_index, k.data, v.data)
+            k, v = Tensor(k_data), Tensor(v_data)
 
         scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(self.head_dim))
-        if seq > 1 and cache_starts is None:
+        if seq > 1:
             # Single-token decode skips mask construction entirely (the new
             # token may attend to everything); prefill reuses cached masks.
-            # Suffix prefill (cache_starts) gets per-row causality from the
-            # caller's full kv_mask instead of the shared triangular mask.
             scores = scores + Tensor(causal_mask(seq, k.shape[2]))
         if kv_mask is not None:
             scores = scores + Tensor(kv_mask)

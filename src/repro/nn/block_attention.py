@@ -1,19 +1,23 @@
 """Block-resident attention reads for paged KV caches (decode + prefill).
 
-The pre-change decode read gathered every row's whole context into a
-dense ``(batch, heads, total, head_dim)`` copy per layer per step (and,
-on the quantized cache, re-ran LUT dequantization over every owned
-block each time) before a single attention matmul consumed it.  Here the
-paged block table itself is the iteration space — the paper's
-accelerator dataflow projected into numpy: scores are computed chunk by
-chunk against the pool (``q @ pool[ids]ᵀ``), softmax normalisation runs
-over the assembled score vector (``O(total)`` floats, no ``head_dim``
-factor), and the value contraction streams the same chunks back through
-the softmax weights.  Only one chunk of K or V is ever resident.
+The serving engine's one read path.  Gathering every row's whole
+context into a dense ``(batch, heads, total, head_dim)`` copy per layer
+per step (and, on the quantized cache, re-running LUT dequantization
+over every owned block each time) is what the sequential reference does
+through ``cache.append``; here the paged block table itself is the
+iteration space — the paper's accelerator dataflow projected into
+numpy: scores are computed chunk by chunk against the pool
+(``q @ pool[ids]ᵀ``), softmax normalisation runs over the assembled
+score vector (``O(total)`` floats, no ``head_dim`` factor), and the
+value contraction streams the same chunks back through the softmax
+weights.  Only one chunk of K or V is ever resident.
 
-Numerics: per-chunk score matmuls reduce over ``head_dim`` exactly like
-the dense matmul, so scores — and therefore the softmax probabilities —
-are bit-identical to the gather path's.  The value contraction
+Numerics: everything runs in float32, op for op what
+:class:`repro.nn.attention.MultiHeadAttention` runs on a dense context
+(the "dense path" below).  Per-chunk score matmuls reduce over
+``head_dim`` exactly like the dense matmul, so scores — and therefore
+the softmax probabilities — are bit-identical to the dense path's.  The
+value contraction
 accumulates per-chunk partial products in chunk order; whenever the
 context fits one chunk (``chunk_blocks * block_size`` tokens, 128 by
 default) that too is the identical monolithic matmul, and beyond it the
@@ -45,13 +49,15 @@ def _softmax_probs(scores: np.ndarray, kv_mask: np.ndarray | None,
                    head_dim: int) -> np.ndarray:
     """Scale, mask, and normalise raw ``q @ kᵀ`` scores.
 
-    One shared copy of the exact op sequence the dense gather path runs
-    (``* 1/sqrt(d)``, additive mask, max-shift, exp, normalise — see
+    One shared copy of the exact float32 op sequence the dense path
+    runs (``* 1/sqrt(d)`` as a float32 scalar — a bare ``np.sqrt``
+    result is float64 and would promote everything downstream —
+    additive mask, max-shift, exp, normalise; see
     :func:`repro.autograd.functional.softmax`), so both block-attention
-    paths keep the bit-parity contract by construction; ``-inf`` masked
-    slots exponentiate to exact zeros.
+    functions keep the bit-parity contract by construction; ``-inf``
+    masked slots exponentiate to exact zeros.
     """
-    scores = scores * (1.0 / np.sqrt(head_dim))
+    scores = scores * np.float32(1.0 / np.sqrt(head_dim))
     if kv_mask is not None:
         scores = scores + kv_mask
     shifted = scores - scores.max(axis=-1, keepdims=True)
@@ -72,8 +78,7 @@ def block_decode_attention(q: np.ndarray, cache, layer_index: int,
     cache:
         A paged cache exposing ``context_blocks(layer, rows, kind)`` and
         ``layer_len`` (see :class:`repro.nn.paged_kv_cache.PagedKVCache`).
-        The step's K/V must already be written (``write_token`` with
-        ``gather=False``).
+        The step's K/V must already be written (``write_token``).
     kv_mask:
         Optional additive ``(n, 1, 1, total)`` mask (the engine's
         per-row length mask); masked slots contribute exact zeros.
@@ -88,10 +93,10 @@ def block_decode_attention(q: np.ndarray, cache, layer_index: int,
 
     if total <= cache.chunk_blocks * cache.block_size:
         # Short contexts fit one chunk: read K and V in a single pass
-        # (the FP32 pool reuses the plain gather — the chunk *is* the
-        # whole context; the quantized pool assembles through its
-        # dequant memo) and run the monolithic attention ops on it —
-        # op for op the gather path's math, so the result is
+        # (the FP32 pool gathers into its reusable buffers — the chunk
+        # *is* the whole context; the quantized pool assembles through
+        # its dequant memo) and run the monolithic attention ops on it
+        # — op for op the dense path's math, so the result is
         # bit-identical, while the chunk is still the only materialised
         # copy and stays bounded by the chunk window.
         k, v = cache.context_chunk_pair(layer_index, rows=rows)
@@ -100,7 +105,7 @@ def block_decode_attention(q: np.ndarray, cache, layer_index: int,
 
     # Pass 1: scores, one chunk at a time.  Each chunk's q @ kᵀ reduces
     # over head_dim exactly as the dense matmul does, so the assembled
-    # score vector is bit-identical to the gather path's.
+    # score vector is bit-identical to the dense path's.
     score_chunks = []
     for start, k_chunk in cache.context_blocks(layer_index, rows=rows,
                                                kind="k"):
@@ -140,7 +145,7 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     q:
         ``(n, heads, seq, head_dim)`` float32 queries — one prefill
         chunk per (sub-batch) row, already rotated.  The chunk's K/V
-        must already be written (``prefill_rows`` with ``gather=False``).
+        must already be written (``prefill_rows``).
     cache:
         A paged cache exposing ``context_blocks``/``layer_len`` (see
         :class:`repro.nn.paged_kv_cache.PagedKVCache`).
@@ -155,7 +160,7 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     Returns the ``(n, heads, seq, head_dim)`` float32 context.
 
     Numerics: scores reduce over ``head_dim`` exactly like the dense
-    matmul, so they are bit-identical to the gather path's.  Softmax
+    matmul, so they are bit-identical to the dense path's.  Softmax
     and the value contraction run at *chunk-grid* geometry — every
     chunk padded to the ``chunk_blocks * block_size`` window, the
     softmax denominator accumulated window by window, the value GEMMs
@@ -199,7 +204,8 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     # grid, leaking *other* rows' context lengths into this row's ulps
     # (the grid tracks the cache-wide maximum, which a chunked and a
     # one-shot run grow on different step schedules).
-    scores = np.concatenate(score_chunks, axis=-1) * (1.0 / np.sqrt(head_dim))
+    scores = np.concatenate(score_chunks, axis=-1) \
+        * np.float32(1.0 / np.sqrt(head_dim))
     scores = scores + kv_mask
     exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
     denom = np.zeros(exp.shape[:-1], dtype=np.float32)

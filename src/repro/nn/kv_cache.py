@@ -5,15 +5,12 @@ layer and grows them by amortized doubling, so a decode step is an
 in-place write plus a zero-copy view instead of an O(T) concatenation
 (O(T^2) per generated sequence with the old concatenate-per-token cache).
 
-Three write paths serve the generation stack:
-
-* :meth:`append` — uniform append for all batch rows (sequential decode
-  and whole-batch prefill);
-* :meth:`write_token` — scatter a single decode token at per-row slots,
-  which is what lets the serving engine batch sequences of different
-  lengths;
-* :meth:`write_rows` — prefill a subset of batch rows from slot zero,
-  used when the engine admits new prompts into freed cache slots.
+This rectangle is the *sequential reference*: its one write path,
+:meth:`KVCache.append` (uniform append for all batch rows, returning the
+full context), is what :meth:`repro.nn.model.TransformerLM.generate` and
+cached perplexity evaluation decode through, and what the serving
+engine's paged caches are tested against.  Serving itself runs on
+:mod:`repro.nn.paged_kv_cache`.
 
 Also provides the byte accounting used by the Fig. 2(b) serving-memory
 experiment (weights vs KV cache vs other).
@@ -30,8 +27,7 @@ class KVCache:
     Keys/values are stored as ``(batch, heads, capacity, head_dim)``
     arrays, mirroring the attention layout; the cache is an inference-path
     object so no gradients flow through it.  ``batch`` may be pinned at
-    construction (the serving engine does, so sub-batch prefills can
-    target rows of a larger slot pool) or inferred from the first append.
+    construction or inferred from the first append.
     """
 
     def __init__(self, num_layers: int, batch: int | None = None,
@@ -79,7 +75,7 @@ class KVCache:
                 self._values[layer][:, :, :length])
 
     # ------------------------------------------------------------------ #
-    # write paths
+    # write path
     # ------------------------------------------------------------------ #
     def append(self, layer: int, k: np.ndarray, v: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -91,121 +87,6 @@ class KVCache:
         self._values[layer][:, :, start:stop] = v
         self._lengths[layer] = stop
         return self._views(layer)
-
-    def write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
-                    positions: np.ndarray,
-                    rows: np.ndarray | None = None, gather: bool = True
-                    ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Scatter one decode token per batch row at ``positions``.
-
-        ``k``/``v`` are ``(batch, heads, 1, head_dim)``; row ``b`` is
-        written at time slot ``positions[b]``.  The layer length becomes
-        the furthest slot ever written, so the returned views cover every
-        row's context (shorter rows mask the tail in attention).
-
-        ``rows`` selects a sub-batch of cache rows (the serving engine's
-        active slots): ``k``/``v`` then carry ``len(rows)`` entries and
-        the returned context is gathered for those rows only, so idle
-        slots cost no decode work.  ``gather=False`` (interface parity
-        with the paged caches' block-resident decode) skips the read and
-        returns ``None`` — though the rectangle's full-batch read is a
-        zero-copy view, so this cache stays on the gather path: it *is*
-        the dense reference the block path is tested against.
-        """
-        positions = np.asarray(positions, dtype=np.int64)
-        needed = int(positions.max()) + 1
-        self._ensure(layer, k, max(needed, self._lengths[layer]))
-        row_idx = np.arange(k.shape[0]) if rows is None \
-            else np.asarray(rows, dtype=np.int64)
-        self._keys[layer][row_idx, :, positions] = k[:, :, 0]
-        self._values[layer][row_idx, :, positions] = v[:, :, 0]
-        self._lengths[layer] = max(self._lengths[layer], needed)
-        if not gather:
-            return None
-        if rows is None:
-            return self._views(layer)
-        length = self._lengths[layer]
-        return (self._keys[layer][row_idx, :, :length],
-                self._values[layer][row_idx, :, :length])
-
-    def write_rows(self, layer: int, k: np.ndarray, v: np.ndarray,
-                   rows: np.ndarray,
-                   row_lengths: np.ndarray | None = None) -> None:
-        """Prefill batch rows ``rows`` from slot zero with ``k``/``v``.
-
-        Fresh rows carry no prior context, so the caller's own K/V are the
-        whole attention context and nothing needs to be read back.
-        ``row_lengths`` (true per-row lengths under right padding) is
-        accepted for interface parity with the paged caches; the
-        rectangle stores the padded width regardless and relies on the
-        engine's key mask to hide padding slots.
-        """
-        if self.batch is None:
-            raise ValueError("write_rows needs a cache with a pinned batch")
-        seq = k.shape[2]
-        self._ensure(layer, k, seq)
-        rows = np.asarray(rows, dtype=np.int64)
-        self._keys[layer][rows, :, :seq] = k
-        self._values[layer][rows, :, :seq] = v
-        self._lengths[layer] = max(self._lengths[layer], seq)
-
-    def prefill_rows(self, layer: int, k: np.ndarray, v: np.ndarray,
-                     rows: np.ndarray, starts: np.ndarray,
-                     row_lengths: np.ndarray
-                     ) -> tuple[np.ndarray, np.ndarray]:
-        """Write per-row suffix spans and return the rows' full context.
-
-        Interface parity with the paged caches' prefix-sharing prefill:
-        row ``j``'s ``row_lengths[j]`` tokens land at absolute slots
-        ``starts[j] .. starts[j] + row_lengths[j] - 1``.  The rectangle
-        cannot alias blocks, so callers use this only for suffix writes
-        into context the same row already holds.
-        """
-        if self.batch is None:
-            raise ValueError("prefill_rows needs a cache with a pinned batch")
-        rows = np.asarray(rows, dtype=np.int64)
-        starts = np.asarray(starts, dtype=np.int64)
-        lens = np.asarray(row_lengths, dtype=np.int64)
-        totals = starts + lens
-        self._ensure(layer, k, int(totals.max()))
-        for j, row in enumerate(rows):
-            lo, hi = int(starts[j]), int(totals[j])
-            self._keys[layer][row, :, lo:hi] = k[j, :, :hi - lo]
-            self._values[layer][row, :, lo:hi] = v[j, :, :hi - lo]
-        self._lengths[layer] = max(self._lengths[layer], int(totals.max()))
-        length = self._lengths[layer]
-        return (self._keys[layer][rows, :, :length],
-                self._values[layer][rows, :, :length])
-
-    def free_rows(self, rows: np.ndarray) -> None:
-        """Interface parity with the paged caches: rectangular rows are
-        reused in place by the next ``write_rows``, nothing to release."""
-
-    def trim(self, max_len: int) -> None:
-        """Clamp the logical context width to ``max_len`` time steps.
-
-        A long-lived serving session calls this when rows retire so the
-        read width tracks the *live* rows' longest context instead of the
-        historical high-water mark; buffers keep their capacity.
-        """
-        self._lengths = [min(length, max_len) for length in self._lengths]
-
-    # ------------------------------------------------------------------ #
-    # speculative-decoding rollback (interface parity)
-    # ------------------------------------------------------------------ #
-    def snapshot_rows(self, rows) -> dict:
-        """Interface parity with the paged caches: the rectangle holds no
-        per-row state a rollback could corrupt."""
-        return {}
-
-    def truncate_rows(self, rows, lengths, snapshot: dict | None = None
-                      ) -> None:
-        """Interface parity with the paged caches' speculative rollback.
-
-        The rectangle has no per-row lengths or block ownership — the
-        engine's per-row masks already hide uncommitted slots, and the
-        next write simply overwrites them in place — so rolling back is
-        free."""
 
     # ------------------------------------------------------------------ #
     # bookkeeping

@@ -11,13 +11,14 @@ the *sum of live tokens* (rounded up to blocks) instead of
 ``batch x max_len`` — the PagedAttention discipline, scaled down to
 numpy.
 
-Two variants share the interface of the rectangular cache (``append`` /
-``write_token`` / ``write_rows`` plus ``free_rows``), so attention and
-the model are agnostic to which cache is threaded through:
+Two variants share one interface — span/token writes that return
+nothing, block-table reads for :mod:`repro.nn.block_attention`, and the
+rectangular cache's ``append`` for the sequential reference path — so
+attention and the engine are agnostic to which one is threaded through:
 
-* :class:`PagedKVCache` stores blocks in FP32.  Reads gather whole
-  blocks and return the same float values a rectangular cache would, so
-  greedy engine output stays token-identical to the sequential path.
+* :class:`PagedKVCache` stores blocks in FP32.  Reads return the same
+  float values a rectangular cache would, so greedy engine output stays
+  token-identical to the sequential path.
 * :class:`QuantizedPagedKVCache` stores *full* blocks in the FineQ
   weight format of :mod:`repro.core` — cluster-of-3 codes packed at 6
   bits per cluster with a shared 2-bit pair index and one FP16 scale per
@@ -46,16 +47,16 @@ request diverges *inside* a partially-filled shared block.  A block
 returns to the free list only when its last reference drops, so retiring
 or cancelling a reader frees exactly the blocks it owned exclusively.
 
-Two read paths serve attention:
+Two read paths:
 
 * :meth:`_context` gathers the rows' whole context into dense
-  ``(batch, heads, total, head_dim)`` arrays — the prefill read (suffix
-  attention needs the full context as one tensor) and the pre-block-
-  attention decode path, kept as the pinned reference.
+  ``(batch, heads, total, head_dim)`` arrays — what ``append`` returns
+  to the sequential reference path (``generate``, cached perplexity),
+  and the oracle the tests pin chunk values against.
 * :meth:`context_blocks` iterates the same context chunk by chunk
   (``chunk_blocks`` blocks at a time) for
-  :func:`repro.nn.block_attention.block_decode_attention`, so a
-  single-token decode never materialises the dense copy.  On the
+  :mod:`repro.nn.block_attention` — the serving engine's read, so
+  neither decode nor prefill materialises the dense copy.  On the
   quantized cache the chunk assembly reads dequantized blocks through a
   :class:`DequantBlockCache`: quantized pool blocks are immutable once
   written (writes go through the FP32 buffer; COW copies get fresh
@@ -96,16 +97,16 @@ DEFAULT_DEQUANT_CACHE_BYTES = 128 * 2 ** 20
 class KVReadStats:
     """Decode-read accounting accumulated by :meth:`context_blocks`.
 
-    ``logical_bytes`` is what the pre-block-attention gather would have
-    materialised (dense FP32 K+V for every row's full context, per
-    layer); ``streamed_bytes`` is what the block iteration actually
+    ``streamed_bytes`` is what the block iteration actually
     fetched from cache storage (whole chunks for FP32 pools; quantized
     payload+scale bytes for dequant-cache misses plus FP32 write-buffer
     bytes for current blocks — hits stream nothing, which is the number
     the accelerator projection credits); ``peak_scratch_bytes`` is the
     largest transient chunk scratch any single read materialised; and
     ``bytes_not_gathered`` is the dense copy that never existed
-    concurrently (``logical`` minus one resident chunk, per call).
+    concurrently (what a dense gather would have materialised — FP32
+    K+V for every row's full context — minus one resident chunk, per
+    call).
     ``dequant_hits`` /
     ``dequant_misses`` count per-reader block lookups in the
     :class:`DequantBlockCache` (a block missed once but read by sixteen
@@ -119,7 +120,6 @@ class KVReadStats:
     blocks they quantized (the quotient is the flush batching factor).
     """
 
-    logical_bytes: int = 0
     streamed_bytes: int = 0
     peak_scratch_bytes: int = 0
     bytes_not_gathered: int = 0
@@ -436,12 +436,8 @@ class PagedKVCache:
         forced — but :meth:`available_blocks` reports the remaining
         headroom so the engine's scheduler can throttle admission or
         preempt low-priority rows instead of overshooting the budget.
-    block_decode:
-        Advertise the block-resident decode read path: attention then
-        routes single-token decodes through :meth:`context_blocks`
-        instead of the dense :meth:`_context` gather.
     chunk_blocks:
-        Blocks gathered per :meth:`context_blocks` chunk (the decode
+        Blocks gathered per :meth:`context_blocks` chunk (the read
         scratch granularity).
     """
 
@@ -449,7 +445,6 @@ class PagedKVCache:
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  initial_blocks: int | None = None,
                  max_blocks: int | None = None,
-                 block_decode: bool = True,
                  chunk_blocks: int = DEFAULT_CHUNK_BLOCKS):
         if block_size < 1:
             raise ValueError("block_size must be >= 1")
@@ -462,7 +457,6 @@ class PagedKVCache:
         self.block_size = block_size
         self.initial_blocks = initial_blocks or 2 * batch
         self.max_blocks = max_blocks
-        self.block_decode = block_decode
         self.chunk_blocks = chunk_blocks
         self._heads: int | None = None
         self._head_dim = 0
@@ -479,6 +473,10 @@ class PagedKVCache:
         # layer's read) and reused by every layer; any table mutation
         # clears the memo (see _invalidate_ids_memo).
         self._ids_memo: dict[tuple[int, bytes | None], np.ndarray] = {}
+        # Reusable buffers of the single-chunk read — the block gather,
+        # then its transposed copies for K and V — grown to the
+        # high-water demand.
+        self._chunk_scratch = np.empty((3, 0), dtype=np.float32)
         self._read_stats = KVReadStats()
 
     # ------------------------------------------------------------------ #
@@ -763,7 +761,7 @@ class PagedKVCache:
         from ``snapshot`` here."""
 
     # ------------------------------------------------------------------ #
-    # write paths (rectangular-cache interface)
+    # write paths
     # ------------------------------------------------------------------ #
     def append(self, layer: int, k: np.ndarray, v: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
@@ -791,16 +789,13 @@ class PagedKVCache:
 
     def write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
                     positions: np.ndarray,
-                    rows: np.ndarray | None = None, gather: bool = True
-                    ) -> tuple[np.ndarray, np.ndarray] | None:
+                    rows: np.ndarray | None = None) -> None:
         """Scatter one decode token per batch row at ``positions``.
 
         ``rows`` (a sub-batch of cache rows, the engine's active slots)
-        restricts both the writes and the returned gathered context to
-        those rows; idle rows then pin no blocks and cost no gather.
-        ``gather=False`` skips the dense context gather entirely and
-        returns ``None`` — the block-resident decode path reads through
-        :meth:`context_blocks` instead.
+        restricts the writes to those rows; idle rows then pin no
+        blocks.  Nothing is read back: attention reads the block table
+        through :meth:`context_blocks`.
         """
         row_idx = self._resolve_rows(k, rows)
         if self._heads is None:
@@ -817,9 +812,6 @@ class PagedKVCache:
                                    int(positions.max()) + 1)
         self._row_len[row_idx] = np.maximum(self._row_len[row_idx],
                                             positions + 1)
-        if not gather:
-            return None
-        return self._context(layer, rows=None if rows is None else row_idx)
 
     def write_rows(self, layer: int, k: np.ndarray, v: np.ndarray,
                    rows: np.ndarray,
@@ -852,9 +844,8 @@ class PagedKVCache:
 
     def prefill_rows(self, layer: int, k: np.ndarray, v: np.ndarray,
                      rows: np.ndarray, starts: np.ndarray,
-                     row_lengths: np.ndarray, gather: bool = True
-                     ) -> tuple[np.ndarray, np.ndarray] | None:
-        """Write per-row suffix spans and return the gathered context.
+                     row_lengths: np.ndarray) -> None:
+        """Write per-row suffix spans.
 
         The suffix/chunked prefill: row ``j`` already holds ``starts[j]``
         context tokens (adopted shared blocks, or spans written by
@@ -862,13 +853,10 @@ class PagedKVCache:
         ``row_lengths[j]`` tokens (right-padded to a common width).
         Writes land at absolute positions ``starts[j] ..
         starts[j] + row_lengths[j] - 1`` — continuing a partially-filled
-        block in place when the span starts mid-block — and the returned
-        arrays gather each row's full context (shared prefix + new
-        suffix), which is what suffix attention needs to read.
-        ``gather=False`` skips the dense context gather and returns
-        ``None`` — the block-resident prefill path reads through
-        :func:`repro.nn.block_attention.block_prefill_attention`
-        (:meth:`context_blocks`) instead.
+        block in place when the span starts mid-block.  Nothing is read
+        back: :func:`repro.nn.block_attention.block_prefill_attention`
+        reads the rows' full context (shared prefix + new suffix)
+        through :meth:`context_blocks`.
         """
         if self._heads is None:
             self._init_storage(k)
@@ -879,9 +867,6 @@ class PagedKVCache:
         totals = starts + lens
         self._lengths[layer] = max(self._lengths[layer], int(totals.max()))
         self._row_len[rows] = np.maximum(self._row_len[rows], totals)
-        if not gather:
-            return None
-        return self._context(layer, rows=rows)
 
     def _write_span(self, layer: int, k: np.ndarray, v: np.ndarray,
                     rows: np.ndarray, starts: np.ndarray,
@@ -962,7 +947,7 @@ class PagedKVCache:
 
     def _account_read(self, n: int, total: int, operands: int,
                       chunk_resident: int) -> None:
-        """Book one :meth:`context_blocks` call's logical read bytes.
+        """Book the dense copy one :meth:`context_blocks` call avoids.
 
         ``chunk_resident`` is the finished chunk the caller holds at any
         moment, whose difference from the dense gather is the copy that
@@ -970,10 +955,9 @@ class PagedKVCache:
         chunk step via :meth:`_note_scratch` (actual array sizes, so a
         regression that materialises something dense shows up).
         """
-        stats = self._read_stats
         logical = operands * n * self._heads * total * self._head_dim * 4
-        stats.logical_bytes += logical
-        stats.bytes_not_gathered += max(0, logical - chunk_resident)
+        self._read_stats.bytes_not_gathered += max(
+            0, logical - chunk_resident)
 
     def _note_scratch(self, nbytes: int) -> None:
         """Record one chunk step's measured transient scratch bytes."""
@@ -984,26 +968,41 @@ class PagedKVCache:
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Single-chunk K/V read (context fits one chunk window).
 
-        For the FP32 pool the whole-context gather *is* the chunk, so
-        this reuses :meth:`_context` outright — the short-context decode
-        then costs exactly what the pre-change path did, with only the
-        read accounting added.  The quantized override assembles the
-        chunk through the dequant memo instead.
+        For the FP32 pool the whole-context gather *is* the chunk: the
+        values :meth:`_context` returns, gathered into per-cache buffers
+        that every layer and step reuse — fresh ~MB temporaries per
+        layer get trimmed off the heap and page-faulted back in on every
+        call.  The returned arrays are therefore only valid until the
+        next call.  The quantized override assembles the chunk through
+        the dequant memo instead.
         """
         total = self._lengths[layer]
+        bs, heads, head_dim = self.block_size, self._heads, self._head_dim
+        nblk = _blocks_needed(total, bs)
+        ids = self._block_ids(nblk, rows)
         row_idx = self._row_index if rows is None \
             else np.asarray(rows, dtype=np.int64)
         n = len(row_idx)
-        nblk = _blocks_needed(total, self.block_size)
-        resident = 2 * n * self._heads * nblk * self.block_size \
-            * self._head_dim * 4  # the K and V gathers themselves
+        resident = 2 * n * heads * nblk * bs * head_dim * 4  # K and V
         self._account_read(n, total, 2, chunk_resident=resident)
-        self._read_stats.streamed_bytes += 2 * self._heads \
-            * self._head_dim * 4 * int(np.minimum(self._row_len[row_idx],
-                                                  total).sum())
-        k, v = self._context(layer, rows)
-        self._note_scratch(2 * resident)  # gather temps + merged copies
-        return k, v
+        self._read_stats.streamed_bytes += 2 * heads * head_dim * 4 \
+            * int(np.minimum(self._row_len[row_idx], total).sum())
+        size = n * nblk * heads * bs * head_dim
+        if self._chunk_scratch.shape[1] < size:
+            self._chunk_scratch = np.empty((3, size), dtype=np.float32)
+        scratch = self._chunk_scratch[:, :size]
+        blocks = scratch[0].reshape(n, nblk, heads, bs, head_dim)
+        out = []
+        for i, pool in enumerate((self._pool_k[layer], self._pool_v[layer])):
+            # mode="clip" (the ids are valid): the default "raise" makes
+            # take stage ``out`` through an internal buffer.
+            np.take(pool, ids, axis=0, out=blocks, mode="clip")
+            merged = scratch[1 + i].reshape(n, heads, nblk, bs, head_dim)
+            np.copyto(merged, blocks.transpose(0, 2, 1, 3, 4))
+            out.append(merged.reshape(n, heads, nblk * bs,
+                                      head_dim)[:, :, :total])
+        self._note_scratch(scratch.nbytes)
+        return out[0], out[1]
 
     def context_blocks(self, layer: int, rows: np.ndarray | None = None,
                        kind: str = "k"):
@@ -1037,10 +1036,10 @@ class PagedKVCache:
         chunk_resident = len(pools) * n * self._heads * min(cb, nblk) \
             * bs * self._head_dim * 4
         self._account_read(n, total, len(pools), chunk_resident)
-        # Streamed bytes count the rows' *real* context tokens (ragged
-        # rows gather padding blocks, but so would a dense gather — and
-        # the gather path's trace counts used-token bytes, so the two
-        # read paths stay comparable in the accelerator projection).
+        # Streamed bytes count the rows' *real* context tokens, the
+        # population ``used_bytes`` counts (ragged rows also gather
+        # padding blocks, which the accelerator projection must not
+        # charge).
         self._read_stats.streamed_bytes += len(pools) * self._heads \
             * self._head_dim * 4 * int(np.minimum(self._row_len[row_idx],
                                                   total).sum())
@@ -1131,15 +1130,14 @@ class QuantizedPagedKVCache(PagedKVCache):
     memo instead of decoding the payload back.
 
     ``dequant_cache_bytes`` budgets the :class:`DequantBlockCache` the
-    block-resident decode reads through (``0`` disables it — every read
-    then re-runs the LUT dequant, exactly the pre-cache behaviour).
+    block-resident reads go through (``0`` disables it — every read then
+    re-runs the LUT dequant).
     """
 
     def __init__(self, num_layers: int, batch: int,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  initial_blocks: int | None = None,
                  max_blocks: int | None = None,
-                 block_decode: bool = True,
                  chunk_blocks: int = DEFAULT_CHUNK_BLOCKS,
                  dequant_cache_bytes: int = DEFAULT_DEQUANT_CACHE_BYTES):
         self.dequant_cache_bytes = dequant_cache_bytes
@@ -1151,8 +1149,7 @@ class QuantizedPagedKVCache(PagedKVCache):
         self._buf_end = np.zeros((num_layers, batch), dtype=np.int64)
         super().__init__(num_layers, batch, block_size=block_size,
                          initial_blocks=initial_blocks,
-                         max_blocks=max_blocks, block_decode=block_decode,
-                         chunk_blocks=chunk_blocks)
+                         max_blocks=max_blocks, chunk_blocks=chunk_blocks)
 
     def _setup_layers(self) -> None:
         bs = self.block_size
@@ -1428,8 +1425,7 @@ class QuantizedPagedKVCache(PagedKVCache):
 
     def write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
                     positions: np.ndarray,
-                    rows: np.ndarray | None = None, gather: bool = True
-                    ) -> tuple[np.ndarray, np.ndarray] | None:
+                    rows: np.ndarray | None = None) -> None:
         row_idx = self._resolve_rows(k, rows)
         if self._heads is None:
             self._init_storage(k)
@@ -1457,9 +1453,6 @@ class QuantizedPagedKVCache(PagedKVCache):
                                    int(positions.max()) + 1)
         self._row_len[row_idx] = np.maximum(self._row_len[row_idx],
                                             positions + 1)
-        if not gather:
-            return None
-        return self._context(layer, rows=None if rows is None else row_idx)
 
     def _flush_crossing(self, rows: np.ndarray, positions: np.ndarray
                         ) -> None:
@@ -1525,7 +1518,8 @@ class QuantizedPagedKVCache(PagedKVCache):
         if self._heads is None:
             self._init_storage(k)
         positions = np.full(k.shape[0], self._lengths[layer], dtype=np.int64)
-        return self.write_token(layer, k, v, positions)
+        self.write_token(layer, k, v, positions)
+        return self._context(layer)
 
     # ------------------------------------------------------------------ #
     # read path

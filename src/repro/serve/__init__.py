@@ -23,16 +23,14 @@ from repro.serve.scheduler import (SCHEDULERS, FIFOScheduler,
                                    PriorityScheduler, RunningInfo, Scheduler,
                                    SchedulerView, admission_key,
                                    get_scheduler)
-from repro.serve.spec import (DRAFT_KV_CACHE_MODES, SPEC_POLICIES,
-                              SpeculativeConfig, SpeculativeDecoder)
-from repro.serve.bench import (DecodePoint, DecodeReport, MemoryPoint,
-                               MemoryReport, MixedLatencyPoint,
+from repro.serve.spec import (SPEC_POLICIES, SpeculativeConfig,
+                              SpeculativeDecoder)
+from repro.serve.bench import (MemoryPoint, MemoryReport, MixedLatencyPoint,
                                MixedLatencyReport, PrefixPoint, PrefixReport,
                                SpecPoint, SpecReport, StreamLatencyPoint,
                                StreamLatencyReport, ThroughputPoint,
                                ThroughputReport, bench_prompts,
-                               corpus_prompts, decode_point, decode_sweep,
-                               engine_throughput, export_report,
+                               corpus_prompts, engine_throughput, export_report,
                                latency_sweep, memory_point, memory_sweep,
                                mixed_latency_sweep, mixed_traffic_session,
                                prefix_prompts, prefix_sweep,
@@ -52,14 +50,11 @@ __all__ = [
     "SCHEDULERS", "FIFOScheduler", "PrefixAffinityScheduler",
     "PriorityScheduler", "RunningInfo", "Scheduler", "SchedulerView",
     "admission_key", "get_scheduler",
-    "DRAFT_KV_CACHE_MODES", "SPEC_POLICIES",
-    "SpeculativeConfig", "SpeculativeDecoder",
-    "DecodePoint", "DecodeReport", "MemoryPoint",
-    "MemoryReport", "MixedLatencyPoint", "MixedLatencyReport", "PrefixPoint",
+    "SPEC_POLICIES", "SpeculativeConfig", "SpeculativeDecoder",
+    "MemoryPoint", "MemoryReport", "MixedLatencyPoint", "MixedLatencyReport", "PrefixPoint",
     "PrefixReport", "SpecPoint", "SpecReport", "StreamLatencyPoint",
     "StreamLatencyReport", "ThroughputPoint", "ThroughputReport",
-    "bench_prompts", "corpus_prompts", "decode_point", "decode_sweep",
-    "engine_throughput", "export_report", "latency_sweep", "memory_point",
+    "bench_prompts", "corpus_prompts", "engine_throughput", "export_report", "latency_sweep", "memory_point",
     "memory_sweep", "mixed_latency_sweep", "mixed_traffic_session",
     "prefix_prompts", "prefix_sweep", "sequential_throughput",
     "serve_session", "spec_point", "spec_sweep", "stream_latency",

@@ -15,9 +15,6 @@ experiences.  ``prefix_sweep`` serves a shared-prefix workload (system
 prompt + per-request suffix) with prefix sharing off vs on and reports
 prefill tokens avoided, resident bytes per cached token, decode tok/s,
 and the decode trace projected onto the paper's accelerator.
-``decode_sweep`` contrasts the block-resident decode read path against
-the pre-change gather path at several context lengths — the fineq
-1024-token point is the asserted block-attention speedup.
 ``mixed_latency_sweep`` serves short decoders with long prompts landing
 mid-stream, one-shot vs chunked prefill, and reports the p95
 inter-token latency both ways — the chunked tail improvement (with
@@ -40,7 +37,6 @@ model (fast enough for CI):
     PYTHONPATH=src python -m repro.serve --mem --smoke --json BENCH_serve_mem.json
     PYTHONPATH=src python -m repro.serve --stream --smoke --json BENCH_serve_stream.json
     PYTHONPATH=src python -m repro.serve --prefix --smoke --json BENCH_serve_prefix.json
-    PYTHONPATH=src python -m repro.serve --decode --smoke --json BENCH_serve_decode.json
     PYTHONPATH=src python -m repro.serve --latency --smoke --json BENCH_serve_latency.json
     PYTHONPATH=src python -m repro.serve --spec --smoke --json BENCH_serve_spec.json
     PYTHONPATH=src python -m repro.serve --gateway --smoke --json BENCH_serve_gateway.json
@@ -276,7 +272,7 @@ def throughput_sweep(model: TransformerLM, prompts: list[np.ndarray],
 class MemoryPoint:
     """One engine run: cache backend x batch size, memory + throughput."""
 
-    mode: str                    # "paged" | "fineq" | "dense"
+    mode: str                    # "paged" | "fineq"
     batch_size: int
     num_sequences: int
     max_new_tokens: int
@@ -541,130 +537,6 @@ def prefix_sweep(model: TransformerLM, prefix_len: int = 64,
 
 
 @dataclass(frozen=True)
-class DecodePoint:
-    """One decode-path measurement: backend x read path x context length."""
-
-    mode: str                    # "paged" | "fineq" | "dense"
-    block_decode: bool           # block-resident path (False = gather)
-    context_len: int             # prompt tokens per row at decode start
-    batch_size: int
-    max_new_tokens: int
-    decode_tokens: int
-    decode_seconds: float
-    peak_scratch_bytes: int      # largest transient decode K/V scratch
-    bytes_not_gathered: int      # dense-copy bytes the block path skipped
-    dequant_cache_hit_rate: float
-
-    @property
-    def decode_tokens_per_s(self) -> float:
-        return self.decode_tokens / self.decode_seconds if self.decode_seconds else 0.0
-
-
-@dataclass(frozen=True)
-class DecodeReport:
-    """Block-resident vs gather decode, per cache mode and context length."""
-
-    model: str
-    block_size: int
-    batch_size: int
-    points: tuple[DecodePoint, ...]
-
-    def point(self, mode: str, context_len: int,
-              block_decode: bool) -> DecodePoint:
-        for candidate in self.points:
-            if (candidate.mode == mode
-                    and candidate.context_len == context_len
-                    and candidate.block_decode == block_decode):
-                return candidate
-        raise KeyError(f"no point for mode={mode!r} context={context_len} "
-                       f"block_decode={block_decode}")
-
-    def speedup(self, mode: str, context_len: int) -> float:
-        """Block-resident decode tok/s over the gather path's."""
-        gather = self.point(mode, context_len, block_decode=False)
-        block = self.point(mode, context_len, block_decode=True)
-        base = gather.decode_tokens_per_s
-        return block.decode_tokens_per_s / base if base else 0.0
-
-    def rows(self) -> list[list[str]]:
-        out = []
-        for p in self.points:
-            speed = (f"{self.speedup(p.mode, p.context_len):.1f}x"
-                     if p.block_decode else "-")
-            out.append([p.mode, "block" if p.block_decode else "gather",
-                        str(p.context_len),
-                        f"{p.decode_tokens_per_s:,.0f}", speed,
-                        f"{p.peak_scratch_bytes:,}",
-                        f"{p.dequant_cache_hit_rate:.2f}"])
-        return out
-
-    def to_dict(self) -> dict:
-        points = []
-        for p in self.points:
-            entry = dataclass_to_dict(p)
-            if p.block_decode:
-                entry["speedup_vs_gather"] = self.speedup(p.mode,
-                                                          p.context_len)
-            points.append(entry)
-        return {"model": self.model, "block_size": self.block_size,
-                "batch_size": self.batch_size, "points": points}
-
-
-def decode_point(model: TransformerLM, context_len: int, batch_size: int,
-                 max_new_tokens: int, mode: str, block_decode: bool,
-                 block_size: int = 16, seed: int = 0) -> DecodePoint:
-    """Serve one wave of ``context_len``-token prompts and time decode."""
-    prompts = bench_prompts(model.config.vocab_size, num=batch_size,
-                            max_prompt_len=context_len,
-                            min_prompt_len=context_len, seed=seed)
-    engine, _latency = serve_session(model, prompts, max_new_tokens,
-                                     batch_size, kv_cache=mode,
-                                     block_size=block_size,
-                                     block_decode=block_decode)
-    stats = engine.stats
-    return DecodePoint(mode=mode, block_decode=block_decode,
-                       context_len=context_len, batch_size=batch_size,
-                       max_new_tokens=max_new_tokens,
-                       decode_tokens=stats.decode_tokens,
-                       decode_seconds=stats.decode_seconds,
-                       peak_scratch_bytes=stats.decode_peak_scratch_bytes,
-                       bytes_not_gathered=stats.decode_bytes_not_gathered,
-                       dequant_cache_hit_rate=stats.dequant_cache_hit_rate)
-
-
-def decode_sweep(model: TransformerLM,
-                 context_lens: tuple[int, ...] = (64, 256, 1024),
-                 batch_size: int = 8, max_new_tokens: int = 8,
-                 modes: tuple[str, ...] = ("paged", "fineq"),
-                 block_size: int = 16, seed: int = 0) -> DecodeReport:
-    """Decode tok/s vs context length, block-resident vs gather path.
-
-    Each point serves one full wave of exactly-``context_len``-token
-    prompts so every decode step attends over at least that much
-    context; the block/gather contrast at long contexts is the number
-    behind the block-resident decode claim (the fineq 1024-token point
-    is asserted >= 1.5x in ``benchmarks``/CI).
-    """
-    limit = model.config.max_seq_len
-    for context_len in context_lens:
-        if context_len + max_new_tokens > limit:
-            raise ValueError(
-                f"context {context_len} + {max_new_tokens} new tokens "
-                f"exceeds the model's max_seq_len={limit}")
-    points = []
-    for mode in modes:
-        for context_len in context_lens:
-            for block_decode in (False, True):
-                points.append(decode_point(model, context_len, batch_size,
-                                           max_new_tokens, mode,
-                                           block_decode,
-                                           block_size=block_size,
-                                           seed=seed))
-    return DecodeReport(model=model.config.name, block_size=block_size,
-                        batch_size=batch_size, points=tuple(points))
-
-
-@dataclass(frozen=True)
 class SpecPoint:
     """One speculative (or target-only baseline) serving measurement."""
 
@@ -695,7 +567,6 @@ class SpecReport:
     target: str
     kv_cache: str
     policy: str
-    draft_kv_cache: str
     points: tuple[SpecPoint, ...]
 
     def point(self, draft: str, k: int, batch_size: int) -> SpecPoint:
@@ -733,23 +604,21 @@ class SpecReport:
                     p.draft, p.k, p.batch_size)
             points.append(entry)
         return {"target": self.target, "kv_cache": self.kv_cache,
-                "policy": self.policy,
-                "draft_kv_cache": self.draft_kv_cache, "points": points}
+                "policy": self.policy, "points": points}
 
 
 def spec_point(target: TransformerLM, draft: TransformerLM | None,
                prompts: list[np.ndarray], k: int, batch_size: int,
                max_new_tokens: int, kv_cache: str = "paged",
-               policy: str = "exact", draft_kv_cache: str = "dense",
-               block_size: int = 16, draft_name: str = "-") -> SpecPoint:
+               policy: str = "exact", block_size: int = 16,
+               draft_name: str = "-") -> SpecPoint:
     """Serve one wave speculatively (or target-only when ``k == 0``)."""
     speculative = None
     if k > 0:
         if draft is None:
             raise ValueError("k > 0 needs a draft model")
         speculative = SpeculativeConfig(draft_model=draft, k=k,
-                                        policy=policy,
-                                        draft_kv_cache=draft_kv_cache)
+                                        policy=policy)
     engine, _latency = serve_session(target, prompts[:batch_size],
                                      max_new_tokens, batch_size,
                                      kv_cache=kv_cache,
@@ -771,8 +640,7 @@ def spec_sweep(target: TransformerLM,
                ks: tuple[int, ...] = (2, 4, 8),
                batch_sizes: tuple[int, ...] = (1, 2, 4),
                max_new_tokens: int = 32, kv_cache: str = "paged",
-               policy: str = "exact", draft_kv_cache: str = "dense",
-               block_size: int = 16) -> SpecReport:
+               policy: str = "exact", block_size: int = 16) -> SpecReport:
     """Speculative vs target-only decode tok/s over a k x batch grid.
 
     Each batch size first serves a target-only baseline wave, then the
@@ -798,11 +666,9 @@ def spec_sweep(target: TransformerLM,
                 points.append(spec_point(
                     target, draft, prompts, k, batch_size,
                     max_new_tokens, kv_cache=kv_cache, policy=policy,
-                    draft_kv_cache=draft_kv_cache, block_size=block_size,
-                    draft_name=draft_name))
+                    block_size=block_size, draft_name=draft_name))
     return SpecReport(target=target.config.name, kv_cache=kv_cache,
-                      policy=policy, draft_kv_cache=draft_kv_cache,
-                      points=tuple(points))
+                      policy=policy, points=tuple(points))
 
 
 @dataclass(frozen=True)
@@ -1068,10 +934,6 @@ def main(argv: list[str] | None = None) -> None:
                         help="run the prefix-sharing sweep (sharing off vs "
                              "on per cache mode, with accelerator "
                              "projection) instead of the throughput sweep")
-    parser.add_argument("--decode", action="store_true",
-                        help="run the decode-path sweep (block-resident vs "
-                             "gather reads per cache mode and context "
-                             "length) instead of the throughput sweep")
     parser.add_argument("--latency", action="store_true",
                         help="run the mixed-traffic latency sweep (one-shot "
                              "vs chunked prefill p95 inter-token latency "
@@ -1105,9 +967,6 @@ def main(argv: list[str] | None = None) -> None:
     parser.add_argument("--long-prompt-len", type=int, default=384,
                         help="long prompt length for --latency "
                              "(default 384)")
-    parser.add_argument("--context-lens", default=None,
-                        help="comma list of context lengths for --decode "
-                             "(default 64,256,1024)")
     parser.add_argument("--prefix-len", type=int, default=64,
                         help="shared prefix length for --prefix "
                              "(default 64)")
@@ -1137,18 +996,15 @@ def main(argv: list[str] | None = None) -> None:
         model = TransformerLM(tiny_config(vocab_size=256, seed=0))
         name = "tiny (untrained)"
 
-    if sum((args.mem, args.stream, args.prefix, args.decode,
-            args.latency, args.spec, args.gateway)) > 1:
-        parser.error("--mem, --stream, --prefix, --decode, --latency, "
-                     "--spec, and --gateway are separate sweeps; pick one")
-    if args.context_lens and not args.decode:
-        parser.error("--context-lens only applies to --decode")
+    if sum((args.mem, args.stream, args.prefix, args.latency, args.spec,
+            args.gateway)) > 1:
+        parser.error("--mem, --stream, --prefix, --latency, --spec, and "
+                     "--gateway are separate sweeps; pick one")
     if (args.drafts or args.ks) and not args.spec:
         parser.error("--drafts/--ks only apply to --spec")
     if args.json and not (args.mem or args.stream or args.prefix
-                          or args.decode or args.latency or args.spec
-                          or args.gateway):
-        parser.error("--json requires --mem, --stream, --prefix, --decode, "
+                          or args.latency or args.spec or args.gateway):
+        parser.error("--json requires --mem, --stream, --prefix, "
                      "--latency, --spec, or --gateway (the throughput "
                      "sweep has no JSON report)")
     if args.gateway:
@@ -1263,48 +1119,6 @@ def main(argv: list[str] | None = None) -> None:
                             "dequant hit"], report.rows()))
         print(f"chunked tokens identical to one-shot: "
               f"{report.tokens_identical}")
-        if args.json:
-            export_report(report, args.json, name, "paged,fineq")
-        return
-    if args.decode:
-        if args.num_prompts is not None:
-            parser.error("--num-prompts has no effect with --decode (each "
-                         "point serves one full wave of batch-size "
-                         "prompts); use --batch-sizes to scale the sweep")
-        batches = (args.batch_sizes or "8").split(",")
-        if len(batches) != 1:
-            parser.error("--decode sweeps a single batch size; pass one "
-                         "value to --batch-sizes")
-        batch = int(batches[0])
-        context_lens = tuple(int(c) for c in
-                             (args.context_lens or "64,256,1024").split(","))
-        # Enough decode steps that the dequant memo's steady state (the
-        # serving regime) outweighs the first step's cold misses.
-        max_new = (args.max_new_tokens if args.max_new_tokens is not None
-                   else (16 if args.smoke else 24))
-        needed = max(context_lens) + max_new
-        if model.config.max_seq_len < needed:
-            if args.model:
-                parser.error(f"model {name} caps max_seq_len at "
-                             f"{model.config.max_seq_len}; the sweep needs "
-                             f"{needed} (shrink --context-lens)")
-            # The default tiny model only reaches 128 positions; rebuild
-            # it with a RoPE table long enough for the sweep's contexts.
-            from dataclasses import replace as config_replace
-
-            from repro.models.configs import tiny_config
-            model = TransformerLM(config_replace(
-                tiny_config(vocab_size=256, seed=0,
-                            max_seq_len=max(needed, 128)),
-                name="tiny-long (untrained)"))
-            name = model.config.name
-        report = decode_sweep(model, context_lens=context_lens,
-                              batch_size=batch, max_new_tokens=max_new)
-        print(f"decode read path on {name} (batch {batch}, "
-              f"{max_new} new tokens per sequence)")
-        print(format_table(["mode", "read path", "context", "decode tok/s",
-                            "speedup", "peak scratch B", "dequant hit"],
-                           report.rows()))
         if args.json:
             export_report(report, args.json, name, "paged,fineq")
         return

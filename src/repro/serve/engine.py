@@ -38,12 +38,12 @@ The cache backend is selected by ``kv_cache``:
   full blocks stored in the paper's 2.33-bit format (~7x fewer bytes per
   full block, ~4.7x end-to-end with the FP32 write buffers; bounded
   perplexity delta instead of exact parity).
-* ``"dense"`` — the rectangular preallocated
-  :class:`~repro.nn.kv_cache.KVCache` of PR 1, kept as a baseline.
 
-Greedy decoding on the ``"paged"`` and ``"dense"`` paths is
-token-identical to the sequential
-:meth:`repro.nn.model.TransformerLM.generate` path — including with
+Both run every forward the same way — write the span, then attend the
+block table (:mod:`repro.nn.block_attention`).  The rectangular
+:class:`~repro.nn.kv_cache.KVCache` is not a serving backend: it is the
+sequential :meth:`repro.nn.model.TransformerLM.generate` reference that
+greedy decoding on ``"paged"`` is token-identical to — including with
 mid-flight submission and cancelled neighbour rows: per-row positions
 match the sequential position counter exactly, cache reads return the
 same float values, and masked slots contribute exact zeros to the
@@ -83,16 +83,14 @@ prefix survived.  ``record_trace=True`` keeps a per-decode-step
 streamed) that ``repro.hw.workloads.project_decode_trace`` projects
 onto the paper's accelerator cycle model.
 
-Single-token decode on the paged backends is *block-resident*
-(``block_decode=True``): attention iterates the block table chunk by
-chunk (:mod:`repro.nn.block_attention`) instead of gathering a dense
-``(batch, heads, total, head_dim)`` context copy per layer per step,
-and the ``"fineq"`` backend serves chunk reads through a
-dequantized-block LRU (``dequant_cache_bytes``) so an immutable
-quantized block — a shared system prompt especially — is LUT-decoded
-once instead of ``batch x layers x steps`` times.  :class:`EngineStats`
-tracks the peak decode scratch, the dense-copy bytes never built, and
-the dequant-cache hit rate.
+Single-token decode is *block-resident* too: attention iterates the
+block table chunk by chunk instead of gathering a dense ``(batch, heads,
+total, head_dim)`` context copy per layer per step, and the ``"fineq"``
+backend serves chunk reads through a dequantized-block LRU so an
+immutable quantized block — a shared system prompt especially — is
+LUT-decoded once instead of ``batch x layers x steps`` times.
+:class:`EngineStats` tracks the peak decode scratch, the dense-copy
+bytes never built, and the dequant-cache hit rate.
 """
 
 from __future__ import annotations
@@ -105,7 +103,6 @@ from typing import NamedTuple
 import numpy as np
 
 from repro.autograd import no_grad
-from repro.nn.kv_cache import KVCache
 from repro.nn.paged_kv_cache import (DEFAULT_BLOCK_SIZE, PagedKVCache,
                                      QuantizedPagedKVCache)
 from repro.nn.model import TransformerLM
@@ -116,7 +113,7 @@ from repro.serve.spec import (SpeculativeConfig, SpeculativeDecoder,
                               leftover_accept, sample_from_probs)
 
 #: Engine cache backends: constructor keyed by the ``kv_cache`` argument.
-KV_CACHE_MODES = ("paged", "fineq", "dense")
+KV_CACHE_MODES = ("paged", "fineq")
 
 #: Every terminal state a request can reach.
 FINISH_REASONS = ("length", "eos", "stop", "max_seq_len", "cancelled")
@@ -305,11 +302,9 @@ class EngineStats:
     kv_peak_physical_bytes: int = 0
     kv_peak_allocated_bytes: int = 0
     # Decode read path: the largest transient K/V scratch any decode
-    # step materialised (the block-resident path keeps this a chunk, not
-    # the dense (batch, heads, total, head_dim) gather — on the gather
-    # path it records that dense copy), the cumulative dense-copy bytes
-    # the block path never built, and the quantized cache's
-    # dequant-block memo traffic.
+    # step materialised (a chunk, not the dense (batch, heads, total,
+    # head_dim) gather), the cumulative dense-copy bytes never built,
+    # and the quantized cache's dequant-block memo traffic.
     decode_peak_scratch_bytes: int = 0
     decode_bytes_not_gathered: int = 0
     dequant_cache_hits: int = 0
@@ -401,8 +396,8 @@ class StepTrace(NamedTuple):
     row).  ``kv_bytes_streamed`` is what the step actually fetched from
     cache storage after the dequant-block memo — quantized payloads for
     misses and FP32 write-buffer reads, with hits streaming nothing —
-    so the accelerator projection credits the dequant reuse (``-1``
-    means "same as ``kv_bytes``", the gather path).  Tuple-shaped so
+    so the accelerator projection credits the dequant reuse (``-1``,
+    for hand-built traces, means "same as ``kv_bytes``").  Tuple-shaped so
     ``repro.hw.workloads`` can consume traces without importing the
     serving engine.
 
@@ -593,8 +588,8 @@ class GenerationEngine:
         Engine-level generator; only used to draw per-request seeds for
         requests that did not fix one in :class:`SamplingParams`.
     kv_cache:
-        Cache backend: ``"paged"`` (default), ``"fineq"`` (quantized
-        paged), or ``"dense"`` (rectangular baseline).
+        Cache backend: ``"paged"`` (default) or ``"fineq"`` (quantized
+        paged).
     block_size:
         Tokens per block for the paged backends.
     scheduler:
@@ -603,7 +598,7 @@ class GenerationEngine:
         :class:`repro.serve.scheduler.Scheduler`.
     prefix_sharing:
         Index prompts in a :class:`~repro.serve.prefix.PrefixStore` and
-        prefill only novel suffixes (paged backends only).
+        prefill only novel suffixes.
     prefix_blocks:
         Block budget for the prefix store's LRU eviction (None =
         unbounded).
@@ -614,14 +609,6 @@ class GenerationEngine:
     record_trace:
         Append a :class:`StepTrace` per decode step to ``self.trace``
         for accelerator projection via ``repro.hw.workloads``.
-    block_decode:
-        Route single-token decodes through block-resident attention
-        (:mod:`repro.nn.block_attention`) on the paged backends instead
-        of the dense gather-then-attend path.  ``False`` pins the
-        pre-change gather path (the regression/benchmark baseline).
-    dequant_cache_bytes:
-        Byte budget for the ``"fineq"`` backend's dequantized-block LRU
-        (``0`` disables it; ``None`` keeps the cache default).
     prefill_chunk_tokens:
         Per-:meth:`step` prompt-token budget (default 128).  Admitted
         prompts longer than the budget prefill chunk by chunk across
@@ -652,8 +639,6 @@ class GenerationEngine:
                  prefix_blocks: int | None = None,
                  max_pool_blocks: int | None = None,
                  record_trace: bool = False,
-                 block_decode: bool = True,
-                 dequant_cache_bytes: int | None = None,
                  prefill_chunk_tokens: int | None = 128,
                  speculative: SpeculativeConfig | None = None):
         if max_batch_size < 1:
@@ -664,9 +649,6 @@ class GenerationEngine:
         if kv_cache not in KV_CACHE_MODES:
             raise ValueError(f"kv_cache must be one of {KV_CACHE_MODES}, "
                              f"got {kv_cache!r}")
-        if prefix_sharing and kv_cache == "dense":
-            raise ValueError("prefix_sharing needs a paged backend "
-                             "(block tables are the aliasing unit)")
         self.model = model
         self.max_batch_size = max_batch_size
         self.eos_token = eos_token
@@ -679,8 +661,6 @@ class GenerationEngine:
         self.prefix_blocks = prefix_blocks
         self.max_pool_blocks = max_pool_blocks
         self.record_trace = record_trace
-        self.block_decode = block_decode
-        self.dequant_cache_bytes = dequant_cache_bytes
         self.prefill_chunk_tokens = prefill_chunk_tokens
         if speculative is not None:
             speculative.validate_target(model)
@@ -693,7 +673,7 @@ class GenerationEngine:
         self._queue: deque[_QueueEntry] = deque()
         self._next_id = 0
         # Session state: created once, reused across every step()/run().
-        self._cache: KVCache | PagedKVCache | None = None
+        self._cache: PagedKVCache | None = None
         self._prefix: PrefixStore | None = None
         self._slots: list[_Slot | None] = [None] * max_batch_size
         self._lengths = np.zeros(max_batch_size, dtype=np.int64)
@@ -703,7 +683,7 @@ class GenerationEngine:
         self._events: list[TokenEvent] = []  # out-of-step events (cancels)
 
     @property
-    def cache(self) -> KVCache | PagedKVCache | None:
+    def cache(self) -> PagedKVCache | None:
         """The session's KV cache (None until the first admit)."""
         return self._cache
 
@@ -713,30 +693,50 @@ class GenerationEngine:
         is disabled)."""
         return self._prefix
 
-    def _count_flushes(self, read) -> None:
-        """Fold a step's cache write counters (they ride on the
-        ``KVReadStats`` snapshot) into the session stats."""
-        self.stats.kv_flush_calls += read.flush_calls
-        self.stats.kv_flush_blocks += read.flush_blocks
-
-    def _make_cache(self) -> KVCache | PagedKVCache:
-        num_layers = self.model.config.num_layers
+    def _make_cache(self) -> PagedKVCache:
         batch = self.max_batch_size
-        if self.kv_cache == "dense":
-            return KVCache(num_layers, batch=batch,
-                           initial_capacity=self.initial_capacity)
         initial_blocks = batch * max(1, self.initial_capacity // self.block_size)
         if self.max_pool_blocks is not None:
             initial_blocks = min(initial_blocks, self.max_pool_blocks)
-        kwargs = dict(batch=batch, block_size=self.block_size,
-                      initial_blocks=initial_blocks,
-                      max_blocks=self.max_pool_blocks,
-                      block_decode=self.block_decode)
-        if self.kv_cache == "paged":
-            return PagedKVCache(num_layers, **kwargs)
-        if self.dequant_cache_bytes is not None:
-            kwargs["dequant_cache_bytes"] = self.dequant_cache_bytes
-        return QuantizedPagedKVCache(num_layers, **kwargs)
+        cls = PagedKVCache if self.kv_cache == "paged" \
+            else QuantizedPagedKVCache
+        return cls(self.model.config.num_layers, batch=batch,
+                   block_size=self.block_size, initial_blocks=initial_blocks,
+                   max_blocks=self.max_pool_blocks)
+
+    def _account_step(self, rows: int, tokens: int, prefill_tokens: int = 0,
+                      **spec) -> None:
+        """Post-forward accounting of one decode, speculative or prefill
+        step: fold the cache's read/flush counters (taken per step, so
+        prefill traffic never leaks into a decode step's snapshot) into
+        the session stats, sample the KV-memory high-water mark (decode
+        steps only), and append the step's :class:`StepTrace`."""
+        cache = self._cache
+        stats = self.stats
+        read = cache.take_read_stats()
+        stats.kv_flush_calls += read.flush_calls
+        stats.kv_flush_blocks += read.flush_blocks
+        if prefill_tokens:
+            stats.prefill_dequant_hits += read.dequant_hits
+            stats.prefill_dequant_misses += read.dequant_misses
+        else:
+            stats.decode_peak_scratch_bytes = max(
+                stats.decode_peak_scratch_bytes, read.peak_scratch_bytes)
+            stats.decode_bytes_not_gathered += read.bytes_not_gathered
+            stats.dequant_cache_hits += read.dequant_hits
+            stats.dequant_cache_misses += read.dequant_misses
+            live_tokens = cache.cached_tokens
+            if live_tokens > stats.kv_peak_tokens:
+                stats.kv_peak_tokens = live_tokens
+                stats.kv_peak_used_bytes = cache.used_bytes()
+                stats.kv_peak_physical_bytes = cache.physical_used_bytes()
+            stats.kv_peak_allocated_bytes = max(
+                stats.kv_peak_allocated_bytes, cache.allocated_bytes())
+        if self.record_trace:
+            self.trace.append(StepTrace(
+                rows=rows, tokens=tokens, kv_bytes=cache.used_bytes(),
+                kv_bytes_streamed=read.streamed_bytes,
+                prefill_tokens=prefill_tokens, **spec))
 
     # ------------------------------------------------------------------ #
     # request intake and cancellation
@@ -900,7 +900,7 @@ class GenerationEngine:
         block boundary each allocate one block (a speculative step may
         write up to ``k + 1`` tokens per row, crossing several)."""
         cache = self._cache
-        if not isinstance(cache, PagedKVCache) or cache.max_blocks is None:
+        if cache.max_blocks is None:
             return
         bs = cache.block_size
         extra = (self._spec.config.k + 1) if self._spec is not None else 1
@@ -910,7 +910,7 @@ class GenerationEngine:
             for row, slot in enumerate(self._slots)
             if slot is not None and not slot.prefilling)
         available = cache.available_blocks()
-        if available is None or crossing <= available:
+        if crossing <= available:
             return
         view = self._scheduler_view()
         for rid in self.scheduler.victims_for_blocks(view,
@@ -959,9 +959,9 @@ class GenerationEngine:
         total = max(cache.seq_len, int(positions.max()) + 1)
         kv_mask = np.where(np.arange(total)[None, :] < (positions + 1)[:, None],
                            0.0, -np.inf).astype(np.float32)[:, None, None, :]
-        # Full batches take the rows=None fast path (zero-copy dense views,
-        # whole-table paged gathers); partial batches forward only the
-        # active rows, so draining waves stop paying for idle slots.
+        # Full batches take the rows=None fast path (whole-table reads);
+        # partial batches forward only the active rows, so draining
+        # waves stop paying for idle slots.
         decode_rows = None if n == batch else active_rows
 
         start = time.perf_counter()
@@ -972,55 +972,8 @@ class GenerationEngine:
         self.stats.decode_tokens += n
         self.stats.decode_steps += 1
         self.stats.decode_slot_steps += batch
-        kv_streamed = -1
-        if isinstance(cache, PagedKVCache):
-            read = cache.take_read_stats()
-            self._count_flushes(read)
-            if cache.block_decode and read.logical_bytes:
-                scratch = read.peak_scratch_bytes
-                kv_streamed = read.streamed_bytes
-                self.stats.decode_bytes_not_gathered += \
-                    read.bytes_not_gathered
-                self.stats.dequant_cache_hits += read.dequant_hits
-                self.stats.dequant_cache_misses += read.dequant_misses
-            else:
-                # The gather path (including the FP32 pool's short-
-                # context reads, where one chunk would cover the whole
-                # context anyway) materialises dense K and V copies of
-                # every row's full context, once per layer.
-                config = self.model.config
-                scratch = 2 * n * config.num_heads * total \
-                    * (config.d_model // config.num_heads) * 4
-            self.stats.decode_peak_scratch_bytes = max(
-                self.stats.decode_peak_scratch_bytes, scratch)
-
         self._lengths[active_rows] += 1
-        # Tokens and bytes must count the same population: paged caches
-        # report their own cached_tokens; the rectangle has no per-row
-        # accounting, so its bytes (the whole rectangle) are divided over
-        # live tokens only.
-        if isinstance(cache, PagedKVCache):
-            live_tokens = cache.cached_tokens
-        else:
-            live_tokens = int(self._lengths[active_rows].sum())
-        if live_tokens > self.stats.kv_peak_tokens:
-            self.stats.kv_peak_tokens = live_tokens
-            self.stats.kv_peak_used_bytes = cache.used_bytes()
-            self.stats.kv_peak_physical_bytes = (
-                cache.physical_used_bytes()
-                if isinstance(cache, PagedKVCache) else cache.used_bytes())
-        if self.record_trace:
-            kv_bytes = cache.used_bytes()
-            self.trace.append(StepTrace(
-                rows=n, tokens=n, kv_bytes=kv_bytes,
-                kv_bytes_streamed=kv_streamed if kv_streamed >= 0
-                else kv_bytes))
-        # The rectangular cache's allocated_bytes is an FP16 projection by
-        # default; its buffers (like the paged pools) are really FP32.
-        allocated = (cache.allocated_bytes(bytes_per_element=4)
-                     if isinstance(cache, KVCache) else cache.allocated_bytes())
-        self.stats.kv_peak_allocated_bytes = max(
-            self.stats.kv_peak_allocated_bytes, allocated)
+        self._account_step(rows=n, tokens=n)
 
         sampled = self._sample(logits.data[:, -1],
                                [slots[row] for row in active_rows])
@@ -1120,12 +1073,9 @@ class GenerationEngine:
         accepted_step = 0
         verify_tokens = 0
         need_probs = spec.config.policy == "leftover"
-        is_quant = isinstance(cache, QuantizedPagedKVCache)
-        bs = cache.block_size if isinstance(cache, PagedKVCache) else 0
+        is_quant = self.kv_cache == "fineq"
+        bs = cache.block_size
         max_pos = self.model.config.max_seq_len - 1
-        kv_streamed = 0
-        kv_streamed_valid = False
-        scratch = 0
 
         while not done.all():
             live = np.flatnonzero(~done)
@@ -1183,17 +1133,6 @@ class GenerationEngine:
                 logits_arr = logits.data
             verify_tokens += int(take.sum())
             written[live] = starts + take
-            if isinstance(cache, PagedKVCache):
-                read = cache.take_read_stats()
-                self._count_flushes(read)
-                if cache.block_decode and read.logical_bytes:
-                    scratch = max(scratch, read.peak_scratch_bytes)
-                    kv_streamed += read.streamed_bytes
-                    kv_streamed_valid = True
-                    self.stats.decode_bytes_not_gathered += \
-                        read.bytes_not_gathered
-                    self.stats.dequant_cache_hits += read.dequant_hits
-                    self.stats.dequant_cache_misses += read.dequant_misses
 
             # Acceptance, offset by offset: every live row emits exactly
             # one token per offset it reaches, in stream order, so each
@@ -1269,33 +1208,13 @@ class GenerationEngine:
         self.stats.decode_slot_steps += batch
         self.stats.spec_proposed += int(k_eff.sum())
         self.stats.spec_accepted += accepted_step
-        if isinstance(cache, PagedKVCache):
-            self.stats.decode_peak_scratch_bytes = max(
-                self.stats.decode_peak_scratch_bytes, scratch)
-            live_tokens = cache.cached_tokens
-        else:
-            live_tokens = int(self._lengths[active_rows].sum())
-        if live_tokens > self.stats.kv_peak_tokens:
-            self.stats.kv_peak_tokens = live_tokens
-            self.stats.kv_peak_used_bytes = cache.used_bytes()
-            self.stats.kv_peak_physical_bytes = (
-                cache.physical_used_bytes()
-                if isinstance(cache, PagedKVCache) else cache.used_bytes())
-        if self.record_trace:
-            kv_bytes = cache.used_bytes()
-            self.trace.append(StepTrace(
-                rows=n, tokens=total_emitted, kv_bytes=kv_bytes,
-                kv_bytes_streamed=kv_streamed if kv_streamed_valid
-                else kv_bytes,
-                spec_proposed=int(k_eff.sum()),
-                spec_accepted=accepted_step,
-                spec_draft_tokens=draft_tokens,
-                spec_verify_tokens=verify_tokens))
-        allocated = (cache.allocated_bytes(bytes_per_element=4)
-                     if isinstance(cache, KVCache)
-                     else cache.allocated_bytes())
-        self.stats.kv_peak_allocated_bytes = max(
-            self.stats.kv_peak_allocated_bytes, allocated)
+        # One snapshot covers every verify round: the cache's read
+        # counters accumulate across forwards until taken.
+        self._account_step(rows=n, tokens=total_emitted,
+                           spec_proposed=int(k_eff.sum()),
+                           spec_accepted=accepted_step,
+                           spec_draft_tokens=draft_tokens,
+                           spec_verify_tokens=verify_tokens)
 
         events: list[TokenEvent] = []
         for j, row in enumerate(active_rows):
@@ -1327,12 +1246,6 @@ class GenerationEngine:
                         for row, slot in enumerate(self._slots)
                         if slot is not None)
         cache = self._cache
-        if isinstance(cache, PagedKVCache):
-            free_blocks = cache.free_blocks()
-            available = cache.available_blocks()
-            block_size = cache.block_size
-        else:
-            free_blocks, available, block_size = 0, None, self.block_size
         store = self._prefix
 
         def prefix_peek(tokens):
@@ -1342,9 +1255,10 @@ class GenerationEngine:
             return (match.shared_len, match.node_key)
 
         return SchedulerView(free_slots=free_slots, running=running,
-                             free_blocks=free_blocks,
-                             available_blocks=available,
-                             block_size=block_size, prefix_peek=prefix_peek)
+                             free_blocks=cache.free_blocks(),
+                             available_blocks=cache.available_blocks(),
+                             block_size=cache.block_size,
+                             prefix_peek=prefix_peek)
 
     def _fit_to_blocks(self, chosen: list[_QueueEntry],
                        view: SchedulerView) -> list[_QueueEntry]:
@@ -1542,7 +1456,7 @@ class GenerationEngine:
         # different values chunked vs one-shot.  The effective per-step
         # budget is at least one block so the head of the order always
         # makes progress.
-        grain = max(1, int(getattr(self._cache, "block_size", 1) or 1))
+        grain = self._cache.block_size
         grants: list[tuple[int, _Slot, int]] = []   # (row, slot, take)
         remaining_total = 0
         for rid in order:
@@ -1608,22 +1522,7 @@ class GenerationEngine:
         self.stats.prefill_seconds += time.perf_counter() - start_t
         self.stats.prefill_tokens += granted
         self.stats.prompt_tokens += granted
-        kv_streamed = -1
-        if isinstance(cache, PagedKVCache):
-            # Snapshot the wave's read accounting now so prefill traffic
-            # never leaks into the decode step's snapshot.
-            read = cache.take_read_stats()
-            self._count_flushes(read)
-            self.stats.prefill_dequant_hits += read.dequant_hits
-            self.stats.prefill_dequant_misses += read.dequant_misses
-            if read.logical_bytes:
-                kv_streamed = read.streamed_bytes
-        if self.record_trace:
-            kv_bytes = cache.used_bytes()
-            self.trace.append(StepTrace(
-                rows=n, tokens=granted, kv_bytes=kv_bytes,
-                kv_bytes_streamed=kv_streamed if kv_streamed >= 0
-                else kv_bytes, prefill_tokens=granted))
+        self._account_step(rows=n, tokens=granted, prefill_tokens=granted)
 
         for row, slot, take in grants:
             slot.prefill_pos += take
@@ -1694,11 +1593,10 @@ class GenerationEngine:
         self._slots[row] = None
         self._lengths[row] = 0
         self._live.pop(request.request_id, None)
-        # Paged caches return the row's blocks to the pool immediately so
-        # waiting prompts can be admitted into the freed memory; the
-        # rectangular cache reuses the row in place (no-op).  Trimming the
+        # The row's blocks return to the pool immediately so waiting
+        # prompts can be admitted into the freed memory.  Trimming the
         # read width to the surviving rows keeps a persistent session from
-        # forever gathering (and masking) the longest-ever row's width.
+        # forever reading (and masking) the longest-ever row's width.
         self._cache.free_rows(np.array([row]))
         self._cache.trim(int(self._lengths.max()))
         if self._spec is not None:

@@ -244,9 +244,7 @@ class ServingGateway:
     def _blocks_for(self, prompt_len: int) -> int:
         """Conservative new-block demand of admitting a prompt (its
         context plus the first generated token's write)."""
-        block_size = getattr(self.engine.cache, "block_size",
-                             self.engine.block_size)
-        return -(-(prompt_len + 1) // block_size)
+        return -(-(prompt_len + 1) // self.engine.block_size)
 
     def _block_budget(self) -> int | None:
         """Blocks the paged pool can still grant (None = unbounded).
@@ -257,7 +255,7 @@ class ServingGateway:
         cache = self.engine.cache
         if cache is None:
             return self.engine.max_pool_blocks
-        return getattr(cache, "available_blocks", lambda: None)()
+        return cache.available_blocks()
 
     def _dispatch(self) -> None:
         budget = self._block_budget()

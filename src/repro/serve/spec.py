@@ -16,11 +16,11 @@ emission.  The split keeps every target-cache invariant in one place
 while the draft remains a self-contained model+cache pipeline:
 
 * :class:`SpeculativeConfig` — the user-facing knob (draft model, ``k``,
-  acceptance policy, draft cache backend).
-* :class:`SpeculativeDecoder` — per-row draft state: a private draft KV
-  cache (dense rectangle by default, FP32 paged optional — never
-  quantized, the draft is supposed to be cheap *and* exact), per-row
-  drafted-extent counters, and per-request draft RNG streams.
+  acceptance policy).
+* :class:`SpeculativeDecoder` — per-row draft state: a private FP32
+  paged draft KV cache (never quantized — the draft is supposed to be
+  cheap *and* exact), per-row drafted-extent counters, and per-request
+  draft RNG streams.
 
 Determinism: draft proposals for non-greedy requests are sampled from a
 *separate* per-request RNG stream (derived from ``params.seed`` with a
@@ -40,8 +40,8 @@ target-only runs.
 The draft cache never rolls back: after a verify the drafted extent is
 clamped to the committed prefix (``commit``), stale positions beyond it
 are masked by the next catch-up's causal mask and overwritten in place,
-and ``drop_rows`` (retire/cancel/preempt) frees the row outright — on a
-paged draft cache that returns real pool blocks.
+and ``drop_rows`` (retire/cancel/preempt) returns the row's blocks to
+the draft pool.
 """
 
 from __future__ import annotations
@@ -51,7 +51,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.nn.kv_cache import KVCache
 from repro.nn.model import TransformerLM
 from repro.nn.paged_kv_cache import PagedKVCache
 
@@ -63,11 +62,6 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
 #: own RNG stream, draw-for-draw identical to target-only decode);
 #: ``"leftover"`` is the standard speculative-sampling correction.
 SPEC_POLICIES = ("exact", "leftover")
-
-#: Draft cache backends.  The draft stays full precision by design —
-#: quantizing the *draft* would lower acceptance to save memory nobody
-#: is short of (the draft model is the small one).
-DRAFT_KV_CACHE_MODES = ("dense", "paged")
 
 #: Salt mixed into ``params.seed`` for the draft-proposal RNG stream, so
 #: draft draws can never collide with (or perturb) the request's own
@@ -99,15 +93,11 @@ class SpeculativeConfig:
         normalised residual ``max(0, p - q)``); target-distribution
         exact, but the RNG consumption schedule differs from
         target-only decode.
-    draft_kv_cache:
-        ``"dense"`` (default) or ``"paged"`` — the draft's private FP32
-        cache backend.
     """
 
     draft_model: TransformerLM
     k: int = 4
     policy: str = "exact"
-    draft_kv_cache: str = "dense"
 
     def __post_init__(self):
         if self.k < 1:
@@ -115,10 +105,6 @@ class SpeculativeConfig:
         if self.policy not in SPEC_POLICIES:
             raise ValueError(f"policy must be one of {SPEC_POLICIES}, "
                              f"got {self.policy!r}")
-        if self.draft_kv_cache not in DRAFT_KV_CACHE_MODES:
-            raise ValueError(
-                f"draft_kv_cache must be one of {DRAFT_KV_CACHE_MODES}, "
-                f"got {self.draft_kv_cache!r}")
 
     def validate_target(self, target: TransformerLM) -> None:
         """Reject draft/target pairs that cannot verify each other."""
@@ -188,35 +174,33 @@ class SpeculativeDecoder:
         self.config = config
         self.draft = config.draft_model
         batch = engine.max_batch_size
-        self._cache: KVCache | PagedKVCache | None = None
+        self._cache: PagedKVCache | None = None
         self._len = np.zeros(batch, dtype=np.int64)
         self._req = np.full(batch, -1, dtype=np.int64)
         self._rng: list[np.random.Generator | None] = [None] * batch
 
     @property
-    def cache(self) -> KVCache | PagedKVCache | None:
+    def cache(self) -> PagedKVCache | None:
         """The draft's private KV cache (None until the first propose)."""
         return self._cache
 
-    def _make_cache(self) -> KVCache | PagedKVCache:
+    def _make_cache(self) -> PagedKVCache:
+        """The draft stays full precision by design — quantizing the
+        *draft* would lower acceptance to save memory nobody is short
+        of (the draft model is the small one)."""
         engine = self._engine
-        num_layers = self.draft.config.num_layers
         batch = engine.max_batch_size
-        if self.config.draft_kv_cache == "dense":
-            return KVCache(num_layers, batch=batch,
-                           initial_capacity=engine.initial_capacity)
         initial_blocks = batch * max(
             1, engine.initial_capacity // engine.block_size)
-        return PagedKVCache(num_layers, batch=batch,
+        return PagedKVCache(self.draft.config.num_layers, batch=batch,
                             block_size=engine.block_size,
-                            initial_blocks=initial_blocks,
-                            block_decode=True)
+                            initial_blocks=initial_blocks)
 
     def drop_rows(self, rows: np.ndarray) -> None:
         """Forget a row's draft state (retire/cancel/preempt).
 
-        On a paged draft cache this returns the row's blocks to the
-        draft pool immediately; the RNG is discarded too, so a restored
+        The row's blocks return to the draft pool immediately; the RNG
+        is discarded too, so a restored
         request re-derives its draft stream from ``params.seed`` (draft
         draws only steer *proposals*, never emitted tokens, so this
         cannot perturb the request's output stream).
@@ -340,8 +324,8 @@ class SpeculativeDecoder:
         A draft position is valid while the token it caches is still on
         the request's committed path — accepted proposals stay, the
         first rejected position and everything after it are clamped off.
-        On a paged draft cache the clamp releases whole uncovered blocks
-        via :meth:`PagedKVCache.truncate_rows`; stale tail positions
+        The clamp releases whole uncovered blocks via
+        :meth:`PagedKVCache.truncate_rows`; stale tail positions
         inside kept storage are masked by the next catch-up's causal
         mask and overwritten in place.
         """

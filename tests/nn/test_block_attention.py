@@ -4,6 +4,7 @@ parity, chunk-grid stability, memoisation."""
 import numpy as np
 import pytest
 
+from repro.autograd import Tensor, functional as F
 from repro.nn.block_attention import (block_decode_attention,
                                       block_prefill_attention)
 from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
@@ -35,13 +36,14 @@ def concat_chunks(cache, layer, kind, rows=None):
 
 
 def reference_attention(q, k, v, kv_mask):
-    """The pre-change gather-path math, op for op."""
+    """The dense path's math: the float32 ``Tensor`` / ``F.softmax`` op
+    sequence ``MultiHeadAttention.forward`` runs on an ``append``ed
+    context."""
+    q, k, v = Tensor(q), Tensor(k), Tensor(v)
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(q.shape[-1]))
     if kv_mask is not None:
-        scores = scores + kv_mask
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)
-    return (exp / exp.sum(axis=-1, keepdims=True)) @ v
+        scores = scores + Tensor(kv_mask)
+    return (F.softmax(scores, axis=-1) @ v).data
 
 
 def length_mask(cache, rows=None):
@@ -100,12 +102,14 @@ def test_chunks_respect_row_subsets():
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("cls", [PagedKVCache, QuantizedPagedKVCache])
 def test_single_chunk_attention_bit_identical(cls):
-    """Contexts inside one chunk window reproduce the gather path's
-    output bit for bit (same values, same op order, same matmuls)."""
+    """Contexts inside one chunk window reproduce the dense path's
+    output bit for bit (same values, same op order, same matmuls, same
+    float32 arithmetic)."""
     cache, rng = build_cache(cls, chunk_blocks=4)  # 16-token window >= 13
     q = rng.standard_normal((3, HEADS, 1, HEAD_DIM)).astype(np.float32)
     kv_mask = length_mask(cache)
     got = block_decode_attention(q, cache, 0, kv_mask=kv_mask)
+    assert got.dtype == np.float32
     k, v = cache._context(0)
     np.testing.assert_array_equal(got, reference_attention(q, k, v, kv_mask))
 
@@ -119,6 +123,7 @@ def test_multi_chunk_attention_matches_gather_reference(cls):
     kv_mask = length_mask(cache)
     for layer in range(cache.num_layers):
         got = block_decode_attention(q, cache, layer, kv_mask=kv_mask)
+        assert got.dtype == np.float32
         k, v = cache._context(layer)
         want = reference_attention(q, k, v, kv_mask)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
@@ -141,11 +146,11 @@ def test_multi_chunk_scores_bit_identical_to_dense():
                                   q @ k_dense.transpose(0, 1, 3, 2))
 
 
-def test_write_token_gather_false_returns_none():
+def test_write_token_returns_none():
     cache, rng = build_cache(PagedKVCache)
     k = rng.standard_normal((3, HEADS, 1, HEAD_DIM)).astype(np.float32)
     positions = cache._row_len.copy()
-    assert cache.write_token(0, k, k.copy(), positions, gather=False) is None
+    assert cache.write_token(0, k, k.copy(), positions) is None
     got_k, _ = cache._context(0)
     np.testing.assert_array_equal(
         got_k[np.arange(3), :, positions], k[:, :, 0])
@@ -164,8 +169,7 @@ def test_block_ids_memoised_across_layers_until_table_mutation():
     assert cache._block_ids(nblk, rows) is sub
     # Crossing a block boundary (new block allocated) must invalidate.
     k = rng.standard_normal((1, HEADS, 1, HEAD_DIM)).astype(np.float32)
-    cache.write_token(0, k, k.copy(), np.array([16]),
-                      rows=np.array([0]), gather=False)
+    cache.write_token(0, k, k.copy(), np.array([16]), rows=np.array([0]))
     assert cache._block_ids(nblk + 1) is not first
     ids = cache._block_ids(nblk + 1)
     np.testing.assert_array_equal(ids[:, :nblk], np.asarray(first))
@@ -208,6 +212,7 @@ def test_prefill_attention_matches_dense_reference(cls):
     kv_mask = suffix_mask(cache, starts, lens, np.arange(3))
     for layer in range(cache.num_layers):
         got = block_prefill_attention(q, cache, layer, kv_mask=kv_mask)
+        assert got.dtype == np.float32
         k, v = cache._context(layer)
         want = reference_attention(q, k, v, kv_mask)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
@@ -236,21 +241,3 @@ def test_prefill_attention_chunk_grid_stable():
         outs.append(block_prefill_attention(q, cache, 0, kv_mask=kv_mask,
                                             rows=rows))
     np.testing.assert_array_equal(outs[0], outs[1])
-
-
-@pytest.mark.parametrize("cls", [PagedKVCache, QuantizedPagedKVCache])
-def test_prefill_rows_gather_false_matches_gather_true(cls):
-    """gather=False returns nothing but must leave the exact cache
-    state (incl. quantization boundaries) the gathering call builds."""
-    caches = [build_cache(cls, seed=0)[0] for _ in range(2)]
-    rng = np.random.default_rng(21)
-    starts = caches[0]._row_len.copy()
-    widths = np.array([5, 3, 4], dtype=np.int64)
-    k = rng.standard_normal((3, HEADS, 5, HEAD_DIM)).astype(np.float32)
-    v = rng.standard_normal((3, HEADS, 5, HEAD_DIM)).astype(np.float32)
-    gathered = caches[0].prefill_rows(0, k, v, np.arange(3), starts, widths)
-    assert gathered is not None
-    assert caches[1].prefill_rows(0, k, v, np.arange(3), starts, widths,
-                                  gather=False) is None
-    for got, want in zip(caches[1]._context(0), caches[0]._context(0)):
-        np.testing.assert_array_equal(got, want)

@@ -104,7 +104,7 @@ def test_payload_rewrite_invalidates_entry():
     cache, rng = make_cache(batch=1, num_layers=1, seq=BS)
     # Token BS starts block 1 and flushes the buffered block 0.
     k1 = rng.standard_normal((1, HEADS, 1, HEAD_DIM)).astype(np.float32)
-    cache.write_token(0, k1, k1.copy(), np.array([BS]), gather=False)
+    cache.write_token(0, k1, k1.copy(), np.array([BS]))
     block = int(cache._tables[0, 0])
     memo = cache.dequant_cache
     assert memo.slot(0, block) >= 0           # written through
@@ -138,11 +138,25 @@ def test_eviction_under_budget_keeps_results_bit_identical():
 
 
 def test_disabled_cache_round_trips_through_block_path():
-    """dequant_cache_bytes=0: every read re-dequantizes, values match
-    the dense gather, and the read stats count pure misses."""
-    cache, _ = make_cache(dequant_cache_bytes=0)
-    got = read_context(cache)
-    np.testing.assert_array_equal(got, cache._context(0)[0])
+    """dequant_cache_bytes=0: every read re-dequantizes, the read stats
+    count pure misses, and over a multi-chunk context both the chunk
+    values and the attention output are bitwise the memoised cache's —
+    so serving with the memo off cannot move a token."""
+    from repro.nn.block_attention import block_decode_attention
+
+    cache, rng = make_cache(seq=29, dequant_cache_bytes=0)
+    memoised, _ = make_cache(seq=29)
+    assert cache.layer_len(0) > cache.chunk_blocks * BS  # several chunks
+    q = rng.standard_normal((2, HEADS, 1, HEAD_DIM)).astype(np.float32)
+    for layer in range(cache.num_layers):
+        for index, kind in enumerate(("k", "v")):
+            got = read_context(cache, layer, kind)
+            np.testing.assert_array_equal(got, cache._context(layer)[index])
+            np.testing.assert_array_equal(
+                got, read_context(memoised, layer, kind))
+        np.testing.assert_array_equal(
+            block_decode_attention(q, cache, layer),
+            block_decode_attention(q, memoised, layer))
     stats = cache.take_read_stats()
     assert stats.dequant_hits == 0 and stats.dequant_misses > 0
 

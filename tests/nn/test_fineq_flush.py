@@ -66,7 +66,7 @@ class Session:
             for layer in range(LAYERS):
                 cache.prefill_rows(layer, data[layer, 0], data[layer, 1],
                                    rows, np.array([start]),
-                                   np.array([length]), gather=False)
+                                   np.array([length]))
         self.lens[row] += length
         self._finish(rows)
 
@@ -77,7 +77,7 @@ class Session:
         for cache in self.caches:
             for layer in range(LAYERS):
                 cache.write_token(layer, data[layer, 0], data[layer, 1],
-                                  positions, rows=rows, gather=False)
+                                  positions, rows=rows)
         np.maximum.at(self.lens, rows, positions + 1)
         self._finish(rows)
 
@@ -231,7 +231,7 @@ def test_lagging_layer_flushes_on_its_own_crossing(stepwise_fineq_cache,
         for layer, pos in order:
             cache.write_token(layer, data[layer, 0][:, :, pos:pos + 1],
                               data[layer, 1][:, :, pos:pos + 1],
-                              np.array([pos]), rows=rows, gather=False)
+                              np.array([pos]), rows=rows)
 
     lockstep = [(layer, pos) for pos in range(tokens)
                 for layer in range(LAYERS)]
@@ -343,7 +343,7 @@ def test_span_after_boundary_decode_flushes_the_buffered_block():
         for layer in range(LAYERS):
             cache.write_token(layer, data[layer, 0][:, :, pos:pos + 1],
                               data[layer, 1][:, :, pos:pos + 1],
-                              np.array([pos]), rows=rows, gather=False)
+                              np.array([pos]), rows=rows)
 
     spanned, decoded = (make(QuantizedPagedKVCache, bs) for _ in range(2))
     for pos in range(2 * bs):
@@ -353,7 +353,7 @@ def test_span_after_boundary_decode_flushes_the_buffered_block():
     for layer in range(LAYERS):
         spanned.prefill_rows(layer, data[layer, 0][:, :, 2 * bs:],
                              data[layer, 1][:, :, 2 * bs:], rows,
-                             np.array([2 * bs]), np.array([2]), gather=False)
+                             np.array([2 * bs]), np.array([2]))
     token(decoded, 2 * bs)
     token(decoded, 2 * bs + 1)
     assert_same_storage(spanned, decoded)

@@ -1,4 +1,4 @@
-"""Preallocated KV cache: growth, bit-exactness, and write paths."""
+"""Preallocated KV cache: growth, bit-exactness, byte accounting."""
 
 import numpy as np
 import pytest
@@ -63,42 +63,6 @@ def test_earlier_views_survive_later_appends():
     k2, v2 = random_kv(rng, 1, 2, 3, 4)
     cache.append(0, k2, v2)
     np.testing.assert_array_equal(view_k, snapshot)
-
-
-def test_write_token_scatters_per_row_positions():
-    rng = np.random.default_rng(2)
-    cache = KVCache(1, batch=3, initial_capacity=4)
-    k0, v0 = random_kv(rng, 3, 2, 4, 4)
-    cache.append(0, k0, v0)
-    k1, v1 = random_kv(rng, 3, 2, 1, 4)
-    positions = np.array([1, 4, 2])  # row 1 extends, rows 0/2 overwrite
-    got_k, _ = cache.write_token(0, k1, v1, positions)
-    assert got_k.shape[2] == 5
-    for row, pos in enumerate(positions):
-        np.testing.assert_array_equal(got_k[row, :, pos], k1[row, :, 0])
-    # Untouched slots keep their old contents.
-    np.testing.assert_array_equal(got_k[0, :, 0], k0[0, :, 0])
-    np.testing.assert_array_equal(got_k[2, :, 3], k0[2, :, 3])
-
-
-def test_write_rows_prefills_subset_from_slot_zero():
-    rng = np.random.default_rng(3)
-    cache = KVCache(1, batch=4, initial_capacity=8)
-    k0, v0 = random_kv(rng, 4, 2, 6, 4)
-    cache.append(0, k0, v0)
-    k1, v1 = random_kv(rng, 2, 2, 3, 4)
-    cache.write_rows(0, k1, v1, np.array([1, 3]))
-    assert cache.seq_len == 6  # length never shrinks
-    np.testing.assert_array_equal(cache._keys[0][1, :, :3], k1[0])
-    np.testing.assert_array_equal(cache._keys[0][3, :, :3], k1[1])
-    np.testing.assert_array_equal(cache._keys[0][0, :, :6], k0[0])
-
-
-def test_write_rows_requires_pinned_batch():
-    cache = KVCache(1)
-    k = np.zeros((1, 2, 3, 4), dtype=np.float32)
-    with pytest.raises(ValueError):
-        cache.write_rows(0, k, k, np.array([0]))
 
 
 def test_byte_accounting_counts_used_not_allocated():

@@ -37,6 +37,8 @@ def test_append_matches_rectangular_cache_across_block_boundaries():
 
 
 def test_write_token_matches_rectangular_cache():
+    """Uniform single-token writes read back what the rectangle's
+    appends hold."""
     rng = np.random.default_rng(1)
     paged = PagedKVCache(1, batch=3, block_size=4)
     rect = KVCache(1, batch=3, initial_capacity=4)
@@ -46,8 +48,9 @@ def test_write_token_matches_rectangular_cache():
     positions = np.array([4, 4, 4])
     for _ in range(6):  # rows advance together across the block boundary
         k1, v1 = random_kv(rng, 3, 2, 1, 8)
-        got_k, got_v = paged.write_token(0, k1, v1, positions)
-        want_k, want_v = rect.write_token(0, k1, v1, positions)
+        assert paged.write_token(0, k1, v1, positions) is None
+        got_k, got_v = paged._context(0)
+        want_k, want_v = rect.append(0, k1, v1)
         np.testing.assert_array_equal(got_k, want_k)
         np.testing.assert_array_equal(got_v, want_v)
         positions = positions + 1
@@ -61,7 +64,8 @@ def test_write_token_ragged_positions():
     cache.write_rows(0, k0[:1], v0[:1], np.array([0]))
     k1, v1 = random_kv(rng, 3, 2, 1, 8)
     positions = np.array([6, 0, 0])
-    got_k, _ = cache.write_token(0, k1, v1, positions)
+    cache.write_token(0, k1, v1, positions)
+    got_k, _ = cache._context(0)
     assert got_k.shape[2] == 7
     np.testing.assert_array_equal(got_k[0, :, 6], k1[0, :, 0])
     np.testing.assert_array_equal(got_k[1, :, 0], k1[1, :, 0])
@@ -76,8 +80,9 @@ def test_write_rows_prefills_subset():
     k1, v1 = random_kv(rng, 2, 2, 3, 8)
     cache.free_rows(np.array([1, 3]))
     cache.write_rows(0, k1, v1, np.array([1, 3]))
-    got_k, _ = cache.write_token(0, *random_kv(rng, 4, 2, 1, 8),
-                                 positions=np.array([6, 3, 6, 3]))
+    cache.write_token(0, *random_kv(rng, 4, 2, 1, 8),
+                      positions=np.array([6, 3, 6, 3]))
+    got_k, _ = cache._context(0)
     np.testing.assert_array_equal(got_k[1, :, :3], k1[0])
     np.testing.assert_array_equal(got_k[3, :, :3], k1[1])
     np.testing.assert_array_equal(got_k[0, :, :6], k0[0])
@@ -104,8 +109,9 @@ def test_free_rows_returns_blocks_and_slots_are_reused():
     cache.write_rows(0, k2, v2, np.array([0]))
     assert cache.blocks_in_use() == 3
     assert cache.allocated_bytes() == pool_before
-    got_k, _ = cache.write_token(0, *random_kv(rng, 2, 2, 1, 8),
-                                 positions=np.array([12, 0]))
+    cache.write_token(0, *random_kv(rng, 2, 2, 1, 8),
+                      positions=np.array([12, 0]))
+    got_k, _ = cache._context(0)
     np.testing.assert_array_equal(got_k[0, :, :12], k2[0])
 
 
@@ -124,16 +130,15 @@ def test_memory_tracks_live_tokens_not_batch_times_max():
     rng = np.random.default_rng(6)
     batch, long_len, short_len = 4, 32, 4
     paged = PagedKVCache(1, batch=batch, block_size=4)
-    rect = KVCache(1, batch=batch, initial_capacity=4)
     k, v = random_kv(rng, 1, 2, long_len, 8)
     paged.write_rows(0, k, v, np.array([0]))
-    rect.write_rows(0, k, v, np.array([0]))
     ks, vs = random_kv(rng, batch - 1, 2, short_len, 8)
     paged.write_rows(0, ks, vs, np.arange(1, batch))
-    rect.write_rows(0, ks, vs, np.arange(1, batch))
     # 8 + 3x1 blocks of 4 tokens vs a 4 x 32 rectangle.
     assert paged.blocks_in_use() == 8 + 3
-    assert paged.used_bytes() < rect.used_bytes() / 2
+    rectangle = KVCache.projected_bytes(1, 2, 8, long_len, batch=batch,
+                                        bytes_per_element=4)
+    assert paged.used_bytes() < rectangle / 2
 
 
 def test_used_bytes_counts_cached_tokens():
@@ -149,7 +154,8 @@ def test_boundary_at_large_positions():
     """Writes at a max_seq_len-style boundary land in the last block."""
     cache = PagedKVCache(1, batch=1, block_size=16)
     k = np.ones((1, 2, 1, 4), dtype=np.float32)
-    got_k, _ = cache.write_token(0, k, k.copy(), np.array([511]))
+    cache.write_token(0, k, k.copy(), np.array([511]))
+    got_k, _ = cache._context(0)
     assert got_k.shape[2] == 512
     assert cache.blocks_in_use() == 32
     np.testing.assert_array_equal(got_k[0, :, 511], k[0, :, 0])
@@ -194,7 +200,8 @@ def test_quantized_block_roundtrip_matches_reference():
     cache.write_rows(0, k, v, np.array([0]))
     # Writing the first token of block 1 flushes (quantizes) block 0.
     k1, v1 = random_kv(rng, 1, heads, 1, head_dim)
-    got_k, got_v = cache.write_token(0, k1, v1, np.array([bs]))
+    cache.write_token(0, k1, v1, np.array([bs]))
+    got_k, got_v = cache._context(0)
     np.testing.assert_allclose(got_k[0, :, :bs],
                                reference_block_reconstruction(k[0]),
                                rtol=0, atol=1e-6)
@@ -224,7 +231,8 @@ def test_quantized_buffer_is_exact_until_block_fills():
     for position in range(8):
         k, v = random_kv(rng, 2, 2, 1, 4)
         kept.append(k)
-        got_k, _ = cache.write_token(0, k, v, np.full(2, position))
+        cache.write_token(0, k, v, np.full(2, position))
+        got_k, _ = cache._context(0)
         for t, want in enumerate(kept):
             np.testing.assert_array_equal(got_k[:, :, t], want[:, :, 0])
     assert cache.blocks_in_use() == 0  # nothing flushed yet
@@ -253,8 +261,9 @@ def test_quantized_free_and_reuse():
     assert cache.used_bytes() == 0
     k2, v2 = random_kv(rng, 1, 2, 5, 4)
     cache.write_rows(0, k2, v2, np.array([0]))
-    got_k, _ = cache.write_token(0, *random_kv(rng, 1, 2, 1, 4),
-                                 positions=np.array([5]))
+    cache.write_token(0, *random_kv(rng, 1, 2, 1, 4),
+                      positions=np.array([5]))
+    got_k, _ = cache._context(0)
     np.testing.assert_array_equal(got_k[0, :, 4:5], k2[0, :, 4:5])
 
 
@@ -267,8 +276,9 @@ def test_write_rows_ragged_lengths_account_true_tokens():
                      row_lengths=np.array([5, 10]))
     assert cache.cached_tokens == 15
     assert cache.blocks_in_use() == 2 + 3  # ceil(5/4) + ceil(10/4)
-    got_k, _ = cache.write_token(0, *random_kv(rng, 2, 2, 1, 8),
-                                 positions=np.array([5, 10]))
+    cache.write_token(0, *random_kv(rng, 2, 2, 1, 8),
+                      positions=np.array([5, 10]))
+    got_k, _ = cache._context(0)
     np.testing.assert_array_equal(got_k[0, :, :5], k[0, :, :5])
     np.testing.assert_array_equal(got_k[1, :, :10], k[1])
 
@@ -286,7 +296,8 @@ def test_quantized_ragged_prefill_keeps_overlay_aligned():
     assert cache.cached_tokens == 15
     # Decode one token per row at each row's true next position.
     k1, v1 = random_kv(rng, 2, 2, 1, 8)
-    got_k, _ = cache.write_token(0, k1, v1, np.array([5, 10]))
+    cache.write_token(0, k1, v1, np.array([5, 10]))
+    got_k, _ = cache._context(0)
     # The freshly written tokens are visible at their true positions...
     np.testing.assert_array_equal(got_k[0, :, 5], k1[0, :, 0])
     np.testing.assert_array_equal(got_k[1, :, 10], k1[1, :, 0])

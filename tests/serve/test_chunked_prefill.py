@@ -33,7 +33,7 @@ def run_greedy(model, prompts, budget, **kwargs):
 # ---------------------------------------------------------------------- #
 # chunked output == one-shot output, token for token
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("kv_cache", ["dense", "paged", "fineq"])
+@pytest.mark.parametrize("kv_cache", ["paged", "fineq"])
 def test_chunked_matches_oneshot_ragged_batch(long_model, kv_cache):
     """Greedy outputs are identical whether prompts prefill in one shot
     or in chunks, across a ragged batch with multi-chunk prompts."""

@@ -35,7 +35,7 @@ def test_greedy_parity_uniform_prompts(model):
         np.testing.assert_array_equal(got, want)
 
 
-@pytest.mark.parametrize("kv_cache", ["paged", "dense"])
+@pytest.mark.parametrize("kv_cache", ["paged"])
 def test_greedy_parity_ragged_prompts(model, prompts, kv_cache):
     """Different prompt lengths in one batch must not perturb any output."""
     expected = sequential(model, prompts, 10)
@@ -46,7 +46,7 @@ def test_greedy_parity_ragged_prompts(model, prompts, kv_cache):
 
 
 @pytest.mark.parametrize("batch_size", [1, 2, 3])
-@pytest.mark.parametrize("kv_cache", ["paged", "dense"])
+@pytest.mark.parametrize("kv_cache", ["paged"])
 def test_greedy_parity_continuous_batching(model, prompts, batch_size,
                                            kv_cache):
     """Slot reuse (more requests than slots) preserves every output."""
@@ -182,6 +182,12 @@ def test_rejects_bad_requests(model):
         engine.submit(np.zeros(model.config.max_seq_len + 1, dtype=np.int64), 4)
 
 
+def test_rejects_retired_dense_backend(model):
+    """The rectangle is generate's reference, not a serving backend."""
+    with pytest.raises(ValueError, match="'paged', 'fineq'"):
+        GenerationEngine(model, kv_cache="dense")
+
+
 def test_max_seq_len_termination():
     model = TransformerLM(tiny_config(vocab_size=32, seed=1))
     engine = GenerationEngine(model, max_batch_size=1)
@@ -193,7 +199,7 @@ def test_max_seq_len_termination():
     assert len(completion.tokens) == model.config.max_seq_len + 1
 
 
-@pytest.mark.parametrize("kv_cache", ["paged", "dense"])
+@pytest.mark.parametrize("kv_cache", ["paged"])
 def test_parity_at_max_seq_len_boundary(kv_cache):
     """The engine matches sequential generate right up to the RoPE limit."""
     model = TransformerLM(tiny_config(vocab_size=32, seed=1))

@@ -132,7 +132,7 @@ class TestRequestQueue:
 # --------------------------------------------------------------------- #
 # gateway pump loop: parity with the bare engine
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("kv_cache", ["dense", "paged", "fineq"])
+@pytest.mark.parametrize("kv_cache", ["paged", "fineq"])
 def test_pump_matches_bare_engine(model, kv_cache):
     prompts = [np.array([1, 2, 3]), np.array([7, 8]),
                np.array([4, 5, 6, 9])]
@@ -226,7 +226,7 @@ def test_recovered_stream_replays_without_gaps(model, tmp_path):
 # --------------------------------------------------------------------- #
 # async streaming and the HTTP/SSE front door
 # --------------------------------------------------------------------- #
-@pytest.mark.parametrize("kv_cache", ["dense", "paged", "fineq"])
+@pytest.mark.parametrize("kv_cache", ["paged", "fineq"])
 def test_sse_stream_matches_bare_engine(model, kv_cache):
     """Tokens streamed over a real HTTP socket == engine.stream()'s."""
     prompt = [1, 2, 3, 4]

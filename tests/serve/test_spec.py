@@ -18,7 +18,7 @@ from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
 from repro.serve import GenerationEngine, SamplingParams, SpeculativeConfig
 
 VOCAB = 64
-BACKENDS = ("dense", "paged", "fineq")
+BACKENDS = ("paged", "fineq")
 
 
 @pytest.fixture(scope="module")
@@ -51,12 +51,11 @@ def run_engine(model, prompts, budget, params=None, **kwargs):
 # greedy parity: the draft must never change which tokens are emitted
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("kv_cache", BACKENDS)
-@pytest.mark.parametrize("draft_kv", ["dense", "paged"])
-def test_greedy_parity_low_acceptance(model, draft, kv_cache, draft_kv):
+def test_greedy_parity_low_acceptance(model, draft, kv_cache):
     """An unrelated draft is wrong almost every step — all-rollback
     traffic — and the emitted stream still equals target-only decode."""
     prompts = prompts_for(5)
-    spec = SpeculativeConfig(draft_model=draft, k=3, draft_kv_cache=draft_kv)
+    spec = SpeculativeConfig(draft_model=draft, k=3)
     _, plain = run_engine(model, prompts, 24, kv_cache=kv_cache)
     engine, specd = run_engine(model, prompts, 24, kv_cache=kv_cache,
                                speculative=spec)
@@ -177,7 +176,7 @@ def test_cancel_mid_stream_reclaims_target_and_draft_blocks(model, draft,
     both the target cache and the paged draft cache; when the session
     drains, every pool block is back on the free list with refcount 0."""
     prompts = prompts_for(17)
-    spec = SpeculativeConfig(draft_model=draft, k=3, draft_kv_cache="paged")
+    spec = SpeculativeConfig(draft_model=draft, k=3)
     engine = GenerationEngine(model, max_batch_size=len(prompts),
                               kv_cache=kv_cache, block_size=8,
                               speculative=spec)
@@ -209,7 +208,7 @@ def test_preempt_restore_mid_spec_is_exact_and_reclaims(model, draft,
     victim restores, finishes greedy-exact, and both caches drain."""
     rng = np.random.default_rng(19)
     low_prompt = rng.integers(0, VOCAB, size=10)
-    spec = SpeculativeConfig(draft_model=draft, k=3, draft_kv_cache="paged")
+    spec = SpeculativeConfig(draft_model=draft, k=3)
     engine = GenerationEngine(model, max_batch_size=1, kv_cache=kv_cache,
                               block_size=8, scheduler="priority",
                               speculative=spec)
@@ -242,7 +241,7 @@ def fill_row(cache, row, count, seed, heads=2, head_dim=4, start=0):
             v = rng.standard_normal((1, heads, 1, head_dim)).astype(
                 np.float32)
             cache.write_token(layer, k, v, np.array([pos]),
-                              rows=np.array([row]), gather=False)
+                              rows=np.array([row]))
 
 
 def test_truncate_rows_releases_fp32_blocks():
