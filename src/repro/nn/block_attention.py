@@ -45,6 +45,14 @@ from __future__ import annotations
 import numpy as np
 
 
+_ZERO, _NEG_INF = np.float32(0.0), np.float32(-np.inf)
+
+
+def additive_mask(allow: np.ndarray) -> np.ndarray:
+    """Float32 additive attention mask: 0 where ``allow``, else -inf."""
+    return np.where(allow, _ZERO, _NEG_INF)
+
+
 def _softmax_probs(scores: np.ndarray, kv_mask: np.ndarray | None,
                    head_dim: int) -> np.ndarray:
     """Scale, mask, and normalise raw ``q @ kᵀ`` scores.
@@ -177,8 +185,7 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     window = cache.chunk_blocks * cache.block_size
     grid = max(window, -(-total // window) * window)
     if kv_mask is None:
-        kv_mask = np.where(np.arange(grid) < total, 0.0,
-                           -np.inf).astype(np.float32)[None, None, None, :]
+        kv_mask = additive_mask(np.arange(grid) < total)[None, None, None, :]
     elif kv_mask.shape[-1] < grid:
         pad_shape = kv_mask.shape[:-1] + (grid - kv_mask.shape[-1],)
         kv_mask = np.concatenate(
@@ -188,11 +195,12 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     # Pass 1: scores over the padded chunk grid.  Chunk starts are
     # window-aligned, so padding each chunk to the window pads the
     # assembled scores to exactly ``grid`` columns.
-    score_chunks = []
+    scores = np.empty((n, heads, seq, grid), dtype=np.float32)
     for start, k_chunk in cache.context_blocks(layer_index, rows=rows,
                                                kind="k"):
         k_chunk = _pad_chunk(k_chunk, window)
-        score_chunks.append(q @ k_chunk.transpose(0, 1, 3, 2))
+        np.matmul(q, k_chunk.transpose(0, 1, 3, 2),
+                  out=scores[..., start:start + window])
 
     # Scale/mask/shift/exp exactly like :func:`_softmax_probs`, but
     # normalise with a *window-blocked* denominator: every window's
@@ -204,14 +212,17 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     # grid, leaking *other* rows' context lengths into this row's ulps
     # (the grid tracks the cache-wide maximum, which a chunked and a
     # one-shot run grow on different step schedules).
-    scores = np.concatenate(score_chunks, axis=-1) \
-        * np.float32(1.0 / np.sqrt(head_dim))
-    scores = scores + kv_mask
-    exp = np.exp(scores - scores.max(axis=-1, keepdims=True))
-    denom = np.zeros(exp.shape[:-1], dtype=np.float32)
+    # In place on the one assembled score array: the same GEMMs and
+    # elementwise ops without a fresh grid-sized temporary per chunk
+    # and per op, each an mmap/page-fault round trip at prompt widths.
+    scores *= np.float32(1.0 / np.sqrt(head_dim))
+    scores += kv_mask
+    scores -= scores.max(axis=-1, keepdims=True)
+    probs = np.exp(scores, out=scores)
+    denom = np.zeros(probs.shape[:-1], dtype=np.float32)
     for w in range(0, grid, window):
-        denom += exp[..., w:w + window].sum(axis=-1)
-    probs = exp / denom[..., None]
+        denom += probs[..., w:w + window].sum(axis=-1)
+    probs /= denom[..., None]
 
     # Pass 2: stream the value chunks back through the softmax weights
     # at full window width (masked positions hold exactly-zero weights).

@@ -37,6 +37,17 @@ class Linear(Module):
             out = out + self.bias
         return out
 
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """:meth:`forward` on a raw array, for the serving forward.
+
+        ``weight.data`` is read at call time (quantizers reassign it,
+        outlier injection edits it in place) and multiplied as the same
+        transposed *view*: a contiguous ``W.T`` copy would go stale and,
+        at ``seq == 1``, takes a GEMV kernel that rounds differently.
+        """
+        out = x @ self.weight.data.T
+        return out if self.bias is None else out + self.bias.data
+
     def __repr__(self) -> str:
         tag = "" if self.quant_record is None else f", quant={self.quant_record.method}"
         return f"Linear({self.in_features}, {self.out_features}{tag})"
@@ -67,3 +78,10 @@ class RMSNorm(Module):
 
     def forward(self, x: Tensor) -> Tensor:
         return F.rms_norm(x, self.gain, eps=self.eps)
+
+    def apply(self, x: np.ndarray, inv_dim: np.float32) -> np.ndarray:
+        """:func:`F.rms_norm` on a raw array, op for op in float32
+        (``inv_dim``: the caller's hoisted ``float32(1 / dim)``)."""
+        mean_square = (x * x).sum(axis=-1, keepdims=True) * inv_dim
+        return x * (mean_square + np.float32(self.eps)) ** -0.5 \
+            * self.gain.data

@@ -6,12 +6,19 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
-from repro.autograd import Tensor, no_grad, functional as F
+from typing import TYPE_CHECKING
+
+from repro.autograd import Tensor, no_grad
+from repro.nn.block_attention import (block_decode_attention,
+                                      block_prefill_attention)
 from repro.nn.layers import Linear, Embedding, RMSNorm
 from repro.nn.module import Module
-from repro.nn.rope import RotaryEmbedding
+from repro.nn.rope import RotaryEmbedding, rotate
 from repro.nn.transformer import TransformerBlock
 from repro.nn.kv_cache import KVCache
+
+if TYPE_CHECKING:  # runtime import would cycle through repro.core
+    from repro.nn.paged_kv_cache import PagedKVCache
 
 
 @dataclass(frozen=True)
@@ -62,7 +69,8 @@ class TransformerLM(Module):
         self.final_norm = RMSNorm(config.d_model)
         self.head = Linear(config.d_model, config.vocab_size, rng=rng)
 
-    def forward(self, tokens: np.ndarray, cache: KVCache | None = None,
+    def forward(self, tokens: np.ndarray,
+                cache: KVCache | PagedKVCache | None = None,
                 positions: np.ndarray | None = None,
                 kv_mask: np.ndarray | None = None,
                 cache_rows: np.ndarray | None = None,
@@ -72,48 +80,103 @@ class TransformerLM(Module):
                 logits_positions: np.ndarray | None = None) -> Tensor:
         """Return logits ``(batch, seq, vocab)`` for integer ``tokens``.
 
-        ``positions``/``kv_mask``/``cache_rows``/``cache_lens``/
-        ``cache_starts``/``decode_rows`` thread the serving engine's
-        ragged-batch decode (``decode_rows``: active-slot sub-batch decode
-        into specific cache rows), slot-targeted prefill, and
-        prefix-sharing suffix prefill (``cache_starts``: per-row counts of
-        adopted shared-context tokens the new K/V are appended after)
-        through to attention (see
-        :class:`repro.nn.attention.MultiHeadAttention`).
-
-        ``logits_positions`` (``(batch,)`` per-row indices into ``seq``)
-        is the lean prefill path: the final norm and vocab projection run
-        only at each row's selected position, returning ``(batch, 1,
-        vocab)``, so prefill cost stops scaling with ``vocab x seq``.
-        Generation only ever samples from one position per row — the rest
-        of the ``(batch, seq, vocab)`` logits would be computed and
-        discarded.  A *negative* entry skips the head for that row
-        entirely (its logits return as zeros): chunked prefill forwards
-        mid-prompt chunks whose rows sample nothing this step.
-        Inference-only: the gather detaches from autograd.
+        Without ``positions`` this is the autograd path: training,
+        ``perplexity``, and — with a ``cache`` — the sequential
+        ``generate`` / ``cached_perplexity`` reference (``cache.append``
+        at a uniform offset).  With a paged ``cache`` **and**
+        ``positions`` (``(batch, seq)`` absolute positions) it is the
+        serving engine's ragged batch, run by :meth:`_serve_forward` on
+        raw arrays with bit-identical logits; the remaining arguments
+        belong to that pass only.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
+        if cache is not None and positions is not None:
+            return Tensor(self._serve_forward(
+                tokens, cache, positions, kv_mask, cache_rows, cache_lens,
+                cache_starts, decode_rows, logits_positions))
+        if any(arg is not None for arg in (
+                positions, kv_mask, cache_rows, cache_lens, cache_starts,
+                decode_rows, logits_positions)):
+            raise ValueError("the serving arguments need both a paged "
+                             "cache and positions")
         x = self.embed(tokens)
         for index, block in enumerate(self.blocks):
-            x = block(x, cache=cache, layer_index=index, positions=positions,
-                      kv_mask=kv_mask, cache_rows=cache_rows,
-                      cache_lens=cache_lens, cache_starts=cache_starts,
-                      decode_rows=decode_rows)
-        if logits_positions is not None:
-            last = np.asarray(logits_positions, dtype=np.int64)
-            keep = np.flatnonzero(last >= 0)
-            if len(keep) < len(last):
-                logits = np.zeros((x.shape[0], 1, self.config.vocab_size),
-                                  dtype=np.float32)
-                if len(keep):
-                    picked = Tensor(x.data[keep, last[keep]][:, None])
-                    logits[keep] = self.head(self.final_norm(picked)).data
-                return Tensor(logits)
-            rows = np.arange(x.shape[0])
-            x = Tensor(x.data[rows, last][:, None])
+            x = block(x, cache=cache, layer_index=index)
         return self.head(self.final_norm(x))
+
+    def _serve_forward(self, tokens, cache, positions, kv_mask, cache_rows,
+                       cache_lens, cache_starts, decode_rows,
+                       logits_positions) -> np.ndarray:
+        """Autograd-free serving pass: write the span, attend the blocks.
+
+        The same float32 numpy ops in the same order on the same operand
+        layouts as the ``Tensor`` path, minus the graph objects.  Each
+        row rotates by its own ``positions`` (checked and gathered once
+        for all layers), every layer writes its new K/V without reading
+        anything back and :mod:`repro.nn.block_attention` iterates the
+        rows' block tables under the additive per-row ``kv_mask``.
+
+        * Single-token decode (``cache_rows`` unset): one token per row
+          at ``positions[:, 0]`` into cache rows ``decode_rows``
+          (``None`` = all rows; ``tokens`` holds only the engine's
+          *active* slots) under a ``(batch, 1, 1, total)`` length mask.
+        * Span prefill: row ``j``'s ``cache_lens[j]`` true (unpadded)
+          tokens go into cache row ``cache_rows[j]`` after the
+          ``cache_starts[j]`` context tokens it already holds (adopted
+          shared prefix, earlier chunks); causality comes from the full
+          ``(batch, 1, seq, total)`` ``kv_mask``.
+
+        ``logits_positions`` (``(batch,)`` indices into ``seq``) runs the
+        final norm and vocab projection only at each row's selected
+        position, returning ``(batch, 1, vocab)``; a *negative* entry
+        skips the head for that row (its logits return as zeros): a
+        mid-prompt prefill chunk samples nothing this step.
+        """
+        batch, seq = tokens.shape
+        heads = self.config.num_heads
+        split = (batch, seq, heads, self.config.d_model // heads)
+        inv_dim = np.float32(1.0 / self.config.d_model)
+        cos, sin = self.rope.tables_at(positions)
+
+        def project(layer, h):          # -> (batch, heads, seq, head_dim)
+            return layer.apply(h).reshape(split).transpose(0, 2, 1, 3)
+
+        x = self.embed.weight.data[tokens]
+        for index, block in enumerate(self.blocks):
+            attn = block.attn
+            h = block.attn_norm.apply(x, inv_dim)
+            q = rotate(project(attn.wq, h), cos, sin)
+            k = rotate(project(attn.wk, h), cos, sin)
+            v = project(attn.wv, h)
+            if cache_rows is not None:
+                cache.prefill_rows(index, k, v, cache_rows, cache_starts,
+                                   cache_lens)
+                context = block_prefill_attention(
+                    q, cache, index, kv_mask=kv_mask, rows=cache_rows)
+            else:
+                cache.write_token(index, k, v, positions[:, 0],
+                                  rows=decode_rows)
+                context = block_decode_attention(
+                    q, cache, index, kv_mask=kv_mask, rows=decode_rows)
+            x = x + attn.wo.apply(
+                context.transpose(0, 2, 1, 3).reshape(batch, seq, -1))
+            h = block.ffn_norm.apply(x, inv_dim)
+            x = x + block.ffn.down.apply(
+                np.maximum(block.ffn.up.apply(h), 0.0))
+        if logits_positions is None:
+            return self.head.apply(self.final_norm.apply(x, inv_dim))
+        last = np.asarray(logits_positions, dtype=np.int64)
+        keep = np.flatnonzero(last >= 0)
+        picked = self.head.apply(self.final_norm.apply(
+            x[keep, last[keep]][:, None], inv_dim))
+        if len(keep) == len(last):
+            return picked
+        logits = np.zeros((batch, 1, self.config.vocab_size),
+                          dtype=np.float32)
+        logits[keep] = picked
+        return logits
 
     # ------------------------------------------------------------------ #
     # quantization surface

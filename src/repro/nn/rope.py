@@ -21,9 +21,7 @@ class RotaryEmbedding:
     """Precomputed cos/sin tables for a head dimension.
 
     The full trig tables are built once up to ``max_seq_len`` at
-    construction; per-call lookups are zero-copy views memoised by
-    ``(offset, seq)`` so the decode hot loop never re-slices or
-    re-validates the tables for positions it has already visited.
+    construction; per-call lookups are zero-copy views.
     """
 
     def __init__(self, head_dim: int, max_seq_len: int, theta: float = 10000.0):
@@ -36,49 +34,39 @@ class RotaryEmbedding:
         angles = np.outer(positions, inv_freq)  # (T, head_dim/2)
         self.cos = np.cos(angles).astype(np.float32)
         self.sin = np.sin(angles).astype(np.float32)
-        self._slices: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
 
     def tables(self, position_offset: int, seq_len: int
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Memoised ``(cos, sin)`` views for ``[offset, offset + seq)``."""
-        key = (position_offset, seq_len)
-        hit = self._slices.get(key)
-        if hit is None:
-            if position_offset + seq_len > self.max_seq_len:
-                raise ValueError(
-                    f"sequence [{position_offset}, {position_offset + seq_len}) "
-                    f"exceeds max_seq_len={self.max_seq_len}")
-            hit = (self.cos[position_offset:position_offset + seq_len],
-                   self.sin[position_offset:position_offset + seq_len])
-            self._slices[key] = hit
-        return hit
+        """``(cos, sin)`` views for ``[offset, offset + seq)``."""
+        stop = position_offset + seq_len
+        if stop > self.max_seq_len:
+            raise ValueError(
+                f"sequence [{position_offset}, {stop}) "
+                f"exceeds max_seq_len={self.max_seq_len}")
+        return self.cos[position_offset:stop], self.sin[position_offset:stop]
 
-    def __call__(self, x: Tensor, position_offset: int = 0,
-                 positions: np.ndarray | None = None) -> Tensor:
-        """Rotate ``x`` of shape ``(..., T, head_dim)`` by position.
-
-        With ``positions`` (an integer ``(batch, T)`` array of absolute
-        positions, for ``x`` of shape ``(batch, heads, T, head_dim)``)
-        each batch row is rotated by its own positions — the ragged-batch
-        decode path of the serving engine.
-        """
-        if positions is not None:
-            return self._rotate_positions(x, positions)
-        cos, sin = self.tables(position_offset, x.shape[-2])
-        return _apply_rotation(x, cos, sin)
-
-    def _rotate_positions(self, x: Tensor, positions: np.ndarray) -> Tensor:
+    def tables_at(self, positions: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray]:
+        """``(cos, sin)`` gathered at an integer ``(batch, T)`` array of
+        absolute positions, shaped ``(batch, 1, T, head_dim/2)`` to
+        broadcast over heads — each batch row rotates by its own
+        positions (the serving forward's ragged batch; gathered once per
+        forward and applied with :func:`rotate`)."""
         positions = np.asarray(positions, dtype=np.int64)
         if positions.min() < 0 or positions.max() >= self.max_seq_len:
             raise ValueError(
                 f"positions outside [0, {self.max_seq_len}): "
                 f"[{positions.min()}, {positions.max()}]")
-        cos = self.cos[positions][:, None]  # (batch, 1, T, head_dim/2)
-        sin = self.sin[positions][:, None]
+        return self.cos[positions][:, None], self.sin[positions][:, None]
+
+    def __call__(self, x: Tensor, position_offset: int = 0) -> Tensor:
+        """Rotate ``x`` of shape ``(..., T, head_dim)`` by position."""
+        cos, sin = self.tables(position_offset, x.shape[-2])
         return _apply_rotation(x, cos, sin)
 
 
-def _rotate(data: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+def rotate(data: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
+    """Rotate interleaved pairs of a raw array (no autograd)."""
     even = data[..., 0::2]
     odd = data[..., 1::2]
     out = np.empty_like(data)
@@ -88,10 +76,10 @@ def _rotate(data: np.ndarray, cos: np.ndarray, sin: np.ndarray) -> np.ndarray:
 
 
 def _apply_rotation(x: Tensor, cos: np.ndarray, sin: np.ndarray) -> Tensor:
-    out = x._make(_rotate(x.data, cos, sin), (x,))
+    out = x._make(rotate(x.data, cos, sin), (x,))
     if out.requires_grad:
         def _backward(g, a=x, cos=cos, sin=sin):
             # Transpose of a rotation is rotation by the negative angle.
-            a._accumulate(_rotate(g, cos, -sin))
+            a._accumulate(rotate(g, cos, -sin))
         out._backward = _backward
     return out

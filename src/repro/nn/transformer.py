@@ -41,12 +41,8 @@ class TransformerBlock(Module):
         self.ffn = FeedForward(d_model, d_ff, rng=rng)
 
     def forward(self, x: Tensor, cache: KVCache | None = None,
-                layer_index: int = 0, positions=None, kv_mask=None,
-                cache_rows=None, cache_lens=None, cache_starts=None,
-                decode_rows=None) -> Tensor:
-        x = x + self.attn(self.attn_norm(x), cache=cache, layer_index=layer_index,
-                          positions=positions, kv_mask=kv_mask,
-                          cache_rows=cache_rows, cache_lens=cache_lens,
-                          cache_starts=cache_starts, decode_rows=decode_rows)
+                layer_index: int = 0) -> Tensor:
+        x = x + self.attn(self.attn_norm(x), cache=cache,
+                          layer_index=layer_index)
         x = x + self.ffn(self.ffn_norm(x))
         return x

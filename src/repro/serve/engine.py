@@ -102,7 +102,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from repro.autograd import no_grad
+from repro.nn.block_attention import additive_mask
 from repro.nn.paged_kv_cache import (DEFAULT_BLOCK_SIZE, PagedKVCache,
                                      QuantizedPagedKVCache)
 from repro.nn.model import TransformerLM
@@ -875,23 +875,22 @@ class GenerationEngine:
         events = self._events
         self._events = []
         self._prefill_budget = self.prefill_chunk_tokens
-        with no_grad():
-            if self._queue:
-                if self._cache is None:
-                    self._cache = self._make_cache()
-                    if self.prefix_sharing:
-                        self._prefix = PrefixStore(
-                            self._cache, max_blocks=self.prefix_blocks)
-                events += self._admit()
-            if self.num_prefilling:
-                # Rows admitted in earlier steps (or starved by this
-                # step's admission rounds) spend whatever budget is left.
-                events += self._prefill_step()
-            if any(slot is not None and not slot.prefilling
-                   for slot in self._slots):
-                self._ensure_decode_headroom()
-                events += (self._spec_decode_step()
-                           if self._spec is not None else self._decode_step())
+        if self._queue:
+            if self._cache is None:
+                self._cache = self._make_cache()
+                if self.prefix_sharing:
+                    self._prefix = PrefixStore(
+                        self._cache, max_blocks=self.prefix_blocks)
+            events += self._admit()
+        if self.num_prefilling:
+            # Rows admitted in earlier steps (or starved by this
+            # step's admission rounds) spend whatever budget is left.
+            events += self._prefill_step()
+        if any(slot is not None and not slot.prefilling
+               for slot in self._slots):
+            self._ensure_decode_headroom()
+            events += (self._spec_decode_step()
+                       if self._spec is not None else self._decode_step())
         return events
 
     def _ensure_decode_headroom(self) -> None:
@@ -957,8 +956,8 @@ class GenerationEngine:
         n = len(active_rows)
         positions = self._lengths[active_rows]
         total = max(cache.seq_len, int(positions.max()) + 1)
-        kv_mask = np.where(np.arange(total)[None, :] < (positions + 1)[:, None],
-                           0.0, -np.inf).astype(np.float32)[:, None, None, :]
+        kv_mask = additive_mask(
+            np.arange(total) < (positions + 1)[:, None])[:, None, None, :]
         # Full batches take the rows=None fast path (whole-table reads);
         # partial batches forward only the active rows, so draining
         # waves stop paying for idle slots.
@@ -1101,8 +1100,7 @@ class GenerationEngine:
                                           int(offset[j]) + int(t)])
                      for j, t in zip(live, take)]).astype(np.int64)
                 allow = np.arange(total)[None, :] <= clone_pos[:, None]
-                kv_mask = np.where(allow, 0.0, -np.inf).astype(
-                    np.float32)[:, None, None, :]
+                kv_mask = additive_mask(allow)[:, None, None, :]
                 out = self.model(clone_toks[:, None], cache=cache,
                                  positions=clone_pos[:, None],
                                  kv_mask=kv_mask, decode_rows=clone_rows)
@@ -1125,8 +1123,7 @@ class GenerationEngine:
                 query_pos = starts[:, None] + offs[None, :]
                 allow = np.arange(total)[None, None, :] \
                     <= query_pos[:, :, None]
-                kv_mask = np.where(allow, 0.0,
-                                   -np.inf).astype(np.float32)[:, None]
+                kv_mask = additive_mask(allow)[:, None]
                 logits = self.model(toks, cache=cache, cache_rows=rows_arr,
                                     cache_lens=take, cache_starts=starts,
                                     positions=positions, kv_mask=kv_mask)
@@ -1511,7 +1508,7 @@ class GenerationEngine:
         total = max(int((starts + widths).max()), cache.seq_len)
         query_pos = starts[:, None] + offsets[None, :]        # (n, width)
         allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
-        kv_mask = np.where(allow, 0.0, -np.inf).astype(np.float32)[:, None]
+        kv_mask = additive_mask(allow)[:, None]
         logits_positions = np.where(finishing, widths - 1, -1)
 
         start_t = time.perf_counter()

@@ -51,6 +51,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.nn.block_attention import additive_mask
 from repro.nn.model import TransformerLM
 from repro.nn.paged_kv_cache import PagedKVCache
 
@@ -270,7 +271,7 @@ class SpeculativeDecoder:
         total = max(int((starts + widths).max()), cache.seq_len)
         query_pos = starts[:, None] + offsets[None, :]
         allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
-        kv_mask = np.where(allow, 0.0, -np.inf).astype(np.float32)[:, None]
+        kv_mask = additive_mask(allow)[:, None]
         out = self.draft(toks, cache=cache, cache_rows=rows,
                          cache_lens=widths, cache_starts=starts,
                          positions=positions, kv_mask=kv_mask,
@@ -302,9 +303,8 @@ class SpeculativeDecoder:
             pos = lengths[nxt] + i + 1
             tok = np.array([proposals[j][-1] for j in nxt], dtype=np.int64)
             total = max(cache.seq_len, int(pos.max()) + 1)
-            mask = np.where(
-                np.arange(total)[None, :] < (pos + 1)[:, None],
-                0.0, -np.inf).astype(np.float32)[:, None, None, :]
+            mask = additive_mask(
+                np.arange(total) < (pos + 1)[:, None])[:, None, None, :]
             out = self.draft(tok[:, None], cache=cache,
                              positions=pos[:, None], kv_mask=mask,
                              decode_rows=rows[nxt])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.autograd import Tensor
-from repro.nn.rope import RotaryEmbedding
+from repro.nn.rope import RotaryEmbedding, rotate
 
 
 @pytest.fixture
@@ -76,3 +76,35 @@ def test_rejects_overflow_position(rope):
     x = Tensor(np.zeros((1, 30, 8), dtype=np.float32))
     with pytest.raises(ValueError):
         rope(x, position_offset=10)
+
+
+def test_tables_are_views_and_nothing_is_memoised(rope):
+    """A long generate / cached_perplexity session visits O(max_seq_len^2)
+    distinct (offset, seq) pairs; lookups must leave no state behind."""
+    before = set(vars(rope))
+    for offset in range(32):
+        for seq in range(1, 33 - offset):
+            cos, sin = rope.tables(offset, seq)
+            assert cos.base is rope.cos and sin.base is rope.sin
+    np.testing.assert_array_equal(rope.tables(3, 4)[0], rope.cos[3:7])
+    assert set(vars(rope)) == before
+    assert not any(isinstance(v, dict) for v in vars(rope).values())
+
+
+def test_tables_at_matches_per_row_offsets(rope):
+    """Per-row positions rotate each batch row like its own offset."""
+    x = np.random.default_rng(6).standard_normal((2, 3, 4, 8)) \
+        .astype(np.float32)
+    positions = np.array([[5, 6, 7, 8], [20, 21, 22, 23]])
+    cos, sin = rope.tables_at(positions)
+    assert cos.shape == sin.shape == (2, 1, 4, 4)
+    got = rotate(x, cos, sin)
+    for row, offset in enumerate((5, 20)):
+        np.testing.assert_array_equal(
+            got[row], rope(Tensor(x[row]), position_offset=offset).data)
+
+
+@pytest.mark.parametrize("bad", [-1, 32])
+def test_tables_at_rejects_out_of_range(rope, bad):
+    with pytest.raises(ValueError, match="positions outside"):
+        rope.tables_at(np.array([[0, bad]]))

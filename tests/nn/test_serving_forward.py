@@ -1,0 +1,189 @@
+"""The raw-ndarray serving forward against its ``Tensor``-op oracle.
+
+``TransformerLM.forward(cache=..., positions=...)`` runs on raw arrays;
+:func:`reference_forward` below is the ``Tensor`` serving branch it
+replaced (``MultiHeadAttention.forward``'s write-then-attend case plus
+``TransformerLM.forward``'s ``logits_positions`` gather), kept here so
+"same float32 ops, same order, same layouts" stays checked bit for bit.
+"""
+
+import numpy as np
+import pytest
+
+from repro.autograd import Tensor
+from repro.models.configs import tiny_config
+from repro.nn import Parameter, TransformerLM
+from repro.nn.block_attention import (additive_mask, block_decode_attention,
+                                      block_prefill_attention)
+from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
+from repro.nn.rope import rotate
+
+BATCH, BLOCK, VOCAB = 3, 4, 64
+
+
+def reference_forward(model, tokens, cache, positions, kv_mask,
+                      cache_rows=None, cache_lens=None, cache_starts=None,
+                      decode_rows=None, logits_positions=None):
+    """The removed serving branch, op for op on ``Tensor``s."""
+    batch, seq = tokens.shape
+    cos = model.rope.cos[positions][:, None]
+    sin = model.rope.sin[positions][:, None]
+    x = model.embed(tokens)
+    for index, block in enumerate(model.blocks):
+        attn = block.attn
+        h = block.attn_norm(x)
+        q = attn._split_heads(attn.wq(h), batch, seq)
+        k = attn._split_heads(attn.wk(h), batch, seq)
+        v = attn._split_heads(attn.wv(h), batch, seq)
+        q = Tensor(rotate(q.data, cos, sin))
+        k = Tensor(rotate(k.data, cos, sin))
+        if cache_rows is not None:
+            cache.prefill_rows(index, k.data, v.data, cache_rows,
+                               cache_starts, cache_lens)
+            context = block_prefill_attention(
+                q.data, cache, index, kv_mask=kv_mask, rows=cache_rows)
+        else:
+            cache.write_token(index, k.data, v.data, positions[:, 0],
+                              rows=decode_rows)
+            context = block_decode_attention(
+                q.data, cache, index, kv_mask=kv_mask, rows=decode_rows)
+        merged = Tensor(context).transpose(0, 2, 1, 3) \
+                                .reshape(batch, seq, attn.d_model)
+        x = x + attn.wo(merged)
+        x = x + block.ffn(block.ffn_norm(x))
+    if logits_positions is not None:
+        last = np.asarray(logits_positions, dtype=np.int64)
+        keep = np.flatnonzero(last >= 0)
+        if len(keep) < len(last):
+            logits = np.zeros((batch, 1, model.config.vocab_size),
+                              dtype=np.float32)
+            if len(keep):
+                picked = Tensor(x.data[keep, last[keep]][:, None])
+                logits[keep] = model.head(model.final_norm(picked)).data
+            return logits
+        x = Tensor(x.data[np.arange(batch), last][:, None])
+    return model.head(model.final_norm(x)).data
+
+
+def serving_forward(model, tokens, cache, positions, kv_mask, **kwargs):
+    return model(tokens, cache=cache, positions=positions, kv_mask=kv_mask,
+                 **kwargs).data
+
+
+def build_model(with_bias: bool) -> TransformerLM:
+    model = TransformerLM(tiny_config(vocab_size=VOCAB, seed=3))
+    if with_bias:
+        rng = np.random.default_rng(5)
+        for layer in (model.blocks[1].attn.wk, model.blocks[1].ffn.down):
+            layer.bias = Parameter(
+                rng.standard_normal(layer.out_features).astype(np.float32))
+    return model
+
+
+def session(model, cache_cls, forward):
+    """Drive one cache through every serving call shape the engine
+    makes; returns each call's logits."""
+    rng = np.random.default_rng(11)
+    cache = cache_cls(model.config.num_layers, batch=BATCH, block_size=BLOCK,
+                      chunk_blocks=2)   # 8-token window: multi-chunk reads
+    max_pos = model.config.max_seq_len - 1
+    lengths = np.zeros(BATCH, dtype=np.int64)
+    outs = []
+
+    def prefill(rows, lens, logits_positions):
+        rows, lens = np.asarray(rows), np.asarray(lens)
+        starts = lengths[rows].copy()
+        width = int(lens.max())
+        tokens = np.zeros((len(rows), width), dtype=np.int64)
+        for j, n in enumerate(lens):
+            tokens[j, :n] = rng.integers(0, VOCAB, size=n)
+        offsets = np.arange(width)
+        positions = np.minimum(starts[:, None] + offsets, max_pos)
+        total = max(int((starts + lens).max()), cache.seq_len)
+        query_pos = starts[:, None] + offsets[None, :]
+        allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
+        outs.append(forward(
+            model, tokens, cache, positions, additive_mask(allow)[:, None],
+            cache_rows=rows, cache_lens=lens, cache_starts=starts,
+            logits_positions=logits_positions))
+        lengths[rows] += lens
+
+    def decode(rows):
+        active = np.arange(BATCH) if rows is None else np.asarray(rows)
+        positions = lengths[active]
+        total = max(cache.seq_len, int(positions.max()) + 1)
+        kv_mask = additive_mask(
+            np.arange(total) < (positions + 1)[:, None])[:, None, None, :]
+        tokens = rng.integers(0, VOCAB, size=(len(active), 1))
+        outs.append(forward(model, tokens, cache, positions[:, None],
+                            kv_mask, decode_rows=rows))
+        lengths[active] += 1
+
+    # Chunked prefill: a first chunk that samples nothing (all-negative
+    # logits_positions), then one that continues mid-block from ragged
+    # non-zero starts and finishes only row 0.
+    prefill([0, 1], [6, 3], [-1, -1])
+    prefill([0, 1], [5, 2], [4, -1])
+    # Ragged span prefill joining late, every row sampled; then no
+    # logits_positions at all (the full (batch, seq, vocab) head).
+    prefill([2, 1], [7, 4], [6, 3])
+    prefill([2], [3], None)
+    for _ in range(3):                  # full batch (decode_rows=None)
+        decode(None)
+    for _ in range(3):                  # draining wave: active sub-batch
+        decode([0, 2])
+    decode([1])
+    return outs
+
+
+@pytest.mark.parametrize("with_bias", [False, True])
+@pytest.mark.parametrize("cache_cls", [PagedKVCache, QuantizedPagedKVCache])
+def test_serving_forward_bit_identical_to_tensor_branch(cache_cls, with_bias):
+    model = build_model(with_bias)
+    got = session(model, cache_cls, serving_forward)
+    want = session(model, cache_cls, reference_forward)
+    assert len(got) == len(want) == 11
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype == np.float32
+        assert a.shape == b.shape
+        np.testing.assert_array_equal(a, b)
+    # Rows skipped by a negative logits_positions come back as zeros.
+    assert not got[0].any() and not got[1][1].any() and got[1][0].any()
+
+
+def test_bias_reaches_the_logits():
+    """The bias case above is not vacuous: the hand-set biases move the
+    serving logits."""
+    plain, biased = (session(build_model(b), PagedKVCache,
+                             serving_forward)[-1] for b in (False, True))
+    assert not np.array_equal(plain, biased)
+
+
+def test_out_of_range_positions_raise():
+    model = build_model(False)
+    cache = PagedKVCache(model.config.num_layers, batch=1, block_size=BLOCK)
+    mask = np.zeros((1, 1, 1, 1), dtype=np.float32)
+    for bad in (model.config.max_seq_len, -1):
+        with pytest.raises(ValueError, match="positions outside"):
+            model(np.array([[1]]), cache=cache,
+                  positions=np.array([[bad]]), kv_mask=mask)
+    assert cache.seq_len == 0           # checked before any layer wrote
+
+
+def test_serving_arguments_without_a_cache_are_rejected():
+    """The autograd path takes none of them; dropping one silently would
+    return differently-shaped logits."""
+    model = build_model(False)
+    tokens = np.array([[1, 2, 3]])
+    with pytest.raises(ValueError, match="cache and positions"):
+        model(tokens, logits_positions=np.array([2]))
+    with pytest.raises(ValueError, match="cache and positions"):
+        model(tokens, positions=np.array([[0, 1, 2]]))
+
+
+def test_additive_mask_matches_the_cast_down_spelling():
+    allow = np.random.default_rng(0).random((3, 5, 7)) < 0.5
+    mask = additive_mask(allow)
+    assert mask.dtype == np.float32
+    np.testing.assert_array_equal(
+        mask, np.where(allow, 0.0, -np.inf).astype(np.float32))

@@ -188,6 +188,39 @@ def test_rejects_retired_dense_backend(model):
         GenerationEngine(model, kv_cache="dense")
 
 
+@pytest.mark.parametrize("kv_cache", ["paged", "fineq"])
+def test_serving_steps_stay_off_the_autograd_tape(model, prompts, kv_cache,
+                                                  monkeypatch):
+    """Prefill and decode steps run no ``Tensor.matmul`` and allocate at
+    most the one ``Tensor`` that wraps each forward's logits."""
+    from repro.autograd import Tensor
+    counts = {"allocs": 0, "matmuls": 0, "forwards": 0}
+
+    def counted(key, fn):
+        def wrapper(*args, **kwargs):
+            counts[key] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(Tensor, "__init__",
+                        counted("allocs", Tensor.__init__))
+    matmul = counted("matmuls", Tensor.matmul)
+    monkeypatch.setattr(Tensor, "matmul", matmul)
+    monkeypatch.setattr(Tensor, "__matmul__", matmul)
+    monkeypatch.setattr(TransformerLM, "forward",
+                        counted("forwards", TransformerLM.forward))
+    engine = GenerationEngine(model, max_batch_size=4, kv_cache=kv_cache)
+    for prompt in prompts[:4]:
+        engine.submit(prompt, 6)
+    engine.step()                       # admits: the prefill forward
+    assert engine.stats.prefill_tokens > 0
+    engine.step()
+    assert engine.stats.decode_steps > 0
+    assert counts["forwards"] >= 2
+    assert counts["matmuls"] == 0
+    assert counts["allocs"] <= counts["forwards"]
+
+
 def test_max_seq_len_termination():
     model = TransformerLM(tiny_config(vocab_size=32, seed=1))
     engine = GenerationEngine(model, max_batch_size=1)
