@@ -121,7 +121,8 @@ def test_block_resident_fineq_decode_beats_gather_at_1024_context():
             .astype(np.float32)
         v = rng.standard_normal((batch, heads, context, head_dim)) \
             .astype(np.float32)
-        cache.write_rows(layer, k, v, rows)
+        cache.prefill_rows(layer, k, v, rows, np.zeros(batch, dtype=np.int64),
+                           np.full(batch, context))
     q = rng.standard_normal((batch, heads, 1, head_dim)).astype(np.float32)
     kv_mask = np.zeros((batch, 1, 1, context), dtype=np.float32)
     scale = np.float32(1.0 / np.sqrt(head_dim))

@@ -10,7 +10,10 @@ numpy: scores are computed chunk by chunk against the pool
 (``q @ pool[ids]ᵀ``), softmax normalisation runs over the assembled
 score vector (``O(total)`` floats, no ``head_dim`` factor), and the
 value contraction streams the same chunks back through the softmax
-weights.  Only one chunk of K or V is ever resident.
+weights.  Only one chunk of K or V is ever resident, and it is a single
+copy: the cache gathers it straight into the ``(rows, heads, tokens,
+head_dim)`` layout the matmuls below consume, in buffers it reuses, so
+a chunk is valid until the iteration advances.
 
 Numerics: everything runs in float32, op for op what
 :class:`repro.nn.attention.MultiHeadAttention` runs on a dense context
@@ -30,8 +33,9 @@ prefill chunks: the engine's chunked prefill writes a span of prompt
 tokens and attends them over the full context through the identical
 ``context_blocks`` iteration, so prefill and decode share one read path
 (and the quantized cache's dequant memo serves prefill re-reads too).
-Its score/value geometry is *chunk-grid stable*: every chunk is padded
-to the full ``chunk_blocks * block_size`` window, the softmax
+Its score/value geometry is *chunk-grid stable*: every chunk is read
+padded to the full ``chunk_blocks * block_size`` window (the cache
+supplies the exact-zero tail, ``context_blocks(pad=True)``), the softmax
 denominator accumulates fixed-width per-window partial sums, and the
 value GEMMs are always window-wide — so the same query runs
 bit-identical accumulation trees whatever the surrounding context
@@ -101,9 +105,9 @@ def block_decode_attention(q: np.ndarray, cache, layer_index: int,
 
     if total <= cache.chunk_blocks * cache.block_size:
         # Short contexts fit one chunk: read K and V in a single pass
-        # (the FP32 pool gathers into its reusable buffers — the chunk
-        # *is* the whole context; the quantized pool assembles through
-        # its dequant memo) and run the monolithic attention ops on it
+        # (the chunk *is* the whole context; the quantized pool
+        # assembles it through its dequant memo) and run the monolithic
+        # attention ops on it
         # — op for op the dense path's math, so the result is
         # bit-identical, while the chunk is still the only materialised
         # copy and stays bounded by the chunk window.
@@ -131,16 +135,6 @@ def block_decode_attention(q: np.ndarray, cache, layer_index: int,
         width = min(v_chunk.shape[2], total - start)
         context += probs[..., start:start + width] @ v_chunk[:, :, :width]
     return context
-
-
-def _pad_chunk(chunk: np.ndarray, width: int) -> np.ndarray:
-    """Zero-pad a ``(n, heads, w, head_dim)`` chunk to ``width`` keys."""
-    if chunk.shape[2] >= width:
-        return chunk
-    n, heads, w, head_dim = chunk.shape
-    padded = np.zeros((n, heads, width, head_dim), dtype=chunk.dtype)
-    padded[:, :, :w] = chunk
-    return padded
 
 
 def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
@@ -183,52 +177,61 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     n, heads, seq, head_dim = q.shape
     total = cache.layer_len(layer_index)
     window = cache.chunk_blocks * cache.block_size
-    grid = max(window, -(-total // window) * window)
-    if kv_mask is None:
-        kv_mask = additive_mask(np.arange(grid) < total)[None, None, None, :]
-    elif kv_mask.shape[-1] < grid:
-        pad_shape = kv_mask.shape[:-1] + (grid - kv_mask.shape[-1],)
-        kv_mask = np.concatenate(
-            [kv_mask, np.full(pad_shape, -np.inf, dtype=np.float32)],
-            axis=-1)
+    windows = max(1, -(-total // window))
+    # Columns past the mask's width (the written context, without one)
+    # are the grid's padding, masked for every query: their weights are
+    # the exact zeros a ``-inf`` mask pad would exponentiate to, written
+    # directly — no pad, and no softmax work on them.
+    live = total if kv_mask is None else kv_mask.shape[-1]
+    widths = [min(window, max(0, live - w * window)) for w in range(windows)]
 
-    # Pass 1: scores over the padded chunk grid.  Chunk starts are
-    # window-aligned, so padding each chunk to the window pads the
-    # assembled scores to exactly ``grid`` columns.
-    scores = np.empty((n, heads, seq, grid), dtype=np.float32)
+    # Pass 1: scores over the padded chunk grid, one contiguous
+    # ``(n, heads, seq, window)`` block per window.  Chunk starts are
+    # window-aligned and the cache pads every chunk to the window
+    # (exact zeros), so every score GEMM is window-wide.  Each block is
+    # scaled and masked exactly like :func:`_softmax_probs` while it is
+    # hot, over its live columns only, and the row maxima fold across
+    # blocks (a maximum is exact in any order).
+    scores = np.empty((windows, n, heads, seq, window), dtype=np.float32)
+    scale = np.float32(1.0 / np.sqrt(head_dim))
+    top = np.full((n, heads, seq, 1), _NEG_INF)
     for start, k_chunk in cache.context_blocks(layer_index, rows=rows,
-                                               kind="k"):
-        k_chunk = _pad_chunk(k_chunk, window)
-        np.matmul(q, k_chunk.transpose(0, 1, 3, 2),
-                  out=scores[..., start:start + window])
+                                               kind="k", pad=True):
+        w = start // window
+        np.matmul(q, k_chunk.transpose(0, 1, 3, 2), out=scores[w])
+        seen = scores[w, ..., :widths[w]]
+        seen *= scale
+        if kv_mask is not None:
+            seen += kv_mask[..., start:start + widths[w]]
+        np.maximum(top, seen.max(axis=-1, keepdims=True, initial=_NEG_INF),
+                   out=top)
 
-    # Scale/mask/shift/exp exactly like :func:`_softmax_probs`, but
-    # normalise with a *window-blocked* denominator: every window's
-    # partial sum runs the fixed width-``window`` reduction tree and the
-    # partials accumulate sequentially, so a row's normaliser does not
-    # depend on the grid width at all — windows beyond the row's masked
-    # context hold exact zeros and add exact zeros.  A plain
-    # ``exp.sum(-1)`` would re-shape its pairwise summation tree with the
-    # grid, leaking *other* rows' context lengths into this row's ulps
-    # (the grid tracks the cache-wide maximum, which a chunked and a
-    # one-shot run grow on different step schedules).
-    # In place on the one assembled score array: the same GEMMs and
-    # elementwise ops without a fresh grid-sized temporary per chunk
-    # and per op, each an mmap/page-fault round trip at prompt widths.
-    scores *= np.float32(1.0 / np.sqrt(head_dim))
-    scores += kv_mask
-    scores -= scores.max(axis=-1, keepdims=True)
-    probs = np.exp(scores, out=scores)
-    denom = np.zeros(probs.shape[:-1], dtype=np.float32)
-    for w in range(0, grid, window):
-        denom += probs[..., w:w + window].sum(axis=-1)
-    probs /= denom[..., None]
+    # Shift/exp in place, then normalise with a *window-blocked*
+    # denominator: every window's partial sum runs the fixed
+    # width-``window`` reduction tree and the partials accumulate
+    # sequentially, so a row's normaliser does not depend on the grid
+    # width at all — windows beyond the row's masked context hold exact
+    # zeros and add exact zeros.  A plain ``exp.sum(-1)`` over the grid
+    # would re-shape its pairwise summation tree with the grid, leaking
+    # *other* rows' context lengths into this row's ulps (the grid
+    # tracks the cache-wide maximum, which a chunked and a one-shot run
+    # grow on different step schedules).
+    denom = np.zeros((n, heads, seq), dtype=np.float32)
+    for w in range(windows):
+        seen = scores[w, ..., :widths[w]]
+        seen -= top
+        np.exp(seen, out=seen)
+        scores[w, ..., widths[w]:] = _ZERO
+        denom += scores[w].sum(axis=-1)
+    denom = denom[..., None]
 
-    # Pass 2: stream the value chunks back through the softmax weights
-    # at full window width (masked positions hold exactly-zero weights).
+    # Pass 2: normalise each window's weights and stream the value
+    # chunks back through them at full window width (masked positions
+    # hold exactly-zero weights).
     context = np.zeros((n, heads, seq, head_dim), dtype=np.float32)
     for start, v_chunk in cache.context_blocks(layer_index, rows=rows,
-                                               kind="v"):
-        v_chunk = _pad_chunk(v_chunk, window)
-        context += probs[..., start:start + window] @ v_chunk
+                                               kind="v", pad=True):
+        w = start // window
+        scores[w, ..., :widths[w]] /= denom
+        context += scores[w] @ v_chunk
     return context

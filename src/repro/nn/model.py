@@ -143,6 +143,7 @@ class TransformerLM(Module):
         def project(layer, h):          # -> (batch, heads, seq, head_dim)
             return layer.apply(h).reshape(split).transpose(0, 2, 1, 3)
 
+        token_positions = positions[:, 0]
         x = self.embed.weight.data[tokens]
         for index, block in enumerate(self.blocks):
             attn = block.attn
@@ -156,7 +157,7 @@ class TransformerLM(Module):
                 context = block_prefill_attention(
                     q, cache, index, kv_mask=kv_mask, rows=cache_rows)
             else:
-                cache.write_token(index, k, v, positions[:, 0],
+                cache.write_token(index, k, v, token_positions,
                                   rows=decode_rows)
                 context = block_decode_attention(
                     q, cache, index, kv_mask=kv_mask, rows=decode_rows)

@@ -50,23 +50,38 @@ or cancelling a reader frees exactly the blocks it owned exclusively.
 Two read paths:
 
 * :meth:`_context` gathers the rows' whole context into dense
-  ``(batch, heads, total, head_dim)`` arrays — what ``append`` returns
-  to the sequential reference path (``generate``, cached perplexity),
-  and the oracle the tests pin chunk values against.
+  ``(batch, heads, total, head_dim)`` arrays — a block-major gather,
+  then a transposed copy.  It is what ``append`` returns to the
+  sequential reference path (``generate``, cached perplexity), and the
+  oracle the tests pin chunk values against.
 * :meth:`context_blocks` iterates the same context chunk by chunk
   (``chunk_blocks`` blocks at a time) for
   :mod:`repro.nn.block_attention` — the serving engine's read, so
-  neither decode nor prefill materialises the dense copy.  On the
-  quantized cache the chunk assembly reads dequantized blocks through a
-  :class:`DequantBlockCache`: quantized pool blocks are immutable once
-  written (writes go through the FP32 buffer; COW copies get fresh
-  ids), so a block's dequantized values are memoised by ``(layer,
-  block id)`` under a byte budget with LRU eviction, filled by the
-  flush that quantizes the block (write-through) or by the first read
-  that misses, and invalidated whenever a payload is rewritten or the
-  block is freed.  A shared system-prompt block therefore dequantizes
-  once per step across all its readers — and once *ever* while it
-  stays cache-resident — instead of ``batch x layers x steps`` times.
+  neither decode nor prefill materialises the dense copy.  A chunk is
+  *one* copy per operand: the pool is indexed through its free
+  ``(blocks * heads, block, head_dim)`` view with ``id * heads + head``,
+  so a single ``take`` lands ``(rows, heads, blocks, block, head_dim)``
+  and the ``(rows, heads, tokens, head_dim)`` array attention multiplies
+  is a reshape view of it.  On the quantized cache the gather reads
+  dequantized blocks through a :class:`DequantBlockCache`: quantized
+  pool blocks are immutable once written (writes go through the FP32
+  buffer; COW copies get fresh ids), so a block's dequantized values
+  are memoised by ``(layer, block id)`` under a byte budget with LRU
+  eviction, filled by the flush that quantizes the block
+  (write-through) or by the first read that misses, and invalidated
+  whenever a payload is rewritten or the block is freed.  A shared
+  system-prompt block therefore dequantizes once per step across all
+  its readers — and once *ever* while it stays cache-resident —
+  instead of ``batch x layers x steps`` times.
+
+One resolution per forward: a model forward writes and reads every layer
+with the same ``rows`` and positions against one block table, so what
+those determine — where tokens land, which blocks each chunk gathers,
+which write buffers overlay it, how many live tokens it streams — is
+resolved by the forward's first layer and memoised (``_ids_memo``) for
+the rest; the entry points (:meth:`write_token`, :meth:`prefill_rows`,
+:meth:`context_blocks`, :meth:`context_chunk_pair`) only scatter and
+gather on the later layers.
 """
 
 from __future__ import annotations
@@ -137,9 +152,10 @@ class DequantBlockCache:
     dequantized ``(heads, block, head_dim)`` K/V values can be reused
     across readers, layers' worth of decode steps, and sessions of the
     same engine.  Entries live in slot-pooled value stores (one K and
-    one V array) so chunk assembly is a single gather per operand; the
-    slot count is ``budget_bytes`` divided by the per-entry footprint,
-    grown lazily and recycled LRU.  Entries arrive two ways: a
+    one V array) so chunk assembly is a single gather per operand,
+    straight into the layout attention multiplies; the slot count is
+    ``budget_bytes`` divided by the per-entry footprint, grown lazily
+    and recycled LRU.  Entries arrive two ways: a
     :meth:`lookup` miss dequantizes the payload, and a flush *writes
     through* (:meth:`fill`) the values it already holds, so a block the
     step has just encoded is never decoded back.  :meth:`invalidate`
@@ -159,6 +175,7 @@ class DequantBlockCache:
         self.entry_bytes = 2 * heads * block_size * head_dim * 4  # K + V
         self.capacity = max(0, int(budget_bytes) // self.entry_bytes)
         self._shape = (heads, block_size, head_dim)
+        self._head_offsets = np.arange(heads)[:, None]
         self._store_k = np.zeros((1,) + self._shape, dtype=np.float32)
         self._store_v = np.zeros((1,) + self._shape, dtype=np.float32)
         # (layer, block id) -> slot, as an array so a chunk's lookups are
@@ -259,8 +276,13 @@ class DequantBlockCache:
         many rows reading one shared block is the expected shape; ``-1``
         reads as an all-zero block).
 
-        ``kind`` selects the operand: ``"k"`` or ``"v"`` return one
-        ``ids.shape + (heads, block, head_dim)`` float32 array,
+        ``ids`` is a ``(..., blocks)`` table — one row of block ids per
+        reader — and the values come back in the *attended layout*,
+        heads ahead of the block axis: ``ids.shape[:-1] + (heads,
+        blocks, block, head_dim)`` float32, whose ``(..., heads, blocks
+        * block, head_dim)`` reshape is a view (1-D ``ids`` therefore
+        return ``(heads, len(ids), block, head_dim)``).  ``kind``
+        selects the operand: ``"k"`` or ``"v"`` return one such array,
         ``"kv"`` a ``(k, v)`` pair from a single slot resolution.
         Returns ``(values, misses, paired)``: ``misses`` counts the
         *unique* blocks that had to be dequantized — sixteen readers of
@@ -270,7 +292,8 @@ class DequantBlockCache:
         them were pinned with both operands.
 
         When every id is resident — the steady state, since flushes
-        write through — the values are one ``take`` per operand.
+        write through — the values are one ``take`` per operand through
+        the stores' free ``(slots * heads, block, head_dim)`` view.
         Otherwise slots are claimed *before* dequantizing: blocks that
         win a slot dequantize both operands via ``dequant_pair(ids) ->
         (k, v)`` (so the sibling pass hits), while blocks the budget
@@ -307,10 +330,12 @@ class DequantBlockCache:
         self._last_used[slots] = tick
         stores = {"k": (self._store_k,), "v": (self._store_v,),
                   "kv": (self._store_k, self._store_v)}[kind]
-        values = tuple(store.take(slots, axis=0) for store in stores)
+        flat = slots[..., None, :] * self._shape[0] + self._head_offsets
+        values = tuple(store.reshape((-1,) + self._shape[1:])
+                       .take(flat, axis=0) for store in stores)
         if spilled is not None:
             for out, vals in zip(values, spilled):
-                out[absent] = vals[order]
+                np.moveaxis(out, -4, -3)[absent] = vals[order]
         return (values if kind == "kv" else values[0]), misses, paired
 
     def fill(self, layers, ids: np.ndarray, k_vals: np.ndarray,
@@ -468,15 +493,18 @@ class PagedKVCache:
         self._row_len = np.zeros(batch, dtype=np.int64)
         self._row_index = np.arange(batch)
         self._lengths = [0] * num_layers
-        # Block tables are shared across layers, so a decode step's
-        # (rows -> block ids) resolution is computed once (at the first
-        # layer's read) and reused by every layer; any table mutation
-        # clears the memo (see _invalidate_ids_memo).
-        self._ids_memo: dict[tuple[int, bytes | None], np.ndarray] = {}
-        # Reusable buffers of the single-chunk read — the block gather,
-        # then its transposed copies for K and V — grown to the
-        # high-water demand.
-        self._chunk_scratch = np.empty((3, 0), dtype=np.float32)
+        # The per-forward resolution.  Block tables are shared across
+        # layers, so everything only the tables, ``rows`` and the write
+        # positions determine — write block ids and slots, the gather
+        # index of every chunk, the quantized overlay plan, the live
+        # token sums behind ``streamed_bytes`` — is computed by the
+        # first layer of a forward and reused by the rest.  Any table
+        # mutation clears it (see _invalidate_ids_memo), and so does a
+        # write it has not seen: that one moves row lengths.
+        self._ids_memo: dict[tuple, object] = {}
+        # The two buffers (K, V) the FP32 chunk reads gather into (see
+        # _chunk_buffers).
+        self._chunk_scratch = np.empty((2, 0), dtype=np.float32)
         self._read_stats = KVReadStats()
 
     # ------------------------------------------------------------------ #
@@ -487,6 +515,21 @@ class PagedKVCache:
         self._head_dim = int(like.shape[3])
         self._setup_layers()
         self._grow_pool(max(self.initial_blocks, 1))
+
+    def _window_floats(self, n: int) -> int:
+        """Floats in one operand's chunk window for ``n`` reader rows."""
+        return n * self._heads * self.chunk_blocks * self.block_size \
+            * self._head_dim
+
+    def _chunk_buffers(self, n: int) -> np.ndarray:
+        """The two reusable chunk buffers: one window each for the
+        cache's batch, allocated at the first read (reading more rows
+        than the cache has — repeated ``rows`` — is the only case that
+        reallocates)."""
+        floats = self._window_floats(max(n, self.batch))
+        if self._chunk_scratch.shape[1] < floats:
+            self._chunk_scratch = np.empty((2, floats), dtype=np.float32)
+        return self._chunk_scratch
 
     def _check_batch(self, data: np.ndarray) -> None:
         if data.shape[0] != self.batch:
@@ -785,7 +828,13 @@ class PagedKVCache:
                 v[:, :, lo - start:hi - start]
         self._lengths[layer] = stop
         self._row_len = np.maximum(self._row_len, stop)
+        self._invalidate_ids_memo()  # row lengths moved
         return self._context(layer)
+
+    @staticmethod
+    def _rows_key(rows: np.ndarray | None) -> bytes | None:
+        return None if rows is None \
+            else np.asarray(rows, dtype=np.int64).tobytes()
 
     def write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
                     positions: np.ndarray,
@@ -795,52 +844,39 @@ class PagedKVCache:
         ``rows`` (a sub-batch of cache rows, the engine's active slots)
         restricts the writes to those rows; idle rows then pin no
         blocks.  Nothing is read back: attention reads the block table
-        through :meth:`context_blocks`.
+        through :meth:`context_blocks`.  Where the tokens land is
+        resolved by the first layer of a forward
+        (:meth:`_resolve_token_write`); the others only scatter.
         """
-        row_idx = self._resolve_rows(k, rows)
-        if self._heads is None:
-            self._init_storage(k)
         positions = np.asarray(positions, dtype=np.int64)
-        bs = self.block_size
-        blocks = positions // bs
+        key = ("token", self._rows_key(rows), positions.tobytes())
+        plan = self._ids_memo.get(key)
+        if plan is None:
+            row_idx = self._resolve_rows(k, rows)
+            if self._heads is None:
+                self._init_storage(k)
+            self._invalidate_ids_memo()  # row lengths move
+            self._row_len[row_idx] = np.maximum(self._row_len[row_idx],
+                                                positions + 1)
+            plan = self._resolve_token_write(row_idx, positions)
+        self._write_token(layer, k, v, plan)
+        self._ids_memo[key] = plan  # a flush inside the write cleared it
+        self._lengths[layer] = max(self._lengths[layer], plan[0])
+
+    def _resolve_token_write(self, row_idx: np.ndarray,
+                             positions: np.ndarray) -> tuple:
+        """A forward's first :meth:`write_token`: grow the rows' block
+        tables and resolve ``(context width, block ids, slots)``."""
+        blocks = positions // self.block_size
         self._ensure_row_blocks(row_idx, blocks + 1)
-        ids = self._tables[row_idx, blocks]
-        slots = positions % bs
+        return (int(positions.max()) + 1, self._tables[row_idx, blocks],
+                positions % self.block_size)
+
+    def _write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
+                     plan: tuple) -> None:
+        _top, ids, slots = plan
         self._pool_k[layer][ids, :, slots] = k[:, :, 0]
         self._pool_v[layer][ids, :, slots] = v[:, :, 0]
-        self._lengths[layer] = max(self._lengths[layer],
-                                   int(positions.max()) + 1)
-        self._row_len[row_idx] = np.maximum(self._row_len[row_idx],
-                                            positions + 1)
-
-    def write_rows(self, layer: int, k: np.ndarray, v: np.ndarray,
-                   rows: np.ndarray,
-                   row_lengths: np.ndarray | None = None) -> None:
-        """Prefill batch rows ``rows`` from slot zero (fresh sequences).
-
-        ``row_lengths`` gives each row's *true* prompt length when ``k``/
-        ``v`` are right-padded to a common width (the engine's ragged
-        sub-batch admits); rows then only own and account for the blocks
-        their real tokens need.  Without it every row spans ``k``'s full
-        width.
-        """
-        if self._heads is None:
-            self._init_storage(k)
-        rows = np.asarray(rows, dtype=np.int64)
-        seq = k.shape[2]
-        lens = (np.full(len(rows), seq, dtype=np.int64)
-                if row_lengths is None
-                else np.asarray(row_lengths, dtype=np.int64))
-        bs = self.block_size
-        per_row_blocks = _blocks_needed(lens, bs)
-        self._ensure_row_blocks(rows, per_row_blocks)
-        max_blocks = int(per_row_blocks.max())
-        owned = np.arange(max_blocks)[None, :] < per_row_blocks[:, None]
-        ids = self._tables[rows][:, :max_blocks][owned]
-        self._pool_k[layer][ids] = self._as_blocks(k, max_blocks)[owned]
-        self._pool_v[layer][ids] = self._as_blocks(v, max_blocks)[owned]
-        self._lengths[layer] = max(self._lengths[layer], int(lens.max()))
-        self._row_len[rows] = np.maximum(self._row_len[rows], lens)
 
     def prefill_rows(self, layer: int, k: np.ndarray, v: np.ndarray,
                      rows: np.ndarray, starts: np.ndarray,
@@ -849,51 +885,68 @@ class PagedKVCache:
 
         The suffix/chunked prefill: row ``j`` already holds ``starts[j]``
         context tokens (adopted shared blocks, or spans written by
-        earlier prefill chunks), and ``k``/``v`` carry its next
-        ``row_lengths[j]`` tokens (right-padded to a common width).
-        Writes land at absolute positions ``starts[j] ..
+        earlier prefill chunks; ``0`` for a fresh row), and ``k``/``v``
+        carry its next ``row_lengths[j]`` tokens (right-padded to a
+        common width).  Writes land at absolute positions ``starts[j] ..
         starts[j] + row_lengths[j] - 1`` — continuing a partially-filled
         block in place when the span starts mid-block.  Nothing is read
         back: :func:`repro.nn.block_attention.block_prefill_attention`
         reads the rows' full context (shared prefix + new suffix)
-        through :meth:`context_blocks`.
+        through :meth:`context_blocks`.  The row/block walk runs once
+        per forward (:meth:`_resolve_span_write`); every layer copies
+        the same segments.
         """
         if self._heads is None:
             self._init_storage(k)
         rows = np.asarray(rows, dtype=np.int64)
         starts = np.asarray(starts, dtype=np.int64)
         lens = np.asarray(row_lengths, dtype=np.int64)
-        self._write_span(layer, k, v, rows, starts, lens)
-        totals = starts + lens
-        self._lengths[layer] = max(self._lengths[layer], int(totals.max()))
-        self._row_len[rows] = np.maximum(self._row_len[rows], totals)
+        key = ("span", rows.tobytes(), starts.tobytes(), lens.tobytes())
+        plan = self._ids_memo.get(key)
+        if plan is None:
+            self._invalidate_ids_memo()  # row lengths move
+            plan = self._resolve_span_write(layer, rows, starts, lens)
+            self._row_len[rows] = np.maximum(self._row_len[rows],
+                                             starts + lens)
+        self._write_span(layer, k, v, plan)
+        self._ids_memo[key] = plan  # a flush inside the write cleared it
+        self._lengths[layer] = max(self._lengths[layer], plan[0])
+
+    def _span_segments(self, rows: np.ndarray, starts: np.ndarray,
+                       lens: np.ndarray) -> list[tuple]:
+        """Split the rows' spans at block boundaries: ``(j, row, block,
+        lo, take, src)`` says tokens ``src .. src + take`` of span ``j``
+        fill slots ``lo .. lo + take`` of ``row``'s block ``block``."""
+        bs = self.block_size
+        segments = []
+        for j, row in enumerate(rows.tolist()):
+            start = pos = int(starts[j])
+            end = start + int(lens[j])
+            while pos < end:
+                lo = pos % bs
+                take = min(bs - lo, end - pos)
+                segments.append((j, row, pos // bs, lo, take, pos - start))
+                pos += take
+        return segments
+
+    def _resolve_span_write(self, layer: int, rows: np.ndarray,
+                            starts: np.ndarray, lens: np.ndarray) -> tuple:
+        """A forward's first :meth:`prefill_rows`: grow the block tables
+        and resolve every segment to its pool block.  Returns ``(context
+        width, segments)``."""
+        self._ensure_row_blocks(rows, _blocks_needed(starts + lens,
+                                                     self.block_size))
+        return int((starts + lens).max()), [
+            (j, int(self._tables[row, block]), lo, take, src)
+            for j, row, block, lo, take, src
+            in self._span_segments(rows, starts, lens)]
 
     def _write_span(self, layer: int, k: np.ndarray, v: np.ndarray,
-                    rows: np.ndarray, starts: np.ndarray,
-                    lens: np.ndarray) -> None:
-        bs = self.block_size
-        self._ensure_row_blocks(rows, _blocks_needed(starts + lens, bs))
-        for j, row in enumerate(rows):
-            pos, end = int(starts[j]), int(starts[j] + lens[j])
-            while pos < end:
-                block, lo = pos // bs, pos % bs
-                take = min(bs - lo, end - pos)
-                block_id = self._tables[row, block]
-                self._pool_k[layer][block_id, :, lo:lo + take] = \
-                    k[j, :, pos - int(starts[j]):pos - int(starts[j]) + take]
-                self._pool_v[layer][block_id, :, lo:lo + take] = \
-                    v[j, :, pos - int(starts[j]):pos - int(starts[j]) + take]
-                pos += take
-
-    def _as_blocks(self, data: np.ndarray, nblk: int) -> np.ndarray:
-        """``(n, heads, seq, hd)`` -> ``(n, nblk, heads, block, hd)``."""
-        n, heads, seq, head_dim = data.shape
-        bs = self.block_size
-        width = min(seq, nblk * bs)
-        padded = np.zeros((n, heads, nblk * bs, head_dim), dtype=np.float32)
-        padded[:, :, :width] = data[:, :, :width]
-        return padded.reshape(n, heads, nblk, bs, head_dim) \
-                     .transpose(0, 2, 1, 3, 4)
+                    plan: tuple) -> None:
+        pool_k, pool_v = self._pool_k[layer], self._pool_v[layer]
+        for j, block_id, lo, take, src in plan[1]:
+            pool_k[block_id, :, lo:lo + take] = k[j, :, src:src + take]
+            pool_v[block_id, :, lo:lo + take] = v[j, :, src:src + take]
 
     # ------------------------------------------------------------------ #
     # read path
@@ -909,8 +962,7 @@ class PagedKVCache:
         tables are shared across layers, so one decode step resolves
         its (rows -> ids) matrix once and every layer's read reuses it.
         """
-        key = (nblk, None if rows is None
-               else np.asarray(rows, dtype=np.int64).tobytes())
+        key = ("ids", nblk, self._rows_key(rows))
         ids = self._ids_memo.get(key)
         if ids is not None:
             return ids
@@ -945,116 +997,141 @@ class PagedKVCache:
         self._read_stats = KVReadStats()
         return stats
 
-    def _account_read(self, n: int, total: int, operands: int,
-                      chunk_resident: int) -> None:
-        """Book the dense copy one :meth:`context_blocks` call avoids.
-
-        ``chunk_resident`` is the finished chunk the caller holds at any
-        moment, whose difference from the dense gather is the copy that
-        never existed concurrently.  Transient scratch is *measured* per
-        chunk step via :meth:`_note_scratch` (actual array sizes, so a
-        regression that materialises something dense shows up).
+    def _account_read(self, n: int, total: int, operands: int) -> None:
+        """Book the dense copy one :meth:`context_blocks` call avoids:
+        the dense gather minus the one finished chunk the caller holds
+        at any moment.  Transient scratch is *measured* per chunk step
+        via :meth:`_note_scratch` (actual array sizes, so a regression
+        that materialises something dense shows up).
         """
-        logical = operands * n * self._heads * total * self._head_dim * 4
+        per_token = operands * n * self._heads * self._head_dim * 4
+        nblk = _blocks_needed(total, self.block_size)
+        resident = min(self.chunk_blocks, nblk) * self.block_size
         self._read_stats.bytes_not_gathered += max(
-            0, logical - chunk_resident)
+            0, per_token * (total - resident))
 
     def _note_scratch(self, nbytes: int) -> None:
         """Record one chunk step's measured transient scratch bytes."""
         stats = self._read_stats
         stats.peak_scratch_bytes = max(stats.peak_scratch_bytes, nbytes)
 
-    def context_chunk_pair(self, layer: int, rows: np.ndarray | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Single-chunk K/V read (context fits one chunk window).
+    def _read_plan(self, layer: int, rows: np.ndarray | None) -> tuple:
+        """This forward's read resolution for ``rows`` at ``layer``'s
+        context width (see :meth:`_resolve_read`), computed by the first
+        layer that reads and shared by the rest."""
+        key = ("read", self._lengths[layer], self._rows_key(rows))
+        plan = self._ids_memo.get(key)
+        if plan is None:
+            plan = self._ids_memo[key] = self._resolve_read(key[1], rows)
+        return plan
 
-        For the FP32 pool the whole-context gather *is* the chunk: the
-        values :meth:`_context` returns, gathered into per-cache buffers
-        that every layer and step reuse — fresh ~MB temporaries per
-        layer get trimmed off the heap and page-faulted back in on every
-        call.  The returned arrays are therefore only valid until the
-        next call.  The quantized override assembles the chunk through
-        the dequant memo instead.
-        """
-        total = self._lengths[layer]
-        bs, heads, head_dim = self.block_size, self._heads, self._head_dim
-        nblk = _blocks_needed(total, bs)
+    def _resolve_read(self, total: int, rows: np.ndarray | None) -> tuple:
+        """``(reader rows, live tokens, chunks)`` of a ``total``-token
+        read.  Each chunk is ``(first block, index)`` where
+        ``index[r, h, b] = block id * heads + h`` addresses the pool's
+        free ``(blocks * heads, block, head_dim)`` view, so one ``take``
+        lands the chunk as ``(rows, heads, blocks, block, head_dim)`` —
+        the layout attention multiplies, no transposed copy."""
+        nblk = _blocks_needed(total, self.block_size)
         ids = self._block_ids(nblk, rows)
         row_idx = self._row_index if rows is None \
             else np.asarray(rows, dtype=np.int64)
-        n = len(row_idx)
-        resident = 2 * n * heads * nblk * bs * head_dim * 4  # K and V
-        self._account_read(n, total, 2, chunk_resident=resident)
-        self._read_stats.streamed_bytes += 2 * heads * head_dim * 4 \
-            * int(np.minimum(self._row_len[row_idx], total).sum())
-        size = n * nblk * heads * bs * head_dim
-        if self._chunk_scratch.shape[1] < size:
-            self._chunk_scratch = np.empty((3, size), dtype=np.float32)
-        scratch = self._chunk_scratch[:, :size]
-        blocks = scratch[0].reshape(n, nblk, heads, bs, head_dim)
-        out = []
-        for i, pool in enumerate((self._pool_k[layer], self._pool_v[layer])):
-            # mode="clip" (the ids are valid): the default "raise" makes
-            # take stage ``out`` through an internal buffer.
-            np.take(pool, ids, axis=0, out=blocks, mode="clip")
-            merged = scratch[1 + i].reshape(n, heads, nblk, bs, head_dim)
-            np.copyto(merged, blocks.transpose(0, 2, 1, 3, 4))
-            out.append(merged.reshape(n, heads, nblk * bs,
-                                      head_dim)[:, :, :total])
-        self._note_scratch(scratch.nbytes)
-        return out[0], out[1]
-
-    def context_blocks(self, layer: int, rows: np.ndarray | None = None,
-                       kind: str = "k"):
-        """Iterate the rows' context as ``(start, chunk, ...)`` tuples.
-
-        The block-resident decode read: each chunk is a
-        ``(n, heads, width, head_dim)`` float32 gather of up to
-        ``chunk_blocks`` consecutive blocks starting at absolute token
-        position ``start``, with exactly the values :meth:`_context`
-        would place there — but only one chunk is ever resident, so no
-        dense ``(n, heads, total, head_dim)`` copy exists.  ``kind``
-        selects the operand: ``"k"`` or ``"v"`` yield ``(start, chunk)``
-        (block attention's two-pass long-context read), ``"kv"`` yields
-        ``(start, k_chunk, v_chunk)`` in one pass (the short-context
-        fast path pays the iteration bookkeeping once).  The final chunk
-        may extend past the layer's token count; callers slice to
-        ``layer_len``.
-        """
-        total = self._lengths[layer]
-        if total == 0:
-            return
-        bs = self.block_size
-        nblk = _blocks_needed(total, bs)
-        ids = self._block_ids(nblk, rows)
-        pools = {"k": (self._pool_k[layer],), "v": (self._pool_v[layer],),
-                 "kv": (self._pool_k[layer], self._pool_v[layer])}[kind]
-        row_idx = self._row_index if rows is None \
-            else np.asarray(rows, dtype=np.int64)
-        n = ids.shape[0]
-        cb = self.chunk_blocks
-        chunk_resident = len(pools) * n * self._heads * min(cb, nblk) \
-            * bs * self._head_dim * 4
-        self._account_read(n, total, len(pools), chunk_resident)
         # Streamed bytes count the rows' *real* context tokens, the
         # population ``used_bytes`` counts (ragged rows also gather
         # padding blocks, which the accelerator projection must not
         # charge).
-        self._read_stats.streamed_bytes += len(pools) * self._heads \
-            * self._head_dim * 4 * int(np.minimum(self._row_len[row_idx],
-                                                  total).sum())
-        for b0 in range(0, nblk, cb):
-            sel = ids[:, b0:b0 + cb]
-            chunks = []
-            scratch = 0
-            for pool in pools:
-                blocks = pool[sel]  # (n, c, heads, block, head_dim)
-                chunk = blocks.transpose(0, 2, 1, 3, 4).reshape(
-                    n, self._heads, sel.shape[1] * bs, self._head_dim)
-                scratch += blocks.nbytes + chunk.nbytes
-                chunks.append(chunk)
+        live = int(np.minimum(self._row_len[row_idx], total).sum())
+        index = ids[:, None, :] * self._heads \
+            + np.arange(self._heads)[None, :, None]
+        cb = self.chunk_blocks
+        return len(row_idx), live, [
+            (b0, np.ascontiguousarray(index[:, :, b0:b0 + cb]))
+            for b0 in range(0, nblk, cb)]
+
+    def context_chunk_pair(self, layer: int, rows: np.ndarray | None = None
+                           ) -> tuple[np.ndarray, np.ndarray]:
+        """Single-chunk K/V read (context fits one chunk window): the
+        one chunk of :meth:`context_blocks`, sliced to the context — on
+        the FP32 pool exactly the values :meth:`_context` returns.  The
+        arrays live in the cache's chunk buffers and are only valid
+        until the next read.
+        """
+        total = self._lengths[layer]
+        window = self.chunk_blocks * self.block_size
+        if total > window:
+            raise ValueError(f"context of {total} tokens exceeds the "
+                             f"{window}-token chunk window; iterate "
+                             "context_blocks instead")
+        _start, k_chunk, v_chunk = next(
+            self.context_blocks(layer, rows=rows, kind="kv"))
+        return k_chunk[:, :, :total], v_chunk[:, :, :total]
+
+    def context_blocks(self, layer: int, rows: np.ndarray | None = None,
+                       kind: str = "k", pad: bool = False):
+        """Iterate the rows' context as ``(start, chunk, ...)`` tuples.
+
+        The block-resident read: each chunk is a ``(n, heads, width,
+        head_dim)`` float32 gather of up to ``chunk_blocks`` consecutive
+        blocks starting at absolute token position ``start``, with
+        exactly the values :meth:`_context` would place there — but only
+        one chunk is ever resident, so no dense ``(n, heads, total,
+        head_dim)`` copy exists.  ``kind`` selects the operand: ``"k"``
+        or ``"v"`` yield ``(start, chunk)`` (block attention's two-pass
+        long-context read), ``"kv"`` yields ``(start, k_chunk,
+        v_chunk)`` in one pass (the single-chunk read pays the
+        iteration bookkeeping once).  The final chunk may extend past
+        the layer's token count; callers slice to ``layer_len`` — or
+        ask for ``pad``, which yields every chunk a full window
+        (``chunk_blocks * block_size`` keys) wide with an exact-zero
+        tail: the span read's chunk-grid geometry.
+
+        One ``take`` per operand gathers the chunk straight into the
+        attended layout (see :meth:`_resolve_read`) in the cache's two
+        chunk buffers — K in one, V in the other, reused by every chunk,
+        layer and step, since fresh ~MB temporaries get trimmed off the
+        heap and page-faulted back in on every call.  A chunk is
+        therefore only valid until the iteration advances.
+        """
+        total = self._lengths[layer]
+        if total == 0:
+            return
+        bs, heads, head_dim = self.block_size, self._heads, self._head_dim
+        n, live, chunks = self._read_plan(layer, rows)
+        pools = {"k": ((0, self._pool_k[layer]),),
+                 "v": ((1, self._pool_v[layer]),),
+                 "kv": ((0, self._pool_k[layer]),
+                        (1, self._pool_v[layer]))}[kind]
+        self._account_read(n, total, len(pools))
+        self._read_stats.streamed_bytes += len(pools) * heads * head_dim \
+            * 4 * live
+        buffers = self._chunk_buffers(n)
+        window = self._window_floats(n)
+        cb = self.chunk_blocks
+        for b0, index in chunks:
+            c = index.shape[2]
+            out, scratch = [], 0
+            for slot, pool in pools:
+                view = pool.reshape(-1, bs, head_dim)
+                if pad and c < cb:
+                    part = view.take(index, axis=0)
+                    chunk = buffers[slot, :window].reshape(
+                        n, heads, cb * bs, head_dim)
+                    chunk[:, :, :c * bs] = part.reshape(n, heads, c * bs,
+                                                        head_dim)
+                    chunk[:, :, c * bs:] = 0.0
+                    scratch += part.nbytes
+                else:
+                    # mode="clip" (the ids are valid): the default
+                    # "raise" makes take stage ``out`` through a buffer.
+                    chunk = np.take(
+                        view, index, axis=0, mode="clip",
+                        out=buffers[slot, :index.size * bs * head_dim]
+                        .reshape(index.shape + (bs, head_dim))
+                    ).reshape(n, heads, c * bs, head_dim)
+                scratch += chunk.nbytes
+                out.append(chunk)
             self._note_scratch(scratch)
-            yield (b0 * bs, *chunks)
+            yield (b0 * bs, *out)
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -1317,9 +1394,8 @@ class QuantizedPagedKVCache(PagedKVCache):
         ).transpose(0, 1, 2, 4, 3)
         return []
 
-    def _write_span(self, layer: int, k: np.ndarray, v: np.ndarray,
-                    rows: np.ndarray, starts: np.ndarray,
-                    lens: np.ndarray) -> None:
+    def _resolve_span_write(self, layer: int, rows: np.ndarray,
+                            starts: np.ndarray, lens: np.ndarray) -> tuple:
         """Span writes pass every block — the final, possibly partial
         one included — through the FP32 write buffer, and quantize each
         block the moment the span completes it.  Only a ragged tail
@@ -1337,40 +1413,50 @@ class QuantizedPagedKVCache(PagedKVCache):
         as clone-rows decode through :meth:`write_token`, whose lazy
         flush keeps each verify query's own block in the FP32 buffer
         (and whose GEMM-feeding values are bitwise the ones sequential
-        decode produces)."""
+        decode produces).
+
+        Returns ``(context width, segments, flush ids, crossing rows,
+        crossing starts, written rows, buffer ends)``: segments are
+        ``(j, row, lo, take, src, completes)`` buffer copies, ``flush
+        ids`` the pool blocks the completing ones quantize into."""
         bs = self.block_size
         # A span that opens a new block behind a lazily buffered one (a
         # decode that stopped exactly on the boundary) flushes it first,
         # as write_token would, before the span overwrites the buffer.
-        crossing = ((lens > 0) & (starts > 0) & (starts % bs == 0)
-                    & (self._buf_end[layer, rows] == starts))
-        if crossing.any():
-            self._flush_crossing(rows[crossing], starts[crossing])
-        flush_ids, flush_k, flush_v = [], [], []
-        for j, row in enumerate(rows):
-            s, end = int(starts[j]), int(starts[j] + lens[j])
-            pos = s
-            while pos < end:
-                block, lo = pos // bs, pos % bs
-                take = min(bs - lo, end - pos)
-                self._buf_k[layer][row, :, lo:lo + take] = \
-                    k[j, :, pos - s:pos - s + take]
-                self._buf_v[layer][row, :, lo:lo + take] = \
-                    v[j, :, pos - s:pos - s + take]
-                pos += take
-                if pos % bs == 0:  # completed this block: quantize it
-                    self._ensure_row_blocks(np.array([row]),
-                                            np.array([block + 1]))
-                    flush_ids.append(int(self._tables[row, block]))
-                    flush_k.append(self._buf_k[layer][row].copy())
-                    flush_v.append(self._buf_v[layer][row].copy())
-            if end > s:
-                self._buf_end[layer, row] = end if end % bs else 0
-        if flush_ids:
+        opens = (lens > 0) & (starts > 0) & (starts % bs == 0)
+        self._flush_if_crossing(layer, rows[opens], starts[opens])
+        ends = starts + lens
+        wrote = lens > 0
+        self._ensure_row_blocks(rows[wrote], ends[wrote] // bs)
+        segments, flush_ids = [], []
+        for j, row, block, lo, take, src \
+                in self._span_segments(rows, starts, lens):
+            segments.append((j, row, lo, take, src, lo + take == bs))
+            if lo + take == bs:
+                flush_ids.append(self._tables[row, block])
+        return (int(ends.max()), segments,
+                np.asarray(flush_ids, dtype=np.int64), rows[opens],
+                starts[opens], rows[wrote],
+                np.where(ends % bs, ends, 0)[wrote])
+
+    def _write_span(self, layer: int, k: np.ndarray, v: np.ndarray,
+                    plan: tuple) -> None:
+        _top, segments, flush_ids, open_rows, open_starts, wrote, buf_ends \
+            = plan
+        self._flush_if_crossing(layer, open_rows, open_starts)
+        buf_k, buf_v = self._buf_k[layer], self._buf_v[layer]
+        flush_k, flush_v = [], []
+        for j, row, lo, take, src, completes in segments:
+            buf_k[row, :, lo:lo + take] = k[j, :, src:src + take]
+            buf_v[row, :, lo:lo + take] = v[j, :, src:src + take]
+            if completes:  # quantize the block the span just filled
+                flush_k.append(buf_k[row].copy())
+                flush_v.append(buf_v[row].copy())
+        self._buf_end[layer, wrote] = buf_ends
+        if flush_k:
             # Other layers do not hold these tokens yet, so a span
             # flushes per layer — K and V together.
-            self._flush(np.full(len(flush_ids), layer),
-                        np.asarray(flush_ids),
+            self._flush(np.full(len(flush_ids), layer), flush_ids,
                         np.stack(flush_k), np.stack(flush_v))
 
     # ------------------------------------------------------------------ #
@@ -1423,15 +1509,19 @@ class QuantizedPagedKVCache(PagedKVCache):
         self._buf_k[:, row] = entry["buf_k"]
         self._buf_v[:, row] = entry["buf_v"]
 
-    def write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
-                    positions: np.ndarray,
-                    rows: np.ndarray | None = None) -> None:
-        row_idx = self._resolve_rows(k, rows)
-        if self._heads is None:
-            self._init_storage(k)
-        positions = np.asarray(positions, dtype=np.int64)
-        bs = self.block_size
-        slots = positions % bs
+    def _resolve_token_write(self, row_idx: np.ndarray,
+                             positions: np.ndarray) -> tuple:
+        """``(context width, rows, buffer slots, buffer ends, rows
+        opening a block, their positions)``: tokens land in the write
+        buffers, so no block table is read."""
+        slots = positions % self.block_size
+        opens = (slots == 0) & (positions > 0)
+        return (int(positions.max()) + 1, row_idx, slots, positions + 1,
+                row_idx[opens], positions[opens])
+
+    def _write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
+                     plan: tuple) -> None:
+        _top, row_idx, slots, ends, open_rows, open_positions = plan
         # A row starting block b quantizes block b-1 first — if this
         # layer's buffer still holds it, complete (``_buf_end`` equal to
         # the position being written).  Rows whose previous block is
@@ -1440,19 +1530,22 @@ class QuantizedPagedKVCache(PagedKVCache):
         # overwrite the shared block), flushed eagerly by a span write,
         # or flushed a moment ago, on this layer's behalf, by the first
         # layer of the forward to see the crossing.
-        crossing = ((slots == 0) & (positions > 0)
-                    & (self._buf_end[layer, row_idx] == positions))
-        if crossing.any():
-            self._flush_crossing(row_idx[crossing], positions[crossing])
+        self._flush_if_crossing(layer, open_rows, open_positions)
         self._buf_k[layer][row_idx, :, slots] = k[:, :, 0]
         self._buf_v[layer][row_idx, :, slots] = v[:, :, 0]
         # Clone-rows verify repeats a row at ascending positions; the
         # last (highest) assignment wins.
-        self._buf_end[layer, row_idx] = positions + 1
-        self._lengths[layer] = max(self._lengths[layer],
-                                   int(positions.max()) + 1)
-        self._row_len[row_idx] = np.maximum(self._row_len[row_idx],
-                                            positions + 1)
+        self._buf_end[layer, row_idx] = ends
+
+    def _flush_if_crossing(self, layer: int, rows: np.ndarray,
+                           positions: np.ndarray) -> None:
+        """``rows`` are about to write slot 0 of a new block at
+        ``positions``: flush the complete block ``layer``'s buffer
+        still holds for any of them (:meth:`_flush_crossing`)."""
+        if len(rows):
+            crossing = self._buf_end[layer, rows] == positions
+            if crossing.any():
+                self._flush_crossing(rows[crossing], positions[crossing])
 
     def _flush_crossing(self, rows: np.ndarray, positions: np.ndarray
                         ) -> None:
@@ -1475,46 +1568,13 @@ class QuantizedPagedKVCache(PagedKVCache):
                     self._buf_v[layers, at])
         self._buf_end[layers, at] = 0
 
-    def write_rows(self, layer: int, k: np.ndarray, v: np.ndarray,
-                   rows: np.ndarray,
-                   row_lengths: np.ndarray | None = None) -> None:
-        if self._heads is None:
-            self._init_storage(k)
-        rows = np.asarray(rows, dtype=np.int64)
-        seq = k.shape[2]
-        lens = (np.full(len(rows), seq, dtype=np.int64)
-                if row_lengths is None
-                else np.asarray(row_lengths, dtype=np.int64))
-        bs = self.block_size
-        # Each row's current (possibly exactly-full) block stays in the
-        # FP32 buffer; only its strictly earlier blocks are quantized.
-        # True per-row lengths matter here: the buffer/overlay alignment
-        # is derived from _row_len, so a padded width would shift it.
-        current = (lens - 1) // bs
-        max_current = int(current.max())
-        if max_current:
-            self._ensure_row_blocks(rows, current)
-            quantized = np.arange(max_current)[None, :] < current[:, None]
-            ids = self._tables[rows][:, :max_current][quantized]
-            self._flush(np.full(len(ids), layer), ids,
-                        self._as_blocks(k, max_current)[quantized],
-                        self._as_blocks(v, max_current)[quantized])
-        for j, row in enumerate(rows):
-            start = int(current[j]) * bs
-            fill = int(lens[j]) - start
-            self._buf_k[layer][row, :, :fill] = k[j, :, start:start + fill]
-            self._buf_v[layer][row, :, :fill] = v[j, :, start:start + fill]
-        self._buf_end[layer, rows] = lens
-        self._lengths[layer] = max(self._lengths[layer], int(lens.max()))
-        self._row_len[rows] = np.maximum(self._row_len[rows], lens)
-
     def append(self, layer: int, k: np.ndarray, v: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
         """Uniform single-token append (the cached-perplexity path)."""
         if k.shape[2] != 1:
             raise NotImplementedError(
                 "QuantizedPagedKVCache.append supports one token per step; "
-                "prefill through write_rows")
+                "prefill through prefill_rows")
         if self._heads is None:
             self._init_storage(k)
         positions = np.full(k.shape[0], self._lengths[layer], dtype=np.int64)
@@ -1601,23 +1661,41 @@ class QuantizedPagedKVCache(PagedKVCache):
         return (self._dequant_kind(layer, ids, "k"),
                 self._dequant_kind(layer, ids, "v"))
 
-    def context_chunk_pair(self, layer: int, rows: np.ndarray | None = None
-                           ) -> tuple[np.ndarray, np.ndarray]:
-        """Single-chunk K/V read through the dequant memo (the quantized
-        short-context decode keeps the once-per-step dequant reuse)."""
-        total = self._lengths[layer]
-        window = self.chunk_blocks * self.block_size
-        if total > window:
-            raise ValueError(f"context of {total} tokens exceeds the "
-                             f"{window}-token chunk window; iterate "
-                             "context_blocks instead")
-        iterator = self.context_blocks(layer, rows=rows, kind="kv")
-        _start, k_chunk, v_chunk = next(iterator)
-        iterator.close()
-        return k_chunk[:, :, :total], v_chunk[:, :, :total]
+    def _resolve_read(self, total: int, rows: np.ndarray | None) -> tuple:
+        """``(reader rows, chunks)`` of a ``total``-token read: per chunk
+        the owned block ids (``-1`` where a row owns nothing — its
+        buffered current block, stale or padding table slots — which
+        reads as zeros until overlaid), the same ids padded to a full
+        window of columns, how many are owned, and the write-buffer
+        overlay: which readers' current block falls in the chunk, their
+        cache rows, the block's offset and their buffered token sum."""
+        bs, cb = self.block_size, self.chunk_blocks
+        nblk = _blocks_needed(total, bs)
+        row_idx = self._row_index if rows is None \
+            else np.asarray(rows, dtype=np.int64)
+        owned_counts = self._blocks_per_row[row_idx]
+        row_lens = self._row_len[row_idx]
+        # Overlay only rows that actually hold buffered tokens: a row
+        # whose context is entirely adopted quantized blocks has an
+        # empty buffer (see _context).
+        buffered = row_lens - owned_counts * bs
+        current = np.where(buffered > 0, (row_lens - 1) // bs, -1)
+        owned_ids = np.where(np.arange(nblk) < owned_counts[:, None],
+                             self._block_ids(nblk, rows), -1)
+        chunks = []
+        for b0 in range(0, nblk, cb):
+            c = min(cb, nblk - b0)
+            padded = np.full((len(row_idx), cb), -1, dtype=np.int64)
+            padded[:, :c] = owned_ids[:, b0:b0 + c]
+            in_chunk = np.nonzero((current >= b0) & (current < b0 + c))[0]
+            chunks.append((b0, np.ascontiguousarray(padded[:, :c]), padded,
+                           int(np.count_nonzero(padded >= 0)), in_chunk,
+                           row_idx[in_chunk], current[in_chunk] - b0,
+                           int(buffered[in_chunk].sum())))
+        return len(row_idx), chunks
 
     def context_blocks(self, layer: int, rows: np.ndarray | None = None,
-                       kind: str = "k"):
+                       kind: str = "k", pad: bool = False):
         """Chunked context iteration in the quantized format.
 
         Owned blocks are served from the :class:`DequantBlockCache`
@@ -1626,12 +1704,14 @@ class QuantizedPagedKVCache(PagedKVCache):
         decodes once per chunk, and once *ever* while it stays
         cache-resident); each live row's FP32 current block is overlaid
         exactly as in :meth:`_context`, so chunk values are bit-identical
-        to the dense gather's.  Per chunk the block ids resolve to memo
-        slots once, for both operands under ``kind="kv"``, and each
-        operand is one gather straight into the ``(rows, blocks, heads,
-        block, head_dim)`` chunk (unowned table slots read the memo's
-        zero entry), followed by the one transposed copy attention
-        consumes.
+        to the dense gather's.  Which ids a chunk reads and which
+        buffers overlay it is this forward's read resolution
+        (:meth:`_resolve_read`); per layer the ids resolve to memo slots
+        once, for both operands under ``kind="kv"``, and each operand is
+        one gather straight into the ``(rows, heads, blocks, block,
+        head_dim)`` chunk attention consumes.  Unowned table slots read
+        the memo's zero entry, and so do the ``-1`` columns ``pad``
+        widens the final chunk with.
         """
         total = self._lengths[layer]
         if total == 0:
@@ -1639,32 +1719,18 @@ class QuantizedPagedKVCache(PagedKVCache):
         bs = self.block_size
         heads, head_dim = self._heads, self._head_dim
         kinds = ("k", "v") if kind == "kv" else (kind,)
-        nblk = _blocks_needed(total, bs)
-        row_idx = self._row_index if rows is None \
-            else np.asarray(rows, dtype=np.int64)
-        n = len(row_idx)
-        owned_counts = self._blocks_per_row[row_idx]
-        row_lens = self._row_len[row_idx]
-        buffered = row_lens - owned_counts * bs
-        current = np.where(buffered > 0, (row_lens - 1) // bs, -1)
-        # Table slots a row does not own — its buffered current block,
-        # stale or padding ids — read as zeros (id -1) until overlaid.
-        owned_ids = np.where(np.arange(nblk) < owned_counts[:, None],
-                             self._block_ids(nblk, rows), -1)
+        n, chunks = self._read_plan(layer, rows)
         bufs = {"k": self._buf_k[layer], "v": self._buf_v[layer]}
         stats = self._read_stats
-        cb = self.chunk_blocks
-        chunk_resident = len(kinds) * n * heads * min(cb, nblk) * bs \
-            * head_dim * 4
-        self._account_read(n, total, len(kinds), chunk_resident)
+        self._account_read(n, total, len(kinds))
         operand_bytes = self._channels * (self._payload_bytes + 2)
-        for b0 in range(0, nblk, cb):
-            c = min(cb, nblk - b0)
-            sel = owned_ids[:, b0:b0 + c]
-            reads = int(np.count_nonzero(sel >= 0))
+        for b0, sel, padded, reads, in_chunk, in_rows, offsets, buffered \
+                in chunks:
+            if pad:
+                sel = padded
+            shape = (n, heads, sel.shape[1], bs, head_dim)
             if not reads:
-                blocks = [np.zeros((n, c, heads, bs, head_dim),
-                                   dtype=np.float32) for _ in kinds]
+                blocks = [np.zeros(shape, dtype=np.float32) for _ in kinds]
             elif self._dequant is not None:
                 blocks, missed, paired = self._dequant.lookup(
                     layer, sel, kind,
@@ -1686,32 +1752,23 @@ class QuantizedPagedKVCache(PagedKVCache):
                 uniq, inverse = np.unique(sel[sel >= 0], return_inverse=True)
                 blocks = []
                 for kd in kinds:
-                    chunk = np.zeros((n, c, heads, bs, head_dim),
-                                     dtype=np.float32)
-                    chunk[sel >= 0] = self._dequant_kind(layer, uniq,
-                                                         kd)[inverse]
+                    chunk = np.zeros(shape, dtype=np.float32)
+                    np.moveaxis(chunk, 1, 2)[sel >= 0] = self._dequant_kind(
+                        layer, uniq, kd)[inverse]
                     blocks.append(chunk)
                 stats.dequant_misses += len(kinds) * reads
                 stats.streamed_bytes += len(kinds) * len(uniq) * operand_bytes
-            in_chunk = np.nonzero((current >= b0) & (current < b0 + c))[0]
-            chunks = []
-            scratch = 0
-            for kd, chunk_blocks in zip(kinds, blocks):
-                if len(in_chunk):
-                    chunk_blocks[in_chunk, current[in_chunk] - b0] = \
-                        bufs[kd][row_idx[in_chunk]]
-                merged = chunk_blocks.transpose(0, 2, 1, 3, 4).reshape(
-                    n, heads, c * bs, head_dim)
-                scratch += chunk_blocks.nbytes + merged.nbytes
-                chunks.append(merged)
             if len(in_chunk):
+                for kd, chunk in zip(kinds, blocks):
+                    chunk[in_chunk, :, offsets] = bufs[kd][in_rows]
                 # Write-buffer reads stream the live buffered tokens
                 # (matching used_bytes' FP32 accounting), not the whole
                 # block's padding.
                 stats.streamed_bytes += len(kinds) * heads * head_dim * 4 \
-                    * int(buffered[in_chunk].sum())
-            self._note_scratch(scratch)
-            yield (b0 * bs, *chunks)
+                    * buffered
+            self._note_scratch(sum(chunk.nbytes for chunk in blocks))
+            yield (b0 * bs, *(chunk.reshape(n, heads, sel.shape[1] * bs,
+                                            head_dim) for chunk in blocks))
 
     # ------------------------------------------------------------------ #
     # bookkeeping

@@ -215,6 +215,34 @@ class SpeculativeDecoder:
             self._cache.free_rows(rows)
             self._cache.trim(int(self._len.max()))
 
+    def _catch_up(self, rows: np.ndarray, slots: list, starts: np.ndarray,
+                  widths: np.ndarray) -> np.ndarray:
+        """One ragged span forward of row ``j``'s tokens ``starts[j] ..
+        starts[j] + widths[j]``; returns the ``(n, vocab)`` logits after
+        each row's last one."""
+        cache = self._cache
+        n, width = len(rows), int(widths.max())
+        toks = np.zeros((n, width), dtype=np.int64)
+        positions = np.zeros((n, width), dtype=np.int64)
+        max_pos = self.draft.config.max_seq_len - 1
+        offsets = np.arange(width)
+        for j in range(n):
+            s, w = int(starts[j]), int(widths[j])
+            full = np.concatenate(
+                [slots[j].request.prompt,
+                 np.asarray(slots[j].generated, dtype=np.int64)])
+            toks[j, :w] = full[s:s + w]
+            positions[j] = np.minimum(s + offsets, max_pos)
+        total = max(int((starts + widths).max()), cache.seq_len)
+        query_pos = starts[:, None] + offsets[None, :]
+        allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
+        out = self.draft(toks, cache=cache, cache_rows=rows,
+                         cache_lens=widths, cache_starts=starts,
+                         positions=positions,
+                         kv_mask=additive_mask(allow)[:, None],
+                         logits_positions=widths - 1)
+        return out.data[:, 0]
+
     def propose(self, rows: np.ndarray, slots: list, lengths: np.ndarray,
                 k_eff: np.ndarray):
         """Draft up to ``k_eff[j]`` proposal tokens for each row.
@@ -252,31 +280,22 @@ class SpeculativeDecoder:
                     (_DRAFT_SEED_SALT, params[j].seed))
             rngs.append(self._rng[row])
 
-        # --- catch-up: one ragged span forward over every token the ---
-        # --- draft has not yet seen (through the pending token at L) ---
+        # --- catch-up: a ragged span forward over every token the draft
+        # --- has not yet seen (through the pending token at L).  A row
+        # --- that just arrived owes its whole prompt while its
+        # --- neighbours owe the <= k + 1 tokens a step leaves behind;
+        # --- the two classes forward separately, or the short rows
+        # --- would be padded to prompt width (rows are independent:
+        # --- same logits either way) ---
         starts = self._len[rows].copy()
         widths = lengths + 1 - starts            # >= 1: _len trails L
-        width = int(widths.max())
-        toks = np.zeros((n, width), dtype=np.int64)
-        positions = np.zeros((n, width), dtype=np.int64)
-        max_pos = config.max_seq_len - 1
-        offsets = np.arange(width)
-        for j in range(n):
-            s, w = int(starts[j]), int(widths[j])
-            full = np.concatenate(
-                [slots[j].request.prompt,
-                 np.asarray(slots[j].generated, dtype=np.int64)])
-            toks[j, :w] = full[s:s + w]
-            positions[j] = np.minimum(s + offsets, max_pos)
-        total = max(int((starts + widths).max()), cache.seq_len)
-        query_pos = starts[:, None] + offsets[None, :]
-        allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
-        kv_mask = additive_mask(allow)[:, None]
-        out = self.draft(toks, cache=cache, cache_rows=rows,
-                         cache_lens=widths, cache_starts=starts,
-                         positions=positions, kv_mask=kv_mask,
-                         logits_positions=widths - 1)
-        logits_now = np.array(out.data[:, 0])     # (n, vocab)
+        logits_now = np.zeros((n, config.vocab_size), dtype=np.float32)
+        arrived = widths > self.config.k + 1
+        for wave in (np.flatnonzero(arrived), np.flatnonzero(~arrived)):
+            if len(wave):
+                logits_now[wave] = self._catch_up(
+                    rows[wave], [slots[j] for j in wave], starts[wave],
+                    widths[wave])
         draft_tokens = int(widths.sum())
 
         # --- autoregressive proposals: sample d_{i+1}, forward it as a

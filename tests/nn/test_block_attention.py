@@ -24,13 +24,15 @@ def build_cache(cls, num_layers=2, batch=3, block_size=4, seq=None,
     k = rng.standard_normal((batch, HEADS, width, HEAD_DIM)).astype(np.float32)
     v = rng.standard_normal((batch, HEADS, width, HEAD_DIM)).astype(np.float32)
     for layer in range(num_layers):
-        cache.write_rows(layer, k, v, np.arange(batch), row_lengths=lens)
+        cache.prefill_rows(layer, k, v, np.arange(batch),
+                           np.zeros(batch, dtype=np.int64), lens)
     return cache, rng
 
 
 def concat_chunks(cache, layer, kind, rows=None):
     total = cache.layer_len(layer)
-    parts = [chunk for _start, chunk in
+    # A chunk lives in the cache's reusable buffers: copy to keep it.
+    parts = [chunk.copy() for _start, chunk in
              cache.context_blocks(layer, rows=rows, kind=kind)]
     return np.concatenate(parts, axis=2)[:, :, :total]
 
@@ -73,7 +75,8 @@ def test_kv_chunks_match_single_kind_passes(cls):
     """kind="kv" yields the same operand chunks as the two single passes."""
     cache, _ = build_cache(cls)
     total = cache.layer_len(0)
-    both = list(cache.context_blocks(0, kind="kv"))
+    both = [(s, k.copy(), v.copy())
+            for s, k, v in cache.context_blocks(0, kind="kv")]
     k_joint = np.concatenate([k for _s, k, _v in both], axis=2)[:, :, :total]
     v_joint = np.concatenate([v for _s, _k, v in both], axis=2)[:, :, :total]
     np.testing.assert_array_equal(k_joint, concat_chunks(cache, 0, "k"))
@@ -231,9 +234,9 @@ def test_prefill_attention_chunk_grid_stable():
             filler = np.random.default_rng(9).standard_normal(
                 (1, HEADS, extra, HEAD_DIM)).astype(np.float32)
             for layer in range(cache.num_layers):
-                cache.write_rows(layer, filler, filler.copy(),
-                                 np.array([2]),
-                                 row_lengths=np.array([extra]))
+                cache.prefill_rows(layer, filler, filler.copy(),
+                                   np.array([2]), np.array([0]),
+                                   np.array([extra]))
         rows = np.array([0, 1])
         starts = np.zeros(2, dtype=np.int64)
         widths = np.array([13, 13], dtype=np.int64)

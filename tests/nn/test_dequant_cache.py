@@ -25,13 +25,15 @@ def make_cache(batch=2, num_layers=2, seq=13, dequant_cache_bytes=None,
     k = rng.standard_normal((batch, HEADS, seq, HEAD_DIM)).astype(np.float32)
     v = rng.standard_normal((batch, HEADS, seq, HEAD_DIM)).astype(np.float32)
     for layer in range(num_layers):
-        cache.write_rows(layer, k, v, np.arange(batch))
+        cache.prefill_rows(layer, k, v, np.arange(batch),
+                           np.zeros(batch, dtype=np.int64),
+                           np.full(batch, seq))
     return cache, rng
 
 
 def read_context(cache, layer=0, kind="k"):
     total = cache.layer_len(layer)
-    parts = [c for _s, c in cache.context_blocks(layer, kind=kind)]
+    parts = [c.copy() for _s, c in cache.context_blocks(layer, kind=kind)]
     return np.concatenate(parts, axis=2)[:, :, :total]
 
 
@@ -71,7 +73,8 @@ def test_free_rows_invalidates_and_recycled_block_rereads_fresh():
     k2 = rng.standard_normal((1, HEADS, seq, HEAD_DIM)).astype(np.float32)
     v2 = rng.standard_normal((1, HEADS, seq, HEAD_DIM)).astype(np.float32)
     for layer in range(cache.num_layers):
-        cache.write_rows(layer, k2, v2, np.array([0]))
+        cache.prefill_rows(layer, k2, v2, np.array([0]), np.array([0]),
+                           np.array([seq]))
     got = read_context(cache)
     np.testing.assert_array_equal(got, cache._context(0)[0])
 
@@ -94,7 +97,8 @@ def test_cow_divergence_never_serves_stale_dequant():
         lambda ids: cache._dequant_pair(0, ids),
         lambda ids: cache._dequant_kind(0, ids, "k"))
     assert misses == 1 and paired == 1                       # ...but served by fresh dequant
-    np.testing.assert_array_equal(vals, dst_vals)
+    # lookup answers in the attended layout: heads ahead of the ids.
+    np.testing.assert_array_equal(vals, dst_vals.transpose(1, 0, 2, 3))
 
 
 def test_payload_rewrite_invalidates_entry():
@@ -186,4 +190,5 @@ def test_lru_evicts_least_recently_used_first():
     assert memo.slot(0, 7) >= 0 and memo.slot(0, 11) >= 0
     vals, misses, _paired = look([7, 11], kind="v")
     assert misses == 0
-    np.testing.assert_array_equal(vals[:, 0, 0, 0], [-7.0, -11.0])
+    assert vals.shape == (1, 2, 2, 2)  # (heads, ids, block, head_dim)
+    np.testing.assert_array_equal(vals[0, :, 0, 0], [-7.0, -11.0])

@@ -23,7 +23,8 @@ LAYERS, BATCH, HEADS, HEAD_DIM = 3, 4, 2, 4
 def read(cache, layer, rows=None):
     """The block-resident read, concatenated: what attention consumes."""
     total = cache.layer_len(layer)
-    chunks = list(cache.context_blocks(layer, rows=rows, kind="kv"))
+    chunks = [(s, k.copy(), v.copy()) for s, k, v in
+              cache.context_blocks(layer, rows=rows, kind="kv")]
     k = np.concatenate([c[1] for c in chunks], axis=2)[:, :, :total]
     v = np.concatenate([c[2] for c in chunks], axis=2)[:, :, :total]
     return k, v

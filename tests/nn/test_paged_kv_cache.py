@@ -17,6 +17,15 @@ def random_kv(rng, batch, heads, seq, head_dim):
             rng.standard_normal((batch, heads, seq, head_dim)).astype(np.float32))
 
 
+def prefill(cache, layer, k, v, rows, lens=None):
+    """Fresh-row prefill: a span write from position zero (``lens`` are
+    the true lengths of right-padded rows; default the full width)."""
+    if lens is None:
+        lens = np.full(len(rows), k.shape[2])
+    cache.prefill_rows(layer, k, v, rows, np.zeros(len(rows), dtype=np.int64),
+                       lens)
+
+
 # ---------------------------------------------------------------------- #
 # FP32 paged cache vs the rectangular reference
 # ---------------------------------------------------------------------- #
@@ -61,7 +70,7 @@ def test_write_token_ragged_positions():
     rng = np.random.default_rng(2)
     cache = PagedKVCache(1, batch=3, block_size=4)
     k0, v0 = random_kv(rng, 3, 2, 6, 8)
-    cache.write_rows(0, k0[:1], v0[:1], np.array([0]))
+    prefill(cache, 0, k0[:1], v0[:1], np.array([0]))
     k1, v1 = random_kv(rng, 3, 2, 1, 8)
     positions = np.array([6, 0, 0])
     cache.write_token(0, k1, v1, positions)
@@ -72,14 +81,14 @@ def test_write_token_ragged_positions():
     np.testing.assert_array_equal(got_k[0, :, :6], k0[0])
 
 
-def test_write_rows_prefills_subset():
+def test_prefill_rows_fills_a_freed_subset():
     rng = np.random.default_rng(3)
     cache = PagedKVCache(1, batch=4, block_size=4)
     k0, v0 = random_kv(rng, 4, 2, 6, 8)
     cache.append(0, k0, v0)
     k1, v1 = random_kv(rng, 2, 2, 3, 8)
     cache.free_rows(np.array([1, 3]))
-    cache.write_rows(0, k1, v1, np.array([1, 3]))
+    prefill(cache, 0, k1, v1, np.array([1, 3]))
     cache.write_token(0, *random_kv(rng, 4, 2, 1, 8),
                       positions=np.array([6, 3, 6, 3]))
     got_k, _ = cache._context(0)
@@ -95,7 +104,7 @@ def test_free_rows_returns_blocks_and_slots_are_reused():
     rng = np.random.default_rng(4)
     cache = PagedKVCache(1, batch=2, block_size=4, initial_blocks=4)
     k, v = random_kv(rng, 1, 2, 10, 8)  # 3 blocks
-    cache.write_rows(0, k, v, np.array([0]))
+    prefill(cache, 0, k, v, np.array([0]))
     assert cache.blocks_in_use() == 3
     pool_before = cache.allocated_bytes()
 
@@ -106,7 +115,7 @@ def test_free_rows_returns_blocks_and_slots_are_reused():
 
     # A new sequence reuses the freed blocks: the pool must not grow.
     k2, v2 = random_kv(rng, 1, 2, 12, 8)  # 3 blocks again
-    cache.write_rows(0, k2, v2, np.array([0]))
+    prefill(cache, 0, k2, v2, np.array([0]))
     assert cache.blocks_in_use() == 3
     assert cache.allocated_bytes() == pool_before
     cache.write_token(0, *random_kv(rng, 2, 2, 1, 8),
@@ -131,9 +140,9 @@ def test_memory_tracks_live_tokens_not_batch_times_max():
     batch, long_len, short_len = 4, 32, 4
     paged = PagedKVCache(1, batch=batch, block_size=4)
     k, v = random_kv(rng, 1, 2, long_len, 8)
-    paged.write_rows(0, k, v, np.array([0]))
+    prefill(paged, 0, k, v, np.array([0]))
     ks, vs = random_kv(rng, batch - 1, 2, short_len, 8)
-    paged.write_rows(0, ks, vs, np.arange(1, batch))
+    prefill(paged, 0, ks, vs, np.arange(1, batch))
     # 8 + 3x1 blocks of 4 tokens vs a 4 x 32 rectangle.
     assert paged.blocks_in_use() == 8 + 3
     rectangle = KVCache.projected_bytes(1, 2, 8, long_len, batch=batch,
@@ -197,7 +206,7 @@ def test_quantized_block_roundtrip_matches_reference():
     bs, heads, head_dim = 16, 2, 8
     cache = QuantizedPagedKVCache(1, batch=1, block_size=bs)
     k, v = random_kv(rng, 1, heads, bs, head_dim)
-    cache.write_rows(0, k, v, np.array([0]))
+    prefill(cache, 0, k, v, np.array([0]))
     # Writing the first token of block 1 flushes (quantizes) block 0.
     k1, v1 = random_kv(rng, 1, heads, 1, head_dim)
     cache.write_token(0, k1, v1, np.array([bs]))
@@ -244,8 +253,8 @@ def test_quantized_used_bytes_at_least_4x_smaller_on_full_blocks():
     quant = QuantizedPagedKVCache(1, batch=1, block_size=bs)
     plain = PagedKVCache(1, batch=1, block_size=bs)
     k, v = random_kv(rng, 1, heads, seq, head_dim)
-    quant.write_rows(0, k, v, np.array([0]))
-    plain.write_rows(0, k, v, np.array([0]))
+    prefill(quant, 0, k, v, np.array([0]))
+    prefill(plain, 0, k, v, np.array([0]))
     assert quant.cached_tokens == plain.cached_tokens == seq
     assert quant.used_bytes() * 4 <= plain.used_bytes()
 
@@ -254,26 +263,26 @@ def test_quantized_free_and_reuse():
     rng = np.random.default_rng(11)
     cache = QuantizedPagedKVCache(1, batch=1, block_size=4)
     k, v = random_kv(rng, 1, 2, 11, 4)  # 2 quantized blocks + 3 buffered
-    cache.write_rows(0, k, v, np.array([0]))
+    prefill(cache, 0, k, v, np.array([0]))
     assert cache.blocks_in_use() == 2
     cache.free_rows(np.array([0]))
     assert cache.blocks_in_use() == 0
     assert cache.used_bytes() == 0
     k2, v2 = random_kv(rng, 1, 2, 5, 4)
-    cache.write_rows(0, k2, v2, np.array([0]))
+    prefill(cache, 0, k2, v2, np.array([0]))
     cache.write_token(0, *random_kv(rng, 1, 2, 1, 4),
                       positions=np.array([5]))
     got_k, _ = cache._context(0)
     np.testing.assert_array_equal(got_k[0, :, 4:5], k2[0, :, 4:5])
 
 
-def test_write_rows_ragged_lengths_account_true_tokens():
+def test_prefill_rows_ragged_lengths_account_true_tokens():
     """Right-padded prefills must not charge short rows for padding."""
     rng = np.random.default_rng(12)
     cache = PagedKVCache(1, batch=2, block_size=4)
     k, v = random_kv(rng, 2, 2, 10, 8)  # padded width 10; true lens 5, 10
-    cache.write_rows(0, k, v, np.array([0, 1]),
-                     row_lengths=np.array([5, 10]))
+    prefill(cache, 0, k, v, np.array([0, 1]),
+                     lens=np.array([5, 10]))
     assert cache.cached_tokens == 15
     assert cache.blocks_in_use() == 2 + 3  # ceil(5/4) + ceil(10/4)
     cache.write_token(0, *random_kv(rng, 2, 2, 1, 8),
@@ -291,8 +300,8 @@ def test_quantized_ragged_prefill_keeps_overlay_aligned():
     rng = np.random.default_rng(13)
     cache = QuantizedPagedKVCache(1, batch=2, block_size=4)
     k, v = random_kv(rng, 2, 2, 10, 8)  # row 0 truly 5 tokens, row 1 ten
-    cache.write_rows(0, k, v, np.array([0, 1]),
-                     row_lengths=np.array([5, 10]))
+    prefill(cache, 0, k, v, np.array([0, 1]),
+                     lens=np.array([5, 10]))
     assert cache.cached_tokens == 15
     # Decode one token per row at each row's true next position.
     k1, v1 = random_kv(rng, 2, 2, 1, 8)

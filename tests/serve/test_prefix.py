@@ -284,7 +284,8 @@ def test_store_match_caps_at_prompt_minus_one():
     logits source)."""
     cache = PagedKVCache(num_layers=1, batch=2, block_size=4)
     k = np.random.default_rng(0).standard_normal((1, 2, 8, 4)).astype(np.float32)
-    cache.write_rows(0, k, k, rows=np.array([0]), row_lengths=np.array([8]))
+    cache.prefill_rows(0, k, k, rows=np.array([0]), starts=np.array([0]),
+                       row_lengths=np.array([8]))
     store = PrefixStore(cache)
     tokens = np.arange(8)
     store.capture(0, tokens)
@@ -310,7 +311,8 @@ def test_quantized_partial_prompt_block_stays_fp32_exact():
     k = rng.standard_normal((2, 2, 21, 4)).astype(np.float32)
     v = rng.standard_normal((2, 2, 21, 4)).astype(np.float32)
     lens = np.array([21, 11])  # partial fills of 5 and 3
-    cache.write_rows(0, k, v, rows=np.array([0, 1]), row_lengths=lens)
+    cache.prefill_rows(0, k, v, rows=np.array([0, 1]),
+                       starts=np.array([0, 0]), row_lengths=lens)
     kc, _ = cache._context(0)
     np.testing.assert_array_equal(kc[0, :, 16:21], k[0, :, 16:21])
     np.testing.assert_array_equal(kc[1, :, 8:11], k[1, :, 8:11])

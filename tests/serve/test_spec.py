@@ -47,6 +47,42 @@ def run_engine(model, prompts, budget, params=None, **kwargs):
     return engine, [done[i].tokens for i in ids]
 
 
+def test_arriving_row_catches_up_in_its_own_draft_forward(model, draft):
+    """A request admitted mid-flight owes the draft its whole prompt
+    while its neighbours owe the few tokens a step leaves behind: the
+    prompt-wide catch-up must not pad those neighbours to its width
+    (same tokens either way — rows are independent — but the padded
+    wave costs every row a prompt-width forward per arrival)."""
+    k = 3
+    rng = np.random.default_rng(11)
+    spec = SpeculativeConfig(draft_model=draft, k=k)
+    engine = GenerationEngine(model, max_batch_size=2, speculative=spec)
+    engine.submit(rng.integers(0, VOCAB, size=40), 12)
+    spans = []
+    real = draft.forward
+
+    def recording(tokens, *args, cache_rows=None, cache_lens=None, **kwargs):
+        if cache_rows is not None:
+            spans.append((tokens.shape, np.asarray(cache_lens).tolist()))
+        return real(tokens, *args, cache_rows=cache_rows,
+                    cache_lens=cache_lens, **kwargs)
+
+    draft.forward = recording
+    try:
+        for _ in range(3):
+            engine.step()
+        engine.submit(rng.integers(0, VOCAB, size=33), 12)   # arrives late
+        while engine.has_work():
+            engine.step()
+    finally:
+        del draft.forward
+    arrivals = [(shape, lens) for shape, lens in spans if max(lens) > k + 1]
+    assert [lens for _shape, lens in arrivals] == [[41], [34]]
+    for shape, lens in spans:
+        assert shape[1] == max(lens)
+        assert max(lens) <= k + 1 or min(lens) > k + 1       # never mixed
+
+
 # ---------------------------------------------------------------------- #
 # greedy parity: the draft must never change which tokens are emitted
 # ---------------------------------------------------------------------- #
