@@ -14,10 +14,13 @@ land mid-decode:
   through the dequant memo, so its prefill-read hit rate is nonzero.
 """
 
+import time
+
+import numpy as np
 import pytest
 
 from repro.eval.tables import format_table
-from repro.serve import mixed_latency_sweep
+from repro.serve import GenerationEngine, bench_prompts
 
 BATCH = 16
 # Four long arrivals over 16-token decode streams keep the one-shot
@@ -35,51 +38,95 @@ MAX_NEW_TOKENS = 16
 # twice as fast (both disciplines' absolute p95 improved).
 CHUNK = 64
 
-
 #: Wall-clock assertions on shared CI runners are noisy; a losing
 #: measurement is re-taken up to this many times before failing.
 MAX_ATTEMPTS = 3
 
+MODES = ("paged", "fineq")
+#: A long prompt arrives this many steps after the previous one.
+INJECT_EVERY = 2
+
+
+def mixed_traffic(model, shorts, longs, mode, chunk):
+    """Serve short decoders with long prompts landing mid-stream.
+
+    The shorts submit up front and start decoding; each long prompt
+    arrives ``INJECT_EVERY`` steps after the previous one, so under
+    one-shot prefill every short waits out a whole prompt forward.  A
+    step's events share its wall-clock arrival: an inter-token gap is
+    the step time a request waited.  Returns ``(engine.stats, p95 gap
+    seconds, every request's tokens in submission order)``.
+    """
+    engine = GenerationEngine(model, max_batch_size=BATCH, kv_cache=mode,
+                              prefill_chunk_tokens=chunk)
+    ids = [engine.submit(prompt, MAX_NEW_TOKENS) for prompt in shorts]
+    pending = list(longs)
+    last_seen, gaps, step = {}, [], 0
+    while engine.has_work() or pending:
+        if pending and step >= INJECT_EVERY * (len(longs) - len(pending) + 1):
+            ids.append(engine.submit(pending.pop(0), MAX_NEW_TOKENS))
+        events = engine.step()
+        now = time.perf_counter()
+        step += 1
+        for event in events:
+            if event.request_id in last_seen:
+                gaps.append(now - last_seen[event.request_id])
+            last_seen[event.request_id] = now
+    done = {c.request_id: tuple(int(t) for t in c.tokens)
+            for c in engine.take_completions()}
+    return (engine.stats, float(np.percentile(gaps, 95)),
+            [done[rid] for rid in ids])
+
 
 def measure(zoo):
-    return mixed_latency_sweep(zoo.model, batch_size=BATCH,
-                               num_long=NUM_LONG,
-                               long_prompt_len=LONG_PROMPT_LEN,
-                               max_new_tokens=MAX_NEW_TOKENS,
-                               prefill_chunk_tokens=CHUNK)
+    """``{(mode, chunk): (stats, p95, tokens)}``; ``None`` = one-shot."""
+    model = zoo.model
+    vocab = model.config.vocab_size
+    rng = np.random.default_rng(0)
+    shorts = bench_prompts(vocab, num=BATCH - NUM_LONG, max_prompt_len=12,
+                           min_prompt_len=4, seed=0)
+    longs = [rng.integers(0, vocab, size=LONG_PROMPT_LEN)
+             for _ in range(NUM_LONG)]
+    return {(mode, chunk): mixed_traffic(model, shorts, longs, mode, chunk)
+            for mode in MODES for chunk in (None, CHUNK)}
+
+
+def p95_ratio(runs, mode):
+    """One-shot p95 inter-token gap over chunked p95 (> 1: chunking won)."""
+    return runs[mode, None][1] / runs[mode, CHUNK][1]
 
 
 @pytest.fixture(scope="module")
-def latency_report(zoo_7b):
+def latency_runs(zoo_7b):
     return measure(zoo_7b)
 
 
-def test_report_latency_table(latency_report):
+def test_report_latency_table(latency_runs):
     print("\n" + format_table(
-        ["mode", "prefill", "inter-token ms", "p95 ms", "max ms",
-         "p95 better", "chunks", "dequant hit"], latency_report.rows(),
+        ["mode", "prefill", "p95 inter-token ms", "chunks", "dequant hit"],
+        [[mode, "one-shot" if chunk is None else f"chunk={chunk}",
+          f"{1e3 * p95:,.2f}", stats.prefill_chunks,
+          f"{stats.prefill_dequant_hit_rate:.2f}"]
+         for (mode, chunk), (stats, p95, _) in latency_runs.items()],
         title=f"mixed traffic (llama-sim-7b, batch {BATCH}, "
               f"{NUM_LONG}x{LONG_PROMPT_LEN}-token long prompts)"))
-    for point in latency_report.points:
-        assert point.num_events > 0
-        assert point.p95_inter_token_s > 0.0
+    for stats, p95, _tokens in latency_runs.values():
+        assert stats.decode_tokens > 0 and p95 > 0.0
 
 
-@pytest.mark.parametrize("mode", ["paged", "fineq"])
-def test_chunked_p95_at_least_2x_better_than_oneshot(zoo_7b, latency_report,
+@pytest.mark.parametrize("mode", MODES)
+def test_chunked_p95_at_least_2x_better_than_oneshot(zoo_7b, latency_runs,
                                                      mode):
-    report, best = latency_report, 0.0
+    runs, best = latency_runs, 0.0
     for attempt in range(MAX_ATTEMPTS):
-        best = max(best, report.p95_ratio(mode))
+        best = max(best, p95_ratio(runs, mode))
         if best >= 2.0:
             break
-        report = measure(zoo_7b)  # timing noise: measure again
-    oneshot = report.point(mode, None)
-    chunked = report.point(mode, CHUNK)
-    print(f"\n{mode}: p95 inter-token "
-          f"{1e3 * oneshot.p95_inter_token_s:.2f}ms -> "
-          f"{1e3 * chunked.p95_inter_token_s:.2f}ms "
-          f"(best {best:.1f}x better)")
+        runs = measure(zoo_7b)  # timing noise: measure again
+    oneshot, oneshot_p95, _ = runs[mode, None]
+    chunked, chunked_p95, _ = runs[mode, CHUNK]
+    print(f"\n{mode}: p95 inter-token {1e3 * oneshot_p95:.2f}ms -> "
+          f"{1e3 * chunked_p95:.2f}ms (best {best:.1f}x better)")
     assert best >= 2.0, (
         f"{mode} chunked p95 only {best:.1f}x better after "
         f"{MAX_ATTEMPTS} attempts")
@@ -88,14 +135,15 @@ def test_chunked_p95_at_least_2x_better_than_oneshot(zoo_7b, latency_report,
     assert chunked.prefill_tokens_deferred > 0
 
 
-def test_chunked_tokens_identical_to_oneshot(latency_report):
+def test_chunked_tokens_identical_to_oneshot(latency_runs):
     """Every request finished with exactly the same tokens under both
     prefill disciplines, across both cache backends."""
-    assert latency_report.tokens_identical
+    for mode in MODES:
+        assert latency_runs[mode, None][2] == latency_runs[mode, CHUNK][2]
 
 
-def test_fineq_chunked_prefill_hits_dequant_cache(latency_report):
-    chunked = latency_report.point("fineq", CHUNK)
+def test_fineq_chunked_prefill_hits_dequant_cache(latency_runs):
+    chunked = latency_runs["fineq", CHUNK][0]
     print(f"\nfineq chunked prefill dequant hit rate "
           f"{chunked.prefill_dequant_hit_rate:.2f}")
     assert chunked.prefill_dequant_hit_rate > 0.0

@@ -20,7 +20,7 @@ import pytest
 from repro.eval.perplexity import cached_perplexity, eval_stream, perplexity
 from repro.eval.tables import format_table
 from repro.nn import KVCache, PagedKVCache, QuantizedPagedKVCache
-from repro.serve import GenerationEngine, bench_prompts, memory_sweep
+from repro.serve import GenerationEngine, bench_prompts
 
 #: Long generations so most tokens live in completed (quantizable) blocks.
 MAX_NEW_TOKENS = 112
@@ -28,32 +28,40 @@ SEQ_LEN = 64
 
 
 @pytest.fixture(scope="module")
-def mem_report(zoo_7b):
-    """paged/fineq at batch 16 plus paged batch {32, 64} points (the
-    quantized sweep at large batches runs in the CLI, not tier-1)."""
+def mem_stats(zoo_7b):
+    """``{(mode, batch): EngineStats}``, each from one full wave of
+    ``batch`` prompts long enough that most tokens live in completed,
+    quantizable blocks — the regime the 2.33-bit memory story targets."""
     model = zoo_7b.model
-    small = memory_sweep(model, max_new_tokens=MAX_NEW_TOKENS,
-                         batch_sizes=(16,), modes=("paged", "fineq"))
-    big = memory_sweep(model, max_new_tokens=MAX_NEW_TOKENS,
-                       batch_sizes=(32, 64), modes=("paged",))
-    points = small.points + big.points
-    return small.__class__(model=small.model, block_size=small.block_size,
-                           points=points)
+    stats = {}
+    for mode, batch in (("paged", 16), ("fineq", 16),
+                        ("paged", 32), ("paged", 64)):
+        prompts = bench_prompts(model.config.vocab_size, num=batch,
+                                max_prompt_len=16, min_prompt_len=8, seed=0)
+        engine = GenerationEngine(model, max_batch_size=batch, kv_cache=mode)
+        for prompt in prompts:
+            engine.submit(prompt, MAX_NEW_TOKENS)
+        engine.run()
+        stats[mode, batch] = engine.stats
+    return stats
 
 
-def test_report_memory_table(mem_report):
+def test_report_memory_table(mem_stats):
     print("\n" + format_table(
-        ["mode", "batch", "decode tok/s", "bytes/token", "allocated",
-         "dense fp32"], mem_report.rows(),
+        ["mode", "batch", "decode tok/s", "bytes/token", "allocated"],
+        [[mode, batch, f"{s.decode_tokens_per_s:,.0f}",
+          f"{s.bytes_per_cached_token:,.1f}",
+          f"{s.kv_peak_allocated_bytes:,}"]
+         for (mode, batch), s in mem_stats.items()],
         title="KV cache memory (llama-sim-7b)"))
-    for point in mem_report.points:
-        assert point.peak_cached_tokens > 0
-        assert point.decode_tokens == point.num_sequences * (MAX_NEW_TOKENS - 1)
+    for (_mode, batch), stats in mem_stats.items():
+        assert stats.kv_peak_tokens > 0
+        assert stats.decode_tokens == batch * (MAX_NEW_TOKENS - 1)
 
 
-def test_quantized_cache_at_most_quarter_fp32_bytes_per_token(mem_report):
-    fp32 = mem_report.point("paged", 16)
-    quant = mem_report.point("fineq", 16)
+def test_quantized_cache_at_most_quarter_fp32_bytes_per_token(mem_stats):
+    fp32 = mem_stats["paged", 16]
+    quant = mem_stats["fineq", 16]
     ratio = fp32.bytes_per_cached_token / quant.bytes_per_cached_token
     print(f"\nbytes/cached-token: fp32={fp32.bytes_per_cached_token:.1f} "
           f"fineq={quant.bytes_per_cached_token:.1f} ({ratio:.1f}x)")
@@ -84,11 +92,10 @@ def test_paged_allocation_tracks_live_tokens(zoo_7b):
     assert paged < dense
 
 
-def test_batch64_decode_throughput_recorded(mem_report):
-    point = mem_report.point("paged", 64)
-    assert point.batch_size == 64
-    assert point.decode_tokens_per_s > 0
-    assert point.peak_cached_tokens > 48 * MAX_NEW_TOKENS  # batch stayed full
+def test_batch64_decode_throughput_recorded(mem_stats):
+    stats = mem_stats["paged", 64]
+    assert stats.decode_tokens_per_s > 0
+    assert stats.kv_peak_tokens > 48 * MAX_NEW_TOKENS  # batch stayed full
 
 
 def test_quantized_kv_perplexity_within_5_percent(zoo_7b):

@@ -16,36 +16,64 @@ import numpy as np
 import pytest
 
 from repro.eval.tables import format_table
-from repro.serve import (GenerationEngine, SamplingParams, prefix_prompts,
-                         prefix_sweep)
+from repro.hw.workloads import project_decode_trace
+from repro.serve import GenerationEngine, SamplingParams, prefix_prompts
 
 PREFIX_LEN = 64
 BATCH = 16
 MAX_NEW_TOKENS = 16
+MODES = ("paged", "fineq")
 
 
 @pytest.fixture(scope="module")
-def prefix_report(zoo_7b):
-    return prefix_sweep(zoo_7b.model, prefix_len=PREFIX_LEN,
-                        batch_size=BATCH, share_ratio=1.0,
-                        max_new_tokens=MAX_NEW_TOKENS, project=True)
+def prefix_engines(zoo_7b):
+    """``{(mode, sharing): drained engine}``: one full wave of the
+    shared-prefix workload per cache mode, prefix store off then on."""
+    model = zoo_7b.model
+    prompts = prefix_prompts(model.config.vocab_size, num=BATCH,
+                             prefix_len=PREFIX_LEN, share_ratio=1.0, seed=0)
+    engines = {}
+    for mode in MODES:
+        for sharing in (False, True):
+            engine = GenerationEngine(
+                model, max_batch_size=BATCH, kv_cache=mode,
+                prefix_sharing=sharing,
+                scheduler="prefix-affinity" if sharing else "fifo",
+                record_trace=True)
+            for prompt in prompts:
+                engine.submit(prompt, MAX_NEW_TOKENS)
+            engine.run()
+            engines[mode, sharing] = engine
+    return engines
 
 
-def test_report_prefix_table(prefix_report):
+def projected(engine, design):
+    return project_decode_trace(engine.model.config, engine.trace,
+                                design=design)
+
+
+def test_report_prefix_table(prefix_engines):
     print("\n" + format_table(
         ["mode", "sharing", "prefill tok", "avoided", "bytes/token",
-         "decode tok/s", "accel tok/s"], prefix_report.rows(),
+         "decode tok/s", "accel tok/s"],
+        [[mode, "on" if sharing else "off",
+          f"{engine.stats.prefill_tokens:,}",
+          f"{engine.stats.shared_prompt_tokens:,}",
+          f"{engine.stats.physical_bytes_per_cached_token:,.1f}",
+          f"{engine.stats.decode_tokens_per_s:,.0f}",
+          f"{projected(engine, 'fineq').tokens_per_s:,.0f}"]
+         for (mode, sharing), engine in prefix_engines.items()],
         title=f"prefix sharing (llama-sim-7b, {PREFIX_LEN}-token prefix, "
               f"batch {BATCH})"))
-    for point in prefix_report.points:
-        assert point.decode_tokens == BATCH * (MAX_NEW_TOKENS - 1)
-        assert point.prompt_tokens > 0
+    for engine in prefix_engines.values():
+        assert engine.stats.decode_tokens == BATCH * (MAX_NEW_TOKENS - 1)
+        assert engine.stats.prompt_tokens > 0
 
 
-@pytest.mark.parametrize("mode", ["paged", "fineq"])
-def test_prefill_forwards_at_least_4x_fewer_tokens(prefix_report, mode):
-    off = prefix_report.point(mode, sharing=False)
-    on = prefix_report.point(mode, sharing=True)
+@pytest.mark.parametrize("mode", MODES)
+def test_prefill_forwards_at_least_4x_fewer_tokens(prefix_engines, mode):
+    off = prefix_engines[mode, False].stats
+    on = prefix_engines[mode, True].stats
     assert off.prefill_tokens == off.prompt_tokens  # baseline: no skipping
     ratio = off.prefill_tokens / on.prefill_tokens
     print(f"\n{mode}: prefill tokens {off.prefill_tokens} -> "
@@ -55,15 +83,15 @@ def test_prefill_forwards_at_least_4x_fewer_tokens(prefix_report, mode):
     assert on.shared_prompt_tokens == on.prompt_tokens - on.prefill_tokens
 
 
-def test_resident_bytes_per_cached_token_drop(prefix_report):
+def test_resident_bytes_per_cached_token_drop(prefix_engines):
     # The 64 of ~72 prompt tokens are stored once instead of 16x.  FP32
     # blocks dominate the paged footprint, so it at least halves; the
     # quantized cache's shared blocks are already ~7x smaller while every
     # reader keeps a private FP32 write buffer (the exactness horizon),
     # which bounds its sharing gain lower.
     for mode, floor in (("paged", 2.0), ("fineq", 1.5)):
-        off = prefix_report.point(mode, sharing=False)
-        on = prefix_report.point(mode, sharing=True)
+        off = prefix_engines[mode, False].stats
+        on = prefix_engines[mode, True].stats
         ratio = (off.physical_bytes_per_cached_token
                  / on.physical_bytes_per_cached_token)
         print(f"\n{mode}: resident bytes/cached-token "
@@ -72,27 +100,27 @@ def test_resident_bytes_per_cached_token_drop(prefix_report):
         assert ratio >= floor
 
 
-def test_dequant_cache_hit_rate_above_90_percent(prefix_report):
+def test_dequant_cache_hit_rate_above_90_percent(prefix_engines):
     """With a 64-token shared prefix at batch 16, the fineq decode path
     serves >90% of its quantized-block reads from the dequant memo — a
     shared system-prompt block dequantizes once per step across all
     readers, and once ever while it stays resident."""
     for sharing in (False, True):
-        point = prefix_report.point("fineq", sharing=sharing)
+        stats = prefix_engines["fineq", sharing].stats
         print(f"\nfineq sharing={sharing}: dequant cache hit rate "
-              f"{point.dequant_cache_hit_rate:.3f}")
-    assert prefix_report.point("fineq", True).dequant_cache_hit_rate > 0.9
+              f"{stats.dequant_cache_hit_rate:.3f}")
+    assert prefix_engines["fineq", True].stats.dequant_cache_hit_rate > 0.9
 
 
-def test_accelerator_projection_attached(prefix_report):
-    """The hw cycle model is wired to the engine trace: every point
-    carries projected decode throughput for both designs."""
-    for point in prefix_report.points:
-        assert point.projected is not None
-        for design in ("baseline", "fineq"):
-            assert point.projected[design]["tokens_per_s"] > 0
-        assert (point.projected["fineq"]["kv_dma_cycles"]
-                <= point.projected["baseline"]["kv_dma_cycles"])
+def test_accelerator_projection_attached(prefix_engines):
+    """The hw cycle model is wired to the engine trace: every run
+    projects decode throughput for both designs."""
+    for engine in prefix_engines.values():
+        assert engine.trace
+        baseline = projected(engine, "baseline")
+        fineq = projected(engine, "fineq")
+        assert baseline.tokens_per_s > 0 and fineq.tokens_per_s > 0
+        assert fineq.kv_dma_cycles <= baseline.kv_dma_cycles
 
 
 def test_sharing_greedy_parity_with_preemption_on_7b(zoo_7b):

@@ -30,7 +30,8 @@ lowest-priority rows under memory pressure, re-queuing them to restore
 from the surviving shared prefix.  The same engine can record a
 per-step trace (``record_trace=True``) that
 ``repro.hw.workloads.project_decode_trace`` replays through the paper's
-six-stage accelerator model — see ``python -m repro.serve --prefix``.
+six-stage accelerator model — ``benchmarks/test_serve_prefix.py`` asserts
+the sharing numbers and the projection.
 """
 
 import numpy as np

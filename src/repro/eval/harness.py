@@ -13,7 +13,6 @@ from repro.quant.base import ModelQuantReport
 from repro.quant.calibration import (calibration_batches, collect_layer_inputs,
                                      sequential_quantize)
 from repro.quant.registry import get_quantizer
-from repro.serve.bench import bench_prompts, serve_session
 
 
 @dataclass
@@ -38,19 +37,13 @@ def quantized_perplexity(model: TransformerLM, tokenizer: WordTokenizer,
                          seq_len: int,
                          method_kwargs: dict | None = None,
                          calibration: np.ndarray | None = None,
-                         max_tokens: int | None = 20_000,
-                         measure_throughput: bool = False
+                         max_tokens: int | None = 20_000
                          ) -> tuple[MethodResult, ModelQuantReport | None]:
     """Quantize a clone of ``model`` with ``method`` and measure perplexity.
 
     ``method="fp16"`` is the unquantized reference.  Calibration-based
     methods follow the faithful sequential protocol: each block is
     calibrated on activations from the already-quantized prefix.
-
-    With ``measure_throughput`` the quantized model is also served through
-    the engine's session API: decode/prefill tokens-per-second plus the
-    streamed mean/p95 inter-token latency land in ``result.detail`` —
-    accuracy and serving speed from one sweep.
     """
     work = clone_model(model)
     report = None
@@ -69,15 +62,6 @@ def quantized_perplexity(model: TransformerLM, tokenizer: WordTokenizer,
     for dataset in datasets:
         result.perplexity[dataset] = dataset_perplexity(
             work, tokenizer, dataset, seq_len, max_tokens=max_tokens)
-    if measure_throughput:
-        engine, latency = serve_session(
-            work, bench_prompts(work.config.vocab_size, num=8),
-            max_new_tokens=16, batch_size=8)
-        stats = engine.stats
-        result.detail["decode_tokens_per_s"] = stats.decode_tokens_per_s
-        result.detail["prefill_tokens_per_s"] = stats.prefill_tokens_per_s
-        result.detail["inter_token_mean_s"] = latency.mean_inter_token_s
-        result.detail["inter_token_p95_s"] = latency.p95_inter_token_s
     return result, report
 
 

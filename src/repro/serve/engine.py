@@ -119,22 +119,6 @@ KV_CACHE_MODES = ("paged", "fineq")
 FINISH_REASONS = ("length", "eos", "stop", "max_seq_len", "cancelled")
 
 
-def dataclass_to_dict(obj) -> dict:
-    """Serialize a dataclass including its computed ``@property`` values.
-
-    The one shape every exported stats/benchmark payload uses: stored
-    fields via :func:`dataclasses.asdict` plus each property evaluated on
-    the instance, so derived numbers (rates, per-token ratios) land in
-    JSON next to the counters they come from instead of being re-derived
-    by every consumer.
-    """
-    out = asdict(obj)
-    for name in dir(type(obj)):
-        if isinstance(getattr(type(obj), name), property):
-            out[name] = getattr(obj, name)
-    return out
-
-
 @dataclass(frozen=True)
 class SamplingParams:
     """Frozen per-request generation knobs.
@@ -382,10 +366,15 @@ class EngineStats:
     def to_dict(self) -> dict:
         """Counters plus derived rates, JSON-ready.
 
-        The single serialization the gateway's ``/metrics`` endpoint and
-        the benchmark JSON exports share (see :func:`dataclass_to_dict`).
+        Stored fields plus every ``@property`` evaluated on the instance,
+        so a rate lands next to the counters it comes from.  This is the
+        ``engine`` section of the gateway's ``/metrics`` payload.
         """
-        return dataclass_to_dict(self)
+        out = asdict(self)
+        for name in dir(type(self)):
+            if isinstance(getattr(type(self), name), property):
+                out[name] = getattr(self, name)
+        return out
 
 
 class StepTrace(NamedTuple):

@@ -9,8 +9,6 @@ generate/status/cancel/metrics over HTTP with server-sent-event
 streaming.
 """
 
-from repro.serve.gateway.bench import (GatewayPoint, GatewayReport,
-                                       gateway_sweep)
 from repro.serve.gateway.gateway import (QueueFullError, ServingGateway,
                                          TokenUpdate)
 from repro.serve.gateway.http import GatewayHTTPServer, serve_forever
@@ -21,13 +19,10 @@ __all__ = [
     "JOB_STATUSES",
     "TERMINAL_STATUSES",
     "GatewayHTTPServer",
-    "GatewayPoint",
-    "GatewayReport",
     "QueueFullError",
     "QueuedJob",
     "RequestQueue",
     "ServingGateway",
     "TokenUpdate",
-    "gateway_sweep",
     "serve_forever",
 ]

@@ -36,12 +36,18 @@ from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.serve.engine import GenerationEngine, SamplingParams
 from repro.serve.gateway.queue import RequestQueue
+
+#: First-token latencies kept for the ``/metrics`` percentiles: the most
+#: recent requests only, so neither the gateway's memory nor the cost of
+#: a scrape grows with uptime.
+FIRST_TOKEN_WINDOW = 4096
 
 
 class QueueFullError(RuntimeError):
@@ -115,7 +121,8 @@ class ServingGateway:
         self._replay_len: dict[int, int] = {}  # journal len at dispatch
         self._subs: dict[int, list[asyncio.Queue]] = {}
         self._arrived: dict[int, float] = {}
-        self._first_token_s: list[float] = []
+        self._first_token_s: deque[float] = deque(maxlen=FIRST_TOKEN_WINDOW)
+        self._first_token_count = 0
         self._task: asyncio.Task | None = None
         self._running = False
         self._loop_error: BaseException | None = None
@@ -308,6 +315,7 @@ class ServingGateway:
                 if arrived is not None:
                     self._first_token_s.append(
                         time.perf_counter() - arrived)
+                    self._first_token_count += 1
             if idx >= self._replay_len[job_id]:
                 to_append.setdefault(job_id, []).append(
                     (idx, int(event.token)))
@@ -395,10 +403,11 @@ class ServingGateway:
     def metrics(self) -> dict:
         """The ``/metrics`` payload: engine stats + gateway gauges.
 
-        ``engine`` is ``EngineStats.to_dict()`` verbatim — the same
-        serialization the benchmark JSON exports use — so prefix/dequant
+        ``engine`` is ``EngineStats.to_dict()`` verbatim, so prefix/dequant
         hit rates, spec acceptance, preemptions, and the memory
-        high-water marks are all one scrape away.
+        high-water marks are all one scrape away.  ``latency`` counts
+        every first token served; its mean and percentiles cover the
+        last ``FIRST_TOKEN_WINDOW`` of them.
         """
         counts = self.queue.counts()
         latencies = np.asarray(self._first_token_s, dtype=np.float64)
@@ -414,7 +423,7 @@ class ServingGateway:
                 **{f"jobs_{status}": n for status, n in counts.items()},
             },
             "latency": {
-                "first_token_count": int(latencies.size),
+                "first_token_count": self._first_token_count,
                 "first_token_mean_s":
                     float(latencies.mean()) if latencies.size else 0.0,
                 "first_token_p50_s":

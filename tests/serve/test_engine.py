@@ -5,9 +5,7 @@ import pytest
 
 from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
-from repro.serve import (GenerationEngine, bench_prompts, engine_throughput,
-                         latency_sweep, sequential_throughput, stream_latency,
-                         throughput_sweep)
+from repro.serve import GenerationEngine
 
 
 @pytest.fixture(scope="module")
@@ -243,31 +241,3 @@ def test_parity_at_max_seq_len_boundary(kv_cache):
     engine.submit(prompt, budget)
     completion = engine.run()[0]
     np.testing.assert_array_equal(completion.tokens, want)
-
-
-def test_throughput_helpers_run(model):
-    prompts = bench_prompts(model.config.vocab_size, num=4, seed=2)
-    report = throughput_sweep(model, prompts, max_new_tokens=4,
-                              batch_sizes=(1, 2))
-    assert report.baseline.decode_tokens_per_s > 0
-    assert len(report.points) == 2
-    assert len(report.rows()) == 3
-    point = engine_throughput(model, prompts, 4, batch_size=2)
-    assert point.decode_tokens == 3 * len(prompts)
-    base = sequential_throughput(model, prompts, 4)
-    assert base.prefill_tokens == sum(len(p) for p in prompts)
-
-
-def test_stream_latency_helpers_run(model):
-    prompts = bench_prompts(model.config.vocab_size, num=4, seed=2)
-    point = stream_latency(model, prompts, max_new_tokens=6, batch_size=4)
-    # One event per generated token: nothing is dropped or duplicated.
-    assert point.num_events == 4 * 6
-    assert point.mean_inter_token_s > 0
-    assert point.p95_inter_token_s >= point.mean_inter_token_s * 0.5
-    assert point.mean_first_token_s > 0
-    report = latency_sweep(model, max_new_tokens=4, batch_sizes=(1, 2))
-    assert len(report.points) == 2
-    assert len(report.rows()) == 2
-    payload = report.to_dict()
-    assert payload["points"][0]["p95_inter_token_s"] >= 0

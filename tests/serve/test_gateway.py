@@ -474,3 +474,16 @@ def test_metrics_shape(model):
     assert metrics["latency"]["first_token_p99_s"] >= \
         metrics["latency"]["first_token_p50_s"] >= 0.0
     json.dumps(metrics)  # scrape-able as-is
+
+
+def test_first_token_latencies_are_a_bounded_window(model, monkeypatch):
+    """Percentiles read a fixed window; the count is still the total."""
+    monkeypatch.setattr("repro.serve.gateway.gateway.FIRST_TOKEN_WINDOW", 3)
+    gateway = make_gateway(model)
+    for seed in range(8):
+        gateway.submit(np.array([1, 2, seed]), max_new_tokens=2)
+    pump_until_done(gateway)
+    latency = gateway.metrics()["latency"]
+    assert len(gateway._first_token_s) == gateway._first_token_s.maxlen == 3
+    assert latency["first_token_count"] == 8
+    assert latency["first_token_p99_s"] >= latency["first_token_p50_s"] > 0
