@@ -57,8 +57,11 @@ def mixed_traffic(model, shorts, longs, mode, chunk):
     the step time a request waited.  Returns ``(engine.stats, p95 gap
     seconds, every request's tokens in submission order)``.
     """
-    engine = GenerationEngine(model, max_batch_size=BATCH, kv_cache=mode,
-                              prefill_chunk_tokens=chunk)
+    # One-shot (``chunk=None``) is a budget no admission round can
+    # exhaust: every granted span is the whole remaining prompt.
+    engine = GenerationEngine(
+        model, max_batch_size=BATCH, kv_cache=mode,
+        prefill_chunk_tokens=chunk or BATCH * model.config.max_seq_len)
     ids = [engine.submit(prompt, MAX_NEW_TOKENS) for prompt in shorts]
     pending = list(longs)
     last_seen, gaps, step = {}, [], 0

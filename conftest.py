@@ -2,8 +2,22 @@
 ``perfbench/`` and ``tests/`` into one process."""
 
 import gc
+import os
 
 import pytest
+from hypothesis import settings
+
+# Hypothesis profiles.  Every ``@given`` test sets its own example count;
+# the profile's budget is what the engine state machine
+# (tests/serve/test_engine_state_machine.py) runs under: ``default``
+# keeps it well inside 20 s for both backends, ``soak``
+# (``--hypothesis-profile=soak``) is the long run.
+settings.register_profile("default", max_examples=60, stateful_step_count=40,
+                          deadline=None,
+                          derandomize=bool(os.environ.get("CI")))
+settings.register_profile("soak", max_examples=2000, stateful_step_count=100,
+                          deadline=None)
+settings.load_profile("default")
 
 #: Directories whose tests assert on milliseconds.
 TIMED = ("benchmarks/", "perfbench/")

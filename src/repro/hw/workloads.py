@@ -19,7 +19,7 @@ projecting measured serving tokens/sec onto the paper's accelerator.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.nn.model import ModelConfig
 
@@ -139,29 +139,29 @@ def decode_step_cycles(config: ModelConfig, batch: int, design: str,
 
 
 def project_decode_trace(config: ModelConfig,
-                         trace: Iterable[Sequence[int]],
+                         trace: Iterable,
                          design: str = "fineq",
                          pipeline=None,
                          draft_config: ModelConfig | None = None
                          ) -> DecodeProjection:
     """Project a serving-engine decode trace onto the accelerator.
 
-    ``trace`` is an iterable of per-step ``(rows, tokens, kv_bytes[,
-    kv_bytes_streamed[, prefill_tokens[, spec_proposed, spec_accepted,
-    spec_draft_tokens, spec_verify_tokens]]])`` records (the engine's
-    ``StepTrace`` tuples).  A step's linear layers run with ``N =
+    ``trace`` is an iterable of the engine's per-step ``StepTrace``
+    records, read by field name (``rows``, ``tokens``, ``kv_bytes``,
+    ``kv_bytes_streamed``, ``spec_proposed``, ``spec_draft_tokens``,
+    ``spec_verify_tokens``).  A step's linear layers run with ``N =
     tokens`` — the batch width on decode steps, the granted chunk
     tokens on prefill-chunk steps — so every forward is charged at its
     real GEMM width; on speculative steps the target forward is
     charged at ``spec_verify_tokens`` (the verify positions actually
     forwarded) while ``tokens`` counts what the step emitted, so
-    ``tokens_per_s`` stays tokens a consumer saw.  When a step carries
-    the fourth field (non-negative), that is the *post-dequant-cache*
-    byte count the block-resident read actually fetched from cache
-    storage — the DMA lane is charged with it instead of the logical
-    gather bytes, so the projection credits reuse of memoised
-    dequantized blocks.  Steps with equal token width share one cycle
-    simulation, so long traces stay cheap.
+    ``tokens_per_s`` stays tokens a consumer saw.  A non-negative
+    ``kv_bytes_streamed`` is the *post-dequant-cache* byte count the
+    block-resident read actually fetched from cache storage — the DMA
+    lane is charged with it instead of the logical gather bytes, so the
+    projection credits reuse of memoised dequantized blocks.  Steps
+    with equal token width share one cycle simulation, so long traces
+    stay cheap.
 
     ``draft_config`` prices the draft model of a speculative trace on
     the same pipeline: the ``spec_proposed`` tokens are the
@@ -184,35 +184,26 @@ def project_decode_trace(config: ModelConfig,
         return draft_cycles_by_width[width]
 
     steps = tokens = compute = kv_bytes_total = 0
-    for record in trace:
-        rows, step_tokens, kv_bytes = (int(record[0]), int(record[1]),
-                                       int(record[2]))
-        if len(record) > 3 and int(record[3]) >= 0:
-            kv_bytes = int(record[3])
-        width = step_tokens
-        if len(record) > 8 and int(record[8]) > 0:
-            width = int(record[8])
+    for step in trace:
+        width = step.spec_verify_tokens or step.tokens
         if width not in cycles_by_width:
             cycles_by_width[width] = decode_step_cycles(
                 config, width, design, pipeline)
         compute += cycles_by_width[width]
-        if (draft_config is not None and len(record) > 7
-                and int(record[7]) > 0):
-            draft_tokens = int(record[7])
-            proposed = (int(record[5])
-                        if len(record) > 5 else draft_tokens)
-            per = max(1, rows)
-            loop = min(proposed, draft_tokens)
+        if draft_config is not None and step.spec_draft_tokens > 0:
+            per = max(1, step.rows)
+            loop = min(step.spec_proposed, step.spec_draft_tokens)
             widths = [per] * (loop // per)
             if loop % per:
                 widths.append(loop % per)
-            catchup = draft_tokens - loop
+            catchup = step.spec_draft_tokens - loop
             if catchup > 0:
                 widths.append(catchup)
             for w in widths:
                 compute += draft_forward(w)
-        kv_bytes_total += kv_bytes
-        tokens += step_tokens
+        kv_bytes_total += (step.kv_bytes_streamed
+                           if step.kv_bytes_streamed >= 0 else step.kv_bytes)
+        tokens += step.tokens
         steps += 1
     kv_dma = -(-kv_bytes_total // int(pipeline.dma_bytes_per_cycle))
     return DecodeProjection(design=design, clock_mhz=pipeline.clock_mhz,

@@ -9,7 +9,7 @@ import numpy as np
 from typing import TYPE_CHECKING
 
 from repro.autograd import Tensor, no_grad
-from repro.nn.block_attention import (block_decode_attention,
+from repro.nn.block_attention import (additive_mask, block_decode_attention,
                                       block_prefill_attention)
 from repro.nn.layers import Linear, Embedding, RMSNorm
 from repro.nn.module import Module
@@ -72,11 +72,8 @@ class TransformerLM(Module):
     def forward(self, tokens: np.ndarray,
                 cache: KVCache | PagedKVCache | None = None,
                 positions: np.ndarray | None = None,
-                kv_mask: np.ndarray | None = None,
-                cache_rows: np.ndarray | None = None,
-                cache_lens: np.ndarray | None = None,
-                cache_starts: np.ndarray | None = None,
-                decode_rows: np.ndarray | None = None,
+                rows: np.ndarray | None = None,
+                span_lens: np.ndarray | None = None,
                 logits_positions: np.ndarray | None = None) -> Tensor:
         """Return logits ``(batch, seq, vocab)`` for integer ``tokens``.
 
@@ -86,19 +83,17 @@ class TransformerLM(Module):
         at a uniform offset).  With a paged ``cache`` **and**
         ``positions`` (``(batch, seq)`` absolute positions) it is the
         serving engine's ragged batch, run by :meth:`_serve_forward` on
-        raw arrays with bit-identical logits; the remaining arguments
-        belong to that pass only.
+        raw arrays with bit-identical logits; ``rows``, ``span_lens``
+        and ``logits_positions`` belong to that pass only.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:
             tokens = tokens[None, :]
         if cache is not None and positions is not None:
             return Tensor(self._serve_forward(
-                tokens, cache, positions, kv_mask, cache_rows, cache_lens,
-                cache_starts, decode_rows, logits_positions))
+                tokens, cache, positions, rows, span_lens, logits_positions))
         if any(arg is not None for arg in (
-                positions, kv_mask, cache_rows, cache_lens, cache_starts,
-                decode_rows, logits_positions)):
+                positions, rows, span_lens, logits_positions)):
             raise ValueError("the serving arguments need both a paged "
                              "cache and positions")
         x = self.embed(tokens)
@@ -106,8 +101,7 @@ class TransformerLM(Module):
             x = block(x, cache=cache, layer_index=index)
         return self.head(self.final_norm(x))
 
-    def _serve_forward(self, tokens, cache, positions, kv_mask, cache_rows,
-                       cache_lens, cache_starts, decode_rows,
+    def _serve_forward(self, tokens, cache, positions, rows, span_lens,
                        logits_positions) -> np.ndarray:
         """Autograd-free serving pass: write the span, attend the blocks.
 
@@ -116,17 +110,21 @@ class TransformerLM(Module):
         row rotates by its own ``positions`` (checked and gathered once
         for all layers), every layer writes its new K/V without reading
         anything back and :mod:`repro.nn.block_attention` iterates the
-        rows' block tables under the additive per-row ``kv_mask``.
+        rows' block tables.  Batch entry ``j`` serves cache row
+        ``rows[j]`` (``None`` = every row in order; ``tokens`` holds
+        only the engine's *active* slots) and starts at
+        ``positions[j, 0]``, the context that row already holds.
 
-        * Single-token decode (``cache_rows`` unset): one token per row
-          at ``positions[:, 0]`` into cache rows ``decode_rows``
-          (``None`` = all rows; ``tokens`` holds only the engine's
-          *active* slots) under a ``(batch, 1, 1, total)`` length mask.
-        * Span prefill: row ``j``'s ``cache_lens[j]`` true (unpadded)
-          tokens go into cache row ``cache_rows[j]`` after the
-          ``cache_starts[j]`` context tokens it already holds (adopted
-          shared prefix, earlier chunks); causality comes from the full
-          ``(batch, 1, seq, total)`` ``kv_mask``.
+        * Single-token decode (``span_lens`` unset): one token per row.
+        * Span prefill: row ``j``'s first ``span_lens[j]`` tokens are
+          real and get written; the rest of the rectangle is padding
+          (its positions clamped into the RoPE table by the caller, its
+          K/V never written, its logits never used).
+
+        Causality is derived, not passed: every query attends the
+        cached positions up to its own — one additive ``(batch, 1, seq,
+        total)`` mask, ``t <= positions``, built here once per forward
+        over the widest context any row reaches.
 
         ``logits_positions`` (``(batch,)`` indices into ``seq``) runs the
         final norm and vocab projection only at each row's selected
@@ -143,7 +141,11 @@ class TransformerLM(Module):
         def project(layer, h):          # -> (batch, heads, seq, head_dim)
             return layer.apply(h).reshape(split).transpose(0, 2, 1, 3)
 
-        token_positions = positions[:, 0]
+        starts = positions[:, 0]
+        total = max(cache.seq_len, int(
+            (starts + (1 if span_lens is None else span_lens)).max()))
+        kv_mask = additive_mask(
+            np.arange(total) <= positions[:, :, None])[:, None]
         x = self.embed.weight.data[tokens]
         for index, block in enumerate(self.blocks):
             attn = block.attn
@@ -151,16 +153,14 @@ class TransformerLM(Module):
             q = rotate(project(attn.wq, h), cos, sin)
             k = rotate(project(attn.wk, h), cos, sin)
             v = project(attn.wv, h)
-            if cache_rows is not None:
-                cache.prefill_rows(index, k, v, cache_rows, cache_starts,
-                                   cache_lens)
+            if span_lens is not None:
+                cache.prefill_rows(index, k, v, rows, starts, span_lens)
                 context = block_prefill_attention(
-                    q, cache, index, kv_mask=kv_mask, rows=cache_rows)
+                    q, cache, index, kv_mask=kv_mask, rows=rows)
             else:
-                cache.write_token(index, k, v, token_positions,
-                                  rows=decode_rows)
+                cache.write_token(index, k, v, starts, rows=rows)
                 context = block_decode_attention(
-                    q, cache, index, kv_mask=kv_mask, rows=decode_rows)
+                    q, cache, index, kv_mask=kv_mask, rows=rows)
             x = x + attn.wo.apply(
                 context.transpose(0, 2, 1, 3).reshape(batch, seq, -1))
             h = block.ffn_norm.apply(x, inv_dim)

@@ -298,9 +298,9 @@ class DequantBlockCache:
         win a slot dequantize both operands via ``dequant_pair(ids) ->
         (k, v)`` (so the sibling pass hits), while blocks the budget
         cannot pin dequantize only what was asked for (``dequant_kind``
-        for a single operand) — a saturated cache therefore degrades to
-        the cache-disabled cost instead of paying double LUT work while
-        thrashing.
+        for a single operand) — a saturated (or zero-budget) cache therefore
+        degrades to one dequant per operand read instead of paying
+        double LUT work while thrashing.
         """
         self._tick += 1
         tick = self._tick
@@ -745,23 +745,7 @@ class PagedKVCache:
     # ------------------------------------------------------------------ #
     # speculative-decoding rollback
     # ------------------------------------------------------------------ #
-    def snapshot_rows(self, rows) -> dict:
-        """Capture per-row state :meth:`truncate_rows` may need to restore.
-
-        The FP32 cache only records bookkeeping (lengths and owned block
-        counts); the quantized cache additionally copies each row's FP32
-        write buffer, since truncating below the buffered block cannot
-        otherwise recover exact values from lossy pool storage.
-        """
-        snap: dict[int, dict] = {}
-        for row in np.asarray(rows, dtype=np.int64).reshape(-1):
-            row = int(row)
-            snap[row] = {"len": int(self._row_len[row]),
-                         "blocks": int(self._blocks_per_row[row])}
-        return snap
-
-    def truncate_rows(self, rows, lengths, snapshot: dict | None = None
-                      ) -> None:
+    def truncate_rows(self, rows, lengths) -> None:
         """Roll ``rows`` back to ``lengths`` committed tokens.
 
         The speculative-decoding rollback: a rejected draft suffix is
@@ -782,26 +766,20 @@ class PagedKVCache:
             row, keep = int(row), int(keep)
             if keep < 0:
                 raise ValueError("cannot truncate a row below zero tokens")
+            if keep >= self._row_len[row]:
+                continue  # nothing to roll back
             have = int(self._blocks_per_row[row])
             need = min(have, self._blocks_kept(keep))
             if need < have:
                 self.release_blocks(self._tables[row, need:have])
                 self._blocks_per_row[row] = need
-                self._restore_row(row, keep, snapshot)
-            self._row_len[row] = min(int(self._row_len[row]), keep)
+            self._row_len[row] = keep
         self._invalidate_ids_memo()
 
     def _blocks_kept(self, keep: int) -> int:
         """Pool blocks a row still owns at ``keep`` tokens.  FP32 keeps
         every block the prefix touches — partial blocks live in the pool."""
         return int(_blocks_needed(keep, self.block_size))
-
-    def _restore_row(self, row: int, keep: int,
-                     snapshot: dict | None) -> None:
-        """Hook: blocks were just released below ``row``'s previous chain.
-        FP32 pool slots under ``keep`` were never clobbered, so there is
-        nothing to restore; the quantized cache refills its write buffer
-        from ``snapshot`` here."""
 
     # ------------------------------------------------------------------ #
     # write paths
@@ -1207,8 +1185,8 @@ class QuantizedPagedKVCache(PagedKVCache):
     memo instead of decoding the payload back.
 
     ``dequant_cache_bytes`` budgets the :class:`DequantBlockCache` the
-    block-resident reads go through (``0`` disables it — every read then
-    re-runs the LUT dequant).
+    block-resident reads go through (under ``0`` the memo pins nothing —
+    every read spills and re-runs the LUT dequant).
     """
 
     def __init__(self, num_layers: int, batch: int,
@@ -1218,7 +1196,6 @@ class QuantizedPagedKVCache(PagedKVCache):
                  chunk_blocks: int = DEFAULT_CHUNK_BLOCKS,
                  dequant_cache_bytes: int = DEFAULT_DEQUANT_CACHE_BYTES):
         self.dequant_cache_bytes = dequant_cache_bytes
-        self._dequant: DequantBlockCache | None = None
         # Exclusive end position of the tokens each layer's write buffer
         # holds for each row (0 = empty).  It names both the buffered
         # block and how full it is, per layer: layers write one after
@@ -1246,19 +1223,12 @@ class QuantizedPagedKVCache(PagedKVCache):
         # to the high-water (rows x blocks) demand instead of being
         # reallocated per layer per call.
         self._ctx_scratch: np.ndarray | None = None
-        if self.dequant_cache_bytes:
-            self._dequant = DequantBlockCache(
-                layers, self._heads, bs, self._head_dim,
-                self.dequant_cache_bytes)
-
-    @property
-    def dequant_cache(self) -> DequantBlockCache | None:
-        """The dequantized-block memo (None when disabled or unused)."""
-        return self._dequant
+        #: The dequantized-block memo (built with the first write).
+        self.dequant_cache = DequantBlockCache(
+            layers, self._heads, bs, self._head_dim, self.dequant_cache_bytes)
 
     def _on_block_freed(self, block: int) -> None:
-        if self._dequant is not None:
-            self._dequant.invalidate(block)
+        self.dequant_cache.invalidate(block)
 
     def _grow_layer(self, layer: int, new_total: int) -> None:
         specs = (
@@ -1294,9 +1264,8 @@ class QuantizedPagedKVCache(PagedKVCache):
         charged the payload+scale fetch that miss would have streamed.
         """
         count = len(ids)
-        fill = memoise and self._dequant is not None
         encoded = quantize_kv_block(np.concatenate([k_blocks, v_blocks]),
-                                    with_values=fill)
+                                    with_values=memoise)
         payload = encoded[0].reshape(2, count, self._channels, -1)
         scales = encoded[1].reshape(2, count, self._channels)
         bounds = np.searchsorted(layers, np.arange(self.num_layers + 1))
@@ -1311,13 +1280,13 @@ class QuantizedPagedKVCache(PagedKVCache):
         stats = self._read_stats
         stats.flush_calls += 1
         stats.flush_blocks += 2 * count
-        if fill:
-            filled = self._dequant.fill(layers, ids, encoded[2][:count],
+        if memoise:
+            filled = self.dequant_cache.fill(layers, ids, encoded[2][:count],
                                         encoded[2][count:])
             stats.streamed_bytes += filled * 2 * self._channels \
                 * (self._payload_bytes + 2)
-        elif self._dequant is not None:
-            self._dequant.invalidate(ids, layers)
+        else:
+            self.dequant_cache.invalidate(ids, layers)
 
     # ------------------------------------------------------------------ #
     # block sharing (prefix reuse / copy-on-write, quantized format)
@@ -1468,18 +1437,21 @@ class QuantizedPagedKVCache(PagedKVCache):
         buffer (lazy-flush invariant), never in the pool."""
         return 0 if keep == 0 else (keep - 1) // self.block_size
 
-    def snapshot_rows(self, rows) -> dict:
-        snap = super().snapshot_rows(rows)
-        if self._heads is not None:
-            for row, entry in snap.items():
-                entry["buf_k"] = self._buf_k[:, row].copy()
-                entry["buf_v"] = self._buf_v[:, row].copy()
-        return snap
-
-    def truncate_rows(self, rows, lengths, snapshot: dict | None = None
-                      ) -> None:
-        super().truncate_rows(rows, lengths, snapshot)
+    def truncate_rows(self, rows, lengths) -> None:
+        """Quantized rollback is exact only inside the buffered block:
+        pool blocks are lossy, so a row cannot roll back into one it has
+        already flushed (dropping the row, ``0``, is always fine).  The
+        engine's boundary-chunked verify never asks for that."""
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        for row, keep in zip(rows, lengths):
+            if 0 < keep < self._row_len[row] \
+                    and self._blocks_kept(int(keep)) \
+                    < self._blocks_per_row[row]:
+                raise ValueError(
+                    f"row {row} cannot roll back to {keep} tokens: below "
+                    f"its buffered block, flushed blocks are lossy")
+        super().truncate_rows(rows, lengths)
         # Buffers hold nothing past the kept tokens.
         self._buf_end[:, rows] = np.minimum(self._buf_end[:, rows],
                                             self._row_len[rows])
@@ -1487,27 +1459,6 @@ class QuantizedPagedKVCache(PagedKVCache):
     def free_rows(self, rows: np.ndarray) -> None:
         super().free_rows(rows)
         self._buf_end[:, np.asarray(rows, dtype=np.int64).reshape(-1)] = 0
-
-    def _restore_row(self, row: int, keep: int,
-                     snapshot: dict | None) -> None:
-        """Truncation released pool blocks below the buffered block, so
-        the write buffer must hold block ``(keep - 1) // block_size``
-        again.  Pool storage is lossy, so only a pre-roll ``snapshot``
-        that buffered that very block can supply the exact values; the
-        engine's boundary-chunked verify never truncates past its own
-        writes, so this path only runs for direct callers rolling below
-        a snapshot point."""
-        self._buf_end[:, row] = keep
-        if snapshot is None or row not in snapshot or keep == 0:
-            return
-        entry = snapshot[row]
-        buffered = entry["len"] - entry["blocks"] * self.block_size
-        if ("buf_k" not in entry or buffered <= 0 or keep > entry["len"]
-                or (keep - 1) // self.block_size
-                != (entry["len"] - 1) // self.block_size):
-            return
-        self._buf_k[:, row] = entry["buf_k"]
-        self._buf_v[:, row] = entry["buf_v"]
 
     def _resolve_token_write(self, row_idx: np.ndarray,
                              positions: np.ndarray) -> tuple:
@@ -1731,8 +1682,8 @@ class QuantizedPagedKVCache(PagedKVCache):
             shape = (n, heads, sel.shape[1], bs, head_dim)
             if not reads:
                 blocks = [np.zeros(shape, dtype=np.float32) for _ in kinds]
-            elif self._dequant is not None:
-                blocks, missed, paired = self._dequant.lookup(
+            else:
+                blocks, missed, paired = self.dequant_cache.lookup(
                     layer, sel, kind,
                     lambda miss: self._dequant_pair(layer, miss),
                     lambda miss: self._dequant_kind(layer, miss, kind))
@@ -1748,16 +1699,6 @@ class QuantizedPagedKVCache(PagedKVCache):
                 # spilled ones only the operands asked for.
                 stats.streamed_bytes += operand_bytes * (
                     2 * paired + len(kinds) * (missed - paired))
-            else:
-                uniq, inverse = np.unique(sel[sel >= 0], return_inverse=True)
-                blocks = []
-                for kd in kinds:
-                    chunk = np.zeros(shape, dtype=np.float32)
-                    np.moveaxis(chunk, 1, 2)[sel >= 0] = self._dequant_kind(
-                        layer, uniq, kd)[inverse]
-                    blocks.append(chunk)
-                stats.dequant_misses += len(kinds) * reads
-                stats.streamed_bytes += len(kinds) * len(uniq) * operand_bytes
             if len(in_chunk):
                 for kd, chunk in zip(kinds, blocks):
                     chunk[in_chunk, :, offsets] = bufs[kd][in_rows]

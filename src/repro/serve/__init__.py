@@ -9,16 +9,16 @@ serving tests and benchmarks share.  Performance is measured by
 ``perfbench/`` and asserted in ``benchmarks/`` on :class:`EngineStats`.
 """
 
-from repro.serve.engine import (FINISH_REASONS, KV_CACHE_MODES, Completion,
-                                EngineStats, GenerationEngine, Request,
-                                SamplingParams, StepTrace, TokenEvent,
-                                apply_top_k_top_p)
+from repro.serve.engine import KV_CACHE_MODES, GenerationEngine
 from repro.serve.gateway import (JOB_STATUSES, TERMINAL_STATUSES,
                                  GatewayHTTPServer, QueueFullError, QueuedJob,
                                  RequestQueue, ServingGateway, TokenUpdate,
                                  serve_forever)
+from repro.serve.params import (FINISH_REASONS, Completion, Request,
+                                SamplingParams, TokenEvent)
 from repro.serve.prefix import PrefixMatch, PrefixStore, PrefixStoreStats
 from repro.serve.prompts import bench_prompts, corpus_prompts, prefix_prompts
+from repro.serve.sampling import apply_top_k_top_p
 from repro.serve.scheduler import (SCHEDULERS, FIFOScheduler,
                                    PrefixAffinityScheduler,
                                    PriorityScheduler, RunningInfo, Scheduler,
@@ -26,6 +26,7 @@ from repro.serve.scheduler import (SCHEDULERS, FIFOScheduler,
                                    get_scheduler)
 from repro.serve.spec import (SPEC_POLICIES, SpeculativeConfig,
                               SpeculativeDecoder)
+from repro.serve.stats import EngineStats, StepTrace
 
 __all__ = [
     "Completion", "EngineStats", "FINISH_REASONS", "GenerationEngine",

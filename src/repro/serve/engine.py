@@ -1,13 +1,14 @@
-"""Request-centric continuous-batching generation engine.
+"""Request-centric continuous-batching generation engine: the session
+and the step loop.
 
 The engine is a *persistent session*: the KV cache and slot state are
 engine members created once, so requests can be submitted, streamed, and
-cancelled while serving is live instead of queueing for a one-shot batch
-drain.  One :meth:`GenerationEngine.step` admits waiting prompts into
-free slots (a ragged sub-batch prefill) and advances every *active* slot
-by one decode token — idle slots are neither forwarded nor gathered
-(``decode_rows`` threads the active sub-batch down to the cache), so a
-draining batch costs only its live rows.
+cancelled while serving is live.  One :meth:`GenerationEngine.step`
+admits waiting prompts into free slots, lets prefilling rows write one
+budgeted chunk of their prompts, and advances every decoding row by one
+token (or one speculative run).  Request and result types live in
+:mod:`repro.serve.params`, sampling in :mod:`repro.serve.sampling`,
+counters and :class:`StepTrace` in :mod:`repro.serve.stats`.
 
 Typical streaming client::
 
@@ -24,188 +25,106 @@ Typical streaming client::
             engine.submit(prompt_c, max_new_tokens=8) # mid-flight is fine
     done = engine.take_completions()
 
-Per-request knobs live in a frozen :class:`SamplingParams` (temperature,
-top-k, top-p, per-request seed, stop tokens, token budget); sampling is
-vectorized across the batch with per-request RNG streams, so identical
-requests sample identically regardless of batch composition.
+Every model call the engine makes is ``model(tokens, cache=cache,
+positions=..., rows=..., span_lens=..., logits_positions=...)`` — which
+cache rows, where each starts, how many of the padded tokens are real.
+Masks, span starts and context widths are derived inside the forward
+(:meth:`repro.nn.model.TransformerLM.forward`), which writes the span
+and then attends the block table (:mod:`repro.nn.block_attention`); idle
+slots are neither forwarded nor read.
 
 The cache backend is selected by ``kv_cache``:
 
 * ``"paged"`` (default) — block-granular FP32
   :class:`~repro.nn.paged_kv_cache.PagedKVCache`; memory tracks the sum
-  of live tokens instead of ``batch x max_len``.
+  of live tokens instead of ``batch x max_len``.  Greedy decoding is
+  token-identical to the sequential
+  :meth:`repro.nn.model.TransformerLM.generate` reference (which runs on
+  the rectangular :class:`~repro.nn.kv_cache.KVCache`, not a serving
+  backend) — including with mid-flight submission, cancelled
+  neighbours, prefix sharing, preemption, chunking and speculation.
 * ``"fineq"`` — :class:`~repro.nn.paged_kv_cache.QuantizedPagedKVCache`;
   full blocks stored in the paper's 2.33-bit format (~7x fewer bytes per
   full block, ~4.7x end-to-end with the FP32 write buffers; bounded
-  perplexity delta instead of exact parity).
-
-Both run every forward the same way — write the span, then attend the
-block table (:mod:`repro.nn.block_attention`).  The rectangular
-:class:`~repro.nn.kv_cache.KVCache` is not a serving backend: it is the
-sequential :meth:`repro.nn.model.TransformerLM.generate` reference that
-greedy decoding on ``"paged"`` is token-identical to — including with
-mid-flight submission and cancelled neighbour rows: per-row positions
-match the sequential position counter exactly, cache reads return the
-same float values, and masked slots contribute exact zeros to the
-attention averages.
-
-Prefill is lean: the final norm and LM-head projection run only at each
-row's last prompt position (``logits_positions``), so prefill cost no
-longer scales with ``vocab x prompt_len``.  :meth:`GenerationEngine.run`
-and :meth:`GenerationEngine.generate_batch` remain as thin wrappers over
-:meth:`GenerationEngine.step` for batch-oriented callers.
+  perplexity delta instead of exact parity), read through a
+  dequantized-block LRU so an immutable block is LUT-decoded once.
 
 Long prompts need not stall the batch: ``prefill_chunk_tokens`` (128 by
-default; ``None`` restores one-shot prefill) caps the prompt tokens
-forwarded per :meth:`step`.  An admitted long prompt holds its slot in a
-*prefilling* state and writes one chunk per step, decode waves run
-between chunks, and the scheduler's ``prefill_order`` arbitrates the
-step's chunk budget across concurrently-prefilling rows — so under
-mixed traffic the stall a decoding stream sees is bounded by one chunk,
-not one prompt.  Prefill context reads run over the same block-resident
-attention as decode
-(:func:`repro.nn.block_attention.block_prefill_attention`): chunks
-attend the block table window by window, the ``"fineq"`` backend's
-re-reads of already-written context hit the dequant-block memo, and the
-chunk-grid-stable geometry keeps chunked output tokens identical to
-one-shot prefill.
+default) caps the prompt tokens forwarded per :meth:`step`.  An admitted
+long prompt holds its slot in a *prefilling* state and writes one chunk
+per step, decode waves run between chunks, and the scheduler's
+``prefill_order`` arbitrates the budget across concurrently-prefilling
+rows — the stall a decoding stream sees is bounded by one chunk, not one
+prompt — while the chunk-grid-stable attention geometry keeps chunked
+output tokens identical to one-shot prefill.  The LM head runs only at
+each row's last prompt position (``logits_positions``).
 
 Admission is delegated to a pluggable :class:`~repro.serve.scheduler
 .Scheduler` (``"fifo"`` default, ``"prefix-affinity"``, ``"priority"``
 with preemption), and ``prefix_sharing=True`` puts a
 :class:`~repro.serve.prefix.PrefixStore` in front of the paged cache:
 admitted prompts adopt the longest cached prefix by block reference and
-only the novel suffix is forwarded through the model (copy-on-write when
-a prompt diverges inside a partially-filled shared block).  Preempted
-requests requeue with their progress and restore from whatever shared
-prefix survived.  ``record_trace=True`` keeps a per-decode-step
-:class:`StepTrace` of (rows, tokens, KV bytes, post-cache KV bytes
-streamed) that ``repro.hw.workloads.project_decode_trace`` projects
-onto the paper's accelerator cycle model.
-
-Single-token decode is *block-resident* too: attention iterates the
-block table chunk by chunk instead of gathering a dense ``(batch, heads,
-total, head_dim)`` context copy per layer per step, and the ``"fineq"``
-backend serves chunk reads through a dequantized-block LRU so an
-immutable quantized block — a shared system prompt especially — is
-LUT-decoded once instead of ``batch x layers x steps`` times.
-:class:`EngineStats` tracks the peak decode scratch, the dense-copy
-bytes never built, and the dequant-cache hit rate.
+only the novel suffix is forwarded (copy-on-write when a prompt diverges
+inside a partially-filled shared block).  Preempted requests requeue
+with their progress and restore from whatever shared prefix survived.
+``record_trace=True`` keeps a :class:`StepTrace` per forward step that
+``repro.hw.workloads.project_decode_trace`` projects onto the paper's
+accelerator cycle model.
 """
 
 from __future__ import annotations
 
 import time
 from collections import deque
-from dataclasses import asdict, dataclass, field, replace
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.nn.block_attention import additive_mask
 from repro.nn.paged_kv_cache import (DEFAULT_BLOCK_SIZE, PagedKVCache,
                                      QuantizedPagedKVCache)
 from repro.nn.model import TransformerLM
+from repro.serve.params import (Completion, Request, SamplingParams,
+                                TokenEvent, validate_request)
 from repro.serve.prefix import PrefixStore
+from repro.serve.sampling import _filtered_probs, _sample_tokens
 from repro.serve.scheduler import (RunningInfo, Scheduler, SchedulerView,
                                    get_scheduler)
 from repro.serve.spec import (SpeculativeConfig, SpeculativeDecoder,
-                              leftover_accept, sample_from_probs)
+                              _pad_spans, leftover_accept, sample_from_probs)
+from repro.serve.stats import EngineStats, StepTrace
 
 #: Engine cache backends: constructor keyed by the ``kv_cache`` argument.
 KV_CACHE_MODES = ("paged", "fineq")
 
-#: Every terminal state a request can reach.
-FINISH_REASONS = ("length", "eos", "stop", "max_seq_len", "cancelled")
+#: Context tokens per slot the KV pools (target and draft) start with;
+#: they grow on demand.
+INITIAL_CAPACITY = 64
 
-
-@dataclass(frozen=True)
-class SamplingParams:
-    """Frozen per-request generation knobs.
-
-    ``seed`` drives a private ``np.random.Generator`` for the request, so
-    its sampled continuation is a function of (prompt, params) alone —
-    batch neighbours never perturb it.  ``seed=None`` asks the engine to
-    draw one from its own stream at submit time (reproducible per engine
-    seed + submission order).  ``top_k``/``top_p`` of ``None`` disable
-    the respective filter; ``top_k=1`` is exact greedy.  ``stop_tokens``
-    terminate the request the step they are generated (the stop token is
-    kept, mirroring ``eos`` handling).  ``priority`` (higher wins) only
-    matters under the ``"priority"`` scheduler, which admits high
-    priorities first and may preempt lower-priority running requests when
-    the block pool runs out.
-    """
-
-    max_new_tokens: int = 16
-    temperature: float = 0.0
-    top_k: int | None = None
-    top_p: float | None = None
-    seed: int | None = None
-    stop_tokens: tuple[int, ...] = ()
-    priority: int = 0
-
-    def __post_init__(self):
-        if self.max_new_tokens < 1:
-            raise ValueError("max_new_tokens must be >= 1")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be >= 0")
-        if self.top_k is not None and self.top_k < 1:
-            raise ValueError("top_k must be >= 1 (or None to disable)")
-        if self.top_p is not None and not 0.0 < self.top_p <= 1.0:
-            raise ValueError("top_p must be in (0, 1] (or None to disable)")
-        object.__setattr__(self, "stop_tokens",
-                           tuple(int(t) for t in self.stop_tokens))
-
-    @property
-    def greedy(self) -> bool:
-        """True when sampling degenerates to argmax (token-identical)."""
-        return self.temperature <= 0.0 or self.top_k == 1
-
-    def to_dict(self) -> dict:
-        """JSON-ready stored fields (the durable queue's journal shape)."""
-        out = asdict(self)
-        out["stop_tokens"] = list(self.stop_tokens)
-        return out
-
-    @classmethod
-    def from_dict(cls, payload: dict) -> "SamplingParams":
-        """Rebuild params from :meth:`to_dict` output (journal replay)."""
-        return cls(**payload)
-
-
-@dataclass(frozen=True)
-class Request:
-    """One queued generation request."""
-
-    request_id: int
-    prompt: np.ndarray
-    params: SamplingParams
-
-    # PR 1 compatibility: the old flat fields read through to params.
-    @property
-    def max_new_tokens(self) -> int:
-        return self.params.max_new_tokens
-
-    @property
-    def temperature(self) -> float:
-        return self.params.temperature
+#: Most recent :class:`StepTrace` records ``record_trace`` keeps — far
+#: more than any benchmark round or test produces (a few hundred), and
+#: a bound on what a long-lived traced session holds.
+TRACE_WINDOW = 65536
 
 
 @dataclass
-class _QueueEntry:
-    """A waiting unit of work: a fresh submission or a preempted request.
+class _RequestState:
+    """One request's serving state, wherever it is: waiting in the queue
+    (fresh, or preempted with its progress) or holding a cache row.
 
-    ``tokens`` is what prefill forwards (prompt plus any tokens already
-    generated before a preemption) and ``generated``/``rng`` carry the
-    request's progress and private sampling stream across the preempt /
-    restore cycle, so a restored request continues exactly where it left
-    off.
+    ``generated`` and ``rng`` carry the request's progress and private
+    sampling stream across a preempt / restore cycle, so a restored
+    request continues exactly where it left off.  ``prefill_pos`` is set
+    while the request holds a row whose context is still being written:
+    how much of :attr:`tokens` the row already has (adopted shared
+    prefix plus written chunks).  It is ``None`` in the queue and once
+    the row decodes.
     """
 
     request: Request
-    tokens: np.ndarray
-    generated: list[int]
     rng: np.random.Generator
+    generated: list[int] = field(default_factory=list)
+    prefill_pos: int | None = None
+    _tokens: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def request_id(self) -> int:
@@ -215,342 +134,23 @@ class _QueueEntry:
     def priority(self) -> int:
         return self.request.params.priority
 
-    # PR 1 compatibility: the old flat queue-inspection fields.
-    @property
-    def max_new_tokens(self) -> int:
-        return self.request.params.max_new_tokens
-
-    @property
-    def temperature(self) -> float:
-        return self.request.params.temperature
-
-
-@dataclass(frozen=True)
-class TokenEvent:
-    """One streamed token (or terminal notice) for a request.
-
-    ``token`` is ``None`` only for events that produce no token (a
-    cancellation).  ``finish_reason`` is ``None`` while the request is
-    still running and one of :data:`FINISH_REASONS` on its final event.
-    """
-
-    request_id: int
-    token: int | None
-    finish_reason: str | None = None
-
-
-@dataclass
-class Completion:
-    """A finished request: prompt plus generated continuation."""
-
-    request_id: int
-    tokens: np.ndarray
-    prompt_len: int
-    finish_reason: str  # one of FINISH_REASONS
-
-    @property
-    def new_tokens(self) -> np.ndarray:
-        return self.tokens[self.prompt_len:]
-
-
-@dataclass
-class EngineStats:
-    """Token/time accounting for throughput reporting.
-
-    Prefill counters are *per admission*: ``prompt_tokens`` is the
-    context admissions established (counted as it lands — adopted
-    prefixes at claim time, forwarded chunks as they forward),
-    ``shared_prompt_tokens`` the part adopted from cached prefixes, and
-    ``prefill_tokens`` the part actually forwarded through the model, so
-    ``prompt_tokens == shared_prompt_tokens + prefill_tokens`` always.
-    A preempted request's restore is a second admission (its prompt plus
-    generated progress count again), and a request cancelled or
-    preempted mid chunked prefill contributes only what it wrote — the
-    counters track prefill work done and avoided, not unique
-    submissions.
-    """
-
-    prefill_tokens: int = 0
-    prefill_seconds: float = 0.0
-    prompt_tokens: int = 0
-    shared_prompt_tokens: int = 0
-    decode_tokens: int = 0
-    decode_seconds: float = 0.0
-    decode_steps: int = 0
-    decode_slot_steps: int = 0  # steps x batch slots (for occupancy)
-    preemptions: int = 0
-    # KV-cache memory, sampled every decode step at the point of most
-    # live context tokens (the serving-memory high-water mark).
-    kv_peak_tokens: int = 0
-    kv_peak_used_bytes: int = 0
-    kv_peak_physical_bytes: int = 0
-    kv_peak_allocated_bytes: int = 0
-    # Decode read path: the largest transient K/V scratch any decode
-    # step materialised (a chunk, not the dense (batch, heads, total,
-    # head_dim) gather), the cumulative dense-copy bytes never built,
-    # and the quantized cache's dequant-block memo traffic.
-    decode_peak_scratch_bytes: int = 0
-    decode_bytes_not_gathered: int = 0
-    dequant_cache_hits: int = 0
-    dequant_cache_misses: int = 0
-    # Quantized-cache write path: flush-quantize kernel calls and the K/V
-    # blocks they encoded (prefill spans, decode boundary crossings and
-    # prefix freezes alike); the quotient is the flush batching factor.
-    kv_flush_calls: int = 0
-    kv_flush_blocks: int = 0
-    # Chunked prefill: forwarded chunk count, prompt tokens that waited
-    # for a later step's budget, and the dequant-memo traffic of prefill
-    # context re-reads (decode traffic stays in dequant_cache_*).
-    prefill_chunks: int = 0
-    prefill_tokens_deferred: int = 0
-    prefill_dequant_hits: int = 0
-    prefill_dequant_misses: int = 0
-    # Speculative decoding: draft tokens proposed vs accepted by the
-    # target's verify (the bonus token each verify emits on top of the
-    # accepted run counts in decode_tokens, not here).
-    spec_proposed: int = 0
-    spec_accepted: int = 0
-
-    @property
-    def prefill_tokens_per_s(self) -> float:
-        return self.prefill_tokens / self.prefill_seconds if self.prefill_seconds else 0.0
-
-    @property
-    def decode_tokens_per_s(self) -> float:
-        return self.decode_tokens / self.decode_seconds if self.decode_seconds else 0.0
-
-    @property
-    def occupancy(self) -> float:
-        """Mean fraction of batch slots doing useful decode work."""
-        return self.decode_tokens / self.decode_slot_steps if self.decode_slot_steps else 0.0
-
-    @property
-    def bytes_per_cached_token(self) -> float:
-        """Cache bytes per live context token at the memory high-water mark."""
-        return self.kv_peak_used_bytes / self.kv_peak_tokens if self.kv_peak_tokens else 0.0
-
-    @property
-    def physical_bytes_per_cached_token(self) -> float:
-        """Resident cache bytes per live context token at the high-water
-        mark; shared prefix blocks count once however many rows read
-        them, so this is the number prefix sharing drives down."""
-        return self.kv_peak_physical_bytes / self.kv_peak_tokens if self.kv_peak_tokens else 0.0
-
-    @property
-    def prefix_hit_tokens_ratio(self) -> float:
-        """Fraction of submitted prompt tokens served from cached prefixes."""
-        return self.shared_prompt_tokens / self.prompt_tokens if self.prompt_tokens else 0.0
-
-    @property
-    def dequant_cache_hit_rate(self) -> float:
-        """Fraction of quantized-block decode reads served from the
-        dequant memo instead of re-running LUT dequantization."""
-        lookups = self.dequant_cache_hits + self.dequant_cache_misses
-        return self.dequant_cache_hits / lookups if lookups else 0.0
-
-    @property
-    def prefill_dequant_hit_rate(self) -> float:
-        """Fraction of quantized-block *prefill* context reads served
-        from the dequant memo — a later chunk re-reading blocks an
-        earlier chunk (or a decode wave, or a shared prefix) already
-        dequantized."""
-        lookups = self.prefill_dequant_hits + self.prefill_dequant_misses
-        return self.prefill_dequant_hits / lookups if lookups else 0.0
-
-    @property
-    def acceptance_rate(self) -> float:
-        """Fraction of drafted tokens the target's verify accepted."""
-        return self.spec_accepted / self.spec_proposed \
-            if self.spec_proposed else 0.0
-
-    def to_dict(self) -> dict:
-        """Counters plus derived rates, JSON-ready.
-
-        Stored fields plus every ``@property`` evaluated on the instance,
-        so a rate lands next to the counters it comes from.  This is the
-        ``engine`` section of the gateway's ``/metrics`` payload.
-        """
-        out = asdict(self)
-        for name in dir(type(self)):
-            if isinstance(getattr(type(self), name), property):
-                out[name] = getattr(self, name)
-        return out
-
-
-class StepTrace(NamedTuple):
-    """One decode step's workload, for accelerator projection.
-
-    ``kv_bytes`` is what the step's attention reads cover logically
-    (dense-equivalent bytes: a shared block is read once per reader
-    row).  ``kv_bytes_streamed`` is what the step actually fetched from
-    cache storage after the dequant-block memo — quantized payloads for
-    misses and FP32 write-buffer reads, with hits streaming nothing —
-    so the accelerator projection credits the dequant reuse (``-1``,
-    for hand-built traces, means "same as ``kv_bytes``").  Tuple-shaped so
-    ``repro.hw.workloads`` can consume traces without importing the
-    serving engine.
-
-    ``prefill_tokens`` distinguishes prefill-chunk steps (``tokens`` of
-    the step's forward were prompt-chunk writes) from decode steps
-    (``0``; there ``tokens == rows``).
-
-    Speculative decode steps keep ``tokens`` = tokens the step actually
-    *emitted* (committed after verify), so decode-step token sums agree
-    with ``EngineStats.decode_tokens`` whether or not the step was
-    speculative.  The work actually paid rides in the extra fields:
-    ``spec_verify_tokens`` is the verify forward's total token
-    positions (the target GEMM width), ``spec_draft_tokens`` the draft
-    model's forwarded positions (catch-up plus the ``k`` proposal
-    loop), so ``repro.hw.workloads.project_decode_trace`` can charge
-    draft and verify GEMMs at their real widths while dividing cycles
-    by tokens a consumer saw.
-    """
-
-    rows: int
-    tokens: int
-    kv_bytes: int
-    kv_bytes_streamed: int = -1
-    prefill_tokens: int = 0
-    spec_proposed: int = 0
-    spec_accepted: int = 0
-    spec_draft_tokens: int = 0
-    spec_verify_tokens: int = 0
-
-    def to_dict(self) -> dict:
-        """Field-named dict, JSON-ready (trace exports and ``/metrics``)."""
-        return dict(self._asdict())
-
-
-@dataclass
-class _Slot:
-    """Live per-row state: decoding, or still writing its prompt.
-
-    ``prefill_tokens`` holds the full token array the row must establish
-    (prompt plus any pre-preemption progress) while its prefill is
-    chunked across steps; ``prefill_pos`` is how much context the row
-    already has (adopted shared prefix plus written chunks).  Once the
-    prompt is fully written ``prefill_tokens`` drops to ``None`` and the
-    slot decodes like any other.
-    """
-
-    request: Request
-    rng: np.random.Generator
-    generated: list[int] = field(default_factory=list)
-    prefill_tokens: np.ndarray | None = None
-    prefill_pos: int = 0
-
     @property
     def prefilling(self) -> bool:
-        return self.prefill_tokens is not None
+        return self.prefill_pos is not None
 
-
-def apply_top_k_top_p(scaled: np.ndarray, top_k: np.ndarray,
-                      top_p: np.ndarray) -> np.ndarray:
-    """Mask ``(batch, vocab)`` scaled logits to each row's top-k/top-p set.
-
-    ``top_k`` holds per-row k (``vocab`` disables), ``top_p`` per-row
-    nucleus mass (``1.0`` disables).  One descending sort serves both
-    filters: the k-th sorted logit is the top-k threshold, and the
-    smallest sorted logit inside the minimal nucleus whose probability
-    mass reaches ``top_p`` is the top-p threshold.  Ties at a threshold
-    are kept (deterministic, never empties a row); masked entries are
-    ``-inf`` so downstream softmax zeroes them exactly.
-    """
-    vocab = scaled.shape[-1]
-    top_k = np.minimum(np.asarray(top_k, dtype=np.int64), vocab)
-    top_p = np.asarray(top_p, dtype=np.float64)
-    if np.all(top_k >= vocab) and np.all(top_p >= 1.0):
-        return scaled
-    order = np.argsort(scaled, axis=-1)[:, ::-1]
-    sorted_logits = np.take_along_axis(scaled, order, axis=-1)
-    kth = np.take_along_axis(sorted_logits, top_k[:, None] - 1, axis=-1)
-    keep = scaled >= kth
-    if np.any(top_p < 1.0):
-        shifted = sorted_logits - sorted_logits[:, :1]
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=-1, keepdims=True)
-        csum = probs.cumsum(axis=-1)
-        # A sorted position is inside the nucleus while the mass *before*
-        # it is < top_p; the first token is therefore always kept.
-        in_nucleus = (csum - probs) < top_p[:, None]
-        counts = in_nucleus.sum(axis=-1)
-        cutoff = np.take_along_axis(sorted_logits, counts[:, None] - 1,
-                                    axis=-1)
-        keep &= scaled >= cutoff
-    return np.where(keep, scaled, -np.inf)
-
-
-def _filtered_probs(logits: np.ndarray, params: list) -> np.ndarray:
-    """Per-row post-filter sampling distributions for ``(batch, vocab)``
-    logits: temperature scaling and top-k/top-p masking followed by
-    softmax, vectorized over the non-greedy rows; greedy rows collapse
-    to a one-hot at their argmax.  These are the distributions both
-    sampling (CDF inversion) and the speculative ``"leftover"``
-    acceptance rule (target ``p`` and draft ``q``) operate on."""
-    greedy = logits.argmax(axis=-1)
-    probs = np.zeros(logits.shape)
-    probs[np.arange(len(logits)), greedy] = 1.0
-    hot_idx = np.array([i for i, p in enumerate(params) if not p.greedy],
-                       dtype=np.int64)
-    if len(hot_idx) == 0:
-        return probs
-    hot_params = [params[i] for i in hot_idx]
-    vocab = logits.shape[-1]
-    temperatures = np.array([p.temperature for p in hot_params])
-    top_k = np.array([p.top_k or vocab for p in hot_params])
-    top_p = np.array([p.top_p if p.top_p is not None else 1.0
-                      for p in hot_params])
-    scaled = apply_top_k_top_p(logits[hot_idx] / temperatures[:, None],
-                               top_k, top_p)
-    scaled = scaled - scaled.max(axis=-1, keepdims=True)
-    hot = np.exp(scaled)
-    hot /= hot.sum(axis=-1, keepdims=True)
-    probs[hot_idx] = hot
-    return probs
-
-
-def _sample_tokens(logits: np.ndarray, params: list, rngs: list,
-                   return_probs: bool = False):
-    """Sample one token per row of ``(batch, vocab)`` logits.
-
-    The engine's sampling math with explicit per-row params and RNG
-    streams, shared by regular decode, speculative draft proposals, and
-    speculative verify re-sampling.  Greedy rows take their argmax and
-    consume no RNG; each non-greedy row inverts its own masked CDF at a
-    draw from its *private* generator — exactly one draw per row — so a
-    request's sample stream depends only on its own params and logits,
-    never on batch composition.
-
-    ``return_probs=True`` additionally returns the
-    :func:`_filtered_probs` distributions (the ``"leftover"`` policy
-    needs the draft's proposal distribution alongside its sample).
-    """
-    greedy = logits.argmax(axis=-1)
-    hot_idx = np.array([i for i, p in enumerate(params) if not p.greedy],
-                       dtype=np.int64)
-    if len(hot_idx) == 0:
-        return (greedy, _filtered_probs(logits, params)) if return_probs \
-            else greedy
-    # Only the hot rows pay the vocab-wide sort/softmax; greedy rows
-    # already have their argmax.
-    probs = _filtered_probs(logits[hot_idx], [params[i] for i in hot_idx])
-    draws = np.array([rngs[i].random() for i in hot_idx])
-    # Smallest index whose cumulative mass exceeds the draw: masked
-    # tokens carry exactly zero mass, so ties (cumsum flat) can never
-    # select them — including a draw of exactly 0.0 with token 0
-    # masked.  Float rounding can still leave the total mass a hair
-    # under a draw near 1.0, so clamp onto the last *kept* token.
-    vocab = logits.shape[-1]
-    sampled = (probs.cumsum(axis=-1) <= draws[:, None]).sum(axis=-1)
-    last_kept = vocab - 1 - np.argmax(probs[:, ::-1] > 0, axis=-1)
-    out = greedy.copy()
-    out[hot_idx] = np.minimum(sampled, last_kept)
-    if return_probs:
-        full = np.zeros(logits.shape)
-        full[np.arange(len(logits)), greedy] = 1.0
-        full[hot_idx] = probs
-        return out, full
-    return out
+    @property
+    def tokens(self) -> np.ndarray:
+        """Prompt plus everything generated so far: what an admission
+        must establish, what the draft model catches up on, and what a
+        completion returns."""
+        prompt = self.request.prompt
+        if not self.generated:
+            return prompt
+        if self._tokens is None \
+                or len(self._tokens) != len(prompt) + len(self.generated):
+            self._tokens = np.concatenate(
+                [prompt, np.asarray(self.generated, dtype=np.int64)])
+        return self._tokens
 
 
 class GenerationEngine:
@@ -603,38 +203,31 @@ class GenerationEngine:
         prompts longer than the budget prefill chunk by chunk across
         steps — their slots sit in a *prefilling* state while decode
         waves run between chunks — and the scheduler's ``prefill_order``
-        decides which prefilling rows the budget feeds first.  ``None``
-        prefills every admitted prompt in one shot (the pre-chunking
-        behaviour).
+        decides which prefilling rows the budget feeds first.
     speculative:
         A :class:`~repro.serve.spec.SpeculativeConfig` to decode
-        speculatively: each decode step drafts ``k`` tokens per row
-        with the (cheap) draft model, verifies all ``k + 1`` positions
-        in one multi-token target forward over the block-resident read
-        path, commits the accepted prefix, and rolls the caches back
-        past the first rejection (``truncate_rows``).  Greedy output is
-        token-identical to target-only decode; the default ``"exact"``
-        policy keeps sampled output identical too.  ``None`` (default)
-        decodes one token per step.
+        speculatively (see :meth:`_spec_decode_step`): greedy output is
+        token-identical to target-only decode, and the default
+        ``"exact"`` policy keeps sampled output identical too.  ``None``
+        (default) decodes one token per step.
     """
 
     def __init__(self, model: TransformerLM, max_batch_size: int = 8,
                  eos_token: int | None = None,
                  rng: np.random.Generator | None = None,
-                 initial_capacity: int = 64, kv_cache: str = "paged",
+                 kv_cache: str = "paged",
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  scheduler: str | Scheduler = "fifo",
                  prefix_sharing: bool = False,
                  prefix_blocks: int | None = None,
                  max_pool_blocks: int | None = None,
                  record_trace: bool = False,
-                 prefill_chunk_tokens: int | None = 128,
+                 prefill_chunk_tokens: int = 128,
                  speculative: SpeculativeConfig | None = None):
         if max_batch_size < 1:
             raise ValueError("max_batch_size must be >= 1")
-        if prefill_chunk_tokens is not None and prefill_chunk_tokens < 1:
-            raise ValueError("prefill_chunk_tokens must be >= 1 "
-                             "(or None for one-shot prefill)")
+        if prefill_chunk_tokens < 1:
+            raise ValueError("prefill_chunk_tokens must be >= 1")
         if kv_cache not in KV_CACHE_MODES:
             raise ValueError(f"kv_cache must be one of {KV_CACHE_MODES}, "
                              f"got {kv_cache!r}")
@@ -642,7 +235,6 @@ class GenerationEngine:
         self.max_batch_size = max_batch_size
         self.eos_token = eos_token
         self.rng = rng or np.random.default_rng(0)
-        self.initial_capacity = initial_capacity
         self.kv_cache = kv_cache
         self.block_size = block_size
         self.scheduler = get_scheduler(scheduler)
@@ -654,17 +246,22 @@ class GenerationEngine:
         if speculative is not None:
             speculative.validate_target(model)
         self.speculative = speculative
-        self._spec = (SpeculativeDecoder(self, speculative)
+        initial_blocks = max_batch_size * max(1,
+                                              INITIAL_CAPACITY // block_size)
+        self._initial_blocks = initial_blocks if max_pool_blocks is None \
+            else min(initial_blocks, max_pool_blocks)
+        self._spec = (SpeculativeDecoder(speculative, max_batch_size,
+                                         block_size, initial_blocks)
                       if speculative is not None else None)
-        self._prefill_budget: int | None = prefill_chunk_tokens
-        self.trace: list[StepTrace] = []
+        self._prefill_budget = prefill_chunk_tokens
+        self.trace: deque[StepTrace] = deque(maxlen=TRACE_WINDOW)
         self.stats = EngineStats()
-        self._queue: deque[_QueueEntry] = deque()
+        self._queue: deque[_RequestState] = deque()
         self._next_id = 0
         # Session state: created once, reused across every step()/run().
         self._cache: PagedKVCache | None = None
         self._prefix: PrefixStore | None = None
-        self._slots: list[_Slot | None] = [None] * max_batch_size
+        self._slots: list[_RequestState | None] = [None] * max_batch_size
         self._lengths = np.zeros(max_batch_size, dtype=np.int64)
         self._pending = np.zeros(max_batch_size, dtype=np.int64)
         self._live: dict[int, int] = {}      # request_id -> slot row
@@ -683,14 +280,11 @@ class GenerationEngine:
         return self._prefix
 
     def _make_cache(self) -> PagedKVCache:
-        batch = self.max_batch_size
-        initial_blocks = batch * max(1, self.initial_capacity // self.block_size)
-        if self.max_pool_blocks is not None:
-            initial_blocks = min(initial_blocks, self.max_pool_blocks)
         cls = PagedKVCache if self.kv_cache == "paged" \
             else QuantizedPagedKVCache
-        return cls(self.model.config.num_layers, batch=batch,
-                   block_size=self.block_size, initial_blocks=initial_blocks,
+        return cls(self.model.config.num_layers, batch=self.max_batch_size,
+                   block_size=self.block_size,
+                   initial_blocks=self._initial_blocks,
                    max_blocks=self.max_pool_blocks)
 
     def _account_step(self, rows: int, tokens: int, prefill_tokens: int = 0,
@@ -739,28 +333,14 @@ class GenerationEngine:
         shorthand ``max_new_tokens``/``temperature``, not both.  Works at
         any time, including while :meth:`stream` is being consumed.
         """
-        prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
-        if prompt.size == 0:
-            raise ValueError("prompt must contain at least one token")
-        if prompt.size > self.model.config.max_seq_len:
-            raise ValueError(f"prompt of {prompt.size} tokens exceeds "
-                             f"max_seq_len={self.model.config.max_seq_len}")
-        if params is None:
-            if max_new_tokens is None:
-                raise ValueError("pass max_new_tokens or params")
-            params = SamplingParams(max_new_tokens=max_new_tokens,
-                                    temperature=temperature or 0.0)
-        elif max_new_tokens is not None or temperature is not None:
-            raise ValueError("pass either params or the max_new_tokens/"
-                             "temperature shorthand, not both")
-        if params.seed is None:
-            params = replace(params, seed=int(self.rng.integers(2 ** 32)))
+        prompt, params = validate_request(
+            prompt, params, max_new_tokens, temperature,
+            self.model.config.max_seq_len, self.rng)
         request = Request(request_id=self._next_id, prompt=prompt,
                           params=params)
         self._next_id += 1
-        self._queue.append(_QueueEntry(
-            request=request, tokens=prompt, generated=[],
-            rng=np.random.default_rng(params.seed)))
+        self._queue.append(_RequestState(
+            request=request, rng=np.random.default_rng(params.seed)))
         return request.request_id
 
     def submit_from_record(self, record) -> int:
@@ -792,22 +372,16 @@ class GenerationEngine:
         :meth:`stream` iteration.  Returns False for ids that are unknown
         or already finished.
         """
-        for entry in self._queue:
-            if entry.request_id == request_id:
-                self._queue.remove(entry)
-                tokens = np.concatenate(
-                    [entry.request.prompt,
-                     np.asarray(entry.generated, dtype=np.int64)])
-                self._finished.append(Completion(
-                    request_id=request_id, tokens=tokens,
-                    prompt_len=len(entry.request.prompt),
-                    finish_reason="cancelled"))
-                self._events.append(TokenEvent(request_id, None, "cancelled"))
-                return True
         row = self._live.get(request_id)
-        if row is None:
-            return False
-        self._retire(row, "cancelled")
+        if row is not None:
+            self._retire(row, "cancelled")
+        else:
+            waiting = next((state for state in self._queue
+                            if state.request_id == request_id), None)
+            if waiting is None:
+                return False
+            self._queue.remove(waiting)
+            self._complete(waiting, "cancelled")
         self._events.append(TokenEvent(request_id, None, "cancelled"))
         return True
 
@@ -819,19 +393,9 @@ class GenerationEngine:
         for :meth:`take_completions` instead of being dropped.
         """
         ids = [self.submit(p, max_new_tokens, temperature) for p in prompts]
-        wanted = set(ids)
-        done = {}
-        foreign = []
-        for completion in self.run():
-            if completion.request_id in wanted:
-                done[completion.request_id] = completion
-            else:
-                foreign.append(completion)
-        self._finished.extend(foreign)
+        done = {c.request_id: c for c in self.run()}
+        self._finished.extend(c for rid, c in done.items() if rid not in ids)
         return [done[i].tokens for i in ids]
-
-    def reset_stats(self) -> None:
-        self.stats = EngineStats()
 
     # ------------------------------------------------------------------ #
     # the serving session
@@ -875,12 +439,17 @@ class GenerationEngine:
             # Rows admitted in earlier steps (or starved by this
             # step's admission rounds) spend whatever budget is left.
             events += self._prefill_step()
-        if any(slot is not None and not slot.prefilling
-               for slot in self._slots):
+        if len(self._decoding_rows()):
             self._ensure_decode_headroom()
             events += (self._spec_decode_step()
                        if self._spec is not None else self._decode_step())
         return events
+
+    def _decoding_rows(self) -> np.ndarray:
+        """Rows past their prefill: the next decode step's sub-batch."""
+        return np.array([row for row, slot in enumerate(self._slots)
+                         if slot is not None and not slot.prefilling],
+                        dtype=np.int64)
 
     def _ensure_decode_headroom(self) -> None:
         """Preempt (if the policy allows) when the next decode step needs
@@ -892,11 +461,8 @@ class GenerationEngine:
             return
         bs = cache.block_size
         extra = (self._spec.config.k + 1) if self._spec is not None else 1
-        crossing = sum(
-            -(-(int(self._lengths[row]) + extra) // bs)
-            - -(-int(self._lengths[row]) // bs)
-            for row, slot in enumerate(self._slots)
-            if slot is not None and not slot.prefilling)
+        lengths = self._lengths[self._decoding_rows()]
+        crossing = int((-(-(lengths + extra) // bs) - -(-lengths // bs)).sum())
         available = cache.available_blocks()
         if crossing <= available:
             return
@@ -939,23 +505,15 @@ class GenerationEngine:
         cache = self._cache
         slots = self._slots
         batch = self.max_batch_size
-        active_rows = np.array([row for row, slot in enumerate(slots)
-                                if slot is not None and not slot.prefilling],
-                               dtype=np.int64)
+        active_rows = self._decoding_rows()
         n = len(active_rows)
-        positions = self._lengths[active_rows]
-        total = max(cache.seq_len, int(positions.max()) + 1)
-        kv_mask = additive_mask(
-            np.arange(total) < (positions + 1)[:, None])[:, None, None, :]
         # Full batches take the rows=None fast path (whole-table reads);
         # partial batches forward only the active rows, so draining
         # waves stop paying for idle slots.
-        decode_rows = None if n == batch else active_rows
-
         start = time.perf_counter()
         logits = self.model(self._pending[active_rows][:, None], cache=cache,
-                            positions=positions[:, None], kv_mask=kv_mask,
-                            decode_rows=decode_rows)
+                            positions=self._lengths[active_rows][:, None],
+                            rows=None if n == batch else active_rows)
         self.stats.decode_seconds += time.perf_counter() - start
         self.stats.decode_tokens += n
         self.stats.decode_steps += 1
@@ -963,16 +521,20 @@ class GenerationEngine:
         self._lengths[active_rows] += 1
         self._account_step(rows=n, tokens=n)
 
-        sampled = self._sample(logits.data[:, -1],
-                               [slots[row] for row in active_rows])
+        sampled = _sample_tokens(
+            logits.data[:, -1],
+            [slots[row].request.params for row in active_rows],
+            [slots[row].rng for row in active_rows])
         events = []
         for i, row in enumerate(active_rows):
             slot = slots[row]
             token = int(sampled[i])
             slot.generated.append(token)
             self._pending[row] = token
-            reason = self._finish_reason(row)
-            events.append(TokenEvent(slot.request.request_id, token, reason))
+            reason = self._finish_reason(slot.request.params, token,
+                                         len(slot.generated),
+                                         int(self._lengths[row]))
+            events.append(TokenEvent(slot.request_id, token, reason))
             if reason is not None:
                 self._retire(row, reason)
         return events
@@ -1014,9 +576,7 @@ class GenerationEngine:
         slots = self._slots
         spec = self._spec
         batch = self.max_batch_size
-        active_rows = np.array([row for row, slot in enumerate(slots)
-                                if slot is not None and not slot.prefilling],
-                               dtype=np.int64)
+        active_rows = self._decoding_rows()
         n = len(active_rows)
         lengths = self._lengths[active_rows].copy()
         limit = min(self.model.config.max_seq_len,
@@ -1073,7 +633,6 @@ class GenerationEngine:
             take = np.minimum(rem, bs - starts % bs) if is_quant else rem
             rows_arr = active_rows[live]
             width = int(take.max())
-            total = max(int((starts + take).max()), cache.seq_len)
             if is_quant:
                 # Clone-rows decode: verify position L+i of a row is its
                 # own width-1 batch row, so every projection GEMM and
@@ -1088,11 +647,9 @@ class GenerationEngine:
                     [np.asarray(verify[j][int(offset[j]):
                                           int(offset[j]) + int(t)])
                      for j, t in zip(live, take)]).astype(np.int64)
-                allow = np.arange(total)[None, :] <= clone_pos[:, None]
-                kv_mask = additive_mask(allow)[:, None, None, :]
                 out = self.model(clone_toks[:, None], cache=cache,
                                  positions=clone_pos[:, None],
-                                 kv_mask=kv_mask, decode_rows=clone_rows)
+                                 rows=clone_rows)
                 flat = out.data[:, -1]
                 logits_arr = np.zeros((len(live), width, flat.shape[-1]),
                                       dtype=flat.dtype)
@@ -1101,22 +658,12 @@ class GenerationEngine:
                     logits_arr[jj, :int(t)] = flat[pos0:pos0 + int(t)]
                     pos0 += int(t)
             else:
-                toks = np.zeros((len(live), width), dtype=np.int64)
-                positions = np.zeros((len(live), width), dtype=np.int64)
-                offs = np.arange(width)
-                for jj, j in enumerate(live):
-                    o, t = int(offset[j]), int(take[jj])
-                    toks[jj, :t] = verify[j][o:o + t]
-                    positions[jj] = np.minimum(int(starts[jj]) + offs,
-                                               max_pos)
-                query_pos = starts[:, None] + offs[None, :]
-                allow = np.arange(total)[None, None, :] \
-                    <= query_pos[:, :, None]
-                kv_mask = additive_mask(allow)[:, None]
-                logits = self.model(toks, cache=cache, cache_rows=rows_arr,
-                                    cache_lens=take, cache_starts=starts,
-                                    positions=positions, kv_mask=kv_mask)
-                logits_arr = logits.data
+                toks, positions = _pad_spans(
+                    [verify[j][int(offset[j]):int(offset[j]) + int(t)]
+                     for j, t in zip(live, take)], starts, max_pos)
+                logits_arr = self.model(toks, cache=cache,
+                                        positions=positions, rows=rows_arr,
+                                        span_lens=take).data
             verify_tokens += int(take.sum())
             written[live] = starts + take
 
@@ -1159,7 +706,7 @@ class GenerationEngine:
                     emitted[j].append(int(tok))
                     if ok:
                         accepted_step += 1
-                    reason = self._token_finish_reason(
+                    reason = self._finish_reason(
                         par, int(tok),
                         len(slots[active_rows[j]].generated)
                         + len(emitted[j]),
@@ -1216,18 +763,14 @@ class GenerationEngine:
                 self._retire(row, reasons[j])
         return events
 
-    def _scheduler_view(self, free_slots: int | None = None) -> SchedulerView:
+    def _scheduler_view(self) -> SchedulerView:
         """Snapshot of engine state for one scheduler decision."""
-        if free_slots is None:
-            free_slots = sum(slot is None for slot in self._slots)
-        running = tuple(RunningInfo(request_id=slot.request.request_id,
-                                    row=row,
-                                    priority=slot.request.params.priority,
+        running = tuple(RunningInfo(request_id=slot.request_id, row=row,
+                                    priority=slot.priority,
                                     tokens_generated=len(slot.generated),
                                     context_len=int(self._lengths[row]),
                                     prefill_remaining=(
-                                        len(slot.prefill_tokens)
-                                        - slot.prefill_pos
+                                        len(slot.tokens) - slot.prefill_pos
                                         if slot.prefilling else 0))
                         for row, slot in enumerate(self._slots)
                         if slot is not None)
@@ -1240,14 +783,15 @@ class GenerationEngine:
             match = store.peek(tokens)
             return (match.shared_len, match.node_key)
 
-        return SchedulerView(free_slots=free_slots, running=running,
+        return SchedulerView(free_slots=self._slots.count(None),
+                             running=running,
                              free_blocks=cache.free_blocks(),
                              available_blocks=cache.available_blocks(),
                              block_size=cache.block_size,
                              prefix_peek=prefix_peek)
 
-    def _fit_to_blocks(self, chosen: list[_QueueEntry],
-                       view: SchedulerView) -> list[_QueueEntry]:
+    def _fit_to_blocks(self, chosen: list[_RequestState],
+                       view: SchedulerView) -> list[_RequestState]:
         """Trim an admission list to the soft block budget.
 
         Keeps the longest prefix of the scheduler's choice whose
@@ -1259,7 +803,7 @@ class GenerationEngine:
         """
         if not chosen or view.available_blocks is None:
             return list(chosen)
-        kept: list[_QueueEntry] = []
+        kept: list[_RequestState] = []
         budget = view.available_blocks
         for entry in chosen:
             shared, _ = view.prefix_peek(entry.tokens)
@@ -1272,8 +816,8 @@ class GenerationEngine:
         return kept
 
     def _defer_wave_duplicates(self,
-                               chosen: list[_QueueEntry]
-                               ) -> list[_QueueEntry]:
+                               chosen: list[_RequestState]
+                               ) -> list[_RequestState]:
         """Hold back same-wave requests that share an uncached prefix.
 
         Prompts adopt prefixes from the store, which only indexes a
@@ -1288,7 +832,7 @@ class GenerationEngine:
         if self._prefix is None:
             return chosen
         bs = self._cache.block_size
-        kept: list[_QueueEntry] = []
+        kept: list[_RequestState] = []
         claimed: set[tuple[int, ...]] = set()
         # Rows still mid chunked prefill have claimed their leading block
         # too: their prefix is only captured once fully written, so
@@ -1296,9 +840,8 @@ class GenerationEngine:
         # of redundantly prefilling alongside.
         for slot in self._slots:
             if slot is not None and slot.prefilling \
-                    and len(slot.prefill_tokens) > bs:
-                claimed.add(tuple(int(t)
-                                  for t in slot.prefill_tokens[:bs]))
+                    and len(slot.tokens) > bs:
+                claimed.add(tuple(int(t) for t in slot.tokens[:bs]))
         for entry in chosen:
             tokens = entry.tokens
             if len(tokens) > bs:  # at least one shareable full block
@@ -1319,20 +862,9 @@ class GenerationEngine:
         re-admission restores from the surviving prefix and re-prefills
         just the rest.
         """
-        slot = self._slots[row]
-        tokens = np.concatenate([slot.request.prompt,
-                                 np.asarray(slot.generated, dtype=np.int64)])
-        self._queue.appendleft(_QueueEntry(request=slot.request,
-                                           tokens=tokens,
-                                           generated=slot.generated,
-                                           rng=slot.rng))
-        self._slots[row] = None
-        self._lengths[row] = 0
-        self._live.pop(slot.request.request_id, None)
-        self._cache.free_rows(np.array([row]))
-        self._cache.trim(int(self._lengths.max()))
-        if self._spec is not None:
-            self._spec.drop_rows(np.array([row]))
+        state = self._release_row(row)
+        state.prefill_pos = None
+        self._queue.appendleft(state)
         self.stats.preemptions += 1
 
     def _admit(self) -> list[TokenEvent]:
@@ -1352,7 +884,7 @@ class GenerationEngine:
         while self._queue:
             free = [row for row, slot in enumerate(self._slots)
                     if slot is None]
-            view = self._scheduler_view(len(free))
+            view = self._scheduler_view()
             queue = list(self._queue)
             chosen = (self.scheduler.select(queue, len(free),
                                             view)[:len(free)]
@@ -1360,8 +892,13 @@ class GenerationEngine:
             chosen = self._defer_wave_duplicates(chosen)
             chosen = self._fit_to_blocks(chosen, view)
             if not chosen:
+                # Requests held back for a same-prefix capture wait for
+                # that capture, not for memory: they must not drive
+                # preemption (the victim would be re-admitted next round
+                # and preempted again, forever).
+                waiting = self._defer_wave_duplicates(queue)
                 preempted = False
-                for rid in self.scheduler.preempt(queue, view):
+                for rid in self.scheduler.preempt(waiting, view):
                     victim_row = self._live.get(rid)
                     if victim_row is not None:
                         self._preempt_row(victim_row)
@@ -1373,9 +910,9 @@ class GenerationEngine:
             events += self._prefill_step()
         return events
 
-    def _claim_wave(self, entries: list[_QueueEntry],
+    def _claim_wave(self, entries: list[_RequestState],
                     rows: list[int]) -> None:
-        """Move queue entries into slots, in the *prefilling* state.
+        """Move queued requests into slots, in the *prefilling* state.
 
         Claiming installs the slot, attaches whatever shared prefix the
         store holds (the adopted blocks are context the row never
@@ -1389,12 +926,8 @@ class GenerationEngine:
             shared = 0
             if self._prefix is not None:
                 shared = self._prefix.attach(row, entry.tokens)
-            slot = _Slot(request=entry.request, rng=entry.rng,
-                         generated=entry.generated,
-                         prefill_tokens=np.asarray(entry.tokens,
-                                                   dtype=np.int64),
-                         prefill_pos=shared)
-            self._slots[row] = slot
+            entry.prefill_pos = shared
+            self._slots[row] = entry
             self._lengths[row] = shared
             self._live[entry.request_id] = row
             # prompt_tokens counts context as it is *established* (the
@@ -1413,18 +946,17 @@ class GenerationEngine:
         ``min(remaining prompt, remaining budget)`` tokens — rounded
         down to whole cache blocks unless the grant finishes the prompt
         — until the step's budget is spent.  The granted spans forward
-        as one ragged
-        wave — written via ``prefill_rows`` and attended block-resident
-        over the chunk grid — and rows whose final prompt token lands
-        this wave sample their first token, capture their prefix, and
-        flip to decoding (the LM head is skipped for every other row via
-        negative ``logits_positions``).
+        as one ragged wave — written via ``prefill_rows`` and attended
+        block-resident over the chunk grid — and rows whose final prompt
+        token lands this wave sample their first token, capture their
+        prefix, and flip to decoding (the LM head is skipped for every
+        other row via negative ``logits_positions``).
         """
         budget = self._prefill_budget
-        prefilling = {slot.request.request_id: (row, slot)
+        prefilling = {slot.request_id: (row, slot)
                       for row, slot in enumerate(self._slots)
                       if slot is not None and slot.prefilling}
-        if not prefilling or (budget is not None and budget < 1):
+        if not prefilling or budget < 1:
             return []
         order_fn = getattr(self.scheduler, "prefill_order", None)
         if order_fn is not None:
@@ -1443,24 +975,19 @@ class GenerationEngine:
         # budget is at least one block so the head of the order always
         # makes progress.
         grain = self._cache.block_size
-        grants: list[tuple[int, _Slot, int]] = []   # (row, slot, take)
+        grants: list[tuple[int, _RequestState, int]] = []  # (row, slot, take)
         remaining_total = 0
         for rid in order:
             row, slot = prefilling[rid]
-            remaining = len(slot.prefill_tokens) - slot.prefill_pos
+            remaining = len(slot.tokens) - slot.prefill_pos
             remaining_total += remaining
-            if budget is None:
-                take = remaining
-            else:
-                take = min(remaining, max(budget, grain if not grants
-                                          else 0))
-                if take < remaining:
-                    take -= take % grain
+            take = min(remaining, max(budget, grain if not grants else 0))
+            if take < remaining:
+                take -= take % grain
             if take < 1:
                 continue
             grants.append((row, slot, take))
-            if budget is not None:
-                budget = max(0, budget - take)
+            budget = max(0, budget - take)
         if not grants:
             return []
         granted = sum(take for _, _, take in grants)
@@ -1470,41 +997,24 @@ class GenerationEngine:
 
         # One ragged wave over the granted spans: row j writes
         # ``take`` tokens after its ``prefill_pos`` established context
-        # and attends everything up to each written position.  Rows sit
-        # at different depths, so causality is a full per-row mask, not
-        # the uniform triangular one.
-        cache = self._cache
+        # and attends everything up to each written position.
         rows_arr = np.array([row for row, _, _ in grants], dtype=np.int64)
         starts = np.array([slot.prefill_pos for _, slot, _ in grants],
                           dtype=np.int64)
         widths = np.array([take for _, _, take in grants], dtype=np.int64)
-        finishing = np.array([slot.prefill_pos + take
-                              >= len(slot.prefill_tokens)
+        finishing = np.array([slot.prefill_pos + take >= len(slot.tokens)
                               for _, slot, take in grants])
-        width = int(widths.max())
         n = len(grants)
-        tokens = np.zeros((n, width), dtype=np.int64)
-        positions = np.zeros((n, width), dtype=np.int64)
-        # Clamp padding positions into the RoPE table; padded K/V are
-        # never written (prefill_rows writes true lengths only) and
-        # padded logits are never computed.
-        max_pos = self.model.config.max_seq_len - 1
-        offsets = np.arange(width)
-        for j, (row, slot, take) in enumerate(grants):
-            s = slot.prefill_pos
-            tokens[j, :take] = slot.prefill_tokens[s:s + take]
-            positions[j] = np.minimum(s + offsets, max_pos)
-        total = max(int((starts + widths).max()), cache.seq_len)
-        query_pos = starts[:, None] + offsets[None, :]        # (n, width)
-        allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
-        kv_mask = additive_mask(allow)[:, None]
-        logits_positions = np.where(finishing, widths - 1, -1)
+        tokens, positions = _pad_spans(
+            [slot.tokens[slot.prefill_pos:slot.prefill_pos + take]
+             for _, slot, take in grants],
+            starts, self.model.config.max_seq_len - 1)
 
         start_t = time.perf_counter()
-        logits = self.model(tokens, cache=cache, cache_rows=rows_arr,
-                            cache_lens=widths, cache_starts=starts,
-                            positions=positions, kv_mask=kv_mask,
-                            logits_positions=logits_positions)
+        logits = self.model(tokens, cache=self._cache, positions=positions,
+                            rows=rows_arr, span_lens=widths,
+                            logits_positions=np.where(finishing,
+                                                      widths - 1, -1))
         self.stats.prefill_seconds += time.perf_counter() - start_t
         self.stats.prefill_tokens += granted
         self.stats.prompt_tokens += granted
@@ -1526,34 +1036,29 @@ class GenerationEngine:
             # continuation is its own, not a reusable prefix.
             for row, slot, _ in done:
                 self._prefix.capture(row, slot.request.prompt)
-        first = self._sample(logits.data[finish_idx, 0],
-                             [slot for _, slot, _ in done])
+        first = _sample_tokens(logits.data[finish_idx, 0],
+                               [slot.request.params for _, slot, _ in done],
+                               [slot.rng for _, slot, _ in done])
         for j, (row, slot, _) in enumerate(done):
             token = int(first[j])
             slot.generated.append(token)
-            slot.prefill_tokens = None
+            slot.prefill_pos = None
             self._pending[row] = token
-            reason = self._finish_reason(row)
-            events.append(TokenEvent(slot.request.request_id, token,
-                                     reason))
+            reason = self._finish_reason(slot.request.params, token,
+                                         len(slot.generated),
+                                         int(self._lengths[row]))
+            events.append(TokenEvent(slot.request_id, token, reason))
             if reason is not None:
                 self._retire(row, reason)
         return events
 
-    def _finish_reason(self, row: int) -> str | None:
-        """Terminal state for the row's newest token, or None to continue."""
-        slot = self._slots[row]
-        return self._token_finish_reason(slot.request.params,
-                                         slot.generated[-1],
-                                         len(slot.generated),
-                                         int(self._lengths[row]))
-
-    def _token_finish_reason(self, params: SamplingParams, token: int,
-                             generated: int, context_len: int) -> str | None:
-        """:meth:`_finish_reason` for a token not yet committed to its
-        slot: ``generated`` counts the request's tokens *including* this
-        one and ``context_len`` is the committed context after it — the
-        state a speculative verify is about to commit."""
+    def _finish_reason(self, params: SamplingParams, token: int,
+                       generated: int, context_len: int) -> str | None:
+        """Terminal state a newly sampled ``token`` puts its request in,
+        or None to continue: ``generated`` counts the request's tokens
+        *including* this one and ``context_len`` is the committed
+        context after it (for a speculative verify, the state it is
+        about to commit)."""
         if self.eos_token is not None and token == self.eos_token:
             return "eos"
         if token in params.stop_tokens:
@@ -1568,17 +1073,22 @@ class GenerationEngine:
 
     def _retire(self, row: int, reason: str) -> None:
         """Complete the row's request and release its slot and blocks."""
-        slot = self._slots[row]
-        request = slot.request
-        tokens = np.concatenate([request.prompt,
-                                 np.asarray(slot.generated, dtype=np.int64)])
+        self._complete(self._release_row(row), reason)
+
+    def _complete(self, state: _RequestState, reason: str) -> None:
+        request = state.request
         self._finished.append(Completion(request_id=request.request_id,
-                                         tokens=tokens,
+                                         tokens=state.tokens.copy(),
                                          prompt_len=len(request.prompt),
                                          finish_reason=reason))
+
+    def _release_row(self, row: int) -> _RequestState:
+        """Vacate ``row`` (retire, cancel or preempt); returns the
+        request that held it."""
+        state = self._slots[row]
         self._slots[row] = None
         self._lengths[row] = 0
-        self._live.pop(request.request_id, None)
+        self._live.pop(state.request_id, None)
         # The row's blocks return to the pool immediately so waiting
         # prompts can be admitted into the freed memory.  Trimming the
         # read width to the surviving rows keeps a persistent session from
@@ -1587,23 +1097,4 @@ class GenerationEngine:
         self._cache.trim(int(self._lengths.max()))
         if self._spec is not None:
             self._spec.drop_rows(np.array([row]))
-
-    # ------------------------------------------------------------------ #
-    # sampling
-    # ------------------------------------------------------------------ #
-    def _sample(self, logits: np.ndarray, slots: list[_Slot]) -> np.ndarray:
-        """Sample one token per row of ``(batch, vocab)`` logits from
-        each slot's params and private RNG stream (see
-        :func:`_sample_tokens`)."""
-        return _sample_tokens(logits,
-                              [slot.request.params for slot in slots],
-                              [slot.rng for slot in slots])
-
-    def _sample_with(self, logits: np.ndarray, params: list, rngs: list,
-                     return_probs: bool = False):
-        """:func:`_sample_tokens` with explicit params/RNGs — the hook
-        the speculative decoder uses so draft proposals run the exact
-        sampling math the engine itself does (just on the draft's own
-        RNG streams)."""
-        return _sample_tokens(logits, params, rngs,
-                              return_probs=return_probs)
+        return state

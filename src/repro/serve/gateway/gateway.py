@@ -27,6 +27,10 @@ synchronous :class:`~repro.serve.engine.GenerationEngine`:
   the job when it was the last subscriber (``cancel_on_disconnect``),
   which propagates to ``engine.cancel()`` and frees the job's cache
   blocks immediately.
+* **Degrading, not dying** — an exception out of one pump (a poison
+  request whose forward raises) costs the jobs that were inside the
+  engine for that step, marked ``failed`` with the error text; queued
+  jobs and later submissions are served as if nothing happened.
 * **Observability** — :meth:`metrics` snapshots
   ``EngineStats.to_dict()`` next to queue-depth gauges and
   first-token-latency percentiles, the payload ``GET /metrics`` serves.
@@ -37,12 +41,13 @@ from __future__ import annotations
 import asyncio
 import time
 from collections import deque
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from repro.serve.engine import GenerationEngine, SamplingParams
+from repro.serve.engine import GenerationEngine
 from repro.serve.gateway.queue import RequestQueue
+from repro.serve.params import SamplingParams, validate_request
 
 #: First-token latencies kept for the ``/metrics`` percentiles: the most
 #: recent requests only, so neither the gateway's memory nor the cost of
@@ -72,6 +77,18 @@ class TokenUpdate:
     index: int | None
     token: int | None
     finish_reason: str | None = None
+
+
+@dataclass
+class _JobState:
+    """What the gateway remembers about one live job — created at
+    :meth:`ServingGateway.submit` (or at dispatch, for a job recovered
+    from the journal) and dropped on every terminal edge."""
+
+    arrived: float | None       # perf_counter at submit; None if recovered
+    rid: int | None = None      # engine request id once dispatched
+    emitted: int = 0            # tokens seen this dispatch
+    replay_len: int = 0         # journal length at dispatch
 
 
 class ServingGateway:
@@ -115,12 +132,9 @@ class ServingGateway:
         self.cancel_on_disconnect = cancel_on_disconnect
         self.idle_sleep = idle_sleep
         self.rng = rng or np.random.default_rng(0)
-        self._job_rid: dict[int, int] = {}    # job id -> engine request id
-        self._rid_job: dict[int, int] = {}
-        self._emitted: dict[int, int] = {}    # tokens seen this dispatch
-        self._replay_len: dict[int, int] = {}  # journal len at dispatch
+        self._jobs: dict[int, _JobState] = {}
+        self._rid_job: dict[int, int] = {}    # engine request id -> job id
         self._subs: dict[int, list[asyncio.Queue]] = {}
-        self._arrived: dict[int, float] = {}
         self._first_token_s: deque[float] = deque(maxlen=FIRST_TOKEN_WINDOW)
         self._first_token_count = 0
         self._task: asyncio.Task | None = None
@@ -166,12 +180,32 @@ class ServingGateway:
     async def _engine_loop(self) -> None:
         while self._running:
             try:
-                progressed = self.pump()
+                progressed = self._pump_or_fail()
             except BaseException as exc:  # surface via stop()/drain()
                 self._loop_error = exc
                 self._running = False
                 break
             await asyncio.sleep(0 if progressed else self.idle_sleep)
+
+    def _pump_or_fail(self) -> bool:
+        """:meth:`pump`, with an ``Exception`` out of it charged to the
+        jobs inside the engine instead of ending service: each is
+        cancelled there (its row and blocks come back), journaled
+        ``failed`` with the error text and told so.  Which of them
+        raised is unknown and the step they shared is half-applied, so
+        the whole wave goes; queued jobs are untouched."""
+        try:
+            return self.pump()
+        except Exception as exc:
+            error = f"{type(exc).__name__}: {exc}"
+            for rid, job_id in self._rid_job.items():
+                self.engine.cancel(rid)
+                self.queue.fail(job_id, error)
+                self._publish(job_id,
+                              TokenUpdate(job_id, None, None, "failed"))
+                del self._jobs[job_id]
+            self._rid_job.clear()
+            return True
 
     # ------------------------------------------------------------------ #
     # admission
@@ -195,26 +229,11 @@ class ServingGateway:
             raise QueueFullError(
                 f"queue is at max_queue_depth={self.max_queue_depth}; "
                 f"retry later")
-        if params is None:
-            if max_new_tokens is None:
-                raise ValueError("pass max_new_tokens or params")
-            params = SamplingParams(max_new_tokens=max_new_tokens,
-                                    temperature=temperature or 0.0)
-        elif max_new_tokens is not None or temperature is not None:
-            raise ValueError("pass either params or the max_new_tokens/"
-                             "temperature shorthand, not both")
-        prompt = np.asarray(prompt, dtype=np.int64).reshape(-1)
-        if prompt.size == 0:
-            raise ValueError("prompt must contain at least one token")
-        limit = self.engine.model.config.max_seq_len
-        if prompt.size > limit:
-            raise ValueError(f"prompt of {prompt.size} tokens exceeds "
-                             f"max_seq_len={limit}")
-        if params.seed is None:
-            params = replace(params,
-                             seed=int(self.rng.integers(2 ** 32)))
+        prompt, params = validate_request(
+            prompt, params, max_new_tokens, temperature,
+            self.engine.model.config.max_seq_len, self.rng)
         job_id = self.queue.submit(prompt, params)
-        self._arrived[job_id] = time.perf_counter()
+        self._jobs[job_id] = _JobState(arrived=time.perf_counter())
         return job_id
 
     def cancel(self, job_id: int) -> bool:
@@ -225,9 +244,12 @@ class ServingGateway:
         the next natural completion.
         """
         cancelled = self.queue.cancel(job_id)
-        rid = self._job_rid.get(job_id)
-        if rid is not None:
-            self.engine.cancel(rid)
+        state = self._jobs.get(job_id)
+        if state is not None:
+            if state.rid is not None:
+                self.engine.cancel(state.rid)   # the drain drops the state
+            else:
+                del self._jobs[job_id]
         return cancelled
 
     # ------------------------------------------------------------------ #
@@ -266,7 +288,7 @@ class ServingGateway:
 
     def _dispatch(self) -> None:
         budget = self._block_budget()
-        while len(self._job_rid) < self.max_inflight:
+        while len(self._rid_job) < self.max_inflight:
             job = self.queue.next_queued()
             if job is None:
                 break
@@ -275,7 +297,7 @@ class ServingGateway:
             # can hold, but always let the head job through an idle
             # engine — serving one oversize job at a time beats
             # stalling (the engine's own trimming degrades gracefully).
-            if budget is not None and needed > budget and self._job_rid:
+            if budget is not None and needed > budget and self._rid_job:
                 break
             try:
                 rid = self.engine.submit_from_record(job)
@@ -286,12 +308,13 @@ class ServingGateway:
                 self.queue.fail(job.job_id, str(exc))
                 self._publish(job.job_id,
                               TokenUpdate(job.job_id, None, None, "failed"))
+                self._jobs.pop(job.job_id, None)
                 continue
             self.queue.mark_running(job.job_id)
-            self._job_rid[job.job_id] = rid
+            state = self._jobs.setdefault(job.job_id, _JobState(arrived=None))
+            state.rid, state.emitted = rid, 0
+            state.replay_len = len(job.tokens)
             self._rid_job[rid] = job.job_id
-            self._emitted[job.job_id] = 0
-            self._replay_len[job.job_id] = len(job.tokens)
             if budget is not None:
                 budget = max(0, budget - needed)
 
@@ -308,15 +331,14 @@ class ServingGateway:
                     self._publish(job_id, TokenUpdate(
                         job_id, None, None, event.finish_reason))
                 continue
-            idx = self._emitted[job_id]
-            self._emitted[job_id] = idx + 1
-            if idx == 0:
-                arrived = self._arrived.get(job_id)
-                if arrived is not None:
-                    self._first_token_s.append(
-                        time.perf_counter() - arrived)
-                    self._first_token_count += 1
-            if idx >= self._replay_len[job_id]:
+            state = self._jobs[job_id]
+            idx = state.emitted
+            state.emitted = idx + 1
+            if idx == 0 and state.arrived is not None:
+                self._first_token_s.append(
+                    time.perf_counter() - state.arrived)
+                self._first_token_count += 1
+            if idx >= state.replay_len:
                 to_append.setdefault(job_id, []).append(
                     (idx, int(event.token)))
             self._publish(job_id, TokenUpdate(job_id, idx,
@@ -330,10 +352,7 @@ class ServingGateway:
             job_id = self._rid_job.pop(completion.request_id, None)
             if job_id is None:
                 continue
-            self._job_rid.pop(job_id, None)
-            self._emitted.pop(job_id, None)
-            self._replay_len.pop(job_id, None)
-            self._arrived.pop(job_id, None)
+            del self._jobs[job_id]
             self.queue.finish(job_id, completion.finish_reason)
 
     def _publish(self, job_id: int, update: TokenUpdate) -> None:
@@ -417,7 +436,7 @@ class ServingGateway:
             "engine": self.engine.stats.to_dict(),
             "queue": {
                 "depth": counts["queued"] + counts["running"],
-                "inflight": len(self._job_rid),
+                "inflight": len(self._rid_job),
                 "max_queue_depth": self.max_queue_depth,
                 "max_inflight": self.max_inflight,
                 **{f"jobs_{status}": n for status, n in counts.items()},

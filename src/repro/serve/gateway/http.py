@@ -36,7 +36,7 @@ import json
 
 import numpy as np
 
-from repro.serve.engine import SamplingParams
+from repro.serve.params import SamplingParams
 from repro.serve.gateway.gateway import QueueFullError, ServingGateway
 
 #: Fields of the POST /v1/generate body that map onto SamplingParams.

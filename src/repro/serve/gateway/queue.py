@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.serve.engine import SamplingParams
+from repro.serve.params import SamplingParams
 
 #: Every state a job can be in.  ``queued`` and ``running`` are live;
 #: the other three are terminal.

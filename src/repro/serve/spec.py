@@ -47,16 +47,12 @@ the draft pool.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.nn.block_attention import additive_mask
 from repro.nn.model import TransformerLM
 from repro.nn.paged_kv_cache import PagedKVCache
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (engine imports us)
-    from repro.serve.engine import GenerationEngine
+from repro.serve.sampling import _sample_tokens
 
 #: Acceptance policies: ``"exact"`` re-samples every position from the
 #: target (greedy rows: argmax prefix match; sampled rows: the request's
@@ -158,44 +154,48 @@ def leftover_accept(target_probs: np.ndarray, draft_probs: np.ndarray,
     return sample_from_probs(leftover / mass, rng), False
 
 
+def _pad_spans(spans: list, starts: np.ndarray, max_pos: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Batch ragged token spans for one span forward: ``(tokens,
+    positions)``, both ``(len(spans), longest span)``.  Row ``j`` holds
+    ``spans[j]`` zero-padded, at positions ``starts[j], starts[j] + 1,
+    ...`` clamped into the RoPE table (``max_pos``) — padded K/V are
+    never written (the forward writes true ``span_lens`` only) and
+    padded logits are never used."""
+    width = max(len(span) for span in spans)
+    tokens = np.zeros((len(spans), width), dtype=np.int64)
+    for j, span in enumerate(spans):
+        tokens[j, :len(span)] = span
+    positions = np.minimum(np.asarray(starts)[:, None] + np.arange(width),
+                           max_pos)
+    return tokens, positions
+
+
 class SpeculativeDecoder:
     """Draft-side state of a speculative serving session.
 
-    One instance per engine, sized to the engine's slot pool: row ``r``
-    of the draft cache mirrors engine row ``r``.  ``_len[r]`` is the
-    drafted extent — how many of the request's tokens the draft model
-    has processed into its cache; it trails the engine's committed
-    length and is caught up with one ragged span forward at the start of
-    every :meth:`propose`.
+    One instance per engine, sized to the engine's slot pool (``batch``
+    rows of ``block_size``-token blocks, ``initial_blocks`` to start
+    with): row ``r`` of the draft cache mirrors engine row ``r``.
+    ``_len[r]`` is the drafted extent — how many of the request's
+    tokens the draft model has processed into its cache; it trails the
+    engine's committed length and is caught up with one ragged span
+    forward at the start of every :meth:`propose`.
     """
 
-    def __init__(self, engine: "GenerationEngine",
-                 config: SpeculativeConfig):
-        self._engine = engine
+    def __init__(self, config: SpeculativeConfig, batch: int,
+                 block_size: int, initial_blocks: int):
         self.config = config
         self.draft = config.draft_model
-        batch = engine.max_batch_size
-        self._cache: PagedKVCache | None = None
+        # The draft stays full precision by design — quantizing the
+        # *draft* would lower acceptance to save memory nobody is short
+        # of (the draft model is the small one).
+        self.cache = PagedKVCache(self.draft.config.num_layers, batch=batch,
+                                  block_size=block_size,
+                                  initial_blocks=initial_blocks)
         self._len = np.zeros(batch, dtype=np.int64)
         self._req = np.full(batch, -1, dtype=np.int64)
         self._rng: list[np.random.Generator | None] = [None] * batch
-
-    @property
-    def cache(self) -> PagedKVCache | None:
-        """The draft's private KV cache (None until the first propose)."""
-        return self._cache
-
-    def _make_cache(self) -> PagedKVCache:
-        """The draft stays full precision by design — quantizing the
-        *draft* would lower acceptance to save memory nobody is short
-        of (the draft model is the small one)."""
-        engine = self._engine
-        batch = engine.max_batch_size
-        initial_blocks = batch * max(
-            1, engine.initial_capacity // engine.block_size)
-        return PagedKVCache(self.draft.config.num_layers, batch=batch,
-                            block_size=engine.block_size,
-                            initial_blocks=initial_blocks)
 
     def drop_rows(self, rows: np.ndarray) -> None:
         """Forget a row's draft state (retire/cancel/preempt).
@@ -211,35 +211,20 @@ class SpeculativeDecoder:
         self._req[rows] = -1
         for row in rows:
             self._rng[int(row)] = None
-        if self._cache is not None:
-            self._cache.free_rows(rows)
-            self._cache.trim(int(self._len.max()))
+        self.cache.free_rows(rows)
+        self.cache.trim(int(self._len.max()))
 
     def _catch_up(self, rows: np.ndarray, slots: list, starts: np.ndarray,
                   widths: np.ndarray) -> np.ndarray:
         """One ragged span forward of row ``j``'s tokens ``starts[j] ..
         starts[j] + widths[j]``; returns the ``(n, vocab)`` logits after
         each row's last one."""
-        cache = self._cache
-        n, width = len(rows), int(widths.max())
-        toks = np.zeros((n, width), dtype=np.int64)
-        positions = np.zeros((n, width), dtype=np.int64)
-        max_pos = self.draft.config.max_seq_len - 1
-        offsets = np.arange(width)
-        for j in range(n):
-            s, w = int(starts[j]), int(widths[j])
-            full = np.concatenate(
-                [slots[j].request.prompt,
-                 np.asarray(slots[j].generated, dtype=np.int64)])
-            toks[j, :w] = full[s:s + w]
-            positions[j] = np.minimum(s + offsets, max_pos)
-        total = max(int((starts + widths).max()), cache.seq_len)
-        query_pos = starts[:, None] + offsets[None, :]
-        allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
-        out = self.draft(toks, cache=cache, cache_rows=rows,
-                         cache_lens=widths, cache_starts=starts,
-                         positions=positions,
-                         kv_mask=additive_mask(allow)[:, None],
+        toks, positions = _pad_spans(
+            [slot.tokens[s:s + w]
+             for slot, s, w in zip(slots, starts, widths)],
+            starts, self.draft.config.max_seq_len - 1)
+        out = self.draft(toks, cache=self.cache, positions=positions,
+                         rows=rows, span_lens=widths,
                          logits_positions=widths - 1)
         return out.data[:, 0]
 
@@ -258,13 +243,6 @@ class SpeculativeDecoder:
         ``"leftover"``), and the total number of token positions the
         draft model forwarded (for accelerator-projection accounting).
         """
-        if self._cache is None:
-            self._cache = self._make_cache()
-        cache = self._cache
-        config = self.draft.config
-        rows = np.asarray(rows, dtype=np.int64)
-        lengths = np.asarray(lengths, dtype=np.int64)
-        k_eff = np.asarray(k_eff, dtype=np.int64)
         n = len(rows)
         params = [slot.request.params for slot in slots]
         rngs: list[np.random.Generator] = []
@@ -289,7 +267,8 @@ class SpeculativeDecoder:
         # --- same logits either way) ---
         starts = self._len[rows].copy()
         widths = lengths + 1 - starts            # >= 1: _len trails L
-        logits_now = np.zeros((n, config.vocab_size), dtype=np.float32)
+        logits_now = np.zeros((n, self.draft.config.vocab_size),
+                              dtype=np.float32)
         arrived = widths > self.config.k + 1
         for wave in (np.flatnonzero(arrived), np.flatnonzero(~arrived)):
             if len(wave):
@@ -308,7 +287,7 @@ class SpeculativeDecoder:
             [[] for _ in range(n)] if need_probs else None
         for i in range(int(k_eff.max())):
             sub = np.flatnonzero(k_eff > i)
-            res = self._engine._sample_with(
+            res = _sample_tokens(
                 logits_now[sub], [params[j] for j in sub],
                 [rngs[j] for j in sub], return_probs=need_probs)
             drafted, probs = res if need_probs else (res, None)
@@ -321,12 +300,8 @@ class SpeculativeDecoder:
                 break
             pos = lengths[nxt] + i + 1
             tok = np.array([proposals[j][-1] for j in nxt], dtype=np.int64)
-            total = max(cache.seq_len, int(pos.max()) + 1)
-            mask = additive_mask(
-                np.arange(total) < (pos + 1)[:, None])[:, None, None, :]
-            out = self.draft(tok[:, None], cache=cache,
-                             positions=pos[:, None], kv_mask=mask,
-                             decode_rows=rows[nxt])
+            out = self.draft(tok[:, None], cache=self.cache,
+                             positions=pos[:, None], rows=rows[nxt])
             draft_tokens += len(nxt)
             logits_now[nxt] = out.data[:, -1]
 
@@ -348,11 +323,7 @@ class SpeculativeDecoder:
         inside kept storage are masked by the next catch-up's causal
         mask and overwritten in place.
         """
-        if self._cache is None:
-            return
-        rows = np.asarray(rows, dtype=np.int64)
-        new_lens = np.minimum(self._len[rows],
-                              np.asarray(committed, dtype=np.int64))
-        self._cache.truncate_rows(rows, new_lens)
+        new_lens = np.minimum(self._len[rows], committed)
+        self.cache.truncate_rows(rows, new_lens)
         self._len[rows] = new_lens
-        self._cache.trim(int(self._len.max()))
+        self.cache.trim(int(self._len.max()))

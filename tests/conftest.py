@@ -106,8 +106,7 @@ def stepwise_fineq_cache():
                         quantize_stepwise(data[i][None])
             self._read_stats.flush_calls += 2 * len(ids)
             self._read_stats.flush_blocks += 2 * len(ids)
-            if self._dequant is not None:
-                self._dequant.invalidate(ids, layers)
+            self.dequant_cache.invalidate(ids, layers)
 
     return StepwiseFlushCache
 

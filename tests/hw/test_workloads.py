@@ -5,6 +5,7 @@ from repro.hw.workloads import (DecodeProjection, GEMMShape, block_gemms,
                                 project_decode_trace, total_macs,
                                 total_weight_count)
 from repro.models.configs import ZOO_CONFIGS, tiny_config, zoo_config
+from repro.serve.stats import StepTrace
 
 
 def test_block_has_six_gemms():
@@ -63,7 +64,8 @@ def test_decode_step_cycles_monotone_in_batch():
 
 def test_projection_accumulates_trace():
     config = zoo_config("llama-sim-3b")
-    trace = [(4, 4, 4096), (4, 4, 4096), (2, 2, 2048)]
+    trace = [StepTrace(4, 4, 4096), StepTrace(4, 4, 4096),
+             StepTrace(2, 2, 2048)]
     projection = project_decode_trace(config, trace, design="fineq")
     assert projection.steps == 3
     assert projection.tokens == 10
@@ -77,12 +79,41 @@ def test_projection_accumulates_trace():
     assert as_dict["total_cycles"] == projection.total_cycles
 
 
+def test_projection_of_a_recorded_trace_is_pinned():
+    """One trace with every record shape the engine writes — a prefill
+    chunk, decode steps with and without streamed bytes, a speculative
+    step, a fully memoised step — projects to the numbers the positional
+    reader produced (recorded at PR 16); a ``StepTrace`` field inserted
+    or reordered cannot move them."""
+    trace = [
+        StepTrace(rows=3, tokens=41, kv_bytes=20480, kv_bytes_streamed=20480,
+                  prefill_tokens=41),
+        StepTrace(rows=3, tokens=3, kv_bytes=36864, kv_bytes_streamed=9216),
+        StepTrace(rows=3, tokens=3, kv_bytes=38400),
+        StepTrace(rows=2, tokens=5, kv_bytes=40960, kv_bytes_streamed=12288,
+                  spec_proposed=8, spec_accepted=3, spec_draft_tokens=19,
+                  spec_verify_tokens=10),
+        StepTrace(rows=1, tokens=1, kv_bytes=8192, kv_bytes_streamed=0),
+    ]
+    target, draft = zoo_config("llama-sim-7b"), zoo_config("llama-sim-3b")
+    want = {("fineq", None): (235490, 89785.6156667429),
+            ("fineq", draft): (364334, 58088.23932354601),
+            ("baseline", None): (96475, 218324.87152817112),
+            ("baseline", draft): (146347, 144242.21806429667)}
+    for (design, draft_config), (compute, tok_s) in want.items():
+        got = project_decode_trace(target, trace, design=design,
+                                   draft_config=draft_config)
+        assert (got.steps, got.tokens, got.kv_dma_cycles) == (5, 53, 628)
+        assert got.compute_cycles == compute
+        assert got.tokens_per_s == tok_s
+
+
 def test_quantized_kv_bytes_project_to_fewer_dma_cycles():
     """The FineQ cache's ~4.7x smaller KV footprint directly shrinks the
     projected DMA time — the serving-side payoff of the 2.33-bit format."""
     config = zoo_config("llama-sim-3b")
-    fp32_trace = [(8, 8, 8 * 4096)] * 16
-    quant_trace = [(8, 8, 8 * 4096 // 4)] * 16
+    fp32_trace = [StepTrace(8, 8, 8 * 4096)] * 16
+    quant_trace = [StepTrace(8, 8, 8 * 4096 // 4)] * 16
     fp32 = project_decode_trace(config, fp32_trace, design="baseline")
     quant = project_decode_trace(config, quant_trace, design="fineq")
     assert quant.kv_dma_cycles * 4 <= fp32.kv_dma_cycles + 4
@@ -125,4 +156,4 @@ def test_untraced_engine_keeps_no_trace():
     engine = GenerationEngine(model, max_batch_size=2)
     engine.submit(np.array([1, 2, 3]), 4)
     engine.run()
-    assert engine.trace == []
+    assert len(engine.trace) == 0

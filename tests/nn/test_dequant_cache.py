@@ -130,7 +130,7 @@ def test_eviction_under_budget_keeps_results_bit_identical():
     small, _ = make_cache(seq=29, dequant_cache_bytes=2 * entry)
     uncached, _ = make_cache(seq=29, dequant_cache_bytes=0)
     assert small.dequant_cache.capacity == 2
-    assert uncached.dequant_cache is None
+    assert uncached.dequant_cache.capacity == 0
     for _round in range(3):
         for layer in range(small.num_layers):
             for kind in ("k", "v"):

@@ -5,6 +5,9 @@
 replaced (``MultiHeadAttention.forward``'s write-then-attend case plus
 ``TransformerLM.forward``'s ``logits_positions`` gather), kept here so
 "same float32 ops, same order, same layouts" stays checked bit for bit.
+It also builds its attention mask the way the engine's call sites used
+to, by hand, so the mask the forward now derives from ``positions`` and
+``span_lens`` is checked against that spelling on every call shape.
 """
 
 import numpy as np
@@ -21,11 +24,20 @@ from repro.nn.rope import rotate
 BATCH, BLOCK, VOCAB = 3, 4, 64
 
 
-def reference_forward(model, tokens, cache, positions, kv_mask,
-                      cache_rows=None, cache_lens=None, cache_starts=None,
-                      decode_rows=None, logits_positions=None):
+def reference_forward(model, tokens, cache, positions, rows=None,
+                      span_lens=None, logits_positions=None):
     """The removed serving branch, op for op on ``Tensor``s."""
     batch, seq = tokens.shape
+    starts = positions[:, 0]
+    if span_lens is not None:
+        total = max(int((starts + span_lens).max()), cache.seq_len)
+        query_pos = starts[:, None] + np.arange(seq)[None, :]
+        allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
+        kv_mask = additive_mask(allow)[:, None]
+    else:
+        total = max(cache.seq_len, int(starts.max()) + 1)
+        kv_mask = additive_mask(
+            np.arange(total) < (starts + 1)[:, None])[:, None, None, :]
     cos = model.rope.cos[positions][:, None]
     sin = model.rope.sin[positions][:, None]
     x = model.embed(tokens)
@@ -37,16 +49,15 @@ def reference_forward(model, tokens, cache, positions, kv_mask,
         v = attn._split_heads(attn.wv(h), batch, seq)
         q = Tensor(rotate(q.data, cos, sin))
         k = Tensor(rotate(k.data, cos, sin))
-        if cache_rows is not None:
-            cache.prefill_rows(index, k.data, v.data, cache_rows,
-                               cache_starts, cache_lens)
+        if span_lens is not None:
+            cache.prefill_rows(index, k.data, v.data, rows, starts,
+                               span_lens)
             context = block_prefill_attention(
-                q.data, cache, index, kv_mask=kv_mask, rows=cache_rows)
+                q.data, cache, index, kv_mask=kv_mask, rows=rows)
         else:
-            cache.write_token(index, k.data, v.data, positions[:, 0],
-                              rows=decode_rows)
+            cache.write_token(index, k.data, v.data, starts, rows=rows)
             context = block_decode_attention(
-                q.data, cache, index, kv_mask=kv_mask, rows=decode_rows)
+                q.data, cache, index, kv_mask=kv_mask, rows=rows)
         merged = Tensor(context).transpose(0, 2, 1, 3) \
                                 .reshape(batch, seq, attn.d_model)
         x = x + attn.wo(merged)
@@ -65,9 +76,8 @@ def reference_forward(model, tokens, cache, positions, kv_mask,
     return model.head(model.final_norm(x)).data
 
 
-def serving_forward(model, tokens, cache, positions, kv_mask, **kwargs):
-    return model(tokens, cache=cache, positions=positions, kv_mask=kv_mask,
-                 **kwargs).data
+def serving_forward(model, tokens, cache, positions, **kwargs):
+    return model(tokens, cache=cache, positions=positions, **kwargs).data
 
 
 def build_model(with_bias: bool) -> TransformerLM:
@@ -99,24 +109,16 @@ def session(model, cache_cls, forward):
             tokens[j, :n] = rng.integers(0, VOCAB, size=n)
         offsets = np.arange(width)
         positions = np.minimum(starts[:, None] + offsets, max_pos)
-        total = max(int((starts + lens).max()), cache.seq_len)
-        query_pos = starts[:, None] + offsets[None, :]
-        allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
-        outs.append(forward(
-            model, tokens, cache, positions, additive_mask(allow)[:, None],
-            cache_rows=rows, cache_lens=lens, cache_starts=starts,
-            logits_positions=logits_positions))
+        outs.append(forward(model, tokens, cache, positions, rows=rows,
+                            span_lens=lens,
+                            logits_positions=logits_positions))
         lengths[rows] += lens
 
     def decode(rows):
         active = np.arange(BATCH) if rows is None else np.asarray(rows)
-        positions = lengths[active]
-        total = max(cache.seq_len, int(positions.max()) + 1)
-        kv_mask = additive_mask(
-            np.arange(total) < (positions + 1)[:, None])[:, None, None, :]
         tokens = rng.integers(0, VOCAB, size=(len(active), 1))
-        outs.append(forward(model, tokens, cache, positions[:, None],
-                            kv_mask, decode_rows=rows))
+        outs.append(forward(model, tokens, cache, lengths[active][:, None],
+                            rows=rows))
         lengths[active] += 1
 
     # Chunked prefill: a first chunk that samples nothing (all-negative
@@ -128,7 +130,7 @@ def session(model, cache_cls, forward):
     # logits_positions at all (the full (batch, seq, vocab) head).
     prefill([2, 1], [7, 4], [6, 3])
     prefill([2], [3], None)
-    for _ in range(3):                  # full batch (decode_rows=None)
+    for _ in range(3):                  # full batch (rows=None)
         decode(None)
     for _ in range(3):                  # draining wave: active sub-batch
         decode([0, 2])
@@ -162,11 +164,9 @@ def test_bias_reaches_the_logits():
 def test_out_of_range_positions_raise():
     model = build_model(False)
     cache = PagedKVCache(model.config.num_layers, batch=1, block_size=BLOCK)
-    mask = np.zeros((1, 1, 1, 1), dtype=np.float32)
     for bad in (model.config.max_seq_len, -1):
         with pytest.raises(ValueError, match="positions outside"):
-            model(np.array([[1]]), cache=cache,
-                  positions=np.array([[bad]]), kv_mask=mask)
+            model(np.array([[1]]), cache=cache, positions=np.array([[bad]]))
     assert cache.seq_len == 0           # checked before any layer wrote
 
 

@@ -80,7 +80,8 @@ def test_fineq_dequant_stats_and_streamed_trace(model):
     from repro.hw.workloads import project_decode_trace
     streamed = project_decode_trace(model.config, engine.trace)
     logical = project_decode_trace(
-        model.config, [s[:3] for s in engine.trace])
+        model.config,
+        [s._replace(kv_bytes_streamed=-1) for s in engine.trace])
     assert streamed.kv_dma_cycles <= logical.kv_dma_cycles
     # Traces carry decode steps and prefill-chunk steps; the chunk
     # records are flagged by prefill_tokens and cover exactly the

@@ -9,6 +9,10 @@ from repro.nn import TransformerLM
 from repro.serve import GenerationEngine, SamplingParams, Scheduler
 
 VOCAB = 64
+#: The one-shot oracle: a budget of every slot's whole context window,
+#: which no admission round can exhaust — each granted span is the whole
+#: remaining prompt.
+ONE_SHOT = 4 * 512
 
 
 @pytest.fixture(scope="module")
@@ -39,8 +43,11 @@ def test_chunked_matches_oneshot_ragged_batch(long_model, kv_cache):
     or in chunks, across a ragged batch with multi-chunk prompts."""
     rng = np.random.default_rng(5)
     prompts = [rng.integers(0, VOCAB, size=n) for n in (200, 150, 9, 33)]
-    _, oneshot = run_greedy(long_model, prompts, 24, kv_cache=kv_cache,
-                            prefill_chunk_tokens=None)
+    oneshot_engine, oneshot = run_greedy(long_model, prompts, 24,
+                                         kv_cache=kv_cache,
+                                         prefill_chunk_tokens=ONE_SHOT)
+    assert oneshot_engine.stats.prefill_chunks == len(prompts)
+    assert oneshot_engine.stats.prefill_tokens_deferred == 0
     chunked_engine, chunked = run_greedy(long_model, prompts, 24,
                                          kv_cache=kv_cache,
                                          prefill_chunk_tokens=48)
@@ -58,7 +65,7 @@ def test_chunked_matches_oneshot_mid_decode_arrival(long_model):
     shorts = [rng.integers(0, VOCAB, size=n) for n in (9, 14, 17)]
     long_prompt = rng.integers(0, VOCAB, size=260)
     outputs = {}
-    for chunk in (None, 64):
+    for chunk in (ONE_SHOT, 64):
         engine = GenerationEngine(long_model, max_batch_size=4,
                                   kv_cache="paged",
                                   prefill_chunk_tokens=chunk)
@@ -68,7 +75,7 @@ def test_chunked_matches_oneshot_mid_decode_arrival(long_model):
         ids.append(engine.submit(long_prompt, 30))
         done = {c.request_id: c for c in engine.run()}
         outputs[chunk] = [done[i].tokens for i in ids]
-    for got, want in zip(outputs[64], outputs[None]):
+    for got, want in zip(outputs[64], outputs[ONE_SHOT]):
         np.testing.assert_array_equal(got, want)
     for prompt, got in zip(shorts + [long_prompt], outputs[64]):
         np.testing.assert_array_equal(

@@ -487,3 +487,78 @@ def test_first_token_latencies_are_a_bounded_window(model, monkeypatch):
     assert len(gateway._first_token_s) == gateway._first_token_s.maxlen == 3
     assert latency["first_token_count"] == 8
     assert latency["first_token_p99_s"] >= latency["first_token_p50_s"] > 0
+
+
+# --------------------------------------------------------------------- #
+# state that must not grow, faults that must not spread
+# --------------------------------------------------------------------- #
+def test_per_job_state_is_dropped_on_every_terminal_edge(model, monkeypatch):
+    """Finish, cancel while running, cancel while still queued (x100)
+    and a dispatch-time rejection: once the pump has drained, the
+    gateway remembers none of them."""
+    gateway = make_gateway(model, max_batch_size=2)
+    done = gateway.submit(np.array([1, 2, 3]), max_new_tokens=4)
+    running = gateway.submit(np.array([4, 5, 6]), max_new_tokens=200)
+    gateway.pump()
+    refused = gateway.submit(np.array([7, 8]), max_new_tokens=4)
+    submit = gateway.engine.submit_from_record
+
+    def picky(record):
+        if record.job_id == refused:
+            raise ValueError("journal written against a larger model")
+        return submit(record)
+
+    monkeypatch.setattr(gateway.engine, "submit_from_record", picky)
+    for i in range(100):
+        job = gateway.submit(np.array([1, 2, i]), max_new_tokens=4)
+        assert gateway.cancel(job)
+    assert gateway.cancel(running)
+    pump_until_done(gateway)
+    assert gateway.queue.get(done).status == "completed"
+    assert gateway.queue.get(running).status == "cancelled"
+    assert gateway.queue.get(refused).status == "failed"
+    assert gateway.queue.counts()["cancelled"] == 101
+    containers = {name: value for name, value in vars(gateway).items()
+                  if isinstance(value, dict)}
+    assert containers and not any(containers.values()), containers
+
+
+def test_poison_request_fails_its_wave_not_the_service(model):
+    """A forward that raises costs the jobs inside the engine for that
+    step — journaled ``failed`` with the error, rows and blocks freed —
+    and nothing else: the loop keeps serving, and the next job's tokens
+    are a fresh engine's."""
+    poison = 99
+
+    class PoisonedLM(TransformerLM):
+        def forward(self, tokens, *args, **kwargs):
+            if (np.asarray(tokens) == poison).any():
+                raise RuntimeError("poison token in the batch")
+            return super().forward(tokens, *args, **kwargs)
+
+    prompt = np.array([5, 6, 7, 8])
+
+    async def run():
+        engine = GenerationEngine(PoisonedLM(model.config), max_batch_size=4)
+        gateway = ServingGateway(engine)
+        await gateway.start()
+        wave = [gateway.submit(np.array([1, 2, 3]), max_new_tokens=6),
+                gateway.submit(np.array([4, poison, 5]), max_new_tokens=6)]
+        failed = [await asyncio.wait_for(gateway.result(job), 30)
+                  for job in wave]
+        later = gateway.submit(prompt, max_new_tokens=6)
+        served = await asyncio.wait_for(gateway.result(later), 30)
+        await gateway.drain()
+        await gateway.stop()        # nothing to surface: the loop lived
+        return gateway, failed, served
+
+    gateway, failed, served = asyncio.run(run())
+    for job in failed:
+        assert job.status == "failed" and job.tokens == ()
+        assert "RuntimeError: poison token" in job.error
+    assert served.status == "completed"
+    assert [list(served.tokens)] == reference_tokens(model, [prompt], 6)
+    cache = gateway.engine.cache
+    assert cache.cached_tokens == 0 and cache.blocks_in_use() == 0
+    assert cache.free_blocks() == cache._total_blocks
+    assert not gateway._jobs and not gateway._rid_job

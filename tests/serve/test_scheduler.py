@@ -172,6 +172,40 @@ def test_no_preemption_between_equal_priorities(model):
     assert set(done) == {a, b}
 
 
+def test_deferred_wave_duplicate_does_not_drive_preemption(model,
+                                                          monkeypatch):
+    """Found by the engine state machine.  C shares an uncached leading
+    block with B, which is still mid chunked prefill, so C is held back
+    for B's capture — and used to read as "nothing fits": the priority
+    scheduler preempted the low-priority A on C's behalf, A was
+    re-admitted in the next round (C still deferred) and preempted again,
+    forever, inside one ``step()``.  A deferred request waits for a
+    capture, not for memory, and must not name victims."""
+    prefix = np.array([7, 3, 9, 1, 4, 8])
+    engine = GenerationEngine(model, max_batch_size=3, block_size=4,
+                              scheduler="priority", prefix_sharing=True,
+                              prefill_chunk_tokens=8)
+    preempt_row = engine._preempt_row
+
+    def bounded(row):
+        assert engine.stats.preemptions < 20, "preemption ping-pong"
+        preempt_row(row)
+
+    monkeypatch.setattr(engine, "_preempt_row", bounded)
+    prompts = [np.array([5]), np.concatenate([prefix, [2, 2, 2]]),
+               np.concatenate([prefix, [6]])]
+    ids = [engine.submit(prompt, params=SamplingParams(max_new_tokens=2,
+                                                       priority=priority))
+           for prompt, priority in zip(prompts, (0, 1, 1))]
+    done = {c.request_id: c for c in engine.run()}
+    assert engine.stats.preemptions == 0
+    for rid, prompt in zip(ids, prompts):
+        np.testing.assert_array_equal(
+            done[rid].tokens, model.generate(prompt, 2, temperature=0.0))
+    # C did wait for, and adopt, the leading block B captured.
+    assert engine.stats.shared_prompt_tokens == engine.block_size
+
+
 def test_preempted_sampled_request_stream_is_seamless(model):
     """A sampled (non-greedy) request preserves its private RNG stream
     across preempt/restore: output identical to an uninterrupted run."""

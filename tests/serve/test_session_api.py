@@ -273,14 +273,6 @@ def test_submit_validates_params_usage(model):
         engine.submit(np.array([1]), 4, params=SamplingParams())  # both
 
 
-def test_request_compat_fields(model):
-    engine = GenerationEngine(model, max_batch_size=1)
-    engine.submit(np.array([1]), 4, temperature=0.5)
-    request = engine._queue[0]
-    assert request.max_new_tokens == 4
-    assert request.temperature == 0.5
-
-
 # ---------------------------------------------------------------------- #
 # top-k / top-p masking (unit level)
 # ---------------------------------------------------------------------- #

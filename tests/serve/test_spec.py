@@ -61,11 +61,10 @@ def test_arriving_row_catches_up_in_its_own_draft_forward(model, draft):
     spans = []
     real = draft.forward
 
-    def recording(tokens, *args, cache_rows=None, cache_lens=None, **kwargs):
-        if cache_rows is not None:
-            spans.append((tokens.shape, np.asarray(cache_lens).tolist()))
-        return real(tokens, *args, cache_rows=cache_rows,
-                    cache_lens=cache_lens, **kwargs)
+    def recording(tokens, *args, span_lens=None, **kwargs):
+        if span_lens is not None:
+            spans.append((tokens.shape, np.asarray(span_lens).tolist()))
+        return real(tokens, *args, span_lens=span_lens, **kwargs)
 
     draft.forward = recording
     try:
@@ -331,22 +330,44 @@ def test_truncate_rows_quantized_keeps_buffered_block():
     np.testing.assert_array_equal(v_got, v_want)
 
 
-def test_truncate_rows_quantized_snapshot_restores_buffer():
-    """Direct callers rolling below a flush boundary must pass the
-    snapshot taken before the writes; the buffered block is restored
-    from it exactly."""
+def test_truncate_rows_quantized_refuses_to_roll_into_a_flushed_block():
+    """Rolling back below the buffered block would have to recover exact
+    values from a quantized (lossy) pool block: tokens 4-5 used to read
+    back as tokens 8-9's.  It is refused, and nothing is touched."""
     cache = QuantizedPagedKVCache(num_layers=1, batch=1, block_size=4)
     fill_row(cache, 0, 6, seed=5)             # 1 flushed block + 2 buffered
-    snap = cache.snapshot_rows([0])
     fill_row(cache, 0, 4, seed=6, start=6)    # crosses the 8-token boundary
     assert int(cache._blocks_per_row[0]) == 2  # second block flushed
-    cache.truncate_rows([0], [6], snapshot=snap)
-    assert cache._row_len[0] == 6
-    assert int(cache._blocks_per_row[0]) == 1
-    np.testing.assert_array_equal(cache._buf_k[0][0], snap[0]["buf_k"][0])
-    np.testing.assert_array_equal(cache._buf_v[0][0], snap[0]["buf_v"][0])
-    # The released flushed block is back on the free list.
-    assert cache._total_blocks - cache.free_blocks() == 1
+    before = [a.copy() for a in cache._context(0)]
+    with pytest.raises(ValueError, match="below its buffered block"):
+        cache.truncate_rows([0], [6])
+    assert cache._row_len[0] == 10 and int(cache._blocks_per_row[0]) == 2
+    for got, want in zip(cache._context(0), before):
+        np.testing.assert_array_equal(got, want)
+    # Inside the buffered block, to the row's own length, and to zero
+    # (dropping the row) all stay legal.
+    cache.truncate_rows([0], [10])
+    cache.truncate_rows([0], [9])
+    assert cache._row_len[0] == 9 and int(cache._blocks_per_row[0]) == 2
+    cache.truncate_rows([0], [0])
+    assert cache.free_blocks() == cache._total_blocks
+
+
+def test_truncate_rows_to_current_length_keeps_an_eagerly_flushed_block():
+    """A span that ends on a block boundary flushes that block at once;
+    truncating such a row to the length it already has is a no-op, not
+    a release of the block holding its newest tokens."""
+    cache = QuantizedPagedKVCache(num_layers=1, batch=1, block_size=4)
+    rng = np.random.default_rng(8)
+    k, v = (rng.standard_normal((1, 2, 8, 4)).astype(np.float32)
+            for _ in range(2))
+    cache.prefill_rows(0, k, v, np.array([0]), np.array([0]), np.array([8]))
+    assert int(cache._blocks_per_row[0]) == 2
+    before = [a.copy() for a in cache._context(0)]
+    cache.truncate_rows([0], [8])
+    assert int(cache._blocks_per_row[0]) == 2 and cache._row_len[0] == 8
+    for got, want in zip(cache._context(0), before):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_truncate_rows_quantized_invalidates_dequant_memo(model, draft):
