@@ -41,7 +41,9 @@ value GEMMs are always window-wide — so the same query runs
 bit-identical accumulation trees whatever the surrounding context
 width, which is what makes chunked prefill match one-shot prefill
 (padded positions carry exactly-zero probabilities and contribute
-exact zeros).
+exact zeros).  So the grid ends at the forward's *reach* (the mask's
+width, the last key any query sees), not at the cache's widest row:
+windows past it add exact zeros and are neither read nor multiplied.
 """
 
 from __future__ import annotations
@@ -152,10 +154,12 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
         A paged cache exposing ``context_blocks``/``layer_len`` (see
         :class:`repro.nn.paged_kv_cache.PagedKVCache`).
     kv_mask:
-        Additive ``(n, 1, seq, total)`` per-row causal mask (the
-        engine's suffix-prefill mask).  ``None`` allows every written
-        position (queries then attend the whole context below
-        ``layer_len``).
+        Additive ``(n, 1, seq, reach)`` per-row causal mask (the
+        engine's suffix-prefill mask).  Its width bounds the read: grid,
+        score workspace and both passes cover ``ceil(reach / window)``
+        windows — at least the one short prompts pay — whatever other
+        rows hold beyond.  ``None`` allows every written position
+        (queries then attend the whole context below ``layer_len``).
     rows:
         Cache rows behind ``q``'s entries (``None`` = all rows).
 
@@ -177,13 +181,13 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     n, heads, seq, head_dim = q.shape
     total = cache.layer_len(layer_index)
     window = cache.chunk_blocks * cache.block_size
-    windows = max(1, -(-total // window))
     # Columns past the mask's width (the written context, without one)
-    # are the grid's padding, masked for every query: their weights are
-    # the exact zeros a ``-inf`` mask pad would exponentiate to, written
-    # directly — no pad, and no softmax work on them.
-    live = total if kv_mask is None else kv_mask.shape[-1]
-    widths = [min(window, max(0, live - w * window)) for w in range(windows)]
+    # are masked for every query, their weights the exact zeros a
+    # ``-inf`` pad would exponentiate to: whole windows of them are left
+    # off the grid and the read, the last window's tail is zero-filled.
+    live = total if kv_mask is None else min(total, kv_mask.shape[-1])
+    windows = max(1, -(-live // window))
+    widths = [min(window, live - w * window) for w in range(windows)]
 
     # Pass 1: scores over the padded chunk grid, one contiguous
     # ``(n, heads, seq, window)`` block per window.  Chunk starts are
@@ -195,8 +199,8 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     scores = np.empty((windows, n, heads, seq, window), dtype=np.float32)
     scale = np.float32(1.0 / np.sqrt(head_dim))
     top = np.full((n, heads, seq, 1), _NEG_INF)
-    for start, k_chunk in cache.context_blocks(layer_index, rows=rows,
-                                               kind="k", pad=True):
+    for start, k_chunk in cache.context_blocks(
+            layer_index, rows=rows, kind="k", pad=True, _reach=live):
         w = start // window
         np.matmul(q, k_chunk.transpose(0, 1, 3, 2), out=scores[w])
         seen = scores[w, ..., :widths[w]]
@@ -214,8 +218,8 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     # zeros and add exact zeros.  A plain ``exp.sum(-1)`` over the grid
     # would re-shape its pairwise summation tree with the grid, leaking
     # *other* rows' context lengths into this row's ulps (the grid
-    # tracks the cache-wide maximum, which a chunked and a one-shot run
-    # grow on different step schedules).
+    # tracks the forward's widest row, which a chunked and a one-shot
+    # run grow on different step schedules).
     denom = np.zeros((n, heads, seq), dtype=np.float32)
     for w in range(windows):
         seen = scores[w, ..., :widths[w]]
@@ -229,8 +233,8 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     # chunks back through them at full window width (masked positions
     # hold exactly-zero weights).
     context = np.zeros((n, heads, seq, head_dim), dtype=np.float32)
-    for start, v_chunk in cache.context_blocks(layer_index, rows=rows,
-                                               kind="v", pad=True):
+    for start, v_chunk in cache.context_blocks(
+            layer_index, rows=rows, kind="v", pad=True, _reach=live):
         w = start // window
         scores[w, ..., :widths[w]] /= denom
         context += scores[w] @ v_chunk

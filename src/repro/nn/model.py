@@ -123,8 +123,9 @@ class TransformerLM(Module):
 
         Causality is derived, not passed: every query attends the
         cached positions up to its own — one additive ``(batch, 1, seq,
-        total)`` mask, ``t <= positions``, built here once per forward
-        over the widest context any row reaches.
+        total)`` mask, ``t <= positions``, built here once per forward:
+        a span's ends at its *reach*, the last key any of its queries
+        can see (as its block read does); a decode's spans the cache.
 
         ``logits_positions`` (``(batch,)`` indices into ``seq``) runs the
         final norm and vocab projection only at each row's selected
@@ -142,8 +143,8 @@ class TransformerLM(Module):
             return layer.apply(h).reshape(split).transpose(0, 2, 1, 3)
 
         starts = positions[:, 0]
-        total = max(cache.seq_len, int(
-            (starts + (1 if span_lens is None else span_lens)).max()))
+        reach = int((starts + (1 if span_lens is None else span_lens)).max())
+        total = max(cache.seq_len, reach) if span_lens is None else reach
         kv_mask = additive_mask(
             np.arange(total) <= positions[:, :, None])[:, None]
         x = self.embed.weight.data[tokens]

@@ -993,14 +993,14 @@ class PagedKVCache:
         stats = self._read_stats
         stats.peak_scratch_bytes = max(stats.peak_scratch_bytes, nbytes)
 
-    def _read_plan(self, layer: int, rows: np.ndarray | None) -> tuple:
-        """This forward's read resolution for ``rows`` at ``layer``'s
-        context width (see :meth:`_resolve_read`), computed by the first
-        layer that reads and shared by the rest."""
-        key = ("read", self._lengths[layer], self._rows_key(rows))
+    def _read_plan(self, total: int, rows: np.ndarray | None) -> tuple:
+        """This forward's read resolution for ``rows`` over ``total``
+        tokens (see :meth:`_resolve_read`), computed by the first layer
+        that reads and shared by the rest."""
+        key = ("read", total, self._rows_key(rows))
         plan = self._ids_memo.get(key)
         if plan is None:
-            plan = self._ids_memo[key] = self._resolve_read(key[1], rows)
+            plan = self._ids_memo[key] = self._resolve_read(total, rows)
         return plan
 
     def _resolve_read(self, total: int, rows: np.ndarray | None) -> tuple:
@@ -1045,7 +1045,8 @@ class PagedKVCache:
         return k_chunk[:, :, :total], v_chunk[:, :, :total]
 
     def context_blocks(self, layer: int, rows: np.ndarray | None = None,
-                       kind: str = "k", pad: bool = False):
+                       kind: str = "k", pad: bool = False,
+                       _reach: int | None = None):
         """Iterate the rows' context as ``(start, chunk, ...)`` tuples.
 
         The block-resident read: each chunk is a ``(n, heads, width,
@@ -1061,7 +1062,10 @@ class PagedKVCache:
         the layer's token count; callers slice to ``layer_len`` — or
         ask for ``pad``, which yields every chunk a full window
         (``chunk_blocks * block_size`` keys) wide with an exact-zero
-        tail: the span read's chunk-grid geometry.
+        tail: the span read's chunk-grid geometry.  That read also ends
+        at ``_reach``, the last key its queries can see: it gathers and
+        books ``ceil(_reach / window)`` chunks (a short prompt's fixed
+        one included), however long other rows have grown.
 
         One ``take`` per operand gathers the chunk straight into the
         attended layout (see :meth:`_resolve_read`) in the cache's two
@@ -1071,10 +1075,12 @@ class PagedKVCache:
         therefore only valid until the iteration advances.
         """
         total = self._lengths[layer]
+        if _reach is not None:
+            total = min(total, _reach)
         if total == 0:
             return
         bs, heads, head_dim = self.block_size, self._heads, self._head_dim
-        n, live, chunks = self._read_plan(layer, rows)
+        n, live, chunks = self._read_plan(total, rows)
         pools = {"k": ((0, self._pool_k[layer]),),
                  "v": ((1, self._pool_v[layer]),),
                  "kv": ((0, self._pool_k[layer]),
@@ -1646,7 +1652,8 @@ class QuantizedPagedKVCache(PagedKVCache):
         return len(row_idx), chunks
 
     def context_blocks(self, layer: int, rows: np.ndarray | None = None,
-                       kind: str = "k", pad: bool = False):
+                       kind: str = "k", pad: bool = False,
+                       _reach: int | None = None):
         """Chunked context iteration in the quantized format.
 
         Owned blocks are served from the :class:`DequantBlockCache`
@@ -1662,15 +1669,18 @@ class QuantizedPagedKVCache(PagedKVCache):
         one gather straight into the ``(rows, heads, blocks, block,
         head_dim)`` chunk attention consumes.  Unowned table slots read
         the memo's zero entry, and so do the ``-1`` columns ``pad``
-        widens the final chunk with.
+        widens the final chunk with.  ``_reach`` ends the read, its
+        lookups and its stats at the span's last visible key.
         """
         total = self._lengths[layer]
+        if _reach is not None:
+            total = min(total, _reach)
         if total == 0:
             return
         bs = self.block_size
         heads, head_dim = self._heads, self._head_dim
         kinds = ("k", "v") if kind == "kv" else (kind,)
-        n, chunks = self._read_plan(layer, rows)
+        n, chunks = self._read_plan(total, rows)
         bufs = {"k": self._buf_k[layer], "v": self._buf_v[layer]}
         stats = self._read_stats
         self._account_read(n, total, len(kinds))

@@ -21,8 +21,8 @@ to token streaming:
   :func:`repro.serve.scheduler.admission_key` defines for the in-engine
   priority scheduler), and a status walking
   ``queued -> running -> completed | failed | cancelled``.
-* ``tokens`` — ``(job_id, idx, token)`` rows, appended batch-wise once
-  per engine step; the journal both feeds client replay and defines
+* ``tokens`` — ``(job_id, idx, token)`` rows, appended one batch per
+  job per engine step; the journal both feeds client replay and defines
   "how far" a recovered job already got.
 
 The queue is a plain synchronous object (sqlite is); the asyncio
@@ -191,8 +191,8 @@ class RequestQueue:
                       indexed_tokens: list[tuple[int, int]]) -> None:
         """Journal ``(idx, token)`` pairs for a running job.
 
-        Batched per engine step (one transaction for the whole step's
-        events) so journaling costs one commit per step, not per token.
+        One commit per call, which the gateway makes once per *job* per
+        engine step — not per token, not yet per step (ROADMAP item 2).
         Idempotent per index: re-journaling a replayed index is a no-op
         rather than a duplicate, which keeps crash windows between
         "token journaled" and "job finished" harmless.

@@ -193,10 +193,11 @@ def test_block_ids_memo_invalidated_on_free_and_adopt():
 # ---------------------------------------------------------------------- #
 # multi-query prefill attention over the chunk grid
 # ---------------------------------------------------------------------- #
-def suffix_mask(cache, starts, widths, rows):
+def suffix_mask(cache, starts, widths, rows, total=None):
     """Per-row causal mask for suffix queries at absolute positions
-    ``starts[j] + i`` (the engine's chunk-wave mask)."""
-    total = cache.layer_len(0)
+    ``starts[j] + i`` (the engine's chunk-wave mask), ``total`` keys
+    wide (default: the whole cache-wide context)."""
+    total = cache.layer_len(0) if total is None else total
     offsets = np.arange(int(widths.max()))
     query_pos = starts[:, None] + offsets[None, :]
     allow = np.arange(total)[None, None, :] <= query_pos[:, :, None]
@@ -221,26 +222,39 @@ def test_prefill_attention_matches_dense_reference(cls):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 
 
-def test_prefill_attention_chunk_grid_stable():
-    """The bit-exactness invariant behind chunked == one-shot prefill: a
-    row's attention output must not move when *other* rows grow the
-    cache-wide context (and with it the chunk grid)."""
-    rng = np.random.default_rng(3)
-    q = rng.standard_normal((2, HEADS, 13, HEAD_DIM)).astype(np.float32)
+def _grid_outputs(cls, q):
+    """Rows 0-1's 13-token prefill attention with row 2 short or four
+    windows longer, under a cache-wide mask and one that stops at the
+    queries' own reach."""
+    rows = np.array([0, 1])
+    starts = np.zeros(2, dtype=np.int64)
+    widths = np.array([13, 13], dtype=np.int64)
     outs = []
-    for extra in (0, 30):  # grid: 2 windows vs 4 windows
-        cache, _ = build_cache(PagedKVCache, seq=13, chunk_blocks=2, seed=0)
+    for extra in (0, 30):  # row 2 ends at 10 or 40 of the 8-key windows
+        cache, _ = build_cache(cls, seq=13, chunk_blocks=2, seed=0)
         if extra:
             filler = np.random.default_rng(9).standard_normal(
                 (1, HEADS, extra, HEAD_DIM)).astype(np.float32)
             for layer in range(cache.num_layers):
                 cache.prefill_rows(layer, filler, filler.copy(),
-                                   np.array([2]), np.array([0]),
+                                   np.array([2]), np.array([10]),
                                    np.array([extra]))
-        rows = np.array([0, 1])
-        starts = np.zeros(2, dtype=np.int64)
-        widths = np.array([13, 13], dtype=np.int64)
-        kv_mask = suffix_mask(cache, starts, widths, rows)
-        outs.append(block_prefill_attention(q, cache, 0, kv_mask=kv_mask,
-                                            rows=rows))
-    np.testing.assert_array_equal(outs[0], outs[1])
+        for total in (cache.layer_len(0), 13):  # grid: 2 or 5 windows, 2
+            kv_mask = suffix_mask(cache, starts, widths, rows, total)
+            outs.append(block_prefill_attention(q, cache, 0, kv_mask=kv_mask,
+                                                rows=rows))
+    return outs
+
+
+def test_prefill_attention_chunk_grid_stable():
+    """The bit-exactness invariant behind chunked == one-shot prefill: a
+    row's attention output must not move when *other* rows grow the
+    cache-wide context, nor when the mask — and with it the chunk grid
+    and the read — stops at the queries' own reach instead of there.
+    (Both backends looped, not parametrized, so the test keeps its id.)"""
+    rng = np.random.default_rng(3)
+    q = rng.standard_normal((2, HEADS, 13, HEAD_DIM)).astype(np.float32)
+    for cls in (PagedKVCache, QuantizedPagedKVCache):
+        first, *others = _grid_outputs(cls, q)
+        for out in others:
+            np.testing.assert_array_equal(out, first, err_msg=cls.__name__)

@@ -16,6 +16,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.models.configs import tiny_config
+from repro.nn import TransformerLM
 from repro.nn.block_attention import (block_decode_attention,
                                       block_prefill_attention)
 from repro.nn.paged_kv_cache import (DEFAULT_DEQUANT_CACHE_BYTES, KVReadStats,
@@ -303,6 +305,47 @@ def test_span_forward_resolves_block_table_once(cls, resolutions):
         cache.prefill_rows(layer, k, k, rows, starts, lens)
         block_prefill_attention(k, cache, layer, rows=rows)
     assert resolutions == {"_resolve_span_write": 1, "_resolve_read": 1}
+
+
+@pytest.mark.parametrize("cls, want", [        # (streamed bytes, memo hits)
+    (PagedKVCache, [(98304, 0), (196608, 0)]),
+    (QuantizedPagedKVCache, [(13824, 32), (13824, 64)])],
+    ids=["paged", "fineq"])
+def test_span_forward_reads_its_reach_not_the_widest_row(cls, want,
+                                                         monkeypatch):
+    """A fresh row's 128-token chunks forwarded beside a 400-token row
+    gather ``ceil(reach / window)`` chunks per operand per layer — one,
+    then two, never the neighbour's four — and fetch what they always
+    fetched: the windows left out hold no block the reader row owns, so
+    streamed bytes and memo hits / misses are the full-grid read's."""
+    model = TransformerLM(tiny_config(vocab_size=64, seed=3, max_seq_len=512))
+    layers = model.config.num_layers
+    cache = cls(layers, batch=2)            # 16-token blocks, 128-key window
+    rng = np.random.default_rng(0)
+    gathered = {}
+
+    def spy(self, layer, *args, kind, _real=cls.context_blocks, **kwargs):
+        for item in _real(self, layer, *args, kind=kind, **kwargs):
+            gathered[layer, kind] = gathered.get((layer, kind), 0) + 1
+            yield item
+
+    monkeypatch.setattr(cls, "context_blocks", spy)
+
+    def span(row, start, length):
+        gathered.clear()
+        model(rng.integers(0, 64, size=(1, length)), cache=cache,
+              positions=start + np.arange(length)[None], rows=np.array([row]),
+              span_lens=np.array([length]), logits_positions=np.array([-1]))
+        return cache.take_read_stats()
+
+    span(1, 0, 400)
+    assert set(gathered.values()) == {4}
+    for chunk, (streamed, hits) in enumerate(want):
+        stats = span(0, 128 * chunk, 128)
+        assert gathered == {(layer, kind): chunk + 1
+                            for layer in range(layers) for kind in "kv"}
+        assert (stats.streamed_bytes, stats.dequant_hits,
+                stats.dequant_misses) == (streamed, hits, 0)
 
 
 SCRIPT_HEADS, SCRIPT_HEAD_DIM = 2, 8

@@ -153,6 +153,30 @@ def test_serving_forward_bit_identical_to_tensor_branch(cache_cls, with_bias):
     assert not got[0].any() and not got[1][1].any() and got[1][0].any()
 
 
+@pytest.mark.parametrize("cache_cls", [PagedKVCache, QuantizedPagedKVCache])
+def test_span_logits_ignore_a_longer_neighbour_row(cache_cls):
+    """A span forward attends its own reach: the same chunked prefill of
+    row 0 returns the same logits, bit for bit, whether row 1 is idle or
+    already holds three 8-key windows more context than row 0 reaches."""
+    model = build_model(False)
+    rng = np.random.default_rng(2)
+    chunks = rng.integers(0, VOCAB, size=(2, 1, 6))     # row 0: 6 + 6 tokens
+    neighbour = rng.integers(0, VOCAB, size=(1, 36))    # 12 + 3 * 8
+    outs = []
+    for crowded in (False, True):
+        cache = cache_cls(model.config.num_layers, batch=2, block_size=BLOCK,
+                          chunk_blocks=2)
+        if crowded:
+            serving_forward(model, neighbour, cache, np.arange(36)[None],
+                            rows=np.array([1]), span_lens=np.array([36]))
+        outs.append([
+            serving_forward(model, tokens, cache, start + np.arange(6)[None],
+                            rows=np.array([0]), span_lens=np.array([6]))
+            for start, tokens in zip((0, 6), chunks)])
+    for alone, beside in zip(*outs):
+        np.testing.assert_array_equal(alone, beside)
+
+
 def test_bias_reaches_the_logits():
     """The bias case above is not vacuous: the hand-set biases move the
     serving logits."""
