@@ -2,7 +2,6 @@
 ``perfbench/`` and ``tests/`` into one process."""
 
 import gc
-import os
 
 import pytest
 from hypothesis import settings
@@ -10,11 +9,12 @@ from hypothesis import settings
 # Hypothesis profiles.  Every ``@given`` test sets its own example count;
 # the profile's budget is what the engine state machine
 # (tests/serve/test_engine_state_machine.py) runs under: ``default``
-# keeps it well inside 20 s for both backends, ``soak``
-# (``--hypothesis-profile=soak``) is the long run.
+# keeps it well inside 20 s for both backends and runs the same examples
+# on every machine and every run (derandomized, no example database — a
+# failure found on a laptop is the failure CI sees); ``soak``
+# (``--hypothesis-profile=soak``) is the long, random run.
 settings.register_profile("default", max_examples=60, stateful_step_count=40,
-                          deadline=None,
-                          derandomize=bool(os.environ.get("CI")))
+                          deadline=None, derandomize=True, database=None)
 settings.register_profile("soak", max_examples=2000, stateful_step_count=100,
                           deadline=None)
 settings.load_profile("default")

@@ -6,7 +6,7 @@ LLaMA-style models quantized by :mod:`repro.quant` and :mod:`repro.core`
 can be trained from scratch without any external ML framework.
 """
 
-from repro.autograd.tensor import Tensor, no_grad, is_grad_enabled
+from repro.autograd.tensor import Tensor, no_grad
 from repro.autograd import functional
 
-__all__ = ["Tensor", "no_grad", "is_grad_enabled", "functional"]
+__all__ = ["Tensor", "no_grad", "functional"]

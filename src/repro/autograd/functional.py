@@ -26,20 +26,6 @@ def softmax(x: Tensor, axis: int = -1) -> Tensor:
     return out
 
 
-def log_softmax(x: Tensor, axis: int = -1) -> Tensor:
-    """Stable ``log(softmax(x))`` along ``axis``."""
-    shifted = x.data - x.data.max(axis=axis, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=axis, keepdims=True))
-    logp = shifted - logsumexp
-    out = x._make(logp, (x,))
-    if out.requires_grad:
-        def _backward(g, a=x, logp=logp, axis=axis):
-            p = np.exp(logp)
-            a._accumulate(g - p * g.sum(axis=axis, keepdims=True))
-        out._backward = _backward
-    return out
-
-
 def cross_entropy(logits: Tensor, targets: np.ndarray) -> Tensor:
     """Mean token-level cross entropy.
 
@@ -102,8 +88,3 @@ def rms_norm(x: Tensor, gain: Tensor, eps: float = 1e-5) -> Tensor:
     mean_square = (x * x).mean(axis=-1, keepdims=True)
     return x * (mean_square + eps).pow(-0.5) * gain
 
-
-def causal_mask(seq_len: int) -> np.ndarray:
-    """Additive ``(seq_len, seq_len)`` mask: 0 on/below diagonal, -inf above."""
-    mask = np.full((seq_len, seq_len), -np.inf, dtype=np.float32)
-    return np.triu(mask, k=1)

@@ -19,11 +19,6 @@ import numpy as np
 _GRAD_ENABLED = True
 
 
-def is_grad_enabled() -> bool:
-    """Return whether new operations will record gradient information."""
-    return _GRAD_ENABLED
-
-
 @contextlib.contextmanager
 def no_grad():
     """Context manager disabling graph construction (inference mode)."""
@@ -96,20 +91,12 @@ class Tensor:
     def size(self) -> int:
         return self.data.size
 
-    @property
-    def dtype(self):
-        return self.data.dtype
-
     def __len__(self) -> int:
         return len(self.data)
 
     def __repr__(self) -> str:
         grad_note = ", requires_grad=True" if self.requires_grad else ""
         return f"Tensor(shape={self.shape}{grad_note})"
-
-    def numpy(self) -> np.ndarray:
-        """Return the underlying array (no copy)."""
-        return self.data
 
     def item(self) -> float:
         return float(self.data)
@@ -231,54 +218,11 @@ class Tensor:
     def sqrt(self) -> "Tensor":
         return self.pow(0.5)
 
-    def exp(self) -> "Tensor":
-        out = self._make(np.exp(self.data), (self,))
-        if out.requires_grad:
-            def _backward(g, a=self, y=out.data):
-                a._accumulate(g * y)
-            out._backward = _backward
-        return out
-
-    def log(self) -> "Tensor":
-        out = self._make(np.log(self.data), (self,))
-        if out.requires_grad:
-            def _backward(g, a=self):
-                a._accumulate(g / a.data)
-            out._backward = _backward
-        return out
-
-    def tanh(self) -> "Tensor":
-        out = self._make(np.tanh(self.data), (self,))
-        if out.requires_grad:
-            def _backward(g, a=self, y=out.data):
-                a._accumulate(g * (1.0 - y * y))
-            out._backward = _backward
-        return out
-
     def relu(self) -> "Tensor":
         out = self._make(np.maximum(self.data, 0.0), (self,))
         if out.requires_grad:
             def _backward(g, a=self):
                 a._accumulate(g * (a.data > 0.0))
-            out._backward = _backward
-        return out
-
-    def sigmoid(self) -> "Tensor":
-        y = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make(y, (self,))
-        if out.requires_grad:
-            def _backward(g, a=self, y=y):
-                a._accumulate(g * y * (1.0 - y))
-            out._backward = _backward
-        return out
-
-    def silu(self) -> "Tensor":
-        """SiLU / swish activation ``x * sigmoid(x)``."""
-        sig = 1.0 / (1.0 + np.exp(-self.data))
-        out = self._make(self.data * sig, (self,))
-        if out.requires_grad:
-            def _backward(g, a=self, sig=sig):
-                a._accumulate(g * (sig * (1.0 + a.data * (1.0 - sig))))
             out._backward = _backward
         return out
 
@@ -327,20 +271,6 @@ class Tensor:
             count = self.shape[axis]
         return self.sum(axis=axis, keepdims=keepdims) * (1.0 / count)
 
-    def max(self, axis: int, keepdims: bool = False) -> "Tensor":
-        data = self.data.max(axis=axis, keepdims=keepdims)
-        out = self._make(data, (self,))
-        if out.requires_grad:
-            def _backward(g, a=self, axis=axis, keepdims=keepdims, y=data):
-                if not keepdims:
-                    g = np.expand_dims(g, axis)
-                    y = np.expand_dims(y, axis)
-                mask = (a.data == y).astype(np.float32)
-                mask /= mask.sum(axis=axis, keepdims=True)
-                a._accumulate(g * mask)
-            out._backward = _backward
-        return out
-
     # ------------------------------------------------------------------ #
     # shape manipulation
     # ------------------------------------------------------------------ #
@@ -367,11 +297,6 @@ class Tensor:
             out._backward = _backward
         return out
 
-    def swapaxes(self, axis1: int, axis2: int) -> "Tensor":
-        axes = list(range(self.ndim))
-        axes[axis1], axes[axis2] = axes[axis2], axes[axis1]
-        return self.transpose(tuple(axes))
-
     def __getitem__(self, key) -> "Tensor":
         out = self._make(self.data[key], (self,))
         if out.requires_grad:
@@ -381,39 +306,3 @@ class Tensor:
                 a._accumulate(grad)
             out._backward = _backward
         return out
-
-    # ------------------------------------------------------------------ #
-    # constructors
-    # ------------------------------------------------------------------ #
-    @staticmethod
-    def zeros(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.zeros(shape, dtype=np.float32), requires_grad=requires_grad)
-
-    @staticmethod
-    def ones(*shape, requires_grad: bool = False) -> "Tensor":
-        return Tensor(np.ones(shape, dtype=np.float32), requires_grad=requires_grad)
-
-    @staticmethod
-    def randn(*shape, rng: np.random.Generator | None = None,
-              scale: float = 1.0, requires_grad: bool = False) -> "Tensor":
-        rng = rng or np.random.default_rng()
-        data = rng.standard_normal(shape).astype(np.float32) * scale
-        return Tensor(data, requires_grad=requires_grad)
-
-
-def concat(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
-    """Concatenate tensors along ``axis`` with gradient support."""
-    tensors = [Tensor._lift(t) for t in tensors]
-    data = np.concatenate([t.data for t in tensors], axis=axis)
-    out = tensors[0]._make(data, tensors)
-    if out.requires_grad:
-        sizes = [t.shape[axis] for t in tensors]
-        offsets = np.cumsum([0] + sizes)
-        def _backward(g, tensors=tensors, offsets=offsets, axis=axis):
-            for tensor, start, stop in zip(tensors, offsets[:-1], offsets[1:]):
-                if tensor.requires_grad:
-                    index = [slice(None)] * g.ndim
-                    index[axis] = slice(start, stop)
-                    tensor._accumulate(np.ascontiguousarray(g[tuple(index)]))
-        out._backward = _backward
-    return out

@@ -73,7 +73,8 @@ def cluster_weights(weights: np.ndarray, cluster_size: int = CLUSTER_SIZE
 
 def detect_outlier_clusters(clusters: np.ndarray,
                             ratio: float = OUTLIER_RATIO) -> np.ndarray:
-    """Boolean ``(rows, clusters)`` mask of clusters needing protection.
+    """Boolean ``(rows, clusters)`` mask of clusters needing protection
+    (oracle: a step of ``encode_channels_stepwise``).
 
     The comparison is on magnitudes (the paper's walking example is
     all-positive); a zero minimum fires the rule whenever the maximum is
@@ -87,7 +88,8 @@ def detect_outlier_clusters(clusters: np.ndarray,
 
 def initial_schemes(clusters: np.ndarray, ratio: float = OUTLIER_RATIO
                     ) -> np.ndarray:
-    """Per-cluster scheme before pair harmonization.
+    """Per-cluster scheme before pair harmonization (oracle: a step of
+    ``encode_channels_stepwise``).
 
     Outlier clusters zero their smallest-magnitude position (scheme
     ``position + 1``); normal clusters use scheme 0.

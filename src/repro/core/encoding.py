@@ -31,6 +31,7 @@ def round_half_away(x: np.ndarray) -> np.ndarray:
 
 def channel_scales(clusters: np.ndarray, schemes: np.ndarray) -> np.ndarray:
     """Per-channel scale from Eq. 1; ``(rows, 1, 1)`` for broadcasting.
+    Oracle: a step of :func:`encode_channels_stepwise`.
 
     Channels containing at least one outlier cluster use the 3-bit grid
     (``qmax = 3``); all-normal channels use the 2-bit grid (``qmax = 1``).
@@ -45,7 +46,8 @@ def channel_scales(clusters: np.ndarray, schemes: np.ndarray) -> np.ndarray:
 
 def quantize_codes(clusters: np.ndarray, schemes: np.ndarray,
                    scales: np.ndarray) -> np.ndarray:
-    """Integer codes ``(rows, clusters, 3)`` under the given schemes."""
+    """Integer codes ``(rows, clusters, 3)`` under the given schemes.
+    Oracle: a step of :func:`encode_channels_stepwise`."""
     widths = SCHEME_WIDTHS[schemes]            # (rows, clusters, 3)
     qmax = qmax_for_widths(widths)
     codes = round_half_away(clusters / scales)
@@ -190,9 +192,9 @@ def encode_channels_stepwise(clusters: np.ndarray,
                              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """:func:`encode_channels` as the composition of the step functions.
 
-    Algorithm 1 line by line (the pre-fusion implementation).  Kept for
-    the equivalence property tests and as the baseline of the flush
-    micro-benchmark; production encode is :func:`encode_channels`.
+    Oracle: Algorithm 1 line by line (the pre-fusion implementation).
+    Kept for the equivalence property tests and as the baseline of the
+    flush micro-benchmark; production encode is :func:`encode_channels`.
     """
     schemes = initial_schemes(clusters, ratio=outlier_ratio)
     scales = channel_scales(clusters, schemes)
@@ -207,7 +209,8 @@ def encode_channels_stepwise(clusters: np.ndarray,
 
 def scheme_reconstruction_error(clusters: np.ndarray, scales: np.ndarray
                                 ) -> np.ndarray:
-    """Squared reconstruction error of every scheme for every cluster.
+    """Squared reconstruction error of every scheme for every cluster
+    (oracle: the exhaustive form the tests hold pair selection to).
 
     Returns ``(4, rows, clusters)``: entry ``l`` is the error if scheme
     ``l`` were used for that cluster at the given channel scale.  Rounding
@@ -225,7 +228,8 @@ def scheme_reconstruction_error(clusters: np.ndarray, scales: np.ndarray
 
 def _pair_scheme_errors(pair_values: np.ndarray, pair_scales: np.ndarray
                         ) -> np.ndarray:
-    """Summed per-pair error of every scheme, for disagreeing pairs only.
+    """Summed per-pair error of every scheme, for disagreeing pairs only
+    (oracle: :func:`harmonize_pairs`' error term).
 
     ``pair_values`` is ``(pairs, 2, cluster)`` (both members of each
     pair), ``pair_scales`` the matching ``(pairs,)`` channel scales;
@@ -243,6 +247,7 @@ def _pair_scheme_errors(pair_values: np.ndarray, pair_scales: np.ndarray
 def harmonize_pairs(clusters: np.ndarray, schemes: np.ndarray,
                     scales: np.ndarray) -> np.ndarray:
     """Force adjacent cluster pairs to share one encoding scheme.
+    Oracle: a step of :func:`encode_channels_stepwise`.
 
     Pairs are ``(0,1), (2,3), ...``; an odd trailing cluster keeps its own
     scheme (it gets a dedicated index field whose second slot is padding).

@@ -157,7 +157,7 @@ def decode_payload(payload: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def decode_payload_bitwise(payload: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-bit reference decode (the pre-LUT implementation).
+    """Oracle: per-bit reference decode (the pre-LUT implementation).
 
     Kept for the equivalence property test and as the baseline of the
     pack/unpack micro-benchmark; production decode is :func:`decode_payload`.
@@ -260,7 +260,7 @@ def pack_matrix(codes: np.ndarray, schemes: np.ndarray, scales: np.ndarray,
 def pack_matrix_bitwise(codes: np.ndarray, schemes: np.ndarray,
                         scales: np.ndarray, shape: tuple[int, int]
                         ) -> PackedMatrix:
-    """Per-bit reference pack (the pre-LUT implementation).
+    """Oracle: per-bit reference pack (the pre-LUT implementation).
 
     Kept for the equivalence property tests and as the baseline of the
     flush micro-benchmark; production pack is :func:`pack_matrix`.

@@ -49,10 +49,6 @@ class CycleReport:
     stage_cycles: dict[str, int] = field(default_factory=dict)
 
     @property
-    def bottleneck(self) -> str:
-        return max(self.stage_cycles, key=self.stage_cycles.get)
-
-    @property
     def total_cycles(self) -> int:
         """Pipelined latency: bottleneck total + fill by the other stages."""
         peak = max(self.stage_cycles.values())

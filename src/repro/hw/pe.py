@@ -6,6 +6,9 @@ depending on the incoming 1-bit weight stream (a mux, no multiplier).
 The accumulator unit (ACC) applies the weight's sign and sums a whole PE
 row through an adder tree — this is where the paper's power concentrates
 (71.8 % of the PE-array power in Fig. 8).
+
+Both classes are **oracles**: cycle-exact simulators the tests hold the
+vectorised :mod:`repro.hw.array` model to; no workload steps them.
 """
 
 from __future__ import annotations

@@ -36,12 +36,14 @@ def encode_magnitudes(magnitudes: np.ndarray,
 
 
 def decode_bitstream(bits: np.ndarray) -> np.ndarray:
-    """Inverse of :func:`encode_magnitudes` (popcount per column)."""
+    """Inverse of :func:`encode_magnitudes` (popcount per column);
+    oracle: the round trip the tests check."""
     return np.asarray(bits, dtype=np.int64).sum(axis=0)
 
 
 class TemporalEncoder:
-    """Cycle-accurate model of one hardware temporal encoder.
+    """Cycle-accurate model of one hardware temporal encoder (oracle:
+    the tests hold :func:`encode_magnitudes` to it, cycle by cycle).
 
     Mirrors Fig. 5(c): a register holding the magnitude, a counter, and a
     comparator producing the output bit; ``stop`` models the control

@@ -18,7 +18,7 @@ from repro.config import artifacts_dir, DEFAULT_SEED
 from repro.data.corpus import generate_corpus
 from repro.data.loader import split_stream
 from repro.data.tokenizer import WordTokenizer
-from repro.models.configs import ZOO_CONFIGS, ZOO_TRAIN_STEPS, zoo_config
+from repro.models.configs import ZOO_TRAIN_STEPS, zoo_config
 from repro.models.outliers import (OutlierSpec, inject_outliers,
                                    pretrain_column_outliers)
 from repro.nn.model import TransformerLM
@@ -128,7 +128,3 @@ def load_model(name: str, train_if_missing: bool = True,
     if outlier_spec is None:
         _LOAD_MEMO[memo_key] = trained
     return trained
-
-
-def available_models() -> list[str]:
-    return sorted(ZOO_CONFIGS)

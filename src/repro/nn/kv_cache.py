@@ -79,7 +79,8 @@ class KVCache:
     # ------------------------------------------------------------------ #
     def append(self, layer: int, k: np.ndarray, v: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Append new K/V for ``layer``; return views of the full cache."""
+        """Append new K/V for ``layer``; return views of the full cache.
+        Oracle: the sequential reference write, never a serving one."""
         start = self._lengths[layer]
         stop = start + k.shape[2]
         self._ensure(layer, k, stop)
@@ -111,21 +112,6 @@ class KVCache:
             if k is not None:
                 batch, heads, _, head_dim = k.shape
                 total += 2 * batch * heads * length * head_dim * bytes_per_element
-        return total
-
-    def used_bytes(self) -> int:
-        """Actual bytes of the used slots at the buffers' stored dtype.
-
-        Unlike :meth:`num_bytes` (a logical FP16 projection for the
-        serving-memory experiment), this is what the resident numpy
-        arrays really hold for the cached tokens — the rectangle's whole
-        batch pays for the globally longest row.
-        """
-        total = 0
-        for k, length in zip(self._keys, self._lengths):
-            if k is not None:
-                batch, heads, _, head_dim = k.shape
-                total += 2 * batch * heads * length * head_dim * k.itemsize
         return total
 
     def allocated_bytes(self, bytes_per_element: int = 2) -> int:

@@ -42,10 +42,6 @@ class ModelConfig:
     def to_dict(self) -> dict:
         return asdict(self)
 
-    @staticmethod
-    def from_dict(data: dict) -> "ModelConfig":
-        return ModelConfig(**data)
-
 
 class TransformerLM(Module):
     """Token embedding, N transformer blocks, final norm, LM head.
@@ -207,7 +203,9 @@ class TransformerLM(Module):
     def generate(self, prompt: np.ndarray, max_new_tokens: int,
                  temperature: float = 1.0,
                  rng: np.random.Generator | None = None) -> np.ndarray:
-        """Sample a continuation using the KV cache (greedy if T == 0)."""
+        """Sample a continuation using the KV cache (greedy if T == 0).
+        Oracle: the one-request-at-a-time reference the engine's greedy
+        ``"paged"`` output is asserted token-identical to."""
         rng = rng or np.random.default_rng(0)
         prompt = np.asarray(prompt).reshape(-1)
         cache = KVCache(self.config.num_layers)

@@ -42,8 +42,10 @@ sharing): :meth:`PagedKVCache.ref_blocks` / :meth:`release_blocks` move
 the count, :meth:`adopt_prefix` points a fresh row at an already-written
 block chain, :meth:`share_block` hands out a reference to a row's block
 (quantized caches freeze the FP32 write buffer into a pool block first),
-and :meth:`copy_block` is the copy-on-write primitive used when a new
-request diverges *inside* a partially-filled shared block.  A block
+and :meth:`copy_block` is the FP32 copy-on-write primitive used when a
+new request diverges *inside* a partially-filled shared block (the
+quantized cache dequantizes the shared tail into its write buffer
+instead and never copies a pool block).  A block
 returns to the free list only when its last reference drops, so retiring
 or cancelling a reader frees exactly the blocks it owned exclusively.
 
@@ -51,9 +53,11 @@ Two read paths:
 
 * :meth:`_context` gathers the rows' whole context into dense
   ``(batch, heads, total, head_dim)`` arrays — a block-major gather,
-  then a transposed copy.  It is what ``append`` returns to the
-  sequential reference path (``generate``, cached perplexity), and the
-  oracle the tests pin chunk values against.
+  then a transposed copy.  **Oracle**, with ``append`` and ``_gather``:
+  no engine forward comes here.  It is what ``append`` returns to the
+  sequential reference path (``generate``, and ``cached_perplexity`` —
+  hence perfbench's ``ppl_ratio_kv``), and what the tests pin chunk
+  values against.
 * :meth:`context_blocks` iterates the same context chunk by chunk
   (``chunk_blocks`` blocks at a time) for
   :mod:`repro.nn.block_attention` — the serving engine's read, so
@@ -63,7 +67,8 @@ Two read paths:
   so a single ``take`` lands ``(rows, heads, blocks, block, head_dim)``
   and the ``(rows, heads, tokens, head_dim)`` array attention multiplies
   is a reshape view of it.  On the quantized cache the gather reads
-  dequantized blocks through a :class:`DequantBlockCache`: quantized
+  dequantized blocks through a
+  :class:`~repro.nn.dequant_cache.DequantBlockCache`: quantized
   pool blocks are immutable once written (writes go through the FP32
   buffer; COW copies get fresh ids), so a block's dequantized values
   are memoised by ``(layer, block id)`` under a byte budget with LRU
@@ -90,10 +95,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.clusters import CLUSTER_SIZE
-from repro.core.encoding import encode_channels
-from repro.core.packing import (CLUSTERS_PER_GROUP, GROUP_BYTES,
-                                decode_payload, pack_matrix)
+from repro.core.packing import CLUSTERS_PER_GROUP, GROUP_BYTES
+from repro.nn.dequant_cache import DequantBlockCache
+from repro.nn.kv_codec import dequantize_kv_channels, quantize_kv_block
 
 #: Tokens per cache block (vLLM's default granularity).
 DEFAULT_BLOCK_SIZE = 16
@@ -117,11 +121,8 @@ class KVReadStats:
     payload+scale bytes for dequant-cache misses plus FP32 write-buffer
     bytes for current blocks — hits stream nothing, which is the number
     the accelerator projection credits); ``peak_scratch_bytes`` is the
-    largest transient chunk scratch any single read materialised; and
-    ``bytes_not_gathered`` is the dense copy that never existed
-    concurrently (what a dense gather would have materialised — FP32
-    K+V for every row's full context — minus one resident chunk, per
-    call).
+    largest transient chunk scratch any single read materialised (a
+    regression that materialises something dense shows up there).
     ``dequant_hits`` /
     ``dequant_misses`` count per-reader block lookups in the
     :class:`DequantBlockCache` (a block missed once but read by sixteen
@@ -137,301 +138,10 @@ class KVReadStats:
 
     streamed_bytes: int = 0
     peak_scratch_bytes: int = 0
-    bytes_not_gathered: int = 0
     dequant_hits: int = 0
     dequant_misses: int = 0
     flush_calls: int = 0
     flush_blocks: int = 0
-
-
-class DequantBlockCache:
-    """LRU memo of dequantized quantized-pool blocks, keyed by
-    ``(layer, block id)``.
-
-    Quantized pool blocks are immutable once written, so their
-    dequantized ``(heads, block, head_dim)`` K/V values can be reused
-    across readers, layers' worth of decode steps, and sessions of the
-    same engine.  Entries live in slot-pooled value stores (one K and
-    one V array) so chunk assembly is a single gather per operand,
-    straight into the layout attention multiplies; the slot count is
-    ``budget_bytes`` divided by the per-entry footprint, grown lazily
-    and recycled LRU.  Entries arrive two ways: a
-    :meth:`lookup` miss dequantizes the payload, and a flush *writes
-    through* (:meth:`fill`) the values it already holds, so a block the
-    step has just encoded is never decoded back.  :meth:`invalidate`
-    drops entries whenever a payload is rewritten or the block returns
-    to the free list, so a recycled block id can never serve stale
-    values.
-
-    Slot 0 of the stores is a permanent all-zero entry that no key owns:
-    the absent id ``-1`` resolves to it (through a sentinel last column
-    of the slot table, which ``-1`` indexes), so a chunk whose table has
-    unowned positions is still one gather.
-    """
-
-    def __init__(self, num_layers: int, heads: int, block_size: int,
-                 head_dim: int, budget_bytes: int):
-        self.num_layers = num_layers
-        self.entry_bytes = 2 * heads * block_size * head_dim * 4  # K + V
-        self.capacity = max(0, int(budget_bytes) // self.entry_bytes)
-        self._shape = (heads, block_size, head_dim)
-        self._head_offsets = np.arange(heads)[:, None]
-        self._store_k = np.zeros((1,) + self._shape, dtype=np.float32)
-        self._store_v = np.zeros((1,) + self._shape, dtype=np.float32)
-        # (layer, block id) -> slot, as an array so a chunk's lookups are
-        # one fancy index instead of per-id dict probes (-1 = absent).
-        self._slot_table = np.zeros((num_layers, 1), dtype=np.int64)
-        self._entries = 0
-        # Per-slot bookkeeping, index 0 (the zero entry) never occupied.
-        self._key_layer = np.zeros(1, dtype=np.int64)
-        self._key_block = np.zeros(1, dtype=np.int64)
-        self._occupied = np.zeros(1, dtype=bool)
-        self._last_used = np.zeros(1, dtype=np.int64)
-        self._free: list[int] = []
-        self._tick = 0
-        self.evictions = 0
-
-    def __len__(self) -> int:
-        return self._entries
-
-    def used_bytes(self) -> int:
-        return self._entries * self.entry_bytes
-
-    def slot(self, layer: int, block_id: int) -> int:
-        """Slot holding ``(layer, block_id)``, or ``-1`` when absent."""
-        if not 0 <= int(block_id) < self._slot_table.shape[1] - 1:
-            return -1
-        return int(self._slot_table[layer, int(block_id)])
-
-    def _ensure_blocks(self, max_block: int) -> None:
-        width = self._slot_table.shape[1] - 1
-        if max_block < width:
-            return
-        wider = np.full((self.num_layers, max(max_block + 1, 2 * width) + 1),
-                        -1, dtype=np.int64)
-        wider[:, :width] = self._slot_table[:, :width]
-        wider[:, -1] = 0
-        self._slot_table = wider
-
-    def _grow(self, needed: int) -> None:
-        """Allocate more slots (amortized doubling, capped at capacity)."""
-        have = len(self._occupied) - 1
-        new = min(self.capacity, max(needed, 2 * have, 16))
-        if new <= have:
-            return
-        for name in ("_store_k", "_store_v", "_key_layer", "_key_block",
-                     "_occupied", "_last_used"):
-            old = getattr(self, name)
-            grown = np.zeros((new + 1,) + old.shape[1:], dtype=old.dtype)
-            grown[:have + 1] = old
-            setattr(self, name, grown)
-        self._free.extend(range(have + 1, new + 1))
-
-    def _claim_slots(self, count: int, tick: int) -> np.ndarray:
-        """Up to ``count`` free-or-evicted slots (never ones used at
-        ``tick`` — entries read in the current lookup stay pinned)."""
-        # Grow only when the free list cannot cover the request (lazy:
-        # the store tracks the working set, not the whole budget).
-        have = len(self._occupied) - 1
-        if len(self._free) < count and have < self.capacity:
-            self._grow(have - len(self._free) + count)
-        keep = max(0, len(self._free) - count)
-        slots = self._free[keep:]
-        del self._free[keep:]
-        short = count - len(slots)
-        if short > 0:
-            # Vectorized victim pick: occupied slots not touched this
-            # lookup, the `short` least-recently-used of them (partial
-            # partition, not a full sort — this runs on the decode hot
-            # path whenever the working set outgrows the budget).
-            candidates = np.nonzero(self._occupied
-                                    & (self._last_used < tick))[0]
-            if len(candidates):
-                take = min(short, len(candidates))
-                victims = candidates[np.argpartition(
-                    self._last_used[candidates], take - 1)[:take]]
-                self._slot_table[self._key_layer[victims],
-                                 self._key_block[victims]] = -1
-                self._occupied[victims] = False
-                self._entries -= take
-                self.evictions += take
-                slots += victims.tolist()
-        return np.asarray(slots, dtype=np.int64)
-
-    def _store(self, slots: np.ndarray, layers, ids: np.ndarray,
-               k_vals: np.ndarray, v_vals: np.ndarray, tick: int) -> None:
-        """Bind ``slots`` to the ``(layers, ids)`` keys and their values."""
-        self._store_k[slots] = k_vals
-        self._store_v[slots] = v_vals
-        self._slot_table[layers, ids] = slots
-        self._key_layer[slots] = layers
-        self._key_block[slots] = ids
-        self._occupied[slots] = True
-        self._last_used[slots] = tick
-        self._entries += len(slots)
-
-    def lookup(self, layer: int, ids: np.ndarray, kind: str,
-               dequant_pair, dequant_kind):
-        """Dequantized values for block ``ids`` (duplicates welcome —
-        many rows reading one shared block is the expected shape; ``-1``
-        reads as an all-zero block).
-
-        ``ids`` is a ``(..., blocks)`` table — one row of block ids per
-        reader — and the values come back in the *attended layout*,
-        heads ahead of the block axis: ``ids.shape[:-1] + (heads,
-        blocks, block, head_dim)`` float32, whose ``(..., heads, blocks
-        * block, head_dim)`` reshape is a view (1-D ``ids`` therefore
-        return ``(heads, len(ids), block, head_dim)``).  ``kind``
-        selects the operand: ``"k"`` or ``"v"`` return one such array,
-        ``"kv"`` a ``(k, v)`` pair from a single slot resolution.
-        Returns ``(values, misses, paired)``: ``misses`` counts the
-        *unique* blocks that had to be dequantized — sixteen readers of
-        one cold shared block are one miss (the fifteen served from its
-        fresh dequant count as hits, and the streamed-bytes charge stays
-        one payload fetch) — and ``paired <= misses`` is how many of
-        them were pinned with both operands.
-
-        When every id is resident — the steady state, since flushes
-        write through — the values are one ``take`` per operand through
-        the stores' free ``(slots * heads, block, head_dim)`` view.
-        Otherwise slots are claimed *before* dequantizing: blocks that
-        win a slot dequantize both operands via ``dequant_pair(ids) ->
-        (k, v)`` (so the sibling pass hits), while blocks the budget
-        cannot pin dequantize only what was asked for (``dequant_kind``
-        for a single operand) — a saturated (or zero-budget) cache therefore
-        degrades to one dequant per operand read instead of paying
-        double LUT work while thrashing.
-        """
-        self._tick += 1
-        tick = self._tick
-        ids = np.asarray(ids, dtype=np.int64)
-        self._ensure_blocks(int(ids.max(initial=0)))
-        slots = self._slot_table[layer, ids]
-        absent = slots < 0
-        misses = paired = 0
-        spilled = None
-        if absent.any():
-            self._last_used[slots[~absent]] = tick  # pin this lookup's hits
-            wanted = np.unique(ids[absent])
-            misses = len(wanted)
-            granted = self._claim_slots(misses, tick)
-            paired = len(granted)
-            if paired:
-                k_vals, v_vals = dequant_pair(wanted[:paired])
-                self._store(granted, layer, wanted[:paired], k_vals, v_vals,
-                            tick)
-                slots = self._slot_table[layer, ids]
-                absent = slots < 0
-            if paired < misses:
-                spilled = (dequant_pair(wanted[paired:]) if kind == "kv"
-                           else (dequant_kind(wanted[paired:]),))
-                order = np.searchsorted(wanted, ids[absent]) - paired
-                slots = np.where(absent, 0, slots)
-        self._last_used[slots] = tick
-        stores = {"k": (self._store_k,), "v": (self._store_v,),
-                  "kv": (self._store_k, self._store_v)}[kind]
-        flat = slots[..., None, :] * self._shape[0] + self._head_offsets
-        values = tuple(store.reshape((-1,) + self._shape[1:])
-                       .take(flat, axis=0) for store in stores)
-        if spilled is not None:
-            for out, vals in zip(values, spilled):
-                np.moveaxis(out, -4, -3)[absent] = vals[order]
-        return (values if kind == "kv" else values[0]), misses, paired
-
-    def fill(self, layers, ids: np.ndarray, k_vals: np.ndarray,
-             v_vals: np.ndarray) -> int:
-        """Write-through: memoise freshly quantized blocks' values.
-
-        ``(layers[i], ids[i])`` are distinct keys whose payloads were
-        just (re)written; ``k_vals``/``v_vals`` are their dequantized
-        ``(heads, block, head_dim)`` values.  Stale entries for the keys
-        are dropped, slots are claimed by the same LRU rule a miss uses,
-        and as many leading keys as the budget grants are stored.
-        Returns that count.
-        """
-        self.invalidate(ids, layers)
-        self._ensure_blocks(int(ids.max()))
-        self._tick += 1
-        slots = self._claim_slots(len(ids), self._tick)
-        count = len(slots)
-        if count:
-            self._store(slots, layers[:count], ids[:count],
-                        k_vals[:count], v_vals[:count], self._tick)
-        return count
-
-    def invalidate(self, block_ids, layer=None) -> None:
-        """Drop blocks' entries — the stale dequant must never be served
-        again.  ``block_ids`` is one id or an array of distinct ids.
-        ``layer`` scopes the drop: an int for one layer's entries, an
-        array pairing a layer with each id (a flush rewrites exactly
-        those payloads; sibling layers' cached values stay valid), or
-        ``None`` to sweep every layer (block freed or recycled — the id
-        means something new everywhere)."""
-        ids = np.asarray(block_ids, dtype=np.int64).reshape(-1)
-        known = ids < self._slot_table.shape[1] - 1
-        if layer is None:
-            at = (slice(None), ids[known])
-        else:
-            layer = np.asarray(layer)
-            at = (layer[known] if layer.ndim else layer, ids[known])
-        slots = self._slot_table[at]
-        held = slots[slots >= 0]
-        if held.size:
-            self._slot_table[at] = -1
-            self._occupied[held] = False
-            self._last_used[held] = 0
-            self._free.extend(held.tolist())
-            self._entries -= held.size
-
-
-def quantize_kv_block(blocks: np.ndarray, with_values: bool = False):
-    """FineQ-encode ``(n, heads, block, head_dim)`` FP32 K/V blocks.
-
-    Each ``(head, dim)`` pair is a channel; its ``block`` tokens are
-    clustered in threes along the token axis and run through the paper's
-    pipeline (outlier schemes -> pair harmonization -> Eq. 1 channel
-    scale -> grid rounding -> 6-bit packing).  Returns ``(payload,
-    scales)`` of shapes ``(n * heads * head_dim, groups * GROUP_BYTES)``
-    uint8 and ``(n * heads * head_dim,)`` float16.  Channels are
-    independent, so any mix of blocks (K and V, several layers) encodes
-    in one call to the bytes separate calls would produce.
-
-    ``with_values=True`` appends the blocks' dequantized values, ``(n,
-    heads, block, head_dim)`` float32: the integer codes times the FP16
-    scales, bitwise what :func:`dequantize_kv_channels` decodes from the
-    returned payload — which lets a flush write them through into the
-    :class:`DequantBlockCache` without a decode.
-    """
-    n, heads, block, head_dim = blocks.shape
-    rows = n * heads * head_dim
-    num_clusters = _blocks_needed(block, CLUSTER_SIZE)
-    # Stage token-major: one position of one cluster across all channels
-    # is then a contiguous vector, the layout the core kernels work in,
-    # and the trailing cluster's padding is already zero.
-    staged = np.zeros((num_clusters * CLUSTER_SIZE, n, heads, head_dim))
-    staged[:block] = np.moveaxis(blocks, 2, 0)
-    clusters = staged.reshape(num_clusters, CLUSTER_SIZE, rows) \
-                     .transpose(2, 0, 1)
-    codes, schemes, scales = encode_channels(clusters)
-    packed = pack_matrix(codes, schemes, scales.reshape(-1), (rows, block))
-    if not with_values:
-        return packed.payload, packed.scales
-    tokens = codes.transpose(1, 2, 0).reshape(-1, rows)[:block]
-    values = tokens.astype(np.float32) * packed.scales.astype(np.float32)
-    return packed.payload, packed.scales, np.moveaxis(
-        values.reshape(block, n, heads, head_dim), 0, 2)
-
-
-def dequantize_kv_channels(payload: np.ndarray, scales: np.ndarray,
-                           block_size: int) -> np.ndarray:
-    """Inverse of :func:`quantize_kv_block` at the channel-matrix level.
-
-    ``payload``/``scales`` are ``(channels, groups * GROUP_BYTES)`` and
-    ``(channels,)``; returns ``(channels, block_size)`` float32.
-    """
-    codes, _ = decode_payload(payload)
-    values = codes.astype(np.float32) * scales.astype(np.float32)[:, None, None]
-    return values.reshape(len(payload), -1)[:, :block_size]
 
 
 def _blocks_needed(tokens: int | np.ndarray, block_size: int):
@@ -663,7 +373,8 @@ class PagedKVCache:
         Returns a fresh block (one reference, owned by the caller) whose
         K/V payload equals ``src``'s at copy time.  Used when a request
         diverges inside a partially-filled shared block: the writer gets
-        a private copy, other readers keep the original.
+        a private copy, other readers keep the original.  FP32 pools
+        only — the quantized format's COW is :meth:`_adopt_tail`.
         """
         dst = self._take_block()
         for layer in range(self.num_layers):
@@ -786,7 +497,9 @@ class PagedKVCache:
     # ------------------------------------------------------------------ #
     def append(self, layer: int, k: np.ndarray, v: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform append for all batch rows; returns gathered context."""
+        """Uniform append for all batch rows; returns gathered context.
+        Oracle: the sequential reference path's write (``generate``,
+        ``cached_perplexity``), never an engine forward's."""
         self._check_batch(k)
         if self._heads is None:
             self._init_storage(k)
@@ -956,6 +669,7 @@ class PagedKVCache:
 
     def _context(self, layer: int, rows: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Oracle: the dense gather (see the module docstring)."""
         total = self._lengths[layer]
         nblk = _blocks_needed(total, self.block_size)
         ids = self._block_ids(nblk, rows)
@@ -963,6 +677,7 @@ class PagedKVCache:
                 self._gather(self._pool_v[layer], ids)[:, :, :total])
 
     def _gather(self, pool: np.ndarray, ids: np.ndarray) -> np.ndarray:
+        """Oracle: :meth:`_context`'s block-major gather + transpose."""
         batch, nblk = ids.shape
         blocks = pool[ids]  # (batch, nblk, heads, block, head_dim)
         return blocks.transpose(0, 2, 1, 3, 4).reshape(
@@ -974,19 +689,6 @@ class PagedKVCache:
         stats = self._read_stats
         self._read_stats = KVReadStats()
         return stats
-
-    def _account_read(self, n: int, total: int, operands: int) -> None:
-        """Book the dense copy one :meth:`context_blocks` call avoids:
-        the dense gather minus the one finished chunk the caller holds
-        at any moment.  Transient scratch is *measured* per chunk step
-        via :meth:`_note_scratch` (actual array sizes, so a regression
-        that materialises something dense shows up).
-        """
-        per_token = operands * n * self._heads * self._head_dim * 4
-        nblk = _blocks_needed(total, self.block_size)
-        resident = min(self.chunk_blocks, nblk) * self.block_size
-        self._read_stats.bytes_not_gathered += max(
-            0, per_token * (total - resident))
 
     def _note_scratch(self, nbytes: int) -> None:
         """Record one chunk step's measured transient scratch bytes."""
@@ -1085,7 +787,6 @@ class PagedKVCache:
                  "v": ((1, self._pool_v[layer]),),
                  "kv": ((0, self._pool_k[layer]),
                         (1, self._pool_v[layer]))}[kind]
-        self._account_read(n, total, len(pools))
         self._read_stats.streamed_bytes += len(pools) * heads * head_dim \
             * 4 * live
         buffers = self._chunk_buffers(n)
@@ -1297,15 +998,6 @@ class QuantizedPagedKVCache(PagedKVCache):
     # ------------------------------------------------------------------ #
     # block sharing (prefix reuse / copy-on-write, quantized format)
     # ------------------------------------------------------------------ #
-    def copy_block(self, src: int) -> int:
-        """COW in the 2.33-bit format: duplicate payload + scales."""
-        dst = self._take_block()
-        for layer in range(self.num_layers):
-            for pool in (self._payload_k, self._payload_v,
-                         self._scale_k, self._scale_v):
-                pool[layer][dst] = pool[layer][src]
-        return dst
-
     def share_block(self, row: int, depth: int, fill: int) -> int:
         """Reference (or freeze) block ``depth`` of ``row`` for sharing.
 
@@ -1527,7 +1219,8 @@ class QuantizedPagedKVCache(PagedKVCache):
 
     def append(self, layer: int, k: np.ndarray, v: np.ndarray
                ) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform single-token append (the cached-perplexity path)."""
+        """Uniform single-token append (oracle: the cached-perplexity
+        path)."""
         if k.shape[2] != 1:
             raise NotImplementedError(
                 "QuantizedPagedKVCache.append supports one token per step; "
@@ -1543,6 +1236,7 @@ class QuantizedPagedKVCache(PagedKVCache):
     # ------------------------------------------------------------------ #
     def _context(self, layer: int, rows: np.ndarray | None = None
                  ) -> tuple[np.ndarray, np.ndarray]:
+        """Oracle: the dense gather in the quantized format."""
         total = self._lengths[layer]
         bs = self.block_size
         nblk = _blocks_needed(total, bs)
@@ -1683,7 +1377,6 @@ class QuantizedPagedKVCache(PagedKVCache):
         n, chunks = self._read_plan(total, rows)
         bufs = {"k": self._buf_k[layer], "v": self._buf_v[layer]}
         stats = self._read_stats
-        self._account_read(n, total, len(kinds))
         operand_bytes = self._channels * (self._payload_bytes + 2)
         for b0, sel, padded, reads, in_chunk, in_rows, offsets, buffered \
                 in chunks:

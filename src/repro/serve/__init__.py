@@ -12,8 +12,7 @@ serving tests and benchmarks share.  Performance is measured by
 from repro.serve.engine import KV_CACHE_MODES, GenerationEngine
 from repro.serve.gateway import (JOB_STATUSES, TERMINAL_STATUSES,
                                  GatewayHTTPServer, QueueFullError, QueuedJob,
-                                 RequestQueue, ServingGateway, TokenUpdate,
-                                 serve_forever)
+                                 RequestQueue, ServingGateway, TokenUpdate)
 from repro.serve.params import (FINISH_REASONS, Completion, Request,
                                 SamplingParams, TokenEvent)
 from repro.serve.prefix import PrefixMatch, PrefixStore, PrefixStoreStats
@@ -24,8 +23,7 @@ from repro.serve.scheduler import (SCHEDULERS, FIFOScheduler,
                                    PriorityScheduler, RunningInfo, Scheduler,
                                    SchedulerView, admission_key,
                                    get_scheduler)
-from repro.serve.spec import (SPEC_POLICIES, SpeculativeConfig,
-                              SpeculativeDecoder)
+from repro.serve.spec import SpeculativeConfig, SpeculativeDecoder
 from repro.serve.stats import EngineStats, StepTrace
 
 __all__ = [
@@ -34,11 +32,11 @@ __all__ = [
     "apply_top_k_top_p",
     "JOB_STATUSES", "TERMINAL_STATUSES", "GatewayHTTPServer",
     "QueueFullError", "QueuedJob", "RequestQueue", "ServingGateway",
-    "TokenUpdate", "serve_forever",
+    "TokenUpdate",
     "PrefixMatch", "PrefixStore", "PrefixStoreStats",
     "bench_prompts", "corpus_prompts", "prefix_prompts",
     "SCHEDULERS", "FIFOScheduler", "PrefixAffinityScheduler",
     "PriorityScheduler", "RunningInfo", "Scheduler", "SchedulerView",
     "admission_key", "get_scheduler",
-    "SPEC_POLICIES", "SpeculativeConfig", "SpeculativeDecoder",
+    "SpeculativeConfig", "SpeculativeDecoder",
 ]

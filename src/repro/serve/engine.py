@@ -43,11 +43,23 @@ The cache backend is selected by ``kv_cache``:
   the rectangular :class:`~repro.nn.kv_cache.KVCache`, not a serving
   backend) — including with mid-flight submission, cancelled
   neighbours, prefix sharing, preemption, chunking and speculation.
+  That parity has held in every test so far; it is empirical (small-M
+  GEMM rows move by an ulp with the batch's shape and nothing here
+  amplifies it), not structural.
 * ``"fineq"`` — :class:`~repro.nn.paged_kv_cache.QuantizedPagedKVCache`;
   full blocks stored in the paper's 2.33-bit format (~7x fewer bytes per
   full block, ~4.7x end-to-end with the FP32 write buffers; bounded
   perplexity delta instead of exact parity), read through a
   dequantized-block LRU so an immutable block is LUT-decoded once.
+  A stream here can depend on its neighbours — a wider one pads the
+  wave to another GEMM shape, and the first 2.33-bit flush turns the
+  ulp into a quantization step (pinned:
+  ``test_fineq_stream_depends_on_its_neighbour``).
+
+What is asserted on both backends is **replay determinism**: the same
+call sequence on a fresh engine returns the same bytes.  Making
+``"fineq"`` composition-independent, or specifying that it is not, is
+ROADMAP item 1 (ii).
 
 Long prompts need not stall the batch: ``prefill_chunk_tokens`` (128 by
 default) caps the prompt tokens forwarded per :meth:`step`.  An admitted
@@ -86,11 +98,11 @@ from repro.nn.model import TransformerLM
 from repro.serve.params import (Completion, Request, SamplingParams,
                                 TokenEvent, validate_request)
 from repro.serve.prefix import PrefixStore
-from repro.serve.sampling import _filtered_probs, _sample_tokens
+from repro.serve.sampling import _sample_tokens
 from repro.serve.scheduler import (RunningInfo, Scheduler, SchedulerView,
                                    get_scheduler)
 from repro.serve.spec import (SpeculativeConfig, SpeculativeDecoder,
-                              _pad_spans, leftover_accept, sample_from_probs)
+                              _pad_spans)
 from repro.serve.stats import EngineStats, StepTrace
 
 #: Engine cache backends: constructor keyed by the ``kv_cache`` argument.
@@ -207,9 +219,9 @@ class GenerationEngine:
     speculative:
         A :class:`~repro.serve.spec.SpeculativeConfig` to decode
         speculatively (see :meth:`_spec_decode_step`): greedy output is
-        token-identical to target-only decode, and the default
-        ``"exact"`` policy keeps sampled output identical too.  ``None``
-        (default) decodes one token per step.
+        token-identical to target-only decode, and sampled output is
+        draw-for-draw identical too.  ``None`` (default) decodes one
+        token per step.
     """
 
     def __init__(self, model: TransformerLM, max_batch_size: int = 8,
@@ -305,7 +317,6 @@ class GenerationEngine:
         else:
             stats.decode_peak_scratch_bytes = max(
                 stats.decode_peak_scratch_bytes, read.peak_scratch_bytes)
-            stats.decode_bytes_not_gathered += read.bytes_not_gathered
             stats.dequant_cache_hits += read.dequant_hits
             stats.dequant_cache_misses += read.dequant_misses
             live_tokens = cache.cached_tokens
@@ -550,8 +561,8 @@ class GenerationEngine:
         are the target's next-token distribution after ``d_i``, exactly
         what target-only decode would compute there.  Tokens emit in
         stream order (the target's own choice at each position, drawn
-        with the request's private RNG under the default ``"exact"``
-        policy) while the emitted token keeps matching the next draft;
+        with the request's private RNG) while the emitted token keeps
+        matching the next draft;
         the first mismatch, terminal token, or the post-run bonus token
         ends the row's run.  The caches then truncate back to the
         committed length (:meth:`PagedKVCache.truncate_rows` — shared
@@ -596,7 +607,7 @@ class GenerationEngine:
 
         start_t = time.perf_counter()
         draft_idx = np.flatnonzero(k_eff > 0)
-        proposals, qvecs, draft_tokens = spec.propose(
+        proposals, draft_tokens = spec.propose(
             active_rows[draft_idx],
             [slots[row] for row in active_rows[draft_idx]],
             lengths[draft_idx], k_eff[draft_idx])
@@ -605,11 +616,8 @@ class GenerationEngine:
         # through the same forward).
         verify: list[list[int]] = [
             [int(self._pending[row])] for row in active_rows]
-        qrow: list = [None] * n
         for jj, j in enumerate(draft_idx):
             verify[j] += [int(t) for t in proposals[jj]]
-            if qvecs is not None:
-                qrow[j] = qvecs[jj]
 
         params = [slots[row].request.params for row in active_rows]
         rngs = [slots[row].rng for row in active_rows]
@@ -620,7 +628,6 @@ class GenerationEngine:
         written = lengths.copy()
         accepted_step = 0
         verify_tokens = 0
-        need_probs = spec.config.policy == "leftover"
         is_quant = self.kv_cache == "fineq"
         bs = cache.block_size
         max_pos = self.model.config.max_seq_len - 1
@@ -678,36 +685,20 @@ class GenerationEngine:
                     break
                 sub_rows = [int(live[jj]) for jj in sub]
                 sub_logits = logits_arr[sub, o]
-                if need_probs:
-                    choices = None
-                    pvecs = _filtered_probs(sub_logits,
-                                            [params[j] for j in sub_rows])
-                else:
-                    choices = _sample_tokens(sub_logits,
-                                             [params[j] for j in sub_rows],
-                                             [rngs[j] for j in sub_rows])
+                choices = _sample_tokens(sub_logits,
+                                         [params[j] for j in sub_rows],
+                                         [rngs[j] for j in sub_rows])
                 for idx, jj in enumerate(sub):
                     j = int(live[jj])
                     g = int(offset[j]) + o       # global verify offset
-                    has_draft = g + 1 < len(verify[j])
-                    par = params[j]
-                    if need_probs and not par.greedy:
-                        if has_draft:
-                            tok, ok = leftover_accept(
-                                pvecs[idx], qrow[j][g], verify[j][g + 1],
-                                rngs[j])
-                        else:  # bonus position: a plain target sample
-                            tok, ok = sample_from_probs(pvecs[idx],
-                                                        rngs[j]), False
-                    else:
-                        tok = int(sub_logits[idx].argmax()) \
-                            if need_probs else int(choices[idx])
-                        ok = has_draft and tok == verify[j][g + 1]
-                    emitted[j].append(int(tok))
+                    has_draft = g + 1 < len(verify[j])   # else: the bonus
+                    tok = int(choices[idx])
+                    ok = has_draft and tok == verify[j][g + 1]
+                    emitted[j].append(tok)
                     if ok:
                         accepted_step += 1
                     reason = self._finish_reason(
-                        par, int(tok),
+                        params[j], tok,
                         len(slots[active_rows[j]].generated)
                         + len(emitted[j]),
                         int(lengths[j]) + g + 1)
@@ -941,9 +932,9 @@ class GenerationEngine:
     def _prefill_step(self) -> list[TokenEvent]:
         """Advance prefilling rows by one budgeted ragged chunk wave.
 
-        The scheduler's ``prefill_order`` (arrival order if the policy
-        has none) ranks the prefilling rows; each row in turn takes
-        ``min(remaining prompt, remaining budget)`` tokens — rounded
+        The scheduler's ``prefill_order`` ranks the prefilling rows;
+        each row in turn takes ``min(remaining prompt, remaining
+        budget)`` tokens — rounded
         down to whole cache blocks unless the grant finishes the prompt
         — until the step's budget is spent.  The granted spans forward
         as one ragged wave — written via ``prefill_rows`` and attended
@@ -958,15 +949,11 @@ class GenerationEngine:
                       if slot is not None and slot.prefilling}
         if not prefilling or budget < 1:
             return []
-        order_fn = getattr(self.scheduler, "prefill_order", None)
-        if order_fn is not None:
-            view = self._scheduler_view()
-            infos = [info for info in view.running
-                     if info.request_id in prefilling]
-            order = [rid for rid in order_fn(infos, view)
-                     if rid in prefilling]
-        else:
-            order = sorted(prefilling)
+        view = self._scheduler_view()
+        infos = [info for info in view.running
+                 if info.request_id in prefilling]
+        order = [rid for rid in self.scheduler.prefill_order(infos, view)
+                 if rid in prefilling]
         # Non-final grants round down to the cache's block granularity:
         # a chunk that stops mid-block would leave its freshest keys in
         # the FP32 write buffer where the one-shot span has already

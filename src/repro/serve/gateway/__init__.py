@@ -11,7 +11,7 @@ streaming.
 
 from repro.serve.gateway.gateway import (QueueFullError, ServingGateway,
                                          TokenUpdate)
-from repro.serve.gateway.http import GatewayHTTPServer, serve_forever
+from repro.serve.gateway.http import GatewayHTTPServer
 from repro.serve.gateway.queue import (JOB_STATUSES, TERMINAL_STATUSES,
                                        QueuedJob, RequestQueue)
 
@@ -24,5 +24,4 @@ __all__ = [
     "RequestQueue",
     "ServingGateway",
     "TokenUpdate",
-    "serve_forever",
 ]

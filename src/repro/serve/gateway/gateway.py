@@ -24,9 +24,8 @@ synchronous :class:`~repro.serve.engine.GenerationEngine`:
   post-restart client misses nothing), then live updates, deduplicated
   by token index so replay and live can never double-emit.  A consumer
   that disconnects mid-stream (the generator is closed early) cancels
-  the job when it was the last subscriber (``cancel_on_disconnect``),
-  which propagates to ``engine.cancel()`` and frees the job's cache
-  blocks immediately.
+  the job when it was the last subscriber, which propagates to
+  ``engine.cancel()`` and frees the job's cache blocks immediately.
 * **Degrading, not dying** — an exception out of one pump (a poison
   request whose forward raises) costs the jobs that were inside the
   engine for that step, marked ``failed`` with the error text; queued
@@ -53,6 +52,9 @@ from repro.serve.params import SamplingParams, validate_request
 #: recent requests only, so neither the gateway's memory nor the cost of
 #: a scrape grows with uptime.
 FIRST_TOKEN_WINDOW = 4096
+
+#: Engine-loop sleep when there is no work (seconds).
+IDLE_SLEEP = 0.001
 
 
 class QueueFullError(RuntimeError):
@@ -110,10 +112,6 @@ class ServingGateway:
         slots).  Defaults to the engine's batch width — the durable
         queue, not the engine's in-memory deque, holds the backlog, so
         a crash can only lose work the journal already covers.
-    cancel_on_disconnect:
-        Cancel a job when its last streaming subscriber goes away.
-    idle_sleep:
-        Engine-loop sleep when there is no work (seconds).
     rng:
         Seed source for requests that did not fix ``params.seed``.
     """
@@ -122,15 +120,11 @@ class ServingGateway:
                  queue: RequestQueue | None = None, *,
                  max_queue_depth: int | None = None,
                  max_inflight: int | None = None,
-                 cancel_on_disconnect: bool = True,
-                 idle_sleep: float = 0.001,
                  rng: np.random.Generator | None = None):
         self.engine = engine
         self.queue = queue if queue is not None else RequestQueue()
         self.max_queue_depth = max_queue_depth
         self.max_inflight = max_inflight or engine.max_batch_size
-        self.cancel_on_disconnect = cancel_on_disconnect
-        self.idle_sleep = idle_sleep
         self.rng = rng or np.random.default_rng(0)
         self._jobs: dict[int, _JobState] = {}
         self._rid_job: dict[int, int] = {}    # engine request id -> job id
@@ -173,9 +167,11 @@ class ServingGateway:
     async def drain(self) -> None:
         """Wait until every journaled job is terminal."""
         while self._running and self.queue.depth() > 0:
-            if self._loop_error is not None:
-                raise self._loop_error
             await asyncio.sleep(0)
+        # A dying loop clears ``_running`` as it records its error, so
+        # the wait above ends on it: jobs are still journaled, say why.
+        if self._loop_error is not None:
+            raise self._loop_error
 
     async def _engine_loop(self) -> None:
         while self._running:
@@ -185,7 +181,7 @@ class ServingGateway:
                 self._loop_error = exc
                 self._running = False
                 break
-            await asyncio.sleep(0 if progressed else self.idle_sleep)
+            await asyncio.sleep(0 if progressed else IDLE_SLEEP)
 
     def _pump_or_fail(self) -> bool:
         """:meth:`pump`, with an ``Exception`` out of it charged to the
@@ -371,8 +367,7 @@ class ServingGateway:
         gap and no duplicate whatever the interleaving — including a
         subscriber attaching to a recovered job mid-regeneration.
         Closing the generator early (a disconnecting client) cancels
-        the job if it was the last subscriber and
-        ``cancel_on_disconnect`` is set.
+        the job if it was the last subscriber.
         """
         job = self.queue.get(job_id)
         if job is None:
@@ -407,7 +402,7 @@ class ServingGateway:
                 subs.remove(sub)
             if not subs:
                 self._subs.pop(job_id, None)
-            if not finished and self.cancel_on_disconnect and not subs:
+            if not finished and not subs:
                 self.cancel(job_id)
 
     async def result(self, job_id: int):

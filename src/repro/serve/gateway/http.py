@@ -25,8 +25,7 @@ routes:
 
 Streaming responses use chunked transfer encoding; a client that
 disconnects mid-stream closes the gateway's token generator, which
-cancels the job (``cancel_on_disconnect``) and frees its cache blocks
-immediately.
+cancels the job and frees its cache blocks immediately.
 """
 
 from __future__ import annotations
@@ -93,7 +92,7 @@ class GatewayHTTPServer:
     ``port=0`` (the default) lets the OS pick a free port — read
     :attr:`port` after :meth:`start`.  The server owns neither the
     gateway's engine loop nor its queue: start/stop the gateway
-    separately (or use :func:`serve_forever` which wires both).
+    separately.
     """
 
     def __init__(self, gateway: ServingGateway, *,
@@ -113,10 +112,6 @@ class GatewayHTTPServer:
             self._server.close()
             await self._server.wait_closed()
             self._server = None
-
-    @property
-    def url(self) -> str:
-        return f"http://{self.host}:{self.port}"
 
     # ------------------------------------------------------------------ #
     # connection handling
@@ -311,16 +306,3 @@ class GatewayHTTPServer:
         writer.write(f"{len(raw):x}\r\n".encode() + raw + b"\r\n")
         await writer.drain()
 
-
-async def serve_forever(gateway: ServingGateway, *, host: str = "127.0.0.1",
-                        port: int = 8000) -> None:
-    """Run gateway loop + HTTP server until cancelled (the examples'
-    entry point; tests drive :class:`GatewayHTTPServer` directly)."""
-    server = GatewayHTTPServer(gateway, host=host, port=port)
-    await gateway.start()
-    await server.start()
-    try:
-        await asyncio.Event().wait()
-    finally:
-        await server.stop()
-        await gateway.stop()

@@ -20,8 +20,14 @@ class SamplingParams:
     """Frozen per-request generation knobs.
 
     ``seed`` drives a private ``np.random.Generator`` for the request, so
-    its sampled continuation is a function of (prompt, params) alone —
-    batch neighbours never perturb it.  ``seed=None`` asks the engine to
+    its *draws* are a function of (prompt, params) alone — no neighbour
+    consumes them.  The *logits* they are applied to are another matter:
+    the same call sequence on a fresh engine replays the same bytes
+    (asserted, both backends), ``"paged"`` streams have equalled the
+    request served alone in every test so far (empirical), and
+    ``"fineq"`` streams can differ with their neighbours (pinned in
+    ``tests/serve/test_engine_state_machine.py``; ROADMAP item 1 (ii)
+    decides whether to make or specify).  ``seed=None`` asks the engine to
     draw one from its own stream at submit time (reproducible per engine
     seed + submission order).  ``top_k``/``top_p`` of ``None`` disable
     the respective filter; ``top_k=1`` is exact greedy.  ``stop_tokens``

@@ -3,8 +3,10 @@
 Pure functions of ``(logits, per-row params, per-row RNG streams)``: the
 engine's decode and prefill steps, the speculative decoder's proposal
 loop and the verify's re-sampling all draw through
-:func:`_sample_tokens`, so a request's stream depends on its own params
-and logits only, never on which caller or batch it rode in.
+:func:`_sample_tokens`, so given its logits a request's stream depends
+on its own params and RNG only, not on which caller or batch it rode
+in.  (Whether the *logits* depend on the batch is the forward's and the
+cache's business: see :class:`repro.serve.params.SamplingParams`.)
 """
 
 from __future__ import annotations
@@ -48,56 +50,39 @@ def apply_top_k_top_p(scaled: np.ndarray, top_k: np.ndarray,
 
 
 def _filtered_probs(logits: np.ndarray, params: list) -> np.ndarray:
-    """Per-row post-filter sampling distributions for ``(batch, vocab)``
-    logits: temperature scaling and top-k/top-p masking followed by
-    softmax, vectorized over the non-greedy rows; greedy rows collapse
-    to a one-hot at their argmax.  These are the distributions both
-    sampling (CDF inversion) and the speculative ``"leftover"``
-    acceptance rule (target ``p`` and draft ``q``) operate on."""
-    greedy = logits.argmax(axis=-1)
-    probs = np.zeros(logits.shape)
-    probs[np.arange(len(logits)), greedy] = 1.0
-    hot_idx = np.array([i for i, p in enumerate(params) if not p.greedy],
-                       dtype=np.int64)
-    if len(hot_idx) == 0:
-        return probs
-    hot_params = [params[i] for i in hot_idx]
+    """Per-row post-filter sampling distributions for the ``(batch,
+    vocab)`` logits of non-greedy rows: temperature scaling and
+    top-k/top-p masking followed by softmax, vectorized over the rows.
+    These are the distributions sampling (CDF inversion) operates on."""
     vocab = logits.shape[-1]
-    temperatures = np.array([p.temperature for p in hot_params])
-    top_k = np.array([p.top_k or vocab for p in hot_params])
+    temperatures = np.array([p.temperature for p in params])
+    top_k = np.array([p.top_k or vocab for p in params])
     top_p = np.array([p.top_p if p.top_p is not None else 1.0
-                      for p in hot_params])
-    scaled = apply_top_k_top_p(logits[hot_idx] / temperatures[:, None],
-                               top_k, top_p)
+                      for p in params])
+    scaled = apply_top_k_top_p(logits / temperatures[:, None], top_k, top_p)
     scaled = scaled - scaled.max(axis=-1, keepdims=True)
-    hot = np.exp(scaled)
-    hot /= hot.sum(axis=-1, keepdims=True)
-    probs[hot_idx] = hot
+    probs = np.exp(scaled)
+    probs /= probs.sum(axis=-1, keepdims=True)
     return probs
 
 
-def _sample_tokens(logits: np.ndarray, params: list, rngs: list,
-                   return_probs: bool = False):
+def _sample_tokens(logits: np.ndarray, params: list, rngs: list
+                   ) -> np.ndarray:
     """Sample one token per row of ``(batch, vocab)`` logits.
 
     The engine's sampling math with explicit per-row params and RNG
     streams, shared by regular decode, speculative draft proposals, and
     speculative verify re-sampling.  Greedy rows take their argmax and
     consume no RNG; each non-greedy row inverts its own masked CDF at a
-    draw from its *private* generator — exactly one draw per row — so a
-    request's sample stream depends only on its own params and logits,
-    never on batch composition.
-
-    ``return_probs=True`` additionally returns the
-    :func:`_filtered_probs` distributions (the ``"leftover"`` policy
-    needs the draft's proposal distribution alongside its sample).
+    draw from its *private* generator — exactly one draw per row — so
+    given its logits a request's sample depends only on its own params
+    and draws.
     """
     greedy = logits.argmax(axis=-1)
     hot_idx = np.array([i for i, p in enumerate(params) if not p.greedy],
                        dtype=np.int64)
     if len(hot_idx) == 0:
-        return (greedy, _filtered_probs(logits, params)) if return_probs \
-            else greedy
+        return greedy
     # Only the hot rows pay the vocab-wide sort/softmax; greedy rows
     # already have their argmax.
     probs = _filtered_probs(logits[hot_idx], [params[i] for i in hot_idx])
@@ -112,9 +97,4 @@ def _sample_tokens(logits: np.ndarray, params: list, rngs: list,
     last_kept = vocab - 1 - np.argmax(probs[:, ::-1] > 0, axis=-1)
     out = greedy.copy()
     out[hot_idx] = np.minimum(sampled, last_kept)
-    if return_probs:
-        full = np.zeros(logits.shape)
-        full[np.arange(len(logits)), greedy] = 1.0
-        full[hot_idx] = probs
-        return out, full
     return out

@@ -30,12 +30,9 @@ rows still writing their prompts, and the engine grants each row chunk
 tokens in that order until the step budget runs out (the head row always
 progresses).  FIFO and prefix-affinity hand the budget out in arrival
 order; priority ranks by request priority first, so a high-priority
-prompt drains ahead of lower ones.  ``prefill_order`` is *optional* on
-custom policies — the engine falls back to arrival order when a policy
-does not provide it (the :class:`Scheduler` protocol deliberately leaves
-it out so pre-existing duck-typed policies keep validating).
+prompt drains ahead of lower ones.
 
-Custom policies implement the same three methods and go straight into
+Custom policies implement the same four methods and go straight into
 ``GenerationEngine(scheduler=MyScheduler())``.
 """
 
@@ -119,6 +116,11 @@ class Scheduler(Protocol):
                            needed_blocks: int) -> list[int]:
         """Request ids to preempt when decode needs ``needed_blocks``
         beyond the budget; empty when the policy never preempts."""
+        ...
+
+    def prefill_order(self, prefilling: Sequence[RunningInfo],
+                      view: SchedulerView) -> list[int]:
+        """Request ids of mid-prefill rows, in budget-grant order."""
         ...
 
 

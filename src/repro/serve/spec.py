@@ -15,8 +15,7 @@ verify forward, commit/rollback against the target cache, and event
 emission.  The split keeps every target-cache invariant in one place
 while the draft remains a self-contained model+cache pipeline:
 
-* :class:`SpeculativeConfig` — the user-facing knob (draft model, ``k``,
-  acceptance policy).
+* :class:`SpeculativeConfig` — the user-facing knob (draft model, ``k``).
 * :class:`SpeculativeDecoder` — per-row draft state: a private FP32
   paged draft KV cache (never quantized — the draft is supposed to be
   cheap *and* exact), per-row drafted-extent counters, and per-request
@@ -24,18 +23,12 @@ while the draft remains a self-contained model+cache pipeline:
 
 Determinism: draft proposals for non-greedy requests are sampled from a
 *separate* per-request RNG stream (derived from ``params.seed`` with a
-fixed salt), never from the request's sampling stream.  Under the
-default ``"exact"`` policy the emitted tokens are drawn from the target
-logits with the request's own RNG — one draw per emitted token, in
-stream order — so the emitted stream is a pure function of the target
-logits and ``params.seed``, and speculative sampled output equals
-target-only sampled output token for token whatever the draft proposes.
-The ``"leftover"`` policy instead applies the standard
-accept-with-``min(1, p/q)`` + residual-distribution correction
-(Leviathan et al.): it preserves the target distribution exactly but
-consumes RNG draws on a different schedule, so its streams are
-reproducible (same seed, same stream) yet not token-identical to
-target-only runs.
+fixed salt), never from the request's sampling stream.  The emitted
+tokens are drawn from the target logits with the request's own RNG —
+one draw per emitted token, in stream order — so the emitted stream is
+a pure function of the target logits and ``params.seed``, and
+speculative sampled output equals target-only sampled output token for
+token whatever the draft proposes.
 
 The draft cache never rolls back: after a verify the drafted extent is
 clamped to the committed prefix (``commit``), stale positions beyond it
@@ -54,12 +47,6 @@ from repro.nn.model import TransformerLM
 from repro.nn.paged_kv_cache import PagedKVCache
 from repro.serve.sampling import _sample_tokens
 
-#: Acceptance policies: ``"exact"`` re-samples every position from the
-#: target (greedy rows: argmax prefix match; sampled rows: the request's
-#: own RNG stream, draw-for-draw identical to target-only decode);
-#: ``"leftover"`` is the standard speculative-sampling correction.
-SPEC_POLICIES = ("exact", "leftover")
-
 #: Salt mixed into ``params.seed`` for the draft-proposal RNG stream, so
 #: draft draws can never collide with (or perturb) the request's own
 #: sampling stream.
@@ -69,6 +56,11 @@ _DRAFT_SEED_SALT = 0x5BEC
 @dataclass(frozen=True)
 class SpeculativeConfig:
     """Speculative-decoding knobs for :class:`GenerationEngine`.
+
+    Emitted tokens are the target's own choices at every position — a
+    draft token is accepted while it equals the target's choice — so
+    greedy output is token-identical to target-only decode and sampled
+    output is draw-for-draw identical.
 
     Parameters
     ----------
@@ -81,27 +73,14 @@ class SpeculativeConfig:
         and ``k + 1`` tokens per row; larger ``k`` amortises the target
         forward further but wastes draft work once the acceptance run
         length is exceeded.
-    policy:
-        ``"exact"`` (default): emitted tokens are the target's own
-        choices at every position — greedy output is token-identical to
-        target-only decode, sampled output is draw-for-draw identical.
-        ``"leftover"``: classic speculative sampling (accept draft token
-        ``d`` with probability ``min(1, p(d)/q(d))``, else sample the
-        normalised residual ``max(0, p - q)``); target-distribution
-        exact, but the RNG consumption schedule differs from
-        target-only decode.
     """
 
     draft_model: TransformerLM
     k: int = 4
-    policy: str = "exact"
 
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("k must be >= 1 (tokens drafted per step)")
-        if self.policy not in SPEC_POLICIES:
-            raise ValueError(f"policy must be one of {SPEC_POLICIES}, "
-                             f"got {self.policy!r}")
 
     def validate_target(self, target: TransformerLM) -> None:
         """Reject draft/target pairs that cannot verify each other."""
@@ -111,47 +90,6 @@ class SpeculativeConfig:
             raise ValueError(
                 "draft and target must share a vocabulary: draft has "
                 f"{draft_vocab} tokens, target has {target_vocab}")
-
-
-def sample_from_probs(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Invert the CDF of one probability vector at one RNG draw.
-
-    The scalar form of the engine's vectorized masked-CDF inversion:
-    zero-mass tokens can never be selected (their cumsum is flat) and
-    float rounding near 1.0 clamps onto the last kept token.
-    """
-    draw = rng.random()
-    sampled = int((np.cumsum(probs) <= draw).sum())
-    last_kept = len(probs) - 1 - int(np.argmax(probs[::-1] > 0))
-    return min(sampled, last_kept)
-
-
-def leftover_accept(target_probs: np.ndarray, draft_probs: np.ndarray,
-                    token: int, rng: np.random.Generator
-                    ) -> tuple[int, bool]:
-    """Speculative-sampling acceptance for one drafted token.
-
-    Accept ``token`` with probability ``min(1, p(token)/q(token))``;
-    on rejection, emit a sample from the normalised leftover
-    distribution ``max(0, p - q)`` (Leviathan et al.) — the emitted
-    marginal is exactly the target distribution ``p``.  Returns
-    ``(emitted_token, accepted)``; both branches consume exactly one
-    draw from ``rng`` (the rejection branch draws once more for the
-    residual sample).
-    """
-    p_d = float(target_probs[token])
-    q_d = float(draft_probs[token])
-    # u < min(1, p/q)  <=>  u * q < p  (q > 0 always: the draft sampled
-    # this token, so it carried mass; guard anyway).
-    if q_d > 0.0 and rng.random() * q_d < p_d:
-        return int(token), True
-    leftover = np.maximum(target_probs - draft_probs, 0.0)
-    mass = float(leftover.sum())
-    if mass <= 0.0:
-        # p <= q everywhere means p == q: the residual is empty and any
-        # target sample is already exact.
-        return sample_from_probs(target_probs, rng), False
-    return sample_from_probs(leftover / mass, rng), False
 
 
 def _pad_spans(spans: list, starts: np.ndarray, max_pos: int
@@ -237,11 +175,10 @@ class SpeculativeDecoder:
         (so the row's pending token sits at token index ``L``), and
         ``k_eff`` the per-row draft budget (all ``>= 1``).
 
-        Returns ``(proposals, qvecs, draft_tokens)``: per-row proposal
-        arrays of ``k_eff[j]`` tokens, per-row ``(k_eff[j], vocab)``
-        proposal-probability stacks (``None`` unless the policy is
-        ``"leftover"``), and the total number of token positions the
-        draft model forwarded (for accelerator-projection accounting).
+        Returns ``(proposals, draft_tokens)``: per-row proposal arrays
+        of ``k_eff[j]`` tokens, and the total number of token positions
+        the draft model forwarded (for accelerator-projection
+        accounting).
         """
         n = len(rows)
         params = [slot.request.params for slot in slots]
@@ -281,20 +218,14 @@ class SpeculativeDecoder:
         # single-token decode to get the logits for d_{i+2} (the last
         # proposal is never forwarded — the target's verify supersedes
         # the draft's opinion of what follows it) ---
-        need_probs = self.config.policy == "leftover"
         proposals: list[list[int]] = [[] for _ in range(n)]
-        qvecs: list[list[np.ndarray]] | None = \
-            [[] for _ in range(n)] if need_probs else None
         for i in range(int(k_eff.max())):
             sub = np.flatnonzero(k_eff > i)
-            res = _sample_tokens(
+            drafted = _sample_tokens(
                 logits_now[sub], [params[j] for j in sub],
-                [rngs[j] for j in sub], return_probs=need_probs)
-            drafted, probs = res if need_probs else (res, None)
+                [rngs[j] for j in sub])
             for jj, j in enumerate(sub):
                 proposals[j].append(int(drafted[jj]))
-                if need_probs:
-                    qvecs[j].append(probs[jj])
             nxt = np.flatnonzero(k_eff > i + 1)
             if len(nxt) == 0:
                 break
@@ -306,11 +237,8 @@ class SpeculativeDecoder:
             logits_now[nxt] = out.data[:, -1]
 
         self._len[rows] = lengths + k_eff
-        props = [np.asarray(p, dtype=np.int64) for p in proposals]
-        qout = None
-        if need_probs:
-            qout = [np.stack(q) if q else None for q in qvecs]
-        return props, qout, draft_tokens
+        return ([np.asarray(p, dtype=np.int64) for p in proposals],
+                draft_tokens)
 
     def commit(self, rows: np.ndarray, committed: np.ndarray) -> None:
         """Clamp drafted extents to the verify's committed lengths.

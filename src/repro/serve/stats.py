@@ -40,10 +40,9 @@ class EngineStats:
     kv_peak_allocated_bytes: int = 0
     # Decode read path: the largest transient K/V scratch any decode
     # step materialised (a chunk, not the dense (batch, heads, total,
-    # head_dim) gather), the cumulative dense-copy bytes never built,
-    # and the quantized cache's dequant-block memo traffic.
+    # head_dim) gather) and the quantized cache's dequant-block memo
+    # traffic.
     decode_peak_scratch_bytes: int = 0
-    decode_bytes_not_gathered: int = 0
     dequant_cache_hits: int = 0
     dequant_cache_misses: int = 0
     # Quantized-cache write path: flush-quantize kernel calls and the K/V
@@ -167,7 +166,3 @@ class StepTrace(NamedTuple):
     spec_accepted: int = 0
     spec_draft_tokens: int = 0
     spec_verify_tokens: int = 0
-
-    def to_dict(self) -> dict:
-        """Field-named dict, JSON-ready (trace exports and ``/metrics``)."""
-        return dict(self._asdict())

@@ -6,10 +6,8 @@ from hypothesis import given, settings, strategies as st
 from repro.autograd import Tensor
 
 OPS = {
-    "tanh": lambda t: t.tanh(),
-    "sigmoid": lambda t: t.sigmoid(),
-    "silu": lambda t: t.silu(),
-    "exp_shrunk": lambda t: (t * 0.3).exp(),
+    "sqrt_shifted": lambda t: (t * t + 1.0).sqrt(),
+    "reciprocal_shifted": lambda t: 1.0 / (t * t + 1.0),
     "square": lambda t: t * t,
     "affine": lambda t: t * 1.7 + 0.3,
 }

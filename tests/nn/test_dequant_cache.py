@@ -79,28 +79,6 @@ def test_free_rows_invalidates_and_recycled_block_rereads_fresh():
     np.testing.assert_array_equal(got, cache._context(0)[0])
 
 
-def test_cow_divergence_never_serves_stale_dequant():
-    """A copy-on-write block gets a fresh id whose dequant is read from
-    its own payload — the donor's cached entry must not leak into it."""
-    cache, _ = make_cache()
-    read_context(cache)                      # donor blocks now memoised
-    src = int(cache._tables[0, 0])
-    dst = cache.copy_block(src)
-    assert dst != src
-    for layer in range(cache.num_layers):
-        assert cache.dequant_cache.slot(layer, dst) == -1
-    dst_vals = cache._dequant_kind(0, np.array([dst]), "k")
-    src_vals = cache._dequant_kind(0, np.array([src]), "k")
-    np.testing.assert_array_equal(dst_vals, src_vals)  # true copy...
-    vals, misses, paired = cache.dequant_cache.lookup(
-        0, np.array([dst]), "k",
-        lambda ids: cache._dequant_pair(0, ids),
-        lambda ids: cache._dequant_kind(0, ids, "k"))
-    assert misses == 1 and paired == 1                       # ...but served by fresh dequant
-    # lookup answers in the attended layout: heads ahead of the ids.
-    np.testing.assert_array_equal(vals, dst_vals.transpose(1, 0, 2, 3))
-
-
 def test_payload_rewrite_invalidates_entry():
     """_flush (a flush into a block) must never leave the old memo for
     the target ids: the entry is replaced by the new payload's values,

@@ -181,9 +181,12 @@ class Session:
             src = rng.choice(live)
             if self.lens[src] >= BS:
                 self.share(src, rng.choice(idle), bool(rng.integers(2)))
-        elif op == "copy" and self.cache.blocks_in_use():
-            # A copied block takes a fresh id (growing the pool when the
-            # free list is dry) and must not disturb any reader.
+        elif op == "copy" and self.cache.blocks_in_use() \
+                and not isinstance(self.cache, QuantizedPagedKVCache):
+            # A copied FP32 block takes a fresh id (growing the pool when
+            # the free list is dry) and must not disturb any reader; the
+            # quantized cache never copies a pool block (its COW is
+            # ``_adopt_tail``'s dequantize-into-buffer, the share op).
             row = rng.choice(np.flatnonzero(self.cache._blocks_per_row))
             copy = self.cache.copy_block(int(self.cache._tables[row, 0]))
             self.check()
@@ -402,17 +405,15 @@ def scripted_session(cls, **kwargs):
 #: budget: the same blocks are fetched, hit and flushed.
 #: ``peak_scratch_bytes`` is the one that moved — it is the copy count.
 PINNED = {
-    "paged": (PagedKVCache, {}, KVReadStats(
-        streamed_bytes=79488, bytes_not_gathered=34944)),
+    "paged": (PagedKVCache, {}, KVReadStats(streamed_bytes=79488)),
     "fineq": (QuantizedPagedKVCache, {}, KVReadStats(
-        streamed_bytes=30240, bytes_not_gathered=34944, dequant_hits=216,
-        flush_calls=9, flush_blocks=42)),
+        streamed_bytes=30240, dequant_hits=216, flush_calls=9,
+        flush_blocks=42)),
     "fineq-one-entry": (
         QuantizedPagedKVCache,
         {"dequant_cache_bytes": 2 * SCRIPT_HEADS * BS * SCRIPT_HEAD_DIM * 4},
-        KVReadStats(streamed_bytes=59616, bytes_not_gathered=34944,
-                    dequant_hits=57, dequant_misses=159, flush_calls=9,
-                    flush_blocks=42)),
+        KVReadStats(streamed_bytes=59616, dequant_hits=57,
+                    dequant_misses=159, flush_calls=9, flush_blocks=42)),
     # A zero budget pins nothing, so every block a chunk reads is
     # dequantized afresh — once per chunk, however many rows read it: the
     # 30 hits are same-chunk readers of a block another row just missed
@@ -420,9 +421,8 @@ PINNED = {
     # lookups, same bytes.
     "fineq-no-memo": (
         QuantizedPagedKVCache, {"dequant_cache_bytes": 0},
-        KVReadStats(streamed_bytes=50976, bytes_not_gathered=34944,
-                    dequant_hits=30, dequant_misses=186, flush_calls=9,
-                    flush_blocks=42)),
+        KVReadStats(streamed_bytes=50976, dequant_hits=30,
+                    dequant_misses=186, flush_calls=9, flush_blocks=42)),
 }
 
 

@@ -59,7 +59,6 @@ def test_no_dense_materialization_on_long_context_decode(long_model,
         * (config.d_model // config.num_heads) * 4
     scratch = engine.stats.decode_peak_scratch_bytes
     assert 0 < scratch < dense
-    assert engine.stats.decode_bytes_not_gathered > 0
 
 
 def test_fineq_dequant_stats_and_streamed_trace(model):

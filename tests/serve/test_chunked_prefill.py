@@ -6,7 +6,7 @@ import pytest
 
 from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
-from repro.serve import GenerationEngine, SamplingParams, Scheduler
+from repro.serve import GenerationEngine, SamplingParams
 
 VOCAB = 64
 #: The one-shot oracle: a budget of every slot's whole context window,
@@ -143,34 +143,6 @@ def test_chunk_accounting_and_invariant(long_model):
     assert stats.prompt_tokens == \
         stats.shared_prompt_tokens + stats.prefill_tokens
     assert 0.0 <= stats.prefill_dequant_hit_rate <= 1.0
-
-
-def test_custom_scheduler_without_prefill_order_falls_back(long_model):
-    """Pre-existing duck-typed policies (no prefill_order method) keep
-    working: the engine falls back to arrival order."""
-
-    class BareScheduler:
-        name = "bare"
-
-        def select(self, queue, free_slots, view):
-            return list(queue[:free_slots])
-
-        def preempt(self, queue, view):
-            return []
-
-        def victims_for_blocks(self, view, needed_blocks):
-            return []
-
-    assert isinstance(BareScheduler(), Scheduler)
-    rng = np.random.default_rng(15)
-    prompt = rng.integers(0, VOCAB, size=140)
-    engine = GenerationEngine(long_model, max_batch_size=2,
-                              scheduler=BareScheduler(),
-                              prefill_chunk_tokens=48)
-    rid = engine.submit(prompt, 6)
-    done = {c.request_id: c for c in engine.run()}
-    np.testing.assert_array_equal(
-        done[rid].tokens, long_model.generate(prompt, 6, temperature=0.0))
 
 
 def test_invalid_chunk_budget_rejected(model):

@@ -7,9 +7,15 @@ levels) / step / cancel (queued or running) on a three-slot engine with
 prefix sharing, a prefix-store budget small enough to evict and a KV
 pool small enough that the priority scheduler preempts.  After every
 rule the pool's conservation laws are checked against the block tables
-and the prefix trie; at teardown the session drains and every completed
-request is compared with the same request served alone on a fresh engine
-(streams are batch-composition independent by contract).
+and the prefix trie; at teardown the session drains and the whole
+operation log is replayed on a fresh engine, which must return the same
+bytes (**replay determinism** — what is asserted on both backends, under
+every configuration).  ``"paged"`` completions are additionally compared
+with the same request served alone and with sequential ``generate``:
+that parity has held in every example so far but is empirical, not
+structural.  ``"fineq"`` streams are *not* independent of their
+neighbours (ROADMAP item 1; the counterexample is pinned in
+``test_fineq_stream_depends_on_its_neighbour`` below).
 
 The example budget comes from the hypothesis profile the root
 ``conftest.py`` loads (``default``: well under 20 s for both backends;
@@ -130,21 +136,32 @@ def assert_pool_conserved(engine) -> None:
 
 class EngineMachine(RuleBasedStateMachine):
     backend = "paged"
-    #: (engine options, "a request's tokens equal the same request
-    #: served alone") per configuration an example may draw.
-    configs = [(PRESSURE, True)]
+    #: Whether a request's tokens must equal the same request served
+    #: alone (and, greedy, sequential ``generate``).
+    solo_parity = True
+    #: Engine options an example may draw.
+    configs = [PRESSURE]
 
     def __init__(self):
         super().__init__()
         self.requests: dict[int, tuple[np.ndarray, SamplingParams]] = {}
         self.done: dict[int, object] = {}
+        #: Every engine call the rules made, for the teardown's replay.
+        self.log: list[tuple[str, tuple, dict]] = []
+
+    def make_engine(self):
+        return GenerationEngine(
+            MODEL, max_batch_size=BATCH, kv_cache=self.backend,
+            block_size=BLOCK, prefill_chunk_tokens=CHUNK, **self.options)
+
+    def call(self, name, *args, **kwargs):
+        self.log.append((name, args, kwargs))
+        return getattr(self.engine, name)(*args, **kwargs)
 
     @initialize(data=st.data())
     def start(self, data):
-        options, self.exact = data.draw(st.sampled_from(self.configs))
-        self.engine = GenerationEngine(
-            MODEL, max_batch_size=BATCH, kv_cache=self.backend,
-            block_size=BLOCK, prefill_chunk_tokens=CHUNK, **options)
+        self.options = data.draw(st.sampled_from(self.configs))
+        self.engine = self.make_engine()
 
     def collect(self):
         for completion in self.engine.take_completions():
@@ -163,20 +180,20 @@ class EngineMachine(RuleBasedStateMachine):
         params = SamplingParams(
             max_new_tokens=new, seed=seed, priority=priority,
             **({"temperature": 0.9, "top_k": 8} if sampled else {}))
-        self.requests[self.engine.submit(prompt, params=params)] = \
+        self.requests[self.call("submit", prompt, params=params)] = \
             (prompt, params)
 
     @rule(steps=st.integers(1, 3))
     def step(self, steps):
         for _ in range(steps):
-            self.engine.step()
+            self.call("step")
             self.collect()
 
     @rule(pick=st.integers(0, 1 << 16))
     def cancel(self, pick):
         live = sorted(set(self.requests) - set(self.done))
         if live:
-            assert self.engine.cancel(live[pick % len(live)])
+            assert self.call("cancel", live[pick % len(live)])
             self.collect()
 
     @invariant()
@@ -217,31 +234,104 @@ class EngineMachine(RuleBasedStateMachine):
             np.testing.assert_array_equal(completion.tokens[:len(prompt)],
                                           prompt)
             assert len(completion.new_tokens) == params.max_new_tokens
-            if not self.exact:
+            if not self.solo_parity:
                 continue
             np.testing.assert_array_equal(
                 completion.tokens, serve_alone(self.backend, prompt, params),
                 err_msg=f"request {rid}: {prompt.tolist()} {params}")
-            if self.backend == "paged" and params.greedy:
+            if params.greedy:
                 np.testing.assert_array_equal(
                     completion.tokens,
                     MODEL.generate(prompt, params.max_new_tokens,
                                    temperature=0.0))
+        # Replay determinism: the same calls on a fresh engine (drained
+        # the same way) return the same bytes, cancellations included.
+        replayed = self.make_engine()
+        for name, args, kwargs in self.log:
+            getattr(replayed, name)(*args, **kwargs)
+        again = {c.request_id: c for c in replayed.run()}
+        assert set(again) == set(self.done)
+        for rid, completion in self.done.items():
+            assert again[rid].finish_reason == completion.finish_reason
+            assert again[rid].tokens.tobytes() == completion.tokens.tobytes()
 
 
 class FineqEngineMachine(EngineMachine):
-    """Under sharing and preemption ``"fineq"`` is lossy by design — an
-    adopted partial block is read dequantized where the row alone would
-    hold it in FP32, and a restore re-prefills generated tokens through
-    span-width GEMMs whose ulps re-quantize differently — so there only
-    the conservation laws and the completions' shape are checked.  On
-    the plain FIFO engine batch composition, chunking, cancels and
-    mid-flight arrivals must still leave every stream exactly the solo
-    one."""
+    """``"fineq"`` streams depend on their neighbours: under sharing and
+    preemption an adopted partial block is read dequantized where the
+    row alone would hold it in FP32, and a restore re-prefills generated
+    tokens through span-width GEMMs whose ulps re-quantize differently;
+    and even on the plain FIFO engine a wider neighbour pads a wave to
+    another GEMM shape, position 0's K/V move by an ulp and the first
+    2.33-bit flush amplifies it (the pinned counterexample below).  So
+    no stream is compared with the solo one: what must hold is replay
+    determinism, the conservation laws and the completions' shape, with
+    and without pressure."""
 
     backend = "fineq"
-    configs = [(PRESSURE, False), ({}, True)]
+    solo_parity = False
+    configs = [PRESSURE, {}]
 
 
 TestPagedEngine = EngineMachine.TestCase
 TestFineqEngine = FineqEngineMachine.TestCase
+
+
+# ---------------------------------------------------------------------- #
+# ROADMAP item 1's counterexample, pinned
+# ---------------------------------------------------------------------- #
+#: Three requests on the plain FIFO engine — no sharing, no pressure, no
+#: chunking: greedy ``[0]`` x1, sampled ``[2]`` x9, greedy ``[0, 0]`` x1.
+THREE = [(np.array([0]), SamplingParams(max_new_tokens=1)),
+         (np.array([2]), SamplingParams(max_new_tokens=9, temperature=0.9,
+                                        top_k=8, seed=2)),
+         (np.array([0, 0]), SamplingParams(max_new_tokens=1))]
+#: Request 1 on ``"fineq"``, measured on the SkylakeX OpenBLAS kernels
+#: the ROADMAP names: beside the wider ``[0, 0]`` and served alone.
+FINEQ_TOGETHER = [2, 8, 8, 14, 2, 14, 25, 5, 2, 8]
+FINEQ_ALONE = [2, 8, 8, 14, 2, 9, 25, 2, 0, 8]
+
+
+def serve_three(backend) -> list[np.ndarray]:
+    engine = GenerationEngine(MODEL, max_batch_size=BATCH, kv_cache=backend,
+                              block_size=BLOCK)
+    ids = [engine.submit(prompt, params=params) for prompt, params in THREE]
+    done = {c.request_id: c.tokens for c in engine.run()}
+    return [done[rid] for rid in ids]
+
+
+@pytest.mark.parametrize("backend", ["paged", "fineq"])
+def test_three_request_example_replays_bit_equal(backend):
+    """What holds on both backends, on any host: the same submissions on
+    a fresh engine return the same bytes.  ``"paged"`` also returns each
+    request's solo stream — empirically; nothing structural forbids the
+    same ulp drift there, it only lacks the quantizer that amplifies it."""
+    first, second = serve_three(backend), serve_three(backend)
+    for got, want in zip(second, first):
+        assert got.tobytes() == want.tobytes()
+    if backend == "paged":
+        for got, (prompt, params) in zip(first, THREE):
+            np.testing.assert_array_equal(
+                got, serve_alone(backend, prompt, params))
+
+
+def test_fineq_stream_depends_on_its_neighbour():
+    """Today's behaviour, stated: beside the two-token prompt the wave
+    is padded to width 2, request 1's span GEMMs run at another ``M``,
+    position 0's K/V move by an ulp and the first 2.33-bit flush
+    amplifies it — the stream leaves the solo one at token 5, the first
+    sampled from a read of a quantized block.  Whether to *make* fineq
+    composition-independent or *specify* that it is not is ROADMAP
+    item 1 (ii); until then this is the counterexample to any such
+    promise.  The ulp is the BLAS kernel's, so the literal streams are
+    this host's: where the solo stream already differs, there is
+    nothing to compare."""
+    alone = serve_alone("fineq", *THREE[1])
+    if alone.tolist() != FINEQ_ALONE:
+        pytest.skip("another BLAS kernel: the pinned streams are "
+                    "SkylakeX OpenBLAS's")
+    together = serve_three("fineq")
+    assert together[1].tolist() == FINEQ_TOGETHER
+    for got, (prompt, params) in zip(together[::2], THREE[::2]):
+        np.testing.assert_array_equal(got,
+                                      serve_alone("fineq", prompt, params))

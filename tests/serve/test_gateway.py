@@ -562,3 +562,27 @@ def test_poison_request_fails_its_wave_not_the_service(model):
     assert cache.cached_tokens == 0 and cache.blocks_in_use() == 0
     assert cache.free_blocks() == cache._total_blocks
     assert not gateway._jobs and not gateway._rid_job
+
+
+def test_drain_raises_when_the_engine_loop_has_died(model, monkeypatch):
+    """A full disk under the journal: the step's ``append_tokens`` raises,
+    and so does the ``fail`` that would have charged it to the wave, so
+    the engine loop dies with the job still journaled.  ``drain`` must
+    say so — the loop clears ``_running`` as it records its error, and a
+    ``drain`` that merely stops waiting reads as "every job finished"."""
+    def full(*args, **kwargs):
+        raise OSError("database or disk is full")
+
+    async def run():
+        gateway = make_gateway(model)
+        monkeypatch.setattr(gateway.queue, "append_tokens", full)
+        monkeypatch.setattr(gateway.queue, "fail", full)
+        await gateway.start()
+        gateway.submit(np.array([1, 2, 3]), max_new_tokens=4)
+        with pytest.raises(OSError, match="disk is full"):
+            await asyncio.wait_for(gateway.drain(), 30)
+        assert gateway.queue.depth() == 1
+        with pytest.raises(OSError, match="disk is full"):
+            await gateway.stop()
+
+    asyncio.run(run())

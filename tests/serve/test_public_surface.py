@@ -1,5 +1,6 @@
 """What ``repro.serve`` exports, and who may import it."""
 
+import dataclasses
 import importlib
 import importlib.util
 import inspect
@@ -65,6 +66,17 @@ def test_engine_and_forward_take_exactly_these_arguments():
     assert list(inspect.signature(TransformerLM.forward).parameters) == [
         "self", "tokens", "cache", "positions", "rows", "span_lens",
         "logits_positions"]
+    assert [field.name for field in dataclasses.fields(
+        repro.serve.SpeculativeConfig)] == ["draft_model", "k"]
+    assert list(inspect.signature(
+        repro.serve.ServingGateway.__init__).parameters) == [
+        "self", "engine", "queue", "max_queue_depth", "max_inflight", "rng"]
+    # No optional members: a policy lacking one is not a Scheduler.
+    protocol = repro.serve.Scheduler
+    assert sorted(name for name in {*vars(protocol),
+                                    *protocol.__annotations__}
+                  if not name.startswith("_")) == [
+        "name", "preempt", "prefill_order", "select", "victims_for_blocks"]
 
 
 def test_durable_queue_module_needs_neither_engine_nor_model():

@@ -150,47 +150,17 @@ def test_greedy_parity_under_prefix_sharing(model, draft, kv_cache):
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("kv_cache", BACKENDS)
 def test_sampled_exact_policy_stream_seed_regression(model, draft, kv_cache):
-    """``"exact"`` policy: sampled speculative streams equal target-only
-    sampled streams token for token — the emitted stream is a pure
-    function of target logits and the request seed, whatever the draft
-    proposes."""
+    """Sampled speculative streams equal target-only sampled streams
+    token for token — the emitted stream is a pure function of target
+    logits and the request seed, whatever the draft proposes."""
     prompts = prompts_for(11)
     params = SamplingParams(max_new_tokens=18, temperature=0.9, top_k=12,
                             seed=123)
-    spec = SpeculativeConfig(draft_model=draft, k=3, policy="exact")
+    spec = SpeculativeConfig(draft_model=draft, k=3)
     _, plain = run_engine(model, prompts, None, params=params,
                           kv_cache=kv_cache)
     _, specd = run_engine(model, prompts, None, params=params,
                           kv_cache=kv_cache, speculative=spec)
-    for got, want in zip(specd, plain):
-        np.testing.assert_array_equal(got, want)
-
-
-def test_leftover_policy_reproducible_and_complete(model, draft):
-    """``"leftover"`` consumes RNG on its own schedule, so streams are
-    not token-identical to target-only — but the same seeds must replay
-    the same streams, and every request still runs to its budget."""
-    prompts = prompts_for(13)
-    params = SamplingParams(max_new_tokens=16, temperature=1.0, seed=7)
-    spec = SpeculativeConfig(draft_model=draft, k=3, policy="leftover")
-    _, first = run_engine(model, prompts, None, params=params,
-                          kv_cache="paged", speculative=spec)
-    _, second = run_engine(model, prompts, None, params=params,
-                           kv_cache="paged", speculative=spec)
-    for got, want in zip(second, first):
-        np.testing.assert_array_equal(got, want)
-    for prompt, got in zip(prompts, first):
-        assert len(got) == len(prompt) + 16
-
-
-def test_leftover_policy_greedy_rows_stay_exact(model):
-    """Greedy requests under the leftover policy still match target-only
-    decode: with temperature 0 the acceptance test is the argmax match."""
-    prompts = prompts_for(15)
-    spec = SpeculativeConfig(draft_model=model, k=3, policy="leftover")
-    _, plain = run_engine(model, prompts, 20, kv_cache="paged")
-    _, specd = run_engine(model, prompts, 20, kv_cache="paged",
-                          speculative=spec)
     for got, want in zip(specd, plain):
         np.testing.assert_array_equal(got, want)
 
