@@ -44,8 +44,15 @@ class Linear(Module):
         outlier injection edits it in place) and multiplied as the same
         transposed *view*: a contiguous ``W.T`` copy would go stale and,
         at ``seq == 1``, takes a GEMV kernel that rounds differently.
+        A span (``seq > 1``) runs as one ``(rows * seq, d)`` GEMM, not one
+        per row; flattening ``seq == 1`` would break parity with generate.
         """
-        out = x @ self.weight.data.T
+        weight = self.weight.data.T
+        if x.shape[-2] > 1:
+            out = (x.reshape(-1, x.shape[-1]) @ weight).reshape(
+                *x.shape[:-1], weight.shape[1])
+        else:
+            out = x @ weight
         return out if self.bias is None else out + self.bias.data
 
     def __repr__(self) -> str:

@@ -44,8 +44,8 @@ The cache backend is selected by ``kv_cache``:
   backend) — including with mid-flight submission, cancelled
   neighbours, prefix sharing, preemption, chunking and speculation.
   That parity has held in every test so far; it is empirical (small-M
-  GEMM rows move by an ulp with the batch's shape and nothing here
-  amplifies it), not structural.
+  GEMM rows — a span's ``M`` is ``rows * seq`` — move by an ulp with the
+  batch's shape and nothing here amplifies it), not structural.
 * ``"fineq"`` — :class:`~repro.nn.paged_kv_cache.QuantizedPagedKVCache`;
   full blocks stored in the paper's 2.33-bit format (~7x fewer bytes per
   full block, ~4.7x end-to-end with the FP32 write buffers; bounded

@@ -90,7 +90,7 @@ class _JobState:
     arrived: float | None       # perf_counter at submit; None if recovered
     rid: int | None = None      # engine request id once dispatched
     emitted: int = 0            # tokens seen this dispatch
-    replay_len: int = 0         # journal length at dispatch
+    journal: tuple[int, ...] = ()   # journaled tokens at dispatch
 
 
 class ServingGateway:
@@ -142,7 +142,8 @@ class ServingGateway:
         """Requeue jobs a previous process left ``running``.
 
         Returns the requeued job ids; their journaled tokens stay put
-        and re-dispatch regenerates the same stream past them.
+        and re-dispatch regenerates the same stream past them — or fails
+        the job at the first regenerated token that disagrees, not splices.
         """
         return self.queue.recover()
 
@@ -194,14 +195,17 @@ class ServingGateway:
             return self.pump()
         except Exception as exc:
             error = f"{type(exc).__name__}: {exc}"
-            for rid, job_id in self._rid_job.items():
-                self.engine.cancel(rid)
-                self.queue.fail(job_id, error)
-                self._publish(job_id,
-                              TokenUpdate(job_id, None, None, "failed"))
-                del self._jobs[job_id]
-            self._rid_job.clear()
+            for rid in list(self._rid_job):
+                self._fail(rid, error)
             return True
+
+    def _fail(self, rid: int, error: str) -> None:
+        """Cancel engine request ``rid``; journal and publish it failed."""
+        job_id = self._rid_job.pop(rid)
+        self.engine.cancel(rid)
+        self.queue.fail(job_id, error)
+        self._publish(job_id, TokenUpdate(job_id, None, None, "failed"))
+        del self._jobs[job_id]
 
     # ------------------------------------------------------------------ #
     # admission
@@ -308,8 +312,7 @@ class ServingGateway:
                 continue
             self.queue.mark_running(job.job_id)
             state = self._jobs.setdefault(job.job_id, _JobState(arrived=None))
-            state.rid, state.emitted = rid, 0
-            state.replay_len = len(job.tokens)
+            state.rid, state.emitted, state.journal = rid, 0, job.tokens
             self._rid_job[rid] = job.job_id
             if budget is not None:
                 budget = max(0, budget - needed)
@@ -330,11 +333,16 @@ class ServingGateway:
             state = self._jobs[job_id]
             idx = state.emitted
             state.emitted = idx + 1
+            if idx < len(state.journal) and event.token != state.journal[idx]:
+                self._fail(event.request_id, f"recovery diverged at token "
+                           f"{idx}: journal {state.journal[idx]}, "
+                           f"regenerated {event.token}")
+                continue
             if idx == 0 and state.arrived is not None:
                 self._first_token_s.append(
                     time.perf_counter() - state.arrived)
                 self._first_token_count += 1
-            if idx >= state.replay_len:
+            if idx >= len(state.journal):
                 to_append.setdefault(job_id, []).append(
                     (idx, int(event.token)))
             self._publish(job_id, TokenUpdate(job_id, idx,

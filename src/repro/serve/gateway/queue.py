@@ -7,9 +7,9 @@ deliberately killed) serving process loses nothing: reopening the same
 journal path requeues every ``running`` job and replays its journaled
 tokens, and because the engine's sampling is a pure function of
 (prompt, params-with-seed), a re-dispatched job regenerates the exact
-stream its journal already holds.  Clients reconnecting after a restart
-see the journaled prefix first and the live continuation after it, with
-no gaps and no duplicates.
+stream its journal holds (or the gateway fails it).  Clients reconnecting
+after a restart see the journaled prefix first and the live continuation
+after it, with no gaps and no duplicates.
 
 The design is the classic lab-automation job queue — an in-memory
 priority queue image over a sqlite-backed job lifecycle — specialised

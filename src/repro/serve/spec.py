@@ -200,8 +200,8 @@ class SpeculativeDecoder:
         # --- that just arrived owes its whole prompt while its
         # --- neighbours owe the <= k + 1 tokens a step leaves behind;
         # --- the two classes forward separately, or the short rows
-        # --- would be padded to prompt width (rows are independent:
-        # --- same logits either way) ---
+        # --- would be padded to prompt width (same logits either way
+        # --- only where both waves' rows * width GEMMs are row-stable) ---
         starts = self._len[rows].copy()
         widths = lengths + 1 - starts            # >= 1: _len trails L
         logits_now = np.zeros((n, self.draft.config.vocab_size),

@@ -7,7 +7,9 @@ replaced (``MultiHeadAttention.forward``'s write-then-attend case plus
 "same float32 ops, same order, same layouts" stays checked bit for bit.
 It also builds its attention mask the way the engine's call sites used
 to, by hand, so the mask the forward now derives from ``positions`` and
-``span_lens`` is checked against that spelling on every call shape.
+``span_lens`` is checked against that spelling on every call shape, and
+spells each span projection as the one ``(rows * seq, d)`` GEMM
+``Linear.apply`` runs (:func:`linear`).
 """
 
 import numpy as np
@@ -15,13 +17,23 @@ import pytest
 
 from repro.autograd import Tensor
 from repro.models.configs import tiny_config
-from repro.nn import Parameter, TransformerLM
+from repro.nn import ModelConfig, Parameter, TransformerLM
 from repro.nn.block_attention import (additive_mask, block_decode_attention,
                                       block_prefill_attention)
 from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
 from repro.nn.rope import rotate
 
 BATCH, BLOCK, VOCAB = 3, 4, 64
+
+
+def linear(layer, x):
+    """``layer(x)`` on a ``(rows, seq, d)`` ``Tensor``: a span
+    (``seq > 1``) flattened to one ``(rows * seq, d)`` GEMM, a decode
+    left as one GEMV per row."""
+    rows, seq, d = x.shape
+    if seq == 1:
+        return layer(x)
+    return layer(x.reshape(rows * seq, d)).reshape(rows, seq, -1)
 
 
 def reference_forward(model, tokens, cache, positions, rows=None,
@@ -44,9 +56,9 @@ def reference_forward(model, tokens, cache, positions, rows=None,
     for index, block in enumerate(model.blocks):
         attn = block.attn
         h = block.attn_norm(x)
-        q = attn._split_heads(attn.wq(h), batch, seq)
-        k = attn._split_heads(attn.wk(h), batch, seq)
-        v = attn._split_heads(attn.wv(h), batch, seq)
+        q = attn._split_heads(linear(attn.wq, h), batch, seq)
+        k = attn._split_heads(linear(attn.wk, h), batch, seq)
+        v = attn._split_heads(linear(attn.wv, h), batch, seq)
         q = Tensor(rotate(q.data, cos, sin))
         k = Tensor(rotate(k.data, cos, sin))
         if span_lens is not None:
@@ -60,8 +72,9 @@ def reference_forward(model, tokens, cache, positions, rows=None,
                 q.data, cache, index, kv_mask=kv_mask, rows=rows)
         merged = Tensor(context).transpose(0, 2, 1, 3) \
                                 .reshape(batch, seq, attn.d_model)
-        x = x + attn.wo(merged)
-        x = x + block.ffn(block.ffn_norm(x))
+        x = x + linear(attn.wo, merged)
+        ffn = block.ffn
+        x = x + linear(ffn.down, linear(ffn.up, block.ffn_norm(x)).relu())
     if logits_positions is not None:
         last = np.asarray(logits_positions, dtype=np.int64)
         keep = np.flatnonzero(last >= 0)
@@ -73,7 +86,7 @@ def reference_forward(model, tokens, cache, positions, rows=None,
                 logits[keep] = model.head(model.final_norm(picked)).data
             return logits
         x = Tensor(x.data[np.arange(batch), last][:, None])
-    return model.head(model.final_norm(x)).data
+    return linear(model.head, model.final_norm(x)).data
 
 
 def serving_forward(model, tokens, cache, positions, **kwargs):
@@ -175,6 +188,95 @@ def test_span_logits_ignore_a_longer_neighbour_row(cache_cls):
             for start, tokens in zip((0, 6), chunks)])
     for alone, beside in zip(*outs):
         np.testing.assert_array_equal(alone, beside)
+
+
+@pytest.mark.parametrize("cache_cls", [PagedKVCache, QuantizedPagedKVCache])
+def test_decode_rows_are_batch_independent(cache_cls):
+    """A token axis of 1 is not flattened: equal-length rows decoded
+    together return, bit for bit, the logits each returns decoded alone
+    — one GEMV per row, whatever the batch (greedy parity with
+    ``generate`` rests on it; a ``(rows, d)`` GEMM rounds differently)."""
+    model = build_model(False)
+    rng = np.random.default_rng(4)
+    prompts = rng.integers(0, VOCAB, size=(BATCH, 6))
+    steps = rng.integers(0, VOCAB, size=(3, BATCH, 1))  # crosses a block
+    outs = []
+    for together in (True, False):
+        cache = cache_cls(model.config.num_layers, batch=BATCH,
+                          block_size=BLOCK, chunk_blocks=2)
+        for row in range(BATCH):
+            serving_forward(model, prompts[row:row + 1], cache,
+                            np.arange(6)[None], rows=np.array([row]),
+                            span_lens=np.array([6]))
+        logits = []
+        for step, tokens in enumerate(steps):
+            positions = np.full((BATCH, 1), 6 + step)
+            if together:
+                logits.append(serving_forward(model, tokens, cache,
+                                              positions))
+            else:
+                logits.append(np.concatenate([
+                    serving_forward(model, tokens[row:row + 1], cache,
+                                    positions[row:row + 1],
+                                    rows=np.array([row]))
+                    for row in range(BATCH)]))
+        outs.append(logits)
+    for batched, solo in zip(*outs):
+        np.testing.assert_array_equal(batched, solo)
+
+
+def blas_rows_stable(model, lens, width) -> bool:
+    """Whether this BLAS returns each row's own ``(lens[j], d)`` GEMM
+    bit for bit inside a wave's ``(rows * width, d)`` one, for every
+    projection shape of ``model`` (random operands: the property is the
+    kernel's, not the data's)."""
+    rng = np.random.default_rng(0)
+    layers = [layer for _, layer in model.quantizable_linears()]
+    for layer in {layer.weight.shape: layer
+                  for layer in layers + [model.head]}.values():
+        weight = layer.weight.data.T
+        x = rng.standard_normal((len(lens) * width, layer.in_features)
+                                ).astype(np.float32)
+        wave = x @ weight
+        for j, n in enumerate(lens):
+            own = slice(j * width, j * width + n)
+            if not np.array_equal(x[own] @ weight, wave[own]):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("cache_cls", [PagedKVCache, QuantizedPagedKVCache])
+def test_wide_span_wave_returns_each_rows_solo_logits(cache_cls):
+    """The premise behind equal round digests across the flattened span
+    GEMM: a 3-row wave of ragged >= 16-token spans returns each row's
+    solo-span logits bit for bit.  It is a property of the BLAS kernel
+    (wide GEMM rows do not move with ``M``; at the tiny config's 48-wide
+    outputs SkylakeX OpenBLAS rows move up to ``M = 25``, so this runs
+    at the zoo's 128 / 512 widths), and where the kernel lacks it there
+    is nothing to check."""
+    model = TransformerLM(ModelConfig(name="wide", vocab_size=256,
+                                      d_model=128, num_layers=2, num_heads=4,
+                                      d_ff=512, seed=3))
+    lens = np.array([16, 20, 24])
+    width = int(lens.max())
+    if not blas_rows_stable(model, lens, width):
+        pytest.skip("this BLAS kernel's wide GEMM rows move with M")
+    rng = np.random.default_rng(6)
+    tokens = rng.integers(0, VOCAB, size=(BATCH, width))
+    positions = np.broadcast_to(np.arange(width), (BATCH, width))
+
+    def fresh():
+        return cache_cls(model.config.num_layers, batch=BATCH,
+                         block_size=BLOCK, chunk_blocks=2)
+
+    wave = serving_forward(model, tokens, fresh(), positions,
+                           rows=np.arange(BATCH), span_lens=lens)
+    for row, n in enumerate(lens):
+        solo = serving_forward(model, tokens[row:row + 1, :n], fresh(),
+                               positions[row:row + 1, :n],
+                               rows=np.array([row]),
+                               span_lens=lens[row:row + 1])
+        np.testing.assert_array_equal(wave[row, :n], solo[0])
 
 
 def test_bias_reaches_the_logits():

@@ -11,6 +11,7 @@ bare engine's ``stream()`` on every cache backend.
 
 import asyncio
 import json
+import sqlite3
 
 import numpy as np
 import pytest
@@ -221,6 +222,55 @@ def test_recovered_stream_replays_without_gaps(model, tmp_path):
     assert updates[-1].finish_reason == "length"
     tokens = [u.token for u in updates if u.index is not None]
     assert tokens == list(second.queue.get(job_id).tokens)
+
+
+def test_recovery_that_leaves_its_journal_fails_the_job(model, tmp_path):
+    """A regenerated token that disagrees with the journaled one at its
+    index fails the job, naming both — the client never receives the
+    journal's prefix glued to a tail no run produced after it.  One
+    journaled token is edited to force the disagreement (a ``"fineq"``
+    job whose neighbours change across a restart can produce it for
+    real); the neighbour recovered beside it finishes as if uninterrupted
+    and every block comes back."""
+    path = tmp_path / "journal.sqlite"
+    prompts = [np.array([2, 3, 4]), np.array([5, 6])]
+    want = reference_tokens(model, prompts, 10)
+    first = make_gateway(model, RequestQueue(path))
+    job_id, neighbour = (first.submit(p, max_new_tokens=10) for p in prompts)
+    for _ in range(4):
+        first.pump()
+    journal = first.queue.tokens(job_id)
+    assert len(journal) >= 2, "need a journaled token past the first"
+    first.queue.close()
+    edited = (journal[1] + 1) % model.config.vocab_size
+    conn = sqlite3.connect(path)
+    conn.execute("UPDATE tokens SET token = ? WHERE job_id = ? AND idx = 1",
+                 (edited, job_id))
+    conn.commit()
+    conn.close()
+    journal[1] = edited
+
+    second = make_gateway(model, RequestQueue(path))
+
+    async def consume():
+        await second.start()
+        updates = [u async for u in second.stream(job_id)]
+        await second.drain()
+        await second.stop()
+        return updates
+
+    updates = asyncio.run(consume())
+    job = second.queue.get(job_id)
+    assert job.status == "failed"
+    assert job.error == (f"recovery diverged at token 1: journal {edited}, "
+                         f"regenerated {want[0][1]}")
+    assert list(job.tokens) == journal
+    assert [u.token for u in updates if u.index is not None] == journal
+    assert updates[-1].finish_reason == "failed"
+    assert list(second.queue.get(neighbour).tokens) == want[1]
+    cache = second.engine.cache
+    assert cache.cached_tokens == 0 and cache.blocks_in_use() == 0
+    assert not second._jobs and not second._rid_job
 
 
 # --------------------------------------------------------------------- #
