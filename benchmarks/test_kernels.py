@@ -103,13 +103,13 @@ def test_block_resident_fineq_decode_beats_gather_at_1024_context():
     One decode step's attention reads at a 1024-token context, batch 16,
     on llama-sim-7b-shaped layers (5 layers, 4 heads, head_dim 32): the
     baseline re-gathers and re-dequantizes every owned block of every
-    row per layer (the dense ``_context`` read the sequential reference
-    path uses), the fused path iterates ``context_blocks`` through the
-    warm dequant memo.  Timing is best-of with re-measurement, like the
-    LUT decode benchmark above.
+    row per layer (the tests' dense-gather oracle), the fused path
+    iterates ``context_blocks`` through the warm dequant memo.  Timing
+    is best-of with re-measurement, like the LUT decode benchmark above.
     """
     from repro.nn.block_attention import block_decode_attention
     from repro.nn.paged_kv_cache import QuantizedPagedKVCache
+    from tests.kv_oracle import dense_context
 
     layers, batch, heads, head_dim, bs = 5, 16, 4, 32, 16
     context = 1024
@@ -129,7 +129,7 @@ def test_block_resident_fineq_decode_beats_gather_at_1024_context():
 
     def gather_step():
         for layer in range(layers):
-            k, v = cache._context(layer)
+            k, v = dense_context(cache, layer)
             scores = (q @ k.transpose(0, 1, 3, 2)) * scale + kv_mask
             shifted = scores - scores.max(axis=-1, keepdims=True)
             exp = np.exp(shifted)

@@ -38,6 +38,8 @@ def _token_windows(stream: np.ndarray, seq_len: int,
     stream = np.asarray(stream, dtype=np.int64).reshape(-1)
     num_windows = (len(stream) - 1) // seq_len
     if max_windows is not None:
+        if max_windows < 1:
+            raise ValueError(f"max_windows must be >= 1, got {max_windows}")
         num_windows = min(num_windows, max_windows)
     if num_windows == 0:
         raise ValueError(f"stream of {len(stream)} tokens shorter than "
@@ -75,17 +77,19 @@ def cached_perplexity(model: TransformerLM, stream: np.ndarray, seq_len: int,
 
     :func:`perplexity` does one full forward per window, so the KV cache
     never participates.  Here each window's tokens are fed one at a time
-    (teacher forcing) and every next-token distribution attends over
-    *cached* keys/values — the read path that an approximate cache (e.g.
-    the FineQ-quantized paged cache) actually changes.  ``cache_factory``
-    receives the batch-row count and returns a fresh cache; comparing the
-    result across factories isolates the accuracy cost of the cache
-    format itself.
+    (teacher forcing) through the serving engine's decode forward, so
+    every next-token distribution attends over *cached* keys/values read
+    the way serving reads them — the write and read path that an
+    approximate cache (e.g. the FineQ-quantized paged cache) actually
+    changes.  ``cache_factory`` receives the batch-row count and returns
+    a fresh paged cache; comparing the result across factories isolates
+    the accuracy cost of the cache format itself.
 
-    Token-by-token evaluation costs ``seq_len`` model calls per window
-    (each re-reading the whole cached context), so unlike
-    :func:`perplexity`'s 20k-token cap the default here is a modest
-    ``max_windows=16``; pass ``None`` deliberately for a full-stream run.
+    Token-by-token evaluation costs ``seq_len`` decode forwards per
+    window batch (each reading the whole cached context block by
+    block), so unlike :func:`perplexity`'s 20k-token cap the default
+    here is a modest ``max_windows=16``; pass ``None`` deliberately for
+    a full-stream run.
     """
     all_windows = _token_windows(stream, seq_len, max_windows=max_windows)
     num_windows = len(all_windows)
@@ -96,7 +100,8 @@ def cached_perplexity(model: TransformerLM, stream: np.ndarray, seq_len: int,
             windows = all_windows[start:start + batch_size]
             cache = cache_factory(len(windows))
             for t in range(seq_len):
-                logits = model(windows[:, t:t + 1], cache=cache).data
+                logits = model(windows[:, t:t + 1], cache,
+                               positions=np.full((len(windows), 1), t)).data
                 nll = nll_per_token(logits[:, 0], windows[:, t + 1])
                 total_nll += float(nll.sum())
                 total_tokens += nll.size

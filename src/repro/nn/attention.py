@@ -8,12 +8,7 @@ from repro.autograd import Tensor, functional as F
 from repro.nn.layers import Linear
 from repro.nn.module import Module
 from repro.nn.rope import RotaryEmbedding
-from typing import TYPE_CHECKING
-
 from repro.nn.kv_cache import KVCache
-
-if TYPE_CHECKING:  # runtime import would cycle through repro.core
-    from repro.nn.paged_kv_cache import PagedKVCache
 
 #: Memoised additive causal masks keyed by ``(seq, total)``.  Prefill and
 #: perplexity evaluation hit the same handful of shapes over and over; the
@@ -63,14 +58,14 @@ class MultiHeadAttention(Module):
     def _split_heads(self, x: Tensor, batch: int, seq: int) -> Tensor:
         return x.reshape(batch, seq, self.num_heads, self.head_dim).transpose(0, 2, 1, 3)
 
-    def forward(self, x: Tensor, cache: KVCache | PagedKVCache | None = None,
+    def forward(self, x: Tensor, cache: KVCache | None = None,
                 layer_index: int = 0) -> Tensor:
         """Causal attention over ``x`` plus any cached context.
 
-        The autograd path.  With a cache it is the sequential reference
-        (``generate``, cached perplexity): ``cache.append`` stores the
-        new K/V for all rows and returns the full context.  The serving
-        engine's ragged batches do not come through here — see
+        The autograd path.  With a cache it is ``generate``'s sequential
+        reference: :meth:`KVCache.append` stores the new K/V for all
+        rows and returns the full context.  Paged caches — the serving
+        engine and ``cached_perplexity`` — do not come through here; see
         :meth:`repro.nn.model.TransformerLM._serve_forward`.
         """
         batch, seq, _ = x.shape

@@ -1,19 +1,19 @@
 """Block-resident attention reads for paged KV caches (decode + prefill).
 
-The serving engine's one read path.  Gathering every row's whole
-context into a dense ``(batch, heads, total, head_dim)`` copy per layer
-per step (and, on the quantized cache, re-running LUT dequantization
-over every owned block each time) is what the sequential reference does
-through ``cache.append``; here the paged block table itself is the
-iteration space — the paper's accelerator dataflow projected into
-numpy: scores are computed chunk by chunk against the pool
-(``q @ pool[ids]ᵀ``), softmax normalisation runs over the assembled
-score vector (``O(total)`` floats, no ``head_dim`` factor), and the
-value contraction streams the same chunks back through the softmax
-weights.  Only one chunk of K or V is ever resident, and it is a single
-copy: the cache gathers it straight into the ``(rows, heads, tokens,
-head_dim)`` layout the matmuls below consume, in buffers it reuses, so
-a chunk is valid until the iteration advances.
+The paged caches' one read path (the serving engine's and
+``cached_perplexity``'s).  Gathering every row's whole context into a
+dense ``(batch, heads, total, head_dim)`` copy per layer per step (and,
+on the quantized cache, re-running LUT dequantization over every owned
+block each time) is what the tests' dense-gather oracle does; here the
+paged block table itself is the iteration space — the paper's
+accelerator dataflow projected into numpy: scores are computed chunk by
+chunk against the pool (``q @ pool[ids]ᵀ``), softmax normalisation runs
+over the assembled score vector (``O(total)`` floats, no ``head_dim``
+factor), and the value contraction streams the same chunks back through
+the softmax weights.  Only one chunk of K or V is ever resident, and it
+is a single copy: the cache gathers it straight into the ``(rows, heads,
+tokens, head_dim)`` layout the matmuls below consume, in buffers it
+reuses, so a chunk is valid until the iteration advances.
 
 Numerics: everything runs in float32, op for op what
 :class:`repro.nn.attention.MultiHeadAttention` runs on a dense context

@@ -7,10 +7,10 @@ in-place write plus a zero-copy view instead of an O(T) concatenation
 
 This rectangle is the *sequential reference*: its one write path,
 :meth:`KVCache.append` (uniform append for all batch rows, returning the
-full context), is what :meth:`repro.nn.model.TransformerLM.generate` and
-cached perplexity evaluation decode through, and what the serving
-engine's paged caches are tested against.  Serving itself runs on
-:mod:`repro.nn.paged_kv_cache`.
+full context), is what :meth:`repro.nn.model.TransformerLM.generate`
+decodes through, and what the serving engine's paged caches are tested
+against.  Serving — and cached perplexity evaluation, which scores
+through the serving forward — runs on :mod:`repro.nn.paged_kv_cache`.
 
 Also provides the byte accounting used by the Fig. 2(b) serving-memory
 experiment (weights vs KV cache vs other).

@@ -74,13 +74,15 @@ class TransformerLM(Module):
         """Return logits ``(batch, seq, vocab)`` for integer ``tokens``.
 
         Without ``positions`` this is the autograd path: training,
-        ``perplexity``, and — with a ``cache`` — the sequential
-        ``generate`` / ``cached_perplexity`` reference (``cache.append``
-        at a uniform offset).  With a paged ``cache`` **and**
-        ``positions`` (``(batch, seq)`` absolute positions) it is the
-        serving engine's ragged batch, run by :meth:`_serve_forward` on
-        raw arrays with bit-identical logits; ``rows``, ``span_lens``
-        and ``logits_positions`` belong to that pass only.
+        ``perplexity``, and — with a rectangular :class:`KVCache`, the
+        only cache it takes — the sequential ``generate`` reference
+        (``cache.append`` at a uniform offset).  With a paged ``cache``
+        **and** ``positions`` (``(batch, seq)`` absolute positions) it
+        is the serving forward — the engine's ragged batch and
+        ``cached_perplexity``'s teacher-forced decode — run by
+        :meth:`_serve_forward` on raw arrays with bit-identical logits;
+        ``rows``, ``span_lens`` and ``logits_positions`` belong to that
+        pass only.
         """
         tokens = np.asarray(tokens)
         if tokens.ndim == 1:

@@ -12,9 +12,9 @@ the *sum of live tokens* (rounded up to blocks) instead of
 numpy.
 
 Two variants share one interface — span/token writes that return
-nothing, block-table reads for :mod:`repro.nn.block_attention`, and the
-rectangular cache's ``append`` for the sequential reference path — so
-attention and the engine are agnostic to which one is threaded through:
+nothing and block-table reads for :mod:`repro.nn.block_attention` — so
+attention, the engine and ``cached_perplexity`` are agnostic to which
+one is threaded through:
 
 * :class:`PagedKVCache` stores blocks in FP32.  Reads return the same
   float values a rectangular cache would, so greedy engine output stays
@@ -49,16 +49,10 @@ instead and never copies a pool block).  A block
 returns to the free list only when its last reference drops, so retiring
 or cancelling a reader frees exactly the blocks it owned exclusively.
 
-Two read paths:
+One read path (the dense whole-context gather the chunks are pinned
+against is a tests-only oracle):
 
-* :meth:`_context` gathers the rows' whole context into dense
-  ``(batch, heads, total, head_dim)`` arrays — a block-major gather,
-  then a transposed copy.  **Oracle**, with ``append`` and ``_gather``:
-  no engine forward comes here.  It is what ``append`` returns to the
-  sequential reference path (``generate``, and ``cached_perplexity`` —
-  hence perfbench's ``ppl_ratio_kv``), and what the tests pin chunk
-  values against.
-* :meth:`context_blocks` iterates the same context chunk by chunk
+* :meth:`context_blocks` iterates the rows' context chunk by chunk
   (``chunk_blocks`` blocks at a time) for
   :mod:`repro.nn.block_attention` — the serving engine's read, so
   neither decode nor prefill materialises the dense copy.  A chunk is
@@ -495,33 +489,6 @@ class PagedKVCache:
     # ------------------------------------------------------------------ #
     # write paths
     # ------------------------------------------------------------------ #
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform append for all batch rows; returns gathered context.
-        Oracle: the sequential reference path's write (``generate``,
-        ``cached_perplexity``), never an engine forward's."""
-        self._check_batch(k)
-        if self._heads is None:
-            self._init_storage(k)
-        start = self._lengths[layer]
-        seq = k.shape[2]
-        stop = start + seq
-        bs = self.block_size
-        rows = self._row_index
-        self._ensure_row_blocks(rows, np.full(self.batch,
-                                              _blocks_needed(stop, bs)))
-        for block in range(start // bs, (stop - 1) // bs + 1):
-            lo, hi = max(start, block * bs), min(stop, (block + 1) * bs)
-            ids = self._tables[:, block]
-            self._pool_k[layer][ids, :, lo - block * bs:hi - block * bs] = \
-                k[:, :, lo - start:hi - start]
-            self._pool_v[layer][ids, :, lo - block * bs:hi - block * bs] = \
-                v[:, :, lo - start:hi - start]
-        self._lengths[layer] = stop
-        self._row_len = np.maximum(self._row_len, stop)
-        self._invalidate_ids_memo()  # row lengths moved
-        return self._context(layer)
-
     @staticmethod
     def _rows_key(rows: np.ndarray | None) -> bytes | None:
         return None if rows is None \
@@ -667,22 +634,6 @@ class PagedKVCache:
         self._ids_memo[key] = ids
         return ids
 
-    def _context(self, layer: int, rows: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Oracle: the dense gather (see the module docstring)."""
-        total = self._lengths[layer]
-        nblk = _blocks_needed(total, self.block_size)
-        ids = self._block_ids(nblk, rows)
-        return (self._gather(self._pool_k[layer], ids)[:, :, :total],
-                self._gather(self._pool_v[layer], ids)[:, :, :total])
-
-    def _gather(self, pool: np.ndarray, ids: np.ndarray) -> np.ndarray:
-        """Oracle: :meth:`_context`'s block-major gather + transpose."""
-        batch, nblk = ids.shape
-        blocks = pool[ids]  # (batch, nblk, heads, block, head_dim)
-        return blocks.transpose(0, 2, 1, 3, 4).reshape(
-            batch, self._heads, nblk * self.block_size, self._head_dim)
-
     def take_read_stats(self) -> KVReadStats:
         """Return and reset the accumulated :class:`KVReadStats` (the
         engine snapshots these once per decode step)."""
@@ -731,8 +682,8 @@ class PagedKVCache:
     def context_chunk_pair(self, layer: int, rows: np.ndarray | None = None
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Single-chunk K/V read (context fits one chunk window): the
-        one chunk of :meth:`context_blocks`, sliced to the context — on
-        the FP32 pool exactly the values :meth:`_context` returns.  The
+        one chunk of :meth:`context_blocks`, sliced to the context —
+        exactly the values the tests' dense-gather oracle returns.  The
         arrays live in the cache's chunk buffers and are only valid
         until the next read.
         """
@@ -754,8 +705,9 @@ class PagedKVCache:
         The block-resident read: each chunk is a ``(n, heads, width,
         head_dim)`` float32 gather of up to ``chunk_blocks`` consecutive
         blocks starting at absolute token position ``start``, with
-        exactly the values :meth:`_context` would place there — but only
-        one chunk is ever resident, so no dense ``(n, heads, total,
+        exactly the values a dense gather of the whole context would
+        place there (the tests pin them against one) — but only one
+        chunk is ever resident, so no dense ``(n, heads, total,
         head_dim)`` copy exists.  ``kind`` selects the operand: ``"k"``
         or ``"v"`` yield ``(start, chunk)`` (block attention's two-pass
         long-context read), ``"kv"`` yields ``(start, k_chunk,
@@ -926,10 +878,6 @@ class QuantizedPagedKVCache(PagedKVCache):
         buf_shape = (layers, self.batch, self._heads, bs, self._head_dim)
         self._buf_k = np.zeros(buf_shape, dtype=np.float32)
         self._buf_v = np.zeros(buf_shape, dtype=np.float32)
-        # Reusable dequant scratch for the dense _context gather, sized
-        # to the high-water (rows x blocks) demand instead of being
-        # reallocated per layer per call.
-        self._ctx_scratch: np.ndarray | None = None
         #: The dequantized-block memo (built with the first write).
         self.dequant_cache = DequantBlockCache(
             layers, self._heads, bs, self._head_dim, self.dequant_cache_bytes)
@@ -1217,85 +1165,14 @@ class QuantizedPagedKVCache(PagedKVCache):
                     self._buf_v[layers, at])
         self._buf_end[layers, at] = 0
 
-    def append(self, layer: int, k: np.ndarray, v: np.ndarray
-               ) -> tuple[np.ndarray, np.ndarray]:
-        """Uniform single-token append (oracle: the cached-perplexity
-        path)."""
-        if k.shape[2] != 1:
-            raise NotImplementedError(
-                "QuantizedPagedKVCache.append supports one token per step; "
-                "prefill through prefill_rows")
-        if self._heads is None:
-            self._init_storage(k)
-        positions = np.full(k.shape[0], self._lengths[layer], dtype=np.int64)
-        self.write_token(layer, k, v, positions)
-        return self._context(layer)
-
     # ------------------------------------------------------------------ #
     # read path
     # ------------------------------------------------------------------ #
-    def _context(self, layer: int, rows: np.ndarray | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-        """Oracle: the dense gather in the quantized format."""
-        total = self._lengths[layer]
-        bs = self.block_size
-        nblk = _blocks_needed(total, bs)
-        row_idx = self._row_index if rows is None else rows
-        n = len(row_idx)
-        # Decode only blocks a row actually owns (its quantized prefix):
-        # current blocks are overwritten by the FP32 overlay below and
-        # stale/padding table slots carry nothing, so decoding them would
-        # be wasted LUT work on the hot read path.  Unowned positions stay
-        # zero — finite, and masked or sliced away by the caller.
-        owned = np.arange(nblk)[None, :] < self._blocks_per_row[row_idx, None]
-        flat_owned = owned.reshape(-1)
-        selected = self._block_ids(nblk, rows).reshape(-1)[flat_owned]
-        row_lens = self._row_len[row_idx]
-        # Overlay only rows that actually hold buffered tokens: a row whose
-        # context is entirely adopted quantized blocks (block-aligned
-        # prefix match) has an empty buffer, and overlaying it would mask
-        # its newest shared block with stale data.
-        buffered = row_lens - self._blocks_per_row[row_idx] * bs
-        live = np.nonzero(buffered > 0)[0]  # indices into the sub-batch
-        current = (row_lens[live] - 1) // bs
-        # The per-(row, block) channel scratch is reused across layers and
-        # steps, sized to the high-water mark; only slots the dequant
-        # below won't overwrite need re-zeroing.
-        if self._ctx_scratch is None or len(self._ctx_scratch) < n * nblk:
-            self._ctx_scratch = np.zeros((n * nblk, self._channels, bs),
-                                         dtype=np.float32)
-        out = []
-        for payload_pool, scale_pool, buf in (
-                (self._payload_k[layer], self._scale_k[layer], self._buf_k[layer]),
-                (self._payload_v[layer], self._scale_v[layer], self._buf_v[layer])):
-            channels = self._ctx_scratch[:n * nblk]
-            channels[~flat_owned] = 0.0
-            if selected.size:
-                channels[flat_owned] = dequantize_kv_channels(
-                    payload_pool[selected].reshape(-1, self._payload_bytes),
-                    scale_pool[selected].reshape(-1), bs
-                ).reshape(-1, self._channels, bs)
-            blocks = channels.reshape(n, nblk, self._heads,
-                                      self._head_dim, bs) \
-                             .transpose(0, 1, 2, 4, 3)
-            # Overlay each live row's FP32 current block (exact values for
-            # the newest <= block_size tokens).
-            blocks[live, current] = buf[row_idx[live]]
-            # The output must not alias the scratch (the V pass reuses
-            # it): for nblk > 1 the axis-merging reshape copies anyway,
-            # but a single-block context reshapes as a view, so force
-            # the copy (a no-op whenever reshape already copied).
-            merged = np.ascontiguousarray(
-                blocks.transpose(0, 2, 1, 3, 4).reshape(
-                    n, self._heads, nblk * bs, self._head_dim))
-            out.append(merged[:, :, :total])
-        return out[0], out[1]
-
     def _dequant_kind(self, layer: int, ids: np.ndarray, kind: str
                       ) -> np.ndarray:
         """Dequantize pool blocks ``ids`` of one layer/operand into
         ``(len(ids), heads, block, head_dim)`` float32 — the exact values
-        (and op order) the dense :meth:`_context` gather produces."""
+        (and op order) of the tests' dense-gather oracle."""
         payload_pool = (self._payload_k if kind == "k"
                         else self._payload_v)[layer]
         scale_pool = (self._scale_k if kind == "k" else self._scale_v)[layer]
@@ -1327,8 +1204,9 @@ class QuantizedPagedKVCache(PagedKVCache):
         owned_counts = self._blocks_per_row[row_idx]
         row_lens = self._row_len[row_idx]
         # Overlay only rows that actually hold buffered tokens: a row
-        # whose context is entirely adopted quantized blocks has an
-        # empty buffer (see _context).
+        # whose context is entirely adopted quantized blocks (a
+        # block-aligned prefix match) has an empty buffer, and overlaying
+        # it would mask its newest shared block with stale data.
         buffered = row_lens - owned_counts * bs
         current = np.where(buffered > 0, (row_lens - 1) // bs, -1)
         owned_ids = np.where(np.arange(nblk) < owned_counts[:, None],
@@ -1355,8 +1233,8 @@ class QuantizedPagedKVCache(PagedKVCache):
         dequantizes once and is memoised — a block shared by many rows
         decodes once per chunk, and once *ever* while it stays
         cache-resident); each live row's FP32 current block is overlaid
-        exactly as in :meth:`_context`, so chunk values are bit-identical
-        to the dense gather's.  Which ids a chunk reads and which
+        on its chunk, so chunk values are bit-identical to the tests'
+        dense-gather oracle's.  Which ids a chunk reads and which
         buffers overlay it is this forward's read resolution
         (:meth:`_resolve_read`); per layer the ids resolve to memo slots
         once, for both operands under ``kind="kv"``, and each operand is

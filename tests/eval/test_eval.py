@@ -6,10 +6,10 @@ import pytest
 from repro.data import WordTokenizer
 from repro.eval import (cached_perplexity, perplexity, clone_model,
                         quantized_perplexity, run_method_sweep)
-from repro.eval.perplexity import eval_stream
+from repro.eval.perplexity import _token_windows, eval_stream
 from repro.eval.tables import format_table, format_markdown, format_number
 from repro.models.configs import tiny_config
-from repro.nn import KVCache, PagedKVCache, QuantizedPagedKVCache, TransformerLM
+from repro.nn import PagedKVCache, QuantizedPagedKVCache, TransformerLM
 
 
 def test_perplexity_of_untrained_model_near_vocab(tiny_model, tiny_stream):
@@ -29,12 +29,17 @@ def test_perplexity_requires_enough_tokens(tiny_model):
         perplexity(tiny_model, np.arange(10), seq_len=64)
 
 
+def test_token_windows_rejects_nonpositive_max_windows():
+    with pytest.raises(ValueError, match="max_windows must be >= 1"):
+        _token_windows(np.arange(1000), 8, max_windows=0)
+
+
 def test_cached_perplexity_fp32_matches_full_forward(tiny_model, tiny_stream):
-    """Feeding tokens through an exact KV cache changes nothing."""
+    """Feeding tokens through the FP32 paged cache changes nothing."""
     stream = tiny_stream[:4 * 32 + 1]
     plain = perplexity(tiny_model, stream, seq_len=32, batch_size=2)
     layers = tiny_model.config.num_layers
-    for factory in (lambda b: KVCache(layers, batch=b),
+    for factory in (lambda b: PagedKVCache(layers, batch=b),
                     lambda b: PagedKVCache(layers, batch=b, block_size=8)):
         cached = cached_perplexity(tiny_model, stream, 32, factory,
                                    batch_size=2)
@@ -53,6 +58,34 @@ def test_cached_perplexity_quantized_close_to_exact(tiny_model, tiny_stream):
         lambda b: QuantizedPagedKVCache(layers, batch=b, block_size=8),
         batch_size=2)
     assert abs(quant - exact) / exact < 0.25
+
+
+@pytest.mark.parametrize("cls", [PagedKVCache, QuantizedPagedKVCache])
+def test_cached_perplexity_reads_through_the_serving_path(
+        tiny_model, tiny_stream, cls, monkeypatch):
+    """Every prediction reads the cache as the engine does — block
+    attention iterating ``context_blocks``, on fineq through the
+    dequant memo — and no paged cache keeps a dense ``append`` path."""
+    reads = []
+    real = cls.context_blocks
+
+    def spy(self, layer, *args, **kwargs):
+        reads.append(layer)
+        return real(self, layer, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "context_blocks", spy)
+    caches = []
+
+    def factory(rows):
+        caches.append(cls(tiny_model.config.num_layers, batch=rows))
+        return caches[-1]
+
+    cached_perplexity(tiny_model, tiny_stream[:2 * 32 + 1], 32, factory,
+                      batch_size=2)
+    assert len(reads) >= 32 * tiny_model.config.num_layers
+    assert not hasattr(caches[0], "append")
+    if cls is QuantizedPagedKVCache:
+        assert caches[0].take_read_stats().dequant_hits > 0
 
 
 def test_eval_stream_disjoint_from_training(tiny_tokenizer):

@@ -8,6 +8,7 @@ from repro.autograd import Tensor, functional as F
 from repro.nn.block_attention import (block_decode_attention,
                                       block_prefill_attention)
 from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
+from tests.kv_oracle import dense_context
 
 
 HEADS, HEAD_DIM = 2, 8
@@ -39,8 +40,7 @@ def concat_chunks(cache, layer, kind, rows=None):
 
 def reference_attention(q, k, v, kv_mask):
     """The dense path's math: the float32 ``Tensor`` / ``F.softmax`` op
-    sequence ``MultiHeadAttention.forward`` runs on an ``append``ed
-    context."""
+    sequence ``MultiHeadAttention.forward`` runs on a cached context."""
     q, k, v = Tensor(q), Tensor(k), Tensor(v)
     scores = (q @ k.transpose(0, 1, 3, 2)) * (1.0 / np.sqrt(q.shape[-1]))
     if kv_mask is not None:
@@ -61,11 +61,11 @@ def length_mask(cache, rows=None):
 @pytest.mark.parametrize("cls", [PagedKVCache, QuantizedPagedKVCache])
 @pytest.mark.parametrize("kind", ["k", "v"])
 def test_chunks_concatenate_to_gather_context(cls, kind):
-    """context_blocks yields exactly the values _context gathers — the
+    """context_blocks yields exactly the values the dense gather holds — the
     'same dequant values' half of the block-resident parity claim."""
     cache, _ = build_cache(cls)
     for layer in range(cache.num_layers):
-        dense = cache._context(layer)[0 if kind == "k" else 1]
+        dense = dense_context(cache, layer)[0 if kind == "k" else 1]
         np.testing.assert_array_equal(concat_chunks(cache, layer, kind),
                                       dense)
 
@@ -87,7 +87,7 @@ def test_kv_chunks_match_single_kind_passes(cls):
 def test_context_chunk_pair_matches_gather(cls):
     cache, _ = build_cache(cls, chunk_blocks=8)  # whole context, one chunk
     k, v = cache.context_chunk_pair(0)
-    want_k, want_v = cache._context(0)
+    want_k, want_v = dense_context(cache, 0)
     np.testing.assert_array_equal(k, want_k)
     np.testing.assert_array_equal(v, want_v)
 
@@ -95,7 +95,7 @@ def test_context_chunk_pair_matches_gather(cls):
 def test_chunks_respect_row_subsets():
     cache, _ = build_cache(QuantizedPagedKVCache)
     rows = np.array([0, 2])
-    dense_k, _ = cache._context(0, rows=rows)
+    dense_k, _ = dense_context(cache, 0, rows=rows)
     np.testing.assert_array_equal(concat_chunks(cache, 0, "k", rows=rows),
                                   dense_k)
 
@@ -113,7 +113,7 @@ def test_single_chunk_attention_bit_identical(cls):
     kv_mask = length_mask(cache)
     got = block_decode_attention(q, cache, 0, kv_mask=kv_mask)
     assert got.dtype == np.float32
-    k, v = cache._context(0)
+    k, v = dense_context(cache, 0)
     np.testing.assert_array_equal(got, reference_attention(q, k, v, kv_mask))
 
 
@@ -127,7 +127,7 @@ def test_multi_chunk_attention_matches_gather_reference(cls):
     for layer in range(cache.num_layers):
         got = block_decode_attention(q, cache, layer, kv_mask=kv_mask)
         assert got.dtype == np.float32
-        k, v = cache._context(layer)
+        k, v = dense_context(cache, layer)
         want = reference_attention(q, k, v, kv_mask)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
         # The score path itself is exact: masked positions contribute
@@ -144,7 +144,7 @@ def test_multi_chunk_scores_bit_identical_to_dense():
     for start, k_chunk in cache.context_blocks(0, kind="k"):
         width = min(k_chunk.shape[2], total - start)
         chunks.append(q @ k_chunk[:, :, :width].transpose(0, 1, 3, 2))
-    k_dense, _ = cache._context(0)
+    k_dense, _ = dense_context(cache, 0)
     np.testing.assert_array_equal(np.concatenate(chunks, axis=-1),
                                   q @ k_dense.transpose(0, 1, 3, 2))
 
@@ -154,7 +154,7 @@ def test_write_token_returns_none():
     k = rng.standard_normal((3, HEADS, 1, HEAD_DIM)).astype(np.float32)
     positions = cache._row_len.copy()
     assert cache.write_token(0, k, k.copy(), positions) is None
-    got_k, _ = cache._context(0)
+    got_k, _ = dense_context(cache, 0)
     np.testing.assert_array_equal(
         got_k[np.arange(3), :, positions], k[:, :, 0])
 
@@ -217,7 +217,7 @@ def test_prefill_attention_matches_dense_reference(cls):
     for layer in range(cache.num_layers):
         got = block_prefill_attention(q, cache, layer, kv_mask=kv_mask)
         assert got.dtype == np.float32
-        k, v = cache._context(layer)
+        k, v = dense_context(cache, layer)
         want = reference_attention(q, k, v, kv_mask)
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-6)
 

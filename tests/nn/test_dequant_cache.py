@@ -10,6 +10,7 @@ budget and the disabled-cache round-trip.
 import numpy as np
 
 from repro.nn.paged_kv_cache import DequantBlockCache, QuantizedPagedKVCache
+from tests.kv_oracle import dense_context
 
 HEADS, HEAD_DIM, BS = 2, 8, 4
 
@@ -76,7 +77,7 @@ def test_free_rows_invalidates_and_recycled_block_rereads_fresh():
         cache.prefill_rows(layer, k2, v2, np.array([0]), np.array([0]),
                            np.array([seq]))
     got = read_context(cache)
-    np.testing.assert_array_equal(got, cache._context(0)[0])
+    np.testing.assert_array_equal(got, dense_context(cache, 0)[0])
 
 
 def test_payload_rewrite_invalidates_entry():
@@ -133,7 +134,8 @@ def test_disabled_cache_round_trips_through_block_path():
     for layer in range(cache.num_layers):
         for index, kind in enumerate(("k", "v")):
             got = read_context(cache, layer, kind)
-            np.testing.assert_array_equal(got, cache._context(layer)[index])
+            np.testing.assert_array_equal(got,
+                                          dense_context(cache, layer)[index])
             np.testing.assert_array_equal(
                 got, read_context(memoised, layer, kind))
         np.testing.assert_array_equal(

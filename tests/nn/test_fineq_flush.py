@@ -16,6 +16,7 @@ from repro.nn.paged_kv_cache import (DequantBlockCache,
                                      QuantizedPagedKVCache,
                                      dequantize_kv_channels,
                                      quantize_kv_block)
+from tests.kv_oracle import dense_context
 
 LAYERS, BATCH, HEADS, HEAD_DIM = 3, 4, 2, 4
 
@@ -52,7 +53,7 @@ class Session:
         for i, cache in enumerate(self.caches):
             for layer in range(LAYERS):
                 got = read(cache, layer, rows)
-                want = cache._context(layer, rows)
+                want = dense_context(cache, layer, rows)
                 assert got[0].tobytes() == want[0].tobytes()
                 assert got[1].tobytes() == want[1].tobytes()
             self.streamed[i] += cache.take_read_stats().streamed_bytes
@@ -248,7 +249,8 @@ def test_lagging_layer_flushes_on_its_own_crossing(stepwise_fineq_cache,
         assert_same_storage(cache, want)
         assert_memo_coherent(cache)
         for layer in range(LAYERS):
-            got, ref = read(cache, layer, rows), want._context(layer, rows)
+            got, ref = read(cache, layer, rows), dense_context(want, layer,
+                                                               rows)
             assert got[0].tobytes() == ref[0].tobytes()
             assert got[1].tobytes() == ref[1].tobytes()
 

@@ -10,6 +10,7 @@ from repro.nn.kv_cache import KVCache
 from repro.nn.paged_kv_cache import (PagedKVCache, QuantizedPagedKVCache,
                                      dequantize_kv_channels,
                                      quantize_kv_block)
+from tests.kv_oracle import dense_context
 
 
 def random_kv(rng, batch, heads, seq, head_dim):
@@ -29,15 +30,20 @@ def prefill(cache, layer, k, v, rows, lens=None):
 # ---------------------------------------------------------------------- #
 # FP32 paged cache vs the rectangular reference
 # ---------------------------------------------------------------------- #
-def test_append_matches_rectangular_cache_across_block_boundaries():
-    """Gathered paged context is value-identical to the rectangular cache."""
+def test_spans_match_rectangular_cache_across_block_boundaries():
+    """Uniform span writes gather value-identical to the rectangular
+    cache's appends."""
     rng = np.random.default_rng(0)
     paged = PagedKVCache(2, batch=2, block_size=4, initial_blocks=2)
     rect = KVCache(2, batch=2, initial_capacity=4)
+    rows = np.arange(2)
     for seq in (3, 1, 2, 5, 8, 1, 9):  # crosses many block boundaries
         for layer in range(2):
             k, v = random_kv(rng, 2, 3, seq, 8)
-            got_k, got_v = paged.append(layer, k, v)
+            paged.prefill_rows(layer, k, v, rows,
+                               np.full(2, paged.layer_len(layer)),
+                               np.full(2, seq))
+            got_k, got_v = dense_context(paged, layer)
             want_k, want_v = rect.append(layer, k, v)
             np.testing.assert_array_equal(got_k, want_k)
             np.testing.assert_array_equal(got_v, want_v)
@@ -52,13 +58,13 @@ def test_write_token_matches_rectangular_cache():
     paged = PagedKVCache(1, batch=3, block_size=4)
     rect = KVCache(1, batch=3, initial_capacity=4)
     k0, v0 = random_kv(rng, 3, 2, 4, 8)
-    paged.append(0, k0, v0)
+    prefill(paged, 0, k0, v0, np.arange(3))
     rect.append(0, k0, v0)
     positions = np.array([4, 4, 4])
     for _ in range(6):  # rows advance together across the block boundary
         k1, v1 = random_kv(rng, 3, 2, 1, 8)
         assert paged.write_token(0, k1, v1, positions) is None
-        got_k, got_v = paged._context(0)
+        got_k, got_v = dense_context(paged, 0)
         want_k, want_v = rect.append(0, k1, v1)
         np.testing.assert_array_equal(got_k, want_k)
         np.testing.assert_array_equal(got_v, want_v)
@@ -74,7 +80,7 @@ def test_write_token_ragged_positions():
     k1, v1 = random_kv(rng, 3, 2, 1, 8)
     positions = np.array([6, 0, 0])
     cache.write_token(0, k1, v1, positions)
-    got_k, _ = cache._context(0)
+    got_k, _ = dense_context(cache, 0)
     assert got_k.shape[2] == 7
     np.testing.assert_array_equal(got_k[0, :, 6], k1[0, :, 0])
     np.testing.assert_array_equal(got_k[1, :, 0], k1[1, :, 0])
@@ -85,13 +91,13 @@ def test_prefill_rows_fills_a_freed_subset():
     rng = np.random.default_rng(3)
     cache = PagedKVCache(1, batch=4, block_size=4)
     k0, v0 = random_kv(rng, 4, 2, 6, 8)
-    cache.append(0, k0, v0)
+    prefill(cache, 0, k0, v0, np.arange(4))
     k1, v1 = random_kv(rng, 2, 2, 3, 8)
     cache.free_rows(np.array([1, 3]))
     prefill(cache, 0, k1, v1, np.array([1, 3]))
     cache.write_token(0, *random_kv(rng, 4, 2, 1, 8),
                       positions=np.array([6, 3, 6, 3]))
-    got_k, _ = cache._context(0)
+    got_k, _ = dense_context(cache, 0)
     np.testing.assert_array_equal(got_k[1, :, :3], k1[0])
     np.testing.assert_array_equal(got_k[3, :, :3], k1[1])
     np.testing.assert_array_equal(got_k[0, :, :6], k0[0])
@@ -120,7 +126,7 @@ def test_free_rows_returns_blocks_and_slots_are_reused():
     assert cache.allocated_bytes() == pool_before
     cache.write_token(0, *random_kv(rng, 2, 2, 1, 8),
                       positions=np.array([12, 0]))
-    got_k, _ = cache._context(0)
+    got_k, _ = dense_context(cache, 0)
     np.testing.assert_array_equal(got_k[0, :, :12], k2[0])
 
 
@@ -128,7 +134,8 @@ def test_pool_grows_when_free_list_runs_dry():
     rng = np.random.default_rng(5)
     cache = PagedKVCache(1, batch=1, block_size=2, initial_blocks=1)
     k, v = random_kv(rng, 1, 1, 9, 4)
-    got_k, _ = cache.append(0, k, v)
+    prefill(cache, 0, k, v, np.array([0]))
+    got_k, _ = dense_context(cache, 0)
     np.testing.assert_array_equal(got_k, k)
     assert cache.blocks_in_use() == 5
     assert cache.allocated_bytes() >= cache.used_bytes()
@@ -154,7 +161,7 @@ def test_used_bytes_counts_cached_tokens():
     cache = PagedKVCache(2, batch=1, block_size=4)
     k = np.ones((1, 2, 5, 8), dtype=np.float32)
     for layer in range(2):
-        cache.append(layer, k, k.copy())
+        prefill(cache, layer, k, k.copy(), np.array([0]))
     # 2 layers x K+V x 5 tokens x heads x head_dim x fp32.
     assert cache.used_bytes() == 2 * 2 * 5 * 2 * 8 * 4
 
@@ -164,7 +171,7 @@ def test_boundary_at_large_positions():
     cache = PagedKVCache(1, batch=1, block_size=16)
     k = np.ones((1, 2, 1, 4), dtype=np.float32)
     cache.write_token(0, k, k.copy(), np.array([511]))
-    got_k, _ = cache._context(0)
+    got_k, _ = dense_context(cache, 0)
     assert got_k.shape[2] == 512
     assert cache.blocks_in_use() == 32
     np.testing.assert_array_equal(got_k[0, :, 511], k[0, :, 0])
@@ -210,7 +217,7 @@ def test_quantized_block_roundtrip_matches_reference():
     # Writing the first token of block 1 flushes (quantizes) block 0.
     k1, v1 = random_kv(rng, 1, heads, 1, head_dim)
     cache.write_token(0, k1, v1, np.array([bs]))
-    got_k, got_v = cache._context(0)
+    got_k, got_v = dense_context(cache, 0)
     np.testing.assert_allclose(got_k[0, :, :bs],
                                reference_block_reconstruction(k[0]),
                                rtol=0, atol=1e-6)
@@ -241,7 +248,7 @@ def test_quantized_buffer_is_exact_until_block_fills():
         k, v = random_kv(rng, 2, 2, 1, 4)
         kept.append(k)
         cache.write_token(0, k, v, np.full(2, position))
-        got_k, _ = cache._context(0)
+        got_k, _ = dense_context(cache, 0)
         for t, want in enumerate(kept):
             np.testing.assert_array_equal(got_k[:, :, t], want[:, :, 0])
     assert cache.blocks_in_use() == 0  # nothing flushed yet
@@ -272,7 +279,7 @@ def test_quantized_free_and_reuse():
     prefill(cache, 0, k2, v2, np.array([0]))
     cache.write_token(0, *random_kv(rng, 1, 2, 1, 4),
                       positions=np.array([5]))
-    got_k, _ = cache._context(0)
+    got_k, _ = dense_context(cache, 0)
     np.testing.assert_array_equal(got_k[0, :, 4:5], k2[0, :, 4:5])
 
 
@@ -287,7 +294,7 @@ def test_prefill_rows_ragged_lengths_account_true_tokens():
     assert cache.blocks_in_use() == 2 + 3  # ceil(5/4) + ceil(10/4)
     cache.write_token(0, *random_kv(rng, 2, 2, 1, 8),
                       positions=np.array([5, 10]))
-    got_k, _ = cache._context(0)
+    got_k, _ = dense_context(cache, 0)
     np.testing.assert_array_equal(got_k[0, :, :5], k[0, :, :5])
     np.testing.assert_array_equal(got_k[1, :, :10], k[1])
 
@@ -306,17 +313,10 @@ def test_quantized_ragged_prefill_keeps_overlay_aligned():
     # Decode one token per row at each row's true next position.
     k1, v1 = random_kv(rng, 2, 2, 1, 8)
     cache.write_token(0, k1, v1, np.array([5, 10]))
-    got_k, _ = cache._context(0)
+    got_k, _ = dense_context(cache, 0)
     # The freshly written tokens are visible at their true positions...
     np.testing.assert_array_equal(got_k[0, :, 5], k1[0, :, 0])
     np.testing.assert_array_equal(got_k[1, :, 10], k1[1, :, 0])
     # ...and each row's buffered (not yet quantized) tokens stay exact.
     np.testing.assert_array_equal(got_k[0, :, 4], k[0, :, 4])
     np.testing.assert_array_equal(got_k[1, :, 8:10], k[1, :, 8:10])
-
-
-def test_quantized_append_requires_single_token():
-    cache = QuantizedPagedKVCache(1, batch=1, block_size=4)
-    k = np.ones((1, 2, 3, 4), dtype=np.float32)
-    with pytest.raises(NotImplementedError):
-        cache.append(0, k, k.copy())

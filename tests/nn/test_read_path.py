@@ -3,7 +3,7 @@
 Generative: random sessions on both backends — ragged spans, sub-batch
 and clone-row decodes, rollbacks, cancels, shared and copied blocks,
 pool growth — with every chunk of every read shape compared, bit for
-bit, against the dense ``_context`` gather computed on a *fresh*
+bit, against the dense-gather oracle computed on a *fresh*
 resolution, after each mutation.  A resolution the mutation should have
 cleared but did not therefore shows up as a wrong chunk.
 
@@ -22,17 +22,18 @@ from repro.nn.block_attention import (block_decode_attention,
                                       block_prefill_attention)
 from repro.nn.paged_kv_cache import (DEFAULT_DEQUANT_CACHE_BYTES, KVReadStats,
                                      PagedKVCache, QuantizedPagedKVCache)
+from tests import kv_oracle
 
 LAYERS, BATCH, HEADS, HEAD_DIM, BS = 2, 4, 2, 4, 4
 ENTRY_BYTES = 2 * HEADS * BS * HEAD_DIM * 4     # one dequant-memo entry
 
 
 def dense_context(cache, layer, rows):
-    """``_context`` on a fresh resolution: the oracle must not read the
+    """The oracle on a fresh resolution: it must not read the
     memo the chunk reads are being checked against."""
     saved, cache._ids_memo = cache._ids_memo, {}
     try:
-        return cache._context(layer, rows)
+        return kv_oracle.dense_context(cache, layer, rows)
     finally:
         cache._ids_memo = saved
 

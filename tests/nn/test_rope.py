@@ -79,7 +79,7 @@ def test_rejects_overflow_position(rope):
 
 
 def test_tables_are_views_and_nothing_is_memoised(rope):
-    """A long generate / cached_perplexity session visits O(max_seq_len^2)
+    """Generate sessions over every prompt length visit O(max_seq_len^2)
     distinct (offset, seq) pairs; lookups must leave no state behind."""
     before = set(vars(rope))
     for offset in range(32):

@@ -16,6 +16,7 @@ from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
 from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
 from repro.serve import GenerationEngine, PrefixStore, SamplingParams
+from tests.kv_oracle import dense_context
 
 VOCAB = 64
 
@@ -313,13 +314,13 @@ def test_quantized_partial_prompt_block_stays_fp32_exact():
     lens = np.array([21, 11])  # partial fills of 5 and 3
     cache.prefill_rows(0, k, v, rows=np.array([0, 1]),
                        starts=np.array([0, 0]), row_lengths=lens)
-    kc, _ = cache._context(0)
+    kc, _ = dense_context(cache, 0)
     np.testing.assert_array_equal(kc[0, :, 16:21], k[0, :, 16:21])
     np.testing.assert_array_equal(kc[1, :, 8:11], k[1, :, 8:11])
     # Suffix continuation through prefill_rows obeys the same rule.
     ks = rng.standard_normal((1, 2, 4, 4)).astype(np.float32)
     cache.prefill_rows(0, ks, ks, rows=np.array([1]),
                        starts=np.array([11]), row_lengths=np.array([4]))
-    kc, _ = cache._context(0, rows=np.array([1]))
+    kc, _ = dense_context(cache, 0, rows=np.array([1]))
     np.testing.assert_array_equal(kc[0, :, 8:15], np.concatenate(
         [k[1, :, 8:11], ks[0]], axis=1))

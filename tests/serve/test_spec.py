@@ -16,6 +16,7 @@ from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
 from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
 from repro.serve import GenerationEngine, SamplingParams, SpeculativeConfig
+from tests.kv_oracle import dense_context
 
 VOCAB = 64
 BACKENDS = ("paged", "fineq")
@@ -294,8 +295,8 @@ def test_truncate_rows_quantized_keeps_buffered_block():
     fill_row(mirror, 0, 3, seed=4, start=9)   # never speculated
     np.testing.assert_array_equal(cache._buf_k[0][0], mirror._buf_k[0][0])
     np.testing.assert_array_equal(cache._buf_v[0][0], mirror._buf_v[0][0])
-    k_got, v_got = cache._context(0)
-    k_want, v_want = mirror._context(0)
+    k_got, v_got = dense_context(cache, 0)
+    k_want, v_want = dense_context(mirror, 0)
     np.testing.assert_array_equal(k_got, k_want)
     np.testing.assert_array_equal(v_got, v_want)
 
@@ -308,11 +309,11 @@ def test_truncate_rows_quantized_refuses_to_roll_into_a_flushed_block():
     fill_row(cache, 0, 6, seed=5)             # 1 flushed block + 2 buffered
     fill_row(cache, 0, 4, seed=6, start=6)    # crosses the 8-token boundary
     assert int(cache._blocks_per_row[0]) == 2  # second block flushed
-    before = [a.copy() for a in cache._context(0)]
+    before = [a.copy() for a in dense_context(cache, 0)]
     with pytest.raises(ValueError, match="below its buffered block"):
         cache.truncate_rows([0], [6])
     assert cache._row_len[0] == 10 and int(cache._blocks_per_row[0]) == 2
-    for got, want in zip(cache._context(0), before):
+    for got, want in zip(dense_context(cache, 0), before):
         np.testing.assert_array_equal(got, want)
     # Inside the buffered block, to the row's own length, and to zero
     # (dropping the row) all stay legal.
@@ -333,10 +334,10 @@ def test_truncate_rows_to_current_length_keeps_an_eagerly_flushed_block():
             for _ in range(2))
     cache.prefill_rows(0, k, v, np.array([0]), np.array([0]), np.array([8]))
     assert int(cache._blocks_per_row[0]) == 2
-    before = [a.copy() for a in cache._context(0)]
+    before = [a.copy() for a in dense_context(cache, 0)]
     cache.truncate_rows([0], [8])
     assert int(cache._blocks_per_row[0]) == 2 and cache._row_len[0] == 8
-    for got, want in zip(cache._context(0), before):
+    for got, want in zip(dense_context(cache, 0), before):
         np.testing.assert_array_equal(got, want)
 
 
