@@ -6,9 +6,10 @@ import gc
 import pytest
 from hypothesis import settings
 
-# Hypothesis profiles.  Every ``@given`` test sets its own example count;
-# the profile's budget is what the engine state machine
-# (tests/serve/test_engine_state_machine.py) runs under: ``default``
+# Hypothesis profiles.  Most ``@given`` tests set their own example
+# count; the profile's budget is what the engine state machine
+# (tests/serve/test_engine_state_machine.py) runs under, and the paged
+# caches' two property tests run a fraction of it: ``default``
 # keeps it well inside 20 s for both backends and runs the same examples
 # on every machine and every run (derandomized, no example database — a
 # failure found on a laptop is the failure CI sees); ``soak``

@@ -1,8 +1,9 @@
-"""The quantized KV cache's memo of dequantized blocks.
+"""The memo of dequantized blocks the FineQ block codec reads through.
 
-Moved out of :mod:`repro.nn.paged_kv_cache`, which imports
-:class:`DequantBlockCache` back for :class:`~repro.nn.paged_kv_cache
-.QuantizedPagedKVCache`'s reads and flushes.
+:class:`~repro.nn.kv_codec.FineQCodec` serves every sealed-block read of
+a :class:`~repro.nn.paged_kv_cache.QuantizedPagedKVCache` from a
+:class:`DequantBlockCache`, and its seals write their dequantized values
+through into it.
 """
 
 from __future__ import annotations

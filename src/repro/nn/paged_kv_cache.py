@@ -11,23 +11,16 @@ the *sum of live tokens* (rounded up to blocks) instead of
 ``batch x max_len`` — the PagedAttention discipline, scaled down to
 numpy.
 
-Two variants share one interface — span/token writes that return
-nothing and block-table reads for :mod:`repro.nn.block_attention` — so
-attention, the engine and ``cached_perplexity`` are agnostic to which
-one is threaded through:
-
-* :class:`PagedKVCache` stores blocks in FP32.  Reads return the same
-  float values a rectangular cache would, so greedy engine output stays
-  token-identical to the sequential path.
-* :class:`QuantizedPagedKVCache` stores *full* blocks in the FineQ
-  weight format of :mod:`repro.core` — cluster-of-3 codes packed at 6
-  bits per cluster with a shared 2-bit pair index and one FP16 scale per
-  ``(head, dim)`` channel, clustered along the token axis — extending
-  the paper's 2.33-bit memory story from weights to the KV cache.  The
-  newest (current) block of every row stays in an FP32 write buffer and
-  is quantized wholesale once the row starts its next block, so decode
-  always reads exact values for the freshest ``<= block_size`` tokens
-  and FineQ reconstructions for older context.
+One cache, two block codecs (:mod:`repro.nn.kv_codec`): the cache
+defines once what every format shares — block tables, reference counts,
+row lengths, sharing, rollback, byte accounting — and the codec it is
+built with owns the block storage and the write and read paths over it.
+:class:`PagedKVCache` stores FP32 blocks, so reads return the float
+values a rectangular cache would and greedy engine output stays
+token-identical to the sequential path.  :class:`QuantizedPagedKVCache`
+seals full blocks in the paper's 2.33-bit FineQ format and keeps every
+row's newest block in an FP32 write buffer.  Attention, the engine and
+``cached_perplexity`` call the same methods on either.
 
 Block tables are shared across layers (block ``i`` of a row addresses
 every layer's pool), which keeps allocation single-sourced while the
@@ -41,37 +34,18 @@ alias one physical block into many rows' tables (vLLM-style prefix
 sharing): :meth:`PagedKVCache.ref_blocks` / :meth:`release_blocks` move
 the count, :meth:`adopt_prefix` points a fresh row at an already-written
 block chain, :meth:`share_block` hands out a reference to a row's block
-(quantized caches freeze the FP32 write buffer into a pool block first),
-and :meth:`copy_block` is the FP32 copy-on-write primitive used when a
-new request diverges *inside* a partially-filled shared block (the
-quantized cache dequantizes the shared tail into its write buffer
-instead and never copies a pool block).  A block
+(a buffered current block is sealed into a pool block first), and a new
+request that diverges *inside* a partially-filled shared block adopts
+it copy-on-write (:meth:`copy_block` on FP32; the FineQ codec
+dequantizes the shared tail into its write buffer instead).  A block
 returns to the free list only when its last reference drops, so retiring
 or cancelling a reader frees exactly the blocks it owned exclusively.
 
 One read path (the dense whole-context gather the chunks are pinned
-against is a tests-only oracle):
-
-* :meth:`context_blocks` iterates the rows' context chunk by chunk
-  (``chunk_blocks`` blocks at a time) for
-  :mod:`repro.nn.block_attention` — the serving engine's read, so
-  neither decode nor prefill materialises the dense copy.  A chunk is
-  *one* copy per operand: the pool is indexed through its free
-  ``(blocks * heads, block, head_dim)`` view with ``id * heads + head``,
-  so a single ``take`` lands ``(rows, heads, blocks, block, head_dim)``
-  and the ``(rows, heads, tokens, head_dim)`` array attention multiplies
-  is a reshape view of it.  On the quantized cache the gather reads
-  dequantized blocks through a
-  :class:`~repro.nn.dequant_cache.DequantBlockCache`: quantized
-  pool blocks are immutable once written (writes go through the FP32
-  buffer; COW copies get fresh ids), so a block's dequantized values
-  are memoised by ``(layer, block id)`` under a byte budget with LRU
-  eviction, filled by the flush that quantizes the block
-  (write-through) or by the first read that misses, and invalidated
-  whenever a payload is rewritten or the block is freed.  A shared
-  system-prompt block therefore dequantizes once per step across all
-  its readers — and once *ever* while it stays cache-resident —
-  instead of ``batch x layers x steps`` times.
+against is a tests-only oracle): :meth:`context_blocks` iterates the
+rows' context chunk by chunk (``chunk_blocks`` blocks at a time) for
+:mod:`repro.nn.block_attention`, so neither decode nor prefill
+materialises the dense copy.
 
 One resolution per forward: a model forward writes and reads every layer
 with the same ``rows`` and positions against one block table, so what
@@ -89,9 +63,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.packing import CLUSTERS_PER_GROUP, GROUP_BYTES
-from repro.nn.dequant_cache import DequantBlockCache
-from repro.nn.kv_codec import dequantize_kv_channels, quantize_kv_block
+# DequantBlockCache and the kernels are imported for their names here:
+# perfbench resolves its dequant and flush-quantize spans in this module.
+from repro.nn.dequant_cache import DequantBlockCache  # noqa: F401
+from repro.nn.kv_codec import (FineQCodec, FP32Codec,  # noqa: F401
+                               quantize_kv_block)
 
 #: Tokens per cache block (vLLM's default granularity).
 DEFAULT_BLOCK_SIZE = 16
@@ -143,7 +119,8 @@ def _blocks_needed(tokens: int | np.ndarray, block_size: int):
 
 
 class PagedKVCache:
-    """Block-pooled FP32 K/V storage with per-row block tables.
+    """Block-pooled K/V storage with per-row block tables (FP32 blocks;
+    :class:`QuantizedPagedKVCache` is the FineQ-format build).
 
     Parameters
     ----------
@@ -206,10 +183,9 @@ class PagedKVCache:
         # mutation clears it (see _invalidate_ids_memo), and so does a
         # write it has not seen: that one moves row lengths.
         self._ids_memo: dict[tuple, object] = {}
-        # The two buffers (K, V) the FP32 chunk reads gather into (see
-        # _chunk_buffers).
-        self._chunk_scratch = np.empty((2, 0), dtype=np.float32)
         self._read_stats = KVReadStats()
+        #: The block codec: storage and the write/read paths over it.
+        self.codec = FP32Codec(self)
 
     # ------------------------------------------------------------------ #
     # storage management
@@ -217,23 +193,8 @@ class PagedKVCache:
     def _init_storage(self, like: np.ndarray) -> None:
         self._heads = int(like.shape[1])
         self._head_dim = int(like.shape[3])
-        self._setup_layers()
+        self.codec.setup()
         self._grow_pool(max(self.initial_blocks, 1))
-
-    def _window_floats(self, n: int) -> int:
-        """Floats in one operand's chunk window for ``n`` reader rows."""
-        return n * self._heads * self.chunk_blocks * self.block_size \
-            * self._head_dim
-
-    def _chunk_buffers(self, n: int) -> np.ndarray:
-        """The two reusable chunk buffers: one window each for the
-        cache's batch, allocated at the first read (reading more rows
-        than the cache has — repeated ``rows`` — is the only case that
-        reallocates)."""
-        floats = self._window_floats(max(n, self.batch))
-        if self._chunk_scratch.shape[1] < floats:
-            self._chunk_scratch = np.empty((2, floats), dtype=np.float32)
-        return self._chunk_scratch
 
     def _check_batch(self, data: np.ndarray) -> None:
         if data.shape[0] != self.batch:
@@ -252,29 +213,20 @@ class PagedKVCache:
                              f"got {data.shape[0]} k/v entries")
         return row_idx
 
-    def _setup_layers(self) -> None:
-        self._pool_k: list[np.ndarray | None] = [None] * self.num_layers
-        self._pool_v: list[np.ndarray | None] = [None] * self.num_layers
-
     def _grow_pool(self, new_total: int) -> None:
-        for layer in range(self.num_layers):
-            self._grow_layer(layer, new_total)
+        for pools in self.codec.block_pools:
+            for layer, old in enumerate(pools):
+                # Zero-filled on purpose: stale/padded block reads must
+                # stay finite so masked rows contribute exact zeros,
+                # never NaNs.
+                new = np.zeros((new_total,) + old.shape[1:], dtype=old.dtype)
+                new[:len(old)] = old
+                pools[layer] = new
         self._free.extend(range(self._total_blocks, new_total))
         counts = np.zeros(new_total, dtype=np.int64)
         counts[:len(self._refcount)] = self._refcount
         self._refcount = counts
         self._total_blocks = new_total
-
-    def _grow_layer(self, layer: int, new_total: int) -> None:
-        shape = (new_total, self._heads, self.block_size, self._head_dim)
-        for pool in (self._pool_k, self._pool_v):
-            old = pool[layer]
-            # Zero-filled on purpose: stale/padded block reads must stay
-            # finite so masked rows contribute exact zeros, never NaNs.
-            new = np.zeros(shape, dtype=np.float32)
-            if old is not None:
-                new[:old.shape[0]] = old
-            pool[layer] = new
 
     def _take_block(self) -> int:
         if not self._free:
@@ -288,22 +240,21 @@ class PagedKVCache:
         """Invalidate the memoised (rows -> block ids) resolutions."""
         self._ids_memo.clear()
 
-    def _on_block_freed(self, block: int) -> None:
-        """Hook: ``block`` just returned to the free list (last reference
-        dropped).  The quantized cache invalidates its dequant memo here."""
+    def _widen_tables(self, blocks: int) -> None:
+        """Make room for ``blocks`` table entries per row (doubling)."""
+        width = self._tables.shape[1]
+        if blocks > width:
+            wider = np.zeros((self.batch, max(blocks, 2 * width)),
+                             dtype=np.int64)
+            wider[:, :width] = self._tables
+            self._tables = wider
 
     def _ensure_row_blocks(self, rows: np.ndarray, needed: np.ndarray) -> None:
         """Grow block tables so each of ``rows`` owns ``needed`` blocks."""
         if np.all(needed <= self._blocks_per_row[rows]):
             return  # steady-state decode: no row crossed a block boundary
         self._invalidate_ids_memo()
-        width = self._tables.shape[1]
-        max_needed = int(np.max(needed, initial=0))
-        if max_needed > width:
-            wider = np.zeros((self.batch, max(max_needed, 2 * width)),
-                             dtype=np.int64)
-            wider[:, :width] = self._tables
-            self._tables = wider
+        self._widen_tables(int(np.max(needed, initial=0)))
         for row, need in zip(np.asarray(rows).reshape(-1), np.asarray(needed).reshape(-1)):
             have = int(self._blocks_per_row[row])
             while have < need:
@@ -319,11 +270,13 @@ class PagedKVCache:
         it owned exclusively — the shared chain stays resident for the
         prefix store and its other readers.
         """
-        for row in np.asarray(rows, dtype=np.int64).reshape(-1):
+        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+        for row in rows:
             count = int(self._blocks_per_row[row])
             self.release_blocks(self._tables[row, :count])
             self._blocks_per_row[row] = 0
             self._row_len[row] = 0
+        self.codec.shrink(rows)
         self._invalidate_ids_memo()
 
     def free_blocks(self) -> int:
@@ -355,7 +308,7 @@ class PagedKVCache:
             self._refcount[block] -= 1
             if self._refcount[block] == 0:
                 self._free.append(block)
-                self._on_block_freed(block)
+                self.codec.freed(block)
 
     def block_refcount(self, block_id: int) -> int:
         """Current reference count of one block (0 = on the free list)."""
@@ -365,34 +318,40 @@ class PagedKVCache:
         """Copy-on-write primitive: duplicate ``src`` across every layer.
 
         Returns a fresh block (one reference, owned by the caller) whose
-        K/V payload equals ``src``'s at copy time.  Used when a request
-        diverges inside a partially-filled shared block: the writer gets
-        a private copy, other readers keep the original.  FP32 pools
-        only — the quantized format's COW is :meth:`_adopt_tail`.
+        stored payload equals ``src``'s at copy time.  The FP32 codec
+        adopts a shared partial tail through it: the writer gets a
+        private copy, other readers keep the original.
         """
         dst = self._take_block()
-        for layer in range(self.num_layers):
-            for pool in (self._pool_k, self._pool_v):
-                pool[layer][dst] = pool[layer][src]
+        for pools in self.codec.block_pools:
+            for pool in pools:
+                pool[dst] = pool[src]
         return dst
 
     def share_block(self, row: int, depth: int, fill: int) -> int:
         """Reference block ``depth`` of ``row`` for sharing; returns its id.
 
         ``fill`` is how many leading tokens of the block the caller will
-        advertise (``block_size`` for a full block).  The FP32 cache can
-        hand out the live block directly — the first ``fill`` slots are
-        prompt content and are never rewritten; later slots may keep
-        mutating under the owning row's decode, so consumers of a partial
-        block must copy-on-write before trusting slots ``>= fill``.
-        The caller owns one reference on the returned id.
+        advertise (``block_size`` for a full block); it must be tokens
+        the row has written there, ``0 < fill <= min(block_size,
+        row length - depth * block_size)``.  A pool block is handed out
+        directly — the first ``fill`` slots are prompt content and are
+        never rewritten; later slots of an FP32 block may keep mutating
+        under the owning row's decode, so consumers of a partial block
+        must copy-on-write before trusting slots ``>= fill``.  A current
+        block the codec buffers is sealed into a fresh pool block
+        (:meth:`~repro.nn.kv_codec.FineQCodec.seal_current`).  The
+        caller owns one reference on the returned id.
         """
-        if depth >= self._blocks_per_row[row]:
-            raise ValueError(f"row {row} owns {self._blocks_per_row[row]} "
-                             f"blocks; cannot share depth {depth}")
-        block = int(self._tables[row, depth])
-        self.ref_blocks([block])
-        return block
+        held = int(self._row_len[row]) - depth * self.block_size
+        if not 0 < fill <= min(self.block_size, held):
+            raise ValueError(f"row {row} holds {max(held, 0)} tokens at "
+                             f"block {depth}; cannot share {fill}")
+        if depth < self._blocks_per_row[row]:
+            block = int(self._tables[row, depth])
+            self.ref_blocks([block])
+            return block
+        return self.codec.seal_current(row, fill)
 
     def adopt_prefix(self, row: int, full_ids, tail_id: int | None = None,
                      tail_keep: int = 0) -> int:
@@ -401,9 +360,9 @@ class PagedKVCache:
         ``full_ids`` are full shared blocks adopted *by reference*;
         ``tail_id`` (optional) is a partially-filled shared block whose
         first ``tail_keep`` tokens the row reuses — adopted copy-on-write
-        through the format's :meth:`_adopt_tail`, since the row will keep
-        writing into that block.  Returns the row's resulting token
-        length.
+        through the codec (:meth:`~repro.nn.kv_codec.FP32Codec.adopt`),
+        since the row will keep writing into that block.  Returns the
+        row's resulting token length.
         """
         if self._blocks_per_row[row] != 0:
             raise ValueError(f"row {row} still owns blocks; free it first")
@@ -415,27 +374,14 @@ class PagedKVCache:
         full_ids = [int(b) for b in np.asarray(full_ids,
                                                dtype=np.int64).reshape(-1)]
         self.ref_blocks(full_ids)
-        ids = list(full_ids)
-        if tail_id is not None:
-            ids += self._adopt_tail(row, tail_id, tail_keep)
-        width = self._tables.shape[1]
-        if len(ids) > width:
-            wider = np.zeros((self.batch, max(len(ids), 2 * width)),
-                             dtype=np.int64)
-            wider[:, :width] = self._tables
-            self._tables = wider
+        length = len(full_ids) * self.block_size + tail_keep
+        ids = full_ids + self.codec.adopt(row, tail_id, length)
+        self._widen_tables(len(ids))
         self._tables[row, :len(ids)] = ids
         self._blocks_per_row[row] = len(ids)
         self._invalidate_ids_memo()
-        length = len(full_ids) * self.block_size + tail_keep
         self._row_len[row] = length
         return length
-
-    def _adopt_tail(self, row: int, tail_id: int, tail_keep: int
-                    ) -> list[int]:
-        """COW the shared tail into private writable storage; returns any
-        blocks to append to the row's chain.  FP32: a block copy."""
-        return [self.copy_block(tail_id)]
 
     def trim(self, max_len: int) -> None:
         """Clamp the logical context width to ``max_len`` time steps.
@@ -458,15 +404,26 @@ class PagedKVCache:
         (not zeroing) any block the kept prefix no longer reaches.
         Release honours refcounts, so a shared-prefix block merely loses
         this row's reference and is never mutated for its other readers;
-        a block whose last reference drops returns to the free list,
-        which also invalidates any dequantized memo of it
-        (:meth:`_on_block_freed`).  Slots beyond ``lengths`` inside the
-        kept blocks keep their stale values — per-row masks hide them
-        and later writes overwrite them, the same contract stale table
-        slots already live under.
+        a block whose last reference drops returns to the free list
+        (and the codec hears of it).  Slots beyond ``lengths`` inside
+        the kept blocks keep their stale values — per-row masks hide
+        them and later writes overwrite them, the same contract stale
+        table slots already live under.
+
+        A buffering codec's sealed blocks are lossy, so its rows roll
+        back only inside their buffered block (dropping the row, ``0``,
+        is always fine); the engine's boundary-chunked verify never asks
+        for more.
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
         lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
+        if self.codec.buffered:
+            for row, keep in zip(rows, lengths):
+                if 0 < keep < self._row_len[row] and (keep - 1) \
+                        // self.block_size < self._blocks_per_row[row]:
+                    raise ValueError(
+                        f"row {row} cannot roll back to {keep} tokens: below "
+                        f"its buffered block, flushed blocks are lossy")
         for row, keep in zip(rows, lengths):
             row, keep = int(row), int(keep)
             if keep < 0:
@@ -474,17 +431,16 @@ class PagedKVCache:
             if keep >= self._row_len[row]:
                 continue  # nothing to roll back
             have = int(self._blocks_per_row[row])
-            need = min(have, self._blocks_kept(keep))
+            # Every block the kept tokens touch stays; past the check
+            # above, a buffered row therefore releases blocks only when
+            # it is dropped.
+            need = min(have, int(_blocks_needed(keep, self.block_size)))
             if need < have:
                 self.release_blocks(self._tables[row, need:have])
                 self._blocks_per_row[row] = need
             self._row_len[row] = keep
+        self.codec.shrink(rows)
         self._invalidate_ids_memo()
-
-    def _blocks_kept(self, keep: int) -> int:
-        """Pool blocks a row still owns at ``keep`` tokens.  FP32 keeps
-        every block the prefix touches — partial blocks live in the pool."""
-        return int(_blocks_needed(keep, self.block_size))
 
     # ------------------------------------------------------------------ #
     # write paths
@@ -504,7 +460,7 @@ class PagedKVCache:
         blocks.  Nothing is read back: attention reads the block table
         through :meth:`context_blocks`.  Where the tokens land is
         resolved by the first layer of a forward
-        (:meth:`_resolve_token_write`); the others only scatter.
+        (:meth:`_resolve_token_write`); the codec scatters every layer.
         """
         positions = np.asarray(positions, dtype=np.int64)
         key = ("token", self._rows_key(rows), positions.tobytes())
@@ -517,24 +473,16 @@ class PagedKVCache:
             self._row_len[row_idx] = np.maximum(self._row_len[row_idx],
                                                 positions + 1)
             plan = self._resolve_token_write(row_idx, positions)
-        self._write_token(layer, k, v, plan)
-        self._ids_memo[key] = plan  # a flush inside the write cleared it
+        self.codec.write_token(layer, k, v, plan[1])
+        self._ids_memo[key] = plan  # a seal inside the write cleared it
         self._lengths[layer] = max(self._lengths[layer], plan[0])
 
     def _resolve_token_write(self, row_idx: np.ndarray,
                              positions: np.ndarray) -> tuple:
-        """A forward's first :meth:`write_token`: grow the rows' block
-        tables and resolve ``(context width, block ids, slots)``."""
-        blocks = positions // self.block_size
-        self._ensure_row_blocks(row_idx, blocks + 1)
-        return (int(positions.max()) + 1, self._tables[row_idx, blocks],
-                positions % self.block_size)
-
-    def _write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
-                     plan: tuple) -> None:
-        _top, ids, slots = plan
-        self._pool_k[layer][ids, :, slots] = k[:, :, 0]
-        self._pool_v[layer][ids, :, slots] = v[:, :, 0]
+        """A forward's first :meth:`write_token`: ``(context width, the
+        codec's plan)``."""
+        return (int(positions.max()) + 1,
+                self.codec.plan_token(row_idx, positions))
 
     def prefill_rows(self, layer: int, k: np.ndarray, v: np.ndarray,
                      rows: np.ndarray, starts: np.ndarray,
@@ -551,8 +499,8 @@ class PagedKVCache:
         back: :func:`repro.nn.block_attention.block_prefill_attention`
         reads the rows' full context (shared prefix + new suffix)
         through :meth:`context_blocks`.  The row/block walk runs once
-        per forward (:meth:`_resolve_span_write`); every layer copies
-        the same segments.
+        per forward (:meth:`_resolve_span_write`); the codec copies the
+        same segments on every layer.
         """
         if self._heads is None:
             self._init_storage(k)
@@ -566,8 +514,8 @@ class PagedKVCache:
             plan = self._resolve_span_write(layer, rows, starts, lens)
             self._row_len[rows] = np.maximum(self._row_len[rows],
                                              starts + lens)
-        self._write_span(layer, k, v, plan)
-        self._ids_memo[key] = plan  # a flush inside the write cleared it
+        self.codec.write_span(layer, k, v, plan[1])
+        self._ids_memo[key] = plan  # a seal inside the write cleared it
         self._lengths[layer] = max(self._lengths[layer], plan[0])
 
     def _span_segments(self, rows: np.ndarray, starts: np.ndarray,
@@ -589,22 +537,10 @@ class PagedKVCache:
 
     def _resolve_span_write(self, layer: int, rows: np.ndarray,
                             starts: np.ndarray, lens: np.ndarray) -> tuple:
-        """A forward's first :meth:`prefill_rows`: grow the block tables
-        and resolve every segment to its pool block.  Returns ``(context
-        width, segments)``."""
-        self._ensure_row_blocks(rows, _blocks_needed(starts + lens,
-                                                     self.block_size))
-        return int((starts + lens).max()), [
-            (j, int(self._tables[row, block]), lo, take, src)
-            for j, row, block, lo, take, src
-            in self._span_segments(rows, starts, lens)]
-
-    def _write_span(self, layer: int, k: np.ndarray, v: np.ndarray,
-                    plan: tuple) -> None:
-        pool_k, pool_v = self._pool_k[layer], self._pool_v[layer]
-        for j, block_id, lo, take, src in plan[1]:
-            pool_k[block_id, :, lo:lo + take] = k[j, :, src:src + take]
-            pool_v[block_id, :, lo:lo + take] = v[j, :, src:src + take]
+        """A forward's first :meth:`prefill_rows`: ``(context width, the
+        codec's plan)``."""
+        return (int((starts + lens).max()),
+                self.codec.plan_span(layer, rows, starts, lens))
 
     # ------------------------------------------------------------------ #
     # read path
@@ -657,35 +593,19 @@ class PagedKVCache:
         return plan
 
     def _resolve_read(self, total: int, rows: np.ndarray | None) -> tuple:
-        """``(reader rows, live tokens, chunks)`` of a ``total``-token
-        read.  Each chunk is ``(first block, index)`` where
-        ``index[r, h, b] = block id * heads + h`` addresses the pool's
-        free ``(blocks * heads, block, head_dim)`` view, so one ``take``
-        lands the chunk as ``(rows, heads, blocks, block, head_dim)`` —
-        the layout attention multiplies, no transposed copy."""
-        nblk = _blocks_needed(total, self.block_size)
-        ids = self._block_ids(nblk, rows)
+        """``(reader rows, the codec's plan)`` of a ``total``-token read
+        over the rows' block ids."""
         row_idx = self._row_index if rows is None \
             else np.asarray(rows, dtype=np.int64)
-        # Streamed bytes count the rows' *real* context tokens, the
-        # population ``used_bytes`` counts (ragged rows also gather
-        # padding blocks, which the accelerator projection must not
-        # charge).
-        live = int(np.minimum(self._row_len[row_idx], total).sum())
-        index = ids[:, None, :] * self._heads \
-            + np.arange(self._heads)[None, :, None]
-        cb = self.chunk_blocks
-        return len(row_idx), live, [
-            (b0, np.ascontiguousarray(index[:, :, b0:b0 + cb]))
-            for b0 in range(0, nblk, cb)]
+        ids = self._block_ids(_blocks_needed(total, self.block_size), rows)
+        return len(row_idx), self.codec.read_plan(total, row_idx, ids)
 
     def context_chunk_pair(self, layer: int, rows: np.ndarray | None = None
                            ) -> tuple[np.ndarray, np.ndarray]:
         """Single-chunk K/V read (context fits one chunk window): the
         one chunk of :meth:`context_blocks`, sliced to the context —
         exactly the values the tests' dense-gather oracle returns.  The
-        arrays live in the cache's chunk buffers and are only valid
-        until the next read.
+        arrays are only valid until the next read.
         """
         total = self._lengths[layer]
         window = self.chunk_blocks * self.block_size
@@ -721,54 +641,18 @@ class PagedKVCache:
         books ``ceil(_reach / window)`` chunks (a short prompt's fixed
         one included), however long other rows have grown.
 
-        One ``take`` per operand gathers the chunk straight into the
-        attended layout (see :meth:`_resolve_read`) in the cache's two
-        chunk buffers — K in one, V in the other, reused by every chunk,
-        layer and step, since fresh ~MB temporaries get trimmed off the
-        heap and page-faulted back in on every call.  A chunk is
-        therefore only valid until the iteration advances.
+        The codec gathers each chunk, one copy per operand, straight
+        into the attended layout (:meth:`~repro.nn.kv_codec.FP32Codec
+        .read` into two buffers it reuses), so a chunk is only valid
+        until the iteration advances.
         """
         total = self._lengths[layer]
         if _reach is not None:
             total = min(total, _reach)
         if total == 0:
             return
-        bs, heads, head_dim = self.block_size, self._heads, self._head_dim
-        n, live, chunks = self._read_plan(total, rows)
-        pools = {"k": ((0, self._pool_k[layer]),),
-                 "v": ((1, self._pool_v[layer]),),
-                 "kv": ((0, self._pool_k[layer]),
-                        (1, self._pool_v[layer]))}[kind]
-        self._read_stats.streamed_bytes += len(pools) * heads * head_dim \
-            * 4 * live
-        buffers = self._chunk_buffers(n)
-        window = self._window_floats(n)
-        cb = self.chunk_blocks
-        for b0, index in chunks:
-            c = index.shape[2]
-            out, scratch = [], 0
-            for slot, pool in pools:
-                view = pool.reshape(-1, bs, head_dim)
-                if pad and c < cb:
-                    part = view.take(index, axis=0)
-                    chunk = buffers[slot, :window].reshape(
-                        n, heads, cb * bs, head_dim)
-                    chunk[:, :, :c * bs] = part.reshape(n, heads, c * bs,
-                                                        head_dim)
-                    chunk[:, :, c * bs:] = 0.0
-                    scratch += part.nbytes
-                else:
-                    # mode="clip" (the ids are valid): the default
-                    # "raise" makes take stage ``out`` through a buffer.
-                    chunk = np.take(
-                        view, index, axis=0, mode="clip",
-                        out=buffers[slot, :index.size * bs * head_dim]
-                        .reshape(index.shape + (bs, head_dim))
-                    ).reshape(n, heads, c * bs, head_dim)
-                scratch += chunk.nbytes
-                out.append(chunk)
-            self._note_scratch(scratch)
-            yield (b0 * bs, *out)
+        n, plan = self._read_plan(total, rows)
+        yield from self.codec.read(layer, n, plan, kind, pad)
 
     # ------------------------------------------------------------------ #
     # bookkeeping
@@ -790,62 +674,58 @@ class PagedKVCache:
     def blocks_in_use(self) -> int:
         return int(self._blocks_per_row.sum())
 
+    def _bytes(self, blocks: int, fp32_tokens: int) -> int:
+        """K and V bytes, over every layer, of ``blocks`` sealed blocks at
+        the codec's block price plus ``fp32_tokens`` FP32 tokens."""
+        if self._heads is None:
+            return 0
+        token = self._heads * self._head_dim * 4
+        return self.num_layers * 2 * (blocks * self.codec.block_bytes
+                                      + fp32_tokens * token)
+
     def used_bytes(self) -> int:
-        """Bytes storing the currently cached tokens (FP32 here).
+        """Bytes storing the currently cached tokens: the rows' pool
+        blocks at the codec's block price, adjusted at the FP32 token
+        price by the tokens the rows hold past them (a buffered current
+        block) or the slots they leave empty (an FP32 partial block) —
+        so FP32 rows pay per token, FineQ rows per sealed block plus per
+        buffered token.
 
         Logical accounting: with prefix sharing a block read by many rows
         is counted once per reader (this is what decode gathers stream);
         :meth:`physical_used_bytes` counts each resident block once.
         """
-        if self._heads is None:
-            return 0
-        per_token = 2 * self._heads * self._head_dim * 4
-        return self.num_layers * per_token * self.cached_tokens
+        owned = self.blocks_in_use()
+        return self._bytes(owned, self.cached_tokens
+                           - owned * self.block_size)
 
     def physical_used_bytes(self) -> int:
         """Bytes of blocks holding at least one reference (each counted
-        once, however many rows alias it) — the resident cache footprint
-        prefix sharing actually shrinks."""
-        if self._heads is None:
-            return 0
-        block_bytes = self._heads * self.block_size * self._head_dim * 4
-        held = self._total_blocks - len(self._free)
-        return self.num_layers * 2 * held * block_bytes
+        once, however many rows alias it) plus the FP32 tokens write
+        buffers hold — the resident cache footprint prefix sharing
+        actually shrinks."""
+        buffered = np.maximum(self._row_len
+                              - self._blocks_per_row * self.block_size, 0)
+        return self._bytes(self._total_blocks - len(self._free),
+                           int(buffered.sum()))
 
     def allocated_bytes(self) -> int:
-        """Physical pool footprint, free blocks included."""
-        if self._heads is None:
-            return 0
-        block_bytes = self._heads * self.block_size * self._head_dim * 4
-        return self.num_layers * 2 * self._total_blocks * block_bytes
+        """Physical footprint: the pool, free blocks included, and any
+        write buffers."""
+        return self._bytes(self._total_blocks, self.batch * self.block_size
+                           if self.codec.buffered else 0)
 
 
 class QuantizedPagedKVCache(PagedKVCache):
-    """Paged cache whose full blocks are stored in the FineQ format.
+    """A :class:`PagedKVCache` built with the FineQ codec
+    (:class:`~repro.nn.kv_codec.FineQCodec`): sealed blocks in the
+    2.33-bit cluster format, each row's current block in an FP32 write
+    buffer.
 
-    Storage per layer: ``payload`` pools of packed 6-bit cluster codes
-    (uint8) plus FP16 per-channel scale pools for K and V, and one FP32
-    write buffer of ``(batch, heads, block, head_dim)`` holding every
-    row's current block.  A row's block is quantized in one shot when the
-    row writes the first token of its *next* block, so ``block_size`` is
-    also the exactness horizon: the newest ``<= block_size`` tokens of
-    each row always read back bit-exact.
-
-    ``_blocks_per_row`` counts *quantized* blocks only; the current
-    block lives in the write buffer and owns no pool block yet.
-
-    The flush happens once per boundary crossing, not once per layer:
-    when a row writes slot 0 of block ``b``, block ``b - 1`` is complete
-    in every layer's buffer (the previous step wrote them all), so the
-    first layer of the forward to see the crossing quantizes all layers'
-    K and V in one kernel call (:meth:`_flush`) and writes the
-    dequantized values through into the :class:`DequantBlockCache` —
-    the step's own reads of the block it has just encoded then hit the
-    memo instead of decoding the payload back.
-
-    ``dequant_cache_bytes`` budgets the :class:`DequantBlockCache` the
-    block-resident reads go through (under ``0`` the memo pins nothing —
-    every read spills and re-runs the LUT dequant).
+    ``dequant_cache_bytes`` budgets the codec's
+    :class:`DequantBlockCache`, the memo of dequantized blocks the
+    reads go through (under ``0`` it pins nothing — every read spills
+    and re-runs the LUT dequant).
     """
 
     def __init__(self, num_layers: int, batch: int,
@@ -854,475 +734,7 @@ class QuantizedPagedKVCache(PagedKVCache):
                  max_blocks: int | None = None,
                  chunk_blocks: int = DEFAULT_CHUNK_BLOCKS,
                  dequant_cache_bytes: int = DEFAULT_DEQUANT_CACHE_BYTES):
-        self.dequant_cache_bytes = dequant_cache_bytes
-        # Exclusive end position of the tokens each layer's write buffer
-        # holds for each row (0 = empty).  It names both the buffered
-        # block and how full it is, per layer: layers write one after
-        # another within a forward, and direct callers may lag further.
-        self._buf_end = np.zeros((num_layers, batch), dtype=np.int64)
         super().__init__(num_layers, batch, block_size=block_size,
                          initial_blocks=initial_blocks,
                          max_blocks=max_blocks, chunk_blocks=chunk_blocks)
-
-    def _setup_layers(self) -> None:
-        bs = self.block_size
-        clusters = _blocks_needed(bs, 3)
-        groups = _blocks_needed(clusters, CLUSTERS_PER_GROUP)
-        self._channels = self._heads * self._head_dim
-        self._payload_bytes = groups * GROUP_BYTES
-        layers = self.num_layers
-        self._payload_k: list[np.ndarray | None] = [None] * layers
-        self._payload_v: list[np.ndarray | None] = [None] * layers
-        self._scale_k: list[np.ndarray | None] = [None] * layers
-        self._scale_v: list[np.ndarray | None] = [None] * layers
-        buf_shape = (layers, self.batch, self._heads, bs, self._head_dim)
-        self._buf_k = np.zeros(buf_shape, dtype=np.float32)
-        self._buf_v = np.zeros(buf_shape, dtype=np.float32)
-        #: The dequantized-block memo (built with the first write).
-        self.dequant_cache = DequantBlockCache(
-            layers, self._heads, bs, self._head_dim, self.dequant_cache_bytes)
-
-    def _on_block_freed(self, block: int) -> None:
-        self.dequant_cache.invalidate(block)
-
-    def _grow_layer(self, layer: int, new_total: int) -> None:
-        specs = (
-            (self._payload_k, (self._channels, self._payload_bytes), np.uint8),
-            (self._payload_v, (self._channels, self._payload_bytes), np.uint8),
-            (self._scale_k, (self._channels,), np.float16),
-            (self._scale_v, (self._channels,), np.float16),
-        )
-        for pool, tail, dtype in specs:
-            old = pool[layer]
-            new = np.zeros((new_total,) + tail, dtype=dtype)
-            if old is not None:
-                new[:old.shape[0]] = old
-            pool[layer] = new
-
-    # ------------------------------------------------------------------ #
-    # write paths
-    # ------------------------------------------------------------------ #
-    def _flush(self, layers: np.ndarray, ids: np.ndarray,
-               k_blocks: np.ndarray, v_blocks: np.ndarray,
-               memoise: bool = True) -> None:
-        """Quantize complete blocks into the pools in one kernel call.
-
-        ``k_blocks[i]``/``v_blocks[i]`` are the FP32 ``(heads, block,
-        head_dim)`` contents of pool block ``ids[i]`` of layer
-        ``layers[i]`` (``layers`` ascending).  K and V of every layer go
-        through a single :func:`quantize_kv_block` — channels are
-        independent, so batching is bit-exact — and, with ``memoise``,
-        the dequantized values the kernel already holds are written
-        through into the dequant memo, so reading a block the step has
-        just encoded never decodes it back.  A filled entry stands in
-        for the miss that block's first read would have taken, so it is
-        charged the payload+scale fetch that miss would have streamed.
-        """
-        count = len(ids)
-        encoded = quantize_kv_block(np.concatenate([k_blocks, v_blocks]),
-                                    with_values=memoise)
-        payload = encoded[0].reshape(2, count, self._channels, -1)
-        scales = encoded[1].reshape(2, count, self._channels)
-        bounds = np.searchsorted(layers, np.arange(self.num_layers + 1))
-        for layer in range(self.num_layers):
-            lo, hi = bounds[layer], bounds[layer + 1]
-            if lo < hi:
-                at = ids[lo:hi]
-                self._payload_k[layer][at] = payload[0, lo:hi]
-                self._payload_v[layer][at] = payload[1, lo:hi]
-                self._scale_k[layer][at] = scales[0, lo:hi]
-                self._scale_v[layer][at] = scales[1, lo:hi]
-        stats = self._read_stats
-        stats.flush_calls += 1
-        stats.flush_blocks += 2 * count
-        if memoise:
-            filled = self.dequant_cache.fill(layers, ids, encoded[2][:count],
-                                        encoded[2][count:])
-            stats.streamed_bytes += filled * 2 * self._channels \
-                * (self._payload_bytes + 2)
-        else:
-            self.dequant_cache.invalidate(ids, layers)
-
-    # ------------------------------------------------------------------ #
-    # block sharing (prefix reuse / copy-on-write, quantized format)
-    # ------------------------------------------------------------------ #
-    def share_block(self, row: int, depth: int, fill: int) -> int:
-        """Reference (or freeze) block ``depth`` of ``row`` for sharing.
-
-        Blocks the row has already quantized are immutable, so they are
-        shared by reference like the FP32 cache's.  The row's *current*
-        block lives only in its FP32 write buffer; sharing it quantizes a
-        snapshot of its first ``fill`` tokens (zero-padded so garbage
-        beyond ``fill`` cannot inflate the channel scales) into a fresh
-        pool block owned by the caller.  The shared prefix is therefore
-        always served in the paper's 2.33-bit format — quantized once,
-        dequantized by every reader.
-        """
-        owned = int(self._blocks_per_row[row])
-        if depth < owned:
-            return super().share_block(row, depth, self.block_size)
-        if depth != owned:
-            raise ValueError(f"row {row} has no content at block {depth}")
-        buffered = int(self._row_len[row]) - owned * self.block_size
-        if not 0 < fill <= buffered:
-            raise ValueError(f"row {row} buffers {buffered} tokens; "
-                             f"cannot freeze {fill}")
-        block = self._take_block()
-        keep = (np.arange(self.block_size) < fill)[:, None]
-        # A partial block is only ever adopted copy-on-write (dequantized
-        # into the adopter's buffer), never read through the memo.
-        self._flush(np.arange(self.num_layers),
-                    np.full(self.num_layers, block),
-                    self._buf_k[:, row] * keep, self._buf_v[:, row] * keep,
-                    memoise=fill == self.block_size)
-        return block
-
-    def adopt_prefix(self, row: int, full_ids, tail_id: int | None = None,
-                     tail_keep: int = 0) -> int:
-        length = super().adopt_prefix(row, full_ids, tail_id, tail_keep)
-        # A block-aligned match leaves every layer's buffer empty; an
-        # adopted tail was dequantized into them.
-        self._buf_end[:, row] = length if length % self.block_size else 0
-        return length
-
-    def _adopt_tail(self, row: int, tail_id: int, tail_keep: int
-                    ) -> list[int]:
-        """COW in the quantized format: the shared partial block is
-        *dequantized into the row's FP32 write buffer* — the quantized
-        analogue of a block copy — so the row can keep appending suffix
-        tokens to the partially-filled block without touching the shared
-        original (which stays quantized-once for its other readers).  No
-        pool block joins the row's chain; the buffer is the current
-        block."""
-        bs = self.block_size
-        layers = range(self.num_layers)
-        payload = np.stack([pool[layer][tail_id] for pool in
-                            (self._payload_k, self._payload_v)
-                            for layer in layers])
-        scales = np.stack([pool[layer][tail_id] for pool in
-                           (self._scale_k, self._scale_v)
-                           for layer in layers])
-        channels = dequantize_kv_channels(
-            payload.reshape(-1, self._payload_bytes), scales.reshape(-1), bs)
-        self._buf_k[:, row], self._buf_v[:, row] = channels.reshape(
-            2, self.num_layers, self._heads, self._head_dim, bs
-        ).transpose(0, 1, 2, 4, 3)
-        return []
-
-    def _resolve_span_write(self, layer: int, rows: np.ndarray,
-                            starts: np.ndarray, lens: np.ndarray) -> tuple:
-        """Span writes pass every block — the final, possibly partial
-        one included — through the FP32 write buffer, and quantize each
-        block the moment the span completes it.  Only a ragged tail
-        (``end`` off a block boundary) stays buffered, so it reads back
-        bit-exact after a prefill, same as after decode.
-
-        The eager flush at the span's end is what keeps *chunked*
-        prefill bit-identical to one-shot: a chunk ending exactly on a
-        block boundary must leave the same storage state (block
-        quantized) the one-shot span produces when it rolls past that
-        boundary — otherwise the next chunk's attention would read the
-        block exact FP32 where the one-shot run reads it dequantized.
-
-        Speculative verify writes do *not* come through here: they run
-        as clone-rows decode through :meth:`write_token`, whose lazy
-        flush keeps each verify query's own block in the FP32 buffer
-        (and whose GEMM-feeding values are bitwise the ones sequential
-        decode produces).
-
-        Returns ``(context width, segments, flush ids, crossing rows,
-        crossing starts, written rows, buffer ends)``: segments are
-        ``(j, row, lo, take, src, completes)`` buffer copies, ``flush
-        ids`` the pool blocks the completing ones quantize into."""
-        bs = self.block_size
-        # A span that opens a new block behind a lazily buffered one (a
-        # decode that stopped exactly on the boundary) flushes it first,
-        # as write_token would, before the span overwrites the buffer.
-        opens = (lens > 0) & (starts > 0) & (starts % bs == 0)
-        self._flush_if_crossing(layer, rows[opens], starts[opens])
-        ends = starts + lens
-        wrote = lens > 0
-        self._ensure_row_blocks(rows[wrote], ends[wrote] // bs)
-        segments, flush_ids = [], []
-        for j, row, block, lo, take, src \
-                in self._span_segments(rows, starts, lens):
-            segments.append((j, row, lo, take, src, lo + take == bs))
-            if lo + take == bs:
-                flush_ids.append(self._tables[row, block])
-        return (int(ends.max()), segments,
-                np.asarray(flush_ids, dtype=np.int64), rows[opens],
-                starts[opens], rows[wrote],
-                np.where(ends % bs, ends, 0)[wrote])
-
-    def _write_span(self, layer: int, k: np.ndarray, v: np.ndarray,
-                    plan: tuple) -> None:
-        _top, segments, flush_ids, open_rows, open_starts, wrote, buf_ends \
-            = plan
-        self._flush_if_crossing(layer, open_rows, open_starts)
-        buf_k, buf_v = self._buf_k[layer], self._buf_v[layer]
-        flush_k, flush_v = [], []
-        for j, row, lo, take, src, completes in segments:
-            buf_k[row, :, lo:lo + take] = k[j, :, src:src + take]
-            buf_v[row, :, lo:lo + take] = v[j, :, src:src + take]
-            if completes:  # quantize the block the span just filled
-                flush_k.append(buf_k[row].copy())
-                flush_v.append(buf_v[row].copy())
-        self._buf_end[layer, wrote] = buf_ends
-        if flush_k:
-            # Other layers do not hold these tokens yet, so a span
-            # flushes per layer — K and V together.
-            self._flush(np.full(len(flush_ids), layer), flush_ids,
-                        np.stack(flush_k), np.stack(flush_v))
-
-    # ------------------------------------------------------------------ #
-    # speculative-decoding rollback (quantized format)
-    # ------------------------------------------------------------------ #
-    def _blocks_kept(self, keep: int) -> int:
-        """Quantized rows keep ``(keep - 1) // block_size`` pool blocks:
-        the block holding token ``keep - 1`` lives in the FP32 write
-        buffer (lazy-flush invariant), never in the pool."""
-        return 0 if keep == 0 else (keep - 1) // self.block_size
-
-    def truncate_rows(self, rows, lengths) -> None:
-        """Quantized rollback is exact only inside the buffered block:
-        pool blocks are lossy, so a row cannot roll back into one it has
-        already flushed (dropping the row, ``0``, is always fine).  The
-        engine's boundary-chunked verify never asks for that."""
-        rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        lengths = np.asarray(lengths, dtype=np.int64).reshape(-1)
-        for row, keep in zip(rows, lengths):
-            if 0 < keep < self._row_len[row] \
-                    and self._blocks_kept(int(keep)) \
-                    < self._blocks_per_row[row]:
-                raise ValueError(
-                    f"row {row} cannot roll back to {keep} tokens: below "
-                    f"its buffered block, flushed blocks are lossy")
-        super().truncate_rows(rows, lengths)
-        # Buffers hold nothing past the kept tokens.
-        self._buf_end[:, rows] = np.minimum(self._buf_end[:, rows],
-                                            self._row_len[rows])
-
-    def free_rows(self, rows: np.ndarray) -> None:
-        super().free_rows(rows)
-        self._buf_end[:, np.asarray(rows, dtype=np.int64).reshape(-1)] = 0
-
-    def _resolve_token_write(self, row_idx: np.ndarray,
-                             positions: np.ndarray) -> tuple:
-        """``(context width, rows, buffer slots, buffer ends, rows
-        opening a block, their positions)``: tokens land in the write
-        buffers, so no block table is read."""
-        slots = positions % self.block_size
-        opens = (slots == 0) & (positions > 0)
-        return (int(positions.max()) + 1, row_idx, slots, positions + 1,
-                row_idx[opens], positions[opens])
-
-    def _write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
-                     plan: tuple) -> None:
-        _top, row_idx, slots, ends, open_rows, open_positions = plan
-        # A row starting block b quantizes block b-1 first — if this
-        # layer's buffer still holds it, complete (``_buf_end`` equal to
-        # the position being written).  Rows whose previous block is
-        # already in the pool have an empty buffer and skip: adopted
-        # (a shared, block-aligned prefix match — flushing would
-        # overwrite the shared block), flushed eagerly by a span write,
-        # or flushed a moment ago, on this layer's behalf, by the first
-        # layer of the forward to see the crossing.
-        self._flush_if_crossing(layer, open_rows, open_positions)
-        self._buf_k[layer][row_idx, :, slots] = k[:, :, 0]
-        self._buf_v[layer][row_idx, :, slots] = v[:, :, 0]
-        # Clone-rows verify repeats a row at ascending positions; the
-        # last (highest) assignment wins.
-        self._buf_end[layer, row_idx] = ends
-
-    def _flush_if_crossing(self, layer: int, rows: np.ndarray,
-                           positions: np.ndarray) -> None:
-        """``rows`` are about to write slot 0 of a new block at
-        ``positions``: flush the complete block ``layer``'s buffer
-        still holds for any of them (:meth:`_flush_crossing`)."""
-        if len(rows):
-            crossing = self._buf_end[layer, rows] == positions
-            if crossing.any():
-                self._flush_crossing(rows[crossing], positions[crossing])
-
-    def _flush_crossing(self, rows: np.ndarray, positions: np.ndarray
-                        ) -> None:
-        """``rows`` write slot 0 of a new block at ``positions``: flush
-        the complete block each one leaves behind — once, for all layers.
-
-        Every layer whose buffer holds that same complete block goes
-        into the one kernel call.  In a model forward that is all of
-        them (the previous step filled every layer's buffer), so the
-        layers after the first find theirs already flushed; a layer that
-        genuinely lags — a direct caller driving one layer at a time —
-        is left out and flushes when its own write gets here.
-        """
-        block_index = positions // self.block_size - 1
-        self._ensure_row_blocks(rows, block_index + 1)
-        ids = self._tables[rows, block_index]
-        layers, col = np.nonzero(self._buf_end[:, rows] == positions)
-        at = rows[col]
-        self._flush(layers, ids[col], self._buf_k[layers, at],
-                    self._buf_v[layers, at])
-        self._buf_end[layers, at] = 0
-
-    # ------------------------------------------------------------------ #
-    # read path
-    # ------------------------------------------------------------------ #
-    def _dequant_kind(self, layer: int, ids: np.ndarray, kind: str
-                      ) -> np.ndarray:
-        """Dequantize pool blocks ``ids`` of one layer/operand into
-        ``(len(ids), heads, block, head_dim)`` float32 — the exact values
-        (and op order) of the tests' dense-gather oracle."""
-        payload_pool = (self._payload_k if kind == "k"
-                        else self._payload_v)[layer]
-        scale_pool = (self._scale_k if kind == "k" else self._scale_v)[layer]
-        channels = dequantize_kv_channels(
-            payload_pool[ids].reshape(-1, self._payload_bytes),
-            scale_pool[ids].reshape(-1), self.block_size)
-        return channels.reshape(len(ids), self._heads, self._head_dim,
-                                self.block_size).transpose(0, 1, 3, 2)
-
-    def _dequant_pair(self, layer: int, ids: np.ndarray
-                      ) -> tuple[np.ndarray, np.ndarray]:
-        """K and V dequantized together (a dequant-cache miss fills both,
-        so the sibling operand pass hits)."""
-        return (self._dequant_kind(layer, ids, "k"),
-                self._dequant_kind(layer, ids, "v"))
-
-    def _resolve_read(self, total: int, rows: np.ndarray | None) -> tuple:
-        """``(reader rows, chunks)`` of a ``total``-token read: per chunk
-        the owned block ids (``-1`` where a row owns nothing — its
-        buffered current block, stale or padding table slots — which
-        reads as zeros until overlaid), the same ids padded to a full
-        window of columns, how many are owned, and the write-buffer
-        overlay: which readers' current block falls in the chunk, their
-        cache rows, the block's offset and their buffered token sum."""
-        bs, cb = self.block_size, self.chunk_blocks
-        nblk = _blocks_needed(total, bs)
-        row_idx = self._row_index if rows is None \
-            else np.asarray(rows, dtype=np.int64)
-        owned_counts = self._blocks_per_row[row_idx]
-        row_lens = self._row_len[row_idx]
-        # Overlay only rows that actually hold buffered tokens: a row
-        # whose context is entirely adopted quantized blocks (a
-        # block-aligned prefix match) has an empty buffer, and overlaying
-        # it would mask its newest shared block with stale data.
-        buffered = row_lens - owned_counts * bs
-        current = np.where(buffered > 0, (row_lens - 1) // bs, -1)
-        owned_ids = np.where(np.arange(nblk) < owned_counts[:, None],
-                             self._block_ids(nblk, rows), -1)
-        chunks = []
-        for b0 in range(0, nblk, cb):
-            c = min(cb, nblk - b0)
-            padded = np.full((len(row_idx), cb), -1, dtype=np.int64)
-            padded[:, :c] = owned_ids[:, b0:b0 + c]
-            in_chunk = np.nonzero((current >= b0) & (current < b0 + c))[0]
-            chunks.append((b0, np.ascontiguousarray(padded[:, :c]), padded,
-                           int(np.count_nonzero(padded >= 0)), in_chunk,
-                           row_idx[in_chunk], current[in_chunk] - b0,
-                           int(buffered[in_chunk].sum())))
-        return len(row_idx), chunks
-
-    def context_blocks(self, layer: int, rows: np.ndarray | None = None,
-                       kind: str = "k", pad: bool = False,
-                       _reach: int | None = None):
-        """Chunked context iteration in the quantized format.
-
-        Owned blocks are served from the :class:`DequantBlockCache`
-        (flushes write their values through, anything else missing
-        dequantizes once and is memoised — a block shared by many rows
-        decodes once per chunk, and once *ever* while it stays
-        cache-resident); each live row's FP32 current block is overlaid
-        on its chunk, so chunk values are bit-identical to the tests'
-        dense-gather oracle's.  Which ids a chunk reads and which
-        buffers overlay it is this forward's read resolution
-        (:meth:`_resolve_read`); per layer the ids resolve to memo slots
-        once, for both operands under ``kind="kv"``, and each operand is
-        one gather straight into the ``(rows, heads, blocks, block,
-        head_dim)`` chunk attention consumes.  Unowned table slots read
-        the memo's zero entry, and so do the ``-1`` columns ``pad``
-        widens the final chunk with.  ``_reach`` ends the read, its
-        lookups and its stats at the span's last visible key.
-        """
-        total = self._lengths[layer]
-        if _reach is not None:
-            total = min(total, _reach)
-        if total == 0:
-            return
-        bs = self.block_size
-        heads, head_dim = self._heads, self._head_dim
-        kinds = ("k", "v") if kind == "kv" else (kind,)
-        n, chunks = self._read_plan(total, rows)
-        bufs = {"k": self._buf_k[layer], "v": self._buf_v[layer]}
-        stats = self._read_stats
-        operand_bytes = self._channels * (self._payload_bytes + 2)
-        for b0, sel, padded, reads, in_chunk, in_rows, offsets, buffered \
-                in chunks:
-            if pad:
-                sel = padded
-            shape = (n, heads, sel.shape[1], bs, head_dim)
-            if not reads:
-                blocks = [np.zeros(shape, dtype=np.float32) for _ in kinds]
-            else:
-                blocks, missed, paired = self.dequant_cache.lookup(
-                    layer, sel, kind,
-                    lambda miss: self._dequant_pair(layer, miss),
-                    lambda miss: self._dequant_kind(layer, miss, kind))
-                if kind != "kv":
-                    blocks = (blocks,)
-                # Per operand, as two passes would count: a pinned miss
-                # serves the sibling operand from the memo, one the
-                # budget could not pin misses again there.
-                spilled = (missed - paired) * (len(kinds) - 1)
-                stats.dequant_hits += len(kinds) * reads - missed - spilled
-                stats.dequant_misses += missed + spilled
-                # Pinned misses fetched K and V payloads at once;
-                # spilled ones only the operands asked for.
-                stats.streamed_bytes += operand_bytes * (
-                    2 * paired + len(kinds) * (missed - paired))
-            if len(in_chunk):
-                for kd, chunk in zip(kinds, blocks):
-                    chunk[in_chunk, :, offsets] = bufs[kd][in_rows]
-                # Write-buffer reads stream the live buffered tokens
-                # (matching used_bytes' FP32 accounting), not the whole
-                # block's padding.
-                stats.streamed_bytes += len(kinds) * heads * head_dim * 4 \
-                    * buffered
-            self._note_scratch(sum(chunk.nbytes for chunk in blocks))
-            yield (b0 * bs, *(chunk.reshape(n, heads, sel.shape[1] * bs,
-                                            head_dim) for chunk in blocks))
-
-    # ------------------------------------------------------------------ #
-    # bookkeeping
-    # ------------------------------------------------------------------ #
-    def used_bytes(self) -> int:
-        """Bytes storing the cached tokens: FineQ payload + FP16 scales
-        for quantized blocks, FP32 for tokens still in write buffers."""
-        if self._heads is None:
-            return 0
-        qblock = self._channels * (self._payload_bytes + 2)
-        buffered = int((self._row_len
-                        - self._blocks_per_row * self.block_size).sum())
-        per_buffered_token = self._heads * self._head_dim * 4
-        return self.num_layers * 2 * (self.blocks_in_use() * qblock
-                                      + buffered * per_buffered_token)
-
-    def physical_used_bytes(self) -> int:
-        """Resident bytes: each referenced quantized block once (however
-        many rows alias it) plus the FP32 tokens still in write buffers."""
-        if self._heads is None:
-            return 0
-        qblock = self._channels * (self._payload_bytes + 2)
-        held = self._total_blocks - len(self._free)
-        buffered = int((self._row_len
-                        - self._blocks_per_row * self.block_size).sum())
-        per_buffered_token = self._heads * self._head_dim * 4
-        return self.num_layers * 2 * (held * qblock
-                                      + buffered * per_buffered_token)
-
-    def allocated_bytes(self) -> int:
-        if self._heads is None:
-            return 0
-        qblock = self._channels * (self._payload_bytes + 2)
-        buffers = self.batch * self._heads * self.block_size * self._head_dim * 4
-        return self.num_layers * 2 * (self._total_blocks * qblock + buffers)
+        self.codec = FineQCodec(self, dequant_cache_bytes)

@@ -46,11 +46,13 @@ The cache backend is selected by ``kv_cache``:
   That parity has held in every test so far; it is empirical (small-M
   GEMM rows — a span's ``M`` is ``rows * seq`` — move by an ulp with the
   batch's shape and nothing here amplifies it), not structural.
-* ``"fineq"`` — :class:`~repro.nn.paged_kv_cache.QuantizedPagedKVCache`;
-  full blocks stored in the paper's 2.33-bit format (~7x fewer bytes per
-  full block, ~4.7x end-to-end with the FP32 write buffers; bounded
-  perplexity delta instead of exact parity), read through a
-  dequantized-block LRU so an immutable block is LUT-decoded once.
+* ``"fineq"`` — :class:`~repro.nn.paged_kv_cache.QuantizedPagedKVCache`,
+  the same paged cache built with the FineQ block codec
+  (:class:`~repro.nn.kv_codec.FineQCodec`): full blocks sealed in the
+  paper's 2.33-bit format (~7x fewer bytes per full block, ~4.7x
+  end-to-end with the FP32 write buffers; bounded perplexity delta
+  instead of exact parity), read through a dequantized-block LRU so an
+  immutable block is LUT-decoded once.
   A stream here can depend on its neighbours — a wider one pads the
   wave to another GEMM shape, and the first 2.33-bit flush turns the
   ulp into a quantization step (pinned:

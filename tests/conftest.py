@@ -74,6 +74,7 @@ def stepwise_fineq_cache():
     from repro.core.clusters import cluster_weights
     from repro.core.encoding import encode_channels_stepwise
     from repro.core.packing import pack_matrix_bitwise
+    from repro.nn.kv_codec import FineQCodec
     from repro.nn.paged_kv_cache import QuantizedPagedKVCache
 
     def quantize_stepwise(blocks):
@@ -85,18 +86,7 @@ def stepwise_fineq_cache():
                                      matrix.shape)
         return packed.payload, packed.scales
 
-    class StepwiseFlushCache(QuantizedPagedKVCache):
-        def write_token(self, layer, *args, **kwargs):
-            # Sibling layers look empty, so a crossing flushes `layer`
-            # alone — every layer is a lagging layer.
-            others = np.arange(self.num_layers) != layer
-            saved = self._buf_end[others].copy()
-            self._buf_end[others] = 0
-            try:
-                return super().write_token(layer, *args, **kwargs)
-            finally:
-                self._buf_end[others] = saved
-
+    class StepwiseFlushCodec(FineQCodec):
         def _flush(self, layers, ids, k_blocks, v_blocks, memoise=True):
             for i, (layer, block) in enumerate(zip(layers, ids)):
                 for payloads, scales, data in (
@@ -104,9 +94,25 @@ def stepwise_fineq_cache():
                         (self._payload_v, self._scale_v, v_blocks)):
                     payloads[layer][block], scales[layer][block] = \
                         quantize_stepwise(data[i][None])
-            self._read_stats.flush_calls += 2 * len(ids)
-            self._read_stats.flush_blocks += 2 * len(ids)
+            self.cache._read_stats.flush_calls += 2 * len(ids)
+            self.cache._read_stats.flush_blocks += 2 * len(ids)
             self.dequant_cache.invalidate(ids, layers)
+
+    class StepwiseFlushCache(QuantizedPagedKVCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.codec = StepwiseFlushCodec(self, self.codec.budget_bytes)
+
+        def write_token(self, layer, *args, **kwargs):
+            # Sibling layers look empty, so a crossing flushes `layer`
+            # alone — every layer is a lagging layer.
+            others = np.arange(self.num_layers) != layer
+            saved = self.codec._buf_end[others].copy()
+            self.codec._buf_end[others] = 0
+            try:
+                return super().write_token(layer, *args, **kwargs)
+            finally:
+                self.codec._buf_end[others] = saved
 
     return StepwiseFlushCache
 
@@ -117,7 +123,7 @@ def assert_memo_coherent():
     entry is bitwise the dequant of its pool block, its key is recorded,
     the zero slot is zero, and no block on the free list is resident."""
     def check(cache):
-        memo = cache.dequant_cache
+        memo = cache.codec.dequant_cache
         table = memo._slot_table[:, :-1]
         layers, blocks = np.nonzero(table >= 0)
         assert len(memo) == len(layers) <= memo.capacity
@@ -127,7 +133,8 @@ def assert_memo_coherent():
             assert (memo._key_layer[slot], memo._key_block[slot]) == \
                 (layer, block)
             for store, kind in ((memo._store_k, "k"), (memo._store_v, "v")):
-                want = cache._dequant_kind(layer, np.array([block]), kind)[0]
+                want = cache.codec._dequant_kind(layer, np.array([block]),
+                                                 kind)[0]
                 assert store[slot].tobytes() == want.tobytes()
         assert not memo._store_k[0].any() and not memo._store_v[0].any()
         free = [b for b in cache._free if b < table.shape[1]]

@@ -33,8 +33,8 @@ def dense_context(cache, layer: int, rows: np.ndarray | None = None
     if isinstance(cache, QuantizedPagedKVCache):
         return _quantized_context(cache, layer, rows, total, nblk)
     ids = cache._block_ids(nblk, rows)
-    return (_gather(cache, cache._pool_k[layer], ids)[:, :, :total],
-            _gather(cache, cache._pool_v[layer], ids)[:, :, :total])
+    return (_gather(cache, cache.codec._pool_k[layer], ids)[:, :, :total],
+            _gather(cache, cache.codec._pool_v[layer], ids)[:, :, :total])
 
 
 def _gather(cache, pool: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -65,16 +65,17 @@ def _quantized_context(cache, layer, rows, total, nblk):
     current = (row_lens[live] - 1) // bs
     out = []
     for payload_pool, scale_pool, buf in (
-            (cache._payload_k[layer], cache._scale_k[layer],
-             cache._buf_k[layer]),
-            (cache._payload_v[layer], cache._scale_v[layer],
-             cache._buf_v[layer])):
-        channels = np.zeros((n * nblk, cache._channels, bs), dtype=np.float32)
+            (cache.codec._payload_k[layer], cache.codec._scale_k[layer],
+             cache.codec._buf_k[layer]),
+            (cache.codec._payload_v[layer], cache.codec._scale_v[layer],
+             cache.codec._buf_v[layer])):
+        channels = np.zeros((n * nblk, cache.codec._channels, bs),
+                            dtype=np.float32)
         if selected.size:
             channels[flat_owned] = dequantize_kv_channels(
-                payload_pool[selected].reshape(-1, cache._payload_bytes),
+                payload_pool[selected].reshape(-1, cache.codec._payload_bytes),
                 scale_pool[selected].reshape(-1), bs
-            ).reshape(-1, cache._channels, bs)
+            ).reshape(-1, cache.codec._channels, bs)
         blocks = channels.reshape(n, nblk, heads, head_dim, bs) \
                          .transpose(0, 1, 2, 4, 3)
         # Each live row's FP32 current block: exact values for the newest

@@ -41,8 +41,8 @@ def read_context(cache, layer=0, kind="k"):
 def chill(cache):
     """Drop every memo entry (flushes write through, so a freshly
     written cache starts warm; the miss path needs a cold one)."""
-    cache.dequant_cache.invalidate(np.arange(cache._total_blocks))
-    assert len(cache.dequant_cache) == 0
+    cache.codec.dequant_cache.invalidate(np.arange(cache._total_blocks))
+    assert len(cache.codec.dequant_cache) == 0
     cache.take_read_stats()
 
 
@@ -64,11 +64,11 @@ def test_free_rows_invalidates_and_recycled_block_rereads_fresh():
     cache, rng = make_cache()
     read_context(cache)                      # populate the memo
     freed = [int(b) for b in cache._tables[0, :cache._blocks_per_row[0]]]
-    assert len(cache.dequant_cache) > 0
+    assert len(cache.codec.dequant_cache) > 0
     cache.free_rows(np.array([0]))
     for layer in range(cache.num_layers):
         for block in freed:
-            assert cache.dequant_cache.slot(layer, block) == -1
+            assert cache.codec.dequant_cache.slot(layer, block) == -1
     # Re-prefill row 0 with different content; the freed ids recycle.
     seq = 13
     k2 = rng.standard_normal((1, HEADS, seq, HEAD_DIM)).astype(np.float32)
@@ -89,14 +89,14 @@ def test_payload_rewrite_invalidates_entry():
     k1 = rng.standard_normal((1, HEADS, 1, HEAD_DIM)).astype(np.float32)
     cache.write_token(0, k1, k1.copy(), np.array([BS]))
     block = int(cache._tables[0, 0])
-    memo = cache.dequant_cache
+    memo = cache.codec.dequant_cache
     assert memo.slot(0, block) >= 0           # written through
     assert np.abs(memo._store_k[memo.slot(0, block)]).max() > 0
     zeros = np.zeros((1, HEADS, BS, HEAD_DIM), np.float32)
-    cache._flush(np.array([0]), np.array([block]), zeros, zeros)
+    cache.codec._flush(np.array([0]), np.array([block]), zeros, zeros)
     assert not memo._store_k[memo.slot(0, block)].any()
     np.testing.assert_array_equal(read_context(cache)[:, :, :BS], zeros)
-    cache._flush(np.array([0]), np.array([block]), zeros + 1, zeros,
+    cache.codec._flush(np.array([0]), np.array([block]), zeros + 1, zeros,
                  memoise=False)
     assert memo.slot(0, block) == -1
     assert read_context(cache)[:, :, :BS].max() > 0
@@ -108,16 +108,16 @@ def test_eviction_under_budget_keeps_results_bit_identical():
     entry = 2 * HEADS * BS * HEAD_DIM * 4
     small, _ = make_cache(seq=29, dequant_cache_bytes=2 * entry)
     uncached, _ = make_cache(seq=29, dequant_cache_bytes=0)
-    assert small.dequant_cache.capacity == 2
-    assert uncached.dequant_cache.capacity == 0
+    assert small.codec.dequant_cache.capacity == 2
+    assert uncached.codec.dequant_cache.capacity == 0
     for _round in range(3):
         for layer in range(small.num_layers):
             for kind in ("k", "v"):
                 np.testing.assert_array_equal(
                     read_context(small, layer, kind),
                     read_context(uncached, layer, kind))
-    assert small.dequant_cache.evictions > 0
-    assert len(small.dequant_cache) <= 2
+    assert small.codec.dequant_cache.evictions > 0
+    assert len(small.codec.dequant_cache) <= 2
 
 
 def test_disabled_cache_round_trips_through_block_path():

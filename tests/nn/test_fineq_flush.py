@@ -12,10 +12,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn.paged_kv_cache import (DequantBlockCache,
-                                     QuantizedPagedKVCache,
-                                     dequantize_kv_channels,
-                                     quantize_kv_block)
+from repro.nn.kv_codec import dequantize_kv_channels, quantize_kv_block
+from repro.nn.paged_kv_cache import DequantBlockCache, QuantizedPagedKVCache
 from tests.kv_oracle import dense_context
 
 LAYERS, BATCH, HEADS, HEAD_DIM = 3, 4, 2, 4
@@ -153,10 +151,10 @@ def assert_same_storage(fused, reference):
                                       getattr(reference, name))
     for name in ("_payload_k", "_payload_v", "_scale_k", "_scale_v"):
         for layer in range(LAYERS):
-            assert getattr(fused, name)[layer].tobytes() == \
-                getattr(reference, name)[layer].tobytes(), (name, layer)
-    assert fused._buf_k.tobytes() == reference._buf_k.tobytes()
-    assert fused._buf_v.tobytes() == reference._buf_v.tobytes()
+            assert getattr(fused.codec, name)[layer].tobytes() == \
+                getattr(reference.codec, name)[layer].tobytes(), (name, layer)
+    assert fused.codec._buf_k.tobytes() == reference.codec._buf_k.tobytes()
+    assert fused.codec._buf_v.tobytes() == reference.codec._buf_v.tobytes()
 
 
 def make(cls, block_size, **kwargs):
@@ -164,7 +162,8 @@ def make(cls, block_size, **kwargs):
                **kwargs)
 
 
-@settings(max_examples=12, deadline=None)
+# 12 examples under the ``default`` profile; ``soak`` scales them up.
+@settings(max_examples=settings.default.max_examples // 5, deadline=None)
 @given(seed=st.integers(0, 10_000), block_size=st.sampled_from([4, 8]))
 def test_pools_equal_per_layer_stepwise_flush(stepwise_fineq_cache,
                                               assert_memo_coherent, seed,
@@ -193,11 +192,11 @@ def test_pools_equal_per_layer_stepwise_flush(stepwise_fineq_cache,
     for _ in range(40):
         session.step()
     assert fused.take_read_stats().flush_calls == 0   # drained per step
-    assert tiny.dequant_cache.evictions > 0
+    assert tiny.codec.dequant_cache.evictions > 0
 
 
 def test_crossing_flushes_all_layers_in_one_call(monkeypatch):
-    import repro.nn.paged_kv_cache as module
+    import repro.nn.kv_codec as module
     calls = []
     real = module.quantize_kv_block
 
@@ -215,7 +214,7 @@ def test_crossing_flushes_all_layers_in_one_call(monkeypatch):
     assert calls == []
     session.decode([0, 1, 2])            # slot 0 of block 1: one flush
     assert calls == [3 * LAYERS * 2]     # rows x layers x {K, V}
-    assert len(cache.dequant_cache) == 3 * LAYERS
+    assert len(cache.codec.dequant_cache) == 3 * LAYERS
 
 
 def test_lagging_layer_flushes_on_its_own_crossing(stepwise_fineq_cache,
@@ -269,10 +268,10 @@ def test_streamed_bytes_unchanged_by_write_through(seed):
     session.prefill(0, 1)                 # allocates the memos
 
     def drop(layers, ids, k_vals, v_vals):
-        dropped.dequant_cache.invalidate(ids, layers)
+        dropped.codec.dequant_cache.invalidate(ids, layers)
         return 0
 
-    dropped.dequant_cache.fill = drop     # this instance only
+    dropped.codec.dequant_cache.fill = drop     # this instance only
     for row in range(1, BATCH):
         session.prefill(row, int(session.rng.integers(1, 3 * bs)))
     for _ in range(30):
@@ -282,7 +281,7 @@ def test_streamed_bytes_unchanged_by_write_through(seed):
         else:
             session.decode(session.some(live, 0.8))
     assert session.streamed[0] == session.streamed[1] > 0
-    assert len(fused.dequant_cache) == len(dropped.dequant_cache)
+    assert len(fused.codec.dequant_cache) == len(dropped.codec.dequant_cache)
 
 
 @pytest.mark.parametrize("block", [8, 16, 20])

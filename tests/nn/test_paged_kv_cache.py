@@ -1,5 +1,8 @@
 """Paged + FineQ-quantized KV caches: block pooling, parity, round-trips."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,8 @@ from repro.core.clusters import cluster_weights, initial_schemes
 from repro.core.encoding import (channel_scales, harmonize_pairs,
                                  quantize_codes)
 from repro.nn.kv_cache import KVCache
-from repro.nn.paged_kv_cache import (PagedKVCache, QuantizedPagedKVCache,
-                                     dequantize_kv_channels,
-                                     quantize_kv_block)
+from repro.nn.kv_codec import dequantize_kv_channels, quantize_kv_block
+from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
 from tests.kv_oracle import dense_context
 
 
@@ -320,3 +322,100 @@ def test_quantized_ragged_prefill_keeps_overlay_aligned():
     # ...and each row's buffered (not yet quantized) tokens stay exact.
     np.testing.assert_array_equal(got_k[0, :, 4], k[0, :, 4])
     np.testing.assert_array_equal(got_k[1, :, 8:10], k[1, :, 8:10])
+
+
+# ---------------------------------------------------------------------- #
+# one sharing contract and one byte accounting for both formats
+# ---------------------------------------------------------------------- #
+@pytest.mark.parametrize("cls", [PagedKVCache, QuantizedPagedKVCache])
+def test_share_block_advertises_only_written_tokens(cls):
+    """A row holding 5 tokens of an 8-token block can share 1-5 of them:
+    ``fill=0`` and any fill past the written tokens are refused on both
+    formats, so the prefix store can never advertise unwritten slots."""
+    rng = np.random.default_rng(20)
+    cache = cls(1, batch=2, block_size=8)
+    k, v = random_kv(rng, 1, 2, 5, 4)
+    prefill(cache, 0, k, v, np.array([0]))
+    for depth, fill in ((0, 0), (0, 6), (0, 8), (1, 1)):
+        with pytest.raises(ValueError):
+            cache.share_block(0, depth, fill)
+    block = cache.share_block(0, 0, 5)
+    assert cache.block_refcount(block) >= 1
+    cache.release_blocks([block])
+
+
+def byte_states(cls):
+    """``(used, physical, allocated)`` bytes after each step of a session
+    that adopts a shared prefix with a copy-on-write partial tail, leaves
+    a full block lazily buffered and frees a row."""
+    rng = np.random.default_rng(21)
+    cache = cls(2, batch=4, block_size=4, initial_blocks=4)
+    states = []
+
+    def note():
+        states.append((cache.used_bytes(), cache.physical_used_bytes(),
+                       cache.allocated_bytes()))
+
+    def span(row, start, length):
+        k, v = random_kv(rng, 1, 2, length, 8)
+        for layer in range(2):
+            cache.prefill_rows(layer, k, v, np.array([row]),
+                               np.array([start]), np.array([length]))
+
+    note()
+    span(0, 0, 10)                        # two full blocks and a tail
+    note()
+    shared = [cache.share_block(0, depth, 4) for depth in range(2)]
+    shared.append(cache.share_block(0, 2, 2))
+    cache.adopt_prefix(1, shared[:2], shared[2], 2)
+    note()                                # the prefix store keeps `shared`
+    span(1, 2 * 4 + 2, 1)                 # writes into the copied tail
+    note()
+    for pos in range(4):                  # fills block 0; nothing flushed
+        k, v = random_kv(rng, 1, 2, 1, 8)
+        for layer in range(2):
+            cache.write_token(layer, k, v, np.array([pos]),
+                              rows=np.array([2]))
+    note()
+    span(3, 0, 7)
+    cache.free_rows(np.array([3]))
+    note()
+    cache.release_blocks(shared)
+    note()
+    return states
+
+
+#: ``byte_states`` per format: what the gated ``kv_bytes_per_token``
+#: and the engine's memory stats read.
+PINNED_BYTES = {
+    PagedKVCache: [(0, 0, 0), (2560, 3072, 4096), (5120, 4096, 4096),
+                   (5376, 4096, 4096), (6400, 5120, 8192),
+                   (6400, 5120, 8192), (6400, 5120, 8192)],
+    QuantizedPagedKVCache: [(0, 0, 0), (1664, 1664, 6400),
+                            (3328, 2752, 6400), (3584, 3008, 6400),
+                            (4608, 4032, 6400), (4608, 4032, 6400),
+                            (4608, 3456, 6400)],
+}
+
+
+@pytest.mark.parametrize("cls", [PagedKVCache, QuantizedPagedKVCache])
+def test_byte_accounting_is_pinned(cls):
+    assert byte_states(cls) == PINNED_BYTES[cls]
+
+
+@pytest.mark.parametrize("cls", [PagedKVCache, QuantizedPagedKVCache])
+def test_retired_cache_goes_with_its_last_reference(cls):
+    """The codec refers back to its cache without a reference cycle, so
+    an engine's retired cache frees its pools at once, not whenever the
+    cycle collector next runs."""
+    rng = np.random.default_rng(22)
+    cache = cls(1, batch=1, block_size=4)
+    k, v = random_kv(rng, 1, 2, 9, 4)
+    prefill(cache, 0, k, v, np.array([0]))
+    gone = weakref.ref(cache)
+    gc.disable()
+    try:
+        del cache
+        assert gone() is None
+    finally:
+        gc.enable()

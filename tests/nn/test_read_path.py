@@ -195,7 +195,8 @@ class Session:
         self.check()
 
 
-@settings(max_examples=30, deadline=None)
+# 30 examples under the ``default`` profile; ``soak`` scales them up.
+@settings(max_examples=settings.default.max_examples // 2, deadline=None)
 @given(seed=st.integers(0, 10_000),
        cls=st.sampled_from([PagedKVCache, QuantizedPagedKVCache]),
        chunk_blocks=st.sampled_from([1, 2, 8]),
@@ -250,7 +251,7 @@ def test_chunk_buffers_are_allocated_once():
     up to the window reuse them."""
     cache, rng = filled(PagedKVCache, [3, 2], chunk_blocks=2)
     cache.context_chunk_pair(0, rows=np.array([1]))
-    buffers = cache._chunk_scratch
+    buffers = cache.codec._chunk_scratch
     assert buffers.shape == (2, 2 * HEADS * 2 * BS * HEAD_DIM)
     k = rng.standard_normal((2, HEADS, 1, HEAD_DIM)).astype(np.float32)
     for position in range(3, 20):                       # one to five chunks
@@ -259,7 +260,7 @@ def test_chunk_buffers_are_allocated_once():
             pass
         for _ in cache.context_blocks(0, kind="k", pad=True):
             pass
-    assert cache._chunk_scratch is buffers
+    assert cache.codec._chunk_scratch is buffers
 
 
 @pytest.fixture

@@ -126,9 +126,10 @@ def assert_pool_conserved(engine) -> None:
     # guarantee is that a stale or free block can never put a NaN or an
     # inf behind a mask.
     if engine.kv_cache == "paged":
-        pools = cache._pool_k + cache._pool_v
+        pools = cache.codec._pool_k + cache.codec._pool_v
     else:
-        pools = [cache._buf_k, cache._buf_v] + cache._scale_k + cache._scale_v
+        pools = [cache.codec._buf_k, cache.codec._buf_v] \
+            + cache.codec._scale_k + cache.codec._scale_v
         MEMO_CHECK(cache)       # incl. no free block resident in the memo
     assert all(np.isfinite(pool).all() for pool in pools)
     assert_ids_memo_consistent(cache)

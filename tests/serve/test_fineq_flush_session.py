@@ -32,8 +32,8 @@ def draft():
 
 def pool_bytes(cache):
     return [pool[layer].tobytes()
-            for pool in (cache._payload_k, cache._payload_v,
-                         cache._scale_k, cache._scale_v)
+            for pool in (cache.codec._payload_k, cache.codec._payload_v,
+                         cache.codec._scale_k, cache.codec._scale_v)
             for layer in range(cache.num_layers)]
 
 

@@ -151,7 +151,7 @@ def test_midblock_divergence_cow_keeps_donor_intact(model):
     match = engine.prefix_store.peek(b)
     assert match.tail_id is not None
     assert match.shared_len == 24  # 16 full + 8 matched tail tokens
-    tail_before_k = [engine.cache._pool_k[layer][match.tail_id].copy()
+    tail_before_k = [engine.cache.codec._pool_k[layer][match.tail_id].copy()
                      for layer in range(model.config.num_layers)]
     rb = engine.submit(b, 8)
     done = {c.request_id: c for c in engine.run()}
@@ -160,7 +160,8 @@ def test_midblock_divergence_cow_keeps_donor_intact(model):
     # COW: the shared tail block's payload never changed.
     for layer in range(model.config.num_layers):
         np.testing.assert_array_equal(
-            engine.cache._pool_k[layer][match.tail_id], tail_before_k[layer])
+            engine.cache.codec._pool_k[layer][match.tail_id],
+            tail_before_k[layer])
 
 
 # ---------------------------------------------------------------------- #

@@ -79,6 +79,24 @@ def test_engine_and_forward_take_exactly_these_arguments():
         "name", "preempt", "prefill_order", "select", "victims_for_blocks"]
 
 
+def test_paged_caches_take_exactly_these_arguments():
+    """The format is the class, not an option; and the FineQ cache is the
+    FP32 one built with another codec, so it defines nothing else — a
+    per-format override of a write, read, sharing, rollback or
+    accounting path cannot creep back."""
+    from repro.nn import PagedKVCache, QuantizedPagedKVCache
+
+    common = ["self", "num_layers", "batch", "block_size", "initial_blocks",
+              "max_blocks", "chunk_blocks"]
+    assert list(inspect.signature(
+        PagedKVCache.__init__).parameters) == common
+    assert list(inspect.signature(
+        QuantizedPagedKVCache.__init__).parameters) == \
+        common + ["dequant_cache_bytes"]
+    assert [name for name, value in vars(QuantizedPagedKVCache).items()
+            if inspect.isfunction(value)] == ["__init__"]
+
+
 def test_durable_queue_module_needs_neither_engine_nor_model():
     """``gateway/queue.py`` journals ``SamplingParams`` through
     ``serve/params.py`` alone.  The ``repro`` and ``repro.serve``
@@ -119,6 +137,7 @@ UNRESOLVED_SPAN_TARGETS = {
     ("repro.nn.paged_kv_cache", "QuantizedPagedKVCache", "prefill_rows"),
     ("repro.nn.paged_kv_cache", "QuantizedPagedKVCache",
      "context_chunk_pair"),
+    ("repro.nn.paged_kv_cache", "QuantizedPagedKVCache", "context_blocks"),
     ("repro.nn.kv_cache", "KVCache", "write_token"),
     ("repro.nn.kv_cache", "KVCache", "write_rows"),
     ("repro.nn.kv_cache", "KVCache", "prefill_rows"),

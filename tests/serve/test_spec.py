@@ -270,10 +270,10 @@ def test_truncate_rows_honors_shared_refcounts():
     fill_row(cache, 0, 8, seed=1)       # blocks [b0, b1]
     shared = int(cache._tables[0, 0])
     cache.ref_blocks([shared])          # a second reader (prefix store)
-    before_k = cache._pool_k[0][shared].copy()
+    before_k = cache.codec._pool_k[0][shared].copy()
     cache.truncate_rows([0], [0])
     assert cache.block_refcount(shared) == 1      # still held elsewhere
-    np.testing.assert_array_equal(cache._pool_k[0][shared], before_k)
+    np.testing.assert_array_equal(cache.codec._pool_k[0][shared], before_k)
     assert cache._blocks_per_row[0] == 0
 
 
@@ -293,8 +293,10 @@ def test_truncate_rows_quantized_keeps_buffered_block():
     assert int(cache._blocks_per_row[0]) == blocks_before
     fill_row(cache, 0, 3, seed=4, start=9)    # accepted continuation
     fill_row(mirror, 0, 3, seed=4, start=9)   # never speculated
-    np.testing.assert_array_equal(cache._buf_k[0][0], mirror._buf_k[0][0])
-    np.testing.assert_array_equal(cache._buf_v[0][0], mirror._buf_v[0][0])
+    np.testing.assert_array_equal(cache.codec._buf_k[0][0],
+                                  mirror.codec._buf_k[0][0])
+    np.testing.assert_array_equal(cache.codec._buf_v[0][0],
+                                  mirror.codec._buf_v[0][0])
     k_got, v_got = dense_context(cache, 0)
     k_want, v_want = dense_context(mirror, 0)
     np.testing.assert_array_equal(k_got, k_want)
