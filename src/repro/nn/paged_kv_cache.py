@@ -666,9 +666,18 @@ class PagedKVCache:
         return self._lengths[layer]
 
     @property
+    def row_lengths(self) -> np.ndarray:
+        """Tokens each row holds, as a read-only view: it moves with every
+        write, rollback and free, so keep a copy (``row_lengths[rows]``)
+        of what a forward is about to change."""
+        view = self._row_len.view()
+        view.flags.writeable = False
+        return view
+
+    @property
     def cached_tokens(self) -> int:
-        """Live tokens across all rows (idle rows decoding dummy tokens
-        register one slot-0 token until the row is prefilled again)."""
+        """Live tokens across all rows (a row no forward touches — idle,
+        freed — holds none)."""
         return int(self._row_len.sum())
 
     def blocks_in_use(self) -> int:

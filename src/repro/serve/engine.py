@@ -127,17 +127,18 @@ class _RequestState:
 
     ``generated`` and ``rng`` carry the request's progress and private
     sampling stream across a preempt / restore cycle, so a restored
-    request continues exactly where it left off.  ``prefill_pos`` is set
-    while the request holds a row whose context is still being written:
-    how much of :attr:`tokens` the row already has (adopted shared
-    prefix plus written chunks).  It is ``None`` in the queue and once
-    the row decodes.
+    request continues exactly where it left off; ``generated[-1]`` is a
+    decoding row's pending token, the one its next step writes.
+    ``prefilling`` is set while the request holds a row whose context is
+    still being written — how much of :attr:`tokens` the row has is the
+    cache's row length — and is False in the queue and once the row
+    decodes.
     """
 
     request: Request
     rng: np.random.Generator
     generated: list[int] = field(default_factory=list)
-    prefill_pos: int | None = None
+    prefilling: bool = False
     _tokens: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -147,10 +148,6 @@ class _RequestState:
     @property
     def priority(self) -> int:
         return self.request.params.priority
-
-    @property
-    def prefilling(self) -> bool:
-        return self.prefill_pos is not None
 
     @property
     def tokens(self) -> np.ndarray:
@@ -185,8 +182,6 @@ class GenerationEngine:
         quantized or not).
     max_batch_size:
         Number of cache slots, i.e. the decode batch width.
-    eos_token:
-        Optional token id that terminates a sequence early.
     rng:
         Engine-level generator; only used to draw per-request seeds for
         requests that did not fix one in :class:`SamplingParams`.
@@ -227,7 +222,6 @@ class GenerationEngine:
     """
 
     def __init__(self, model: TransformerLM, max_batch_size: int = 8,
-                 eos_token: int | None = None,
                  rng: np.random.Generator | None = None,
                  kv_cache: str = "paged",
                  block_size: int = DEFAULT_BLOCK_SIZE,
@@ -247,7 +241,6 @@ class GenerationEngine:
                              f"got {kv_cache!r}")
         self.model = model
         self.max_batch_size = max_batch_size
-        self.eos_token = eos_token
         self.rng = rng or np.random.default_rng(0)
         self.kv_cache = kv_cache
         self.block_size = block_size
@@ -259,7 +252,6 @@ class GenerationEngine:
         self.prefill_chunk_tokens = prefill_chunk_tokens
         if speculative is not None:
             speculative.validate_target(model)
-        self.speculative = speculative
         initial_blocks = max_batch_size * max(1,
                                               INITIAL_CAPACITY // block_size)
         self._initial_blocks = initial_blocks if max_pool_blocks is None \
@@ -276,8 +268,6 @@ class GenerationEngine:
         self._cache: PagedKVCache | None = None
         self._prefix: PrefixStore | None = None
         self._slots: list[_RequestState | None] = [None] * max_batch_size
-        self._lengths = np.zeros(max_batch_size, dtype=np.int64)
-        self._pending = np.zeros(max_batch_size, dtype=np.int64)
         self._live: dict[int, int] = {}      # request_id -> slot row
         self._finished: list[Completion] = []
         self._events: list[TokenEvent] = []  # out-of-step events (cancels)
@@ -301,22 +291,33 @@ class GenerationEngine:
                    initial_blocks=self._initial_blocks,
                    max_blocks=self.max_pool_blocks)
 
-    def _account_step(self, rows: int, tokens: int, prefill_tokens: int = 0,
-                      **spec) -> None:
-        """Post-forward accounting of one decode, speculative or prefill
-        step: fold the cache's read/flush counters (taken per step, so
-        prefill traffic never leaks into a decode step's snapshot) into
-        the session stats, sample the KV-memory high-water mark (decode
-        steps only), and append the step's :class:`StepTrace`."""
+    def _account_step(self, rows: int, tokens: int, seconds: float,
+                      prefill: bool = False, **spec) -> None:
+        """All the accounting of one prefill wave, decode or speculative
+        step, after its forwards: book its ``seconds`` and its ``tokens``
+        (prompt tokens forwarded, or tokens emitted) over ``rows`` rows,
+        fold the cache's read/flush counters (taken per step, so prefill
+        traffic never leaks into a decode step's snapshot) into the
+        session stats, sample the KV-memory high-water mark (decode
+        steps only), and append the step's :class:`StepTrace` (``spec``:
+        a speculative step's ``spec_*`` fields)."""
         cache = self._cache
         stats = self.stats
         read = cache.take_read_stats()
         stats.kv_flush_calls += read.flush_calls
         stats.kv_flush_blocks += read.flush_blocks
-        if prefill_tokens:
+        if prefill:
+            stats.prefill_seconds += seconds
+            stats.prefill_tokens += tokens
             stats.prefill_dequant_hits += read.dequant_hits
             stats.prefill_dequant_misses += read.dequant_misses
         else:
+            stats.decode_seconds += seconds
+            stats.decode_tokens += tokens
+            stats.decode_steps += 1
+            stats.decode_slot_steps += self.max_batch_size
+            stats.spec_proposed += spec.get("spec_proposed", 0)
+            stats.spec_accepted += spec.get("spec_accepted", 0)
             stats.decode_peak_scratch_bytes = max(
                 stats.decode_peak_scratch_bytes, read.peak_scratch_bytes)
             stats.dequant_cache_hits += read.dequant_hits
@@ -332,7 +333,7 @@ class GenerationEngine:
             self.trace.append(StepTrace(
                 rows=rows, tokens=tokens, kv_bytes=cache.used_bytes(),
                 kv_bytes_streamed=read.streamed_bytes,
-                prefill_tokens=prefill_tokens, **spec))
+                prefill_tokens=tokens if prefill else 0, **spec))
 
     # ------------------------------------------------------------------ #
     # request intake and cancellation
@@ -474,7 +475,7 @@ class GenerationEngine:
             return
         bs = cache.block_size
         extra = (self._spec.config.k + 1) if self._spec is not None else 1
-        lengths = self._lengths[self._decoding_rows()]
+        lengths = cache.row_lengths[self._decoding_rows()]
         crossing = int((-(-(lengths + extra) // bs) - -(-lengths // bs)).sum())
         available = cache.available_blocks()
         if crossing <= available:
@@ -514,25 +515,25 @@ class GenerationEngine:
         return finished
 
     def _decode_step(self) -> list[TokenEvent]:
-        """One single-token decode over the active sub-batch."""
-        cache = self._cache
+        """One single-token decode over the active sub-batch: each row
+        writes its pending token at its row length."""
         slots = self._slots
-        batch = self.max_batch_size
         active_rows = self._decoding_rows()
         n = len(active_rows)
+        # A copy (fancy indexing): the forward moves the cache's lengths.
+        lengths = self._cache.row_lengths[active_rows]
+        pending = np.array([slots[row].generated[-1] for row in active_rows],
+                           dtype=np.int64)
         # Full batches take the rows=None fast path (whole-table reads);
         # partial batches forward only the active rows, so draining
         # waves stop paying for idle slots.
         start = time.perf_counter()
-        logits = self.model(self._pending[active_rows][:, None], cache=cache,
-                            positions=self._lengths[active_rows][:, None],
-                            rows=None if n == batch else active_rows)
-        self.stats.decode_seconds += time.perf_counter() - start
-        self.stats.decode_tokens += n
-        self.stats.decode_steps += 1
-        self.stats.decode_slot_steps += batch
-        self._lengths[active_rows] += 1
-        self._account_step(rows=n, tokens=n)
+        logits = self.model(pending[:, None], cache=self._cache,
+                            positions=lengths[:, None],
+                            rows=None if n == self.max_batch_size
+                            else active_rows)
+        self._account_step(rows=n, tokens=n,
+                           seconds=time.perf_counter() - start)
 
         sampled = _sample_tokens(
             logits.data[:, -1],
@@ -542,14 +543,10 @@ class GenerationEngine:
         for i, row in enumerate(active_rows):
             slot = slots[row]
             token = int(sampled[i])
-            slot.generated.append(token)
-            self._pending[row] = token
             reason = self._finish_reason(slot.request.params, token,
-                                         len(slot.generated),
-                                         int(self._lengths[row]))
-            events.append(TokenEvent(slot.request_id, token, reason))
-            if reason is not None:
-                self._retire(row, reason)
+                                         len(slot.generated) + 1,
+                                         int(lengths[i]) + 1)
+            events += self._emit(row, [token], reason)
         return events
 
     def _spec_decode_step(self) -> list[TokenEvent]:
@@ -588,10 +585,10 @@ class GenerationEngine:
         cache = self._cache
         slots = self._slots
         spec = self._spec
-        batch = self.max_batch_size
         active_rows = self._decoding_rows()
         n = len(active_rows)
-        lengths = self._lengths[active_rows].copy()
+        # A copy (fancy indexing): the verify moves the cache's lengths.
+        lengths = cache.row_lengths[active_rows]
         limit = min(self.model.config.max_seq_len,
                     spec.draft.config.max_seq_len)
         k_eff = np.zeros(n, dtype=np.int64)
@@ -617,7 +614,7 @@ class GenerationEngine:
         # could not draft fold in as width-1 verifies (a plain decode
         # through the same forward).
         verify: list[list[int]] = [
-            [int(self._pending[row])] for row in active_rows]
+            [slots[row].generated[-1]] for row in active_rows]
         for jj, j in enumerate(draft_idx):
             verify[j] += [int(t) for t in proposals[jj]]
 
@@ -725,49 +722,33 @@ class GenerationEngine:
         if len(rollback):
             cache.truncate_rows(active_rows[rollback], new_lens[rollback])
         spec.commit(active_rows[draft_idx], new_lens[draft_idx])
-        self._lengths[active_rows] = new_lens
 
-        total_emitted = int(new_lens.sum() - lengths.sum())
-        self.stats.decode_seconds += time.perf_counter() - start_t
-        self.stats.decode_tokens += total_emitted
-        self.stats.decode_steps += 1
-        self.stats.decode_slot_steps += batch
-        self.stats.spec_proposed += int(k_eff.sum())
-        self.stats.spec_accepted += accepted_step
         # One snapshot covers every verify round: the cache's read
         # counters accumulate across forwards until taken.
-        self._account_step(rows=n, tokens=total_emitted,
+        self._account_step(rows=n, tokens=int(new_lens.sum() - lengths.sum()),
+                           seconds=time.perf_counter() - start_t,
                            spec_proposed=int(k_eff.sum()),
                            spec_accepted=accepted_step,
                            spec_draft_tokens=draft_tokens,
                            spec_verify_tokens=verify_tokens)
-
         events: list[TokenEvent] = []
         for j, row in enumerate(active_rows):
-            slot = slots[row]
-            rid = slot.request.request_id
-            for idx, tok in enumerate(emitted[j]):
-                slot.generated.append(int(tok))
-                final = idx == len(emitted[j]) - 1
-                events.append(TokenEvent(rid, int(tok),
-                                         reasons[j] if final else None))
-            self._pending[row] = int(emitted[j][-1])
-            if reasons[j] is not None:
-                self._retire(row, reasons[j])
+            events += self._emit(row, emitted[j], reasons[j])
         return events
 
     def _scheduler_view(self) -> SchedulerView:
         """Snapshot of engine state for one scheduler decision."""
+        cache = self._cache
+        lengths = cache.row_lengths
         running = tuple(RunningInfo(request_id=slot.request_id, row=row,
                                     priority=slot.priority,
                                     tokens_generated=len(slot.generated),
-                                    context_len=int(self._lengths[row]),
+                                    context_len=int(lengths[row]),
                                     prefill_remaining=(
-                                        len(slot.tokens) - slot.prefill_pos
+                                        len(slot.tokens) - int(lengths[row])
                                         if slot.prefilling else 0))
                         for row, slot in enumerate(self._slots)
                         if slot is not None)
-        cache = self._cache
         store = self._prefix
 
         def prefix_peek(tokens):
@@ -856,7 +837,7 @@ class GenerationEngine:
         just the rest.
         """
         state = self._release_row(row)
-        state.prefill_pos = None
+        state.prefilling = False
         self._queue.appendleft(state)
         self.stats.preemptions += 1
 
@@ -916,20 +897,13 @@ class GenerationEngine:
         for entry in entries:
             self._queue.remove(entry)
         for entry, row in zip(entries, rows):
-            shared = 0
             if self._prefix is not None:
-                shared = self._prefix.attach(row, entry.tokens)
-            entry.prefill_pos = shared
+                # The adopted prefix is the row's length from here on.
+                self.stats.shared_prompt_tokens += self._prefix.attach(
+                    row, entry.tokens)
+            entry.prefilling = True
             self._slots[row] = entry
-            self._lengths[row] = shared
             self._live[entry.request_id] = row
-            # prompt_tokens counts context as it is *established* (the
-            # adopted prefix now, each chunk as it forwards), so the
-            # ``prompt == shared + prefill`` invariant holds at every
-            # instant — including across mid-prefill cancels/preempts,
-            # whose never-written remainders simply never count.
-            self.stats.prompt_tokens += shared
-            self.stats.shared_prompt_tokens += shared
 
     def _prefill_step(self) -> list[TokenEvent]:
         """Advance prefilling rows by one budgeted ragged chunk wave.
@@ -964,11 +938,12 @@ class GenerationEngine:
         # budget is at least one block so the head of the order always
         # makes progress.
         grain = self._cache.block_size
+        held = self._cache.row_lengths   # adopted prefix + written chunks
         grants: list[tuple[int, _RequestState, int]] = []  # (row, slot, take)
         remaining_total = 0
         for rid in order:
             row, slot = prefilling[rid]
-            remaining = len(slot.tokens) - slot.prefill_pos
+            remaining = len(slot.tokens) - int(held[row])
             remaining_total += remaining
             take = min(remaining, max(budget, grain if not grants else 0))
             if take < remaining:
@@ -984,19 +959,18 @@ class GenerationEngine:
         self.stats.prefill_chunks += len(grants)
         self.stats.prefill_tokens_deferred += remaining_total - granted
 
-        # One ragged wave over the granted spans: row j writes
-        # ``take`` tokens after its ``prefill_pos`` established context
-        # and attends everything up to each written position.
+        # One ragged wave over the granted spans: row j writes ``take``
+        # tokens after the context it holds and attends everything up to
+        # each written position.
         rows_arr = np.array([row for row, _, _ in grants], dtype=np.int64)
-        starts = np.array([slot.prefill_pos for _, slot, _ in grants],
-                          dtype=np.int64)
+        starts = held[rows_arr]           # a copy: the forward moves held
         widths = np.array([take for _, _, take in grants], dtype=np.int64)
-        finishing = np.array([slot.prefill_pos + take >= len(slot.tokens)
-                              for _, slot, take in grants])
-        n = len(grants)
+        finishing = np.array([start + take >= len(slot.tokens)
+                              for start, (_, slot, take)
+                              in zip(starts, grants)])
         tokens, positions = _pad_spans(
-            [slot.tokens[slot.prefill_pos:slot.prefill_pos + take]
-             for _, slot, take in grants],
+            [slot.tokens[start:start + take]
+             for start, (_, slot, take) in zip(starts, grants)],
             starts, self.model.config.max_seq_len - 1)
 
         start_t = time.perf_counter()
@@ -1004,14 +978,9 @@ class GenerationEngine:
                             rows=rows_arr, span_lens=widths,
                             logits_positions=np.where(finishing,
                                                       widths - 1, -1))
-        self.stats.prefill_seconds += time.perf_counter() - start_t
-        self.stats.prefill_tokens += granted
-        self.stats.prompt_tokens += granted
-        self._account_step(rows=n, tokens=granted, prefill_tokens=granted)
-
-        for row, slot, take in grants:
-            slot.prefill_pos += take
-            self._lengths[row] = slot.prefill_pos
+        self._account_step(rows=len(grants), tokens=granted,
+                           seconds=time.perf_counter() - start_t,
+                           prefill=True)
 
         events: list[TokenEvent] = []
         finish_idx = np.flatnonzero(finishing)
@@ -1029,16 +998,27 @@ class GenerationEngine:
                                [slot.request.params for _, slot, _ in done],
                                [slot.rng for _, slot, _ in done])
         for j, (row, slot, _) in enumerate(done):
+            slot.prefilling = False
             token = int(first[j])
-            slot.generated.append(token)
-            slot.prefill_pos = None
-            self._pending[row] = token
             reason = self._finish_reason(slot.request.params, token,
-                                         len(slot.generated),
-                                         int(self._lengths[row]))
-            events.append(TokenEvent(slot.request_id, token, reason))
-            if reason is not None:
-                self._retire(row, reason)
+                                         len(slot.generated) + 1,
+                                         len(slot.tokens))
+            events += self._emit(row, [token], reason)
+        return events
+
+    def _emit(self, row: int, tokens: list[int],
+              reason: str | None) -> list[TokenEvent]:
+        """Commit ``tokens`` to the request in ``row`` — the one place a
+        request's stream grows: extend it, build one event per token
+        (the last carries ``reason``), and retire the row when
+        ``reason`` is terminal."""
+        slot = self._slots[row]
+        slot.generated += tokens
+        events = [TokenEvent(slot.request_id, token, None)
+                  for token in tokens[:-1]]
+        events.append(TokenEvent(slot.request_id, tokens[-1], reason))
+        if reason is not None:
+            self._retire(row, reason)
         return events
 
     def _finish_reason(self, params: SamplingParams, token: int,
@@ -1048,8 +1028,6 @@ class GenerationEngine:
         *including* this one and ``context_len`` is the committed
         context after it (for a speculative verify, the state it is
         about to commit)."""
-        if self.eos_token is not None and token == self.eos_token:
-            return "eos"
         if token in params.stop_tokens:
             return "stop"
         if generated >= params.max_new_tokens:
@@ -1076,14 +1054,13 @@ class GenerationEngine:
         request that held it."""
         state = self._slots[row]
         self._slots[row] = None
-        self._lengths[row] = 0
         self._live.pop(state.request_id, None)
         # The row's blocks return to the pool immediately so waiting
         # prompts can be admitted into the freed memory.  Trimming the
         # read width to the surviving rows keeps a persistent session from
         # forever reading (and masking) the longest-ever row's width.
         self._cache.free_rows(np.array([row]))
-        self._cache.trim(int(self._lengths.max()))
+        self._cache.trim(int(self._cache.row_lengths.max()))
         if self._spec is not None:
             self._spec.drop_rows(np.array([row]))
         return state

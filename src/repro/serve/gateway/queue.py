@@ -219,7 +219,7 @@ class RequestQueue:
         """Mark a live job terminal with the engine's finish reason.
 
         ``"cancelled"`` lands as status ``cancelled``, every other
-        reason (``length``/``eos``/``stop``/``max_seq_len``) as
+        reason (``length``/``stop``/``max_seq_len``) as
         ``completed``.  A job already terminal (e.g. cancelled through
         the API in the same step it finished) is left untouched.
         """

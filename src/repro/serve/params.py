@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 #: Every terminal state a request can reach.
-FINISH_REASONS = ("length", "eos", "stop", "max_seq_len", "cancelled")
+FINISH_REASONS = ("length", "stop", "max_seq_len", "cancelled")
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class SamplingParams:
     seed + submission order).  ``top_k``/``top_p`` of ``None`` disable
     the respective filter; ``top_k=1`` is exact greedy.  ``stop_tokens``
     terminate the request the step they are generated (the stop token is
-    kept, mirroring ``eos`` handling).  ``priority`` (higher wins) only
+    kept, as the last token of the completion).  ``priority`` (higher wins) only
     matters under the ``"priority"`` scheduler, which admits high
     priorities first and may preempt lower-priority running requests when
     the block pool runs out.

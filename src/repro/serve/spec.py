@@ -9,17 +9,18 @@ and the target model verifies all ``k + 1`` positions in **one**
 multi-token forward over the existing block-resident prefill read path —
 one target forward now emits ``accepted + 1`` tokens instead of one.
 
-This module owns the draft side and the acceptance math; the engine
+This module owns the draft side; the engine
 (:meth:`repro.serve.engine.GenerationEngine._spec_decode_step`) owns the
-verify forward, commit/rollback against the target cache, and event
-emission.  The split keeps every target-cache invariant in one place
-while the draft remains a self-contained model+cache pipeline:
+verify forward, the acceptance loop, commit/rollback against the target
+cache, and event emission.  The split keeps every target-cache invariant
+in one place while the draft remains a self-contained model+cache
+pipeline:
 
 * :class:`SpeculativeConfig` — the user-facing knob (draft model, ``k``).
 * :class:`SpeculativeDecoder` — per-row draft state: a private FP32
   paged draft KV cache (never quantized — the draft is supposed to be
-  cheap *and* exact), per-row drafted-extent counters, and per-request
-  draft RNG streams.
+  cheap *and* exact), whose row lengths are the drafted extents, and
+  per-request draft RNG streams.
 
 Determinism: draft proposals for non-greedy requests are sampled from a
 *separate* per-request RNG stream (derived from ``params.seed`` with a
@@ -30,11 +31,10 @@ a pure function of the target logits and ``params.seed``, and
 speculative sampled output equals target-only sampled output token for
 token whatever the draft proposes.
 
-The draft cache never rolls back: after a verify the drafted extent is
-clamped to the committed prefix (``commit``), stale positions beyond it
-are masked by the next catch-up's causal mask and overwritten in place,
-and ``drop_rows`` (retire/cancel/preempt) returns the row's blocks to
-the draft pool.
+After a verify each draft row is truncated to the committed prefix
+(``commit``); stale positions inside kept blocks are masked by the next
+catch-up's causal mask and overwritten in place, and ``drop_rows``
+(retire/cancel/preempt) returns the row's blocks to the draft pool.
 """
 
 from __future__ import annotations
@@ -114,11 +114,12 @@ class SpeculativeDecoder:
 
     One instance per engine, sized to the engine's slot pool (``batch``
     rows of ``block_size``-token blocks, ``initial_blocks`` to start
-    with): row ``r`` of the draft cache mirrors engine row ``r``.
-    ``_len[r]`` is the drafted extent — how many of the request's
-    tokens the draft model has processed into its cache; it trails the
-    engine's committed length and is caught up with one ragged span
-    forward at the start of every :meth:`propose`.
+    with): row ``r`` of the draft cache mirrors engine row ``r``.  The
+    draft row's length is the drafted extent — how many of the
+    request's tokens the draft model has processed into its cache; it
+    never exceeds the engine row's committed length and is caught up
+    with one ragged span forward at the start of every :meth:`propose`.
+    A row's draft RNG is ``None`` until its request first drafts.
     """
 
     def __init__(self, config: SpeculativeConfig, batch: int,
@@ -131,8 +132,6 @@ class SpeculativeDecoder:
         self.cache = PagedKVCache(self.draft.config.num_layers, batch=batch,
                                   block_size=block_size,
                                   initial_blocks=initial_blocks)
-        self._len = np.zeros(batch, dtype=np.int64)
-        self._req = np.full(batch, -1, dtype=np.int64)
         self._rng: list[np.random.Generator | None] = [None] * batch
 
     def drop_rows(self, rows: np.ndarray) -> None:
@@ -145,12 +144,10 @@ class SpeculativeDecoder:
         cannot perturb the request's output stream).
         """
         rows = np.asarray(rows, dtype=np.int64).reshape(-1)
-        self._len[rows] = 0
-        self._req[rows] = -1
         for row in rows:
             self._rng[int(row)] = None
         self.cache.free_rows(rows)
-        self.cache.trim(int(self._len.max()))
+        self.cache.trim(int(self.cache.row_lengths.max()))
 
     def _catch_up(self, rows: np.ndarray, slots: list, starts: np.ndarray,
                   widths: np.ndarray) -> np.ndarray:
@@ -185,12 +182,9 @@ class SpeculativeDecoder:
         rngs: list[np.random.Generator] = []
         for j in range(n):
             row = int(rows[j])
-            rid = slots[j].request.request_id
-            if self._req[row] != rid or self._rng[row] is None:
-                # A fresh (or restored) request in this row: start its
-                # draft stream and cache from scratch.
-                self._req[row] = rid
-                self._len[row] = 0
+            if self._rng[row] is None:
+                # A fresh (or restored) request in this row, whose draft
+                # row ``drop_rows`` emptied: start its draft stream.
                 self._rng[row] = np.random.default_rng(
                     (_DRAFT_SEED_SALT, params[j].seed))
             rngs.append(self._rng[row])
@@ -202,8 +196,8 @@ class SpeculativeDecoder:
         # --- the two classes forward separately, or the short rows
         # --- would be padded to prompt width (same logits either way
         # --- only where both waves' rows * width GEMMs are row-stable) ---
-        starts = self._len[rows].copy()
-        widths = lengths + 1 - starts            # >= 1: _len trails L
+        starts = self.cache.row_lengths[rows]
+        widths = lengths + 1 - starts            # >= 1: the draft trails L
         logits_now = np.zeros((n, self.draft.config.vocab_size),
                               dtype=np.float32)
         arrived = widths > self.config.k + 1
@@ -236,7 +230,7 @@ class SpeculativeDecoder:
             draft_tokens += len(nxt)
             logits_now[nxt] = out.data[:, -1]
 
-        self._len[rows] = lengths + k_eff
+        # The draft rows now hold ``lengths + k_eff`` tokens.
         return ([np.asarray(p, dtype=np.int64) for p in proposals],
                 draft_tokens)
 
@@ -245,13 +239,11 @@ class SpeculativeDecoder:
 
         A draft position is valid while the token it caches is still on
         the request's committed path — accepted proposals stay, the
-        first rejected position and everything after it are clamped off.
-        The clamp releases whole uncovered blocks via
-        :meth:`PagedKVCache.truncate_rows`; stale tail positions
-        inside kept storage are masked by the next catch-up's causal
-        mask and overwritten in place.
+        first rejected position and everything after it are clamped off
+        (:meth:`PagedKVCache.truncate_rows` leaves a row already within
+        its committed length as it is and releases whole uncovered
+        blocks); stale tail positions inside kept storage are masked by
+        the next catch-up's causal mask and overwritten in place.
         """
-        new_lens = np.minimum(self._len[rows], committed)
-        self.cache.truncate_rows(rows, new_lens)
-        self._len[rows] = new_lens
-        self.cache.trim(int(self._len.max()))
+        self.cache.truncate_rows(rows, committed)
+        self.cache.trim(int(self.cache.row_lengths.max()))

@@ -10,12 +10,11 @@ from typing import NamedTuple
 class EngineStats:
     """Token/time accounting for throughput reporting.
 
-    Prefill counters are *per admission*: ``prompt_tokens`` is the
-    context admissions established (counted as it lands — adopted
-    prefixes at claim time, forwarded chunks as they forward),
-    ``shared_prompt_tokens`` the part adopted from cached prefixes, and
-    ``prefill_tokens`` the part actually forwarded through the model, so
-    ``prompt_tokens == shared_prompt_tokens + prefill_tokens`` always.
+    Prefill counters are *per admission*, counted as context lands:
+    ``shared_prompt_tokens`` is what admissions adopted from cached
+    prefixes (at claim time), ``prefill_tokens`` what they forwarded
+    through the model (chunk by chunk), and :attr:`prompt_tokens` their
+    sum, the context admissions established.
     A preempted request's restore is a second admission (its prompt plus
     generated progress count again), and a request cancelled or
     preempted mid chunked prefill contributes only what it wrote — the
@@ -25,7 +24,6 @@ class EngineStats:
 
     prefill_tokens: int = 0
     prefill_seconds: float = 0.0
-    prompt_tokens: int = 0
     shared_prompt_tokens: int = 0
     decode_tokens: int = 0
     decode_seconds: float = 0.0
@@ -62,6 +60,11 @@ class EngineStats:
     # accepted run counts in decode_tokens, not here).
     spec_proposed: int = 0
     spec_accepted: int = 0
+
+    @property
+    def prompt_tokens(self) -> int:
+        """Context admissions established: adopted plus forwarded."""
+        return self.shared_prompt_tokens + self.prefill_tokens
 
     @property
     def prefill_tokens_per_s(self) -> float:

@@ -120,21 +120,6 @@ def test_parity_mixed_max_new_tokens(model):
         assert len(done[rid].new_tokens) == budget
 
 
-def test_eos_termination(model):
-    prompt = np.array([1, 2])
-    reference = model.generate(prompt, 8, temperature=0.0)
-    eos = int(reference[-1])  # some token the greedy continuation emits
-    engine = GenerationEngine(model, max_batch_size=1, eos_token=eos)
-    engine.submit(prompt, 8)
-    completion = engine.run()[0]
-    assert completion.finish_reason == "eos"
-    assert completion.tokens[-1] == eos
-    # Truncated exactly at the first greedy occurrence of the eos token.
-    generated = reference[len(prompt):]
-    first = len(prompt) + int(np.argmax(generated == eos)) + 1
-    np.testing.assert_array_equal(completion.tokens, reference[:first])
-
-
 def test_temperature_sampling_reproducible(model, prompts):
     outs = []
     for _ in range(2):

@@ -5,17 +5,19 @@ Random interleavings of submit (greedy and seeded-sampled, short and
 multi-chunk prompts drawn from a few shared prefixes, three priority
 levels) / step / cancel (queued or running) on a three-slot engine with
 prefix sharing, a prefix-store budget small enough to evict and a KV
-pool small enough that the priority scheduler preempts.  After every
-rule the pool's conservation laws are checked against the block tables
-and the prefix trie; at teardown the session drains and the whole
-operation log is replayed on a fresh engine, which must return the same
-bytes (**replay determinism** — what is asserted on both backends, under
-every configuration).  ``"paged"`` completions are additionally compared
-with the same request served alone and with sequential ``generate``:
-that parity has held in every example so far but is empirical, not
-structural.  ``"fineq"`` streams are *not* independent of their
-neighbours (ROADMAP item 1; the counterexample is pinned in
-``test_fineq_stream_depends_on_its_neighbour`` below).
+pool small enough that the priority scheduler preempts — with and
+without speculative decoding, whose accepts, rollbacks and draft-row
+drops then interleave with all of it.  After every rule the pool's
+conservation laws are checked against the block tables and the prefix
+trie, and every row's length against its request; at teardown the
+session drains and the whole operation log is replayed on a fresh
+engine, which must return the same bytes (**replay determinism** — what
+is asserted on both backends, under every configuration).  ``"paged"``
+completions are additionally compared with the same request served alone
+and with sequential ``generate``: that parity has held in every example
+so far but is empirical, not structural.  ``"fineq"`` streams are *not*
+independent of their neighbours (ROADMAP item 1; the counterexample is
+pinned in ``test_fineq_stream_depends_on_its_neighbour`` below).
 
 The example budget comes from the hypothesis profile the root
 ``conftest.py`` loads (``default``: well under 20 s for both backends;
@@ -30,7 +32,7 @@ from hypothesis.stateful import (RuleBasedStateMachine, initialize,
 
 from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
-from repro.serve import GenerationEngine, SamplingParams
+from repro.serve import GenerationEngine, SamplingParams, SpeculativeConfig
 
 VOCAB, BLOCK, CHUNK, BATCH = 32, 4, 8, 3
 #: Prefix sharing under a trie budget small enough to evict, and the
@@ -38,6 +40,9 @@ VOCAB, BLOCK, CHUNK, BATCH = 32, 4, 8, 3
 PRESSURE = dict(scheduler="priority", prefix_sharing=True, prefix_blocks=5,
                 max_pool_blocks=12)
 MODEL = TransformerLM(tiny_config(vocab_size=VOCAB, seed=3, max_seq_len=64))
+#: The same pressure, decoding speculatively with a second tiny model.
+DRAFT = TransformerLM(tiny_config(vocab_size=VOCAB, seed=5, max_seq_len=64))
+SPEC = dict(PRESSURE, speculative=SpeculativeConfig(draft_model=DRAFT, k=2))
 #: Requests open with one of these, so the prefix store hits, copies on
 #: write inside a block (6 and 9 are off the 4-token block grid) and
 #: defers same-wave duplicates.
@@ -100,12 +105,34 @@ def assert_ids_memo_consistent(cache) -> None:
         cache._ids_memo = saved
 
 
+def assert_row_lengths(engine) -> None:
+    """The cache's row lengths are the only record of how much of each
+    request a row holds, so they must agree with the request: an idle
+    row holds nothing, a decoding row everything but its pending token
+    (the last generated, which the next step writes), a prefilling row
+    less than all of it; and a draft row never runs ahead of its target
+    row."""
+    lengths = engine.cache.row_lengths
+    for row, slot in enumerate(engine._slots):
+        if slot is None:
+            assert lengths[row] == 0, row
+        elif slot.prefilling:
+            assert lengths[row] < len(slot.tokens), row
+        else:
+            assert lengths[row] == len(slot.tokens) - 1, row
+    if engine._spec is not None:
+        assert (engine._spec.cache.row_lengths <= lengths).all()
+
+
 def assert_pool_conserved(engine) -> None:
     stats = engine.stats
     assert stats.prompt_tokens == \
         stats.shared_prompt_tokens + stats.prefill_tokens
     cache = engine.cache
-    if cache is None or cache._heads is None:
+    if cache is None:
+        return
+    assert_row_lengths(engine)
+    if cache._heads is None:
         return
     total = cache._total_blocks
     free = np.asarray(cache._free, dtype=np.int64)
@@ -141,7 +168,7 @@ class EngineMachine(RuleBasedStateMachine):
     #: alone (and, greedy, sequential ``generate``).
     solo_parity = True
     #: Engine options an example may draw.
-    configs = [PRESSURE]
+    configs = [PRESSURE, SPEC]
 
     def __init__(self):
         super().__init__()
@@ -217,7 +244,10 @@ class EngineMachine(RuleBasedStateMachine):
                 ("preempted", engine.stats.preemptions),
                 ("adopted a prefix", engine.stats.shared_prompt_tokens),
                 ("evicted a prefix", store and store.stats.evicted_blocks),
-                ("chunked a prompt", engine.stats.prefill_tokens_deferred)):
+                ("chunked a prompt", engine.stats.prefill_tokens_deferred),
+                ("accepted a draft", engine.stats.spec_accepted),
+                ("rolled back a draft", engine.stats.spec_proposed
+                 - engine.stats.spec_accepted)):
             if hit:
                 event(name)
         cache = engine.cache
@@ -267,11 +297,11 @@ class FineqEngineMachine(EngineMachine):
     2.33-bit flush amplifies it (the pinned counterexample below).  So
     no stream is compared with the solo one: what must hold is replay
     determinism, the conservation laws and the completions' shape, with
-    and without pressure."""
+    and without pressure, with and without speculation."""
 
     backend = "fineq"
     solo_parity = False
-    configs = [PRESSURE, {}]
+    configs = [PRESSURE, {}, SPEC]
 
 
 TestPagedEngine = EngineMachine.TestCase

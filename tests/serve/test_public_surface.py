@@ -59,7 +59,7 @@ def test_engine_and_forward_take_exactly_these_arguments():
 
     assert list(inspect.signature(
         repro.serve.GenerationEngine.__init__).parameters) == [
-        "self", "model", "max_batch_size", "eos_token", "rng", "kv_cache",
+        "self", "model", "max_batch_size", "rng", "kv_cache",
         "block_size", "scheduler", "prefix_sharing", "prefix_blocks",
         "max_pool_blocks", "record_trace", "prefill_chunk_tokens",
         "speculative"]
