@@ -33,17 +33,21 @@ prefill chunks: the engine's chunked prefill writes a span of prompt
 tokens and attends them over the full context through the identical
 ``context_blocks`` iteration, so prefill and decode share one read path
 (and the quantized cache's dequant memo serves prefill re-reads too).
-Its score/value geometry is *chunk-grid stable*: every chunk is read
-padded to the full ``chunk_blocks * block_size`` window (the cache
-supplies the exact-zero tail, ``context_blocks(pad=True)``), the softmax
-denominator accumulates fixed-width per-window partial sums, and the
-value GEMMs are always window-wide — so the same query runs
-bit-identical accumulation trees whatever the surrounding context
-width, which is what makes chunked prefill match one-shot prefill
-(padded positions carry exactly-zero probabilities and contribute
-exact zeros).  So the grid ends at the forward's *reach* (the mask's
-width, the last key any query sees), not at the cache's widest row:
-windows past it add exact zeros and are neither read nor multiplied.
+Its score/value geometry is *chunk-grid stable*: scores land in
+fixed ``chunk_blocks * block_size``-wide window blocks, the softmax
+denominator accumulates fixed-width per-window partial sums, and every
+value chunk is read padded to the full window (the cache supplies the
+exact-zero tail, ``context_blocks(pad=True)``) so the value GEMMs are
+always window-wide — the same query runs bit-identical accumulation
+trees whatever the surrounding context width, which is what makes
+chunked prefill match one-shot prefill (padded positions carry
+exactly-zero probabilities and contribute exact zeros).  Scores need no
+padding: each is a dot product over ``head_dim`` of its own, so the K
+read stops at the last block the queries reach and the window's tail
+is zero-filled after the exponent.  So the grid ends at the forward's
+*reach* (the mask's width, the last key any query sees), not at the
+cache's widest row: windows past it add exact zeros and are neither
+read nor multiplied.
 """
 
 from __future__ import annotations
@@ -166,11 +170,12 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     Returns the ``(n, heads, seq, head_dim)`` float32 context.
 
     Numerics: scores reduce over ``head_dim`` exactly like the dense
-    matmul, so they are bit-identical to the dense path's.  Softmax
-    and the value contraction run at *chunk-grid* geometry — every
-    chunk padded to the ``chunk_blocks * block_size`` window, the
-    softmax denominator accumulated window by window, the value GEMMs
-    always window-wide — so a given query's reduction trees do not
+    matmul, so they are bit-identical to the dense path's (the K read
+    therefore ends at the reach's last block).  Softmax and the value
+    contraction run at *chunk-grid* geometry — every value chunk padded
+    to the ``chunk_blocks * block_size`` window, the softmax denominator
+    accumulated window by window, the value GEMMs always window-wide —
+    so a given query's reduction trees do not
     depend on how much context happens to sit in the cache beyond what
     its mask allows.  Padded/masked positions exponentiate to exact
     zeros and contribute exact zero partial sums and products, which is
@@ -189,20 +194,22 @@ def block_prefill_attention(q: np.ndarray, cache, layer_index: int,
     windows = max(1, -(-live // window))
     widths = [min(window, live - w * window) for w in range(windows)]
 
-    # Pass 1: scores over the padded chunk grid, one contiguous
-    # ``(n, heads, seq, window)`` block per window.  Chunk starts are
-    # window-aligned and the cache pads every chunk to the window
-    # (exact zeros), so every score GEMM is window-wide.  Each block is
-    # scaled and masked exactly like :func:`_softmax_probs` while it is
-    # hot, over its live columns only, and the row maxima fold across
-    # blocks (a maximum is exact in any order).
+    # Pass 1: scores over the chunk grid, one contiguous ``(n, heads,
+    # seq, window)`` block per window.  Chunk starts are window-aligned;
+    # the K read stops at the reach's last block, so a chunk's ``q @ kᵀ``
+    # fills the leading columns of its block — each score is its own
+    # dot product over ``head_dim``, whatever the chunk's width.  Each
+    # block is scaled and masked exactly like :func:`_softmax_probs`
+    # while it is hot, over its live columns only, and the row maxima
+    # fold across blocks (a maximum is exact in any order).
     scores = np.empty((windows, n, heads, seq, window), dtype=np.float32)
     scale = np.float32(1.0 / np.sqrt(head_dim))
     top = np.full((n, heads, seq, 1), _NEG_INF)
     for start, k_chunk in cache.context_blocks(
-            layer_index, rows=rows, kind="k", pad=True, _reach=live):
+            layer_index, rows=rows, kind="k", _reach=live):
         w = start // window
-        np.matmul(q, k_chunk.transpose(0, 1, 3, 2), out=scores[w])
+        np.matmul(q, k_chunk.transpose(0, 1, 3, 2),
+                  out=scores[w, ..., :k_chunk.shape[2]])
         seen = scores[w, ..., :widths[w]]
         seen *= scale
         if kv_mask is not None:

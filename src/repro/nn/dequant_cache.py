@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_NO_IDS = np.zeros(0, dtype=np.int64)
+
 
 class DequantBlockCache:
     """LRU memo of dequantized quantized-pool blocks, keyed by
@@ -19,21 +21,25 @@ class DequantBlockCache:
     dequantized ``(heads, block, head_dim)`` K/V values can be reused
     across readers, layers' worth of decode steps, and sessions of the
     same engine.  Entries live in slot-pooled value stores (one K and
-    one V array) so chunk assembly is a single gather per operand,
-    straight into the layout attention multiplies; the slot count is
-    ``budget_bytes`` divided by the per-entry footprint, grown lazily
-    and recycled LRU.  Entries arrive two ways: a
-    :meth:`lookup` miss dequantizes the payload, and a flush *writes
-    through* (:meth:`fill`) the values it already holds, so a block the
-    step has just encoded is never decoded back.  :meth:`invalidate`
-    drops entries whenever a payload is rewritten or the block returns
-    to the free list, so a recycled block id can never serve stale
-    values.
+    one V array); the slot count is ``budget_bytes`` divided by the
+    per-entry footprint, grown lazily and recycled LRU.  A reader
+    resolves block ids to slots with :meth:`lookup` and gathers from
+    :attr:`views` itself, one ``take`` per operand straight into the
+    layout attention multiplies.  The FineQ codec resolves a layer's
+    whole read at once when the budget can pin every block it touches
+    (``whole=True``) and reuses those slots while :attr:`generation`
+    stands still; otherwise it looks up chunk by chunk.  Entries arrive
+    two ways: a :meth:`lookup` miss dequantizes the payload, and a
+    flush *writes through* (:meth:`fill`) the values it already holds,
+    so a block the step has just encoded is never decoded back.
+    :meth:`invalidate` drops entries whenever a payload is rewritten or
+    the block returns to the free list, so a recycled block id can
+    never serve stale values.
 
     Slot 0 of the stores is a permanent all-zero entry that no key owns:
     the absent id ``-1`` resolves to it (through a sentinel last column
     of the slot table, which ``-1`` indexes), so a chunk whose table has
-    unowned positions is still one gather.
+    unowned or padding positions is still one gather.
     """
 
     def __init__(self, num_layers: int, heads: int, block_size: int,
@@ -42,9 +48,9 @@ class DequantBlockCache:
         self.entry_bytes = 2 * heads * block_size * head_dim * 4  # K + V
         self.capacity = max(0, int(budget_bytes) // self.entry_bytes)
         self._shape = (heads, block_size, head_dim)
-        self._head_offsets = np.arange(heads)[:, None]
         self._store_k = np.zeros((1,) + self._shape, dtype=np.float32)
         self._store_v = np.zeros((1,) + self._shape, dtype=np.float32)
+        self._publish_views()
         # (layer, block id) -> slot, as an array so a chunk's lookups are
         # one fancy index instead of per-id dict probes (-1 = absent).
         self._slot_table = np.zeros((num_layers, 1), dtype=np.int64)
@@ -57,6 +63,10 @@ class DequantBlockCache:
         self._free: list[int] = []
         self._tick = 0
         self.evictions = 0
+        #: Bumped whenever a key is bound to a slot or unbound from one
+        #: (fill, miss, eviction, invalidation): slots a reader resolved
+        #: stay valid exactly while it is unchanged.
+        self.generation = 0
 
     def __len__(self) -> int:
         return self._entries
@@ -77,6 +87,13 @@ class DequantBlockCache:
         wider[:, -1] = 0
         self._slot_table = wider
 
+    def _publish_views(self) -> None:
+        """Set :attr:`views`: the K and V stores as free ``(slots *
+        heads, block, head_dim)`` views, the arrays :meth:`lookup`'s
+        slots address."""
+        self.views = tuple(store.reshape((-1,) + self._shape[1:])
+                           for store in (self._store_k, self._store_v))
+
     def _grow(self, needed: int) -> None:
         """Allocate more slots (amortized doubling, capped at capacity)."""
         have = len(self._occupied) - 1
@@ -89,6 +106,7 @@ class DequantBlockCache:
             grown = np.zeros((new + 1,) + old.shape[1:], dtype=old.dtype)
             grown[:have + 1] = old
             setattr(self, name, grown)
+        self._publish_views()
         self._free.extend(range(have + 1, new + 1))
 
     def _claim_slots(self, count: int, tick: int) -> np.ndarray:
@@ -119,6 +137,7 @@ class DequantBlockCache:
                 self._occupied[victims] = False
                 self._entries -= take
                 self.evictions += take
+                self.generation += 1
                 slots += victims.tolist()
         return np.asarray(slots, dtype=np.int64)
 
@@ -133,74 +152,73 @@ class DequantBlockCache:
         self._occupied[slots] = True
         self._last_used[slots] = tick
         self._entries += len(slots)
+        self.generation += 1
 
     def lookup(self, layer: int, ids: np.ndarray, kind: str,
-               dequant_pair, dequant_kind):
-        """Dequantized values for block ``ids`` (duplicates welcome —
-        many rows reading one shared block is the expected shape; ``-1``
-        reads as an all-zero block).
+               dequant_pair, dequant_kind, whole: bool = False):
+        """Memo slots for block ``ids`` (duplicates welcome — many rows
+        reading one shared block is the expected shape; ``-1`` resolves
+        to the all-zero slot 0).
 
         ``ids`` is a ``(..., blocks)`` table — one row of block ids per
-        reader — and the values come back in the *attended layout*,
-        heads ahead of the block axis: ``ids.shape[:-1] + (heads,
-        blocks, block, head_dim)`` float32, whose ``(..., heads, blocks
-        * block, head_dim)`` reshape is a view (1-D ``ids`` therefore
-        return ``(heads, len(ids), block, head_dim)``).  ``kind``
-        selects the operand: ``"k"`` or ``"v"`` return one such array,
-        ``"kv"`` a ``(k, v)`` pair from a single slot resolution.
-        Returns ``(values, misses, paired)``: ``misses`` counts the
-        *unique* blocks that had to be dequantized — sixteen readers of
-        one cold shared block are one miss (the fifteen served from its
-        fresh dequant count as hits, and the streamed-bytes charge stays
-        one payload fetch) — and ``paired <= misses`` is how many of
-        them were pinned with both operands.
+        reader — and ``slots`` comes back in its shape: gathering ``slots
+        * heads + h`` from :attr:`views` lands the values in the attended
+        layout, heads ahead of the block axis.  Returns ``(slots, wanted,
+        paired, spill)``: ``wanted`` are the *unique* blocks that had to
+        be dequantized — sixteen readers of one cold shared block are one
+        miss (the fifteen served from its fresh dequant count as hits,
+        and the streamed-bytes charge stays one payload fetch) — and
+        ``paired <= len(wanted)`` is how many of them were pinned with
+        both operands.
 
-        When every id is resident — the steady state, since flushes
-        write through — the values are one ``take`` per operand through
-        the stores' free ``(slots * heads, block, head_dim)`` view.
-        Otherwise slots are claimed *before* dequantizing: blocks that
-        win a slot dequantize both operands via ``dequant_pair(ids) ->
-        (k, v)`` (so the sibling pass hits), while blocks the budget
-        cannot pin dequantize only what was asked for (``dequant_kind``
-        for a single operand) — a saturated (or zero-budget) cache therefore
-        degrades to one dequant per operand read instead of paying
-        double LUT work while thrashing.
+        Misses claim slots *before* dequantizing: blocks that win a slot
+        dequantize both operands via ``dequant_pair(ids) -> (k, v)`` (so
+        the sibling operand's read hits), while blocks the budget cannot
+        pin dequantize only the operands ``kind`` asks for
+        (``dequant_kind`` for a single one) — a saturated (or
+        zero-budget) cache therefore degrades to one dequant per operand
+        read instead of paying double LUT work while thrashing.  Those
+        come back as ``spill = (positions, values)``: their ``slots``
+        read the zero entry, and ``values`` (one array per operand, one
+        ``(heads, block, head_dim)`` block per ``True`` position of the
+        boolean ``positions``) replace them after the gather.
+
+        ``whole`` asks for all or nothing: when the budget cannot pin
+        every distinct block of ``ids`` at once, nothing changes and the
+        call returns ``None``.
         """
-        self._tick += 1
-        tick = self._tick
         ids = np.asarray(ids, dtype=np.int64)
         self._ensure_blocks(int(ids.max(initial=0)))
         slots = self._slot_table[layer, ids]
         absent = slots < 0
-        misses = paired = 0
-        spilled = None
-        if absent.any():
-            self._last_used[slots[~absent]] = tick  # pin this lookup's hits
-            wanted = np.unique(ids[absent])
-            misses = len(wanted)
-            granted = self._claim_slots(misses, tick)
-            paired = len(granted)
-            if paired:
-                k_vals, v_vals = dequant_pair(wanted[:paired])
-                self._store(granted, layer, wanted[:paired], k_vals, v_vals,
-                            tick)
-                slots = self._slot_table[layer, ids]
-                absent = slots < 0
-            if paired < misses:
-                spilled = (dequant_pair(wanted[paired:]) if kind == "kv"
-                           else (dequant_kind(wanted[paired:]),))
-                order = np.searchsorted(wanted, ids[absent]) - paired
-                slots = np.where(absent, 0, slots)
-        self._last_used[slots] = tick
-        stores = {"k": (self._store_k,), "v": (self._store_v,),
-                  "kv": (self._store_k, self._store_v)}[kind]
-        flat = slots[..., None, :] * self._shape[0] + self._head_offsets
-        values = tuple(store.reshape((-1,) + self._shape[1:])
-                       .take(flat, axis=0) for store in stores)
-        if spilled is not None:
-            for out, vals in zip(values, spilled):
-                np.moveaxis(out, -4, -3)[absent] = vals[order]
-        return (values if kind == "kv" else values[0]), misses, paired
+        if not absent.any():
+            # The steady state, since flushes write through.
+            self._tick += 1
+            self._last_used[slots] = self._tick
+            return slots, _NO_IDS, 0, None
+        wanted = np.unique(ids[absent])
+        if whole and len(wanted) + len(np.unique(slots[slots > 0])) \
+                > self.capacity:
+            return None
+        self._tick += 1
+        tick = self._tick
+        self._last_used[slots[~absent]] = tick  # pin this lookup's hits
+        granted = self._claim_slots(len(wanted), tick)
+        paired = len(granted)
+        spill = None
+        if paired:
+            k_vals, v_vals = dequant_pair(wanted[:paired])
+            self._store(granted, layer, wanted[:paired], k_vals, v_vals,
+                        tick)
+            slots = self._slot_table[layer, ids]
+            absent = slots < 0
+        if paired < len(wanted):
+            values = (dequant_pair(wanted[paired:]) if kind == "kv"
+                      else (dequant_kind(wanted[paired:]),))
+            order = np.searchsorted(wanted, ids[absent]) - paired
+            spill = absent, tuple(vals[order] for vals in values)
+            slots = np.where(absent, 0, slots)
+        return slots, wanted, paired, spill
 
     def fill(self, layers, ids: np.ndarray, k_vals: np.ndarray,
              v_vals: np.ndarray) -> int:
@@ -246,3 +264,4 @@ class DequantBlockCache:
             self._last_used[held] = 0
             self._free.extend(held.tolist())
             self._entries -= held.size
+            self.generation += 1

@@ -83,7 +83,54 @@ def dequantize_kv_channels(payload: np.ndarray, scales: np.ndarray,
     return values.reshape(len(payload), -1)[:, :block_size]
 
 
-class FP32Codec:
+class _ChunkReads:
+    """The chunk gather both codecs' reads share: two reusable chunk
+    buffers (K in one, V in the other, reused by every chunk, layer and
+    step, since fresh ~MB temporaries get trimmed off the heap and
+    page-faulted back in on every call) and one ``take`` per operand
+    into them."""
+
+    def __init__(self, cache):
+        # A proxy: the cache owns its codec, and a strong reference back
+        # would leave every retired cache, pools included, to the cycle
+        # collector instead of freeing it with its last reference.
+        self.cache = weakref.proxy(cache)
+        self._chunk_scratch = np.empty((2, 0), dtype=np.float32)
+        self._chunk_rows = 0        # reader rows the buffers have room for
+
+    def _window_floats(self, n: int) -> int:
+        """Floats in one operand's chunk window for ``n`` reader rows."""
+        cache = self.cache
+        return n * cache._heads * cache.chunk_blocks * cache.block_size \
+            * cache._head_dim
+
+    def _chunk_buffers(self, n: int) -> np.ndarray:
+        """The two chunk buffers: one window each for the cache's batch,
+        allocated at the first read (reading more rows than the cache has
+        — repeated ``rows`` — is the only case that reallocates)."""
+        if n > self._chunk_rows:
+            self._chunk_rows = max(n, self.cache.batch)
+            self._chunk_scratch = np.empty(
+                (2, self._window_floats(self._chunk_rows)), dtype=np.float32)
+        return self._chunk_scratch
+
+    @staticmethod
+    def _gather(view: np.ndarray, index: np.ndarray, buffer: np.ndarray
+                ) -> np.ndarray:
+        """``view[index]`` into ``buffer`` (one of the chunk buffers):
+        ``view`` is a free ``(blocks * heads, block, head_dim)`` view of
+        block storage and ``index[r, h, b]`` addresses row ``r``'s block
+        ``b`` of head ``h`` in it, so the result is ``(n, heads, blocks,
+        block, head_dim)`` — the attended layout, no transposed copy."""
+        _, bs, head_dim = view.shape
+        out = buffer[:index.size * bs * head_dim].reshape(
+            index.shape + (bs, head_dim))
+        # mode="clip" (the indices are valid): the default "raise" makes
+        # take stage ``out`` through a buffer.
+        return view.take(index, 0, out, "clip")
+
+
+class FP32Codec(_ChunkReads):
     """The identity codec: FP32 pool blocks, written in place.
 
     The codec protocol, as the cache calls it: ``setup()`` allocates the
@@ -102,15 +149,6 @@ class FP32Codec:
     """
 
     buffered = False
-
-    def __init__(self, cache):
-        # A proxy: the cache owns its codec, and a strong reference back
-        # would leave every retired cache, pools included, to the cycle
-        # collector instead of freeing it with its last reference.
-        self.cache = weakref.proxy(cache)
-        # The two buffers (K, V) the chunk reads gather into (see
-        # _chunk_buffers).
-        self._chunk_scratch = np.empty((2, 0), dtype=np.float32)
 
     def setup(self) -> None:
         cache = self.cache
@@ -169,22 +207,6 @@ class FP32Codec:
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def _window_floats(self, n: int) -> int:
-        """Floats in one operand's chunk window for ``n`` reader rows."""
-        cache = self.cache
-        return n * cache._heads * cache.chunk_blocks * cache.block_size \
-            * cache._head_dim
-
-    def _chunk_buffers(self, n: int) -> np.ndarray:
-        """The two reusable chunk buffers: one window each for the
-        cache's batch, allocated at the first read (reading more rows
-        than the cache has — repeated ``rows`` — is the only case that
-        reallocates)."""
-        floats = self._window_floats(max(n, self.cache.batch))
-        if self._chunk_scratch.shape[1] < floats:
-            self._chunk_scratch = np.empty((2, floats), dtype=np.float32)
-        return self._chunk_scratch
-
     def read_plan(self, total: int, rows: np.ndarray, ids: np.ndarray
                   ) -> tuple:
         """``(live tokens, chunks)``.  Each chunk is ``(first block,
@@ -207,10 +229,7 @@ class FP32Codec:
 
     def read(self, layer: int, n: int, plan: tuple, kind: str, pad: bool):
         """One ``take`` per operand gathers each chunk straight into the
-        attended layout, in the two chunk buffers — K in one, V in the
-        other, reused by every chunk, layer and step, since fresh ~MB
-        temporaries get trimmed off the heap and page-faulted back in on
-        every call."""
+        attended layout, in the two chunk buffers (:meth:`_gather`)."""
         cache = self.cache
         bs, heads, head_dim = cache.block_size, cache._heads, cache._head_dim
         live, chunks = plan
@@ -226,31 +245,28 @@ class FP32Codec:
         for b0, index in chunks:
             c = index.shape[2]
             out, scratch = [], 0
-            for slot, pool in pools:
+            for operand, pool in pools:
                 view = pool.reshape(-1, bs, head_dim)
                 if pad and c < cb:
+                    # No pool block reads as zeros: gather the owned
+                    # blocks, then zero the window's tail.
                     part = view.take(index, axis=0)
-                    chunk = buffers[slot, :window].reshape(
+                    chunk = buffers[operand, :window].reshape(
                         n, heads, cb * bs, head_dim)
                     chunk[:, :, :c * bs] = part.reshape(n, heads, c * bs,
                                                         head_dim)
                     chunk[:, :, c * bs:] = 0.0
                     scratch += part.nbytes
                 else:
-                    # mode="clip" (the ids are valid): the default
-                    # "raise" makes take stage ``out`` through a buffer.
-                    chunk = np.take(
-                        view, index, axis=0, mode="clip",
-                        out=buffers[slot, :index.size * bs * head_dim]
-                        .reshape(index.shape + (bs, head_dim))
-                    ).reshape(n, heads, c * bs, head_dim)
+                    chunk = self._gather(view, index, buffers[operand]) \
+                        .reshape(n, heads, c * bs, head_dim)
                 scratch += chunk.nbytes
                 out.append(chunk)
             cache._note_scratch(scratch)
             yield (b0 * bs, *out)
 
 
-class FineQCodec:
+class FineQCodec(_ChunkReads):
     """Sealed blocks in the FineQ format; current blocks buffered in FP32.
 
     Storage per layer: pools of packed 6-bit cluster codes (uint8) and
@@ -279,7 +295,7 @@ class FineQCodec:
     buffered = True
 
     def __init__(self, cache, budget_bytes: int):
-        self.cache = weakref.proxy(cache)  # see FP32Codec.__init__
+        super().__init__(cache)
         self.budget_bytes = budget_bytes
         # Exclusive end position of the tokens each layer's write buffer
         # holds for each row (0 = empty).  It names both the buffered
@@ -287,6 +303,9 @@ class FineQCodec:
         # another within a forward, and direct callers may lag further.
         self._buf_end = np.zeros((cache.num_layers, cache.batch),
                                  dtype=np.int64)
+        # The read plan last read through and, per layer, the memo slots
+        # its reads resolved (see _resolve).
+        self._resolved: tuple = (None, {})
 
     def setup(self) -> None:
         cache, layers = self.cache, self.cache.num_layers
@@ -309,6 +328,7 @@ class FineQCodec:
         #: The dequantized-block memo.
         self.dequant_cache = DequantBlockCache(layers, heads, bs, head_dim,
                                                self.budget_bytes)
+        self._head_offsets = np.arange(heads)[:, None]
 
     def freed(self, block: int) -> None:
         self.dequant_cache.invalidate(block)
@@ -527,15 +547,25 @@ class FineQCodec:
         return channels.reshape(len(ids), self.cache._heads,
                                 self.cache._head_dim, bs).transpose(0, 1, 3, 2)
 
+    def _lookup(self, layer: int, ids: np.ndarray, kind: str,
+                whole: bool = False):
+        """:meth:`DequantBlockCache.lookup` with this layer's dequant."""
+        return self.dequant_cache.lookup(
+            layer, ids, kind,
+            lambda miss: (self._dequant_kind(layer, miss, "k"),
+                          self._dequant_kind(layer, miss, "v")),
+            lambda miss: self._dequant_kind(layer, miss, kind), whole)
+
     def read_plan(self, total: int, rows: np.ndarray, ids: np.ndarray
-                  ) -> list[tuple]:
-        """Per chunk: the sealed block ids (``-1`` where a row owns
-        nothing — its buffered current block, stale or padding table
-        slots — which reads as zeros until overlaid), the same ids
-        padded to a full window of columns, how many are owned, and the
-        write-buffer overlay: which readers' current block falls in the
-        chunk, their cache rows, the block's offset and their buffered
-        token sum."""
+                  ) -> tuple:
+        """``(owned, chunks)``.  ``owned`` holds the rows' sealed block
+        ids over the whole chunk grid, ``-1`` where a row owns nothing —
+        its buffered current block, stale or padding table slots, the
+        grid's padding columns — which reads as zeros until overlaid.
+        Each chunk is ``(first block, blocks, owned count, write-buffer
+        overlay)``; the overlay says which readers' current block falls
+        in the chunk, their cache rows, the block's offset and their
+        buffered token sum."""
         cache = self.cache
         bs, cb, nblk = cache.block_size, cache.chunk_blocks, ids.shape[1]
         owned_counts = cache._blocks_per_row[rows]
@@ -546,67 +576,121 @@ class FineQCodec:
         # it would mask its newest shared block with stale data.
         buffered = row_lens - owned_counts * bs
         current = np.where(buffered > 0, (row_lens - 1) // bs, -1)
-        owned_ids = np.where(np.arange(nblk) < owned_counts[:, None], ids, -1)
+        owned = np.full((len(rows), -(-nblk // cb) * cb), -1, dtype=np.int64)
+        owned[:, :nblk] = np.where(np.arange(nblk) < owned_counts[:, None],
+                                   ids, -1)
         chunks = []
         for b0 in range(0, nblk, cb):
             c = min(cb, nblk - b0)
-            padded = np.full((len(rows), cb), -1, dtype=np.int64)
-            padded[:, :c] = owned_ids[:, b0:b0 + c]
             in_chunk = np.nonzero((current >= b0) & (current < b0 + c))[0]
-            chunks.append((b0, np.ascontiguousarray(padded[:, :c]), padded,
-                           int(np.count_nonzero(padded >= 0)), in_chunk,
-                           rows[in_chunk], current[in_chunk] - b0,
+            chunks.append((b0, c, int(np.count_nonzero(owned[:, b0:b0 + c]
+                                                       >= 0)),
+                           in_chunk, rows[in_chunk], current[in_chunk] - b0,
                            int(buffered[in_chunk].sum())))
-        return chunks
+        return owned, chunks
 
-    def read(self, layer: int, n: int, plan: list[tuple], kind: str,
-             pad: bool):
+    def _resolve(self, layer: int, plan: tuple) -> tuple:
+        """``layer``'s memo slots for every chunk of ``plan``, as the
+        gather index ``slot * heads + h`` over the chunk grid, and the
+        misses each chunk books.
+
+        The layer's first read of ``plan`` asks the memo once for the
+        whole grid (pinning its misses, with one LRU tick) and later
+        reads — the V pass after the K pass — reuse the slots, booking
+        no misses, for as long as the plan is the one last read through
+        and the memo's bindings stand: any fill, invalidation or
+        eviction moves :attr:`DequantBlockCache.generation` and drops
+        them.  A block missed here is booked by the first chunk that
+        reads it, as chunk-by-chunk lookups would book it.  Returns
+        ``((generation, index), misses per chunk or None)``, or ``(None,
+        None)`` when the budget cannot pin every block the layer reads.
+        """
+        owned, chunks = plan
+        if plan is not self._resolved[0]:
+            self._resolved = plan, {}
+        resolutions = self._resolved[1]
+        memo = self.dequant_cache
+        held = resolutions.get(layer)
+        if held is not None and held[0] == memo.generation:
+            return held, None
+        found = self._lookup(layer, owned, "kv", whole=True)
+        if found is None:
+            return None, None
+        slots, wanted = found[:2]
+        held = resolutions[layer] = (
+            memo.generation, slots[:, None, :] * len(self._head_offsets)
+            + self._head_offsets)
+        if not len(wanted):
+            return held, None
+        # First column (so first chunk) each missed block appears in.
+        rows, cols = np.nonzero(np.isin(owned, wanted))
+        first = np.full(len(wanted), owned.shape[1])
+        np.minimum.at(first, np.searchsorted(wanted, owned[rows, cols]), cols)
+        return held, np.bincount(first // self.cache.chunk_blocks,
+                                 minlength=len(chunks))
+
+    def read(self, layer: int, n: int, plan: tuple, kind: str, pad: bool):
         """Sealed blocks come from the :class:`DequantBlockCache`
         (seals write their values through; anything else missing
         dequantizes once and is memoised — a block shared by many rows
-        decodes once per chunk, and once *ever* while it stays
-        resident), resolved to memo slots once per layer, for both
-        operands under ``kind="kv"``; each live row's FP32 current block
-        is overlaid on its chunk.  Unowned table slots read the memo's
-        zero entry, and so do the ``-1`` columns ``pad`` adds."""
+        decodes once, and once *ever* while it stays resident).  The
+        layer's blocks resolve to memo slots once for all its reads
+        (:meth:`_resolve`), and each chunk is then one ``take`` per
+        operand from the memo's stores into the chunk buffers — the FP32
+        read's gather — with each live row's FP32 current block overlaid
+        on it.  When the budget cannot pin every block the layer reads,
+        or the memo changes under a read, its chunks look up one by one:
+        blocks the budget cannot pin are dequantized into the gathered
+        chunk.  Unowned table slots read the memo's zero entry, and so
+        do the ``-1`` columns ``pad`` adds."""
         cache = self.cache
         bs, heads, head_dim = cache.block_size, cache._heads, cache._head_dim
-        kinds = ("k", "v") if kind == "kv" else (kind,)
-        bufs = {"k": self._buf_k[layer], "v": self._buf_v[layer]}
-        stats = cache._read_stats
-        for b0, sel, padded, reads, in_chunk, in_rows, offsets, buffered \
-                in plan:
-            if pad:
-                sel = padded
-            shape = (n, heads, sel.shape[1], bs, head_dim)
-            if not reads:
-                blocks = [np.zeros(shape, dtype=np.float32) for _ in kinds]
+        operands = (0, 1) if kind == "kv" else (0,) if kind == "k" else (1,)
+        bufs = (self._buf_k[layer], self._buf_v[layer])
+        buffers = self._chunk_buffers(n)
+        memo, stats = self.dequant_cache, cache._read_stats
+        owned, chunks = plan
+        held, missed = self._resolve(layer, plan)
+        for i, (b0, c, reads, in_chunk, in_rows, offsets, buffered) \
+                in enumerate(chunks):
+            width = cache.chunk_blocks if pad else c
+            spill = None
+            if held is not None and held[0] == memo.generation:
+                index = held[1][:, :, b0:b0 + width]
+                misses = paired = 0 if missed is None else int(missed[i])
             else:
-                blocks, missed, paired = self.dequant_cache.lookup(
-                    layer, sel, kind,
-                    lambda miss: (self._dequant_kind(layer, miss, "k"),
-                                  self._dequant_kind(layer, miss, "v")),
-                    lambda miss: self._dequant_kind(layer, miss, kind))
-                if kind != "kv":
-                    blocks = (blocks,)
+                held = None
+                slots, wanted, paired, spill = self._lookup(
+                    layer, owned[:, b0:b0 + width], kind) if reads \
+                    else (np.zeros((n, width), np.int64), (), 0, None)
+                misses = len(wanted)
+                index = slots[:, None, :] * heads + self._head_offsets
+            views = memo.views
+            out = []
+            for j, operand in enumerate(operands):
+                chunk = self._gather(views[operand], index, buffers[operand])
+                if spill is not None:
+                    np.moveaxis(chunk, 1, 2)[spill[0]] = spill[1][j]
+                if len(in_chunk):
+                    chunk[in_chunk, :, offsets] = bufs[operand][in_rows]
+                out.append(chunk)
+            if reads:
                 # Per operand, as two passes would count: a pinned miss
                 # serves the sibling operand from the memo, one the
                 # budget could not pin misses again there.
-                spilled = (missed - paired) * (len(kinds) - 1)
-                stats.dequant_hits += len(kinds) * reads - missed - spilled
-                stats.dequant_misses += missed + spilled
+                spilled = (misses - paired) * (len(operands) - 1)
+                stats.dequant_hits += len(operands) * reads - misses - spilled
+                stats.dequant_misses += misses + spilled
                 # Pinned misses fetched K and V payloads at once;
                 # spilled ones only the operands asked for.
                 stats.streamed_bytes += self.block_bytes * (
-                    2 * paired + len(kinds) * (missed - paired))
+                    2 * paired + len(operands) * (misses - paired))
             if len(in_chunk):
-                for kd, chunk in zip(kinds, blocks):
-                    chunk[in_chunk, :, offsets] = bufs[kd][in_rows]
                 # Write-buffer reads stream the live buffered tokens
                 # (matching used_bytes' FP32 accounting), not the whole
                 # block's padding.
-                stats.streamed_bytes += len(kinds) * heads * head_dim * 4 \
-                    * buffered
-            cache._note_scratch(sum(chunk.nbytes for chunk in blocks))
-            yield (b0 * bs, *(chunk.reshape(n, heads, sel.shape[1] * bs,
-                                            head_dim) for chunk in blocks))
+                stats.streamed_bytes += len(operands) * heads * head_dim \
+                    * 4 * buffered
+            cache._note_scratch(len(out) * out[0].nbytes)
+            yield (b0 * bs, *(chunk.reshape(n, heads, width * bs, head_dim)
+                              for chunk in out))

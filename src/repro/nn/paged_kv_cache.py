@@ -642,9 +642,8 @@ class PagedKVCache:
         one included), however long other rows have grown.
 
         The codec gathers each chunk, one copy per operand, straight
-        into the attended layout (:meth:`~repro.nn.kv_codec.FP32Codec
-        .read` into two buffers it reuses), so a chunk is only valid
-        until the iteration advances.
+        into the attended layout, in two buffers it reuses, so a chunk
+        is only valid until the iteration advances.
         """
         total = self._lengths[layer]
         if _reach is not None:

@@ -8,6 +8,7 @@ budget and the disabled-cache round-trip.
 """
 
 import numpy as np
+import pytest
 
 from repro.nn.paged_kv_cache import DequantBlockCache, QuantizedPagedKVCache
 from tests.kv_oracle import dense_context
@@ -168,7 +169,51 @@ def test_lru_evicts_least_recently_used_first():
     look([11])   # evicts 9
     assert memo.slot(0, 9) == -1
     assert memo.slot(0, 7) >= 0 and memo.slot(0, 11) >= 0
-    vals, misses, _paired = look([7, 11], kind="v")
-    assert misses == 0
-    assert vals.shape == (1, 2, 2, 2)  # (heads, ids, block, head_dim)
-    np.testing.assert_array_equal(vals[0, :, 0, 0], [-7.0, -11.0])
+    slots, wanted, _paired, spill = look([7, 11], kind="v")
+    assert len(wanted) == 0 and spill is None
+    vals = memo.views[1][slots]       # (ids, block, head_dim), one head
+    np.testing.assert_array_equal(vals[:, 0, 0], [-7.0, -11.0])
+
+
+def rewrite_block(cache, layer, memoise):
+    """Re-encode row 0's second block of ``layer`` with new values."""
+    block = int(cache._tables[0, 1])
+    ones = np.ones((1, HEADS, BS, HEAD_DIM), np.float32)
+    cache.codec._flush(np.array([layer]), np.array([block]), ones * 2,
+                       ones * 3, memoise=memoise)
+
+
+MUTATIONS = {
+    "rewrite": lambda cache, layer: rewrite_block(cache, layer, True),
+    "rewrite-unmemoised": lambda cache, layer: rewrite_block(cache, layer,
+                                                             False),
+    "free-rows": lambda cache, layer: cache.free_rows(np.array([0])),
+}
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_memo_change_between_k_and_v_passes_is_honoured(mutation):
+    """A layer resolves its blocks to memo slots at its K pass and its V
+    pass reuses them only while the memo is unchanged: a block rewritten
+    (its entry replaced or dropped) or freed in between reads fresh."""
+    cache, _ = make_cache(seq=29)
+    assert cache.layer_len(0) > 2 * cache.chunk_blocks * BS  # 3+ chunks
+    for _start, _k in cache.context_blocks(0, kind="k"):
+        pass
+    MUTATIONS[mutation](cache, 0)
+    np.testing.assert_array_equal(read_context(cache, 0, "v"),
+                                  dense_context(cache, 0)[1])
+
+
+@pytest.mark.parametrize("mutation", MUTATIONS)
+def test_memo_change_between_layers_is_honoured(mutation):
+    """The same between two layers of one forward: layer 1 reads what
+    the mutation left, not what layer 0's read plan saw."""
+    cache, _ = make_cache(seq=29)
+    for kind in ("k", "v"):
+        read_context(cache, 0, kind)
+    MUTATIONS[mutation](cache, 1)
+    want = dense_context(cache, 1)
+    for index, kind in enumerate(("k", "v")):
+        np.testing.assert_array_equal(read_context(cache, 1, kind),
+                                      want[index])

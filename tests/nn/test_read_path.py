@@ -20,7 +20,8 @@ from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
 from repro.nn.block_attention import (block_decode_attention,
                                       block_prefill_attention)
-from repro.nn.paged_kv_cache import (DEFAULT_DEQUANT_CACHE_BYTES, KVReadStats,
+from repro.nn.paged_kv_cache import (DEFAULT_DEQUANT_CACHE_BYTES,
+                                     DequantBlockCache, KVReadStats,
                                      PagedKVCache, QuantizedPagedKVCache)
 from tests import kv_oracle
 
@@ -220,10 +221,10 @@ def test_chunk_reads_equal_dense_gather_after_every_mutation(
 # ---------------------------------------------------------------------- #
 # counters: scratch, resolutions per forward, a pinned scripted session
 # ---------------------------------------------------------------------- #
-def filled(cls, lens, num_layers=LAYERS, **kwargs):
+def filled(cls, lens, num_layers=LAYERS, block_size=BS, **kwargs):
     rng = np.random.default_rng(0)
     lens = np.asarray(lens)
-    cache = cls(num_layers, batch=len(lens), block_size=BS, **kwargs)
+    cache = cls(num_layers, batch=len(lens), block_size=block_size, **kwargs)
     data = rng.standard_normal(
         (num_layers, 2, len(lens), HEADS, int(lens.max()), HEAD_DIM)
     ).astype(np.float32)
@@ -248,19 +249,22 @@ def test_single_chunk_read_books_one_copy_per_operand(cls):
 
 def test_chunk_buffers_are_allocated_once():
     """Window-sized for the batch at the first read; reads of any width
-    up to the window reuse them."""
-    cache, rng = filled(PagedKVCache, [3, 2], chunk_blocks=2)
-    cache.context_chunk_pair(0, rows=np.array([1]))
-    buffers = cache.codec._chunk_scratch
-    assert buffers.shape == (2, 2 * HEADS * 2 * BS * HEAD_DIM)
-    k = rng.standard_normal((2, HEADS, 1, HEAD_DIM)).astype(np.float32)
-    for position in range(3, 20):                       # one to five chunks
-        cache.write_token(0, k, k, np.array([position, 2]))
-        for _ in cache.context_blocks(0, kind="kv"):
-            pass
-        for _ in cache.context_blocks(0, kind="k", pad=True):
-            pass
-    assert cache.codec._chunk_scratch is buffers
+    up to the window reuse them, and every chunk is a view of them — on
+    both codecs."""
+    for cls in (PagedKVCache, QuantizedPagedKVCache):
+        cache, rng = filled(cls, [3, 2], chunk_blocks=2)
+        cache.context_chunk_pair(0, rows=np.array([1]))
+        buffers = cache.codec._chunk_scratch
+        assert buffers.shape == (2, 2 * HEADS * 2 * BS * HEAD_DIM)
+        k = rng.standard_normal((2, HEADS, 1, HEAD_DIM)).astype(np.float32)
+        for position in range(3, 20):                   # one to five chunks
+            cache.write_token(0, k, k, np.array([position, 2]))
+            for kind, pad in (("kv", False), ("k", True), ("v", False)):
+                for _start, *chunks in cache.context_blocks(0, kind=kind,
+                                                            pad=pad):
+                    assert all(np.shares_memory(chunk, buffers)
+                               for chunk in chunks)
+        assert cache.codec._chunk_scratch is buffers
 
 
 @pytest.fixture
@@ -297,6 +301,61 @@ def test_decode_forward_resolves_block_table_once(cls, lens, resolutions):
             block_decode_attention(k, cache, layer, rows=rows)
         positions = positions + 1
     assert resolutions == {"_resolve_token_write": 2, "_resolve_read": 2}
+
+
+def test_decode_step_looks_up_the_memo_once_per_layer(monkeypatch):
+    """A 448-token, 8-row decode step over 16-token blocks: four chunks
+    per operand per layer, every block resident (flushes write through).
+    Each layer asks the memo once for all eight chunk reads of its K and
+    V passes, and every one of them is still booked as a hit."""
+    num_layers, rows, tokens = 5, 8, 448
+    cache, rng = filled(QuantizedPagedKVCache, [tokens] * rows,
+                        num_layers=num_layers, block_size=16)
+    calls = []
+
+    def counting(self, *args, _real=DequantBlockCache.lookup, **kwargs):
+        calls.append(args[0])
+        return _real(self, *args, **kwargs)
+
+    monkeypatch.setattr(DequantBlockCache, "lookup", counting)
+    q = rng.standard_normal((rows, HEADS, 1, HEAD_DIM)).astype(np.float32)
+    positions = np.full(rows, tokens)
+    for layer in range(num_layers):
+        cache.write_token(layer, q, q, positions)
+        block_decode_attention(q, cache, layer)
+    assert calls == list(range(num_layers))
+    stats = cache.take_read_stats()
+    assert (stats.dequant_hits, stats.dequant_misses) == \
+        (2 * num_layers * rows * tokens // 16, 0)
+
+
+@pytest.mark.parametrize("cls, window_copies",
+                         [(PagedKVCache, 9), (QuantizedPagedKVCache, 8)],
+                         ids=["paged", "fineq"])
+def test_span_reads_k_to_its_reach_and_v_a_full_window(cls, window_copies,
+                                                       monkeypatch):
+    """A wave of 4-12-token prompts (reach 12) gathers one K block per
+    row; the V pass still reads the whole 128-key window (chunk-grid
+    value GEMMs) — the FP32 pool, which has no zero block, also stages
+    the owned block before padding it."""
+    lens = np.array([12, 5, 9, 4])
+    cache = cls(1, batch=len(lens))         # 16-token blocks, 8 per chunk
+    rng = np.random.default_rng(0)
+    k, v, q = rng.standard_normal(
+        (3, len(lens), HEADS, 12, HEAD_DIM)).astype(np.float32)
+    cache.prefill_rows(0, k, v, np.arange(len(lens)), np.zeros_like(lens),
+                       lens)
+    cache.take_read_stats()
+    peaks = {}
+
+    def spy(self, layer, *args, kind, _real=cls.context_blocks, **kwargs):
+        yield from _real(self, layer, *args, kind=kind, **kwargs)
+        peaks[kind] = self.take_read_stats().peak_scratch_bytes
+
+    monkeypatch.setattr(cls, "context_blocks", spy)
+    block_prefill_attention(q, cache, 0)
+    block = len(lens) * HEADS * 16 * HEAD_DIM * 4     # one block per row
+    assert peaks == {"k": block, "v": window_copies * block}
 
 
 @pytest.mark.parametrize("cls", [PagedKVCache, QuantizedPagedKVCache])
