@@ -7,13 +7,18 @@ storage and the three data paths over it: the token write, the span
 write, and the chunked block-table read :mod:`repro.nn.block_attention`
 iterates.  Each path is a *plan*, resolved by the first layer of a
 forward (the cache memoises it for the rest), and a per-layer execution.
+The read's execution is one chunk loop for every codec: a codec only
+resolves, per layer, where each chunk's blocks are gathered from.
 
 * :class:`FP32Codec`, the identity codec: a block holds the FP32 values
   written to it, a row's current block is a pool block written in
-  place, and sealing a full block is a no-op.
+  place, and sealing a full block is a no-op.  Chunks gather from the
+  pool, padding from its spare zero block.
 * :class:`FineQCodec`: sealed blocks in the paper's 2.33-bit cluster
   format, extending FineQ's memory story from weights to the KV cache;
-  each row's current block lives in an FP32 write buffer.
+  each row's current block lives in an FP32 write buffer.  Chunks
+  gather from the dequantized-block memo, padding from its zero entry,
+  and each row's buffered block is overlaid.
 
 The FineQ kernels come first: :func:`quantize_kv_block` and
 :func:`dequantize_kv_channels` between FP32 blocks and the payload +
@@ -83,12 +88,30 @@ def dequantize_kv_channels(payload: np.ndarray, scales: np.ndarray,
     return values.reshape(len(payload), -1)[:, :block_size]
 
 
-class _ChunkReads:
-    """The chunk gather both codecs' reads share: two reusable chunk
-    buffers (K in one, V in the other, reused by every chunk, layer and
-    step, since fresh ~MB temporaries get trimmed off the heap and
-    page-faulted back in on every call) and one ``take`` per operand
-    into them."""
+class _BlockCodec:
+    """What both codecs share: the protocol and the chunk read.
+
+    The protocol, as the cache calls it: ``setup()`` allocates the
+    per-layer storage at the first write and publishes ``block_pools``
+    (lists of per-layer arrays whose first axis is the block id; the
+    cache grows and copies them, keeping any spare rows a pool holds
+    past its blocks) and ``block_bytes`` (one sealed block of one
+    operand in one layer); ``freed(block)`` hears that a block returned
+    to the free list; ``plan_token`` / ``plan_span`` / ``read_plan``
+    resolve a forward's write or read and ``write_token`` /
+    ``write_span`` / :meth:`read` run it on one layer; ``adopt`` takes
+    in a shared prefix's partial tail copy-on-write; ``shrink`` hears
+    that rows were freed or rolled back.  ``buffered`` says where the
+    current block lives: in the pool (a row owns every block its tokens
+    touch, and every block stays writable) or in a write buffer, when
+    the codec also provides ``seal_current``, which shares a buffered
+    block.
+
+    :meth:`read` is the one chunk loop: a codec supplies only its plan
+    and, per layer, the inputs of each chunk (:meth:`_chunk_inputs`).
+    """
+
+    buffered = False
 
     def __init__(self, cache):
         # A proxy: the cache owns its codec, and a strong reference back
@@ -98,61 +121,69 @@ class _ChunkReads:
         self._chunk_scratch = np.empty((2, 0), dtype=np.float32)
         self._chunk_rows = 0        # reader rows the buffers have room for
 
-    def _window_floats(self, n: int) -> int:
-        """Floats in one operand's chunk window for ``n`` reader rows."""
-        cache = self.cache
-        return n * cache._heads * cache.chunk_blocks * cache.block_size \
-            * cache._head_dim
+    def freed(self, block: int) -> None:
+        pass
+
+    def shrink(self, rows: np.ndarray) -> None:
+        pass
 
     def _chunk_buffers(self, n: int) -> np.ndarray:
-        """The two chunk buffers: one window each for the cache's batch,
-        allocated at the first read (reading more rows than the cache has
-        — repeated ``rows`` — is the only case that reallocates)."""
+        """The two chunk buffers, K in one and V in the other, reused by
+        every chunk, layer and step (fresh ~MB temporaries get trimmed
+        off the heap and page-faulted back in on every call): one window
+        each for the cache's batch, allocated at the first read (reading
+        more rows than the cache has — repeated ``rows`` — is the only
+        case that reallocates)."""
         if n > self._chunk_rows:
-            self._chunk_rows = max(n, self.cache.batch)
+            cache = self.cache
+            self._chunk_rows = max(n, cache.batch)
             self._chunk_scratch = np.empty(
-                (2, self._window_floats(self._chunk_rows)), dtype=np.float32)
+                (2, self._chunk_rows * cache._heads * cache.chunk_blocks
+                 * cache.block_size * cache._head_dim), dtype=np.float32)
         return self._chunk_scratch
 
-    @staticmethod
-    def _gather(view: np.ndarray, index: np.ndarray, buffer: np.ndarray
-                ) -> np.ndarray:
-        """``view[index]`` into ``buffer`` (one of the chunk buffers):
-        ``view`` is a free ``(blocks * heads, block, head_dim)`` view of
-        block storage and ``index[r, h, b]`` addresses row ``r``'s block
-        ``b`` of head ``h`` in it, so the result is ``(n, heads, blocks,
-        block, head_dim)`` — the attended layout, no transposed copy."""
-        _, bs, head_dim = view.shape
-        out = buffer[:index.size * bs * head_dim].reshape(
-            index.shape + (bs, head_dim))
-        # mode="clip" (the indices are valid): the default "raise" makes
-        # take stage ``out`` through a buffer.
-        return view.take(index, 0, out, "clip")
+    def read(self, layer: int, n: int, plan, kind: str, pad: bool):
+        """Iterate one layer's read of ``plan`` for ``n`` reader rows as
+        ``(start, chunk, ...)``, one chunk per ``kind`` operand, each one
+        ``take`` into its chunk buffer: ``views[operand]`` is a free
+        ``(blocks * heads, block, head_dim)`` view of block storage and
+        ``index[r, h, b]`` addresses row ``r``'s block ``b`` of head
+        ``h`` in it (block ``-1``: the view's last, a zero block), so
+        the chunk lands in the attended layout, no transposed copy.  Each
+        ``(rows, blocks, values)`` patch then overwrites those blocks."""
+        cache = self.cache
+        bs, heads, head_dim = cache.block_size, cache._heads, cache._head_dim
+        operands = (0, 1) if kind == "kv" else (0,) if kind == "k" else (1,)
+        buffers = self._chunk_buffers(n)
+        for b0, views, index, patches in self._chunk_inputs(layer, plan,
+                                                            kind, pad):
+            shape = index.shape + (bs, head_dim)
+            size = index.size * bs * head_dim
+            out = []
+            for j, operand in enumerate(operands):
+                # mode="wrap" sends -1 to the zero block; the default
+                # "raise" would make take stage ``out`` through a buffer.
+                chunk = views[operand].take(
+                    index, 0, buffers[operand, :size].reshape(shape), "wrap")
+                for rows, blocks, values in patches:
+                    chunk[rows, :, blocks] = values[j]
+                out.append(chunk.reshape(n, heads, shape[2] * bs, head_dim))
+            cache._note_scratch(len(out) * out[0].nbytes)
+            yield (b0 * bs, *out)
 
 
-class FP32Codec(_ChunkReads):
+class FP32Codec(_BlockCodec):
     """The identity codec: FP32 pool blocks, written in place.
 
-    The codec protocol, as the cache calls it: ``setup()`` allocates the
-    per-layer storage at the first write and publishes ``block_pools``
-    (lists of per-layer arrays whose first axis is the block id; the
-    cache grows and copies them) and ``block_bytes`` (one sealed block
-    of one operand in one layer); ``freed(block)`` hears that a block
-    returned to the free list; ``plan_token`` / ``plan_span`` /
-    ``read_plan`` resolve a forward's write or read and ``write_token``
-    / ``write_span`` / ``read`` run it on one layer; ``adopt`` takes in
-    a shared prefix's partial tail copy-on-write; ``shrink`` hears that
-    rows were freed or rolled back.  ``buffered`` says where the current
-    block lives: here in the pool, so a row owns every block its tokens
-    touch, and every block stays writable; a buffering codec also
-    provides ``seal_current``, which shares a buffered block.
+    The current block lives in the pool, so a row owns every block its
+    tokens touch, and every block stays writable.  Each layer's pools
+    hold one spare all-zero block past the cache's blocks, never handed
+    out and never counted: the read's padding columns address it.
     """
-
-    buffered = False
 
     def setup(self) -> None:
         cache = self.cache
-        shape = (0, cache._heads, cache.block_size, cache._head_dim)
+        shape = (1, cache._heads, cache.block_size, cache._head_dim)
         self._pool_k = [np.zeros(shape, np.float32)
                         for _ in range(cache.num_layers)]
         self._pool_v = [np.zeros(shape, np.float32)
@@ -160,12 +191,6 @@ class FP32Codec(_ChunkReads):
         self.block_pools = (self._pool_k, self._pool_v)
         self.block_bytes = cache._heads * cache.block_size \
             * cache._head_dim * 4
-
-    def freed(self, block: int) -> None:
-        pass
-
-    def shrink(self, rows: np.ndarray) -> None:
-        pass
 
     def adopt(self, row: int, tail_id: int | None, length: int) -> list[int]:
         """COW a shared partial tail: the row gets a private copy."""
@@ -210,63 +235,43 @@ class FP32Codec(_ChunkReads):
     def read_plan(self, total: int, rows: np.ndarray, ids: np.ndarray
                   ) -> tuple:
         """``(live tokens, chunks)``.  Each chunk is ``(first block,
-        index)`` where ``index[r, h, b] = block id * heads + h``
-        addresses the pool's free ``(blocks * heads, block, head_dim)``
-        view, so one ``take`` lands the chunk as ``(rows, heads, blocks,
-        block, head_dim)`` — the layout attention multiplies, no
-        transposed copy."""
+        index, padded index)`` where ``index[r, h, b] = block id * heads
+        + h`` addresses the pool's free ``(blocks * heads, block,
+        head_dim)`` view; the padded index extends a short last chunk to
+        a full window with the zero block's id, ``-1``."""
         cache = self.cache
         # Streamed bytes count the rows' *real* context tokens, the
         # population ``used_bytes`` counts (ragged rows also gather
         # padding blocks, which the accelerator projection must not
         # charge).
         live = int(np.minimum(cache._row_len[rows], total).sum())
-        index = ids[:, None, :] * cache._heads \
+        cb, nblk = cache.chunk_blocks, ids.shape[1]
+        grid = np.full((len(rows), -(-nblk // cb) * cb), -1, dtype=np.int64)
+        grid[:, :nblk] = ids
+        index = grid[:, None, :] * cache._heads \
             + np.arange(cache._heads)[None, :, None]
-        cb = cache.chunk_blocks
-        return live, [(b0, np.ascontiguousarray(index[:, :, b0:b0 + cb]))
-                      for b0 in range(0, ids.shape[1], cb)]
+        chunks = []
+        for b0 in range(0, nblk, cb):
+            padded = np.ascontiguousarray(index[:, :, b0:b0 + cb])
+            chunks.append((b0, np.ascontiguousarray(padded[:, :, :nblk - b0]),
+                           padded))
+        return live, chunks
 
-    def read(self, layer: int, n: int, plan: tuple, kind: str, pad: bool):
-        """One ``take`` per operand gathers each chunk straight into the
-        attended layout, in the two chunk buffers (:meth:`_gather`)."""
+    def _chunk_inputs(self, layer: int, plan: tuple, kind: str, pad: bool):
+        """The layer's pool views and each chunk's planned index."""
         cache = self.cache
-        bs, heads, head_dim = cache.block_size, cache._heads, cache._head_dim
         live, chunks = plan
-        pools = {"k": ((0, self._pool_k[layer]),),
-                 "v": ((1, self._pool_v[layer]),),
-                 "kv": ((0, self._pool_k[layer]),
-                        (1, self._pool_v[layer]))}[kind]
-        cache._read_stats.streamed_bytes += len(pools) * heads * head_dim \
-            * 4 * live
-        buffers = self._chunk_buffers(n)
-        window = self._window_floats(n)
-        cb = cache.chunk_blocks
-        for b0, index in chunks:
-            c = index.shape[2]
-            out, scratch = [], 0
-            for operand, pool in pools:
-                view = pool.reshape(-1, bs, head_dim)
-                if pad and c < cb:
-                    # No pool block reads as zeros: gather the owned
-                    # blocks, then zero the window's tail.
-                    part = view.take(index, axis=0)
-                    chunk = buffers[operand, :window].reshape(
-                        n, heads, cb * bs, head_dim)
-                    chunk[:, :, :c * bs] = part.reshape(n, heads, c * bs,
-                                                        head_dim)
-                    chunk[:, :, c * bs:] = 0.0
-                    scratch += part.nbytes
-                else:
-                    chunk = self._gather(view, index, buffers[operand]) \
-                        .reshape(n, heads, c * bs, head_dim)
-                scratch += chunk.nbytes
-                out.append(chunk)
-            cache._note_scratch(scratch)
-            yield (b0 * bs, *out)
+        # One letter of ``kind`` per operand read.
+        cache._read_stats.streamed_bytes += len(kind) * cache._heads \
+            * cache._head_dim * 4 * live
+        views = tuple(pool[layer].reshape(-1, cache.block_size,
+                                          cache._head_dim)
+                      for pool in self.block_pools)
+        for b0, plain, padded in chunks:
+            yield b0, views, padded if pad else plain, ()
 
 
-class FineQCodec(_ChunkReads):
+class FineQCodec(_BlockCodec):
     """Sealed blocks in the FineQ format; current blocks buffered in FP32.
 
     Storage per layer: pools of packed 6-bit cluster codes (uint8) and
@@ -592,7 +597,7 @@ class FineQCodec(_ChunkReads):
     def _resolve(self, layer: int, plan: tuple) -> tuple:
         """``layer``'s memo slots for every chunk of ``plan``, as the
         gather index ``slot * heads + h`` over the chunk grid, and the
-        misses each chunk books.
+        misses the resolution books.
 
         The layer's first read of ``plan`` asks the memo once for the
         whole grid (pinning its misses, with one LRU tick) and later
@@ -600,97 +605,83 @@ class FineQCodec(_ChunkReads):
         no misses, for as long as the plan is the one last read through
         and the memo's bindings stand: any fill, invalidation or
         eviction moves :attr:`DequantBlockCache.generation` and drops
-        them.  A block missed here is booked by the first chunk that
-        reads it, as chunk-by-chunk lookups would book it.  Returns
-        ``((generation, index), misses per chunk or None)``, or ``(None,
-        None)`` when the budget cannot pin every block the layer reads.
+        them.  Returns ``(held, misses, paired misses)``: ``held`` is
+        ``(generation, index)``, or ``None`` when the budget cannot pin
+        every block the layer reads.  The read books the misses on its
+        first chunk, so a read iterated to its end books what
+        chunk-by-chunk lookups would.
         """
-        owned, chunks = plan
         if plan is not self._resolved[0]:
             self._resolved = plan, {}
         resolutions = self._resolved[1]
         memo = self.dequant_cache
         held = resolutions.get(layer)
         if held is not None and held[0] == memo.generation:
-            return held, None
-        found = self._lookup(layer, owned, "kv", whole=True)
+            return held, 0, 0
+        found = self._lookup(layer, plan[0], "kv", whole=True)
         if found is None:
-            return None, None
-        slots, wanted = found[:2]
+            return None, 0, 0
+        slots, wanted, paired = found[:3]
         held = resolutions[layer] = (
             memo.generation, slots[:, None, :] * len(self._head_offsets)
             + self._head_offsets)
-        if not len(wanted):
-            return held, None
-        # First column (so first chunk) each missed block appears in.
-        rows, cols = np.nonzero(np.isin(owned, wanted))
-        first = np.full(len(wanted), owned.shape[1])
-        np.minimum.at(first, np.searchsorted(wanted, owned[rows, cols]), cols)
-        return held, np.bincount(first // self.cache.chunk_blocks,
-                                 minlength=len(chunks))
+        return held, len(wanted), paired
 
-    def read(self, layer: int, n: int, plan: tuple, kind: str, pad: bool):
-        """Sealed blocks come from the :class:`DequantBlockCache`
-        (seals write their values through; anything else missing
-        dequantizes once and is memoised — a block shared by many rows
-        decodes once, and once *ever* while it stays resident).  The
-        layer's blocks resolve to memo slots once for all its reads
-        (:meth:`_resolve`), and each chunk is then one ``take`` per
-        operand from the memo's stores into the chunk buffers — the FP32
-        read's gather — with each live row's FP32 current block overlaid
-        on it.  When the budget cannot pin every block the layer reads,
-        or the memo changes under a read, its chunks look up one by one:
-        blocks the budget cannot pin are dequantized into the gathered
-        chunk.  Unowned table slots read the memo's zero entry, and so
-        do the ``-1`` columns ``pad`` adds."""
+    def _chunk_inputs(self, layer: int, plan: tuple, kind: str, pad: bool):
+        """The memo's views and each chunk's slot index, patched with
+        the live rows' FP32 current blocks.
+
+        Sealed blocks come from the :class:`DequantBlockCache` (seals
+        write their values through; anything else missing dequantizes
+        once and is memoised — a block shared by many rows decodes once,
+        and once *ever* while it stays resident).  The layer's blocks
+        resolve to memo slots once for all its reads (:meth:`_resolve`).
+        When the budget cannot pin every block the layer reads, or the
+        memo changes under a read, its chunks look up one by one —
+        lazily, since a lookup pins only its own blocks and may evict
+        the slots an earlier chunk gathered from — and blocks the budget
+        cannot pin are dequantized and patched in.  Unowned table slots
+        read the memo's zero entry, and so do the ``-1`` columns ``pad``
+        adds."""
         cache = self.cache
-        bs, heads, head_dim = cache.block_size, cache._heads, cache._head_dim
+        heads, head_dim = cache._heads, cache._head_dim
         operands = (0, 1) if kind == "kv" else (0,) if kind == "k" else (1,)
         bufs = (self._buf_k[layer], self._buf_v[layer])
-        buffers = self._chunk_buffers(n)
         memo, stats = self.dequant_cache, cache._read_stats
         owned, chunks = plan
-        held, missed = self._resolve(layer, plan)
-        for i, (b0, c, reads, in_chunk, in_rows, offsets, buffered) \
-                in enumerate(chunks):
+        held, misses, paired = self._resolve(layer, plan)
+        for b0, c, reads, in_chunk, in_rows, offsets, buffered in chunks:
             width = cache.chunk_blocks if pad else c
-            spill = None
+            patches = []
             if held is not None and held[0] == memo.generation:
                 index = held[1][:, :, b0:b0 + width]
-                misses = paired = 0 if missed is None else int(missed[i])
             else:
                 held = None
                 slots, wanted, paired, spill = self._lookup(
                     layer, owned[:, b0:b0 + width], kind) if reads \
-                    else (np.zeros((n, width), np.int64), (), 0, None)
+                    else (np.zeros((len(owned), width), np.int64), (), 0,
+                          None)
                 misses = len(wanted)
                 index = slots[:, None, :] * heads + self._head_offsets
-            views = memo.views
-            out = []
-            for j, operand in enumerate(operands):
-                chunk = self._gather(views[operand], index, buffers[operand])
                 if spill is not None:
-                    np.moveaxis(chunk, 1, 2)[spill[0]] = spill[1][j]
-                if len(in_chunk):
-                    chunk[in_chunk, :, offsets] = bufs[operand][in_rows]
-                out.append(chunk)
-            if reads:
-                # Per operand, as two passes would count: a pinned miss
-                # serves the sibling operand from the memo, one the
-                # budget could not pin misses again there.
-                spilled = (misses - paired) * (len(operands) - 1)
-                stats.dequant_hits += len(operands) * reads - misses - spilled
-                stats.dequant_misses += misses + spilled
-                # Pinned misses fetched K and V payloads at once;
-                # spilled ones only the operands asked for.
-                stats.streamed_bytes += self.block_bytes * (
-                    2 * paired + len(operands) * (misses - paired))
+                    patches.append((*np.nonzero(spill[0]), spill[1]))
+            # Per operand, as two passes would count: a pinned miss
+            # serves the sibling operand from the memo, one the budget
+            # could not pin misses again there.
+            spilled = (misses - paired) * (len(operands) - 1)
+            stats.dequant_hits += len(operands) * reads - misses - spilled
+            stats.dequant_misses += misses + spilled
+            # Pinned misses fetched K and V payloads at once; spilled
+            # ones only the operands asked for.
+            stats.streamed_bytes += self.block_bytes * (
+                2 * paired + len(operands) * (misses - paired))
+            misses = paired = 0
             if len(in_chunk):
+                patches.append((in_chunk, offsets, [bufs[operand][in_rows]
+                                                    for operand in operands]))
                 # Write-buffer reads stream the live buffered tokens
                 # (matching used_bytes' FP32 accounting), not the whole
                 # block's padding.
                 stats.streamed_bytes += len(operands) * heads * head_dim \
                     * 4 * buffered
-            cache._note_scratch(len(out) * out[0].nbytes)
-            yield (b0 * bs, *(chunk.reshape(n, heads, width * bs, head_dim)
-                              for chunk in out))
+            yield b0, memo.views, index, patches

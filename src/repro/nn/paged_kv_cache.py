@@ -24,10 +24,11 @@ row's newest block in an FP32 write buffer.  Attention, the engine and
 
 Block tables are shared across layers (block ``i`` of a row addresses
 every layer's pool), which keeps allocation single-sourced while the
-per-layer write/read state may lag mid-forward.  Freed and padded table
-slots may be gathered before they are reused; they only ever contain
-finite stale values (pools are zero-initialised), which the engine's
-additive key mask turns into exact-zero attention contributions.
+per-layer write/read state may lag mid-forward.  Freed table slots may
+be gathered before they are reused; they only ever contain finite stale
+values (pools are zero-initialised), which the engine's additive key
+mask turns into exact-zero attention contributions.  Padding reads as
+zeros.
 
 Blocks are *reference counted* so the serving engine's prefix store can
 alias one physical block into many rows' tables (vLLM-style prefix
@@ -214,13 +215,16 @@ class PagedKVCache:
         return row_idx
 
     def _grow_pool(self, new_total: int) -> None:
+        total = self._total_blocks
         for pools in self.codec.block_pools:
             for layer, old in enumerate(pools):
-                # Zero-filled on purpose: stale/padded block reads must
-                # stay finite so masked rows contribute exact zeros,
-                # never NaNs.
-                new = np.zeros((new_total,) + old.shape[1:], dtype=old.dtype)
-                new[:len(old)] = old
+                # Zero-filled on purpose: stale block reads must stay
+                # finite so masked rows contribute exact zeros, never
+                # NaNs.  Rows past the blocks (the FP32 zero block) are
+                # the codec's spares and stay spare.
+                new = np.zeros((new_total + len(old) - total,)
+                               + old.shape[1:], dtype=old.dtype)
+                new[:total] = old[:total]
                 pools[layer] = new
         self._free.extend(range(self._total_blocks, new_total))
         counts = np.zeros(new_total, dtype=np.int64)
@@ -547,10 +551,10 @@ class PagedKVCache:
     # ------------------------------------------------------------------ #
     def _block_ids(self, nblk: int,
                    rows: np.ndarray | None = None) -> np.ndarray:
-        """Per-row block ids padded to ``nblk`` columns (pad gathers block
-        0 — finite stale data that per-row masks zero out).  ``rows``
-        restricts the result to a sub-batch without ever materialising
-        the full-batch matrix.
+        """Per-row block ids padded to ``nblk`` columns with ``-1``, which
+        the reads serve as zeros (per-row masks zero them out anyway).
+        ``rows`` restricts the result to a sub-batch without ever
+        materialising the full-batch matrix.
 
         Resolutions are memoised until the next table mutation: block
         tables are shared across layers, so one decode step resolves
@@ -565,7 +569,7 @@ class PagedKVCache:
         if width >= nblk:
             ids = tables[:, :nblk]
         else:
-            ids = np.zeros((tables.shape[0], nblk), dtype=np.int64)
+            ids = np.full((tables.shape[0], nblk), -1, dtype=np.int64)
             ids[:, :width] = tables
         self._ids_memo[key] = ids
         return ids

@@ -188,7 +188,8 @@ class Session:
             # A copied FP32 block takes a fresh id (growing the pool when
             # the free list is dry) and must not disturb any reader; the
             # quantized cache never copies a pool block (its COW is
-            # ``_adopt_tail``'s dequantize-into-buffer, the share op).
+            # ``FineQCodec.adopt``'s dequantize-into-buffer, the share
+            # op).
             row = rng.choice(np.flatnonzero(self.cache._blocks_per_row))
             copy = self.cache.copy_block(int(self.cache._tables[row, 0]))
             self.check()
@@ -267,6 +268,37 @@ def test_chunk_buffers_are_allocated_once():
         assert cache.codec._chunk_scratch is buffers
 
 
+def test_zero_block_pads_reads_after_the_pool_grows_under_a_plan():
+    """A padded V read memoises its plan; copies then grow the FP32 pool
+    under it — ``copy_block`` touches no table, so the plan survives —
+    until the id one past the pool at plan time holds data.  The padded
+    tail still reads the spare zero block, which no byte count sees."""
+    cache, _ = filled(PagedKVCache, [5, 3], chunk_blocks=4)
+    rows = np.array([0, 1])
+
+    def padded_read():
+        (_start, v), = cache.context_blocks(0, rows=rows, kind="v", pad=True)
+        return v.copy()
+
+    total = cache.layer_len(0)
+    assert not padded_read()[:, :, 2 * BS:].any()   # two blocks per row
+    plan = cache._read_plan(total, rows)
+    past = cache._total_blocks
+    copies = []
+    while past not in copies:
+        copies.append(cache.copy_block(int(cache._tables[0, 0])))
+    assert cache.codec._pool_v[0][past].any()
+    again = padded_read()
+    assert cache._read_plan(total, rows) is plan
+    assert not again[:, :, 2 * BS:].any()
+    assert again[:, :, :total].tobytes() == \
+        dense_context(cache, 0, rows)[1].tobytes()
+    block = LAYERS * 2 * HEADS * BS * HEAD_DIM * 4  # K and V, every layer
+    assert cache.allocated_bytes() == cache._total_blocks * block
+    assert cache.physical_used_bytes() == \
+        (cache._total_blocks - cache.free_blocks()) * block
+
+
 @pytest.fixture
 def resolutions(monkeypatch):
     """Counts calls of the three per-forward resolvers."""
@@ -330,14 +362,13 @@ def test_decode_step_looks_up_the_memo_once_per_layer(monkeypatch):
 
 
 @pytest.mark.parametrize("cls, window_copies",
-                         [(PagedKVCache, 9), (QuantizedPagedKVCache, 8)],
+                         [(PagedKVCache, 8), (QuantizedPagedKVCache, 8)],
                          ids=["paged", "fineq"])
 def test_span_reads_k_to_its_reach_and_v_a_full_window(cls, window_copies,
                                                        monkeypatch):
     """A wave of 4-12-token prompts (reach 12) gathers one K block per
     row; the V pass still reads the whole 128-key window (chunk-grid
-    value GEMMs) — the FP32 pool, which has no zero block, also stages
-    the owned block before padding it."""
+    value GEMMs)."""
     lens = np.array([12, 5, 9, 4])
     cache = cls(1, batch=len(lens))         # 16-token blocks, 8 per chunk
     rng = np.random.default_rng(0)

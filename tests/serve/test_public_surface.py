@@ -83,8 +83,9 @@ def test_paged_caches_take_exactly_these_arguments():
     """The format is the class, not an option; and the FineQ cache is the
     FP32 one built with another codec, so it defines nothing else — a
     per-format override of a write, read, sharing, rollback or
-    accounting path cannot creep back."""
+    accounting path cannot creep back.  Nor can a per-codec read loop."""
     from repro.nn import PagedKVCache, QuantizedPagedKVCache
+    from repro.nn.kv_codec import FineQCodec, FP32Codec
 
     common = ["self", "num_layers", "batch", "block_size", "initial_blocks",
               "max_blocks", "chunk_blocks"]
@@ -95,6 +96,9 @@ def test_paged_caches_take_exactly_these_arguments():
         common + ["dequant_cache_bytes"]
     assert [name for name, value in vars(QuantizedPagedKVCache).items()
             if inspect.isfunction(value)] == ["__init__"]
+    # Both codecs read through their shared chunk loop.
+    assert "read" not in vars(FP32Codec)
+    assert "read" not in vars(FineQCodec)
 
 
 def test_durable_queue_module_needs_neither_engine_nor_model():
