@@ -210,6 +210,46 @@ def test_fused_flush_kernel_faster_than_stepwise_reference(blocks):
     assert speedup >= 1.5, f"fused flush only {speedup:.2f}x vs stepwise"
 
 
+def test_corpus_generation_faster_than_choice_reference(monkeypatch):
+    """Cached-CDF Zipf draws against ``Generator.choice(p=...)``.
+
+    ``generate_corpus("wikitext-sim", 2000, seed=917)`` as shipped, and
+    the same call with every ``zipf_choice`` routed through the
+    reference that rebuilds its probabilities and lets ``choice``
+    validate them and build a CDF per draw: same tokens, at least 2.5x
+    faster.  A ratio, so a regression in corpus generation (the set-up
+    of every perplexity table) fails on any machine.
+    """
+    from repro.data import vocab
+    from repro.data.corpus import generate_corpus
+
+    def choice_reference(rng, words, size, exponent=1.1):
+        ranks = np.arange(1, len(words) + 1, dtype=np.float64)
+        probs = ranks ** (-exponent)
+        probs /= probs.sum()
+        return [words[i] for i in rng.choice(len(words), size=size, p=probs)]
+
+    def corpus():
+        return generate_corpus("wikitext-sim", 2000, seed=917)
+
+    def timed(zipf_choice):
+        with monkeypatch.context() as patch:
+            patch.setattr(vocab, "zipf_choice", zipf_choice)
+            return _best_of(corpus), corpus()
+
+    speedup = 0.0
+    for attempt in range(3):
+        reference_s, reference = timed(choice_reference)
+        cached_s, tokens = timed(vocab.zipf_choice)
+        assert tokens == reference
+        speedup = max(speedup, reference_s / cached_s)
+        if speedup >= 2.5:
+            break
+    print(f"\ncorpus generation: cached CDFs are {speedup:.1f}x the "
+          "Generator.choice reference")
+    assert speedup >= 2.5, f"cached-CDF corpus only {speedup:.2f}x vs choice"
+
+
 def test_fineq_decode_within_2p2x_of_paged_at_short_context(zoo_7b):
     """The short-context tax of 2.33-bit KV, as a tracked ratio.
 

@@ -8,6 +8,8 @@ resulting token frequencies mimic natural-language skew.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 DETERMINERS = ["the", "a", "this", "that", "its", "their", "each", "every"]
@@ -80,13 +82,34 @@ FUNCTION_WORDS = ["and", "or", "but", "of", "to", "for", "with", "by",
                   "as", "at", "from", "which", "who", "it", "also", "not"]
 
 
-def zipf_choice(rng: np.random.Generator, words: list[str], size: int,
-                exponent: float = 1.1) -> list[str]:
-    """Sample ``size`` words with Zipf-like rank frequencies."""
-    ranks = np.arange(1, len(words) + 1, dtype=np.float64)
+@lru_cache(maxsize=32)
+def _zipf_cdf(count: int, exponent: float) -> np.ndarray:
+    """Read-only CDF of Zipf rank frequencies over ``count`` words.
+
+    Built with ``Generator.choice``'s own arithmetic (normalised
+    probabilities, cumulative sum, renormalised by its last entry), so a
+    draw through it picks the index ``choice(count, p=probs)`` would.
+    The corpora use a handful of ``(count, exponent)`` pairs.
+    """
+    ranks = np.arange(1, count + 1, dtype=np.float64)
     probs = ranks ** (-exponent)
     probs /= probs.sum()
-    idx = rng.choice(len(words), size=size, p=probs)
+    cdf = probs.cumsum()
+    cdf /= cdf[-1]
+    cdf.flags.writeable = False
+    return cdf
+
+
+def zipf_choice(rng: np.random.Generator, words: list[str], size: int,
+                exponent: float = 1.1) -> list[str]:
+    """Sample ``size`` words with Zipf-like rank frequencies.
+
+    Draws the same words, and advances ``rng`` exactly as far, as
+    ``rng.choice(len(words), size=size, p=probs)`` does: one uniform per
+    word, looked up in the cached CDF.
+    """
+    idx = _zipf_cdf(len(words), exponent).searchsorted(
+        rng.random(size), side="right")
     return [words[i] for i in idx]
 
 

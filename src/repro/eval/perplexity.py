@@ -8,6 +8,8 @@ positions.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from repro.autograd import no_grad
@@ -22,8 +24,22 @@ EVAL_SEED = 917
 
 def eval_stream(tokenizer: WordTokenizer, dataset: str,
                 num_sentences: int = 4000, seed: int = EVAL_SEED) -> np.ndarray:
-    """Held-out token stream for ``dataset`` (wikitext-sim / c4-sim)."""
-    return tokenizer.encode(generate_corpus(dataset, num_sentences, seed=seed))
+    """Held-out token stream for ``dataset`` (wikitext-sim / c4-sim).
+
+    Memoised on the vocabulary and the corpus arguments (a corpus is a
+    pure function of them), so the returned array is shared and
+    read-only: copy it before writing.
+    """
+    return _stream(tuple(tokenizer.vocab), dataset, num_sentences, seed)
+
+
+@lru_cache(maxsize=8)
+def _stream(vocab: tuple[str, ...], dataset: str, num_sentences: int,
+            seed: int) -> np.ndarray:
+    stream = WordTokenizer(list(vocab)).encode(
+        generate_corpus(dataset, num_sentences, seed=seed))
+    stream.flags.writeable = False
+    return stream
 
 
 def _token_windows(stream: np.ndarray, seq_len: int,

@@ -18,17 +18,21 @@ def rng() -> np.random.Generator:
 
 
 @pytest.fixture(scope="session")
-def tiny_tokenizer() -> WordTokenizer:
-    corpora = [generate_corpus(name, 2500, seed=0)
-               for name in ("wikitext-sim", "c4-sim")]
-    return WordTokenizer.train(corpora, 256)
+def tiny_corpora() -> list[list[str]]:
+    """The two 2 500-sentence corpora the tiny tokenizer and stream share."""
+    return [generate_corpus(name, 2500, seed=0)
+            for name in ("wikitext-sim", "c4-sim")]
 
 
 @pytest.fixture(scope="session")
-def tiny_stream(tiny_tokenizer) -> np.ndarray:
-    parts = [tiny_tokenizer.encode(generate_corpus(name, 2500, seed=0))
-             for name in ("wikitext-sim", "c4-sim")]
-    return np.concatenate(parts)
+def tiny_tokenizer(tiny_corpora) -> WordTokenizer:
+    return WordTokenizer.train(tiny_corpora, 256)
+
+
+@pytest.fixture(scope="session")
+def tiny_stream(tiny_tokenizer, tiny_corpora) -> np.ndarray:
+    return np.concatenate([tiny_tokenizer.encode(tokens)
+                           for tokens in tiny_corpora])
 
 
 @pytest.fixture(scope="session")

@@ -1,11 +1,47 @@
 """Corpus, tokenizer, and loader tests."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.config import DEFAULT_SEED
 from repro.data import (generate_corpus, CORPUS_NAMES, WordTokenizer,
                         BatchLoader, split_stream)
 from repro.data.tokenizer import SPECIALS
+from repro.eval.perplexity import EVAL_SEED
+
+#: SHA-256 of ``" ".join(generate_corpus(name, num_sentences, seed))`` at
+#: the argument sets the repo uses: the held-out eval stream, the
+#: calibration stream, the zoo's training text (the committed tokenizer
+#: and zoo were built from it) and one short case.
+CORPUS_DIGESTS = {
+    ("wikitext-sim", 4000, EVAL_SEED):
+        "46181328aa906ba240f871fcb4ef0a4cb85fea5e452104b218d8f3bcc135409f",
+    ("c4-sim", 4000, EVAL_SEED):
+        "727c666f25e0c81056032a29c6807e828ade60ca1e490d32b3470ea2cb390fd3",
+    ("wikitext-sim", 1000, 31):
+        "915d895fd3bf26009a51faff718d7f139972535bee30bc463fbbe3fe6f66a1d4",
+    ("c4-sim", 1000, 31):
+        "e0f4ae3bcefad1b05272b54570947f2a66d08a32e24954ac719a5a0a0809af02",
+    ("wikitext-sim", 30_000, DEFAULT_SEED):
+        "b419b500dad5e6a4aab84b832dad8afef84c94a1fefe9ab85e1347fbe9b72a09",
+    ("c4-sim", 30_000, DEFAULT_SEED):
+        "620d2ba04e4cbd1ed843a2df595f68d6a933ea3fba1ffae6041e9f601e87ef0a",
+    ("wikitext-sim", 100, 3):
+        "d04db532afc8e089e009e5a7bb78775e44ea069cd93709c17a590a640654f90e",
+    ("c4-sim", 100, 3):
+        "07194381afae623d2859c7ff0bc85fa0c43a36581ff8fbfe5bdb21bb4216f03e",
+}
+
+
+@pytest.mark.parametrize("name,num_sentences,seed", sorted(CORPUS_DIGESTS))
+def test_corpus_pinned_by_digest(name, num_sentences, seed):
+    """Every corpus is a pure function of its arguments, byte for byte:
+    a change to the generators (or to how they draw) shows up here."""
+    tokens = generate_corpus(name, num_sentences, seed=seed)
+    digest = hashlib.sha256(" ".join(tokens).encode()).hexdigest()
+    assert digest == CORPUS_DIGESTS[name, num_sentences, seed]
 
 
 def test_corpora_deterministic():

@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.data import WordTokenizer
+from repro.data import WordTokenizer, generate_corpus
 from repro.eval import (cached_perplexity, perplexity, clone_model,
                         quantized_perplexity, run_method_sweep)
-from repro.eval.perplexity import _token_windows, eval_stream
+from repro.eval.perplexity import _stream, _token_windows, eval_stream
 from repro.eval.tables import format_table, format_markdown, format_number
 from repro.models.configs import tiny_config
 from repro.nn import PagedKVCache, QuantizedPagedKVCache, TransformerLM
@@ -93,6 +93,34 @@ def test_eval_stream_disjoint_from_training(tiny_tokenizer):
     b = eval_stream(tiny_tokenizer, "c4-sim")
     assert len(a) > 1000 and len(b) > 1000
     assert not np.array_equal(a[:100], b[:100])
+
+
+def test_eval_stream_memoised_and_read_only(tiny_tokenizer):
+    """Equal arguments share one read-only array; any other vocabulary,
+    dataset, length or seed gets its own, equal to encoding the corpus
+    afresh; the memo is bounded."""
+    stream = eval_stream(tiny_tokenizer, "c4-sim", num_sentences=300, seed=5)
+    with pytest.raises(ValueError):
+        stream[0] = 0
+    same_vocab = WordTokenizer(list(tiny_tokenizer.vocab))
+    assert eval_stream(same_vocab, "c4-sim", num_sentences=300,
+                       seed=5) is stream
+
+    other_vocab = WordTokenizer(tiny_tokenizer.vocab[:4]
+                                + tiny_tokenizer.vocab[:3:-1])
+    for tokenizer, dataset, num_sentences, seed in (
+            (other_vocab, "c4-sim", 300, 5),
+            (tiny_tokenizer, "wikitext-sim", 300, 5),
+            (tiny_tokenizer, "c4-sim", 301, 5),
+            (tiny_tokenizer, "c4-sim", 300, 6)):
+        other = eval_stream(tokenizer, dataset, num_sentences=num_sentences,
+                            seed=seed)
+        assert other is not stream
+        want = tokenizer.encode(generate_corpus(dataset, num_sentences,
+                                                seed=seed))
+        assert other.dtype == np.int64 and np.array_equal(other, want)
+        assert not other.flags.writeable
+    assert 0 < _stream.cache_info().maxsize <= 8
 
 
 def test_clone_model_independent(tiny_model):
