@@ -87,10 +87,13 @@ class DecodeProjection:
 
     ``compute_cycles`` replays every traced step's linear layers through
     the six-stage pipeline model; ``kv_dma_cycles`` streams each step's
-    KV-cache bytes over the DMA lane (where the quantized cache's ~4.7x
-    smaller footprint directly buys cycles).  The two overlap in the real
-    pipeline no better than their sum's bottleneck, so the projection
-    charges them additively — a conservative serving-side bound.
+    KV-cache bytes over the DMA lane (where the quantized pool's ~4.7x
+    smaller footprint per token directly buys cycles).  That 4.7x
+    counts the pool alone, not the session's resident KV memory, which
+    also holds the FP32 dequantized-block memo (ROADMAP item 12).  The
+    two overlap in the real pipeline no better than their sum's
+    bottleneck, so the projection charges them additively — a
+    conservative serving-side bound.
     """
 
     design: str                  # "baseline" (FP16) or "fineq" (2.33-bit)

@@ -49,10 +49,12 @@ The cache backend is selected by ``kv_cache``:
 * ``"fineq"`` — :class:`~repro.nn.paged_kv_cache.QuantizedPagedKVCache`,
   the same paged cache built with the FineQ block codec
   (:class:`~repro.nn.kv_codec.FineQCodec`): full blocks sealed in the
-  paper's 2.33-bit format (~7x fewer bytes per full block, ~4.7x
-  end-to-end with the FP32 write buffers; bounded perplexity delta
-  instead of exact parity), read through a dequantized-block LRU so an
-  immutable block is LUT-decoded once.
+  paper's 2.33-bit format (~7x fewer bytes per full block, ~4.7x per
+  token for the pool with its FP32 write buffers; bounded perplexity
+  delta instead of exact parity), read through a dequantized-block LRU
+  so an immutable block is LUT-decoded once.  That FP32 memo is not in
+  the 4.7x: at the ``longctx`` shape pool + memo is 5 824 B/token
+  against ``"paged"``'s 5 208 (ROADMAP item 12).
   A stream here can depend on its neighbours — a wider one pads the
   wave to another GEMM shape, and the first 2.33-bit flush turns the
   ulp into a quantization step (pinned:
@@ -543,9 +545,7 @@ class GenerationEngine:
         for i, row in enumerate(active_rows):
             slot = slots[row]
             token = int(sampled[i])
-            reason = self._finish_reason(slot.request.params, token,
-                                         len(slot.generated) + 1,
-                                         int(lengths[i]) + 1)
+            reason = self._finish_reason(slot, token, len(slot.generated) + 1)
             events += self._emit(row, [token], reason)
         return events
 
@@ -554,33 +554,25 @@ class GenerationEngine:
 
         Per active row with committed context ``L`` and pending token
         ``t`` (token index ``L``, not yet written): the draft model
-        proposes ``d_1..d_k`` continuations, and one multi-token target
-        forward writes ``[t, d_1..d_k]`` at positions ``L..L+k`` and
-        returns logits for every position — position ``L+i``'s logits
-        are the target's next-token distribution after ``d_i``, exactly
-        what target-only decode would compute there.  Tokens emit in
-        stream order (the target's own choice at each position, drawn
-        with the request's private RNG) while the emitted token keeps
-        matching the next draft;
-        the first mismatch, terminal token, or the post-run bonus token
-        ends the row's run.  The caches then truncate back to the
-        committed length (:meth:`PagedKVCache.truncate_rows` — shared
-        prefix blocks are refcount-protected, uncommitted quantized
-        blocks invalidate their dequant-memo entries).
+        proposes ``d_1..d_k`` continuations, and the target verifies
+        ``[t, d_1..d_k]`` at positions ``L..L+k``
+        (:meth:`_verify_forward`) — position ``L+i``'s logits are the
+        target's next-token distribution after ``d_i``, exactly what
+        target-only decode would compute there.  Each row then walks
+        its positions in order, emitting the target's own choice at each
+        (drawn with the request's private RNG, so the draws line up with
+        target-only decode's): the first mismatch, terminal token, or
+        the post-run bonus token ends the row's run.  The caches then
+        truncate back to the committed length
+        (:meth:`PagedKVCache.truncate_rows` — shared prefix blocks are
+        refcount-protected, uncommitted quantized blocks invalidate
+        their dequant-memo entries).
 
-        On the quantized backend the verify runs as *clone-rows decode*:
-        each verify position becomes its own width-1 batch row through
-        the standard ``write_token`` + block-decode read path, because
-        BLAS GEMMs are bit-stable across the batch axis but not across
-        the query-width axis — a width-``k+1`` span forward would write
-        K/V that differ from single-token decode's by ulps, and
-        quantizing such a block amplifies an ulp into a full
-        quantization step, breaking greedy parity.  Clone rounds are
-        still chunked at block boundaries so ``write_token``'s own lazy
-        flush quantizes a block only after every token in it is already
-        accepted (rows reach round ``r + 1`` only by fully accepting
-        round ``r``); rollbacks therefore always land inside the
-        buffered block and never release pool blocks mid-request.
+        A buffering codec's sealed blocks are lossy, so its verify runs
+        in rounds that end at block boundaries: a block seals only after
+        every token in it is accepted (a row reaches round ``r + 1`` only
+        by fully accepting round ``r``), and rollbacks always land
+        inside the buffered block.
         """
         cache = self._cache
         slots = self._slots
@@ -618,102 +610,44 @@ class GenerationEngine:
         for jj, j in enumerate(draft_idx):
             verify[j] += [int(t) for t in proposals[jj]]
 
-        params = [slots[row].request.params for row in active_rows]
-        rngs = [slots[row].rng for row in active_rows]
         emitted: list[list[int]] = [[] for _ in range(n)]
         reasons: list[str | None] = [None] * n
-        done = np.zeros(n, dtype=bool)
-        offset = np.zeros(n, dtype=np.int64)
         written = lengths.copy()
         accepted_step = 0
         verify_tokens = 0
-        is_quant = self.kv_cache == "fineq"
         bs = cache.block_size
-        max_pos = self.model.config.max_seq_len - 1
-
-        while not done.all():
-            live = np.flatnonzero(~done)
-            starts = lengths[live] + offset[live]
-            rem = np.array([len(verify[j]) - int(offset[j]) for j in live],
-                           dtype=np.int64)
-            take = np.minimum(rem, bs - starts % bs) if is_quant else rem
-            rows_arr = active_rows[live]
-            width = int(take.max())
-            if is_quant:
-                # Clone-rows decode: verify position L+i of a row is its
-                # own width-1 batch row, so every projection GEMM and
-                # cache write is bitwise the one sequential decode runs
-                # (batch-axis GEMM stability), and write_token's own
-                # boundary flush quantizes blocks at the same points.
-                clone_rows = np.repeat(rows_arr, take)
-                clone_pos = np.concatenate(
-                    [np.arange(int(s), int(s) + int(t))
-                     for s, t in zip(starts, take)])
-                clone_toks = np.concatenate(
-                    [np.asarray(verify[j][int(offset[j]):
-                                          int(offset[j]) + int(t)])
-                     for j, t in zip(live, take)]).astype(np.int64)
-                out = self.model(clone_toks[:, None], cache=cache,
-                                 positions=clone_pos[:, None],
-                                 rows=clone_rows)
-                flat = out.data[:, -1]
-                logits_arr = np.zeros((len(live), width, flat.shape[-1]),
-                                      dtype=flat.dtype)
-                pos0 = 0
-                for jj, t in enumerate(take):
-                    logits_arr[jj, :int(t)] = flat[pos0:pos0 + int(t)]
-                    pos0 += int(t)
-            else:
-                toks, positions = _pad_spans(
-                    [verify[j][int(offset[j]):int(offset[j]) + int(t)]
-                     for j, t in zip(live, take)], starts, max_pos)
-                logits_arr = self.model(toks, cache=cache,
-                                        positions=positions, rows=rows_arr,
-                                        span_lens=take).data
-            verify_tokens += int(take.sum())
-            written[live] = starts + take
-
-            # Acceptance, offset by offset: every live row emits exactly
-            # one token per offset it reaches, in stream order, so each
-            # request's RNG draws line up with target-only decode.
-            stopped = np.zeros(len(live), dtype=bool)
-            for o in range(width):
-                sub = [jj for jj in range(len(live))
-                       if take[jj] > o and not stopped[jj]]
-                if not sub:
-                    break
-                sub_rows = [int(live[jj]) for jj in sub]
-                sub_logits = logits_arr[sub, o]
-                choices = _sample_tokens(sub_logits,
-                                         [params[j] for j in sub_rows],
-                                         [rngs[j] for j in sub_rows])
-                for idx, jj in enumerate(sub):
-                    j = int(live[jj])
-                    g = int(offset[j]) + o       # global verify offset
-                    has_draft = g + 1 < len(verify[j])   # else: the bonus
-                    tok = int(choices[idx])
-                    ok = has_draft and tok == verify[j][g + 1]
-                    emitted[j].append(tok)
-                    if ok:
-                        accepted_step += 1
-                    reason = self._finish_reason(
-                        params[j], tok,
-                        len(slots[active_rows[j]].generated)
-                        + len(emitted[j]),
-                        int(lengths[j]) + g + 1)
-                    if reason is not None:
-                        reasons[j] = reason
-                        stopped[jj] = True
-                        done[j] = True
-                    elif not ok:
-                        stopped[jj] = True
-                        done[j] = True
-            # Rows that accepted their whole sub-span continue into the
-            # next round (only possible with verify tokens left: the
-            # bonus position always stops its row above).
-            for jj in range(len(live)):
-                if not stopped[jj]:
-                    offset[live[jj]] += take[jj]
+        live = list(range(n))        # rows whose run is still accepting
+        while live:
+            starts = lengths[live] + [len(emitted[j]) for j in live]
+            spans = [verify[j][len(emitted[j]):] for j in live]
+            if cache.codec.buffered:
+                spans = [span[:bs - start % bs]
+                         for span, start in zip(spans, starts)]
+            row_logits = self._verify_forward(active_rows[live], starts,
+                                              spans)
+            verify_tokens += sum(len(span) for span in spans)
+            written[live] = starts + [len(span) for span in spans]
+            carry = []
+            for j, logits in zip(live, row_logits):
+                slot = slots[active_rows[j]]
+                for position_logits in logits:
+                    token = int(_sample_tokens(position_logits[None],
+                                               [slot.request.params],
+                                               [slot.rng])[0])
+                    emitted[j].append(token)
+                    nxt = len(emitted[j])   # verify index of the next draft
+                    accepted = nxt < len(verify[j]) \
+                        and token == verify[j][nxt]
+                    accepted_step += accepted
+                    reasons[j] = self._finish_reason(
+                        slot, token, len(slot.generated) + nxt)
+                    if reasons[j] is not None or not accepted:
+                        break
+                else:
+                    # The whole round accepted: only a block boundary
+                    # (never the bonus position) ends a round this way.
+                    carry.append(j)
+            live = carry
 
         # --- commit/rollback: truncate past the committed lengths ---
         new_lens = lengths + np.array([len(e) for e in emitted],
@@ -735,6 +669,42 @@ class GenerationEngine:
         for j, row in enumerate(active_rows):
             events += self._emit(row, emitted[j], reasons[j])
         return events
+
+    def _verify_forward(self, rows: np.ndarray, starts: np.ndarray,
+                        spans: list[list[int]]) -> list[np.ndarray]:
+        """Write ``spans[j]`` into cache row ``rows[j]`` from position
+        ``starts[j]`` on; return each row's ``(len(spans[j]), vocab)``
+        logits, position ``i``'s being the target's next-token
+        distribution after ``spans[j][i]``.
+
+        A codec that writes blocks in place verifies in one ragged span
+        forward.  A buffering codec (``cache.codec.buffered``: FineQ)
+        runs *clone rows* instead: each position becomes its own width-1
+        batch row through the standard ``write_token`` + block-decode
+        read path, because BLAS GEMMs are bit-stable across the batch
+        axis but not across the query-width axis — a width-``k+1`` span
+        forward would write K/V that differ from single-token decode's
+        by ulps, and quantizing such a block amplifies an ulp into a
+        full quantization step, breaking greedy parity.  Every
+        projection GEMM and cache write is then bitwise the one
+        sequential decode runs, and ``write_token``'s own boundary flush
+        quantizes blocks at the same points.
+        """
+        widths = np.array([len(span) for span in spans], dtype=np.int64)
+        if not self._cache.codec.buffered:
+            tokens, positions = _pad_spans(spans, starts,
+                                           self.model.config.max_seq_len - 1)
+            logits = self.model(tokens, cache=self._cache,
+                                positions=positions, rows=rows,
+                                span_lens=widths).data
+            return [logits[j, :width] for j, width in enumerate(widths)]
+        tokens = np.array([t for span in spans for t in span], dtype=np.int64)
+        positions = np.concatenate([np.arange(start, start + width)
+                                    for start, width in zip(starts, widths)])
+        logits = self.model(tokens[:, None], cache=self._cache,
+                            positions=positions[:, None],
+                            rows=np.repeat(rows, widths)).data[:, -1]
+        return np.split(logits, np.cumsum(widths)[:-1])
 
     def _scheduler_view(self) -> SchedulerView:
         """Snapshot of engine state for one scheduler decision."""
@@ -1000,9 +970,7 @@ class GenerationEngine:
         for j, (row, slot, _) in enumerate(done):
             slot.prefilling = False
             token = int(first[j])
-            reason = self._finish_reason(slot.request.params, token,
-                                         len(slot.generated) + 1,
-                                         len(slot.tokens))
+            reason = self._finish_reason(slot, token, len(slot.generated) + 1)
             events += self._emit(row, [token], reason)
         return events
 
@@ -1021,20 +989,22 @@ class GenerationEngine:
             self._retire(row, reason)
         return events
 
-    def _finish_reason(self, params: SamplingParams, token: int,
-                       generated: int, context_len: int) -> str | None:
+    def _finish_reason(self, state: _RequestState, token: int,
+                       generated: int) -> str | None:
         """Terminal state a newly sampled ``token`` puts its request in,
         or None to continue: ``generated`` counts the request's tokens
-        *including* this one and ``context_len`` is the committed
-        context after it (for a speculative verify, the state it is
+        *including* this one (for a speculative verify, the state it is
         about to commit)."""
+        params = state.request.params
         if token in params.stop_tokens:
             return "stop"
         if generated >= params.max_new_tokens:
             return "length"
-        if context_len >= self.model.config.max_seq_len:
-            # The next decode would write at position ``context_len``,
-            # past the RoPE table (valid positions are < max_seq_len).
+        # The row holds every generated token but this one: the next
+        # decode writes at ``len(prompt) + generated - 1``, past the
+        # RoPE table once that reaches max_seq_len.
+        if len(state.request.prompt) + generated - 1 \
+                >= self.model.config.max_seq_len:
             return "max_seq_len"
         return None
 

@@ -5,13 +5,16 @@ single-token target forward, and none of the serving machinery (batching,
 prefix sharing, block-resident reads, chunked prefill) can shorten that
 dependency chain.  Speculative decoding does: a small *draft* model
 autoregressively proposes ``k`` tokens against its own private cache,
-and the target model verifies all ``k + 1`` positions in **one**
-multi-token forward over the existing block-resident prefill read path —
-one target forward now emits ``accepted + 1`` tokens instead of one.
+and the target model verifies all ``k + 1`` positions at once
+(:meth:`repro.serve.engine.GenerationEngine._verify_forward`) — one
+verify now emits ``accepted + 1`` tokens instead of one.  On ``"paged"``
+the verify is one ragged span forward; on ``"fineq"``, whose sealed
+blocks are lossy, it is width-1 *clone rows* in rounds that end at block
+boundaries, so a block seals only once every token in it is accepted.
 
 This module owns the draft side; the engine
 (:meth:`repro.serve.engine.GenerationEngine._spec_decode_step`) owns the
-verify forward, the acceptance loop, commit/rollback against the target
+verify, the acceptance walk, commit/rollback against the target
 cache, and event emission.  The split keeps every target-cache invariant
 in one place while the draft remains a self-contained model+cache
 pipeline:

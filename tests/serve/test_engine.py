@@ -5,7 +5,7 @@ import pytest
 
 from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
-from repro.serve import GenerationEngine
+from repro.serve import GenerationEngine, SpeculativeConfig
 
 
 @pytest.fixture(scope="module")
@@ -204,15 +204,30 @@ def test_serving_steps_stay_off_the_autograd_tape(model, prompts, kv_cache,
     assert counts["allocs"] <= counts["forwards"]
 
 
-def test_max_seq_len_termination():
+@pytest.mark.parametrize("k", [None, 4], ids=["target-only", "spec-k4"])
+@pytest.mark.parametrize("kv_cache", ["paged", "fineq"])
+@pytest.mark.parametrize("room", [125, 1, 0])
+def test_max_seq_len_termination(room, kv_cache, k):
+    """``room`` is what the prompt leaves of the context window: 0 ends
+    the request at its prefill, 1 at its first decode, and 125 at a
+    decode or a speculative verify that reaches the window's end."""
     model = TransformerLM(tiny_config(vocab_size=32, seed=1))
-    engine = GenerationEngine(model, max_batch_size=1)
-    engine.submit(np.array([1, 2, 3]), 10 * model.config.max_seq_len)
-    completion = engine.run()[0]
+    prompt = np.arange(model.config.max_seq_len - room) % 29 + 1
+
+    def serve(speculative):
+        engine = GenerationEngine(model, max_batch_size=1,
+                                  kv_cache=kv_cache, speculative=speculative)
+        engine.submit(prompt, 10 * model.config.max_seq_len)
+        return engine.run()[0]
+
+    completion = serve(None if k is None
+                       else SpeculativeConfig(draft_model=model, k=k))
     assert completion.finish_reason == "max_seq_len"
     # Every RoPE position gets used before termination: the last decode
     # writes at max_seq_len - 1 and its sampled token is still emitted.
     assert len(completion.tokens) == model.config.max_seq_len + 1
+    if k is not None:
+        np.testing.assert_array_equal(completion.tokens, serve(None).tokens)
 
 
 @pytest.mark.parametrize("kv_cache", ["paged"])

@@ -7,7 +7,8 @@ from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
 from repro.serve import (FIFOScheduler, GenerationEngine,
                          PrefixAffinityScheduler, PriorityScheduler,
-                         SamplingParams, Scheduler, get_scheduler)
+                         SamplingParams, Scheduler, SpeculativeConfig,
+                         get_scheduler)
 
 VOCAB = 64
 
@@ -157,6 +158,43 @@ def test_priority_preemption_under_block_budget(model):
         done[low].tokens, model.generate(low_prompt, 20, temperature=0.0))
     np.testing.assert_array_equal(
         done[hi].tokens, model.generate(hi_prompt, 6, temperature=0.0))
+
+
+@pytest.mark.parametrize("k", [None, 4], ids=["target-only", "spec-k4"])
+@pytest.mark.parametrize("kv_cache", ["paged", "fineq"])
+def test_fifo_grows_past_soft_pool_budget(model, kv_cache, k):
+    """FIFO never preempts: when decode needs blocks the soft
+    ``max_pool_blocks`` budget cannot grant, ``victims_for_blocks``
+    names nobody and the pool grows past the budget (the documented
+    forced growth) rather than stall a row or fail a write."""
+    rng = np.random.default_rng(5)
+    prompts = [rng.integers(0, VOCAB, size=n) for n in (5, 9, 3)]
+    asked = []
+
+    class Recording(FIFOScheduler):
+        def victims_for_blocks(self, view, needed_blocks):
+            asked.append(needed_blocks)
+            return super().victims_for_blocks(view, needed_blocks)
+
+    def serve(speculative):
+        engine = GenerationEngine(model, max_batch_size=3,
+                                  kv_cache=kv_cache, block_size=4,
+                                  max_pool_blocks=6, scheduler=Recording(),
+                                  speculative=speculative)
+        return engine, engine.generate_batch(prompts, 16)
+
+    engine, out = serve(None if k is None
+                        else SpeculativeConfig(draft_model=model, k=k))
+    cache = engine.cache
+    assert asked and engine.stats.preemptions == 0
+    assert cache._total_blocks > cache.max_blocks
+    assert cache.free_blocks() == cache._total_blocks   # drained
+    if kv_cache == "paged":
+        want = [model.generate(p, 16, temperature=0.0) for p in prompts]
+    else:   # lossy: a fresh target-only engine is the reference
+        want = serve(None)[1]
+    for got, ref in zip(out, want):
+        np.testing.assert_array_equal(got, ref)
 
 
 def test_no_preemption_between_equal_priorities(model):

@@ -6,8 +6,8 @@ import pytest
 
 from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
-from repro.serve import (GenerationEngine, SamplingParams, TokenEvent,
-                         apply_top_k_top_p)
+from repro.serve import (GenerationEngine, SamplingParams,
+                         SpeculativeConfig, TokenEvent, apply_top_k_top_p)
 
 
 @pytest.fixture(scope="module")
@@ -176,21 +176,32 @@ def test_cancel_queued_request(model):
 # ---------------------------------------------------------------------- #
 # stop tokens
 # ---------------------------------------------------------------------- #
-def test_stop_tokens_terminate_mid_generation(model):
-    prompt = np.array([1, 2])
+@pytest.mark.parametrize("k", [None, 4], ids=["target-only", "spec-k4"])
+@pytest.mark.parametrize("kv_cache", ["paged", "fineq"])
+def test_stop_tokens_terminate_mid_generation(model, kv_cache, k):
+    """The stream ends at the stop token's first occurrence.  With
+    speculation that token is the third accepted draft of the first
+    verify, so the run stops inside its accepted positions, short of
+    its bonus token."""
+    prompt = np.array([5, 6, 7])
     reference = model.generate(prompt, 10, temperature=0.0)
-    stop = int(reference[len(prompt) + 4])  # emitted mid-continuation
-    engine = GenerationEngine(model, max_batch_size=1)
+    generated = reference[len(prompt):]
+    first = 3
+    stop = int(generated[first])
+    assert stop not in generated[:first]
+    engine = GenerationEngine(
+        model, max_batch_size=1, kv_cache=kv_cache,
+        speculative=None if k is None
+        else SpeculativeConfig(draft_model=model, k=k))
     engine.submit(prompt, params=SamplingParams(max_new_tokens=10,
                                                 stop_tokens=(stop,)))
     completion = engine.run()[0]
     assert completion.finish_reason == "stop"
-    assert completion.tokens[-1] == stop
-    assert len(completion.new_tokens) < 10
-    generated = reference[len(prompt):]
-    first = int(np.argmax(generated == stop))
     np.testing.assert_array_equal(completion.tokens,
                                   reference[:len(prompt) + first + 1])
+    if k is not None:
+        assert engine.stats.decode_steps == 1
+        assert engine.stats.spec_accepted == first
 
 
 # ---------------------------------------------------------------------- #
