@@ -90,7 +90,8 @@ class DecodeProjection:
     KV-cache bytes over the DMA lane (where the quantized pool's ~4.7x
     smaller footprint per token directly buys cycles).  That 4.7x
     counts the pool alone, not the session's resident KV memory, which
-    also holds the FP32 dequantized-block memo (ROADMAP item 12).  The
+    also holds the FP32 decoded store of sealed blocks (ROADMAP item
+    12).  The
     two overlap in the real pipeline no better than their sum's
     bottleneck, so the projection charges them additively — a
     conservative serving-side bound.
@@ -159,10 +160,10 @@ def project_decode_trace(config: ModelConfig,
     charged at ``spec_verify_tokens`` (the verify positions actually
     forwarded) while ``tokens`` counts what the step emitted, so
     ``tokens_per_s`` stays tokens a consumer saw.  A non-negative
-    ``kv_bytes_streamed`` is the *post-dequant-cache* byte count the
-    block-resident read actually fetched from cache storage — the DMA
-    lane is charged with it instead of the logical gather bytes, so the
-    projection credits reuse of memoised dequantized blocks.  Steps
+    ``kv_bytes_streamed`` is the byte count the block-resident read
+    actually fetched from cache storage, each sealed block's payload
+    once — the DMA lane is charged with it instead of the logical
+    gather bytes, so the projection credits reuse of decoded blocks.  Steps
     with equal token width share one cycle simulation, so long traces
     stay cheap.
 

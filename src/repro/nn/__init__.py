@@ -15,16 +15,15 @@ from repro.nn.transformer import FeedForward, TransformerBlock
 from repro.nn.model import ModelConfig, TransformerLM
 from repro.nn.kv_cache import KVCache
 from repro.nn.paged_kv_cache import (DEFAULT_BLOCK_SIZE,
-                                     DEFAULT_CHUNK_BLOCKS,
-                                     DEFAULT_DEQUANT_CACHE_BYTES,
-                                     DequantBlockCache, KVReadStats,
-                                     PagedKVCache, QuantizedPagedKVCache)
+                                     DEFAULT_CHUNK_BLOCKS, DequantBlockCache,
+                                     KVReadStats, PagedKVCache,
+                                     QuantizedPagedKVCache)
 
 __all__ = [
     "Module", "Parameter", "Linear", "Embedding", "RMSNorm",
     "RotaryEmbedding", "MultiHeadAttention", "FeedForward",
     "TransformerBlock", "ModelConfig", "TransformerLM", "KVCache",
     "PagedKVCache", "QuantizedPagedKVCache", "DEFAULT_BLOCK_SIZE",
-    "DEFAULT_CHUNK_BLOCKS", "DEFAULT_DEQUANT_CACHE_BYTES",
-    "DequantBlockCache", "KVReadStats", "block_decode_attention",
+    "DEFAULT_CHUNK_BLOCKS", "DequantBlockCache", "KVReadStats",
+    "block_decode_attention",
 ]

@@ -25,14 +25,15 @@ accumulates per-chunk partial products in chunk order; whenever the
 context fits one chunk (``chunk_blocks * block_size`` tokens, 128 by
 default) that too is the identical monolithic matmul, and beyond it the
 summation tree differs only in final-ulp rounding.  The quantized
-cache's chunks read through its dequant-block memo, so a hot block is
-dequantized once per step across all readers instead of per row.
+cache's chunks gather from its decoded store, indexed by block id, so
+a sealed block is dequantized once, when it is sealed, however many
+rows and steps read it.
 
 :func:`block_prefill_attention` extends the same read to multi-query
 prefill chunks: the engine's chunked prefill writes a span of prompt
 tokens and attends them over the full context through the identical
 ``context_blocks`` iteration, so prefill and decode share one read path
-(and the quantized cache's dequant memo serves prefill re-reads too).
+(and the quantized cache's decoded store serves prefill re-reads too).
 Its score/value geometry is *chunk-grid stable*: scores land in
 fixed ``chunk_blocks * block_size``-wide window blocks, the softmax
 denominator accumulates fixed-width per-window partial sums, and every
@@ -111,12 +112,11 @@ def block_decode_attention(q: np.ndarray, cache, layer_index: int,
 
     if total <= cache.chunk_blocks * cache.block_size:
         # Short contexts fit one chunk: read K and V in a single pass
-        # (the chunk *is* the whole context; the quantized pool
-        # assembles it through its dequant memo) and run the monolithic
-        # attention ops on it
-        # — op for op the dense path's math, so the result is
-        # bit-identical, while the chunk is still the only materialised
-        # copy and stays bounded by the chunk window.
+        # (the chunk *is* the whole context; the quantized cache
+        # gathers it from its decoded store) and run the monolithic
+        # attention ops on it — op for op the dense path's math, so the
+        # result is bit-identical, while the chunk is still the only
+        # materialised copy and stays bounded by the chunk window.
         k, v = cache.context_chunk_pair(layer_index, rows=rows)
         return _softmax_probs(q @ k.transpose(0, 1, 3, 2), kv_mask,
                               head_dim) @ v

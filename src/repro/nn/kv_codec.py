@@ -16,9 +16,11 @@ resolves, per layer, where each chunk's blocks are gathered from.
   pool, padding from its spare zero block.
 * :class:`FineQCodec`: sealed blocks in the paper's 2.33-bit cluster
   format, extending FineQ's memory story from weights to the KV cache;
-  each row's current block lives in an FP32 write buffer.  Chunks
-  gather from the dequantized-block memo, padding from its zero entry,
-  and each row's buffered block is overlaid.
+  each row's current block lives in an FP32 write buffer.  A seal
+  also stores the block's dequantized values in a decoded FP32 store
+  indexed by block id, so chunks gather from that store as the FP32
+  codec gathers from its pool, and each row's buffered block is
+  overlaid.
 
 The FineQ kernels come first: :func:`quantize_kv_block` and
 :func:`dequantize_kv_channels` between FP32 blocks and the payload +
@@ -53,7 +55,7 @@ def quantize_kv_block(blocks: np.ndarray, with_values: bool = False):
     ``with_values=True`` appends the blocks' dequantized values, ``(n,
     heads, block, head_dim)`` float32: the integer codes times the FP16
     scales, bitwise what :func:`dequantize_kv_channels` decodes from the
-    returned payload — which lets a flush write them through into the
+    returned payload — which lets a seal store them in the decoded
     :class:`DequantBlockCache` without a decode.
     """
     n, heads, block, head_dim = blocks.shape
@@ -96,8 +98,7 @@ class _BlockCodec:
     (lists of per-layer arrays whose first axis is the block id; the
     cache grows and copies them, keeping any spare rows a pool holds
     past its blocks) and ``block_bytes`` (one sealed block of one
-    operand in one layer); ``freed(block)`` hears that a block returned
-    to the free list; ``plan_token`` / ``plan_span`` / ``read_plan``
+    operand in one layer); ``plan_token`` / ``plan_span`` / ``read_plan``
     resolve a forward's write or read and ``write_token`` /
     ``write_span`` / :meth:`read` run it on one layer; ``adopt`` takes
     in a shared prefix's partial tail copy-on-write; ``shrink`` hears
@@ -108,7 +109,8 @@ class _BlockCodec:
     block.
 
     :meth:`read` is the one chunk loop: a codec supplies only its plan
-    and, per layer, the inputs of each chunk (:meth:`_chunk_inputs`).
+    (built on :meth:`_gather_index`) and, per layer, the inputs of each
+    chunk (:meth:`_chunk_inputs`).
     """
 
     buffered = False
@@ -120,9 +122,6 @@ class _BlockCodec:
         self.cache = weakref.proxy(cache)
         self._chunk_scratch = np.empty((2, 0), dtype=np.float32)
         self._chunk_rows = 0        # reader rows the buffers have room for
-
-    def freed(self, block: int) -> None:
-        pass
 
     def shrink(self, rows: np.ndarray) -> None:
         pass
@@ -141,6 +140,25 @@ class _BlockCodec:
                 (2, self._chunk_rows * cache._heads * cache.chunk_blocks
                  * cache.block_size * cache._head_dim), dtype=np.float32)
         return self._chunk_scratch
+
+    def _gather_index(self, ids: np.ndarray) -> list[tuple]:
+        """Per chunk of the ``(rows, blocks)`` id table, ``(first
+        block, index, padded index)``: ``index[r, h, b] = id * heads +
+        h`` addresses a free ``(blocks * heads, block, head_dim)`` view
+        of block storage, and the padded index extends a short last
+        chunk to a full window with the zero block's id, ``-1``."""
+        cache = self.cache
+        cb, nblk = cache.chunk_blocks, ids.shape[1]
+        grid = np.full((len(ids), -(-nblk // cb) * cb), -1, dtype=np.int64)
+        grid[:, :nblk] = ids
+        index = grid[:, None, :] * cache._heads \
+            + np.arange(cache._heads)[None, :, None]
+        chunks = []
+        for b0 in range(0, nblk, cb):
+            padded = np.ascontiguousarray(index[:, :, b0:b0 + cb])
+            chunks.append((b0, np.ascontiguousarray(padded[:, :, :nblk - b0]),
+                           padded))
+        return chunks
 
     def read(self, layer: int, n: int, plan, kind: str, pad: bool):
         """Iterate one layer's read of ``plan`` for ``n`` reader rows as
@@ -234,28 +252,15 @@ class FP32Codec(_BlockCodec):
     # ------------------------------------------------------------------ #
     def read_plan(self, total: int, rows: np.ndarray, ids: np.ndarray
                   ) -> tuple:
-        """``(live tokens, chunks)``.  Each chunk is ``(first block,
-        index, padded index)`` where ``index[r, h, b] = block id * heads
-        + h`` addresses the pool's free ``(blocks * heads, block,
-        head_dim)`` view; the padded index extends a short last chunk to
-        a full window with the zero block's id, ``-1``."""
+        """``(live tokens, chunks)``, the chunks of
+        :meth:`_gather_index` over the pool."""
         cache = self.cache
         # Streamed bytes count the rows' *real* context tokens, the
         # population ``used_bytes`` counts (ragged rows also gather
         # padding blocks, which the accelerator projection must not
         # charge).
         live = int(np.minimum(cache._row_len[rows], total).sum())
-        cb, nblk = cache.chunk_blocks, ids.shape[1]
-        grid = np.full((len(rows), -(-nblk // cb) * cb), -1, dtype=np.int64)
-        grid[:, :nblk] = ids
-        index = grid[:, None, :] * cache._heads \
-            + np.arange(cache._heads)[None, :, None]
-        chunks = []
-        for b0 in range(0, nblk, cb):
-            padded = np.ascontiguousarray(index[:, :, b0:b0 + cb])
-            chunks.append((b0, np.ascontiguousarray(padded[:, :, :nblk - b0]),
-                           padded))
-        return live, chunks
+        return live, self._gather_index(ids)
 
     def _chunk_inputs(self, layer: int, plan: tuple, kind: str, pad: bool):
         """The layer's pool views and each chunk's planned index."""
@@ -289,28 +294,25 @@ class FineQCodec(_BlockCodec):
 
     The seal happens once per boundary crossing, not once per layer: in
     a forward, the first layer to see a crossing quantizes every layer's
-    K and V in one kernel call (:meth:`_seal_crossing`) and writes the
-    dequantized values through into the :class:`DequantBlockCache` the
-    reads go through — so the step's own reads of the block it has just
-    encoded hit the memo instead of decoding the payload back.
-    ``budget_bytes`` sizes that memo (under ``0`` it pins nothing —
-    every read spills and re-runs the LUT dequant).
+    K and V in one kernel call (:meth:`_seal_crossing`) and stores the
+    dequantized values the kernel already holds in the decoded
+    :class:`DequantBlockCache`, indexed by block id.  Reads gather
+    sealed blocks from there and never decode a payload: the store
+    keeps one FP32 copy of every sealed block, which the byte
+    accounting of :meth:`~repro.nn.paged_kv_cache.PagedKVCache.used_bytes`
+    does not count.
     """
 
     buffered = True
 
-    def __init__(self, cache, budget_bytes: int):
+    def __init__(self, cache):
         super().__init__(cache)
-        self.budget_bytes = budget_bytes
         # Exclusive end position of the tokens each layer's write buffer
         # holds for each row (0 = empty).  It names both the buffered
         # block and how full it is, per layer: layers write one after
         # another within a forward, and direct callers may lag further.
         self._buf_end = np.zeros((cache.num_layers, cache.batch),
                                  dtype=np.int64)
-        # The read plan last read through and, per layer, the memo slots
-        # its reads resolved (see _resolve).
-        self._resolved: tuple = (None, {})
 
     def setup(self) -> None:
         cache, layers = self.cache, self.cache.num_layers
@@ -330,13 +332,8 @@ class FineQCodec(_BlockCodec):
         buf_shape = (layers, cache.batch, heads, bs, head_dim)
         self._buf_k = np.zeros(buf_shape, dtype=np.float32)
         self._buf_v = np.zeros(buf_shape, dtype=np.float32)
-        #: The dequantized-block memo.
-        self.dequant_cache = DequantBlockCache(layers, heads, bs, head_dim,
-                                               self.budget_bytes)
-        self._head_offsets = np.arange(heads)[:, None]
-
-    def freed(self, block: int) -> None:
-        self.dequant_cache.invalidate(block)
+        #: The decoded store: every sealed block's FP32 values.
+        self.decoded = DequantBlockCache(layers, heads, bs, head_dim)
 
     def shrink(self, rows: np.ndarray) -> None:
         """Buffers hold nothing past the rows' kept tokens."""
@@ -348,25 +345,24 @@ class FineQCodec(_BlockCodec):
     # ------------------------------------------------------------------ #
     def _flush(self, layers: np.ndarray, ids: np.ndarray,
                k_blocks: np.ndarray, v_blocks: np.ndarray,
-               memoise: bool = True) -> None:
+               charge: bool = True) -> None:
         """Quantize complete blocks into the pools in one kernel call.
 
         ``k_blocks[i]``/``v_blocks[i]`` are the FP32 ``(heads, block,
         head_dim)`` contents of pool block ``ids[i]`` of layer
         ``layers[i]`` (``layers`` ascending).  K and V of every layer go
         through a single :func:`quantize_kv_block` — channels are
-        independent, so batching is bit-exact — and, with ``memoise``,
-        the dequantized values the kernel already holds are written
-        through into the dequant memo, so reading a block the step has
-        just encoded never decodes it back.  A filled entry stands in
-        for the miss that block's first read would have taken, so it is
-        charged the payload+scale fetch that miss would have streamed.
+        independent, so batching is bit-exact — and the dequantized
+        values the kernel already holds go into the decoded store, so no
+        block is ever decoded back.  With ``charge`` (a full block, which
+        rows will read) the seal is charged the one payload+scale fetch
+        a decoder ahead of the attention datapath would stream for it.
         """
         count = len(ids)
-        encoded = quantize_kv_block(np.concatenate([k_blocks, v_blocks]),
-                                    with_values=memoise)
-        payload = encoded[0].reshape(2, count, self._channels, -1)
-        scales = encoded[1].reshape(2, count, self._channels)
+        payload, scales, values = quantize_kv_block(
+            np.concatenate([k_blocks, v_blocks]), with_values=True)
+        payload = payload.reshape(2, count, self._channels, -1)
+        scales = scales.reshape(2, count, self._channels)
         bounds = np.searchsorted(layers, np.arange(self.cache.num_layers + 1))
         for layer in range(self.cache.num_layers):
             lo, hi = bounds[layer], bounds[layer + 1]
@@ -376,15 +372,12 @@ class FineQCodec(_BlockCodec):
                 self._payload_v[layer][at] = payload[1, lo:hi]
                 self._scale_k[layer][at] = scales[0, lo:hi]
                 self._scale_v[layer][at] = scales[1, lo:hi]
+        self.decoded.fill(layers, ids, values[:count], values[count:])
         stats = self.cache._read_stats
         stats.flush_calls += 1
         stats.flush_blocks += 2 * count
-        if memoise:
-            filled = self.dequant_cache.fill(layers, ids, encoded[2][:count],
-                                             encoded[2][count:])
-            stats.streamed_bytes += filled * 2 * self.block_bytes
-        else:
-            self.dequant_cache.invalidate(ids, layers)
+        if charge:
+            stats.streamed_bytes += count * 2 * self.block_bytes
 
     def _seal_crossing(self, layer: int, rows: np.ndarray,
                        positions: np.ndarray) -> None:
@@ -428,36 +421,26 @@ class FineQCodec(_BlockCodec):
         cache, layers = self.cache, self.cache.num_layers
         block = cache._take_block()
         keep = (np.arange(cache.block_size) < fill)[:, None]
-        # A partial block is only ever adopted copy-on-write (dequantized
-        # into the adopter's buffer), never read through the memo.
+        # A partial block is only ever adopted copy-on-write (copied into
+        # the adopter's buffer), never gathered by a read: no charge.
         self._flush(np.arange(layers), np.full(layers, block),
                     self._buf_k[:, row] * keep, self._buf_v[:, row] * keep,
-                    memoise=fill == cache.block_size)
+                    charge=fill == cache.block_size)
         return block
 
     def adopt(self, row: int, tail_id: int | None, length: int) -> list[int]:
-        """COW in the quantized format: the shared partial tail is
-        *dequantized into the row's FP32 write buffer* — the quantized
-        analogue of a block copy — so the row keeps appending to it
-        without touching the shared original.  No pool block joins the
-        row's chain; the buffer is the current block.  A block-aligned
-        prefix leaves every layer's buffer empty."""
+        """COW in the quantized format: the shared partial tail's
+        dequantized values are *copied from the decoded store into the
+        row's FP32 write buffer* — the quantized analogue of a block
+        copy — so the row keeps appending to it without touching the
+        shared original.  No pool block joins the row's chain; the
+        buffer is the current block.  A block-aligned prefix leaves
+        every layer's buffer empty."""
         self._buf_end[:, row] = 0 if tail_id is None else length
-        if tail_id is None:
-            return []
-        cache, layers = self.cache, range(self.cache.num_layers)
-        payload = np.stack([pool[layer][tail_id] for pool in
-                            (self._payload_k, self._payload_v)
-                            for layer in layers])
-        scales = np.stack([pool[layer][tail_id] for pool in
-                           (self._scale_k, self._scale_v)
-                           for layer in layers])
-        channels = dequantize_kv_channels(
-            payload.reshape(-1, self._payload_bytes), scales.reshape(-1),
-            cache.block_size)
-        self._buf_k[:, row], self._buf_v[:, row] = channels.reshape(
-            2, cache.num_layers, cache._heads, cache._head_dim,
-            cache.block_size).transpose(0, 1, 2, 4, 3)
+        if tail_id is not None:
+            k_vals, v_vals = self.decoded.values
+            self._buf_k[:, row] = k_vals[:, tail_id]
+            self._buf_v[:, row] = v_vals[:, tail_id]
         return []
 
     # ------------------------------------------------------------------ #
@@ -538,41 +521,18 @@ class FineQCodec(_BlockCodec):
     # ------------------------------------------------------------------ #
     # reads
     # ------------------------------------------------------------------ #
-    def _dequant_kind(self, layer: int, ids: np.ndarray, kind: str
-                      ) -> np.ndarray:
-        """Dequantize pool blocks ``ids`` of one layer/operand into
-        ``(len(ids), heads, block, head_dim)`` float32 — the exact values
-        (and op order) of the tests' dense-gather oracle."""
-        bs = self.cache.block_size
-        payload = (self._payload_k if kind == "k" else self._payload_v)[layer]
-        scale = (self._scale_k if kind == "k" else self._scale_v)[layer]
-        channels = dequantize_kv_channels(
-            payload[ids].reshape(-1, self._payload_bytes),
-            scale[ids].reshape(-1), bs)
-        return channels.reshape(len(ids), self.cache._heads,
-                                self.cache._head_dim, bs).transpose(0, 1, 3, 2)
-
-    def _lookup(self, layer: int, ids: np.ndarray, kind: str,
-                whole: bool = False):
-        """:meth:`DequantBlockCache.lookup` with this layer's dequant."""
-        return self.dequant_cache.lookup(
-            layer, ids, kind,
-            lambda miss: (self._dequant_kind(layer, miss, "k"),
-                          self._dequant_kind(layer, miss, "v")),
-            lambda miss: self._dequant_kind(layer, miss, kind), whole)
-
     def read_plan(self, total: int, rows: np.ndarray, ids: np.ndarray
-                  ) -> tuple:
-        """``(owned, chunks)``.  ``owned`` holds the rows' sealed block
-        ids over the whole chunk grid, ``-1`` where a row owns nothing —
-        its buffered current block, stale or padding table slots, the
-        grid's padding columns — which reads as zeros until overlaid.
-        Each chunk is ``(first block, blocks, owned count, write-buffer
-        overlay)``; the overlay says which readers' current block falls
-        in the chunk, their cache rows, the block's offset and their
-        buffered token sum."""
+                  ) -> list[tuple]:
+        """The chunks of :meth:`_gather_index` over the rows' *sealed*
+        block ids, ``-1`` where a row owns nothing — its buffered
+        current block, stale or padding table slots — which reads as
+        zeros until overlaid.  Each chunk is ``(first block, index,
+        padded index, sealed block reads, write-buffer overlay)``; the
+        overlay says which readers' current block falls in the chunk,
+        their cache rows, the block's offset and their buffered token
+        sum."""
         cache = self.cache
-        bs, cb, nblk = cache.block_size, cache.chunk_blocks, ids.shape[1]
+        bs, nblk = cache.block_size, ids.shape[1]
         owned_counts = cache._blocks_per_row[rows]
         row_lens = cache._row_len[rows]
         # Overlay only rows that actually hold buffered tokens: a row
@@ -581,107 +541,40 @@ class FineQCodec(_BlockCodec):
         # it would mask its newest shared block with stale data.
         buffered = row_lens - owned_counts * bs
         current = np.where(buffered > 0, (row_lens - 1) // bs, -1)
-        owned = np.full((len(rows), -(-nblk // cb) * cb), -1, dtype=np.int64)
-        owned[:, :nblk] = np.where(np.arange(nblk) < owned_counts[:, None],
-                                   ids, -1)
+        owned = np.where(np.arange(nblk) < owned_counts[:, None], ids, -1)
         chunks = []
-        for b0 in range(0, nblk, cb):
-            c = min(cb, nblk - b0)
+        for b0, plain, padded in self._gather_index(owned):
+            c = plain.shape[2]
             in_chunk = np.nonzero((current >= b0) & (current < b0 + c))[0]
-            chunks.append((b0, c, int(np.count_nonzero(owned[:, b0:b0 + c]
-                                                       >= 0)),
+            chunks.append((b0, plain, padded,
+                           int(np.count_nonzero(owned[:, b0:b0 + c] >= 0)),
                            in_chunk, rows[in_chunk], current[in_chunk] - b0,
                            int(buffered[in_chunk].sum())))
-        return owned, chunks
+        return chunks
 
-    def _resolve(self, layer: int, plan: tuple) -> tuple:
-        """``layer``'s memo slots for every chunk of ``plan``, as the
-        gather index ``slot * heads + h`` over the chunk grid, and the
-        misses the resolution books.
+    def _chunk_inputs(self, layer: int, plan: list[tuple], kind: str,
+                      pad: bool):
+        """The decoded store's views of ``layer`` and each chunk's
+        planned index, patched with the live rows' FP32 current blocks.
 
-        The layer's first read of ``plan`` asks the memo once for the
-        whole grid (pinning its misses, with one LRU tick) and later
-        reads — the V pass after the K pass — reuse the slots, booking
-        no misses, for as long as the plan is the one last read through
-        and the memo's bindings stand: any fill, invalidation or
-        eviction moves :attr:`DequantBlockCache.generation` and drops
-        them.  Returns ``(held, misses, paired misses)``: ``held`` is
-        ``(generation, index)``, or ``None`` when the budget cannot pin
-        every block the layer reads.  The read books the misses on its
-        first chunk, so a read iterated to its end books what
-        chunk-by-chunk lookups would.
-        """
-        if plan is not self._resolved[0]:
-            self._resolved = plan, {}
-        resolutions = self._resolved[1]
-        memo = self.dequant_cache
-        held = resolutions.get(layer)
-        if held is not None and held[0] == memo.generation:
-            return held, 0, 0
-        found = self._lookup(layer, plan[0], "kv", whole=True)
-        if found is None:
-            return None, 0, 0
-        slots, wanted, paired = found[:3]
-        held = resolutions[layer] = (
-            memo.generation, slots[:, None, :] * len(self._head_offsets)
-            + self._head_offsets)
-        return held, len(wanted), paired
-
-    def _chunk_inputs(self, layer: int, plan: tuple, kind: str, pad: bool):
-        """The memo's views and each chunk's slot index, patched with
-        the live rows' FP32 current blocks.
-
-        Sealed blocks come from the :class:`DequantBlockCache` (seals
-        write their values through; anything else missing dequantizes
-        once and is memoised — a block shared by many rows decodes once,
-        and once *ever* while it stays resident).  The layer's blocks
-        resolve to memo slots once for all its reads (:meth:`_resolve`).
-        When the budget cannot pin every block the layer reads, or the
-        memo changes under a read, its chunks look up one by one —
-        lazily, since a lookup pins only its own blocks and may evict
-        the slots an earlier chunk gathered from — and blocks the budget
-        cannot pin are dequantized and patched in.  Unowned table slots
-        read the memo's zero entry, and so do the ``-1`` columns ``pad``
-        adds."""
+        Every sealed block read is served from the store, a *hit* in
+        the read stats; its payload fetch was charged when it was
+        sealed, so only the write-buffer tokens stream here."""
         cache = self.cache
-        heads, head_dim = cache._heads, cache._head_dim
         operands = (0, 1) if kind == "kv" else (0,) if kind == "k" else (1,)
         bufs = (self._buf_k[layer], self._buf_v[layer])
-        memo, stats = self.dequant_cache, cache._read_stats
-        owned, chunks = plan
-        held, misses, paired = self._resolve(layer, plan)
-        for b0, c, reads, in_chunk, in_rows, offsets, buffered in chunks:
-            width = cache.chunk_blocks if pad else c
-            patches = []
-            if held is not None and held[0] == memo.generation:
-                index = held[1][:, :, b0:b0 + width]
-            else:
-                held = None
-                slots, wanted, paired, spill = self._lookup(
-                    layer, owned[:, b0:b0 + width], kind) if reads \
-                    else (np.zeros((len(owned), width), np.int64), (), 0,
-                          None)
-                misses = len(wanted)
-                index = slots[:, None, :] * heads + self._head_offsets
-                if spill is not None:
-                    patches.append((*np.nonzero(spill[0]), spill[1]))
-            # Per operand, as two passes would count: a pinned miss
-            # serves the sibling operand from the memo, one the budget
-            # could not pin misses again there.
-            spilled = (misses - paired) * (len(operands) - 1)
-            stats.dequant_hits += len(operands) * reads - misses - spilled
-            stats.dequant_misses += misses + spilled
-            # Pinned misses fetched K and V payloads at once; spilled
-            # ones only the operands asked for.
-            stats.streamed_bytes += self.block_bytes * (
-                2 * paired + len(operands) * (misses - paired))
-            misses = paired = 0
+        stats = cache._read_stats
+        views = self.decoded.views(layer)
+        for b0, plain, padded, reads, in_chunk, in_rows, offsets, buffered \
+                in plan:
+            stats.dequant_hits += len(operands) * reads
+            patches = ()
             if len(in_chunk):
-                patches.append((in_chunk, offsets, [bufs[operand][in_rows]
-                                                    for operand in operands]))
+                patches = ((in_chunk, offsets, [bufs[operand][in_rows]
+                                                for operand in operands]),)
                 # Write-buffer reads stream the live buffered tokens
                 # (matching used_bytes' FP32 accounting), not the whole
                 # block's padding.
-                stats.streamed_bytes += len(operands) * heads * head_dim \
-                    * 4 * buffered
-            yield b0, memo.views, index, patches
+                stats.streamed_bytes += len(operands) * cache._heads \
+                    * cache._head_dim * 4 * buffered
+            yield b0, views, padded if pad else plain, patches

@@ -37,10 +37,11 @@ the count, :meth:`adopt_prefix` points a fresh row at an already-written
 block chain, :meth:`share_block` hands out a reference to a row's block
 (a buffered current block is sealed into a pool block first), and a new
 request that diverges *inside* a partially-filled shared block adopts
-it copy-on-write (:meth:`copy_block` on FP32; the FineQ codec
-dequantizes the shared tail into its write buffer instead).  A block
-returns to the free list only when its last reference drops, so retiring
-or cancelling a reader frees exactly the blocks it owned exclusively.
+it copy-on-write (:meth:`copy_block` on FP32; the FineQ codec copies
+the shared tail's decoded values into its write buffer instead).  A
+block returns to the free list only when its last reference drops, so
+retiring or cancelling a reader frees exactly the blocks it owned
+exclusively.
 
 One read path (the dense whole-context gather the chunks are pinned
 against is a tests-only oracle): :meth:`context_blocks` iterates the
@@ -64,7 +65,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# DequantBlockCache and the kernels are imported for their names here:
+# DequantBlockCache and the kernel are imported for their names here:
 # perfbench resolves its dequant and flush-quantize spans in this module.
 from repro.nn.dequant_cache import DequantBlockCache  # noqa: F401
 from repro.nn.kv_codec import (FineQCodec, FP32Codec,  # noqa: F401
@@ -79,28 +80,23 @@ DEFAULT_BLOCK_SIZE = 16
 #: fraction of a long context's dense gather.
 DEFAULT_CHUNK_BLOCKS = 8
 
-#: Default byte budget for the quantized cache's dequantized-block LRU.
-DEFAULT_DEQUANT_CACHE_BYTES = 128 * 2 ** 20
-
 
 @dataclass
 class KVReadStats:
     """Decode-read accounting accumulated by :meth:`context_blocks`.
 
     ``streamed_bytes`` is what the block iteration actually
-    fetched from cache storage (whole chunks for FP32 pools; quantized
-    payload+scale bytes for dequant-cache misses plus FP32 write-buffer
-    bytes for current blocks — hits stream nothing, which is the number
-    the accelerator projection credits); ``peak_scratch_bytes`` is the
-    largest transient chunk scratch any single read materialised (a
-    regression that materialises something dense shows up there).
-    ``dequant_hits`` /
-    ``dequant_misses`` count per-reader block lookups in the
-    :class:`DequantBlockCache` (a block missed once but read by sixteen
-    rows in the same chunk counts one miss and fifteen hits).  A
-    flush that writes a block's values through into the memo charges
-    ``streamed_bytes`` the payload fetch of the first-read miss it
-    replaces, so write-through moves no total.
+    fetched from cache storage: whole chunks for FP32 pools; for the
+    quantized cache, the FP32 write-buffer bytes of current blocks plus
+    one payload+scale fetch per full block, charged when it is sealed
+    and decoded into the :class:`DequantBlockCache` — later reads of a
+    sealed block stream nothing, which is the number the accelerator
+    projection credits.  ``peak_scratch_bytes`` is the largest
+    transient chunk scratch any single read materialised (a regression
+    that materialises something dense shows up there).
+    ``dequant_hits`` counts the sealed blocks reads gathered from the
+    decoded store, per reader and per operand: every one is served
+    there, so there is no miss to count.
 
     The write side rides along: ``flush_calls`` counts
     :func:`quantize_kv_block` kernel calls and ``flush_blocks`` the K/V
@@ -110,7 +106,6 @@ class KVReadStats:
     streamed_bytes: int = 0
     peak_scratch_bytes: int = 0
     dequant_hits: int = 0
-    dequant_misses: int = 0
     flush_calls: int = 0
     flush_blocks: int = 0
 
@@ -312,7 +307,6 @@ class PagedKVCache:
             self._refcount[block] -= 1
             if self._refcount[block] == 0:
                 self._free.append(block)
-                self.codec.freed(block)
 
     def block_refcount(self, block_id: int) -> int:
         """Current reference count of one block (0 = on the free list)."""
@@ -408,11 +402,10 @@ class PagedKVCache:
         (not zeroing) any block the kept prefix no longer reaches.
         Release honours refcounts, so a shared-prefix block merely loses
         this row's reference and is never mutated for its other readers;
-        a block whose last reference drops returns to the free list
-        (and the codec hears of it).  Slots beyond ``lengths`` inside
-        the kept blocks keep their stale values — per-row masks hide
-        them and later writes overwrite them, the same contract stale
-        table slots already live under.
+        a block whose last reference drops returns to the free list.
+        Slots beyond ``lengths`` inside the kept blocks keep their stale
+        values — per-row masks hide them and later writes overwrite
+        them, the same contract stale table slots already live under.
 
         A buffering codec's sealed blocks are lossy, so its rows roll
         back only inside their buffered block (dropping the row, ``0``,
@@ -732,21 +725,16 @@ class QuantizedPagedKVCache(PagedKVCache):
     """A :class:`PagedKVCache` built with the FineQ codec
     (:class:`~repro.nn.kv_codec.FineQCodec`): sealed blocks in the
     2.33-bit cluster format, each row's current block in an FP32 write
-    buffer.
-
-    ``dequant_cache_bytes`` budgets the codec's
-    :class:`DequantBlockCache`, the memo of dequantized blocks the
-    reads go through (under ``0`` it pins nothing — every read spills
-    and re-runs the LUT dequant).
+    buffer, and every sealed block's dequantized values in the codec's
+    decoded :class:`DequantBlockCache`, which the reads gather from.
     """
 
     def __init__(self, num_layers: int, batch: int,
                  block_size: int = DEFAULT_BLOCK_SIZE,
                  initial_blocks: int | None = None,
                  max_blocks: int | None = None,
-                 chunk_blocks: int = DEFAULT_CHUNK_BLOCKS,
-                 dequant_cache_bytes: int = DEFAULT_DEQUANT_CACHE_BYTES):
+                 chunk_blocks: int = DEFAULT_CHUNK_BLOCKS):
         super().__init__(num_layers, batch, block_size=block_size,
                          initial_blocks=initial_blocks,
                          max_blocks=max_blocks, chunk_blocks=chunk_blocks)
-        self.codec = FineQCodec(self, dequant_cache_bytes)
+        self.codec = FineQCodec(self)

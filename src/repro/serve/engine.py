@@ -51,10 +51,11 @@ The cache backend is selected by ``kv_cache``:
   (:class:`~repro.nn.kv_codec.FineQCodec`): full blocks sealed in the
   paper's 2.33-bit format (~7x fewer bytes per full block, ~4.7x per
   token for the pool with its FP32 write buffers; bounded perplexity
-  delta instead of exact parity), read through a dequantized-block LRU
-  so an immutable block is LUT-decoded once.  That FP32 memo is not in
-  the 4.7x: at the ``longctx`` shape pool + memo is 5 824 B/token
-  against ``"paged"``'s 5 208 (ROADMAP item 12).
+  delta instead of exact parity).  Each seal also stores the block's
+  dequantized values in a decoded FP32 store indexed by block id, and
+  reads gather from it, so no payload is ever decoded back.  That store
+  is not in the 4.7x: at the ``longctx`` shape pool + store is
+  5 824 B/token against ``"paged"``'s 5 208 (ROADMAP item 12).
   A stream here can depend on its neighbours — a wider one pads the
   wave to another GEMM shape, and the first 2.33-bit flush turns the
   ulp into a quantization step (pinned:
@@ -312,7 +313,6 @@ class GenerationEngine:
             stats.prefill_seconds += seconds
             stats.prefill_tokens += tokens
             stats.prefill_dequant_hits += read.dequant_hits
-            stats.prefill_dequant_misses += read.dequant_misses
         else:
             stats.decode_seconds += seconds
             stats.decode_tokens += tokens
@@ -323,7 +323,6 @@ class GenerationEngine:
             stats.decode_peak_scratch_bytes = max(
                 stats.decode_peak_scratch_bytes, read.peak_scratch_bytes)
             stats.dequant_cache_hits += read.dequant_hits
-            stats.dequant_cache_misses += read.dequant_misses
             live_tokens = cache.cached_tokens
             if live_tokens > stats.kv_peak_tokens:
                 stats.kv_peak_tokens = live_tokens
@@ -565,8 +564,8 @@ class GenerationEngine:
         the post-run bonus token ends the row's run.  The caches then
         truncate back to the committed length
         (:meth:`PagedKVCache.truncate_rows` — shared prefix blocks are
-        refcount-protected, uncommitted quantized blocks invalidate
-        their dequant-memo entries).
+        refcount-protected, and a rollback never reaches below a
+        buffering codec's current block).
 
         A buffering codec's sealed blocks are lossy, so its verify runs
         in rounds that end at block boundaries: a block seals only after

@@ -64,13 +64,14 @@ def _params_from_body(body: dict) -> SamplingParams:
     for key in _PARAM_FIELDS:
         if body.get(key) is not None:
             fields[key] = body[key]
-    if "stop_tokens" in fields:
-        fields["stop_tokens"] = tuple(int(t) for t in fields["stop_tokens"])
     if "max_new_tokens" not in fields:
         raise HttpError(400, {"error": "max_new_tokens is required"})
     try:
+        if "stop_tokens" in fields:
+            fields["stop_tokens"] = tuple(int(t)
+                                          for t in fields["stop_tokens"])
         return SamplingParams(**fields)
-    except TypeError as exc:
+    except (TypeError, ValueError) as exc:
         raise HttpError(400, {"error": str(exc)}) from None
 
 
@@ -119,12 +120,11 @@ class GatewayHTTPServer:
     async def _handle(self, reader: asyncio.StreamReader,
                       writer: asyncio.StreamWriter) -> None:
         try:
-            request = await self._read_request(reader)
-            if request is None:
-                return
-            method, path, body = request
             try:
-                await self._route(method, path, body, writer)
+                request = await self._read_request(reader)
+                if request is None:
+                    return
+                await self._route(*request, writer)
             except HttpError as exc:
                 await self._send_json(writer, exc.status, exc.payload,
                                       extra_headers=exc.headers)
@@ -156,14 +156,19 @@ class GatewayHTTPServer:
                 break
             name, _, value = line.decode().partition(":")
             if name.strip().lower() == "content-length":
-                content_length = int(value.strip())
+                if not value.strip().isdigit():
+                    raise HttpError(400, {"error": "Content-Length is not "
+                                                   "a byte count"})
+                content_length = int(value)
         body = {}
         if content_length:
             raw = await reader.readexactly(content_length)
             try:
                 body = json.loads(raw)
-            except json.JSONDecodeError:
+            except ValueError:
                 raise HttpError(400, {"error": "body is not valid JSON"})
+            if not isinstance(body, dict):
+                raise HttpError(400, {"error": "body is not a JSON object"})
         return method.upper(), path, body
 
     async def _route(self, method: str, path: str, body: dict,

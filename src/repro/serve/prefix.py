@@ -26,8 +26,8 @@ Structure
 * Each node also carries **tails**: partially-filled blocks captured when
   a prompt did not end on a block boundary.  A request matching ``m``
   leading tokens of a tail adopts it **copy-on-write** — the FP32 cache
-  copies the block, the quantized cache dequantizes it into the row's
-  FP32 write buffer — so divergence **inside** a partially-filled block
+  copies the block, the quantized cache copies its decoded values into
+  the row's FP32 write buffer — so divergence **inside** a partially-filled block
   never perturbs other readers.
 * Every node/tail pins one block reference.  :meth:`enforce_budget`
   evicts least-recently-used leaves once the pinned count exceeds

@@ -38,8 +38,9 @@ class EngineStats:
     kv_peak_allocated_bytes: int = 0
     # Decode read path: the largest transient K/V scratch any decode
     # step materialised (a chunk, not the dense (batch, heads, total,
-    # head_dim) gather) and the quantized cache's dequant-block memo
-    # traffic.
+    # head_dim) gather) and the sealed blocks the quantized cache's
+    # reads gathered from its decoded store (every read is a hit, so the
+    # misses read 0; the rate arithmetic that divides by both stays).
     decode_peak_scratch_bytes: int = 0
     dequant_cache_hits: int = 0
     dequant_cache_misses: int = 0
@@ -49,7 +50,7 @@ class EngineStats:
     kv_flush_calls: int = 0
     kv_flush_blocks: int = 0
     # Chunked prefill: forwarded chunk count, prompt tokens that waited
-    # for a later step's budget, and the dequant-memo traffic of prefill
+    # for a later step's budget, and the decoded-store reads of prefill
     # context re-reads (decode traffic stays in dequant_cache_*).
     prefill_chunks: int = 0
     prefill_tokens_deferred: int = 0
@@ -99,16 +100,15 @@ class EngineStats:
     @property
     def dequant_cache_hit_rate(self) -> float:
         """Fraction of quantized-block decode reads served from the
-        dequant memo instead of re-running LUT dequantization."""
+        decoded store instead of re-running LUT dequantization: 1.0
+        whenever a sealed block was read."""
         lookups = self.dequant_cache_hits + self.dequant_cache_misses
         return self.dequant_cache_hits / lookups if lookups else 0.0
 
     @property
     def prefill_dequant_hit_rate(self) -> float:
         """Fraction of quantized-block *prefill* context reads served
-        from the dequant memo — a later chunk re-reading blocks an
-        earlier chunk (or a decode wave, or a shared prefix) already
-        dequantized."""
+        from the decoded store (1.0 whenever one was read)."""
         lookups = self.prefill_dequant_hits + self.prefill_dequant_misses
         return self.prefill_dequant_hits / lookups if lookups else 0.0
 
@@ -138,9 +138,10 @@ class StepTrace(NamedTuple):
     ``kv_bytes`` is what the step's attention reads cover logically
     (dense-equivalent bytes: a shared block is read once per reader
     row).  ``kv_bytes_streamed`` is what the step actually fetched from
-    cache storage after the dequant-block memo — quantized payloads for
-    misses and FP32 write-buffer reads, with hits streaming nothing —
-    so the accelerator projection credits the dequant reuse (``-1``
+    cache storage — one quantized payload per block sealed, when it is
+    decoded into the store, and FP32 write-buffer reads, with reads of
+    the store streaming nothing — so the accelerator projection credits
+    the dequant reuse (``-1``
     means "same as ``kv_bytes``").  ``repro.hw.workloads`` reads the
     fields by name and imports nothing from here.
 

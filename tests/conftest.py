@@ -71,15 +71,17 @@ def stepwise_fineq_cache():
 
     Each layer quantizes its own write buffer at its own boundary
     crossing, K and V in separate calls of the line-by-line reference
-    kernel (step functions + per-bit packer), and nothing is written
-    through into the dequant memo.  Driving it and the production cache
-    with the same operations must leave byte-identical pools.
+    kernel (step functions + per-bit packer), and fills the decoded
+    store with values decoded back from its *own* payload.  Driving it
+    and the production cache with the same operations must leave
+    byte-identical pools.
     """
     from repro.core.clusters import cluster_weights
     from repro.core.encoding import encode_channels_stepwise
     from repro.core.packing import pack_matrix_bitwise
     from repro.nn.kv_codec import FineQCodec
     from repro.nn.paged_kv_cache import QuantizedPagedKVCache
+    from tests.kv_oracle import decoded_blocks
 
     def quantize_stepwise(blocks):
         n, heads, block, head_dim = blocks.shape
@@ -91,21 +93,26 @@ def stepwise_fineq_cache():
         return packed.payload, packed.scales
 
     class StepwiseFlushCodec(FineQCodec):
-        def _flush(self, layers, ids, k_blocks, v_blocks, memoise=True):
+        def _flush(self, layers, ids, k_blocks, v_blocks, charge=True):
             for i, (layer, block) in enumerate(zip(layers, ids)):
                 for payloads, scales, data in (
                         (self._payload_k, self._scale_k, k_blocks),
                         (self._payload_v, self._scale_v, v_blocks)):
                     payloads[layer][block], scales[layer][block] = \
                         quantize_stepwise(data[i][None])
-            self.cache._read_stats.flush_calls += 2 * len(ids)
-            self.cache._read_stats.flush_blocks += 2 * len(ids)
-            self.dequant_cache.invalidate(ids, layers)
+                k_vals, v_vals = decoded_blocks(self.cache, layer, [block])
+                self.decoded.fill(np.array([layer]), np.array([block]),
+                                  k_vals, v_vals)
+            stats = self.cache._read_stats
+            stats.flush_calls += 2 * len(ids)
+            stats.flush_blocks += 2 * len(ids)
+            if charge:
+                stats.streamed_bytes += len(ids) * 2 * self.block_bytes
 
     class StepwiseFlushCache(QuantizedPagedKVCache):
         def __init__(self, *args, **kwargs):
             super().__init__(*args, **kwargs)
-            self.codec = StepwiseFlushCodec(self, self.codec.budget_bytes)
+            self.codec = StepwiseFlushCodec(self)
 
         def write_token(self, layer, *args, **kwargs):
             # Sibling layers look empty, so a crossing flushes `layer`
@@ -122,26 +129,22 @@ def stepwise_fineq_cache():
 
 
 @pytest.fixture(scope="session")
-def assert_memo_coherent():
-    """Checker for a quantized cache's dequant memo: every resident
-    entry is bitwise the dequant of its pool block, its key is recorded,
-    the zero slot is zero, and no block on the free list is resident."""
+def assert_store_coherent():
+    """Checker for a quantized cache's decoded store: every sealed block
+    any row owns reads, in every layer, bitwise what its payload
+    decodes to, and the zero block every ``-1`` reads is zero."""
+    from tests.kv_oracle import decoded_blocks
+
     def check(cache):
-        memo = cache.codec.dequant_cache
-        table = memo._slot_table[:, :-1]
-        layers, blocks = np.nonzero(table >= 0)
-        assert len(memo) == len(layers) <= memo.capacity
-        for layer, block in zip(layers, blocks):
-            slot = table[layer, block]
-            assert memo._occupied[slot]
-            assert (memo._key_layer[slot], memo._key_block[slot]) == \
-                (layer, block)
-            for store, kind in ((memo._store_k, "k"), (memo._store_v, "v")):
-                want = cache.codec._dequant_kind(layer, np.array([block]),
-                                                 kind)[0]
-                assert store[slot].tobytes() == want.tobytes()
-        assert not memo._store_k[0].any() and not memo._store_v[0].any()
-        free = [b for b in cache._free if b < table.shape[1]]
-        assert (table[:, free] < 0).all()
+        store = cache.codec.decoded
+        owned = np.unique(np.concatenate(
+            [cache._tables[row, :cache._blocks_per_row[row]]
+             for row in range(cache.batch)]))
+        for layer in range(cache.num_layers if owned.size else 0):
+            for vals, want in zip(store.values,
+                                  decoded_blocks(cache, layer, owned)):
+                assert vals[layer, owned].tobytes() == want.tobytes()
+        assert not store.values[0][:, -1].any()
+        assert not store.values[1][:, -1].any()
 
     return check

@@ -10,7 +10,10 @@ engine, ``cached_perplexity`` and block attention all iterate
 for bit, and ``benchmarks/test_kernels.py`` times it as the
 gather-everything baseline.
 
-Import it as ``from tests.kv_oracle import dense_context`` (the suite
+:func:`decoded_blocks` decodes sealed blocks from their payloads the
+same way, for the checks on the quantized cache's decoded store.
+
+Import them as ``from tests.kv_oracle import dense_context`` (the suite
 runs from the repository root).
 """
 
@@ -84,3 +87,18 @@ def _quantized_context(cache, layer, rows, total, nblk):
         out.append(blocks.transpose(0, 2, 1, 3, 4).reshape(
             n, heads, nblk * bs, head_dim)[:, :, :total])
     return out[0], out[1]
+
+
+def decoded_blocks(cache, layer, ids):
+    """Dequantize sealed blocks ``ids`` of one layer from their payloads:
+    K and V as ``(len(ids), heads, block, head_dim)`` float32."""
+    codec, bs = cache.codec, cache.block_size
+    out = []
+    for payloads, scales in ((codec._payload_k, codec._scale_k),
+                             (codec._payload_v, codec._scale_v)):
+        channels = dequantize_kv_channels(
+            payloads[layer][ids].reshape(-1, codec._payload_bytes),
+            scales[layer][ids].reshape(-1), bs)
+        out.append(channels.reshape(len(ids), cache._heads, cache._head_dim,
+                                    bs).transpose(0, 1, 3, 2))
+    return out

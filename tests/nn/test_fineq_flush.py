@@ -1,11 +1,12 @@
-"""The fineq KV write path: one all-layer flush, written through.
+"""The fineq KV write path: one all-layer flush into the decoded store.
 
 A boundary crossing quantizes every layer's K and V buffers in one
-kernel call and memoises the dequantized values it already holds.
+kernel call and stores the dequantized values it already holds.
 Neither may change a stored byte, a read value or an accounted byte, so
 every scenario here is driven twice — on the production cache and on the
 ``stepwise_fineq_cache`` reference (per-layer flushes through the
-line-by-line kernel, no write-through) — and compared bit for bit.
+line-by-line kernel, its store filled by decoding its own payload) — and
+compared bit for bit.
 """
 
 import numpy as np
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.nn.kv_codec import dequantize_kv_channels, quantize_kv_block
-from repro.nn.paged_kv_cache import DequantBlockCache, QuantizedPagedKVCache
+from repro.nn.paged_kv_cache import QuantizedPagedKVCache
 from tests.kv_oracle import dense_context
 
 LAYERS, BATCH, HEADS, HEAD_DIM = 3, 4, 2, 4
@@ -166,33 +167,28 @@ def make(cls, block_size, **kwargs):
 @settings(max_examples=settings.default.max_examples // 5, deadline=None)
 @given(seed=st.integers(0, 10_000), block_size=st.sampled_from([4, 8]))
 def test_pools_equal_per_layer_stepwise_flush(stepwise_fineq_cache,
-                                              assert_memo_coherent, seed,
+                                              assert_store_coherent, seed,
                                               block_size):
     """(a) Ragged decode, cancels, block-aligned and tail adoption,
-    rollback and clone-rows verify: every pool byte, buffer byte and read
-    value equals the per-layer reference flush's; (b) the memo stays
-    coherent after every write, with a roomy budget and with one so small
-    that fills evict."""
-    entry = 2 * HEADS * block_size * HEAD_DIM * 4
+    rollback and clone-rows verify: every pool byte, buffer byte, read
+    value and streamed byte equals the per-layer reference flush's; (b)
+    the decoded store stays coherent after every write."""
     fused = make(QuantizedPagedKVCache, block_size)
-    tiny = make(QuantizedPagedKVCache, block_size,
-                dequant_cache_bytes=3 * entry)
     reference = make(stepwise_fineq_cache, block_size)
-    session = Session([fused, tiny, reference], seed, block_size)
+    session = Session([fused, reference], seed, block_size)
 
     def check():
         assert_same_storage(fused, reference)
-        assert_same_storage(tiny, reference)
-        assert_memo_coherent(fused)
-        assert_memo_coherent(tiny)
-        assert_memo_coherent(reference)
+        assert_store_coherent(fused)
+        assert_store_coherent(reference)
+        assert session.streamed[0] == session.streamed[1]
 
     session.on_step.append(check)
     session.prefill(0, 2 * block_size + 1)
     for _ in range(40):
         session.step()
     assert fused.take_read_stats().flush_calls == 0   # drained per step
-    assert tiny.codec.dequant_cache.evictions > 0
+    assert session.streamed[0] > 0
 
 
 def test_crossing_flushes_all_layers_in_one_call(monkeypatch):
@@ -214,11 +210,13 @@ def test_crossing_flushes_all_layers_in_one_call(monkeypatch):
     assert calls == []
     session.decode([0, 1, 2])            # slot 0 of block 1: one flush
     assert calls == [3 * LAYERS * 2]     # rows x layers x {K, V}
-    assert len(cache.codec.dequant_cache) == 3 * LAYERS
+    sealed = cache._tables[:3, 0]        # now in the store, every layer
+    for values in cache.codec.decoded.values:
+        assert values[:, sealed].any(axis=(2, 3, 4)).all()
 
 
 def test_lagging_layer_flushes_on_its_own_crossing(stepwise_fineq_cache,
-                                                   assert_memo_coherent):
+                                                   assert_store_coherent):
     """A direct caller driving one layer at a time: the sibling layers'
     buffers are incomplete when layer 0 crosses, so they are left out of
     that flush and quantize their own block when they get there."""
@@ -246,42 +244,12 @@ def test_lagging_layer_flushes_on_its_own_crossing(stepwise_fineq_cache,
         cache = make(QuantizedPagedKVCache, bs)
         drive(cache, order)
         assert_same_storage(cache, want)
-        assert_memo_coherent(cache)
+        assert_store_coherent(cache)
         for layer in range(LAYERS):
             got, ref = read(cache, layer, rows), dense_context(want, layer,
                                                                rows)
             assert got[0].tobytes() == ref[0].tobytes()
             assert got[1].tobytes() == ref[1].tobytes()
-
-
-@settings(max_examples=8, deadline=None)
-@given(seed=st.integers(0, 10_000))
-def test_streamed_bytes_unchanged_by_write_through(seed):
-    """(c) A fill is charged the payload fetch of the first-read miss it
-    replaces: over a session whose flushed blocks are all read, the
-    streamed-byte total equals that of a cache whose fills are dropped
-    (every flushed block then takes the miss)."""
-    bs = 4
-    fused = make(QuantizedPagedKVCache, bs)
-    dropped = make(QuantizedPagedKVCache, bs)
-    session = Session([fused, dropped], seed, bs)
-    session.prefill(0, 1)                 # allocates the memos
-
-    def drop(layers, ids, k_vals, v_vals):
-        dropped.codec.dequant_cache.invalidate(ids, layers)
-        return 0
-
-    dropped.codec.dequant_cache.fill = drop     # this instance only
-    for row in range(1, BATCH):
-        session.prefill(row, int(session.rng.integers(1, 3 * bs)))
-    for _ in range(30):
-        live = np.flatnonzero(session.lens > 0)
-        if session.rng.random() < 0.3:
-            session.verify(session.some(live, 0.6))
-        else:
-            session.decode(session.some(live, 0.8))
-    assert session.streamed[0] == session.streamed[1] > 0
-    assert len(fused.codec.dequant_cache) == len(dropped.codec.dequant_cache)
 
 
 @pytest.mark.parametrize("block", [8, 16, 20])
@@ -314,21 +282,6 @@ def test_batched_quantize_equals_separate_calls():
             one_payload.tobytes()
         assert scales[i * per:(i + 1) * per].tobytes() == \
             one_scales.tobytes()
-
-
-def test_memo_invalidate_takes_id_arrays():
-    memo = DequantBlockCache(num_layers=2, heads=1, block_size=2,
-                             head_dim=2, budget_bytes=1 << 20)
-    ones = np.ones((4, 1, 2, 2), np.float32)
-    layers = np.array([0, 0, 1, 1])
-    ids = np.array([3, 5, 3, 9])
-    assert memo.fill(layers, ids, ones, 2 * ones) == 4
-    memo.invalidate(np.array([3, 9]), np.array([0, 1]))   # paired
-    assert [memo.slot(0, 3), memo.slot(1, 9)] == [-1, -1]
-    assert memo.slot(1, 3) >= 0 and memo.slot(0, 5) >= 0
-    memo.invalidate(np.array([3, 5, 40]))                 # every layer
-    assert len(memo) == 0
-    assert sorted(memo._free) == list(range(1, len(memo._occupied)))
 
 
 def test_span_after_boundary_decode_flushes_the_buffered_block():

@@ -20,13 +20,11 @@ from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
 from repro.nn.block_attention import (block_decode_attention,
                                       block_prefill_attention)
-from repro.nn.paged_kv_cache import (DEFAULT_DEQUANT_CACHE_BYTES,
-                                     DequantBlockCache, KVReadStats,
-                                     PagedKVCache, QuantizedPagedKVCache)
+from repro.nn.paged_kv_cache import (KVReadStats, PagedKVCache,
+                                     QuantizedPagedKVCache)
 from tests import kv_oracle
 
 LAYERS, BATCH, HEADS, HEAD_DIM, BS = 2, 4, 2, 4, 4
-ENTRY_BYTES = 2 * HEADS * BS * HEAD_DIM * 4     # one dequant-memo entry
 
 
 def dense_context(cache, layer, rows):
@@ -201,17 +199,13 @@ class Session:
 @settings(max_examples=settings.default.max_examples // 2, deadline=None)
 @given(seed=st.integers(0, 10_000),
        cls=st.sampled_from([PagedKVCache, QuantizedPagedKVCache]),
-       chunk_blocks=st.sampled_from([1, 2, 8]),
-       budget=st.sampled_from([0, ENTRY_BYTES, DEFAULT_DEQUANT_CACHE_BYTES]))
+       chunk_blocks=st.sampled_from([1, 2, 8]))
 def test_chunk_reads_equal_dense_gather_after_every_mutation(
-        seed, cls, chunk_blocks, budget):
-    """``budget`` sizes the dequant memo: disabled, one entry (every
-    lookup spills, writing dequantized blocks into the gathered chunk),
-    roomy.  ``initial_blocks=1`` makes the pool grow under the session."""
-    kwargs = {"dequant_cache_bytes": budget} \
-        if cls is QuantizedPagedKVCache else {}
+        seed, cls, chunk_blocks):
+    """``initial_blocks=1`` makes the pool (and so the quantized cache's
+    decoded store) grow under the session."""
     cache = cls(LAYERS, batch=BATCH, block_size=BS, initial_blocks=1,
-                chunk_blocks=chunk_blocks, **kwargs)
+                chunk_blocks=chunk_blocks)
     session = Session(cache, seed)
     session.span(0, 2 * BS + 1)
     session.check()
@@ -335,32 +329,6 @@ def test_decode_forward_resolves_block_table_once(cls, lens, resolutions):
     assert resolutions == {"_resolve_token_write": 2, "_resolve_read": 2}
 
 
-def test_decode_step_looks_up_the_memo_once_per_layer(monkeypatch):
-    """A 448-token, 8-row decode step over 16-token blocks: four chunks
-    per operand per layer, every block resident (flushes write through).
-    Each layer asks the memo once for all eight chunk reads of its K and
-    V passes, and every one of them is still booked as a hit."""
-    num_layers, rows, tokens = 5, 8, 448
-    cache, rng = filled(QuantizedPagedKVCache, [tokens] * rows,
-                        num_layers=num_layers, block_size=16)
-    calls = []
-
-    def counting(self, *args, _real=DequantBlockCache.lookup, **kwargs):
-        calls.append(args[0])
-        return _real(self, *args, **kwargs)
-
-    monkeypatch.setattr(DequantBlockCache, "lookup", counting)
-    q = rng.standard_normal((rows, HEADS, 1, HEAD_DIM)).astype(np.float32)
-    positions = np.full(rows, tokens)
-    for layer in range(num_layers):
-        cache.write_token(layer, q, q, positions)
-        block_decode_attention(q, cache, layer)
-    assert calls == list(range(num_layers))
-    stats = cache.take_read_stats()
-    assert (stats.dequant_hits, stats.dequant_misses) == \
-        (2 * num_layers * rows * tokens // 16, 0)
-
-
 @pytest.mark.parametrize("cls, window_copies",
                          [(PagedKVCache, 8), (QuantizedPagedKVCache, 8)],
                          ids=["paged", "fineq"])
@@ -402,7 +370,7 @@ def test_span_forward_resolves_block_table_once(cls, resolutions):
     assert resolutions == {"_resolve_span_write": 1, "_resolve_read": 1}
 
 
-@pytest.mark.parametrize("cls, want", [        # (streamed bytes, memo hits)
+@pytest.mark.parametrize("cls, want", [        # (streamed bytes, store hits)
     (PagedKVCache, [(98304, 0), (196608, 0)]),
     (QuantizedPagedKVCache, [(13824, 32), (13824, 64)])],
     ids=["paged", "fineq"])
@@ -412,7 +380,7 @@ def test_span_forward_reads_its_reach_not_the_widest_row(cls, want,
     gather ``ceil(reach / window)`` chunks per operand per layer — one,
     then two, never the neighbour's four — and fetch what they always
     fetched: the windows left out hold no block the reader row owns, so
-    streamed bytes and memo hits / misses are the full-grid read's."""
+    streamed bytes and store hits are the full-grid read's."""
     model = TransformerLM(tiny_config(vocab_size=64, seed=3, max_seq_len=512))
     layers = model.config.num_layers
     cache = cls(layers, batch=2)            # 16-token blocks, 128-key window
@@ -439,8 +407,7 @@ def test_span_forward_reads_its_reach_not_the_widest_row(cls, want,
         stats = span(0, 128 * chunk, 128)
         assert gathered == {(layer, kind): chunk + 1
                             for layer in range(layers) for kind in "kv"}
-        assert (stats.streamed_bytes, stats.dequant_hits,
-                stats.dequant_misses) == (streamed, hits, 0)
+        assert (stats.streamed_bytes, stats.dequant_hits) == (streamed, hits)
 
 
 SCRIPT_HEADS, SCRIPT_HEAD_DIM = 2, 8
@@ -493,28 +460,14 @@ def scripted_session(cls, **kwargs):
 
 
 #: ``scripted_session``'s counters under the two-step assembly (gather,
-#: then transposed copy) this read path replaced, per backend and memo
-#: budget: the same blocks are fetched, hit and flushed.
+#: then transposed copy) this read path replaced, per backend: the same
+#: blocks are fetched, hit and flushed.
 #: ``peak_scratch_bytes`` is the one that moved — it is the copy count.
 PINNED = {
     "paged": (PagedKVCache, {}, KVReadStats(streamed_bytes=79488)),
     "fineq": (QuantizedPagedKVCache, {}, KVReadStats(
         streamed_bytes=30240, dequant_hits=216, flush_calls=9,
         flush_blocks=42)),
-    "fineq-one-entry": (
-        QuantizedPagedKVCache,
-        {"dequant_cache_bytes": 2 * SCRIPT_HEADS * BS * SCRIPT_HEAD_DIM * 4},
-        KVReadStats(streamed_bytes=59616, dequant_hits=57,
-                    dequant_misses=159, flush_calls=9, flush_blocks=42)),
-    # A zero budget pins nothing, so every block a chunk reads is
-    # dequantized afresh — once per chunk, however many rows read it: the
-    # 30 hits are same-chunk readers of a block another row just missed
-    # (shared prefix, clone rows), the memo's own convention.  Same 216
-    # lookups, same bytes.
-    "fineq-no-memo": (
-        QuantizedPagedKVCache, {"dequant_cache_bytes": 0},
-        KVReadStats(streamed_bytes=50976, dequant_hits=30,
-                    dequant_misses=186, flush_calls=9, flush_blocks=42)),
 }
 
 

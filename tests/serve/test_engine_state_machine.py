@@ -48,14 +48,14 @@ SPEC = dict(PRESSURE, speculative=SpeculativeConfig(draft_model=DRAFT, k=2))
 #: defers same-wave duplicates.
 PREFIXES = [np.zeros(0, dtype=np.int64)] + [
     np.random.default_rng(n).integers(0, VOCAB, size=n) for n in (6, 9)]
-MEMO_CHECK = None
+STORE_CHECK = None
 _SOLO: dict = {}
 
 
 @pytest.fixture(autouse=True, scope="module")
-def _memo_checker(assert_memo_coherent):
-    global MEMO_CHECK
-    MEMO_CHECK = assert_memo_coherent
+def _store_checker(assert_store_coherent):
+    global STORE_CHECK
+    STORE_CHECK = assert_store_coherent
 
 
 def serve_alone(backend, prompt, params):
@@ -157,7 +157,7 @@ def assert_pool_conserved(engine) -> None:
     else:
         pools = [cache.codec._buf_k, cache.codec._buf_v] \
             + cache.codec._scale_k + cache.codec._scale_v
-        MEMO_CHECK(cache)       # incl. no free block resident in the memo
+        STORE_CHECK(cache)
     assert all(np.isfinite(pool).all() for pool in pools)
     assert_ids_memo_consistent(cache)
 

@@ -1,11 +1,11 @@
-"""Engine sessions on fineq KV: the all-layer, written-through flush
-stores the bytes, emits the tokens and accounts the traffic of the
+"""Engine sessions on fineq KV: the all-layer flush into the decoded
+store stores the bytes, emits the tokens and accounts the traffic of the
 per-layer reference flush.
 
 The ``stepwise_fineq_cache`` fixture (tests/conftest.py) is swapped in
 as the engine's quantized cache class to play the reference: each layer
-flushes at its own crossing through the line-by-line kernel, nothing is
-written through.
+flushes at its own crossing through the line-by-line kernel and fills
+its store by decoding its own payload.
 """
 
 import numpy as np
@@ -66,7 +66,7 @@ def scenario_prompts(seed):
 
 @pytest.mark.parametrize("scenario", ["plain", "prefix", "spec"])
 def test_session_equals_per_layer_reference_flush(
-        monkeypatch, stepwise_fineq_cache, assert_memo_coherent, model,
+        monkeypatch, stepwise_fineq_cache, assert_store_coherent, model,
         draft, scenario):
     """Six ragged requests through four slots with a mid-session cancel —
     plain decode, prefix sharing over a block-aligned system prompt
@@ -80,7 +80,7 @@ def test_session_equals_per_layer_reference_flush(
     }[scenario]
     prompts = scenario_prompts(11)
     fused, fused_tokens = serve(model, prompts, 3 * BLOCK,
-                                check=assert_memo_coherent, cancel_at=9,
+                                check=assert_store_coherent, cancel_at=9,
                                 **kwargs)
     monkeypatch.setattr(engine_module, "QuantizedPagedKVCache",
                         stepwise_fineq_cache)
@@ -97,16 +97,13 @@ def test_session_equals_per_layer_reference_flush(
     exported = stats.to_dict()      # what /metrics serves
     assert exported["kv_flush_calls"] == stats.kv_flush_calls
     assert exported["kv_flush_blocks"] == stats.kv_flush_blocks
+    # Both charge each full block's payload fetch when they seal it: the
+    # streamed totals the accelerator projection replays are the same.
+    assert sum(t.kv_bytes_streamed for t in fused.trace) == \
+        sum(t.kv_bytes_streamed for t in reference.trace)
+    assert stats.dequant_cache_misses == ref_stats.dequant_cache_misses == 0
     if scenario == "prefix":
         assert stats.shared_prompt_tokens > 0
-    else:
-        # Every flushed block is read by its own row, so the fills are
-        # charged exactly the misses the reference takes: the streamed
-        # totals the accelerator projection replays do not move.
-        assert sum(t.kv_bytes_streamed for t in fused.trace) == \
-            sum(t.kv_bytes_streamed for t in reference.trace)
-        assert stats.dequant_cache_misses == 0
-        assert ref_stats.dequant_cache_misses > 0
 
 
 def test_decode_crossing_batches_all_layers(model):
@@ -118,3 +115,91 @@ def test_decode_crossing_batches_all_layers(model):
     layers = model.config.num_layers
     assert engine.stats.kv_flush_calls == 2          # positions 8 and 16
     assert engine.stats.kv_flush_blocks == 2 * 4 * layers * 2
+
+
+def test_serving_never_decodes_a_payload(monkeypatch, model, draft):
+    """Sealing stores every block's decoded values, so nothing a session
+    does decodes a payload back: not the reads, and not adopting a
+    shared partial tail copy-on-write, which copies the tail's values
+    from the decoded store.  A session with prefix sharing, two tail
+    adoptions, ``k=4`` speculation and one preemption makes zero calls
+    of either decoder, and its greedy streams equal a reference whose
+    adoption decodes the tail's payload instead."""
+    import repro.core.packing as packing
+    import repro.nn.kv_codec as kv_codec
+    from repro.serve import SamplingParams
+    from tests.kv_oracle import decoded_blocks
+
+    def session():
+        rng = np.random.default_rng(0)
+        system = rng.integers(0, VOCAB, size=BLOCK + 5)     # a 5-token tail
+        engine = GenerationEngine(
+            model, max_batch_size=3, kv_cache="fineq", block_size=BLOCK,
+            scheduler="priority", prefix_sharing=True, max_pool_blocks=15,
+            speculative=SpeculativeConfig(draft_model=draft, k=4))
+
+        def submit(prompt, budget, priority):
+            return engine.submit(prompt, params=SamplingParams(
+                max_new_tokens=budget, priority=priority))
+
+        ids = [submit(system, 4, 1)]
+        for _ in range(2):
+            engine.step()
+        # Matches three tokens of the captured tail, then diverges.
+        ids.append(submit(np.concatenate([system[:BLOCK + 3],
+                                          rng.integers(0, VOCAB, size=6)]),
+                          30, 0))
+        ids.append(submit(rng.integers(0, VOCAB, size=20), 30, 0))
+        for _ in range(3):
+            engine.step()
+        ids.append(submit(rng.integers(0, VOCAB, size=25), 12, 5))
+        done = {c.request_id: c.tokens for c in engine.run()}
+        return engine, [done[rid] for rid in ids]
+
+    tails = []
+    adopt = kv_codec.FineQCodec.adopt
+
+    def spying_adopt(self, row, tail_id, length):
+        tails.append(tail_id)
+        return adopt(self, row, tail_id, length)
+
+    decodes = []
+
+    def refuse(name, real):
+        def spy(*args, **kwargs):
+            decodes.append(name)
+            return real(*args, **kwargs)
+        return spy
+
+    monkeypatch.setattr(kv_codec.FineQCodec, "adopt", spying_adopt)
+    for module, name in ((kv_codec, "dequantize_kv_channels"),
+                         (kv_codec, "decode_payload"),
+                         (packing, "decode_payload")):
+        monkeypatch.setattr(module, name, refuse(name, getattr(module, name)))
+    engine, streams = session()
+    assert engine.stats.preemptions == 1
+    assert engine.stats.shared_prompt_tokens > 0
+    assert len([t for t in tails if t is not None]) == 2
+    assert decodes == []
+
+    class PayloadAdoptCodec(kv_codec.FineQCodec):
+        def adopt(self, row, tail_id, length):
+            ids = super().adopt(row, tail_id, length)
+            for layer in range(self.cache.num_layers if tail_id is not None
+                               else 0):
+                k, v = decoded_blocks(self.cache, layer, [tail_id])
+                self._buf_k[layer, row], self._buf_v[layer, row] = k[0], v[0]
+            return ids
+
+    class PayloadAdoptCache(engine_module.QuantizedPagedKVCache):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.codec = PayloadAdoptCodec(self)
+
+    monkeypatch.setattr(engine_module, "QuantizedPagedKVCache",
+                        PayloadAdoptCache)
+    reference, reference_streams = session()
+    assert isinstance(reference.cache, PayloadAdoptCache)
+    assert len(decodes) > 0
+    assert [s.tobytes() for s in streams] == \
+        [s.tobytes() for s in reference_streams]

@@ -376,6 +376,60 @@ def test_http_collect_status_cancel_metrics(model):
     asyncio.run(run())
 
 
+def _generate_request(body: bytes, length=None) -> bytes:
+    """Raw ``POST /v1/generate`` bytes; ``length`` overrides the
+    Content-Length header's value."""
+    length = len(body) if length is None else length
+    return (f"POST /v1/generate HTTP/1.1\r\nHost: t\r\n"
+            f"Content-Length: {length}\r\n\r\n").encode() + body
+
+
+#: Malformed ``POST /v1/generate`` requests, as raw bytes on the socket.
+MALFORMED = {
+    "body-not-json": _generate_request(b"{not json"),
+    "length-not-a-number": _generate_request(b"{}", length="abc"),
+    "negative-budget": _generate_request(
+        b'{"prompt": [1], "max_new_tokens": -3}'),
+    "stop-tokens-not-a-list": _generate_request(
+        b'{"prompt": [1], "max_new_tokens": 2, "stop_tokens": 5}'),
+    "body-not-an-object": _generate_request(b"[1, 2]"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_http_malformed_request_is_400(model, name):
+    """A malformed request is answered 400 with a JSON ``error`` — never
+    a 500 or a dropped connection — and the server keeps serving."""
+    async def exchange(server, raw):
+        reader, writer = await asyncio.open_connection(server.host,
+                                                       server.port)
+        writer.write(raw)
+        await writer.drain()
+        reply = await reader.read()
+        writer.close()
+        await writer.wait_closed()
+        return int(reply.split(b" ", 2)[1]), \
+            json.loads(reply.split(b"\r\n\r\n", 1)[1])
+
+    async def run():
+        gateway = make_gateway(model)
+        server = GatewayHTTPServer(gateway)
+        await gateway.start()
+        await server.start()
+        try:
+            bad = await exchange(server, MALFORMED[name])
+            good = await exchange(server, _generate_request(json.dumps(
+                {"prompt": [1, 2], "max_new_tokens": 2}).encode()))
+        finally:
+            await server.stop()
+            await gateway.stop()
+        return bad, good
+
+    (status, payload), (good_status, record) = asyncio.run(run())
+    assert status == 400 and isinstance(payload["error"], str)
+    assert good_status == 200 and len(record["tokens"]) == 2
+
+
 def test_http_queue_full_is_429(model):
     async def run():
         gateway = make_gateway(model, max_queue_depth=1)

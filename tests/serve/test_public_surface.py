@@ -92,8 +92,7 @@ def test_paged_caches_take_exactly_these_arguments():
     assert list(inspect.signature(
         PagedKVCache.__init__).parameters) == common
     assert list(inspect.signature(
-        QuantizedPagedKVCache.__init__).parameters) == \
-        common + ["dequant_cache_bytes"]
+        QuantizedPagedKVCache.__init__).parameters) == common
     assert [name for name, value in vars(QuantizedPagedKVCache).items()
             if inspect.isfunction(value)] == ["__init__"]
     # Both codecs read through their shared chunk loop.
@@ -128,7 +127,9 @@ print(sorted(m for m in sys.modules if m.startswith("repro.")))
 #: Span targets ``perfbench/trace.py`` lists but has never resolved
 #: (methods a class inherits rather than defines; ``write_rows`` went in
 #: PR 15; the paged caches' ``append`` went when ``cached_perplexity``
-#: moved onto the serving forward): the tracer skips them.  Everything
+#: moved onto the serving forward; ``DequantBlockCache.lookup`` went
+#: when the dequant memo became a decoded store that reads never miss):
+#: the tracer skips them.  Everything
 #: else it names must exist.  ``perfbench/`` is deliberately left as it
 #: is — it is the benchmark both sides of a change run — so retired
 #: names are pinned here rather than deleted there.
@@ -145,6 +146,7 @@ UNRESOLVED_SPAN_TARGETS = {
     ("repro.nn.kv_cache", "KVCache", "write_token"),
     ("repro.nn.kv_cache", "KVCache", "write_rows"),
     ("repro.nn.kv_cache", "KVCache", "prefill_rows"),
+    ("repro.nn.paged_kv_cache", "DequantBlockCache", "lookup"),
 }
 
 
