@@ -7,20 +7,20 @@ storage and the three data paths over it: the token write, the span
 write, and the chunked block-table read :mod:`repro.nn.block_attention`
 iterates.  Each path is a *plan*, resolved by the first layer of a
 forward (the cache memoises it for the rest), and a per-layer execution.
-The read's execution is one chunk loop for every codec: a codec only
-resolves, per layer, where each chunk's blocks are gathered from.
+The read is one chunk loop for every codec: a codec's plan is an id
+table over FP32 block storage, and per layer the codec only names that
+storage.
 
 * :class:`FP32Codec`, the identity codec: a block holds the FP32 values
   written to it, a row's current block is a pool block written in
   place, and sealing a full block is a no-op.  Chunks gather from the
   pool, padding from its spare zero block.
 * :class:`FineQCodec`: sealed blocks in the paper's 2.33-bit cluster
-  format, extending FineQ's memory story from weights to the KV cache;
-  each row's current block lives in an FP32 write buffer.  A seal
-  also stores the block's dequantized values in a decoded FP32 store
-  indexed by block id, so chunks gather from that store as the FP32
-  codec gathers from its pool, and each row's buffered block is
-  overlaid.
+  format, extending FineQ's memory story from weights to the KV cache.
+  A seal also stores the block's dequantized values in a decoded FP32
+  store indexed by block id, and each row's current block is written in
+  FP32 into a spare block of that same store, so chunks gather every
+  block from the store as the FP32 codec gathers from its pool.
 
 The FineQ kernels come first: :func:`quantize_kv_block` and
 :func:`dequantize_kv_channels` between FP32 blocks and the payload +
@@ -104,13 +104,14 @@ class _BlockCodec:
     in a shared prefix's partial tail copy-on-write; ``shrink`` hears
     that rows were freed or rolled back.  ``buffered`` says where the
     current block lives: in the pool (a row owns every block its tokens
-    touch, and every block stays writable) or in a write buffer, when
-    the codec also provides ``seal_current``, which shares a buffered
-    block.
+    touch, and every block stays writable) or outside it, written in
+    FP32 until it is sealed, when the codec also provides
+    ``seal_current``, which shares that block.
 
-    :meth:`read` is the one chunk loop: a codec supplies only its plan
-    (built on :meth:`_gather_index`) and, per layer, the inputs of each
-    chunk (:meth:`_chunk_inputs`).
+    :meth:`read` is the one chunk loop: a codec supplies only its plan,
+    ``(chunks, streamed tokens, store hits)`` with the chunks of
+    :meth:`_gather_index` over its id table, and, per layer, the FP32
+    storage those ids address (:meth:`_views`).
     """
 
     buffered = False
@@ -166,26 +167,30 @@ class _BlockCodec:
         ``take`` into its chunk buffer: ``views[operand]`` is a free
         ``(blocks * heads, block, head_dim)`` view of block storage and
         ``index[r, h, b]`` addresses row ``r``'s block ``b`` of head
-        ``h`` in it (block ``-1``: the view's last, a zero block), so
-        the chunk lands in the attended layout, no transposed copy.  Each
-        ``(rows, blocks, values)`` patch then overwrites those blocks."""
+        ``h`` in it (a negative id counts from the view's end; ``-1`` is
+        its zero block), so the chunk lands in the attended layout, no
+        transposed copy.  The plan's totals book what the read streams
+        and how many blocks it serves from the decoded store."""
         cache = self.cache
         bs, heads, head_dim = cache.block_size, cache._heads, cache._head_dim
         operands = (0, 1) if kind == "kv" else (0,) if kind == "k" else (1,)
+        chunks, tokens, hits = plan
+        stats = cache._read_stats
+        stats.streamed_bytes += len(operands) * heads * head_dim * 4 * tokens
+        stats.dequant_hits += len(operands) * hits
+        views = self._views(layer)
         buffers = self._chunk_buffers(n)
-        for b0, views, index, patches in self._chunk_inputs(layer, plan,
-                                                            kind, pad):
+        for b0, plain, padded in chunks:
+            index = padded if pad else plain
             shape = index.shape + (bs, head_dim)
             size = index.size * bs * head_dim
-            out = []
-            for j, operand in enumerate(operands):
-                # mode="wrap" sends -1 to the zero block; the default
-                # "raise" would make take stage ``out`` through a buffer.
-                chunk = views[operand].take(
-                    index, 0, buffers[operand, :size].reshape(shape), "wrap")
-                for rows, blocks, values in patches:
-                    chunk[rows, :, blocks] = values[j]
-                out.append(chunk.reshape(n, heads, shape[2] * bs, head_dim))
+            # mode="wrap" sends negative ids to the spare blocks at the
+            # end; the default "raise" would make take stage ``out``
+            # through a buffer.
+            out = [views[operand].take(
+                       index, 0, buffers[operand, :size].reshape(shape),
+                       "wrap").reshape(n, heads, shape[2] * bs, head_dim)
+                   for operand in operands]
             cache._note_scratch(len(out) * out[0].nbytes)
             yield (b0 * bs, *out)
 
@@ -252,65 +257,59 @@ class FP32Codec(_BlockCodec):
     # ------------------------------------------------------------------ #
     def read_plan(self, total: int, rows: np.ndarray, ids: np.ndarray
                   ) -> tuple:
-        """``(live tokens, chunks)``, the chunks of
-        :meth:`_gather_index` over the pool."""
+        """``(chunks, live tokens, 0)``: the chunks of
+        :meth:`_gather_index` over the pool, and no store hits."""
         cache = self.cache
         # Streamed bytes count the rows' *real* context tokens, the
         # population ``used_bytes`` counts (ragged rows also gather
         # padding blocks, which the accelerator projection must not
         # charge).
         live = int(np.minimum(cache._row_len[rows], total).sum())
-        return live, self._gather_index(ids)
+        return self._gather_index(ids), live, 0
 
-    def _chunk_inputs(self, layer: int, plan: tuple, kind: str, pad: bool):
-        """The layer's pool views and each chunk's planned index."""
+    def _views(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        """The layer's pools as ``(blocks * heads, block, head_dim)``."""
         cache = self.cache
-        live, chunks = plan
-        # One letter of ``kind`` per operand read.
-        cache._read_stats.streamed_bytes += len(kind) * cache._heads \
-            * cache._head_dim * 4 * live
-        views = tuple(pool[layer].reshape(-1, cache.block_size,
-                                          cache._head_dim)
-                      for pool in self.block_pools)
-        for b0, plain, padded in chunks:
-            yield b0, views, padded if pad else plain, ()
+        return tuple(pool[layer].reshape(-1, cache.block_size,
+                                         cache._head_dim)
+                     for pool in self.block_pools)
 
 
 class FineQCodec(_BlockCodec):
-    """Sealed blocks in the FineQ format; current blocks buffered in FP32.
+    """Sealed blocks in the FineQ format; reads gather the FP32 store.
 
     Storage per layer: pools of packed 6-bit cluster codes (uint8) and
     FP16 per-channel scales for K and V — cluster-of-3 codes with a
     shared 2-bit pair index and one scale per ``(head, dim)`` channel,
-    clustered along the token axis — and one FP32 write buffer of
-    ``(batch, heads, block, head_dim)`` holding every row's current
-    block.  A row's pool blocks are its *sealed* blocks only.  Decode
-    seals a block lazily, when the row writes the first token of its
-    next one, so ``block_size`` is the exactness horizon: the newest
-    ``<= block_size`` tokens of each row read back bit-exact.  A span
-    seals every block it completes at once (:meth:`plan_span`).  Sealed
-    blocks are lossy, so a row can only roll back inside its buffered
-    block.
+    clustered along the token axis.  A row's pool blocks are its
+    *sealed* blocks only; its current block is written in FP32 into its
+    spare block of the decoded :class:`DequantBlockCache`, id ``-2 -
+    row``.  Decode seals a block lazily, when the row writes the first
+    token of its next one, so ``block_size`` is the exactness horizon:
+    the newest ``<= block_size`` tokens of each row read back bit-exact.
+    A span seals every block it completes at once (:meth:`plan_span`).
+    Sealed blocks are lossy, so a row can only roll back inside its
+    current block.
 
     The seal happens once per boundary crossing, not once per layer: in
     a forward, the first layer to see a crossing quantizes every layer's
     K and V in one kernel call (:meth:`_seal_crossing`) and stores the
-    dequantized values the kernel already holds in the decoded
-    :class:`DequantBlockCache`, indexed by block id.  Reads gather
-    sealed blocks from there and never decode a payload: the store
-    keeps one FP32 copy of every sealed block, which the byte
-    accounting of :meth:`~repro.nn.paged_kv_cache.PagedKVCache.used_bytes`
-    does not count.
+    dequantized values the kernel already holds in the store, indexed by
+    block id.  Reads gather every block from there, sealed and current
+    alike, and never decode a payload: the store keeps one FP32 copy of
+    every sealed block, which the byte accounting of
+    :meth:`~repro.nn.paged_kv_cache.PagedKVCache.used_bytes` does not
+    count.
     """
 
     buffered = True
 
     def __init__(self, cache):
         super().__init__(cache)
-        # Exclusive end position of the tokens each layer's write buffer
-        # holds for each row (0 = empty).  It names both the buffered
-        # block and how full it is, per layer: layers write one after
-        # another within a forward, and direct callers may lag further.
+        # Exclusive end position of the tokens each layer's current
+        # block holds for each row (0 = empty).  It names both the block
+        # and how full it is, per layer: layers write one after another
+        # within a forward, and direct callers may lag further.
         self._buf_end = np.zeros((cache.num_layers, cache.batch),
                                  dtype=np.int64)
 
@@ -329,14 +328,13 @@ class FineQCodec(_BlockCodec):
         self._scale_v = [np.zeros(scale, np.float16) for _ in range(layers)]
         self.block_pools = (self._payload_k, self._payload_v,
                             self._scale_k, self._scale_v)
-        buf_shape = (layers, cache.batch, heads, bs, head_dim)
-        self._buf_k = np.zeros(buf_shape, dtype=np.float32)
-        self._buf_v = np.zeros(buf_shape, dtype=np.float32)
-        #: The decoded store: every sealed block's FP32 values.
-        self.decoded = DequantBlockCache(layers, heads, bs, head_dim)
+        #: The decoded store: every sealed block's FP32 values, and each
+        #: row's current block at id ``-2 - row``.
+        self.decoded = DequantBlockCache(layers, cache.batch, heads, bs,
+                                         head_dim)
 
     def shrink(self, rows: np.ndarray) -> None:
-        """Buffers hold nothing past the rows' kept tokens."""
+        """Current blocks hold nothing past the rows' kept tokens."""
         self._buf_end[:, rows] = np.minimum(self._buf_end[:, rows],
                                             self.cache._row_len[rows])
 
@@ -382,18 +380,19 @@ class FineQCodec(_BlockCodec):
     def _seal_crossing(self, layer: int, rows: np.ndarray,
                        positions: np.ndarray) -> None:
         """``rows`` are about to write slot 0 of a new block at
-        ``positions``: seal the complete block each one leaves in
-        ``layer``'s buffer — once, for all layers.
+        ``positions``: seal the complete block each one leaves as
+        ``layer``'s current block — once, for all layers.
 
-        Every layer whose buffer holds that same complete block goes
+        Every layer whose current block is that same complete block goes
         into the one kernel call.  In a model forward that is all of
-        them (the previous step filled every layer's buffer), so the
-        layers after the first find theirs already sealed; a layer that
+        them (the previous step filled every layer's), so the layers
+        after the first find theirs already sealed; a layer that
         genuinely lags — a direct caller driving one layer at a time —
         is left out and seals when its own write gets here.  Rows whose
-        previous block is already in the pool have an empty buffer and
-        skip: adopted (a shared, block-aligned prefix match — sealing
-        would overwrite the shared block) or sealed by a span write.
+        previous block is already in the pool have an empty current
+        block and skip: adopted (a shared, block-aligned prefix match —
+        sealing would overwrite the shared block) or sealed by a span
+        write.
         """
         if not len(rows):
             return
@@ -407,59 +406,60 @@ class FineQCodec(_BlockCodec):
         ids = cache._tables[rows, block_index]
         layers, col = np.nonzero(self._buf_end[:, rows] == positions)
         at = rows[col]
-        self._flush(layers, ids[col], self._buf_k[layers, at],
-                    self._buf_v[layers, at])
+        k_store, v_store = self.decoded.values
+        self._flush(layers, ids[col], k_store[layers, -2 - at],
+                    v_store[layers, -2 - at])
         self._buf_end[layers, at] = 0
 
     def seal_current(self, row: int, fill: int) -> int:
-        """Share ``row``'s buffered current block: quantize a snapshot
-        of its first ``fill`` tokens (zero-padded so garbage beyond
-        ``fill`` cannot inflate the channel scales) into a fresh pool
-        block the caller owns.  A shared prefix is therefore always
-        served in the 2.33-bit format — quantized once, dequantized by
-        every reader."""
+        """Share ``row``'s current block: quantize a snapshot of its
+        first ``fill`` tokens (zero-padded so garbage beyond ``fill``
+        cannot inflate the channel scales) into a fresh pool block the
+        caller owns.  A shared prefix is therefore always served in the
+        2.33-bit format — quantized once, dequantized by every reader."""
         cache, layers = self.cache, self.cache.num_layers
         block = cache._take_block()
         keep = (np.arange(cache.block_size) < fill)[:, None]
-        # A partial block is only ever adopted copy-on-write (copied into
-        # the adopter's buffer), never gathered by a read: no charge.
+        k_store, v_store = self.decoded.values
+        # A partial block is only ever adopted copy-on-write (copied as
+        # the adopter's current block), never read in place: no charge.
         self._flush(np.arange(layers), np.full(layers, block),
-                    self._buf_k[:, row] * keep, self._buf_v[:, row] * keep,
+                    k_store[:, -2 - row] * keep, v_store[:, -2 - row] * keep,
                     charge=fill == cache.block_size)
         return block
 
     def adopt(self, row: int, tail_id: int | None, length: int) -> list[int]:
         """COW in the quantized format: the shared partial tail's
-        dequantized values are *copied from the decoded store into the
-        row's FP32 write buffer* — the quantized analogue of a block
+        dequantized values are *copied, inside the decoded store, into
+        the row's current block* — the quantized analogue of a block
         copy — so the row keeps appending to it without touching the
-        shared original.  No pool block joins the row's chain; the
-        buffer is the current block.  A block-aligned prefix leaves
-        every layer's buffer empty."""
+        shared original.  No pool block joins the row's chain.  A
+        block-aligned prefix leaves every layer's current block empty."""
         self._buf_end[:, row] = 0 if tail_id is None else length
         if tail_id is not None:
-            k_vals, v_vals = self.decoded.values
-            self._buf_k[:, row] = k_vals[:, tail_id]
-            self._buf_v[:, row] = v_vals[:, tail_id]
+            for values in self.decoded.values:
+                values[:, -2 - row] = values[:, tail_id]
         return []
 
     # ------------------------------------------------------------------ #
     # writes
     # ------------------------------------------------------------------ #
     def plan_token(self, rows: np.ndarray, positions: np.ndarray) -> tuple:
-        """``(rows, buffer slots, buffer ends, rows opening a block,
-        their positions)``: tokens land in the write buffers, so no
-        block table is read."""
+        """``(rows, their current block ids, slots, block ends, rows
+        opening a block, their positions)``: tokens land in the rows'
+        current blocks, so no block table is read."""
         slots = positions % self.cache.block_size
         opens = (slots == 0) & (positions > 0)
-        return rows, slots, positions + 1, rows[opens], positions[opens]
+        return (rows, -2 - rows, slots, positions + 1, rows[opens],
+                positions[opens])
 
     def write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
                     plan: tuple) -> None:
-        rows, slots, ends, open_rows, open_positions = plan
+        rows, current, slots, ends, open_rows, open_positions = plan
         self._seal_crossing(layer, open_rows, open_positions)
-        self._buf_k[layer][rows, :, slots] = k[:, :, 0]
-        self._buf_v[layer][rows, :, slots] = v[:, :, 0]
+        k_store, v_store = self.decoded.values
+        k_store[layer][current, :, slots] = k[:, :, 0]
+        v_store[layer][current, :, slots] = v[:, :, 0]
         # Clone-rows verify repeats a row at ascending positions; the
         # last (highest) assignment wins.
         self._buf_end[layer, rows] = ends
@@ -467,23 +467,23 @@ class FineQCodec(_BlockCodec):
     def plan_span(self, layer: int, rows: np.ndarray, starts: np.ndarray,
                   lens: np.ndarray) -> tuple:
         """Span writes pass every block — the final, possibly partial
-        one included — through the write buffer and seal each block the
-        moment the span completes it; only a ragged tail stays buffered.
-        That eager seal keeps *chunked* prefill bit-identical to
-        one-shot: a chunk ending on a block boundary leaves the block
+        one included — through the row's current block and seal each
+        block the moment the span completes it; only a ragged tail stays
+        current.  That eager seal keeps *chunked* prefill bit-identical
+        to one-shot: a chunk ending on a block boundary leaves the block
         quantized, as the one-shot span rolling past it does.
         Speculative verify writes do not come through here: they run as
         clone-rows decode, whose lazy seal keeps each verify query's own
         block in FP32.
 
         Returns ``(segments, seal ids, opening rows, their starts,
-        written rows, buffer ends)``: segments are ``(j, row, lo, take,
-        src, completes)`` buffer copies, seal ids the pool blocks the
-        completing ones quantize into."""
+        written rows, block ends)``: segments are ``(j, current block
+        id, lo, take, src, completes)`` copies, seal ids the pool blocks
+        the completing ones quantize into."""
         cache, bs = self.cache, self.cache.block_size
-        # A span that opens a new block behind a lazily buffered one (a
+        # A span that opens a new block behind a lazily kept one (a
         # decode that stopped exactly on the boundary) seals it first,
-        # as write_token would, before the span overwrites the buffer.
+        # as write_token would, before the span overwrites it.
         opens = (lens > 0) & (starts > 0) & (starts % bs == 0)
         self._seal_crossing(layer, rows[opens], starts[opens])
         ends = starts + lens
@@ -492,7 +492,7 @@ class FineQCodec(_BlockCodec):
         segments, seal_ids = [], []
         for j, row, block, lo, take, src \
                 in cache._span_segments(rows, starts, lens):
-            segments.append((j, row, lo, take, src, lo + take == bs))
+            segments.append((j, -2 - row, lo, take, src, lo + take == bs))
             if lo + take == bs:
                 seal_ids.append(cache._tables[row, block])
         return (segments, np.asarray(seal_ids, dtype=np.int64), rows[opens],
@@ -503,14 +503,14 @@ class FineQCodec(_BlockCodec):
                    plan: tuple) -> None:
         segments, seal_ids, open_rows, open_starts, wrote, buf_ends = plan
         self._seal_crossing(layer, open_rows, open_starts)
-        buf_k, buf_v = self._buf_k[layer], self._buf_v[layer]
+        k_store, v_store = (values[layer] for values in self.decoded.values)
         seal_k, seal_v = [], []
-        for j, row, lo, take, src, completes in segments:
-            buf_k[row, :, lo:lo + take] = k[j, :, src:src + take]
-            buf_v[row, :, lo:lo + take] = v[j, :, src:src + take]
+        for j, current, lo, take, src, completes in segments:
+            k_store[current, :, lo:lo + take] = k[j, :, src:src + take]
+            v_store[current, :, lo:lo + take] = v[j, :, src:src + take]
             if completes:
-                seal_k.append(buf_k[row].copy())
-                seal_v.append(buf_v[row].copy())
+                seal_k.append(k_store[current].copy())
+                seal_v.append(v_store[current].copy())
         self._buf_end[layer, wrote] = buf_ends
         if seal_k:
             # Other layers do not hold these tokens yet, so a span
@@ -522,59 +522,27 @@ class FineQCodec(_BlockCodec):
     # reads
     # ------------------------------------------------------------------ #
     def read_plan(self, total: int, rows: np.ndarray, ids: np.ndarray
-                  ) -> list[tuple]:
-        """The chunks of :meth:`_gather_index` over the rows' *sealed*
-        block ids, ``-1`` where a row owns nothing — its buffered
-        current block, stale or padding table slots — which reads as
-        zeros until overlaid.  Each chunk is ``(first block, index,
-        padded index, sealed block reads, write-buffer overlay)``; the
-        overlay says which readers' current block falls in the chunk,
-        their cache rows, the block's offset and their buffered token
-        sum."""
+                  ) -> tuple:
+        """``(chunks, streamed tokens, store hits)`` over a table of the
+        rows' *sealed* block ids, ``-2 - row`` in the column of each
+        row's current block and ``-1`` (zeros) in stale and padding
+        slots.  Every sealed block read is a store *hit*, its payload
+        fetch charged at its seal, so only the current blocks' live
+        tokens stream (as ``used_bytes`` counts them)."""
         cache = self.cache
         bs, nblk = cache.block_size, ids.shape[1]
         owned_counts = cache._blocks_per_row[rows]
         row_lens = cache._row_len[rows]
-        # Overlay only rows that actually hold buffered tokens: a row
-        # whose context is entirely adopted quantized blocks (a
-        # block-aligned prefix match) has an empty buffer, and overlaying
-        # it would mask its newest shared block with stale data.
-        buffered = row_lens - owned_counts * bs
-        current = np.where(buffered > 0, (row_lens - 1) // bs, -1)
-        owned = np.where(np.arange(nblk) < owned_counts[:, None], ids, -1)
-        chunks = []
-        for b0, plain, padded in self._gather_index(owned):
-            c = plain.shape[2]
-            in_chunk = np.nonzero((current >= b0) & (current < b0 + c))[0]
-            chunks.append((b0, plain, padded,
-                           int(np.count_nonzero(owned[:, b0:b0 + c] >= 0)),
-                           in_chunk, rows[in_chunk], current[in_chunk] - b0,
-                           int(buffered[in_chunk].sum())))
-        return chunks
+        table = np.where(np.arange(nblk) < owned_counts[:, None], ids, -1)
+        # Only rows holding tokens past their sealed blocks read a
+        # current block: a row whose context is entirely adopted sealed
+        # blocks (a block-aligned prefix match) has an empty one.
+        held = row_lens - owned_counts * bs
+        column = (row_lens - 1) // bs
+        live = np.nonzero((held > 0) & (column < nblk))[0]
+        table[live, column[live]] = -2 - rows[live]
+        return (self._gather_index(table), int(held[live].sum()),
+                int(np.count_nonzero(table >= 0)))
 
-    def _chunk_inputs(self, layer: int, plan: list[tuple], kind: str,
-                      pad: bool):
-        """The decoded store's views of ``layer`` and each chunk's
-        planned index, patched with the live rows' FP32 current blocks.
-
-        Every sealed block read is served from the store, a *hit* in
-        the read stats; its payload fetch was charged when it was
-        sealed, so only the write-buffer tokens stream here."""
-        cache = self.cache
-        operands = (0, 1) if kind == "kv" else (0,) if kind == "k" else (1,)
-        bufs = (self._buf_k[layer], self._buf_v[layer])
-        stats = cache._read_stats
-        views = self.decoded.views(layer)
-        for b0, plain, padded, reads, in_chunk, in_rows, offsets, buffered \
-                in plan:
-            stats.dequant_hits += len(operands) * reads
-            patches = ()
-            if len(in_chunk):
-                patches = ((in_chunk, offsets, [bufs[operand][in_rows]
-                                                for operand in operands]),)
-                # Write-buffer reads stream the live buffered tokens
-                # (matching used_bytes' FP32 accounting), not the whole
-                # block's padding.
-                stats.streamed_bytes += len(operands) * cache._heads \
-                    * cache._head_dim * 4 * buffered
-            yield b0, views, padded if pad else plain, patches
+    def _views(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
+        return self.decoded.views(layer)

@@ -19,7 +19,7 @@ built with owns the block storage and the write and read paths over it.
 values a rectangular cache would and greedy engine output stays
 token-identical to the sequential path.  :class:`QuantizedPagedKVCache`
 seals full blocks in the paper's 2.33-bit FineQ format and keeps every
-row's newest block in an FP32 write buffer.  Attention, the engine and
+row's newest block in FP32 until it seals it.  Attention, the engine and
 ``cached_perplexity`` call the same methods on either.
 
 Block tables are shared across layers (block ``i`` of a row addresses
@@ -35,13 +35,13 @@ alias one physical block into many rows' tables (vLLM-style prefix
 sharing): :meth:`PagedKVCache.ref_blocks` / :meth:`release_blocks` move
 the count, :meth:`adopt_prefix` points a fresh row at an already-written
 block chain, :meth:`share_block` hands out a reference to a row's block
-(a buffered current block is sealed into a pool block first), and a new
+(a FineQ current block is sealed into a pool block first), and a new
 request that diverges *inside* a partially-filled shared block adopts
 it copy-on-write (:meth:`copy_block` on FP32; the FineQ codec copies
-the shared tail's decoded values into its write buffer instead).  A
-block returns to the free list only when its last reference drops, so
-retiring or cancelling a reader frees exactly the blocks it owned
-exclusively.
+the shared tail's decoded values into the row's current block
+instead).  A block returns to the free list only when its last
+reference drops, so retiring or cancelling a reader frees exactly the
+blocks it owned exclusively.
 
 One read path (the dense whole-context gather the chunks are pinned
 against is a tests-only oracle): :meth:`context_blocks` iterates the
@@ -51,12 +51,12 @@ materialises the dense copy.
 
 One resolution per forward: a model forward writes and reads every layer
 with the same ``rows`` and positions against one block table, so what
-those determine — where tokens land, which blocks each chunk gathers,
-which write buffers overlay it, how many live tokens it streams — is
-resolved by the forward's first layer and memoised (``_ids_memo``) for
-the rest; the entry points (:meth:`write_token`, :meth:`prefill_rows`,
-:meth:`context_blocks`, :meth:`context_chunk_pair`) only scatter and
-gather on the later layers.
+those determine — where tokens land, which block ids each chunk
+gathers, how many live tokens it streams — is resolved by the forward's
+first layer and memoised (``_ids_memo``) for the rest; the entry points
+(:meth:`write_token`, :meth:`prefill_rows`, :meth:`context_blocks`,
+:meth:`context_chunk_pair`) only scatter and gather on the later
+layers.
 """
 
 from __future__ import annotations
@@ -86,14 +86,14 @@ class KVReadStats:
     """Decode-read accounting accumulated by :meth:`context_blocks`.
 
     ``streamed_bytes`` is what the block iteration actually
-    fetched from cache storage: whole chunks for FP32 pools; for the
-    quantized cache, the FP32 write-buffer bytes of current blocks plus
-    one payload+scale fetch per full block, charged when it is sealed
-    and decoded into the :class:`DequantBlockCache` — later reads of a
-    sealed block stream nothing, which is the number the accelerator
-    projection credits.  ``peak_scratch_bytes`` is the largest
-    transient chunk scratch any single read materialised (a regression
-    that materialises something dense shows up there).
+    fetched from cache storage: the rows' live FP32 tokens for FP32
+    pools; for the quantized cache, the live FP32 tokens of current
+    blocks plus one payload+scale fetch per full block, charged when it
+    is sealed and decoded into the :class:`DequantBlockCache` — later
+    reads of a sealed block stream nothing, which is the number the
+    accelerator projection credits.  ``peak_scratch_bytes`` is the
+    largest transient chunk scratch any single read materialised (a
+    regression that materialises something dense shows up there).
     ``dequant_hits`` counts the sealed blocks reads gathered from the
     decoded store, per reader and per operand: every one is served
     there, so there is no miss to count.
@@ -173,8 +173,8 @@ class PagedKVCache:
         # The per-forward resolution.  Block tables are shared across
         # layers, so everything only the tables, ``rows`` and the write
         # positions determine — write block ids and slots, the gather
-        # index of every chunk, the quantized overlay plan, the live
-        # token sums behind ``streamed_bytes`` — is computed by the
+        # index of every chunk, the live token sums behind
+        # ``streamed_bytes`` and the store hits — is computed by the
         # first layer of a forward and reused by the rest.  Any table
         # mutation clears it (see _invalidate_ids_memo), and so does a
         # write it has not seen: that one moves row lengths.
@@ -385,9 +385,9 @@ class PagedKVCache:
         """Clamp the logical context width to ``max_len`` time steps.
 
         Shrinks the per-layer read width after rows retire so a
-        persistent session stops gathering (and, quantized, decoding)
-        the historical longest row's width; pool blocks are unaffected
-        (``free_rows`` already reclaimed them).
+        persistent session stops gathering the historical longest row's
+        width; pool blocks are unaffected (``free_rows`` already
+        reclaimed them).
         """
         self._lengths = [min(length, max_len) for length in self._lengths]
 
@@ -691,10 +691,10 @@ class PagedKVCache:
     def used_bytes(self) -> int:
         """Bytes storing the currently cached tokens: the rows' pool
         blocks at the codec's block price, adjusted at the FP32 token
-        price by the tokens the rows hold past them (a buffered current
+        price by the tokens the rows hold past them (a FineQ current
         block) or the slots they leave empty (an FP32 partial block) —
         so FP32 rows pay per token, FineQ rows per sealed block plus per
-        buffered token.
+        current-block token.
 
         Logical accounting: with prefix sharing a block read by many rows
         is counted once per reader (this is what decode gathers stream);
@@ -706,17 +706,18 @@ class PagedKVCache:
 
     def physical_used_bytes(self) -> int:
         """Bytes of blocks holding at least one reference (each counted
-        once, however many rows alias it) plus the FP32 tokens write
-        buffers hold — the resident cache footprint prefix sharing
-        actually shrinks."""
+        once, however many rows alias it) plus the FP32 tokens FineQ
+        current blocks hold — the resident cache footprint prefix
+        sharing actually shrinks."""
         buffered = np.maximum(self._row_len
                               - self._blocks_per_row * self.block_size, 0)
         return self._bytes(self._total_blocks - len(self._free),
                            int(buffered.sum()))
 
     def allocated_bytes(self) -> int:
-        """Physical footprint: the pool, free blocks included, and any
-        write buffers."""
+        """Physical footprint: the pool, free blocks included, and, for
+        a codec that keeps current blocks outside it, one FP32 block per
+        row."""
         return self._bytes(self._total_blocks, self.batch * self.block_size
                            if self.codec.buffered else 0)
 
@@ -724,9 +725,9 @@ class PagedKVCache:
 class QuantizedPagedKVCache(PagedKVCache):
     """A :class:`PagedKVCache` built with the FineQ codec
     (:class:`~repro.nn.kv_codec.FineQCodec`): sealed blocks in the
-    2.33-bit cluster format, each row's current block in an FP32 write
-    buffer, and every sealed block's dequantized values in the codec's
-    decoded :class:`DequantBlockCache`, which the reads gather from.
+    2.33-bit cluster format, and a decoded :class:`DequantBlockCache`
+    of every block's FP32 values, current ones included, which the
+    reads gather from.
     """
 
     def __init__(self, num_layers: int, batch: int,

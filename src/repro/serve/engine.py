@@ -50,7 +50,7 @@ The cache backend is selected by ``kv_cache``:
   the same paged cache built with the FineQ block codec
   (:class:`~repro.nn.kv_codec.FineQCodec`): full blocks sealed in the
   paper's 2.33-bit format (~7x fewer bytes per full block, ~4.7x per
-  token for the pool with its FP32 write buffers; bounded perplexity
+  token for the pool with its FP32 current blocks; bounded perplexity
   delta instead of exact parity).  Each seal also stores the block's
   dequantized values in a decoded FP32 store indexed by block id, and
   reads gather from it, so no payload is ever decoded back.  That store
@@ -901,7 +901,7 @@ class GenerationEngine:
                  if rid in prefilling]
         # Non-final grants round down to the cache's block granularity:
         # a chunk that stops mid-block would leave its freshest keys in
-        # the FP32 write buffer where the one-shot span has already
+        # the row's FP32 current block where the one-shot span has
         # quantized that block — the quantized backend would then read
         # different values chunked vs one-shot.  The effective per-step
         # budget is at least one block so the head of the order always

@@ -25,7 +25,9 @@ routes:
 
 Streaming responses use chunked transfer encoding; a client that
 disconnects mid-stream closes the gateway's token generator, which
-cancels the job and frees its cache blocks immediately.
+cancels the job and frees its cache blocks immediately; one that sends
+a request slowly or too big gets ``408`` or ``413``
+(:data:`REQUEST_DEADLINE_S`, :data:`MAX_BODY_BYTES`).
 """
 
 from __future__ import annotations
@@ -42,6 +44,16 @@ from repro.serve.gateway.gateway import QueueFullError, ServingGateway
 _PARAM_FIELDS = ("max_new_tokens", "temperature", "top_k", "top_p",
                  "seed", "stop_tokens", "priority")
 
+#: Seconds a client has to send its whole request — request line,
+#: headers and body — before it is answered ``408`` and dropped.
+REQUEST_DEADLINE_S = 30.0
+
+#: Largest body a request may declare, in bytes.
+MAX_BODY_BYTES = 1 << 20
+
+#: A client that hung up, mid-request or mid-reply: nothing to answer.
+_HUNG_UP = (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError)
+
 
 class HttpError(Exception):
     """A request error with an HTTP status and a JSON-able payload."""
@@ -55,7 +67,8 @@ class HttpError(Exception):
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            405: "Method Not Allowed", 409: "Conflict",
+            405: "Method Not Allowed", 408: "Request Timeout",
+            409: "Conflict", 413: "Content Too Large",
             429: "Too Many Requests", 500: "Internal Server Error"}
 
 
@@ -121,18 +134,23 @@ class GatewayHTTPServer:
                       writer: asyncio.StreamWriter) -> None:
         try:
             try:
-                request = await self._read_request(reader)
+                try:
+                    request = await asyncio.wait_for(
+                        self._read_request(reader), REQUEST_DEADLINE_S)
+                except asyncio.TimeoutError:
+                    raise HttpError(408, {"error": "request not received "
+                                                   "in time"}) from None
                 if request is None:
                     return
                 await self._route(*request, writer)
             except HttpError as exc:
                 await self._send_json(writer, exc.status, exc.payload,
                                       extra_headers=exc.headers)
-            except (ConnectionResetError, BrokenPipeError):
+            except _HUNG_UP:
                 raise
             except Exception as exc:  # surface, don't kill the server
                 await self._send_json(writer, 500, {"error": str(exc)})
-        except (ConnectionResetError, BrokenPipeError):
+        except _HUNG_UP:
             pass
         finally:
             try:
@@ -160,6 +178,9 @@ class GatewayHTTPServer:
                     raise HttpError(400, {"error": "Content-Length is not "
                                                    "a byte count"})
                 content_length = int(value)
+        if content_length > MAX_BODY_BYTES:
+            raise HttpError(413, {"error": f"body exceeds {MAX_BODY_BYTES} "
+                                           "bytes"})
         body = {}
         if content_length:
             raw = await reader.readexactly(content_length)

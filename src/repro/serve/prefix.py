@@ -27,7 +27,7 @@ Structure
   a prompt did not end on a block boundary.  A request matching ``m``
   leading tokens of a tail adopts it **copy-on-write** — the FP32 cache
   copies the block, the quantized cache copies its decoded values into
-  the row's FP32 write buffer — so divergence **inside** a partially-filled block
+  the row's FP32 current block — so divergence **inside** a partially-filled block
   never perturbs other readers.
 * Every node/tail pins one block reference.  :meth:`enforce_budget`
   evicts least-recently-used leaves once the pinned count exceeds

@@ -139,11 +139,11 @@ class StepTrace(NamedTuple):
     (dense-equivalent bytes: a shared block is read once per reader
     row).  ``kv_bytes_streamed`` is what the step actually fetched from
     cache storage — one quantized payload per block sealed, when it is
-    decoded into the store, and FP32 write-buffer reads, with reads of
-    the store streaming nothing — so the accelerator projection credits
-    the dequant reuse (``-1``
-    means "same as ``kv_bytes``").  ``repro.hw.workloads`` reads the
-    fields by name and imports nothing from here.
+    decoded into the store, and the live FP32 tokens of current blocks
+    read, with reads of sealed blocks streaming nothing — so the
+    accelerator projection credits the dequant reuse (``-1`` means
+    "same as ``kv_bytes``").  ``repro.hw.workloads`` reads the fields by
+    name and imports nothing from here.
 
     ``prefill_tokens`` distinguishes prefill-chunk steps (``tokens`` of
     the step's forward were prompt-chunk writes) from decode steps

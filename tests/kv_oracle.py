@@ -3,15 +3,17 @@
 :func:`dense_context` assembles the rows' whole context of one layer
 into dense ``(rows, heads, total, head_dim)`` K and V arrays the simple
 way: a block-major gather then a transposed copy on the FP32 pool;
-dequantize every owned block, then overlay each row's FP32 write
-buffer, on the quantized one.  No serving code reads like this — the
-engine, ``cached_perplexity`` and block attention all iterate
-``context_blocks`` — so the tests pin those chunk reads against it bit
-for bit, and ``benchmarks/test_kernels.py`` times it as the
+dequantize every owned block from its payload, then place each row's
+FP32 current block, on the quantized one.  No serving code reads like
+this — the engine, ``cached_perplexity`` and block attention all
+iterate ``context_blocks`` — so the tests pin those chunk reads against
+it bit for bit, and ``benchmarks/test_kernels.py`` times it as the
 gather-everything baseline.
 
 :func:`decoded_blocks` decodes sealed blocks from their payloads the
-same way, for the checks on the quantized cache's decoded store.
+same way, for the checks on the quantized cache's decoded store, and
+:func:`current_blocks` returns the rows' FP32 current blocks, which
+that store keeps at ids ``-2 - row``.
 
 Import them as ``from tests.kv_oracle import dense_context`` (the suite
 runs from the repository root).
@@ -53,25 +55,26 @@ def _quantized_context(cache, layer, rows, total, nblk):
     row_idx = cache._row_index if rows is None else rows
     n = len(row_idx)
     # Dequantize only blocks a row owns (its quantized prefix): current
-    # blocks are overwritten by the FP32 overlay below and stale/padding
-    # table slots carry nothing.  Unowned positions stay zero.
+    # blocks are placed from FP32 below and stale/padding table slots
+    # carry nothing.  Unowned positions stay zero.
     owned = np.arange(nblk)[None, :] < cache._blocks_per_row[row_idx, None]
     flat_owned = owned.reshape(-1)
     selected = cache._block_ids(nblk, rows).reshape(-1)[flat_owned]
     row_lens = cache._row_len[row_idx]
-    # Overlay only rows that actually hold buffered tokens: a row whose
-    # context is entirely adopted quantized blocks (block-aligned prefix
-    # match) has an empty buffer, and overlaying it would mask its newest
-    # shared block with stale data.
+    # Place only rows that actually hold tokens past their sealed
+    # blocks: a row whose context is entirely adopted quantized blocks
+    # (block-aligned prefix match) has an empty current block, and
+    # placing it would mask its newest shared block with stale data.
     buffered = row_lens - cache._blocks_per_row[row_idx] * bs
     live = np.nonzero(buffered > 0)[0]  # indices into the sub-batch
     current = (row_lens[live] - 1) // bs
+    current_k, current_v = current_blocks(cache)
     out = []
-    for payload_pool, scale_pool, buf in (
+    for payload_pool, scale_pool, fp32 in (
             (cache.codec._payload_k[layer], cache.codec._scale_k[layer],
-             cache.codec._buf_k[layer]),
+             current_k[layer]),
             (cache.codec._payload_v[layer], cache.codec._scale_v[layer],
-             cache.codec._buf_v[layer])):
+             current_v[layer])):
         channels = np.zeros((n * nblk, cache.codec._channels, bs),
                             dtype=np.float32)
         if selected.size:
@@ -83,7 +86,7 @@ def _quantized_context(cache, layer, rows, total, nblk):
                          .transpose(0, 1, 2, 4, 3)
         # Each live row's FP32 current block: exact values for the newest
         # <= block_size tokens.
-        blocks[live, current] = buf[row_idx[live]]
+        blocks[live, current] = fp32[row_idx[live]]
         out.append(blocks.transpose(0, 2, 1, 3, 4).reshape(
             n, heads, nblk * bs, head_dim)[:, :, :total])
     return out[0], out[1]
@@ -102,3 +105,11 @@ def decoded_blocks(cache, layer, ids):
         out.append(channels.reshape(len(ids), cache._heads, cache._head_dim,
                                     bs).transpose(0, 1, 3, 2))
     return out
+
+
+def current_blocks(cache):
+    """Every row's FP32 current block on a quantized cache: K and V as
+    ``(layers, batch, heads, block, head_dim)`` copies of the decoded
+    store's blocks ``-2 - row``."""
+    spare = -2 - np.arange(cache.batch)
+    return tuple(values[:, spare] for values in cache.codec.decoded.values)

@@ -1,11 +1,12 @@
-"""The decoded store FineQ reads sealed blocks from: re-seals, frees, COW.
+"""The decoded store FineQ reads every block from: re-seals, frees, COW.
 
 Every seal stores the block's dequantized values by block id, and reads
 only ever gather from there, so these tests pin the edges where a read
 could see values its block no longer holds — a block freed and its id
 recycled, a payload sealed again, either between the K and V passes of a
 layer or between two layers of a forward — and the store's own shape:
-grown to the largest id, a zero block last.
+grown to the largest id, each row's current block and a zero block
+last.
 """
 
 import numpy as np
@@ -96,19 +97,26 @@ def test_payload_rewrite_invalidates_entry():
 
 
 def test_store_grows_to_the_largest_id_and_keeps_the_zero_block_last():
-    store = DequantBlockCache(num_layers=2, heads=1, block_size=2,
+    store = DequantBlockCache(num_layers=2, batch=2, heads=1, block_size=2,
                               head_dim=2)
+    rows = -2 - np.arange(2)                    # the rows' current blocks
+    current = [np.random.default_rng(seed).standard_normal(
+        (2, 2, 1, 2, 2)).astype(np.float32) for seed in (1, 2)]
+    for values, blocks in zip(store.values, current):
+        values[:, rows] = blocks
     ones = np.ones((3, 1, 2, 2), np.float32)
     store.fill(np.array([0, 1, 1]), np.array([3, 3, 6]), ones, 2 * ones)
     k, v = store.values
-    assert k.shape == (2, 8, 1, 2, 2)           # ids 0..6, then zeros
+    assert k.shape == (2, 10, 1, 2, 2)          # ids 0..6, rows, zeros
     assert k[0, 3].min() == 1 and v[1, 6].min() == 2
     assert not k[0, 6].any() and not k[1, 0].any()
     assert not k[:, -1].any() and not v[:, -1].any()
     store.fill(np.array([0]), np.array([7]), 3 * ones[:1], ones[:1])
     k, v = store.values
-    assert k.shape[1] == 15                     # doubled, plus the zero block
+    assert k.shape[1] == 17                     # doubled, plus the spares
     assert k[0, 3].min() == 1 and k[0, 7].min() == 3
+    for values, blocks in zip(store.values, current):
+        assert values[:, rows].tobytes() == blocks.tobytes()
     views = store.views(1)
     assert np.shares_memory(views[1], v)
     np.testing.assert_array_equal(views[1][6], v[1, 6, 0])

@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.nn.kv_codec import dequantize_kv_channels, quantize_kv_block
 from repro.nn.paged_kv_cache import QuantizedPagedKVCache
-from tests.kv_oracle import dense_context
+from tests.kv_oracle import current_blocks, dense_context
 
 LAYERS, BATCH, HEADS, HEAD_DIM = 3, 4, 2, 4
 
@@ -154,8 +154,8 @@ def assert_same_storage(fused, reference):
         for layer in range(LAYERS):
             assert getattr(fused.codec, name)[layer].tobytes() == \
                 getattr(reference.codec, name)[layer].tobytes(), (name, layer)
-    assert fused.codec._buf_k.tobytes() == reference.codec._buf_k.tobytes()
-    assert fused.codec._buf_v.tobytes() == reference.codec._buf_v.tobytes()
+    for got, want in zip(current_blocks(fused), current_blocks(reference)):
+        assert got.tobytes() == want.tobytes()
 
 
 def make(cls, block_size, **kwargs):

@@ -155,7 +155,7 @@ def assert_pool_conserved(engine) -> None:
     if engine.kv_cache == "paged":
         pools = cache.codec._pool_k + cache.codec._pool_v
     else:
-        pools = [cache.codec._buf_k, cache.codec._buf_v] \
+        pools = list(cache.codec.decoded.values) \
             + cache.codec._scale_k + cache.codec._scale_v
         STORE_CHECK(cache)
     assert all(np.isfinite(pool).all() for pool in pools)

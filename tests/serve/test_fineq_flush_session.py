@@ -187,8 +187,9 @@ def test_serving_never_decodes_a_payload(monkeypatch, model, draft):
             ids = super().adopt(row, tail_id, length)
             for layer in range(self.cache.num_layers if tail_id is not None
                                else 0):
-                k, v = decoded_blocks(self.cache, layer, [tail_id])
-                self._buf_k[layer, row], self._buf_v[layer, row] = k[0], v[0]
+                decoded = decoded_blocks(self.cache, layer, [tail_id])
+                for values, block in zip(self.decoded.values, decoded):
+                    values[layer, -2 - row] = block[0]
             return ids
 
     class PayloadAdoptCache(engine_module.QuantizedPagedKVCache):

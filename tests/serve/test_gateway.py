@@ -20,6 +20,7 @@ from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
 from repro.serve import (GatewayHTTPServer, GenerationEngine, QueueFullError,
                          RequestQueue, SamplingParams, ServingGateway)
+from repro.serve.gateway import http as http_module
 
 
 @pytest.fixture(scope="module")
@@ -396,38 +397,88 @@ MALFORMED = {
 }
 
 
-@pytest.mark.parametrize("name", MALFORMED)
-def test_http_malformed_request_is_400(model, name):
-    """A malformed request is answered 400 with a JSON ``error`` — never
-    a 500 or a dropped connection — and the server keeps serving."""
-    async def exchange(server, raw):
-        reader, writer = await asyncio.open_connection(server.host,
-                                                       server.port)
-        writer.write(raw)
-        await writer.drain()
-        reply = await reader.read()
-        writer.close()
-        await writer.wait_closed()
-        return int(reply.split(b" ", 2)[1]), \
-            json.loads(reply.split(b"\r\n\r\n", 1)[1])
+async def _exchange(server, raw: bytes, close: bool = False):
+    """Send ``raw`` on a fresh connection (then, with ``close``, end the
+    client's side) and read to EOF: ``(status, JSON body)``, or ``None``
+    when the server closes without a reply."""
+    reader, writer = await asyncio.open_connection(server.host, server.port)
+    writer.write(raw)
+    if close:
+        writer.write_eof()
+    await writer.drain()
+    reply = await reader.read()
+    writer.close()
+    await writer.wait_closed()
+    if not reply:
+        return None
+    return int(reply.split(b" ", 2)[1]), \
+        json.loads(reply.split(b"\r\n\r\n", 1)[1])
 
+
+def _bad_then_good(model, raw: bytes, close: bool = False):
+    """Exchange ``raw``, then a valid generate, with one server; each
+    exchange is bounded, so a server that never answers fails the test
+    instead of hanging it.  Returns both replies."""
     async def run():
         gateway = make_gateway(model)
         server = GatewayHTTPServer(gateway)
         await gateway.start()
         await server.start()
         try:
-            bad = await exchange(server, MALFORMED[name])
-            good = await exchange(server, _generate_request(json.dumps(
-                {"prompt": [1, 2], "max_new_tokens": 2}).encode()))
+            bad = await asyncio.wait_for(_exchange(server, raw, close), 20)
+            good = await asyncio.wait_for(_exchange(
+                server, _generate_request(json.dumps(
+                    {"prompt": [1, 2], "max_new_tokens": 2}).encode())), 20)
         finally:
             await server.stop()
             await gateway.stop()
         return bad, good
 
-    (status, payload), (good_status, record) = asyncio.run(run())
-    assert status == 400 and isinstance(payload["error"], str)
+    bad, (good_status, record) = asyncio.run(run())
     assert good_status == 200 and len(record["tokens"]) == 2
+    return bad
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_http_malformed_request_is_400(model, name):
+    """A malformed request is answered 400 with a JSON ``error`` — never
+    a 500 or a dropped connection — and the server keeps serving."""
+    status, payload = _bad_then_good(model, MALFORMED[name])
+    assert status == 400 and isinstance(payload["error"], str)
+
+
+_BODY = b'{"prompt": [1], "max_new_tokens": 2}'
+
+#: Requests the client never finishes sending (and never closes).
+UNFINISHED = {
+    "short-body": _generate_request(_BODY, length=len(_BODY) + 1),
+    "unterminated-headers": b"POST /v1/generate HTTP/1.1\r\nHost: t\r\n",
+}
+
+
+@pytest.mark.parametrize("name", UNFINISHED)
+def test_http_unfinished_request_is_408(model, name, monkeypatch):
+    """A request that does not arrive whole within the deadline is
+    answered 408 with a JSON ``error``, and the server keeps serving."""
+    monkeypatch.setattr(http_module, "REQUEST_DEADLINE_S", 0.2)
+    status, payload = _bad_then_good(model, UNFINISHED[name])
+    assert status == 408 and isinstance(payload["error"], str)
+
+
+def test_http_client_closing_mid_body_gets_no_500(model):
+    """A client that ends its side one byte short of its Content-Length
+    gets the connection closed, not a 500."""
+    assert _bad_then_good(model, UNFINISHED["short-body"], close=True) \
+        is None
+
+
+def test_http_oversized_body_is_413_before_it_is_read(model):
+    """A Content-Length above the cap is refused with 413 at once — no
+    body byte is sent, so reading one would hang — and the server keeps
+    serving."""
+    status, payload = _bad_then_good(model, _generate_request(
+        b"", length=http_module.MAX_BODY_BYTES + 1))
+    assert status == 413 and isinstance(payload["error"], str)
 
 
 def test_http_queue_full_is_429(model):

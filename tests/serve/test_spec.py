@@ -16,7 +16,7 @@ from repro.models.configs import tiny_config
 from repro.nn import TransformerLM
 from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
 from repro.serve import GenerationEngine, SamplingParams, SpeculativeConfig
-from tests.kv_oracle import dense_context
+from tests.kv_oracle import current_blocks, dense_context
 
 VOCAB = 64
 BACKENDS = ("paged", "fineq")
@@ -293,10 +293,8 @@ def test_truncate_rows_quantized_keeps_buffered_block():
     assert int(cache._blocks_per_row[0]) == blocks_before
     fill_row(cache, 0, 3, seed=4, start=9)    # accepted continuation
     fill_row(mirror, 0, 3, seed=4, start=9)   # never speculated
-    np.testing.assert_array_equal(cache.codec._buf_k[0][0],
-                                  mirror.codec._buf_k[0][0])
-    np.testing.assert_array_equal(cache.codec._buf_v[0][0],
-                                  mirror.codec._buf_v[0][0])
+    for got, want in zip(current_blocks(cache), current_blocks(mirror)):
+        np.testing.assert_array_equal(got[0][0], want[0][0])
     k_got, v_got = dense_context(cache, 0)
     k_want, v_want = dense_context(mirror, 0)
     np.testing.assert_array_equal(k_got, k_want)
