@@ -69,11 +69,6 @@ class KVCache:
             new[:, :, :used] = old[:, :, :used]
             store[layer] = new
 
-    def _views(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        length = self._lengths[layer]
-        return (self._keys[layer][:, :, :length],
-                self._values[layer][:, :, :length])
-
     # ------------------------------------------------------------------ #
     # write path
     # ------------------------------------------------------------------ #
@@ -87,7 +82,8 @@ class KVCache:
         self._keys[layer][:, :, start:stop] = k
         self._values[layer][:, :, start:stop] = v
         self._lengths[layer] = stop
-        return self._views(layer)
+        return (self._keys[layer][:, :, :stop],
+                self._values[layer][:, :, :stop])
 
     # ------------------------------------------------------------------ #
     # bookkeeping

@@ -2,25 +2,27 @@
 
 A :class:`~repro.nn.paged_kv_cache.PagedKVCache` owns what every format
 shares — block tables, reference counts, row lengths, the per-forward
-memo, sharing and rollback, byte accounting.  Its *codec* owns the block
-storage and the three data paths over it: the token write, the span
+memo, sharing and rollback, byte accounting.  Its *codec* owns what a
+block holds and the three data paths over it: the token write, the span
 write, and the chunked block-table read :mod:`repro.nn.block_attention`
 iterates.  Each path is a *plan*, resolved by the first layer of a
 forward (the cache memoises it for the rest), and a per-layer execution.
-The read is one chunk loop for every codec: a codec's plan is an id
-table over FP32 block storage, and per layer the codec only names that
-storage.
+Both codecs keep their blocks in one
+:class:`~repro.nn.dequant_cache.DequantBlockCache` of ``(layers, blocks
++ spares, ...)`` arrays, which the cache grows with its pool and copies
+blocks in, and the read is one chunk loop for both: a codec's plan is
+an id table over the store's FP32 K and V.
 
 * :class:`FP32Codec`, the identity codec: a block holds the FP32 values
   written to it, a row's current block is a pool block written in
-  place, and sealing a full block is a no-op.  Chunks gather from the
-  pool, padding from its spare zero block.
+  place, and sealing a full block is a no-op.  Its store is FP32 K and
+  V with one spare zero block, which padding gathers.
 * :class:`FineQCodec`: sealed blocks in the paper's 2.33-bit cluster
   format, extending FineQ's memory story from weights to the KV cache.
-  A seal also stores the block's dequantized values in a decoded FP32
-  store indexed by block id, and each row's current block is written in
-  FP32 into a spare block of that same store, so chunks gather every
-  block from the store as the FP32 codec gathers from its pool.
+  Its store holds, beside the payload and scale arrays, the FP32 K and
+  V every seal decodes, and each row's current block is written in
+  FP32 into a spare block of those, so chunks gather every block from
+  the store as the FP32 codec gathers from its own.
 
 The FineQ kernels come first: :func:`quantize_kv_block` and
 :func:`dequantize_kv_channels` between FP32 blocks and the payload +
@@ -93,13 +95,12 @@ def dequantize_kv_channels(payload: np.ndarray, scales: np.ndarray,
 class _BlockCodec:
     """What both codecs share: the protocol and the chunk read.
 
-    The protocol, as the cache calls it: ``setup()`` allocates the
-    per-layer storage at the first write and publishes ``block_pools``
-    (lists of per-layer arrays whose first axis is the block id; the
-    cache grows and copies them, keeping any spare rows a pool holds
-    past its blocks) and ``block_bytes`` (one sealed block of one
-    operand in one layer); ``plan_token`` / ``plan_span`` / ``read_plan``
-    resolve a forward's write or read and ``write_token`` /
+    The protocol, as the cache calls it: ``setup()`` builds the block
+    ``store`` (a :class:`DequantBlockCache` with no blocks yet, FP32 K
+    and V first; the cache grows it with the pool and copies blocks in
+    it) at the first write and sets ``block_bytes`` (one sealed block of
+    one operand in one layer); ``plan_token`` / ``plan_span`` /
+    ``read_plan`` resolve a forward's write or read and ``write_token`` /
     ``write_span`` / :meth:`read` run it on one layer; ``adopt`` takes
     in a shared prefix's partial tail copy-on-write; ``shrink`` hears
     that rows were freed or rolled back.  ``buffered`` says where the
@@ -110,8 +111,7 @@ class _BlockCodec:
 
     :meth:`read` is the one chunk loop: a codec supplies only its plan,
     ``(chunks, streamed tokens, store hits)`` with the chunks of
-    :meth:`_gather_index` over its id table, and, per layer, the FP32
-    storage those ids address (:meth:`_views`).
+    :meth:`_gather_index` over its id table into the store.
     """
 
     buffered = False
@@ -178,7 +178,7 @@ class _BlockCodec:
         stats = cache._read_stats
         stats.streamed_bytes += len(operands) * heads * head_dim * 4 * tokens
         stats.dequant_hits += len(operands) * hits
-        views = self._views(layer)
+        views = self.store.views(layer)
         buffers = self._chunk_buffers(n)
         for b0, plain, padded in chunks:
             index = padded if pad else plain
@@ -199,19 +199,16 @@ class FP32Codec(_BlockCodec):
     """The identity codec: FP32 pool blocks, written in place.
 
     The current block lives in the pool, so a row owns every block its
-    tokens touch, and every block stays writable.  Each layer's pools
-    hold one spare all-zero block past the cache's blocks, never handed
-    out and never counted: the read's padding columns address it.
+    tokens touch, and every block stays writable.  The store holds FP32
+    K and V and one spare all-zero block past the cache's blocks, never
+    handed out and never counted: the read's padding columns address it.
     """
 
     def setup(self) -> None:
         cache = self.cache
-        shape = (1, cache._heads, cache.block_size, cache._head_dim)
-        self._pool_k = [np.zeros(shape, np.float32)
-                        for _ in range(cache.num_layers)]
-        self._pool_v = [np.zeros(shape, np.float32)
-                        for _ in range(cache.num_layers)]
-        self.block_pools = (self._pool_k, self._pool_v)
+        block = ((cache._heads, cache.block_size, cache._head_dim),
+                 np.float32)
+        self.store = DequantBlockCache(cache.num_layers, 1, [block, block])
         self.block_bytes = cache._heads * cache.block_size \
             * cache._head_dim * 4
 
@@ -232,8 +229,9 @@ class FP32Codec(_BlockCodec):
     def write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
                     plan: tuple) -> None:
         ids, slots = plan
-        self._pool_k[layer][ids, :, slots] = k[:, :, 0]
-        self._pool_v[layer][ids, :, slots] = v[:, :, 0]
+        k_store, v_store = self.store.arrays[:2]
+        k_store[layer][ids, :, slots] = k[:, :, 0]
+        v_store[layer][ids, :, slots] = v[:, :, 0]
 
     def plan_span(self, layer: int, rows: np.ndarray, starts: np.ndarray,
                   lens: np.ndarray) -> list[tuple]:
@@ -247,7 +245,7 @@ class FP32Codec(_BlockCodec):
 
     def write_span(self, layer: int, k: np.ndarray, v: np.ndarray,
                    plan: list[tuple]) -> None:
-        pool_k, pool_v = self._pool_k[layer], self._pool_v[layer]
+        pool_k, pool_v = (array[layer] for array in self.store.arrays[:2])
         for j, block_id, lo, take, src in plan:
             pool_k[block_id, :, lo:lo + take] = k[j, :, src:src + take]
             pool_v[block_id, :, lo:lo + take] = v[j, :, src:src + take]
@@ -267,29 +265,22 @@ class FP32Codec(_BlockCodec):
         live = int(np.minimum(cache._row_len[rows], total).sum())
         return self._gather_index(ids), live, 0
 
-    def _views(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        """The layer's pools as ``(blocks * heads, block, head_dim)``."""
-        cache = self.cache
-        return tuple(pool[layer].reshape(-1, cache.block_size,
-                                         cache._head_dim)
-                     for pool in self.block_pools)
-
 
 class FineQCodec(_BlockCodec):
     """Sealed blocks in the FineQ format; reads gather the FP32 store.
 
-    Storage per layer: pools of packed 6-bit cluster codes (uint8) and
-    FP16 per-channel scales for K and V — cluster-of-3 codes with a
-    shared 2-bit pair index and one scale per ``(head, dim)`` channel,
-    clustered along the token axis.  A row's pool blocks are its
-    *sealed* blocks only; its current block is written in FP32 into its
-    spare block of the decoded :class:`DequantBlockCache`, id ``-2 -
-    row``.  Decode seals a block lazily, when the row writes the first
-    token of its next one, so ``block_size`` is the exactness horizon:
-    the newest ``<= block_size`` tokens of each row read back bit-exact.
-    A span seals every block it completes at once (:meth:`plan_span`).
-    Sealed blocks are lossy, so a row can only roll back inside its
-    current block.
+    The store holds, per layer and block, the decoded FP32 K and V,
+    then the packed 6-bit cluster codes (uint8) and the FP16 per-channel
+    scales of K and V — cluster-of-3 codes with a shared 2-bit pair
+    index and one scale per ``(head, dim)`` channel, clustered along the
+    token axis.  A row's pool blocks are its *sealed* blocks only; its
+    current block is written in FP32 into its spare block of the store,
+    id ``-2 - row``, before the zero block at ``-1``.  Decode seals a
+    block lazily, when the row writes the first token of its next one,
+    so ``block_size`` is the exactness horizon: the newest ``<=
+    block_size`` tokens of each row read back bit-exact.  A span seals
+    every block it completes at once (:meth:`plan_span`).  Sealed blocks
+    are lossy, so a row can only roll back inside its current block.
 
     The seal happens once per boundary crossing, not once per layer: in
     a forward, the first layer to see a crossing quantizes every layer's
@@ -320,18 +311,11 @@ class FineQCodec(_BlockCodec):
         self._channels = heads * head_dim
         self._payload_bytes = groups * GROUP_BYTES
         self.block_bytes = self._channels * (self._payload_bytes + 2)
-        payload = (0, self._channels, self._payload_bytes)
-        scale = (0, self._channels)
-        self._payload_k = [np.zeros(payload, np.uint8) for _ in range(layers)]
-        self._payload_v = [np.zeros(payload, np.uint8) for _ in range(layers)]
-        self._scale_k = [np.zeros(scale, np.float16) for _ in range(layers)]
-        self._scale_v = [np.zeros(scale, np.float16) for _ in range(layers)]
-        self.block_pools = (self._payload_k, self._payload_v,
-                            self._scale_k, self._scale_v)
-        #: The decoded store: every sealed block's FP32 values, and each
-        #: row's current block at id ``-2 - row``.
-        self.decoded = DequantBlockCache(layers, cache.batch, heads, bs,
-                                         head_dim)
+        fp32 = ((heads, bs, head_dim), np.float32)
+        payload = ((self._channels, self._payload_bytes), np.uint8)
+        scale = ((self._channels,), np.float16)
+        self.store = DequantBlockCache(layers, cache.batch + 1, [
+            fp32, fp32, payload, payload, scale, scale])
 
     def shrink(self, rows: np.ndarray) -> None:
         """Current blocks hold nothing past the rows' kept tokens."""
@@ -348,29 +332,23 @@ class FineQCodec(_BlockCodec):
 
         ``k_blocks[i]``/``v_blocks[i]`` are the FP32 ``(heads, block,
         head_dim)`` contents of pool block ``ids[i]`` of layer
-        ``layers[i]`` (``layers`` ascending).  K and V of every layer go
-        through a single :func:`quantize_kv_block` — channels are
-        independent, so batching is bit-exact — and the dequantized
-        values the kernel already holds go into the decoded store, so no
-        block is ever decoded back.  With ``charge`` (a full block, which
+        ``layers[i]``.  K and V of every layer go through a single
+        :func:`quantize_kv_block` — channels are independent, so
+        batching is bit-exact — and the dequantized values the kernel
+        already holds go into the store beside the payloads, so no block
+        is ever decoded back.  With ``charge`` (a full block, which
         rows will read) the seal is charged the one payload+scale fetch
         a decoder ahead of the attention datapath would stream for it.
         """
         count = len(ids)
         payload, scales, values = quantize_kv_block(
             np.concatenate([k_blocks, v_blocks]), with_values=True)
-        payload = payload.reshape(2, count, self._channels, -1)
-        scales = scales.reshape(2, count, self._channels)
-        bounds = np.searchsorted(layers, np.arange(self.cache.num_layers + 1))
-        for layer in range(self.cache.num_layers):
-            lo, hi = bounds[layer], bounds[layer + 1]
-            if lo < hi:
-                at = ids[lo:hi]
-                self._payload_k[layer][at] = payload[0, lo:hi]
-                self._payload_v[layer][at] = payload[1, lo:hi]
-                self._scale_k[layer][at] = scales[0, lo:hi]
-                self._scale_v[layer][at] = scales[1, lo:hi]
-        self.decoded.fill(layers, ids, values[:count], values[count:])
+        # K then V of each, in the store's order.
+        for array, blocks in zip(self.store.arrays, (
+                *values.reshape((2, count) + values.shape[1:]),
+                *payload.reshape(2, count, self._channels, -1),
+                *scales.reshape(2, count, self._channels))):
+            array[layers, ids] = blocks
         stats = self.cache._read_stats
         stats.flush_calls += 1
         stats.flush_blocks += 2 * count
@@ -406,7 +384,7 @@ class FineQCodec(_BlockCodec):
         ids = cache._tables[rows, block_index]
         layers, col = np.nonzero(self._buf_end[:, rows] == positions)
         at = rows[col]
-        k_store, v_store = self.decoded.values
+        k_store, v_store = self.store.arrays[:2]
         self._flush(layers, ids[col], k_store[layers, -2 - at],
                     v_store[layers, -2 - at])
         self._buf_end[layers, at] = 0
@@ -420,7 +398,7 @@ class FineQCodec(_BlockCodec):
         cache, layers = self.cache, self.cache.num_layers
         block = cache._take_block()
         keep = (np.arange(cache.block_size) < fill)[:, None]
-        k_store, v_store = self.decoded.values
+        k_store, v_store = self.store.arrays[:2]
         # A partial block is only ever adopted copy-on-write (copied as
         # the adopter's current block), never read in place: no charge.
         self._flush(np.arange(layers), np.full(layers, block),
@@ -429,16 +407,15 @@ class FineQCodec(_BlockCodec):
         return block
 
     def adopt(self, row: int, tail_id: int | None, length: int) -> list[int]:
-        """COW in the quantized format: the shared partial tail's
-        dequantized values are *copied, inside the decoded store, into
-        the row's current block* — the quantized analogue of a block
-        copy — so the row keeps appending to it without touching the
-        shared original.  No pool block joins the row's chain.  A
-        block-aligned prefix leaves every layer's current block empty."""
+        """COW in the quantized format: the shared partial tail is
+        *copied, inside the store, into the row's current block* — its
+        dequantized values are what the row reads and keeps appending
+        to, without touching the shared original.  No pool block joins
+        the row's chain.  A block-aligned prefix leaves every layer's
+        current block empty."""
         self._buf_end[:, row] = 0 if tail_id is None else length
         if tail_id is not None:
-            for values in self.decoded.values:
-                values[:, -2 - row] = values[:, tail_id]
+            self.store.copy(tail_id, -2 - row)
         return []
 
     # ------------------------------------------------------------------ #
@@ -457,7 +434,7 @@ class FineQCodec(_BlockCodec):
                     plan: tuple) -> None:
         rows, current, slots, ends, open_rows, open_positions = plan
         self._seal_crossing(layer, open_rows, open_positions)
-        k_store, v_store = self.decoded.values
+        k_store, v_store = self.store.arrays[:2]
         k_store[layer][current, :, slots] = k[:, :, 0]
         v_store[layer][current, :, slots] = v[:, :, 0]
         # Clone-rows verify repeats a row at ascending positions; the
@@ -503,7 +480,7 @@ class FineQCodec(_BlockCodec):
                    plan: tuple) -> None:
         segments, seal_ids, open_rows, open_starts, wrote, buf_ends = plan
         self._seal_crossing(layer, open_rows, open_starts)
-        k_store, v_store = (values[layer] for values in self.decoded.values)
+        k_store, v_store = (array[layer] for array in self.store.arrays[:2])
         seal_k, seal_v = [], []
         for j, current, lo, take, src, completes in segments:
             k_store[current, :, lo:lo + take] = k[j, :, src:src + take]
@@ -543,6 +520,3 @@ class FineQCodec(_BlockCodec):
         table[live, column[live]] = -2 - rows[live]
         return (self._gather_index(table), int(held[live].sum()),
                 int(np.count_nonzero(table >= 0)))
-
-    def _views(self, layer: int) -> tuple[np.ndarray, np.ndarray]:
-        return self.decoded.views(layer)

@@ -4,7 +4,7 @@ The rectangular :class:`~repro.nn.kv_cache.KVCache` allocates
 ``batch x capacity`` time slots per layer, so every short sequence pays
 for the longest row and cache memory — not compute — caps the decode
 batch size.  Here K/V live in fixed-size *blocks* (``block_size`` tokens)
-drawn from one shared pool per layer; each batch row owns an ordered
+drawn from one shared pool; each batch row owns an ordered
 block table, blocks are handed out as rows grow and returned to the free
 list when the engine retires a sequence.  Cache memory therefore tracks
 the *sum of live tokens* (rounded up to blocks) instead of
@@ -14,7 +14,10 @@ numpy.
 One cache, two block codecs (:mod:`repro.nn.kv_codec`): the cache
 defines once what every format shares — block tables, reference counts,
 row lengths, sharing, rollback, byte accounting — and the codec it is
-built with owns the block storage and the write and read paths over it.
+built with owns the write and read paths.  Either codec keeps its blocks
+in one :class:`DequantBlockCache` of ``(layers, blocks + spares, ...)``
+arrays, which the cache grows with the pool (:meth:`_grow_pool`) and
+copies blocks in (:meth:`copy_block`), one call each.
 :class:`PagedKVCache` stores FP32 blocks, so reads return the float
 values a rectangular cache would and greedy engine output stays
 token-identical to the sequential path.  :class:`QuantizedPagedKVCache`
@@ -23,12 +26,12 @@ row's newest block in FP32 until it seals it.  Attention, the engine and
 ``cached_perplexity`` call the same methods on either.
 
 Block tables are shared across layers (block ``i`` of a row addresses
-every layer's pool), which keeps allocation single-sourced while the
-per-layer write/read state may lag mid-forward.  Freed table slots may
-be gathered before they are reused; they only ever contain finite stale
-values (pools are zero-initialised), which the engine's additive key
-mask turns into exact-zero attention contributions.  Padding reads as
-zeros.
+every layer's slice of the store), which keeps allocation single-sourced
+while the per-layer write/read state may lag mid-forward.  Freed table
+slots may be gathered before they are reused; they only ever contain
+finite stale values (the store is zero-initialised), which the engine's
+additive key mask turns into exact-zero attention contributions.
+Padding reads as zeros.
 
 Blocks are *reference counted* so the serving engine's prefix store can
 alias one physical block into many rows' tables (vLLM-style prefix
@@ -87,13 +90,14 @@ class KVReadStats:
 
     ``streamed_bytes`` is what the block iteration actually
     fetched from cache storage: the rows' live FP32 tokens for FP32
-    pools; for the quantized cache, the live FP32 tokens of current
+    blocks; for the quantized cache, the live FP32 tokens of current
     blocks plus one payload+scale fetch per full block, charged when it
-    is sealed and decoded into the :class:`DequantBlockCache` — later
-    reads of a sealed block stream nothing, which is the number the
-    accelerator projection credits.  ``peak_scratch_bytes`` is the
-    largest transient chunk scratch any single read materialised (a
-    regression that materialises something dense shows up there).
+    is sealed and its decoded values land in the codec's
+    :class:`DequantBlockCache` — later reads of a sealed block stream
+    nothing, which is the number the accelerator projection credits.
+    ``peak_scratch_bytes`` is the largest transient chunk scratch any
+    single read materialised (a regression that materialises something
+    dense shows up there).
     ``dequant_hits`` counts the sealed blocks reads gathered from the
     decoded store, per reader and per operand: every one is served
     there, so there is no miss to count.
@@ -121,7 +125,7 @@ class PagedKVCache:
     Parameters
     ----------
     num_layers:
-        Transformer depth (one K and one V pool per layer).
+        Transformer depth (every block holds K and V of each layer).
     batch:
         Number of cache slots; the paged cache always pins its batch
         (it is a serving-engine object).
@@ -142,6 +146,9 @@ class PagedKVCache:
         Blocks gathered per :meth:`context_blocks` chunk (the read
         scratch granularity).
     """
+
+    #: The block codec class the cache builds (the format is the class).
+    codec_type = FP32Codec
 
     def __init__(self, num_layers: int, batch: int,
                  block_size: int = DEFAULT_BLOCK_SIZE,
@@ -181,7 +188,7 @@ class PagedKVCache:
         self._ids_memo: dict[tuple, object] = {}
         self._read_stats = KVReadStats()
         #: The block codec: storage and the write/read paths over it.
-        self.codec = FP32Codec(self)
+        self.codec = self.codec_type(self)
 
     # ------------------------------------------------------------------ #
     # storage management
@@ -210,17 +217,7 @@ class PagedKVCache:
         return row_idx
 
     def _grow_pool(self, new_total: int) -> None:
-        total = self._total_blocks
-        for pools in self.codec.block_pools:
-            for layer, old in enumerate(pools):
-                # Zero-filled on purpose: stale block reads must stay
-                # finite so masked rows contribute exact zeros, never
-                # NaNs.  Rows past the blocks (the FP32 zero block) are
-                # the codec's spares and stay spare.
-                new = np.zeros((new_total + len(old) - total,)
-                               + old.shape[1:], dtype=old.dtype)
-                new[:total] = old[:total]
-                pools[layer] = new
+        self.codec.store.grow(new_total)
         self._free.extend(range(self._total_blocks, new_total))
         counts = np.zeros(new_total, dtype=np.int64)
         counts[:len(self._refcount)] = self._refcount
@@ -321,9 +318,7 @@ class PagedKVCache:
         private copy, other readers keep the original.
         """
         dst = self._take_block()
-        for pools in self.codec.block_pools:
-            for pool in pools:
-                pool[dst] = pool[src]
+        self.codec.store.copy(src, dst)
         return dst
 
     def share_block(self, row: int, depth: int, fill: int) -> int:
@@ -725,17 +720,9 @@ class PagedKVCache:
 class QuantizedPagedKVCache(PagedKVCache):
     """A :class:`PagedKVCache` built with the FineQ codec
     (:class:`~repro.nn.kv_codec.FineQCodec`): sealed blocks in the
-    2.33-bit cluster format, and a decoded :class:`DequantBlockCache`
-    of every block's FP32 values, current ones included, which the
-    reads gather from.
+    2.33-bit cluster format, kept in the codec's
+    :class:`DequantBlockCache` beside every block's decoded FP32 values,
+    current ones included, which the reads gather from.
     """
 
-    def __init__(self, num_layers: int, batch: int,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
-                 initial_blocks: int | None = None,
-                 max_blocks: int | None = None,
-                 chunk_blocks: int = DEFAULT_CHUNK_BLOCKS):
-        super().__init__(num_layers, batch, block_size=block_size,
-                         initial_blocks=initial_blocks,
-                         max_blocks=max_blocks, chunk_blocks=chunk_blocks)
-        self.codec = FineQCodec(self)
+    codec_type = FineQCodec

@@ -27,7 +27,8 @@ Streaming responses use chunked transfer encoding; a client that
 disconnects mid-stream closes the gateway's token generator, which
 cancels the job and frees its cache blocks immediately; one that sends
 a request slowly or too big gets ``408`` or ``413``
-(:data:`REQUEST_DEADLINE_S`, :data:`MAX_BODY_BYTES`).
+(:data:`REQUEST_DEADLINE_S`, :data:`MAX_BODY_BYTES`), and one whose
+head is too long gets ``431`` (:data:`MAX_HEADER_LINES`).
 """
 
 from __future__ import annotations
@@ -51,6 +52,10 @@ REQUEST_DEADLINE_S = 30.0
 #: Largest body a request may declare, in bytes.
 MAX_BODY_BYTES = 1 << 20
 
+#: Most header lines a request may send.  A longer line than the stream
+#: reader's 64 KiB limit, request line included, is refused as well.
+MAX_HEADER_LINES = 100
+
 #: A client that hung up, mid-request or mid-reply: nothing to answer.
 _HUNG_UP = (ConnectionResetError, BrokenPipeError, asyncio.IncompleteReadError)
 
@@ -69,7 +74,9 @@ class HttpError(Exception):
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             405: "Method Not Allowed", 408: "Request Timeout",
             409: "Conflict", 413: "Content Too Large",
-            429: "Too Many Requests", 500: "Internal Server Error"}
+            429: "Too Many Requests",
+            431: "Request Header Fields Too Large",
+            500: "Internal Server Error"}
 
 
 def _params_from_body(body: dict) -> SamplingParams:
@@ -159,8 +166,16 @@ class GatewayHTTPServer:
             except (ConnectionResetError, BrokenPipeError, OSError):
                 pass
 
+    @staticmethod
+    async def _read_line(reader) -> bytes:
+        try:
+            return await reader.readline()
+        except ValueError:  # longer than the reader's limit
+            raise HttpError(431, {"error": "request line or header line "
+                                           "too long"}) from None
+
     async def _read_request(self, reader):
-        request_line = await reader.readline()
+        request_line = await self._read_line(reader)
         if not request_line:
             return None
         try:
@@ -168,11 +183,18 @@ class GatewayHTTPServer:
         except ValueError:
             return None
         content_length = 0
-        while True:
-            line = await reader.readline()
+        for count in range(MAX_HEADER_LINES + 1):
+            line = await self._read_line(reader)
             if line in (b"\r\n", b"\n", b""):
                 break
-            name, _, value = line.decode().partition(":")
+            if count == MAX_HEADER_LINES:
+                raise HttpError(431, {"error": f"more than {MAX_HEADER_LINES}"
+                                               " header lines"})
+            try:
+                name, _, value = line.decode().partition(":")
+            except UnicodeDecodeError:
+                raise HttpError(400, {"error": "header is not UTF-8"}) \
+                    from None
             if name.strip().lower() == "content-length":
                 if not value.strip().isdigit():
                     raise HttpError(400, {"error": "Content-Length is not "

@@ -61,10 +61,6 @@ class _Tail:
     block_id: int
     last_used: int = 0
 
-    @property
-    def fill(self) -> int:
-        return len(self.tokens)
-
 
 @dataclass
 class _Node:
@@ -163,7 +159,7 @@ class PrefixStore:
         if len(remaining) > 0:
             best: _Tail | None = None
             for tail in node.tails:
-                window = min(tail.fill, len(remaining))
+                window = min(len(tail.tokens), len(remaining))
                 match = 0
                 while match < window and tail.tokens[match] == remaining[match]:
                     match += 1
@@ -244,9 +240,9 @@ class PrefixStore:
                       tokens: tuple[int, ...], now: int) -> int:
         """Add (or extend) a tail under ``node``; returns blocks pinned."""
         for i, tail in enumerate(node.tails):
-            window = min(tail.fill, len(tokens))
+            window = min(len(tail.tokens), len(tokens))
             if tail.tokens[:window] == tokens[:window]:
-                if len(tokens) <= tail.fill:
+                if len(tokens) <= len(tail.tokens):
                     tail.last_used = now  # existing tail already covers it
                     return 0
                 # The new capture extends this tail: replace it.

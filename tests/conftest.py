@@ -81,7 +81,7 @@ def stepwise_fineq_cache():
     from repro.core.packing import pack_matrix_bitwise
     from repro.nn.kv_codec import FineQCodec
     from repro.nn.paged_kv_cache import QuantizedPagedKVCache
-    from tests.kv_oracle import decoded_blocks
+    from tests.kv_oracle import decoded_blocks, payload_arrays
 
     def quantize_stepwise(blocks):
         n, heads, block, head_dim = blocks.shape
@@ -95,14 +95,14 @@ def stepwise_fineq_cache():
     class StepwiseFlushCodec(FineQCodec):
         def _flush(self, layers, ids, k_blocks, v_blocks, charge=True):
             for i, (layer, block) in enumerate(zip(layers, ids)):
-                for payloads, scales, data in (
-                        (self._payload_k, self._scale_k, k_blocks),
-                        (self._payload_v, self._scale_v, v_blocks)):
-                    payloads[layer][block], scales[layer][block] = \
+                for payloads, scales, data in zip(*payload_arrays(self.cache),
+                                                  (k_blocks, v_blocks)):
+                    payloads[layer, block], scales[layer, block] = \
                         quantize_stepwise(data[i][None])
-                k_vals, v_vals = decoded_blocks(self.cache, layer, [block])
-                self.decoded.fill(np.array([layer]), np.array([block]),
-                                  k_vals, v_vals)
+                for array, values in zip(self.store.arrays[:2],
+                                         decoded_blocks(self.cache, layer,
+                                                        [block])):
+                    array[layer, block] = values[0]
             stats = self.cache._read_stats
             stats.flush_calls += 2 * len(ids)
             stats.flush_blocks += 2 * len(ids)
@@ -110,9 +110,7 @@ def stepwise_fineq_cache():
                 stats.streamed_bytes += len(ids) * 2 * self.block_bytes
 
     class StepwiseFlushCache(QuantizedPagedKVCache):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.codec = StepwiseFlushCodec(self)
+        codec_type = StepwiseFlushCodec
 
         def write_token(self, layer, *args, **kwargs):
             # Sibling layers look empty, so a crossing flushes `layer`
@@ -136,15 +134,15 @@ def assert_store_coherent():
     from tests.kv_oracle import decoded_blocks
 
     def check(cache):
-        store = cache.codec.decoded
+        k_store, v_store = cache.codec.store.arrays[:2]
         owned = np.unique(np.concatenate(
             [cache._tables[row, :cache._blocks_per_row[row]]
              for row in range(cache.batch)]))
         for layer in range(cache.num_layers if owned.size else 0):
-            for vals, want in zip(store.values,
+            for vals, want in zip((k_store, v_store),
                                   decoded_blocks(cache, layer, owned)):
                 assert vals[layer, owned].tobytes() == want.tobytes()
-        assert not store.values[0][:, -1].any()
-        assert not store.values[1][:, -1].any()
+        assert not k_store[:, -1].any()
+        assert not v_store[:, -1].any()
 
     return check

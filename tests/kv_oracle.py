@@ -11,9 +11,10 @@ it bit for bit, and ``benchmarks/test_kernels.py`` times it as the
 gather-everything baseline.
 
 :func:`decoded_blocks` decodes sealed blocks from their payloads the
-same way, for the checks on the quantized cache's decoded store, and
-:func:`current_blocks` returns the rows' FP32 current blocks, which
-that store keeps at ids ``-2 - row``.
+same way, for the checks on the quantized cache's decoded K and V,
+:func:`current_blocks` returns the rows' FP32 current blocks, which the
+store keeps at ids ``-2 - row``, and :func:`payload_arrays` the store's
+payload and scale arrays.
 
 Import them as ``from tests.kv_oracle import dense_context`` (the suite
 runs from the repository root).
@@ -38,8 +39,9 @@ def dense_context(cache, layer: int, rows: np.ndarray | None = None
     if isinstance(cache, QuantizedPagedKVCache):
         return _quantized_context(cache, layer, rows, total, nblk)
     ids = cache._block_ids(nblk, rows)
-    return (_gather(cache, cache.codec._pool_k[layer], ids)[:, :, :total],
-            _gather(cache, cache.codec._pool_v[layer], ids)[:, :, :total])
+    k_store, v_store = cache.codec.store.arrays
+    return (_gather(cache, k_store[layer], ids)[:, :, :total],
+            _gather(cache, v_store[layer], ids)[:, :, :total])
 
 
 def _gather(cache, pool: np.ndarray, ids: np.ndarray) -> np.ndarray:
@@ -68,13 +70,10 @@ def _quantized_context(cache, layer, rows, total, nblk):
     buffered = row_lens - cache._blocks_per_row[row_idx] * bs
     live = np.nonzero(buffered > 0)[0]  # indices into the sub-batch
     current = (row_lens[live] - 1) // bs
-    current_k, current_v = current_blocks(cache)
     out = []
-    for payload_pool, scale_pool, fp32 in (
-            (cache.codec._payload_k[layer], cache.codec._scale_k[layer],
-             current_k[layer]),
-            (cache.codec._payload_v[layer], cache.codec._scale_v[layer],
-             current_v[layer])):
+    for payloads, scales, fp32 in zip(*payload_arrays(cache),
+                                      current_blocks(cache)):
+        payload_pool, scale_pool = payloads[layer], scales[layer]
         channels = np.zeros((n * nblk, cache.codec._channels, bs),
                             dtype=np.float32)
         if selected.size:
@@ -86,7 +85,7 @@ def _quantized_context(cache, layer, rows, total, nblk):
                          .transpose(0, 1, 2, 4, 3)
         # Each live row's FP32 current block: exact values for the newest
         # <= block_size tokens.
-        blocks[live, current] = fp32[row_idx[live]]
+        blocks[live, current] = fp32[layer, row_idx[live]]
         out.append(blocks.transpose(0, 2, 1, 3, 4).reshape(
             n, heads, nblk * bs, head_dim)[:, :, :total])
     return out[0], out[1]
@@ -97,8 +96,7 @@ def decoded_blocks(cache, layer, ids):
     K and V as ``(len(ids), heads, block, head_dim)`` float32."""
     codec, bs = cache.codec, cache.block_size
     out = []
-    for payloads, scales in ((codec._payload_k, codec._scale_k),
-                             (codec._payload_v, codec._scale_v)):
+    for payloads, scales in zip(*payload_arrays(cache)):
         channels = dequantize_kv_channels(
             payloads[layer][ids].reshape(-1, codec._payload_bytes),
             scales[layer][ids].reshape(-1), bs)
@@ -112,4 +110,10 @@ def current_blocks(cache):
     ``(layers, batch, heads, block, head_dim)`` copies of the decoded
     store's blocks ``-2 - row``."""
     spare = -2 - np.arange(cache.batch)
-    return tuple(values[:, spare] for values in cache.codec.decoded.values)
+    return tuple(array[:, spare] for array in cache.codec.store.arrays[:2])
+
+
+def payload_arrays(cache):
+    """A quantized cache's K and V payload arrays and K and V scale
+    arrays, ``(layers, blocks + spares, ...)`` each."""
+    return cache.codec.store.arrays[2:4], cache.codec.store.arrays[4:]

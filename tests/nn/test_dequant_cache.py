@@ -5,15 +5,14 @@ only ever gather from there, so these tests pin the edges where a read
 could see values its block no longer holds — a block freed and its id
 recycled, a payload sealed again, either between the K and V passes of a
 layer or between two layers of a forward — and the store's own shape:
-grown to the largest id, each row's current block and a zero block
-last.
+grown with the pool, each row's current block and a zero block last.
 """
 
 import numpy as np
 import pytest
 
-from repro.nn.paged_kv_cache import DequantBlockCache, QuantizedPagedKVCache
-from tests.kv_oracle import dense_context
+from repro.nn.paged_kv_cache import QuantizedPagedKVCache
+from tests.kv_oracle import current_blocks, dense_context
 
 HEADS, HEAD_DIM, BS = 2, 8, 4
 
@@ -81,7 +80,7 @@ def test_payload_rewrite_invalidates_entry():
     k1 = rng.standard_normal((1, HEADS, 1, HEAD_DIM)).astype(np.float32)
     cache.write_token(0, k1, k1.copy(), np.array([BS]))
     block = int(cache._tables[0, 0])
-    assert np.abs(cache.codec.decoded.values[0][0, block]).max() > 0
+    assert np.abs(cache.codec.store.arrays[0][0, block]).max() > 0
     zeros = np.zeros((1, HEADS, BS, HEAD_DIM), np.float32)
     before = read_context(cache)[:, :, :BS]
     for fill, charge in ((zeros, True), (zeros + 1, False), (zeros, False),
@@ -96,31 +95,40 @@ def test_payload_rewrite_invalidates_entry():
         before = got
 
 
-def test_store_grows_to_the_largest_id_and_keeps_the_zero_block_last():
-    store = DequantBlockCache(num_layers=2, batch=2, heads=1, block_size=2,
-                              head_dim=2)
-    rows = -2 - np.arange(2)                    # the rows' current blocks
-    current = [np.random.default_rng(seed).standard_normal(
-        (2, 2, 1, 2, 2)).astype(np.float32) for seed in (1, 2)]
-    for values, blocks in zip(store.values, current):
-        values[:, rows] = blocks
-    ones = np.ones((3, 1, 2, 2), np.float32)
-    store.fill(np.array([0, 1, 1]), np.array([3, 3, 6]), ones, 2 * ones)
-    k, v = store.values
-    assert k.shape == (2, 10, 1, 2, 2)          # ids 0..6, rows, zeros
-    assert k[0, 3].min() == 1 and v[1, 6].min() == 2
-    assert not k[0, 6].any() and not k[1, 0].any()
-    assert not k[:, -1].any() and not v[:, -1].any()
-    store.fill(np.array([0]), np.array([7]), 3 * ones[:1], ones[:1])
-    k, v = store.values
-    assert k.shape[1] == 17                     # doubled, plus the spares
-    assert k[0, 3].min() == 1 and k[0, 7].min() == 3
-    for values, blocks in zip(store.values, current):
-        assert values[:, rows].tobytes() == blocks.tobytes()
-    views = store.views(1)
-    assert np.shares_memory(views[1], v)
-    np.testing.assert_array_equal(views[1][6], v[1, 6, 0])
-    assert not views[0][-1].any()               # what id -1 gathers
+def test_store_grows_with_the_pool_and_keeps_the_spares_last():
+    """Decode two rows from a two-block pool through several pool
+    growths: after each, the store holds exactly the pool's blocks, one
+    current block per row and the zero block — the current blocks still
+    holding what the rows wrote there — and chunk reads equal the
+    oracle's."""
+    batch, layers, steps = 2, 2, 26
+    cache = QuantizedPagedKVCache(layers, batch=batch, block_size=BS,
+                                  initial_blocks=2, chunk_blocks=2)
+    rng = np.random.default_rng(5)
+    written = rng.standard_normal(
+        (2, layers, batch, HEADS, steps, HEAD_DIM)).astype(np.float32)
+    sizes = []
+    for pos in range(steps):
+        for layer in range(layers):
+            k, v = written[:, layer, :, :, pos:pos + 1]
+            cache.write_token(layer, k, v, np.full(batch, pos))
+        if cache._total_blocks in sizes:
+            continue
+        sizes.append(cache._total_blocks)
+        for array in cache.codec.store.arrays:
+            assert array.shape[:2] == (layers,
+                                       cache._total_blocks + batch + 1)
+        lo = pos - pos % BS
+        for current, want in zip(current_blocks(cache), written):
+            assert current[:, :, :, :pos - lo + 1].tobytes() == \
+                want[:, :, :, lo:pos + 1].tobytes()
+        assert not cache.codec.store.arrays[0][:, -1].any()
+        for layer in range(layers):
+            want = dense_context(cache, layer)
+            for index, kind in enumerate(("k", "v")):
+                np.testing.assert_array_equal(
+                    read_context(cache, layer, kind), want[index])
+    assert len(sizes) >= 4                      # the first pool + 3 growths
 
 
 def rewrite_block(cache, layer):

@@ -150,10 +150,11 @@ def assert_same_storage(fused, reference):
     for name in ("_tables", "_blocks_per_row", "_row_len", "_refcount"):
         np.testing.assert_array_equal(getattr(fused, name),
                                       getattr(reference, name))
-    for name in ("_payload_k", "_payload_v", "_scale_k", "_scale_v"):
+    for index, (got, want) in enumerate(zip(fused.codec.store.arrays[2:],
+                                            reference.codec.store.arrays[2:])):
         for layer in range(LAYERS):
-            assert getattr(fused.codec, name)[layer].tobytes() == \
-                getattr(reference.codec, name)[layer].tobytes(), (name, layer)
+            assert got[layer].tobytes() == want[layer].tobytes(), \
+                (index, layer)
     for got, want in zip(current_blocks(fused), current_blocks(reference)):
         assert got.tobytes() == want.tobytes()
 
@@ -211,7 +212,7 @@ def test_crossing_flushes_all_layers_in_one_call(monkeypatch):
     session.decode([0, 1, 2])            # slot 0 of block 1: one flush
     assert calls == [3 * LAYERS * 2]     # rows x layers x {K, V}
     sealed = cache._tables[:3, 0]        # now in the store, every layer
-    for values in cache.codec.decoded.values:
+    for values in cache.codec.store.arrays[:2]:
         assert values[:, sealed].any(axis=(2, 3, 4)).all()
 
 

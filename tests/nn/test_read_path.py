@@ -281,7 +281,7 @@ def test_zero_block_pads_reads_after_the_pool_grows_under_a_plan():
     copies = []
     while past not in copies:
         copies.append(cache.copy_block(int(cache._tables[0, 0])))
-    assert cache.codec._pool_v[0][past].any()
+    assert cache.codec.store.arrays[1][0, past].any()
     again = padded_read()
     assert cache._read_plan(total, rows) is plan
     assert not again[:, :, 2 * BS:].any()

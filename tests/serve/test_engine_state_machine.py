@@ -149,16 +149,13 @@ def assert_pool_conserved(engine) -> None:
                                        dtype=np.int64), minlength=total)
         assert store.pinned_blocks == len(store)
     np.testing.assert_array_equal(cache._refcount, refs)
-    # Blocks are released, not scrubbed: what the zero-initialised pools
-    # guarantee is that a stale or free block can never put a NaN or an
+    # Blocks are released, not scrubbed: what the zero-initialised store
+    # guarantees is that a stale or free block can never put a NaN or an
     # inf behind a mask.
-    if engine.kv_cache == "paged":
-        pools = cache.codec._pool_k + cache.codec._pool_v
-    else:
-        pools = list(cache.codec.decoded.values) \
-            + cache.codec._scale_k + cache.codec._scale_v
+    if engine.kv_cache == "fineq":
         STORE_CHECK(cache)
-    assert all(np.isfinite(pool).all() for pool in pools)
+    assert all(np.isfinite(array).all() for array in cache.codec.store.arrays
+               if array.dtype.kind == "f")
     assert_ids_memo_consistent(cache)
 
 

@@ -31,9 +31,8 @@ def draft():
 
 
 def pool_bytes(cache):
-    return [pool[layer].tobytes()
-            for pool in (cache.codec._payload_k, cache.codec._payload_v,
-                         cache.codec._scale_k, cache.codec._scale_v)
+    return [array[layer, :cache._total_blocks].tobytes()
+            for array in cache.codec.store.arrays[2:]
             for layer in range(cache.num_layers)]
 
 
@@ -188,14 +187,12 @@ def test_serving_never_decodes_a_payload(monkeypatch, model, draft):
             for layer in range(self.cache.num_layers if tail_id is not None
                                else 0):
                 decoded = decoded_blocks(self.cache, layer, [tail_id])
-                for values, block in zip(self.decoded.values, decoded):
-                    values[layer, -2 - row] = block[0]
+                for array, block in zip(self.store.arrays[:2], decoded):
+                    array[layer, -2 - row] = block[0]
             return ids
 
     class PayloadAdoptCache(engine_module.QuantizedPagedKVCache):
-        def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            self.codec = PayloadAdoptCodec(self)
+        codec_type = PayloadAdoptCodec
 
     monkeypatch.setattr(engine_module, "QuantizedPagedKVCache",
                         PayloadAdoptCache)

@@ -151,17 +151,15 @@ def test_midblock_divergence_cow_keeps_donor_intact(model):
     match = engine.prefix_store.peek(b)
     assert match.tail_id is not None
     assert match.shared_len == 24  # 16 full + 8 matched tail tokens
-    tail_before_k = [engine.cache.codec._pool_k[layer][match.tail_id].copy()
-                     for layer in range(model.config.num_layers)]
+    k_store = engine.cache.codec.store.arrays[0]
+    tail_before_k = k_store[:, match.tail_id].copy()
     rb = engine.submit(b, 8)
     done = {c.request_id: c for c in engine.run()}
     np.testing.assert_array_equal(done[rb].tokens,
                                   model.generate(b, 8, temperature=0.0))
     # COW: the shared tail block's payload never changed.
-    for layer in range(model.config.num_layers):
-        np.testing.assert_array_equal(
-            engine.cache.codec._pool_k[layer][match.tail_id],
-            tail_before_k[layer])
+    np.testing.assert_array_equal(
+        engine.cache.codec.store.arrays[0][:, match.tail_id], tail_before_k)
 
 
 # ---------------------------------------------------------------------- #

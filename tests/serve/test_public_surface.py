@@ -81,9 +81,11 @@ def test_engine_and_forward_take_exactly_these_arguments():
 
 def test_paged_caches_take_exactly_these_arguments():
     """The format is the class, not an option; and the FineQ cache is the
-    FP32 one built with another codec, so it defines nothing else — a
+    FP32 one built with another codec type, so it defines no method — a
     per-format override of a write, read, sharing, rollback or
-    accounting path cannot creep back.  Nor can a per-codec read loop."""
+    accounting path cannot creep back.  Nor can a per-codec read loop,
+    a per-codec view of the storage, or per-layer block pools beside
+    the one block store."""
     from repro.nn import PagedKVCache, QuantizedPagedKVCache
     from repro.nn.kv_codec import FineQCodec, FP32Codec
 
@@ -94,10 +96,15 @@ def test_paged_caches_take_exactly_these_arguments():
     assert list(inspect.signature(
         QuantizedPagedKVCache.__init__).parameters) == common
     assert [name for name, value in vars(QuantizedPagedKVCache).items()
-            if inspect.isfunction(value)] == ["__init__"]
-    # Both codecs read through their shared chunk loop.
-    assert "read" not in vars(FP32Codec)
-    assert "read" not in vars(FineQCodec)
+            if inspect.isfunction(value)] == []
+    assert QuantizedPagedKVCache.codec_type is FineQCodec
+    # Both codecs read through their shared chunk loop, from their store.
+    for codec in (FP32Codec, FineQCodec):
+        assert "read" not in vars(codec)
+        assert "_views" not in vars(codec)
+    src = Path(repro.serve.__file__).parents[1]
+    assert not [path for path in src.rglob("*.py")
+                if "block_pools" in path.read_text()]
 
 
 def test_durable_queue_module_needs_neither_engine_nor_model():

@@ -270,10 +270,11 @@ def test_truncate_rows_honors_shared_refcounts():
     fill_row(cache, 0, 8, seed=1)       # blocks [b0, b1]
     shared = int(cache._tables[0, 0])
     cache.ref_blocks([shared])          # a second reader (prefix store)
-    before_k = cache.codec._pool_k[0][shared].copy()
+    before_k = cache.codec.store.arrays[0][0, shared].copy()
     cache.truncate_rows([0], [0])
     assert cache.block_refcount(shared) == 1      # still held elsewhere
-    np.testing.assert_array_equal(cache.codec._pool_k[0][shared], before_k)
+    np.testing.assert_array_equal(cache.codec.store.arrays[0][0, shared],
+                                  before_k)
     assert cache._blocks_per_row[0] == 0
 
 

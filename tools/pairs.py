@@ -11,8 +11,11 @@ the table gives the parent's and the change's median, the change's
 median delta, the parent's interquartile range (a delta inside it is
 noise), and how many pairs the change won — strictly better, in the
 metric's ``better`` direction; ``=`` marks a metric equal in every
-pair.  ``failed/attempted`` sums the operations of each side.  ``--json``
-keeps every run's parsed line.
+pair.  The ``bound`` column is the metric's ``BENCHMARK.json`` bound, and
+``WORSE`` marks a metric whose change median is worse than the parent's
+by more than it: the rule a change is rejected on.  ``failed/attempted``
+sums the operations of each side.  ``--json`` keeps every run's parsed
+line.
 """
 import argparse
 import json
@@ -52,23 +55,27 @@ def summarize(parent: list[dict], change: list[dict],
         sign = 1 if spec["better"] == "higher" else -1
         wins = sum(sign * (b - a) > 0 for a, b in zip(before, after))
         p_med, c_med = statistics.median(before), statistics.median(after)
+        delta = (c_med - p_med) / abs(p_med) if p_med else 0.0
         rows.append({
             "metric": name, "unit": spec["unit"], "parent": p_med,
             "change": c_med, "parent_iqr": iqr(before), "wins": wins,
             "pairs": len(before), "equal": before == after,
-            "delta": (c_med - p_med) / abs(p_med) if p_med else 0.0})
+            "delta": delta, "bound": spec["bound"],
+            "worse": sign * delta < -spec["bound"]})
     return rows
 
 
 def format_table(rows: list[dict], parent: list[dict],
                  change: list[dict]) -> str:
     out = [f"{'metric':<20} {'parent':>12} {'change':>12} {'delta':>8} "
-           f"{'parent IQR':>11} {'wins':>6}"]
+           f"{'parent IQR':>11} {'wins':>6} {'bound':>6}"]
     for row in rows:
         wins = "=" if row["equal"] else f"{row['wins']}/{row['pairs']}"
         out.append(f"{row['metric']:<20} {row['parent']:>12.4f} "
                    f"{row['change']:>12.4f} {row['delta']:>+8.2%} "
-                   f"{row['parent_iqr']:>11.4f} {wins:>6}")
+                   f"{row['parent_iqr']:>11.4f} {wins:>6} "
+                   f"{row['bound']:>6.0%}" + ("  WORSE" if row["worse"]
+                                             else ""))
     for side, runs in (("parent", parent), ("change", change)):
         failed = sum(run["failed"] for run in runs)
         attempted = sum(run["attempted"] for run in runs)
