@@ -12,8 +12,7 @@ import pytest
 from repro.core import FineQQuantizer, pack_matrix, unpack_matrix
 from repro.core.clusters import cluster_weights
 from repro.core.encoding import encode_channels_stepwise
-from repro.core.packing import (decode_payload, decode_payload_bitwise,
-                                pack_matrix_bitwise)
+from repro.core.packing import decode_payload, decode_payload_bitwise
 from repro.hw import TemporalCodingArray
 from repro.quant import get_quantizer
 
@@ -174,13 +173,14 @@ def _best_of(fn, repeats=5):
 
 @pytest.mark.parametrize("blocks", [2, 20])
 def test_fused_flush_kernel_faster_than_stepwise_reference(blocks):
-    """The fused encode+pack flush must beat Algorithm 1 line by line.
+    """The fused seal kernel must beat Algorithm 1 line by line.
 
     ``quantize_kv_block`` on 7b-shaped K/V blocks (4 heads x 32 dims, 16
-    tokens) — 2 blocks is the parent's per-layer, per-operand flush of a
-    boundary crossing, 20 the all-layer flush of two rows — against the
-    step functions plus the per-bit packer, same bytes out.  A ratio, so
-    a regression in the serving write path fails loudly on any machine.
+    tokens) — 2 blocks is one layer's flush of a boundary crossing, K
+    and V, 20 the all-layer flush of two rows — against the step
+    functions and the same codes-times-FP16-scales product, same values
+    out.  A ratio, so a regression in the serving write path fails
+    loudly on any machine.
     """
     from repro.nn.paged_kv_cache import quantize_kv_block
 
@@ -191,14 +191,15 @@ def test_fused_flush_kernel_faster_than_stepwise_reference(blocks):
     def stepwise():
         matrix = data.transpose(0, 1, 3, 2).reshape(-1, 16)
         clusters, _ = cluster_weights(matrix)
-        codes, schemes, scales = encode_channels_stepwise(clusters)
-        return pack_matrix_bitwise(codes, schemes, scales.reshape(-1),
-                                   matrix.shape)
+        codes, _, scales = encode_channels_stepwise(clusters)
+        values = codes.astype(np.float32) * scales.reshape(-1, 1, 1) \
+            .astype(np.float16).astype(np.float32)
+        return values.reshape(blocks, 4, 32, -1)[..., :16] \
+            .transpose(0, 1, 3, 2)
 
     reference = stepwise()                  # warms both paths, too
-    payload, scales = quantize_kv_block(data)
-    assert payload.tobytes() == reference.payload.tobytes()
-    assert scales.tobytes() == reference.scales.tobytes()
+    values = quantize_kv_block(data)
+    assert values.tobytes() == np.ascontiguousarray(reference).tobytes()
     speedup = 0.0
     for attempt in range(3):
         speedup = max(speedup, _best_of(stepwise)

@@ -1,14 +1,14 @@
 """The block store both KV codecs keep every block in.
 
 A :class:`~repro.nn.paged_kv_cache.PagedKVCache`'s codec holds all its
-block storage in one :class:`DequantBlockCache`: arrays whose axis 1 is
-the block id, grown with the cache's pool and copied block by block by
-the cache, one call each.  The first two arrays are FP32 K and V, and
-every read is a plain gather of block ids from them: on the FP32 codec
-they are the blocks themselves; on the FineQ codec they hold what each
-seal decoded, so a sealed block is decoded once, when it is written —
-the decoder stage ahead of the PE array — and each row's current block
-sits there too, at a spare id of its own.
+block storage in one :class:`DequantBlockCache`: FP32 K and V arrays
+whose axis 1 is the block id, grown with the cache's pool and copied
+block by block by the cache, one call each.  Every read is a plain
+gather of block ids from them: on the FP32 codec they are the blocks
+themselves; on the FineQ codec they hold each sealed block's quantized
+values, written once, when it is sealed — the decoder stage's output
+ahead of the PE array — and each row's current block sits there too, at
+a spare id of its own.
 """
 
 from __future__ import annotations
@@ -17,21 +17,21 @@ import numpy as np
 
 
 class DequantBlockCache:
-    """A codec's block storage, one layout for every array.
+    """A codec's block storage: FP32 K and V, one block shape.
 
-    ``arrays`` holds one ``(layers, blocks + spares, ...)`` array per
-    ``(block shape, dtype)`` of ``layouts``, FP32 K and V first: block
-    id ``i`` of layer ``l`` is ``arrays[a][l, i]``.  The ``spares``
-    blocks at the end are addressed from the end, so their ids survive
-    growth; the last one is all zeros and no id owns it, so ``-1``
-    (absent: an unowned table slot, a padding column) gathers zeros
-    through ``take(mode="wrap")``.  Nothing is ever evicted: the store
-    holds exactly the pool's blocks and the spares.
+    ``arrays`` is ``(K, V)``, each ``(layers, blocks + spares) +
+    block_shape`` float32: block id ``i`` of layer ``l`` is
+    ``arrays[operand][l, i]``.  The ``spares`` blocks at the end are
+    addressed from the end, so their ids survive growth; the last one is
+    all zeros and no id owns it, so ``-1`` (absent: an unowned table
+    slot, a padding column) gathers zeros through ``take(mode="wrap")``.
+    Nothing is ever evicted: the store holds exactly the pool's blocks
+    and the spares.
     """
 
-    def __init__(self, num_layers: int, spares: int, layouts: list[tuple]):
-        self.arrays = tuple(np.zeros((num_layers, spares) + shape, dtype)
-                            for shape, dtype in layouts)
+    def __init__(self, num_layers: int, spares: int, block_shape: tuple):
+        self.arrays = tuple(np.zeros((num_layers, spares) + block_shape,
+                                     np.float32) for _ in range(2))
         self._spares = spares
 
     def grow(self, blocks: int) -> None:
@@ -58,4 +58,4 @@ class DequantBlockCache:
         head_dim)`` views: row ``id * heads + h`` is head ``h`` of block
         ``id``, and the last ``heads`` rows are the zero block."""
         return tuple(array[layer].reshape((-1,) + array.shape[3:])
-                     for array in self.arrays[:2])
+                     for array in self.arrays)

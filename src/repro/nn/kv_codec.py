@@ -8,25 +8,23 @@ write, and the chunked block-table read :mod:`repro.nn.block_attention`
 iterates.  Each path is a *plan*, resolved by the first layer of a
 forward (the cache memoises it for the rest), and a per-layer execution.
 Both codecs keep their blocks in one
-:class:`~repro.nn.dequant_cache.DequantBlockCache` of ``(layers, blocks
-+ spares, ...)`` arrays, which the cache grows with its pool and copies
-blocks in, and the read is one chunk loop for both: a codec's plan is
-an id table over the store's FP32 K and V.
+:class:`~repro.nn.dequant_cache.DequantBlockCache` — FP32 K and V, which
+the cache grows with its pool and copies blocks in — and the read is one
+chunk loop for both: a codec's plan is an id table into the store.
 
 * :class:`FP32Codec`, the identity codec: a block holds the FP32 values
   written to it, a row's current block is a pool block written in
   place, and sealing a full block is a no-op.  Its store is FP32 K and
   V with one spare zero block, which padding gathers.
-* :class:`FineQCodec`: sealed blocks in the paper's 2.33-bit cluster
-  format, extending FineQ's memory story from weights to the KV cache.
-  Its store holds, beside the payload and scale arrays, the FP32 K and
-  V every seal decodes, and each row's current block is written in
-  FP32 into a spare block of those, so chunks gather every block from
-  the store as the FP32 codec gathers from its own.
+* :class:`FineQCodec`: sealed blocks quantized as the paper's 2.33-bit
+  cluster format, extending FineQ's memory story from weights to the KV
+  cache.  Its store is the same FP32 K and V, holding each sealed
+  block's quantized values — the one copy kept; the payload format is
+  priced (``block_bytes``), not held — and each row's current block in
+  FP32 in a spare block, so chunks gather every block from the store as
+  the FP32 codec gathers from its own.
 
-The FineQ kernels come first: :func:`quantize_kv_block` and
-:func:`dequantize_kv_channels` between FP32 blocks and the payload +
-scale format of :mod:`repro.core`.
+The FineQ seal kernel, :func:`quantize_kv_block`, comes first.
 """
 
 from __future__ import annotations
@@ -37,28 +35,24 @@ import numpy as np
 
 from repro.core.clusters import CLUSTER_SIZE
 from repro.core.encoding import encode_channels
-from repro.core.packing import (CLUSTERS_PER_GROUP, GROUP_BYTES,
-                                decode_payload, pack_matrix)
+from repro.core.packing import CLUSTERS_PER_GROUP, GROUP_BYTES
 from repro.nn.dequant_cache import DequantBlockCache
 
 
-def quantize_kv_block(blocks: np.ndarray, with_values: bool = False):
-    """FineQ-encode ``(n, heads, block, head_dim)`` FP32 K/V blocks.
+def quantize_kv_block(blocks: np.ndarray) -> np.ndarray:
+    """FineQ-quantize ``(n, heads, block, head_dim)`` FP32 K/V blocks.
 
     Each ``(head, dim)`` pair is a channel; its ``block`` tokens are
     clustered in threes along the token axis and run through the paper's
     pipeline (outlier schemes -> pair harmonization -> Eq. 1 channel
-    scale -> grid rounding -> 6-bit packing).  Returns ``(payload,
-    scales)`` of shapes ``(n * heads * head_dim, groups * GROUP_BYTES)``
-    uint8 and ``(n * heads * head_dim,)`` float16.  Channels are
-    independent, so any mix of blocks (K and V, several layers) encodes
-    in one call to the bytes separate calls would produce.
-
-    ``with_values=True`` appends the blocks' dequantized values, ``(n,
-    heads, block, head_dim)`` float32: the integer codes times the FP16
-    scales, bitwise what :func:`dequantize_kv_channels` decodes from the
-    returned payload — which lets a seal store them in the decoded
-    :class:`DequantBlockCache` without a decode.
+    scale -> grid rounding), the :func:`encode_channels` kernel the
+    weight quantizer runs.  Returns the blocks' quantized values, same
+    shape, float32: the integer codes times the channel scales rounded
+    to FP16 — bitwise what the 2.33-bit payload and FP16 scales of
+    :mod:`repro.core.packing` decode to, so what a seal stores is what a
+    decoder ahead of the attention datapath would hand it.  Channels are
+    independent, so any mix of blocks (K and V, several layers)
+    quantizes in one call to the values separate calls would produce.
     """
     n, heads, block, head_dim = blocks.shape
     rows = n * heads * head_dim
@@ -70,43 +64,28 @@ def quantize_kv_block(blocks: np.ndarray, with_values: bool = False):
     staged[:block] = np.moveaxis(blocks, 2, 0)
     clusters = staged.reshape(num_clusters, CLUSTER_SIZE, rows) \
                      .transpose(2, 0, 1)
-    codes, schemes, scales = encode_channels(clusters)
-    packed = pack_matrix(codes, schemes, scales.reshape(-1), (rows, block))
-    if not with_values:
-        return packed.payload, packed.scales
+    codes, _, scales = encode_channels(clusters)
     tokens = codes.transpose(1, 2, 0).reshape(-1, rows)[:block]
-    values = tokens.astype(np.float32) * packed.scales.astype(np.float32)
-    return packed.payload, packed.scales, np.moveaxis(
-        values.reshape(block, n, heads, head_dim), 0, 2)
-
-
-def dequantize_kv_channels(payload: np.ndarray, scales: np.ndarray,
-                           block_size: int) -> np.ndarray:
-    """Inverse of :func:`quantize_kv_block` at the channel-matrix level.
-
-    ``payload``/``scales`` are ``(channels, groups * GROUP_BYTES)`` and
-    ``(channels,)``; returns ``(channels, block_size)`` float32.
-    """
-    codes, _ = decode_payload(payload)
-    values = codes.astype(np.float32) * scales.astype(np.float32)[:, None, None]
-    return values.reshape(len(payload), -1)[:, :block_size]
+    values = tokens.astype(np.float32) \
+        * scales.reshape(-1).astype(np.float16).astype(np.float32)
+    return np.moveaxis(values.reshape(block, n, heads, head_dim), 0, 2)
 
 
 class _BlockCodec:
     """What both codecs share: the protocol and the chunk read.
 
     The protocol, as the cache calls it: ``setup()`` builds the block
-    ``store`` (a :class:`DequantBlockCache` with no blocks yet, FP32 K
-    and V first; the cache grows it with the pool and copies blocks in
-    it) at the first write and sets ``block_bytes`` (one sealed block of
-    one operand in one layer); ``plan_token`` / ``plan_span`` /
-    ``read_plan`` resolve a forward's write or read and ``write_token`` /
-    ``write_span`` / :meth:`read` run it on one layer; ``adopt`` takes
-    in a shared prefix's partial tail copy-on-write; ``shrink`` hears
-    that rows were freed or rolled back.  ``buffered`` says where the
-    current block lives: in the pool (a row owns every block its tokens
-    touch, and every block stays writable) or outside it, written in
-    FP32 until it is sealed, when the codec also provides
+    ``store`` (a :class:`DequantBlockCache` of FP32 K and V with no
+    blocks yet; the cache grows it with the pool and copies blocks in
+    it) at the first write and sets ``block_bytes`` (the price of one
+    sealed block of one operand in one layer); ``plan_token`` /
+    ``plan_span`` / ``read_plan`` resolve a forward's write or read and
+    ``write_token`` / ``write_span`` / :meth:`read` run it on one layer;
+    ``adopt`` takes in a shared prefix's partial tail copy-on-write;
+    ``shrink`` hears that rows were freed or rolled back.  ``buffered``
+    says where the current block lives: in the pool (a row owns every
+    block its tokens touch, and every block stays writable) or outside
+    it, written in FP32 until it is sealed, when the codec also provides
     ``seal_current``, which shares that block.
 
     :meth:`read` is the one chunk loop: a codec supplies only its plan,
@@ -123,6 +102,14 @@ class _BlockCodec:
         self.cache = weakref.proxy(cache)
         self._chunk_scratch = np.empty((2, 0), dtype=np.float32)
         self._chunk_rows = 0        # reader rows the buffers have room for
+
+    def setup(self) -> None:
+        """Build the store: the zero block last and, for a ``buffered``
+        codec, one current block per row before it."""
+        cache = self.cache
+        self.store = DequantBlockCache(
+            cache.num_layers, cache.batch + 1 if self.buffered else 1,
+            (cache._heads, cache.block_size, cache._head_dim))
 
     def shrink(self, rows: np.ndarray) -> None:
         pass
@@ -170,7 +157,7 @@ class _BlockCodec:
         ``h`` in it (a negative id counts from the view's end; ``-1`` is
         its zero block), so the chunk lands in the attended layout, no
         transposed copy.  The plan's totals book what the read streams
-        and how many blocks it serves from the decoded store."""
+        and how many blocks it serves from the store."""
         cache = self.cache
         bs, heads, head_dim = cache.block_size, cache._heads, cache._head_dim
         operands = (0, 1) if kind == "kv" else (0,) if kind == "k" else (1,)
@@ -199,16 +186,14 @@ class FP32Codec(_BlockCodec):
     """The identity codec: FP32 pool blocks, written in place.
 
     The current block lives in the pool, so a row owns every block its
-    tokens touch, and every block stays writable.  The store holds FP32
-    K and V and one spare all-zero block past the cache's blocks, never
-    handed out and never counted: the read's padding columns address it.
+    tokens touch, and every block stays writable.  The store's one spare
+    is the all-zero block past the cache's blocks, never handed out and
+    never counted: the read's padding columns address it.
     """
 
     def setup(self) -> None:
+        super().setup()
         cache = self.cache
-        block = ((cache._heads, cache.block_size, cache._head_dim),
-                 np.float32)
-        self.store = DequantBlockCache(cache.num_layers, 1, [block, block])
         self.block_bytes = cache._heads * cache.block_size \
             * cache._head_dim * 4
 
@@ -229,7 +214,7 @@ class FP32Codec(_BlockCodec):
     def write_token(self, layer: int, k: np.ndarray, v: np.ndarray,
                     plan: tuple) -> None:
         ids, slots = plan
-        k_store, v_store = self.store.arrays[:2]
+        k_store, v_store = self.store.arrays
         k_store[layer][ids, :, slots] = k[:, :, 0]
         v_store[layer][ids, :, slots] = v[:, :, 0]
 
@@ -245,7 +230,7 @@ class FP32Codec(_BlockCodec):
 
     def write_span(self, layer: int, k: np.ndarray, v: np.ndarray,
                    plan: list[tuple]) -> None:
-        pool_k, pool_v = (array[layer] for array in self.store.arrays[:2])
+        pool_k, pool_v = (array[layer] for array in self.store.arrays)
         for j, block_id, lo, take, src in plan:
             pool_k[block_id, :, lo:lo + take] = k[j, :, src:src + take]
             pool_v[block_id, :, lo:lo + take] = v[j, :, src:src + take]
@@ -267,30 +252,32 @@ class FP32Codec(_BlockCodec):
 
 
 class FineQCodec(_BlockCodec):
-    """Sealed blocks in the FineQ format; reads gather the FP32 store.
+    """Sealed blocks quantized in the FineQ format; reads gather the
+    FP32 store.
 
-    The store holds, per layer and block, the decoded FP32 K and V,
-    then the packed 6-bit cluster codes (uint8) and the FP16 per-channel
-    scales of K and V — cluster-of-3 codes with a shared 2-bit pair
-    index and one scale per ``(head, dim)`` channel, clustered along the
-    token axis.  A row's pool blocks are its *sealed* blocks only; its
-    current block is written in FP32 into its spare block of the store,
-    id ``-2 - row``, before the zero block at ``-1``.  Decode seals a
-    block lazily, when the row writes the first token of its next one,
-    so ``block_size`` is the exactness horizon: the newest ``<=
-    block_size`` tokens of each row read back bit-exact.  A span seals
-    every block it completes at once (:meth:`plan_span`).  Sealed blocks
-    are lossy, so a row can only roll back inside its current block.
+    A seal quantizes a block per ``(head, dim)`` channel along the token
+    axis — clusters of 3 under a shared 2-bit pair scheme and one FP16
+    scale per channel — and stores the quantized values in FP32, the
+    one copy of the block.  ``block_bytes`` prices it in the paper's
+    2.33-bit payload + scale format, which the store does not hold: the
+    FP32 values are the served format, the output of a decoder stage
+    ahead of the attention datapath.  A row's pool blocks are its
+    *sealed* blocks only; its current block is written in FP32 into its
+    spare block of the store, id ``-2 - row``, before the zero block at
+    ``-1``.  Decode seals a block lazily, when the row writes the first
+    token of its next one, so ``block_size`` is the exactness horizon:
+    the newest ``<= block_size`` tokens of each row read back bit-exact.
+    A span seals every block it completes at once (:meth:`plan_span`).
+    Sealed blocks are lossy, so a row can only roll back inside its
+    current block.
 
     The seal happens once per boundary crossing, not once per layer: in
     a forward, the first layer to see a crossing quantizes every layer's
     K and V in one kernel call (:meth:`_seal_crossing`) and stores the
-    dequantized values the kernel already holds in the store, indexed by
-    block id.  Reads gather every block from there, sealed and current
-    alike, and never decode a payload: the store keeps one FP32 copy of
-    every sealed block, which the byte accounting of
-    :meth:`~repro.nn.paged_kv_cache.PagedKVCache.used_bytes` does not
-    count.
+    quantized values in the store, indexed by block id.  Reads gather
+    every block from there, sealed and current alike; the byte
+    accounting of :meth:`~repro.nn.paged_kv_cache.PagedKVCache.used_bytes`
+    prices the sealed ones at ``block_bytes``.
     """
 
     buffered = True
@@ -305,17 +292,14 @@ class FineQCodec(_BlockCodec):
                                  dtype=np.int64)
 
     def setup(self) -> None:
-        cache, layers = self.cache, self.cache.num_layers
-        bs, heads, head_dim = cache.block_size, cache._heads, cache._head_dim
-        groups = -(-(-(-bs // CLUSTER_SIZE)) // CLUSTERS_PER_GROUP)
-        self._channels = heads * head_dim
-        self._payload_bytes = groups * GROUP_BYTES
-        self.block_bytes = self._channels * (self._payload_bytes + 2)
-        fp32 = ((heads, bs, head_dim), np.float32)
-        payload = ((self._channels, self._payload_bytes), np.uint8)
-        scale = ((self._channels,), np.float16)
-        self.store = DequantBlockCache(layers, cache.batch + 1, [
-            fp32, fp32, payload, payload, scale, scale])
+        super().setup()
+        cache = self.cache
+        groups = -(-(-(-cache.block_size // CLUSTER_SIZE))
+                   // CLUSTERS_PER_GROUP)
+        # Priced in the paper's format: each (head, dim) channel's
+        # packed cluster groups and its FP16 scale.
+        self.block_bytes = cache._heads * cache._head_dim \
+            * (groups * GROUP_BYTES + 2)
 
     def shrink(self, rows: np.ndarray) -> None:
         """Current blocks hold nothing past the rows' kept tokens."""
@@ -328,26 +312,20 @@ class FineQCodec(_BlockCodec):
     def _flush(self, layers: np.ndarray, ids: np.ndarray,
                k_blocks: np.ndarray, v_blocks: np.ndarray,
                charge: bool = True) -> None:
-        """Quantize complete blocks into the pools in one kernel call.
+        """Quantize complete blocks into the store in one kernel call.
 
         ``k_blocks[i]``/``v_blocks[i]`` are the FP32 ``(heads, block,
         head_dim)`` contents of pool block ``ids[i]`` of layer
         ``layers[i]``.  K and V of every layer go through a single
         :func:`quantize_kv_block` — channels are independent, so
-        batching is bit-exact — and the dequantized values the kernel
-        already holds go into the store beside the payloads, so no block
-        is ever decoded back.  With ``charge`` (a full block, which
+        batching is bit-exact.  With ``charge`` (a full block, which
         rows will read) the seal is charged the one payload+scale fetch
         a decoder ahead of the attention datapath would stream for it.
         """
         count = len(ids)
-        payload, scales, values = quantize_kv_block(
-            np.concatenate([k_blocks, v_blocks]), with_values=True)
-        # K then V of each, in the store's order.
-        for array, blocks in zip(self.store.arrays, (
-                *values.reshape((2, count) + values.shape[1:]),
-                *payload.reshape(2, count, self._channels, -1),
-                *scales.reshape(2, count, self._channels))):
+        values = quantize_kv_block(np.concatenate([k_blocks, v_blocks]))
+        for array, blocks in zip(self.store.arrays,
+                                 (values[:count], values[count:])):
             array[layers, ids] = blocks
         stats = self.cache._read_stats
         stats.flush_calls += 1
@@ -384,7 +362,7 @@ class FineQCodec(_BlockCodec):
         ids = cache._tables[rows, block_index]
         layers, col = np.nonzero(self._buf_end[:, rows] == positions)
         at = rows[col]
-        k_store, v_store = self.store.arrays[:2]
+        k_store, v_store = self.store.arrays
         self._flush(layers, ids[col], k_store[layers, -2 - at],
                     v_store[layers, -2 - at])
         self._buf_end[layers, at] = 0
@@ -394,11 +372,11 @@ class FineQCodec(_BlockCodec):
         first ``fill`` tokens (zero-padded so garbage beyond ``fill``
         cannot inflate the channel scales) into a fresh pool block the
         caller owns.  A shared prefix is therefore always served in the
-        2.33-bit format — quantized once, dequantized by every reader."""
+        2.33-bit format — quantized once, read by every reader."""
         cache, layers = self.cache, self.cache.num_layers
         block = cache._take_block()
         keep = (np.arange(cache.block_size) < fill)[:, None]
-        k_store, v_store = self.store.arrays[:2]
+        k_store, v_store = self.store.arrays
         # A partial block is only ever adopted copy-on-write (copied as
         # the adopter's current block), never read in place: no charge.
         self._flush(np.arange(layers), np.full(layers, block),
@@ -409,7 +387,7 @@ class FineQCodec(_BlockCodec):
     def adopt(self, row: int, tail_id: int | None, length: int) -> list[int]:
         """COW in the quantized format: the shared partial tail is
         *copied, inside the store, into the row's current block* — its
-        dequantized values are what the row reads and keeps appending
+        quantized values are what the row reads and keeps appending
         to, without touching the shared original.  No pool block joins
         the row's chain.  A block-aligned prefix leaves every layer's
         current block empty."""
@@ -434,7 +412,7 @@ class FineQCodec(_BlockCodec):
                     plan: tuple) -> None:
         rows, current, slots, ends, open_rows, open_positions = plan
         self._seal_crossing(layer, open_rows, open_positions)
-        k_store, v_store = self.store.arrays[:2]
+        k_store, v_store = self.store.arrays
         k_store[layer][current, :, slots] = k[:, :, 0]
         v_store[layer][current, :, slots] = v[:, :, 0]
         # Clone-rows verify repeats a row at ascending positions; the
@@ -480,7 +458,7 @@ class FineQCodec(_BlockCodec):
                    plan: tuple) -> None:
         segments, seal_ids, open_rows, open_starts, wrote, buf_ends = plan
         self._seal_crossing(layer, open_rows, open_starts)
-        k_store, v_store = (array[layer] for array in self.store.arrays[:2])
+        k_store, v_store = (array[layer] for array in self.store.arrays)
         seal_k, seal_v = [], []
         for j, current, lo, take, src, completes in segments:
             k_store[current, :, lo:lo + take] = k[j, :, src:src + take]

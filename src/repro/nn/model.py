@@ -103,8 +103,8 @@ class TransformerLM(Module):
                        logits_positions) -> np.ndarray:
         """Autograd-free serving pass: write the span, attend the blocks.
 
-        The same float32 numpy ops in the same order on the same operand
-        layouts as the ``Tensor`` path, minus the graph objects.  Each
+        The same float32 numpy ops in the same order on operands laid
+        out as on the ``Tensor`` path, minus the graph objects.  Each
         row rotates by its own ``positions`` (checked and gathered once
         for all layers), every layer writes its new K/V without reading
         anything back and :mod:`repro.nn.block_attention` iterates the

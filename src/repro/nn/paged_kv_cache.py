@@ -15,14 +15,15 @@ One cache, two block codecs (:mod:`repro.nn.kv_codec`): the cache
 defines once what every format shares — block tables, reference counts,
 row lengths, sharing, rollback, byte accounting — and the codec it is
 built with owns the write and read paths.  Either codec keeps its blocks
-in one :class:`DequantBlockCache` of ``(layers, blocks + spares, ...)``
-arrays, which the cache grows with the pool (:meth:`_grow_pool`) and
-copies blocks in (:meth:`copy_block`), one call each.
-:class:`PagedKVCache` stores FP32 blocks, so reads return the float
-values a rectangular cache would and greedy engine output stays
-token-identical to the sequential path.  :class:`QuantizedPagedKVCache`
-seals full blocks in the paper's 2.33-bit FineQ format and keeps every
-row's newest block in FP32 until it seals it.  Attention, the engine and
+in one :class:`DequantBlockCache` of FP32 K and V, which the cache grows
+with the pool (:meth:`_grow_pool`) and copies blocks in
+(:meth:`copy_block`), one call each.  :class:`PagedKVCache` stores the
+FP32 values written, so reads return the float values a rectangular
+cache would and greedy engine output stays token-identical to the
+sequential path.  :class:`QuantizedPagedKVCache` seals full blocks
+through the paper's 2.33-bit FineQ quantizer — storing the quantized
+values, priced at the packed format's bytes — and keeps every row's
+newest block exact until it seals it.  Attention, the engine and
 ``cached_perplexity`` call the same methods on either.
 
 Block tables are shared across layers (block ``i`` of a row addresses
@@ -41,7 +42,7 @@ block chain, :meth:`share_block` hands out a reference to a row's block
 (a FineQ current block is sealed into a pool block first), and a new
 request that diverges *inside* a partially-filled shared block adopts
 it copy-on-write (:meth:`copy_block` on FP32; the FineQ codec copies
-the shared tail's decoded values into the row's current block
+the shared tail's quantized values into the row's current block
 instead).  A block returns to the free list only when its last
 reference drops, so retiring or cancelling a reader frees exactly the
 blocks it owned exclusively.
@@ -88,19 +89,20 @@ DEFAULT_CHUNK_BLOCKS = 8
 class KVReadStats:
     """Decode-read accounting accumulated by :meth:`context_blocks`.
 
-    ``streamed_bytes`` is what the block iteration actually
-    fetched from cache storage: the rows' live FP32 tokens for FP32
-    blocks; for the quantized cache, the live FP32 tokens of current
-    blocks plus one payload+scale fetch per full block, charged when it
-    is sealed and its decoded values land in the codec's
-    :class:`DequantBlockCache` — later reads of a sealed block stream
-    nothing, which is the number the accelerator projection credits.
+    ``streamed_bytes`` is what the block iteration would fetch from
+    cache storage: the rows' live FP32 tokens for FP32 blocks; for the
+    quantized cache, the live FP32 tokens of current blocks plus one
+    payload+scale fetch per full block, charged when it is sealed and
+    its quantized values land in the codec's :class:`DequantBlockCache`
+    — a decoder's output ahead of the datapath, so later reads of a
+    sealed block stream nothing, which is the number the accelerator
+    projection credits.
     ``peak_scratch_bytes`` is the largest transient chunk scratch any
     single read materialised (a regression that materialises something
     dense shows up there).
     ``dequant_hits`` counts the sealed blocks reads gathered from the
-    decoded store, per reader and per operand: every one is served
-    there, so there is no miss to count.
+    store, per reader and per operand: every one is served there, so
+    there is no miss to count.
 
     The write side rides along: ``flush_calls`` counts
     :func:`quantize_kv_block` kernel calls and ``flush_blocks`` the K/V
@@ -313,7 +315,7 @@ class PagedKVCache:
         """Copy-on-write primitive: duplicate ``src`` across every layer.
 
         Returns a fresh block (one reference, owned by the caller) whose
-        stored payload equals ``src``'s at copy time.  The FP32 codec
+        stored values equal ``src``'s at copy time.  The FP32 codec
         adopts a shared partial tail through it: the writer gets a
         private copy, other readers keep the original.
         """
@@ -719,10 +721,10 @@ class PagedKVCache:
 
 class QuantizedPagedKVCache(PagedKVCache):
     """A :class:`PagedKVCache` built with the FineQ codec
-    (:class:`~repro.nn.kv_codec.FineQCodec`): sealed blocks in the
-    2.33-bit cluster format, kept in the codec's
-    :class:`DequantBlockCache` beside every block's decoded FP32 values,
-    current ones included, which the reads gather from.
+    (:class:`~repro.nn.kv_codec.FineQCodec`): sealed blocks quantized
+    in the 2.33-bit cluster format and kept as their FP32 values in the
+    codec's :class:`DequantBlockCache`, current blocks included, which
+    the reads gather from.
     """
 
     codec_type = FineQCodec

@@ -180,8 +180,9 @@ class GatewayHTTPServer:
             return None
         try:
             method, path, _version = request_line.decode().split()
-        except ValueError:
-            return None
+        except ValueError:  # not UTF-8, or not three fields
+            raise HttpError(400, {"error": "malformed request line"}) \
+                from None
         content_length = 0
         for count in range(MAX_HEADER_LINES + 1):
             line = await self._read_line(reader)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -70,39 +72,21 @@ def stepwise_fineq_cache():
     """``QuantizedPagedKVCache`` flushing the pre-fusion way.
 
     Each layer quantizes its own write buffer at its own boundary
-    crossing, K and V in separate calls of the line-by-line reference
-    kernel (step functions + per-bit packer), and fills the decoded
-    store with values decoded back from its *own* payload.  Driving it
-    and the production cache with the same operations must leave
-    byte-identical pools.
+    crossing, K and V in separate calls of the reference round trip
+    (step functions, per-bit packer, then a decode of that payload), and
+    stores the decoded values.  Driving it and the production cache with
+    the same operations must leave byte-identical stores.
     """
-    from repro.core.clusters import cluster_weights
-    from repro.core.encoding import encode_channels_stepwise
-    from repro.core.packing import pack_matrix_bitwise
     from repro.nn.kv_codec import FineQCodec
     from repro.nn.paged_kv_cache import QuantizedPagedKVCache
-    from tests.kv_oracle import decoded_blocks, payload_arrays
-
-    def quantize_stepwise(blocks):
-        n, heads, block, head_dim = blocks.shape
-        matrix = blocks.transpose(0, 1, 3, 2).reshape(-1, block)
-        clusters, _ = cluster_weights(matrix)
-        codes, schemes, scales = encode_channels_stepwise(clusters)
-        packed = pack_matrix_bitwise(codes, schemes, scales.reshape(-1),
-                                     matrix.shape)
-        return packed.payload, packed.scales
+    from tests.kv_oracle import reference_quantize
 
     class StepwiseFlushCodec(FineQCodec):
         def _flush(self, layers, ids, k_blocks, v_blocks, charge=True):
             for i, (layer, block) in enumerate(zip(layers, ids)):
-                for payloads, scales, data in zip(*payload_arrays(self.cache),
-                                                  (k_blocks, v_blocks)):
-                    payloads[layer, block], scales[layer, block] = \
-                        quantize_stepwise(data[i][None])
-                for array, values in zip(self.store.arrays[:2],
-                                         decoded_blocks(self.cache, layer,
-                                                        [block])):
-                    array[layer, block] = values[0]
+                for array, data in zip(self.store.arrays,
+                                       (k_blocks, v_blocks)):
+                    array[layer, block] = reference_quantize(data[i][None])[0]
             stats = self.cache._read_stats
             stats.flush_calls += 2 * len(ids)
             stats.flush_blocks += 2 * len(ids)
@@ -126,23 +110,64 @@ def stepwise_fineq_cache():
     return StepwiseFlushCache
 
 
-@pytest.fixture(scope="session")
+@pytest.fixture(scope="module")
 def assert_store_coherent():
-    """Checker for a quantized cache's decoded store: every sealed block
-    any row owns reads, in every layer, bitwise what its payload
-    decodes to, and the zero block every ``-1`` reads is zero."""
-    from tests.kv_oracle import decoded_blocks
+    """Checker for a quantized cache's store: every sealed block any row
+    owns reads, in every layer, bitwise what the reference round trip
+    (``tests.kv_oracle.reference_quantize``) gives for the FP32 contents
+    sealed into it, and the zero block every ``-1`` reads is zero.
+
+    While the fixture is active, every FineQ codec set up records what
+    it seals: its ``_flush`` and its store's ``copy`` are wrapped, per
+    instance, to note each ``(layer, block id)``'s FP32 contents and to
+    carry them along with a copied block.  A cache set up before that
+    cannot be checked.
+    """
+    from repro.nn.kv_codec import FineQCodec
+    from tests.kv_oracle import reference_quantize
+
+    sealed_by_codec = weakref.WeakKeyDictionary()
+    real_setup = FineQCodec.setup
+
+    def recording_setup(codec):
+        real_setup(codec)
+        sealed = sealed_by_codec[codec] = {}
+        flush, copy = codec._flush, codec.store.copy
+        layers = codec.cache.num_layers
+
+        def recording_flush(at, ids, k_blocks, v_blocks, charge=True):
+            for layer, block, k, v in zip(at, ids, k_blocks, v_blocks):
+                sealed[int(layer), int(block)] = k.copy(), v.copy()
+            flush(at, ids, k_blocks, v_blocks, charge)
+
+        def recording_copy(src, dst):
+            for layer in range(layers):
+                if (layer, src) in sealed:
+                    sealed[layer, dst] = sealed[layer, src]
+                else:
+                    sealed.pop((layer, dst), None)
+            copy(src, dst)
+
+        codec._flush, codec.store.copy = recording_flush, recording_copy
 
     def check(cache):
-        k_store, v_store = cache.codec.store.arrays[:2]
+        sealed = sealed_by_codec[cache.codec]
+        k_store, v_store = cache.codec.store.arrays
         owned = np.unique(np.concatenate(
             [cache._tables[row, :cache._blocks_per_row[row]]
              for row in range(cache.batch)]))
-        for layer in range(cache.num_layers if owned.size else 0):
-            for vals, want in zip((k_store, v_store),
-                                  decoded_blocks(cache, layer, owned)):
-                assert vals[layer, owned].tobytes() == want.tobytes()
+        keys = [(layer, int(block)) for layer in range(cache.num_layers)
+                for block in owned]
+        if keys:
+            want = [reference_quantize(np.stack([sealed[key][operand]
+                                                 for key in keys]))
+                    for operand in (0, 1)]
+            at, ids = np.array(keys).T
+            assert k_store[at, ids].tobytes() == want[0].tobytes()
+            assert v_store[at, ids].tobytes() == want[1].tobytes()
         assert not k_store[:, -1].any()
         assert not v_store[:, -1].any()
 
-    return check
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(FineQCodec, "setup", recording_setup)
+        yield check

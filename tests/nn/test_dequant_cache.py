@@ -1,6 +1,6 @@
-"""The decoded store FineQ reads every block from: re-seals, frees, COW.
+"""The store FineQ reads every block from: re-seals, frees, COW.
 
-Every seal stores the block's dequantized values by block id, and reads
+Every seal stores the block's quantized values by block id, and reads
 only ever gather from there, so these tests pin the edges where a read
 could see values its block no longer holds — a block freed and its id
 recycled, a payload sealed again, either between the K and V passes of a
@@ -11,7 +11,7 @@ grown with the pool, each row's current block and a zero block last.
 import numpy as np
 import pytest
 
-from repro.nn.paged_kv_cache import QuantizedPagedKVCache
+from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
 from tests.kv_oracle import current_blocks, dense_context
 
 HEADS, HEAD_DIM, BS = 2, 8, 4
@@ -97,38 +97,43 @@ def test_payload_rewrite_invalidates_entry():
 
 def test_store_grows_with_the_pool_and_keeps_the_spares_last():
     """Decode two rows from a two-block pool through several pool
-    growths: after each, the store holds exactly the pool's blocks, one
-    current block per row and the zero block — the current blocks still
-    holding what the rows wrote there — and chunk reads equal the
+    growths, on either codec: after each, the store is two FP32 arrays,
+    K and V, holding exactly the pool's blocks, on FineQ one current
+    block per row — the current blocks still holding what the rows
+    wrote there — and the zero block; and chunk reads equal the
     oracle's."""
     batch, layers, steps = 2, 2, 26
-    cache = QuantizedPagedKVCache(layers, batch=batch, block_size=BS,
-                                  initial_blocks=2, chunk_blocks=2)
     rng = np.random.default_rng(5)
     written = rng.standard_normal(
         (2, layers, batch, HEADS, steps, HEAD_DIM)).astype(np.float32)
-    sizes = []
-    for pos in range(steps):
-        for layer in range(layers):
-            k, v = written[:, layer, :, :, pos:pos + 1]
-            cache.write_token(layer, k, v, np.full(batch, pos))
-        if cache._total_blocks in sizes:
-            continue
-        sizes.append(cache._total_blocks)
-        for array in cache.codec.store.arrays:
-            assert array.shape[:2] == (layers,
-                                       cache._total_blocks + batch + 1)
-        lo = pos - pos % BS
-        for current, want in zip(current_blocks(cache), written):
-            assert current[:, :, :, :pos - lo + 1].tobytes() == \
-                want[:, :, :, lo:pos + 1].tobytes()
-        assert not cache.codec.store.arrays[0][:, -1].any()
-        for layer in range(layers):
-            want = dense_context(cache, layer)
-            for index, kind in enumerate(("k", "v")):
-                np.testing.assert_array_equal(
-                    read_context(cache, layer, kind), want[index])
-    assert len(sizes) >= 4                      # the first pool + 3 growths
+    for cls, spares in ((QuantizedPagedKVCache, batch + 1),
+                        (PagedKVCache, 1)):
+        cache = cls(layers, batch=batch, block_size=BS, initial_blocks=2,
+                    chunk_blocks=2)
+        sizes = []
+        for pos in range(steps):
+            for layer in range(layers):
+                k, v = written[:, layer, :, :, pos:pos + 1]
+                cache.write_token(layer, k, v, np.full(batch, pos))
+            if cache._total_blocks in sizes:
+                continue
+            sizes.append(cache._total_blocks)
+            assert [(array.shape, array.dtype)
+                    for array in cache.codec.store.arrays] == \
+                [((layers, cache._total_blocks + spares, HEADS, BS,
+                   HEAD_DIM), np.float32)] * 2
+            lo = pos - pos % BS
+            for current, want in zip(current_blocks(cache) if spares > 1
+                                     else (), written):
+                assert current[:, :, :, :pos - lo + 1].tobytes() == \
+                    want[:, :, :, lo:pos + 1].tobytes()
+            assert not cache.codec.store.arrays[0][:, -1].any()
+            for layer in range(layers):
+                want = dense_context(cache, layer)
+                for index, kind in enumerate(("k", "v")):
+                    np.testing.assert_array_equal(
+                        read_context(cache, layer, kind), want[index])
+        assert len(sizes) >= 4                  # the first pool + 3 growths
 
 
 def rewrite_block(cache, layer):

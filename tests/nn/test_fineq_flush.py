@@ -1,21 +1,25 @@
-"""The fineq KV write path: one all-layer flush into the decoded store.
+"""The fineq KV write path: one all-layer flush into the store.
 
 A boundary crossing quantizes every layer's K and V buffers in one
-kernel call and stores the dequantized values it already holds.
-Neither may change a stored byte, a read value or an accounted byte, so
-every scenario here is driven twice — on the production cache and on the
+kernel call and stores the quantized values.  That may not change a
+stored byte, a read value or an accounted byte, so every scenario here
+is driven twice — on the production cache and on the
 ``stepwise_fineq_cache`` reference (per-layer flushes through the
-line-by-line kernel, its store filled by decoding its own payload) — and
-compared bit for bit.
+line-by-line kernel and per-bit packer, its store filled by decoding its
+own payload) — and compared bit for bit.  The seal kernel itself never
+packs: a property pins its values to the decoded 2.33-bit format.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.nn.kv_codec import dequantize_kv_channels, quantize_kv_block
+from repro.core.clusters import cluster_weights
+from repro.core.encoding import encode_channels
+from repro.core.packing import pack_matrix
+from repro.nn.kv_codec import quantize_kv_block
 from repro.nn.paged_kv_cache import QuantizedPagedKVCache
-from tests.kv_oracle import current_blocks, dense_context
+from tests.kv_oracle import dense_context, reference_quantize, unpack_blocks
 
 LAYERS, BATCH, HEADS, HEAD_DIM = 3, 4, 2, 4
 
@@ -150,13 +154,11 @@ def assert_same_storage(fused, reference):
     for name in ("_tables", "_blocks_per_row", "_row_len", "_refcount"):
         np.testing.assert_array_equal(getattr(fused, name),
                                       getattr(reference, name))
-    for index, (got, want) in enumerate(zip(fused.codec.store.arrays[2:],
-                                            reference.codec.store.arrays[2:])):
+    for index, (got, want) in enumerate(zip(fused.codec.store.arrays,
+                                            reference.codec.store.arrays)):
         for layer in range(LAYERS):
             assert got[layer].tobytes() == want[layer].tobytes(), \
                 (index, layer)
-    for got, want in zip(current_blocks(fused), current_blocks(reference)):
-        assert got.tobytes() == want.tobytes()
 
 
 def make(cls, block_size, **kwargs):
@@ -197,9 +199,9 @@ def test_crossing_flushes_all_layers_in_one_call(monkeypatch):
     calls = []
     real = module.quantize_kv_block
 
-    def counting(blocks, **kwargs):
+    def counting(blocks):
         calls.append(len(blocks))
-        return real(blocks, **kwargs)
+        return real(blocks)
 
     monkeypatch.setattr(module, "quantize_kv_block", counting)
     cache = make(QuantizedPagedKVCache, 4)
@@ -212,7 +214,7 @@ def test_crossing_flushes_all_layers_in_one_call(monkeypatch):
     session.decode([0, 1, 2])            # slot 0 of block 1: one flush
     assert calls == [3 * LAYERS * 2]     # rows x layers x {K, V}
     sealed = cache._tables[:3, 0]        # now in the store, every layer
-    for values in cache.codec.store.arrays[:2]:
+    for values in cache.codec.store.arrays:
         assert values[:, sealed].any(axis=(2, 3, 4)).all()
 
 
@@ -253,36 +255,56 @@ def test_lagging_layer_flushes_on_its_own_crossing(stepwise_fineq_cache,
             assert got[1].tobytes() == ref[1].tobytes()
 
 
-@pytest.mark.parametrize("block", [8, 16, 20])
-def test_write_through_values_equal_decoded_payload(block):
-    rng = np.random.default_rng(block)
-    blocks = rng.standard_normal((5, HEADS, block, HEAD_DIM)) \
-        .astype(np.float32)
-    blocks[:, :, :, 1] *= 12.0
-    payload, scales, values = quantize_kv_block(blocks, with_values=True)
-    plain = quantize_kv_block(blocks)
-    assert plain[0].tobytes() == payload.tobytes()
-    assert plain[1].tobytes() == scales.tobytes()
-    decoded = dequantize_kv_channels(payload, scales, block).reshape(
-        5, HEADS, HEAD_DIM, block).transpose(0, 1, 3, 2)
-    assert values.shape == decoded.shape and values.dtype == np.float32
-    assert np.ascontiguousarray(values).tobytes() == \
-        np.ascontiguousarray(decoded).tobytes()
+def packed_round_trip(blocks):
+    """``blocks`` through the production kernels of the weight path:
+    fused encode, LUT packer, then the payload decoded back."""
+    matrix = blocks.transpose(0, 1, 3, 2).reshape(-1, blocks.shape[2])
+    clusters, _ = cluster_weights(matrix)
+    codes, schemes, scales = encode_channels(clusters)
+    return unpack_blocks(pack_matrix(codes, schemes, scales.reshape(-1),
+                                     matrix.shape), blocks.shape)
+
+
+# 15 examples per block size under the ``default`` profile.
+@pytest.mark.parametrize("block", [4, 8, 16, 20])
+@settings(max_examples=settings.default.max_examples // 4, deadline=None)
+@given(seed=st.integers(0, 10_000), n=st.integers(1, 3),
+       fill=st.integers(1, 20), halves=st.booleans(),
+       outliers=st.integers(0, HEAD_DIM), zeros=st.integers(0, HEAD_DIM))
+def test_write_through_values_equal_decoded_payload(block, seed, n, fill,
+                                                    halves, outliers, zeros):
+    """What a seal stores is, bit for bit, what the 2.33-bit payload and
+    FP16 scales of the same blocks decode to — through the weight
+    path's kernels and through the line-by-line reference — so the
+    stored values and the priced format cannot drift.  Blocks mix
+    channel outliers, all-zero channels and a zero-padded tail (a
+    partial block sealed for sharing); ``halves`` draws multiples of
+    0.5, whose ``|x| / scale`` hits exact rounding ties and whose
+    cluster ratios hit the outlier threshold exactly."""
+    rng = np.random.default_rng(seed)
+    shape = (n, HEADS, block, HEAD_DIM)
+    blocks = rng.integers(-6, 7, size=shape) * 0.5 if halves \
+        else rng.standard_normal(shape)
+    blocks[..., rng.permutation(HEAD_DIM)[:outliers]] *= 12.0
+    blocks[..., rng.permutation(HEAD_DIM)[:zeros]] = 0.0
+    blocks[:, :, fill:] = 0.0
+    blocks = blocks.astype(np.float32)
+    values = quantize_kv_block(blocks)
+    assert values.shape == shape and values.dtype == np.float32
+    got = np.ascontiguousarray(values).tobytes()
+    assert got == packed_round_trip(blocks).tobytes()
+    assert got == reference_quantize(blocks).tobytes()
 
 
 def test_batched_quantize_equals_separate_calls():
     """Channels are independent: one call over many blocks stores the
-    bytes separate calls would."""
+    values separate calls would."""
     rng = np.random.default_rng(1)
     blocks = rng.standard_normal((6, HEADS, 16, HEAD_DIM)).astype(np.float32)
-    payload, scales = quantize_kv_block(blocks)
+    values = quantize_kv_block(blocks)
     for i in range(len(blocks)):
-        one_payload, one_scales = quantize_kv_block(blocks[i:i + 1])
-        per = HEADS * HEAD_DIM
-        assert payload[i * per:(i + 1) * per].tobytes() == \
-            one_payload.tobytes()
-        assert scales[i * per:(i + 1) * per].tobytes() == \
-            one_scales.tobytes()
+        assert values[i].tobytes() == \
+            quantize_kv_block(blocks[i:i + 1])[0].tobytes()
 
 
 def test_span_after_boundary_decode_flushes_the_buffered_block():

@@ -10,7 +10,7 @@ from repro.core.clusters import cluster_weights, initial_schemes
 from repro.core.encoding import (channel_scales, harmonize_pairs,
                                  quantize_codes)
 from repro.nn.kv_cache import KVCache
-from repro.nn.kv_codec import dequantize_kv_channels, quantize_kv_block
+from repro.nn.kv_codec import quantize_kv_block
 from repro.nn.paged_kv_cache import PagedKVCache, QuantizedPagedKVCache
 from tests.kv_oracle import dense_context
 
@@ -234,11 +234,9 @@ def test_quantized_roundtrip_error_is_bounded_per_channel():
     """Reconstruction error never exceeds the channel's own magnitude."""
     rng = np.random.default_rng(8)
     block = rng.standard_normal((2, 16, 8)).astype(np.float32)
-    payload, scales = quantize_kv_block(block[None])
-    restored = dequantize_kv_channels(payload, scales, 16)
-    matrix = block.transpose(0, 2, 1).reshape(-1, 16)
-    max_abs = np.abs(matrix).max(axis=1, keepdims=True)
-    assert (np.abs(restored - matrix) <= max_abs + 1e-6).all()
+    restored = quantize_kv_block(block[None])[0]
+    max_abs = np.abs(block).max(axis=1, keepdims=True)
+    assert (np.abs(restored - block) <= max_abs + 1e-6).all()
 
 
 def test_quantized_buffer_is_exact_until_block_fills():

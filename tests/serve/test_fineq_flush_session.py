@@ -1,11 +1,11 @@
-"""Engine sessions on fineq KV: the all-layer flush into the decoded
-store stores the bytes, emits the tokens and accounts the traffic of the
+"""Engine sessions on fineq KV: the all-layer flush into the store
+stores the bytes, emits the tokens and accounts the traffic of the
 per-layer reference flush.
 
 The ``stepwise_fineq_cache`` fixture (tests/conftest.py) is swapped in
 as the engine's quantized cache class to play the reference: each layer
-flushes at its own crossing through the line-by-line kernel and fills
-its store by decoding its own payload.
+flushes at its own crossing through the line-by-line kernel and
+per-bit packer, and fills its store by decoding its own payload.
 """
 
 import numpy as np
@@ -32,7 +32,7 @@ def draft():
 
 def pool_bytes(cache):
     return [array[layer, :cache._total_blocks].tobytes()
-            for array in cache.codec.store.arrays[2:]
+            for array in cache.codec.store.arrays
             for layer in range(cache.num_layers)]
 
 
@@ -117,17 +117,18 @@ def test_decode_crossing_batches_all_layers(model):
 
 
 def test_serving_never_decodes_a_payload(monkeypatch, model, draft):
-    """Sealing stores every block's decoded values, so nothing a session
-    does decodes a payload back: not the reads, and not adopting a
-    shared partial tail copy-on-write, which copies the tail's values
-    from the decoded store.  A session with prefix sharing, two tail
-    adoptions, ``k=4`` speculation and one preemption makes zero calls
-    of either decoder, and its greedy streams equal a reference whose
-    adoption decodes the tail's payload instead."""
+    """A seal stores each block's quantized values and nothing else, so
+    nothing a session does packs a KV payload or decodes one back: not
+    the seals, not the reads, and not adopting a shared partial tail
+    copy-on-write, which copies the tail's values inside the store.  A
+    session with prefix sharing, two tail adoptions, ``k=4`` speculation
+    and one preemption makes zero calls of the packer or the decoder,
+    and its greedy streams equal a reference that packs every sealed
+    block and whose adoption decodes the tail's payload instead."""
     import repro.core.packing as packing
     import repro.nn.kv_codec as kv_codec
     from repro.serve import SamplingParams
-    from tests.kv_oracle import decoded_blocks
+    from tests.kv_oracle import pack_blocks, unpack_blocks
 
     def session():
         rng = np.random.default_rng(0)
@@ -162,33 +163,46 @@ def test_serving_never_decodes_a_payload(monkeypatch, model, draft):
         tails.append(tail_id)
         return adopt(self, row, tail_id, length)
 
-    decodes = []
+    calls = []
 
-    def refuse(name, real):
-        def spy(*args, **kwargs):
-            decodes.append(name)
+    def spy(name, real):
+        def counting(*args, **kwargs):
+            calls.append(name)
             return real(*args, **kwargs)
-        return spy
+        return counting
 
     monkeypatch.setattr(kv_codec.FineQCodec, "adopt", spying_adopt)
-    for module, name in ((kv_codec, "dequantize_kv_channels"),
-                         (kv_codec, "decode_payload"),
-                         (packing, "decode_payload")):
-        monkeypatch.setattr(module, name, refuse(name, getattr(module, name)))
+    for name in ("pack_matrix", "decode_payload"):
+        monkeypatch.setattr(packing, name, spy(name, getattr(packing, name)))
     engine, streams = session()
     assert engine.stats.preemptions == 1
     assert engine.stats.shared_prompt_tokens > 0
     assert len([t for t in tails if t is not None]) == 2
-    assert decodes == []
+    assert calls == []
 
     class PayloadAdoptCodec(kv_codec.FineQCodec):
+        """Keeps every sealed block's payload beside the store and
+        adopts a tail by decoding it."""
+
+        def setup(self):
+            super().setup()
+            self.payloads = {}
+
+        def _flush(self, layers, ids, k_blocks, v_blocks, charge=True):
+            super()._flush(layers, ids, k_blocks, v_blocks, charge)
+            for i, (layer, block) in enumerate(zip(layers, ids)):
+                self.payloads[int(layer), int(block)] = [
+                    pack_blocks(data[i][None]) for data in (k_blocks,
+                                                            v_blocks)]
+
         def adopt(self, row, tail_id, length):
             ids = super().adopt(row, tail_id, length)
             for layer in range(self.cache.num_layers if tail_id is not None
                                else 0):
-                decoded = decoded_blocks(self.cache, layer, [tail_id])
-                for array, block in zip(self.store.arrays[:2], decoded):
-                    array[layer, -2 - row] = block[0]
+                for array, packed in zip(self.store.arrays,
+                                         self.payloads[layer, tail_id]):
+                    array[layer, -2 - row] = unpack_blocks(
+                        packed, (1,) + array.shape[2:])[0]
             return ids
 
     class PayloadAdoptCache(engine_module.QuantizedPagedKVCache):
@@ -198,6 +212,6 @@ def test_serving_never_decodes_a_payload(monkeypatch, model, draft):
                         PayloadAdoptCache)
     reference, reference_streams = session()
     assert isinstance(reference.cache, PayloadAdoptCache)
-    assert len(decodes) > 0
+    assert "decode_payload" in calls
     assert [s.tobytes() for s in streams] == \
         [s.tobytes() for s in reference_streams]

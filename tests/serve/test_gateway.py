@@ -483,7 +483,8 @@ def test_http_oversized_body_is_413_before_it_is_read(model):
 
 #: Request heads past the server's limits, as raw bytes on the socket,
 #: and the status each gets: a line longer than the stream reader's
-#: 64 KiB limit, a header that is not UTF-8, more header lines than
+#: 64 KiB limit, a header or request line that is not UTF-8, a request
+#: line that is not three fields, more header lines than
 #: ``MAX_HEADER_LINES``.
 BAD_HEADS = {
     "long-header-line": (b"GET /metrics HTTP/1.1\r\nX-Long: "
@@ -492,6 +493,8 @@ BAD_HEADS = {
                           431),
     "undecodable-header": (b"GET /metrics HTTP/1.1\r\nX-Bad: \xff\r\n\r\n",
                            400),
+    "undecodable-request-line": (b"GET /metr\xffics HTTP/1.1\r\n\r\n", 400),
+    "garbage-request-line": (b"GARBAGE\r\n\r\n", 400),
     "too-many-header-lines": (b"GET /metrics HTTP/1.1\r\n"
                               + b"X-Many: 1\r\n" * 5_000 + b"\r\n", 431),
 }
@@ -499,9 +502,9 @@ BAD_HEADS = {
 
 @pytest.mark.parametrize("name", BAD_HEADS)
 def test_http_bad_request_head_is_a_client_error(model, name):
-    """An over-long or undecodable request head is answered 431 or 400
-    with a JSON ``error`` — not a 500, and not served — and the server
-    keeps serving."""
+    """An over-long, undecodable or malformed request head is answered
+    431 or 400 with a JSON ``error`` — not a 500, not served and not a
+    silently closed connection — and the server keeps serving."""
     raw, want = BAD_HEADS[name]
     status, payload = _bad_then_good(model, raw)
     assert status == want and isinstance(payload["error"], str)
